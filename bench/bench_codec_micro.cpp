@@ -48,6 +48,32 @@ void BM_Crc64_SliceBy8(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc64_SliceBy8);
 
+// Streaming update over the flit's CRC spans: 242 B is the whole protected
+// region (encode_plain), 238 B the tail after IsnCrc's folded bytes. The
+// dispatched entry uses the PCLMULQDQ kernel where the CPU has it; the
+// sliced entry is the scalar kernel on the same input.
+void BM_Crc64_Update(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const auto data = random_bytes(size, 14);
+  const crc::Crc64& engine = crc::shared_crc64();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(engine.update(crc::Crc64::begin(), data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc64_Update)->Arg(238)->Arg(242);
+
+void BM_Crc64_UpdateSliced(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const auto data = random_bytes(size, 14);
+  const crc::Crc64& engine = crc::shared_crc64();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(engine.update_sliced(crc::Crc64::begin(), data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc64_UpdateSliced)->Arg(238)->Arg(242);
+
 void BM_IsnCrc_Encode(benchmark::State& state) {
   const auto data = random_bytes(242, 4);
   const crc::IsnCrc isn;
@@ -144,6 +170,18 @@ void BM_FlitFec_Encode(benchmark::State& state) {
 }
 BENCHMARK(BM_FlitFec_Encode);
 
+void BM_FlitFec_EncodeScalar(benchmark::State& state) {
+  const rs::FlitFec fec;
+  auto image = random_bytes(kFlitBytes, 8);
+  for (auto _ : state) {
+    fec.encode_scalar(image);
+    benchmark::DoNotOptimize(image.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) * kFlitBytes);
+}
+BENCHMARK(BM_FlitFec_EncodeScalar);
+
 void BM_FlitFec_DecodeClean(benchmark::State& state) {
   const rs::FlitFec fec;
   auto image = random_bytes(kFlitBytes, 12);
@@ -156,6 +194,19 @@ void BM_FlitFec_DecodeClean(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) * kFlitBytes);
 }
 BENCHMARK(BM_FlitFec_DecodeClean);
+
+void BM_FlitFec_DecodeCleanScalar(benchmark::State& state) {
+  const rs::FlitFec fec;
+  auto image = random_bytes(kFlitBytes, 12);
+  fec.encode(image);
+  for (auto _ : state) {
+    auto copy = image;
+    benchmark::DoNotOptimize(fec.decode_scalar(copy));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) * kFlitBytes);
+}
+BENCHMARK(BM_FlitFec_DecodeCleanScalar);
 
 void BM_FlitFec_DecodeBurst(benchmark::State& state) {
   const rs::FlitFec fec;
@@ -224,4 +275,13 @@ BENCHMARK(BM_MessagePack_RoundTrip);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Record which kernels the dispatched entries measured on this CPU.
+  benchmark::AddCustomContext("crc64_kernel", crc::Crc64::kernel_name());
+  benchmark::AddCustomContext("flit_fec_kernel", rs::FlitFec::kernel_name());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -5,9 +5,10 @@
 // relies on: all burst errors up to 64 bits detected, undetected-error
 // probability 2^-64 for longer random corruption.
 //
-// Three implementations are provided (bitwise reference, byte-table,
-// slice-by-8) so tests can cross-validate them and the microbenchmarks can
-// report the throughput trade-off.
+// Four implementations are provided (bitwise reference, byte-table,
+// slice-by-8, and a PCLMULQDQ folding kernel that `update` picks at run
+// time when the CPU has carry-less multiply) so tests can cross-validate
+// them and the microbenchmarks can report the throughput trade-off.
 #pragma once
 
 #include <array>
@@ -16,10 +17,23 @@
 
 namespace rxl::crc {
 
-/// Reflected form of the ECMA-182 polynomial 0x42F0E1EB0D6D3CB8.
+/// ECMA-182 generator polynomial, normal (MSB-first) form without the x^64
+/// term.
+inline constexpr std::uint64_t kPoly64 = 0x42F0E1EBA9EA3693ull;
+/// Reflected form of kPoly64, as the table and bitwise kernels use it.
 inline constexpr std::uint64_t kPoly64Reflected = 0xC96C5795D7870F42ull;
 inline constexpr std::uint64_t kInit64 = ~0ull;
 inline constexpr std::uint64_t kXorOut64 = ~0ull;
+
+/// Bit i of the result is bit 63 - i of `value`.
+[[nodiscard]] constexpr std::uint64_t bit_reverse64(std::uint64_t value) noexcept {
+  std::uint64_t out = 0;
+  for (int bit = 0; bit < 64; ++bit) {
+    out = (out << 1) | (value & 1);
+    value >>= 1;
+  }
+  return out;
+}
 
 /// Bit-at-a-time reference implementation (used as the test oracle).
 [[nodiscard]] std::uint64_t crc64_bitwise(std::span<const std::uint8_t> data);
@@ -41,10 +55,13 @@ class Crc64 {
   /// crc = finish(state);`. Enables the ISN on-the-fly XOR fold without
   /// copying the message.
   [[nodiscard]] static std::uint64_t begin() noexcept { return kInit64; }
+  /// Dispatches on span length: spans of at least 64 B go to the PCLMULQDQ
+  /// folding kernel when the CPU has it, shorter ones (and every span on
+  /// CPUs without it) to `update_sliced`. All paths give identical results.
   [[nodiscard]] std::uint64_t update(std::uint64_t state,
                                      std::span<const std::uint8_t> data) const;
-  /// Streaming slice-by-8 kernel (no init/xorout); `update` dispatches here
-  /// for spans of at least one full word.
+  /// Streaming slice-by-8 kernel (no init/xorout): the scalar reference the
+  /// carry-less-multiply kernel is tested against.
   [[nodiscard]] std::uint64_t update_sliced(
       std::uint64_t state, std::span<const std::uint8_t> data) const;
   [[nodiscard]] std::uint64_t update_byte(std::uint64_t state,
@@ -54,6 +71,10 @@ class Crc64 {
   [[nodiscard]] static std::uint64_t finish(std::uint64_t state) noexcept {
     return state ^ kXorOut64;
   }
+
+  /// Kernel `update` uses for long spans on this CPU, fixed at start-up:
+  /// "pclmulqdq" or "slice-by-8".
+  [[nodiscard]] static const char* kernel_name() noexcept;
 
  private:
   std::array<std::array<std::uint64_t, 256>, 8> table_;

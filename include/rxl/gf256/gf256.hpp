@@ -137,6 +137,90 @@ inline constexpr auto kMulNib = build_mul_nib_tables();
 
 }  // namespace detail
 
+// --- Isomorphism onto the AES field ----------------------------------------
+// x86 GFNI multiplies in GF(2^8) reduced by 0x11B (the AES polynomial), not
+// 0x11D. Both are GF(2^8), so some field isomorphism phi maps this field onto
+// that one: phi(mul(a, b)) == mul_aes(phi(a), phi(b)). phi is linear over
+// GF(2), i.e. an 8x8 bit matrix, which is what lets a vector kernel map
+// bytes across with one gf2p8affineqb, multiply with gf2p8mulb, and map the
+// results back. Everything here is constexpr-built and tested exhaustively
+// (tests/test_codec_kernels.cpp).
+
+inline constexpr unsigned kAesPoly = 0x11B;
+
+/// Product in GF(2^8) mod 0x11B (shift-and-add; the gf2p8mulb reference).
+[[nodiscard]] constexpr std::uint8_t mul_aes(std::uint8_t a,
+                                             std::uint8_t b) noexcept {
+  unsigned acc = 0;
+  unsigned x = a;
+  for (unsigned y = b; y != 0; y >>= 1) {
+    if (y & 1) acc ^= x;
+    x <<= 1;
+    if (x & 0x100) x ^= kAesPoly;
+  }
+  return static_cast<std::uint8_t>(acc);
+}
+
+namespace detail {
+
+/// The smallest root beta of x^8 + x^4 + x^3 + x^2 + 1 in the AES field;
+/// phi sends alpha (0x02) to it.
+constexpr std::uint8_t aes_image_of_alpha() {
+  for (unsigned b = 2; b < kFieldSize; ++b) {
+    const auto beta = static_cast<std::uint8_t>(b);
+    const std::uint8_t b2 = mul_aes(beta, beta);
+    const std::uint8_t b4 = mul_aes(b2, b2);
+    const std::uint8_t b3 = mul_aes(b2, beta);
+    if ((mul_aes(b4, b4) ^ b4 ^ b3 ^ b2 ^ 1) == 0) return beta;
+  }
+  return 0;  // unreachable: 0x11D splits over GF(2^8)
+}
+
+struct AesMap {
+  std::array<std::uint8_t, kFieldSize> to{};    ///< phi
+  std::array<std::uint8_t, kFieldSize> from{};  ///< phi^-1
+};
+
+constexpr AesMap build_aes_map() {
+  AesMap map;
+  const std::uint8_t beta = aes_image_of_alpha();
+  std::uint8_t image = 1;  // beta^i == phi(alpha^i)
+  for (unsigned i = 0; i < kGroupOrder; ++i) {
+    map.to[kExp[i]] = image;
+    map.from[image] = kExp[i];
+    image = mul_aes(image, beta);
+  }
+  return map;
+}
+
+inline constexpr auto kAesMap = build_aes_map();
+
+}  // namespace detail
+
+/// phi: this field -> the AES field.
+[[nodiscard]] constexpr std::uint8_t to_aes(std::uint8_t a) noexcept {
+  return detail::kAesMap.to[a];
+}
+
+/// phi^-1: the AES field -> this field.
+[[nodiscard]] constexpr std::uint8_t from_aes(std::uint8_t a) noexcept {
+  return detail::kAesMap.from[a];
+}
+
+/// phi as the matrix operand of gf2p8affineqb: byte 7 - i holds the mask of
+/// input bits whose parity is output bit i (column k is phi(2^k)).
+[[nodiscard]] constexpr std::uint64_t to_aes_affine_matrix() noexcept {
+  std::uint64_t matrix = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    std::uint64_t row = 0;
+    for (unsigned k = 0; k < 8; ++k)
+      row |= std::uint64_t{(to_aes(static_cast<std::uint8_t>(1u << k)) >> i) & 1u}
+             << k;
+    matrix |= row << (8 * (7 - i));
+  }
+  return matrix;
+}
+
 // --- Batch (span) kernels -------------------------------------------------
 // The scalar `mul` above stays the semantic reference; every kernel below is
 // tested byte-for-byte against it (tests/test_gf256.cpp). The RS hot paths

@@ -39,23 +39,36 @@ struct FecDecodeResult {
   }
 };
 
-/// Encoder/decoder for the 6-byte FEC field of a 256 B flit.
+/// Encoder/decoder for the 6-byte FEC field of a 256 B flit. Stateless: the
+/// two lane codes are process-wide immutable tables built on first use.
+///
+/// `encode` and `decode` pick their syndrome kernel once per process: on
+/// CPUs with AVX-512BW and GFNI, one vector pass over the whole 256 B wire
+/// image; elsewhere the per-lane strided scalar passes of `encode_scalar`
+/// and `decode_scalar`, which stay the reference the vector path is tested
+/// against. Both produce byte-identical images and identical verdicts.
 class FlitFec {
  public:
-  FlitFec();
-
   /// Computes the 6 FEC bytes over flit[0..249] and writes them into
   /// flit[250..255]. `flit` must be a full 256 B flit image.
   void encode(std::span<std::uint8_t> flit) const;
 
   /// Decodes (correcting in place) a full 256 B flit image. Runs zero-copy:
-  /// each lane is screened with a strided syndrome pass over the wire image
-  /// and only lanes with nonzero syndromes get the single-error analysis —
-  /// the (overwhelmingly common) clean path never copies or writes a byte.
+  /// every lane is screened for nonzero syndromes on the wire image and
+  /// only dirty lanes get the single-error analysis — the (overwhelmingly
+  /// common) clean path never copies or writes a byte.
   /// On kDetectedUncorrectable the protected region may retain partial
   /// corrections from the sub-blocks that decoded cleanly; callers that
   /// drop the flit (switches) don't care, and endpoint CRC catches the rest.
   [[nodiscard]] FecDecodeResult decode(std::span<std::uint8_t> flit) const;
+
+  /// Scalar reference forms of encode/decode (strided per-lane passes).
+  void encode_scalar(std::span<std::uint8_t> flit) const;
+  [[nodiscard]] FecDecodeResult decode_scalar(std::span<std::uint8_t> flit) const;
+
+  /// Kernel `encode`/`decode` use on this CPU, fixed at start-up:
+  /// "avx512bw+gfni" or "scalar".
+  [[nodiscard]] static const char* kernel_name() noexcept;
 
   /// Number of data bytes feeding sub-block `i` (84, 83, 83).
   [[nodiscard]] static constexpr std::size_t sub_block_data_bytes(
@@ -69,10 +82,6 @@ class FlitFec {
   [[nodiscard]] static double valid_position_fraction(std::size_t i) noexcept {
     return static_cast<double>(sub_block_data_bytes(i) + 2) / 255.0;
   }
-
- private:
-  ReedSolomon code84_;  ///< k = 84 (sub-block 0)
-  ReedSolomon code83_;  ///< k = 83 (sub-blocks 1, 2)
 };
 
 }  // namespace rxl::rs

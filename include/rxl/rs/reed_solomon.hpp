@@ -94,6 +94,15 @@ class ReedSolomon {
   /// base[(k + i) * stride].
   void encode_strided(std::uint8_t* base, std::size_t stride) const;
 
+  /// Closed-form systematic parity of any 2-parity code of this family from
+  /// two folds of its data: D0, the XOR of the data symbols, and D1, their
+  /// dot product with syndrome weight row 1 (alpha^(n-1-b) at data index
+  /// b). Writes p0 to parity[0] and p1 to parity[parity_stride]. The r == 2
+  /// encode and FlitFec's vector kernel both finish through this step.
+  static void parity2_from_folds(std::uint8_t d0, std::uint8_t d1,
+                                 std::uint8_t* parity,
+                                 std::size_t parity_stride) noexcept;
+
   /// Verdict of the 2-parity single-error analysis, position reported as a
   /// buffer index so strided callers can map it back to their layout.
   struct SingleVerdict {

@@ -71,7 +71,8 @@ struct RxCheck {
 };
 
 /// Stateless encoder/checker used by endpoints. One instance per endpoint;
-/// shares the process-wide CRC tables and owns a FlitFec codec.
+/// shares the process-wide CRC tables and the process-wide FEC lane codes
+/// (rs::FlitFec holds no state of its own), so building one is cheap.
 class FlitCodec {
  public:
   explicit FlitCodec(Protocol protocol);

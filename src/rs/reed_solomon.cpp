@@ -56,14 +56,8 @@ void ReedSolomon::encode_impl(const std::uint8_t* data,
   // Buffer order is descending degree (data-first layout): parity[0] is the
   // highest-degree remainder coefficient.
   if (r_ == 2) {
-    // Closed-form 2-parity encode. The systematic parity (p0, p1) is the
-    // unique pair zeroing both syndromes of data||p0||p1:
-    //   S0 = D0 ^ p0 ^ p1                 = 0
-    //   S1 = D1 ^ mul(p0, alpha) ^ p1     = 0
-    // with D0 the XOR fold of the data and D1 its dot product against
-    // syndrome weight row 1 restricted to the data positions. Adding the
-    // equations gives p0 * (1 ^ alpha) = D0 ^ D1. This replaces the serial
-    // data-dependent LFSR recurrence with two batch reductions.
+    // Closed-form 2-parity encode: two batch reductions (D0, D1) instead of
+    // the serial data-dependent LFSR recurrence; see parity2_from_folds.
     const std::uint8_t* w1 = &syndrome_weights_[k_ + r_];  // row 1
     std::uint8_t d0 = 0;
     std::uint8_t d1 = 0;
@@ -77,13 +71,7 @@ void ReedSolomon::encode_impl(const std::uint8_t* data,
         d1 ^= gf::detail::mul_nib(std::size_t{w1[b]} * 16, c);
       }
     }
-    // inv(1 ^ alpha) is a constant of the field, not of the geometry.
-    constexpr std::uint8_t kInvOnePlusAlpha =
-        gf::inv(gf::add(1, gf::alpha_pow(1)));
-    const std::uint8_t p0 =
-        gf::mul(static_cast<std::uint8_t>(d0 ^ d1), kInvOnePlusAlpha);
-    parity[0] = p0;
-    parity[parity_stride] = static_cast<std::uint8_t>(d0 ^ p0);
+    parity2_from_folds(d0, d1, parity, parity_stride);
     return;
   }
   std::uint8_t reg[64] = {};
@@ -99,6 +87,23 @@ void ReedSolomon::encode_impl(const std::uint8_t* data,
   }
   for (std::size_t i = 0; i < r_; ++i)
     parity[i * parity_stride] = reg[r_ - 1 - i];
+}
+
+void ReedSolomon::parity2_from_folds(std::uint8_t d0, std::uint8_t d1,
+                                     std::uint8_t* parity,
+                                     std::size_t parity_stride) noexcept {
+  // The systematic parity (p0, p1) is the unique pair zeroing both
+  // syndromes of data||p0||p1:
+  //   S0 = D0 ^ p0 ^ p1                 = 0
+  //   S1 = D1 ^ mul(p0, alpha) ^ p1     = 0
+  // Adding the equations gives p0 * (1 ^ alpha) = D0 ^ D1.
+  // inv(1 ^ alpha) is a constant of the field, not of the geometry.
+  constexpr std::uint8_t kInvOnePlusAlpha =
+      gf::inv(gf::add(1, gf::alpha_pow(1)));
+  const std::uint8_t p0 =
+      gf::mul(static_cast<std::uint8_t>(d0 ^ d1), kInvOnePlusAlpha);
+  parity[0] = p0;
+  parity[parity_stride] = static_cast<std::uint8_t>(d0 ^ p0);
 }
 
 void ReedSolomon::encode(std::span<const std::uint8_t> data,

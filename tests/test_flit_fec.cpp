@@ -6,6 +6,7 @@
 #include <array>
 #include <cstddef>
 #include <span>
+#include <string>
 
 #include "rxl/common/rng.hpp"
 #include "rxl/common/types.hpp"
@@ -249,6 +250,62 @@ TEST(FlitFecParity, DecodeMatchesReferenceUnderRandomErrorPatterns) {
     ASSERT_EQ(fast_result.corrected_symbols, ref_result.corrected_symbols);
     ASSERT_EQ(fast_result.sub_block, ref_result.sub_block);
     ASSERT_EQ(fast, ref) << "trial " << trial;
+  }
+}
+
+/// Decodes `flit` with FlitFec (whichever kernel this CPU dispatches to) and
+/// with the reference; verdict, lane statuses, count and bytes must agree.
+void expect_decode_matches_reference(const FlitFec& fec,
+                                     const ReferenceFlitFec& reference,
+                                     const std::array<std::uint8_t, kFlitBytes>& flit,
+                                     const std::string& where) {
+  auto fast = flit;
+  auto ref = flit;
+  const FecDecodeResult fast_result = fec.decode(fast);
+  const FecDecodeResult ref_result = reference.decode(ref);
+  ASSERT_EQ(fast_result.status, ref_result.status) << where;
+  ASSERT_EQ(fast_result.sub_block, ref_result.sub_block) << where;
+  ASSERT_EQ(fast_result.corrected_symbols, ref_result.corrected_symbols) << where;
+  ASSERT_EQ(fast, ref) << where;
+}
+
+TEST(FlitFecParity, EverySingleByteErrorMatchesReference) {
+  // Exhaustive: all 256 wire positions (parity included) x 255 magnitudes.
+  FlitFec fec;
+  ReferenceFlitFec reference;
+  Xoshiro256 rng(404);
+  const auto clean = random_flit(fec, rng);
+  for (std::size_t position = 0; position < kFlitBytes; ++position) {
+    for (unsigned magnitude = 1; magnitude < 256; ++magnitude) {
+      auto flit = clean;
+      flit[position] ^= static_cast<std::uint8_t>(magnitude);
+      expect_decode_matches_reference(
+          fec, reference, flit,
+          "pos=" + std::to_string(position) + " mag=" + std::to_string(magnitude));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FlitFecParity, EveryThreeAndFourByteBurstMatchesReference) {
+  // Every start of a 3-byte burst (one hit per lane: corrected) and a
+  // 4-byte burst (two hits in one lane: detected or miscorrected).
+  FlitFec fec;
+  ReferenceFlitFec reference;
+  Xoshiro256 rng(505);
+  const auto clean = random_flit(fec, rng);
+  for (const std::size_t width : {3u, 4u}) {
+    for (std::size_t start = 0; start + width <= kFlitBytes; ++start) {
+      for (int pattern = 0; pattern < 8; ++pattern) {
+        auto flit = clean;
+        for (std::size_t i = 0; i < width; ++i)
+          flit[start + i] ^= static_cast<std::uint8_t>(1 + rng.bounded(255));
+        expect_decode_matches_reference(
+            fec, reference, flit,
+            "width=" + std::to_string(width) + " start=" + std::to_string(start));
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 

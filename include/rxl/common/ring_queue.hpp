@@ -28,6 +28,17 @@ class RingQueue {
     ++count_;
   }
 
+  /// Appends a slot and returns it for the caller to fill in place, so a
+  /// bulky element (a relay's 240 B payload) is written once instead of
+  /// built on the stack and block-copied in. The slot is recycled: the
+  /// caller must assign every field.
+  [[nodiscard]] T& push_back_slot() {
+    if (count_ == slots_.size()) grow();
+    T& slot = slots_[(head_ + count_) & (slots_.size() - 1)];
+    ++count_;
+    return slot;
+  }
+
   [[nodiscard]] T& front() noexcept {
     assert(count_ > 0);
     return slots_[head_];
@@ -49,6 +60,13 @@ class RingQueue {
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
     return value;
+  }
+
+  /// Removes the front element after the caller has read it via front().
+  void drop_front() noexcept {
+    assert(count_ > 0);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --count_;
   }
 
  private:

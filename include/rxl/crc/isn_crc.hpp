@@ -9,8 +9,9 @@
 // shows up as a CRC mismatch on the very next flit.
 //
 // This is exactly the hardware formulation of §7.3 (10 XOR gates at the
-// encoder/decoder input), implemented here as an on-the-fly XOR during the
-// streaming CRC so no message copy is made.
+// encoder/decoder input). In software the XOR goes into the streaming CRC
+// state where the folded bytes begin, which equals XORing it into those
+// bytes, so no message copy is made.
 #pragma once
 
 #include <cstddef>

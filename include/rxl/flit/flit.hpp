@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 
+#include "rxl/common/bytes.hpp"
 #include "rxl/common/types.hpp"
 #include "rxl/flit/header.hpp"
 
@@ -54,8 +55,12 @@ class Flit {
     pack_header(header, bytes());
   }
 
-  [[nodiscard]] std::uint64_t crc_field() const noexcept;
-  void set_crc_field(std::uint64_t crc) noexcept;
+  [[nodiscard]] std::uint64_t crc_field() const noexcept {
+    return load_le64(bytes(), kCrcOffset);
+  }
+  void set_crc_field(std::uint64_t crc) noexcept {
+    store_le64(bytes(), kCrcOffset, crc);
+  }
 
   [[nodiscard]] std::span<const std::uint8_t> fec_field() const noexcept {
     return std::span<const std::uint8_t>(bytes_.data() + kFecOffset, kFecBytes);
@@ -68,9 +73,5 @@ class Flit {
  private:
   std::array<std::uint8_t, kFlitBytes> bytes_;
 };
-
-/// 64-bit FNV-1a over the flit image; used by the simulator as the
-/// ground-truth identity of an encoded flit (pristine-detection fast path).
-[[nodiscard]] std::uint64_t flit_fingerprint(const Flit& flit) noexcept;
 
 }  // namespace rxl::flit

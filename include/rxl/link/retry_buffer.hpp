@@ -56,7 +56,8 @@ class RetryBuffer {
     flit::Flit flit;
   };
 
-  /// Entry lookup including metadata; nullptr if not held.
+  /// Entry lookup including metadata; nullptr if not held. O(1): the
+  /// entries hold consecutive sequence numbers from the oldest.
   [[nodiscard]] const Entry* find_entry(std::uint16_t seq) const;
 
   /// Visits every held flit from `from_seq` onward, in sequence order:

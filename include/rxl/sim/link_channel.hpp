@@ -30,13 +30,11 @@ namespace rxl::sim {
 /// work on untouched images and so scoreboards can classify failures).
 struct FlitEnvelope {
   flit::Flit flit;
-  /// True while the image is bit-identical to what the last encoder wrote.
-  /// Any ErrorModel flip clears it; a successful FEC correction back to the
-  /// original image restores it (verified by fingerprint).
+  /// True while the image is bit-identical to what the last encoder wrote,
+  /// so a receiver may skip the FEC decode. Any ErrorModel flip clears it,
+  /// and an FEC correction leaves it clear; only a re-encode (a hub's
+  /// egress regeneration) sets it again.
   bool pristine = true;
-  /// Fingerprint of the image as encoded by the last writer (TX endpoint or
-  /// switch re-encode), for pristine restoration after FEC correction.
-  std::uint64_t origin_fingerprint = 0;
   /// Ground truth for scoreboards: global stream index assigned by the
   /// sending endpoint's application layer (data flits only).
   std::uint64_t truth_index = 0;

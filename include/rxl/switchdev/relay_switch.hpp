@@ -29,6 +29,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rxl/common/ring_queue.hpp"
@@ -155,6 +156,8 @@ class RelaySwitch {
     transport::Endpoint::TxItem item;
     std::uint32_t ingress = 0;
   };
+  static_assert(std::is_trivially_copyable_v<Pending>,
+                "parked payloads ride RingQueues as a block copy");
   struct Port {
     std::unique_ptr<transport::Endpoint> endpoint;
     /// Per-VC store-and-forward queues. kFifo parks everything in
@@ -177,7 +180,8 @@ class RelaySwitch {
   transport::Endpoint::RelayPull pull_next(std::size_t egress);
   [[nodiscard]] std::uint8_t vc_of(std::uint16_t flow_id) const noexcept;
   [[nodiscard]] static std::size_t total_pending(const Port& port) noexcept;
-  void account_dequeue(Pending& pending);
+  void dequeue_front(Port& port, RingQueue<Pending>& queue,
+                     transport::Endpoint::RelayPull& pull);
   void update_ecn(Port& in_port, std::size_t vc);
 
   // Flit-lifecycle tracing (see transport/endpoint.hpp for the pattern:

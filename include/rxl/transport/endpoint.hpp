@@ -14,6 +14,7 @@
 //    the next arriving flit, whatever its header carries.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -87,7 +88,7 @@ class Endpoint {
   /// payload plus the end-to-end ground truth that must survive the hop
   /// (DAG relays route on flow_id; scoreboards match on truth_index).
   struct TxItem {
-    std::vector<std::uint8_t> payload;
+    std::array<std::uint8_t, kPayloadBytes> payload{};
     std::uint64_t truth_index = 0;
     std::uint16_t flow_id = 0;
     std::uint8_t vc = 0;  ///< virtual channel the flit travels (and bills) on

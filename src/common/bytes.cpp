@@ -35,53 +35,6 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a,
   return count;
 }
 
-void store_le16(std::span<std::uint8_t> buf, std::size_t offset,
-                std::uint16_t value) noexcept {
-  assert(offset + 2 <= buf.size());
-  buf[offset] = static_cast<std::uint8_t>(value);
-  buf[offset + 1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void store_le32(std::span<std::uint8_t> buf, std::size_t offset,
-                std::uint32_t value) noexcept {
-  assert(offset + 4 <= buf.size());
-  for (std::size_t i = 0; i < 4; ++i)
-    buf[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-void store_le64(std::span<std::uint8_t> buf, std::size_t offset,
-                std::uint64_t value) noexcept {
-  assert(offset + 8 <= buf.size());
-  for (std::size_t i = 0; i < 8; ++i)
-    buf[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-std::uint16_t load_le16(std::span<const std::uint8_t> buf,
-                        std::size_t offset) noexcept {
-  assert(offset + 2 <= buf.size());
-  return static_cast<std::uint16_t>(buf[offset] |
-                                    (static_cast<std::uint16_t>(buf[offset + 1])
-                                     << 8));
-}
-
-std::uint32_t load_le32(std::span<const std::uint8_t> buf,
-                        std::size_t offset) noexcept {
-  assert(offset + 4 <= buf.size());
-  std::uint32_t value = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    value |= static_cast<std::uint32_t>(buf[offset + i]) << (8 * i);
-  return value;
-}
-
-std::uint64_t load_le64(std::span<const std::uint8_t> buf,
-                        std::size_t offset) noexcept {
-  assert(offset + 8 <= buf.size());
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i)
-    value |= static_cast<std::uint64_t>(buf[offset + i]) << (8 * i);
-  return value;
-}
-
 std::uint64_t fnv1a64(std::span<const std::uint8_t> buf) noexcept {
   std::uint64_t hash = 0xCBF29CE484222325ull;
   std::size_t i = 0;

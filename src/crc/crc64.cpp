@@ -2,6 +2,8 @@
 
 #include <cstddef>
 
+#include "rxl/common/bytes.hpp"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #define RXL_CRC64_CLMUL 1
@@ -58,7 +60,8 @@ __attribute__((target("pclmul,sse2"))) inline __m128i load16(
 /// Streaming update over data.size() >= 64: four 128-bit accumulators fold
 /// 64 B per step, collapse into one, which then folds the remaining whole
 /// 16 B blocks. The last accumulator (16 B) and any tail bytes go through
-/// the slice-by-8 table, which performs the final reduction mod G.
+/// the slice-by-8 table, which performs the final reduction mod G. A span
+/// of whole 16 B blocks (the flit's 240 B payload) leaves no tail.
 __attribute__((target("pclmul,sse2"))) std::uint64_t update_clmul(
     const Crc64& table, std::uint64_t state,
     std::span<const std::uint8_t> data) {
@@ -90,7 +93,7 @@ __attribute__((target("pclmul,sse2"))) std::uint64_t update_clmul(
   std::uint8_t last[16];
   _mm_storeu_si128(reinterpret_cast<__m128i*>(last), acc);
   state = table.update_sliced(0, last);
-  return table.update_sliced(state, {p, n});
+  return n == 0 ? state : table.update_sliced(state, {p, n});
 }
 
 /// Read once: the CPU does not change under a running process.
@@ -159,10 +162,7 @@ std::uint64_t Crc64::update_sliced(std::uint64_t state,
   std::size_t i = 0;
   const std::size_t n = data.size();
   for (; i + 8 <= n; i += 8) {
-    std::uint64_t word = 0;
-    for (std::size_t j = 0; j < 8; ++j)
-      word |= static_cast<std::uint64_t>(data[i + j]) << (8 * j);
-    word ^= state;
+    const std::uint64_t word = load_le64(data, i) ^ state;
     state = table_[7][word & 0xFF] ^ table_[6][(word >> 8) & 0xFF] ^
             table_[5][(word >> 16) & 0xFF] ^ table_[4][(word >> 24) & 0xFF] ^
             table_[3][(word >> 32) & 0xFF] ^ table_[2][(word >> 40) & 0xFF] ^

@@ -45,10 +45,15 @@ const flit::Flit* RetryBuffer::find(std::uint16_t seq) const {
 }
 
 const RetryBuffer::Entry* RetryBuffer::find_entry(std::uint16_t seq) const {
-  for (const Entry& entry : entries_) {
-    if (entry.seq == (seq & kSeqMask)) return &entry;
-  }
-  return nullptr;
+  // push() keeps the held sequence numbers consecutive from the front, so
+  // `seq` sits at its window distance from the oldest entry, if anywhere.
+  if (entries_.empty()) return nullptr;
+  const int index = seq_distance(entries_.front().seq, seq);
+  if (index < 0 || static_cast<std::size_t>(index) >= entries_.size())
+    return nullptr;
+  const Entry& entry = entries_[static_cast<std::size_t>(index)];
+  assert(entry.seq == (seq & kSeqMask));
+  return &entry;
 }
 
 }  // namespace rxl::link

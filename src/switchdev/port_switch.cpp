@@ -30,11 +30,9 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
       stats_.dropped_fec += 1;  // silent drop
       return;
     }
-    if (fec.status == rs::DecodeStatus::kCorrected) {
-      stats_.fec_corrected += 1;
-      envelope.pristine =
-          flit::flit_fingerprint(envelope.flit) == envelope.origin_fingerprint;
-    }
+    // A corrected image stays non-pristine and is re-encoded at egress, as
+    // in SwitchDevice.
+    if (fec.status == rs::DecodeStatus::kCorrected) stats_.fec_corrected += 1;
   }
   if (codec_.protocol() == transport::Protocol::kCxl && !envelope.pristine) {
     if (!codec_.check_control(envelope.flit)) {
@@ -56,7 +54,6 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     if (codec_.protocol() == transport::Protocol::kCxl)
       codec_.regenerate_link_crc(envelope.flit);
     codec_.apply_fec(envelope.flit);
-    envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
     envelope.pristine = true;
   }
 

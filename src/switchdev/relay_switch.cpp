@@ -1,5 +1,6 @@
 #include "rxl/switchdev/relay_switch.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -63,13 +64,21 @@ void RelaySwitch::update_ecn(Port& in_port, std::size_t vc) {
   in_port.endpoint->set_ecn_marks(in_port.ecn_marks);
 }
 
-/// Dequeue-side bookkeeping shared by the scheduler pull: the payload
-/// leaves the bounded buffer, so the ingress slot frees and its credit
-/// returns upstream on the VC that billed it.
-void RelaySwitch::account_dequeue(Pending& pending) {
-  if (pending.ingress == kNoIngress) return;
-  Port& in_port = ports_[pending.ingress];
-  const std::uint8_t vc = pending.item.vc;
+/// Hands the head of one of `port`'s queues to `pull`, then does the
+/// dequeue-side bookkeeping: the payload leaves the bounded buffer, so the
+/// ingress slot frees and its credit returns upstream on the VC that billed
+/// it. The head leaves the queue first: the credit return may kick the
+/// ingress endpoint into a nested pull.
+void RelaySwitch::dequeue_front(Port& port, RingQueue<Pending>& queue,
+                                transport::Endpoint::RelayPull& pull) {
+  const Pending& head = queue.front();
+  pull.item.emplace(head.item);
+  const std::uint32_t ingress = head.ingress;
+  queue.drop_front();
+  port.stats.relayed_out += 1;
+  if (ingress == kNoIngress) return;
+  Port& in_port = ports_[ingress];
+  const std::uint8_t vc = pull.item->vc;
   assert(in_port.in_queue > 0 && in_port.in_queue_by_vc[vc] > 0);
   in_port.in_queue -= 1;
   in_port.in_queue_by_vc[vc] -= 1;
@@ -94,10 +103,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
       pull.ecn_blocked = true;
       return pull;
     }
-    Pending pending = port.queues[0].pop_front();
-    port.stats.relayed_out += 1;
-    account_dequeue(pending);
-    pull.item = std::move(pending.item);
+    dequeue_front(port, port.queues[0], pull);
     return pull;
   }
   const std::optional<std::size_t> vc = scheduler_.pick(
@@ -106,10 +112,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
       [&](std::size_t v) { return endpoint.vc_send_ready(v); },
       &pull.credit_blocked, &pull.ecn_blocked);
   if (!vc.has_value()) return pull;
-  Pending pending = port.queues[*vc].pop_front();
-  port.stats.relayed_out += 1;
-  account_dequeue(pending);
-  pull.item = std::move(pending.item);
+  dequeue_front(port, port.queues[*vc], pull);
   return pull;
 }
 
@@ -229,17 +232,17 @@ void RelaySwitch::on_delivered(std::size_t ingress,
     return;
   }
   Port& out_port = ports_[egress];
-  Pending pending;
-  pending.item.payload.assign(payload.begin(), payload.end());
-  pending.item.truth_index = envelope.truth_index;
-  pending.item.flow_id = envelope.flow_id;
-  pending.item.vc = vc;
-  pending.ingress = static_cast<std::uint32_t>(ingress);
   const std::size_t queue_index =
       scheduler_.policy() == EgressPolicy::kFifo ? 0 : vc;
   trace(obs::TraceEventKind::kEnqueue, envelope.truth_index,
         envelope.flow_id, 0, vc, static_cast<std::uint32_t>(egress));
-  out_port.queues[queue_index].push_back(std::move(pending));
+  Pending& pending = out_port.queues[queue_index].push_back_slot();
+  assert(payload.size() == pending.item.payload.size());
+  std::copy(payload.begin(), payload.end(), pending.item.payload.begin());
+  pending.item.truth_index = envelope.truth_index;
+  pending.item.flow_id = envelope.flow_id;
+  pending.item.vc = vc;
+  pending.ingress = static_cast<std::uint32_t>(ingress);
   const std::size_t depth = total_pending(out_port);
   if (depth > out_port.stats.max_queue_depth)
     out_port.stats.max_queue_depth = depth;

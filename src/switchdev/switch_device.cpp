@@ -21,14 +21,12 @@ void SwitchDevice::on_flit(sim::FlitEnvelope&& envelope) {
       stats_.dropped_fec += 1;  // the silent drop at the heart of the paper
       return;
     }
-    if (fec.status == rs::DecodeStatus::kCorrected) {
-      stats_.fec_corrected += 1;
-      // A true correction restores the exact encoded image; a miscorrection
-      // yields a different (but internally consistent) codeword. Compare
-      // fingerprints to keep the pristine fast path exact.
-      envelope.pristine =
-          flit::flit_fingerprint(envelope.flit) == envelope.origin_fingerprint;
-    }
+    // A corrected image stays non-pristine, so egress regeneration runs. A
+    // true correction restores the exact encoded image: the CXL CRC check
+    // below passes, and the re-encode writes the same CRC and FEC bytes. A
+    // miscorrection (a different but internally consistent codeword) meets
+    // the CRC check like any other non-pristine image.
+    if (fec.status == rs::DecodeStatus::kCorrected) stats_.fec_corrected += 1;
   }
 
   // --- CXL only: the switch terminates the link-layer CRC.
@@ -58,7 +56,6 @@ void SwitchDevice::on_flit(sim::FlitEnvelope&& envelope) {
       // this is what makes internal corruption invisible to the endpoint.
       codec_.regenerate_link_crc(envelope.flit);
       codec_.apply_fec(envelope.flit);
-      envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
       envelope.pristine = true;
     }
   } else {
@@ -67,7 +64,6 @@ void SwitchDevice::on_flit(sim::FlitEnvelope&& envelope) {
     // internally corrupted one is not).
     if (!envelope.pristine) {
       codec_.apply_fec(envelope.flit);
-      envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
       // The image is now a valid codeword again for the next hop's FEC —
       // pristine in the FEC sense — but the ECRC may no longer match the
       // originator's. Mark pristine so the next hop skips FEC decode; the

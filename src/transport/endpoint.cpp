@@ -82,8 +82,6 @@ bool Endpoint::send_one() {
     sim::FlitEnvelope envelope;
     envelope.flit = control_queue_.front();
     control_queue_.pop_front();
-    envelope.pristine = true;
-    envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
     envelope.dest_port = dest_port_;
     stats_.control_flits_sent += 1;
     output_->send(std::move(envelope));
@@ -99,8 +97,6 @@ bool Endpoint::send_one() {
     }
     sim::FlitEnvelope envelope;
     envelope.flit = entry->flit;
-    envelope.pristine = true;
-    envelope.origin_fingerprint = flit::flit_fingerprint(entry->flit);
     envelope.truth_index = entry->user_tag;
     envelope.has_truth = true;
     envelope.dest_port = dest_port_;
@@ -121,8 +117,6 @@ bool Endpoint::send_one() {
     } else {
       sim::FlitEnvelope envelope;
       envelope.flit = entry->flit;
-      envelope.pristine = true;
-      envelope.origin_fingerprint = flit::flit_fingerprint(entry->flit);
       envelope.truth_index = entry->user_tag;
       envelope.has_truth = true;
       envelope.dest_port = dest_port_;
@@ -227,8 +221,6 @@ void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
   sim::FlitEnvelope envelope;
   envelope.flit =
       acknum.has_value() ? codec_.encode_data(payload, seq, acknum) : canonical;
-  envelope.pristine = true;
-  envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
   envelope.truth_index = truth_index;
   envelope.has_truth = true;
   envelope.dest_port = dest_port_;
@@ -504,7 +496,7 @@ void Endpoint::declare_hop_dead() {
     HopDownEvent::DrainedFlit drained;
     drained.seq = entry.seq;
     const auto payload = entry.flit.payload();
-    drained.item.payload.assign(payload.begin(), payload.end());
+    std::copy(payload.begin(), payload.end(), drained.item.payload.begin());
     drained.item.truth_index = entry.user_tag;
     drained.item.flow_id = entry.flow_tag;
     drained.item.vc = entry.vc;
@@ -545,11 +537,8 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
       send_nack();
       return;
     }
-    if (fec.status == rs::DecodeStatus::kCorrected) {
+    if (fec.status == rs::DecodeStatus::kCorrected)
       stats_.fec_corrected_flits += 1;
-      envelope.pristine =
-          flit::flit_fingerprint(envelope.flit) == envelope.origin_fingerprint;
-    }
   }
 
   const flit::FlitHeader header = envelope.flit.header();

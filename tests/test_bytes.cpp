@@ -65,6 +65,38 @@ TEST(Bytes, Le64RoundTrip) {
   EXPECT_EQ(buf[10], 0x01);
 }
 
+TEST(Bytes, LeRoundTripAtEveryOffset) {
+  // Each load/store is one unaligned move: at every offset of a 16 B buffer
+  // the bytes must be the little-endian image of the value, and the bytes
+  // around it must stay untouched.
+  const std::uint64_t value = 0x8877665544332211ull;
+  for (const std::size_t width : {2u, 4u, 8u}) {
+    for (std::size_t offset = 0; offset + width <= 16; ++offset) {
+      SCOPED_TRACE(testing::Message() << "width " << width << " at " << offset);
+      std::array<std::uint8_t, 16> buf{};
+      buf.fill(0xCC);
+      std::uint64_t loaded = 0;
+      if (width == 2) {
+        store_le16(buf, offset, static_cast<std::uint16_t>(value));
+        loaded = load_le16(buf, offset);
+      } else if (width == 4) {
+        store_le32(buf, offset, static_cast<std::uint32_t>(value));
+        loaded = load_le32(buf, offset);
+      } else {
+        store_le64(buf, offset, value);
+        loaded = load_le64(buf, offset);
+      }
+      EXPECT_EQ(loaded, value & (~0ull >> (64 - 8 * width)));
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        std::uint8_t expected = 0xCC;
+        if (i >= offset && i < offset + width)
+          expected = static_cast<std::uint8_t>(value >> (8 * (i - offset)));
+        EXPECT_EQ(buf[i], expected) << "byte " << i;
+      }
+    }
+  }
+}
+
 TEST(Bytes, HexdumpShape) {
   std::vector<std::uint8_t> buf(20, 0x41);  // 'A'
   const std::string dump = hexdump(buf, 16);
@@ -79,8 +111,8 @@ TEST(Bytes, HexdumpEmpty) {
 }
 
 TEST(Bytes, Fnv1a64DetectsAnySingleByteChange) {
-  // The fingerprint contract the simulator relies on: flipping any single
-  // byte (bulk lanes and the tail alike) changes the hash.
+  // The contract the scoreboards' payload hash relies on: flipping any
+  // single byte (bulk lanes and the tail alike) changes the hash.
   std::vector<std::uint8_t> buf(29);  // 3 full lanes + a 5-byte tail
   for (std::size_t i = 0; i < buf.size(); ++i)
     buf[i] = static_cast<std::uint8_t>(i * 7 + 1);

@@ -115,6 +115,34 @@ TEST(IsnCrc, FoldEquivalentToXoringMessage) {
   EXPECT_EQ(isn.encode(message, seq), isn.encode_plain(folded));
 }
 
+TEST(IsnCrc, MatchesBitwiseOracleOnFoldedMessage) {
+  // Independent oracle for the state-XOR fold: encode(m, s) must equal the
+  // bit-at-a-time CRC of m with s XORed into bytes fold_offset and
+  // fold_offset + 1 (only those that exist), for every sequence number.
+  // The lengths put the fold at the message end, straddle the 64 B switch
+  // to the carry-less-multiply kernel, and include the flit's 242 B.
+  for (const std::size_t offset : {0u, 2u, 10u}) {
+    const IsnCrc isn(shared_crc64(), offset);
+    std::vector<std::size_t> sizes = {offset + 2, 63, 64, 65, 242};
+#ifdef NDEBUG
+    // One byte short of encode()'s precondition, which only debug builds
+    // assert: the fold clamps to the byte that exists.
+    sizes.push_back(offset + 1);
+#endif
+    for (const std::size_t size : sizes) {
+      SCOPED_TRACE(testing::Message() << "fold " << offset << " len " << size);
+      const auto message = random_message(100 + offset * 1000 + size, size);
+      for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
+        auto folded = message;
+        folded[offset] ^= static_cast<std::uint8_t>(seq & 0xFF);
+        if (offset + 1 < size)
+          folded[offset + 1] ^= static_cast<std::uint8_t>(seq >> 8);
+        ASSERT_EQ(isn.encode(message, seq), crc64_bitwise(folded)) << seq;
+      }
+    }
+  }
+}
+
 TEST(IsnCrc, AppendedFormulationAlsoDetectsMismatch) {
   // The Fig. 6b "CRC over extended message" formulation: different bits,
   // same property.

@@ -11,7 +11,6 @@ FlitEnvelope make_envelope(std::uint8_t tag) {
   FlitEnvelope envelope;
   envelope.flit.payload()[0] = tag;
   envelope.pristine = true;
-  envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
   return envelope;
 }
 

@@ -83,6 +83,46 @@ TEST(RetryBuffer, ForEachFromVisitsTail) {
   EXPECT_EQ(tags, (std::vector<std::uint64_t>{300, 400, 500}));
 }
 
+TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
+  // find_entry indexes by window distance from the oldest entry. Compare it
+  // with a scan over every held entry for all 1024 sequence numbers, with
+  // windows that straddle the 1023 -> 0 wrap, at capacities 1 and 512, and
+  // again after cumulative ACKs move the front.
+  for (const std::size_t capacity : {1u, 8u, 512u}) {
+    for (const std::uint16_t start : {0, 1020, 1023, 700}) {
+      SCOPED_TRACE(testing::Message() << "window " << start << "+" << capacity);
+      RetryBuffer buffer(capacity);
+      for (std::size_t i = 0; i < capacity; ++i) {
+        const auto seq = seq_add(start, static_cast<std::uint16_t>(i));
+        ASSERT_TRUE(buffer.push(seq, tagged_flit(0), /*user_tag=*/i));
+      }
+      const auto step = static_cast<std::uint16_t>(capacity / 3);
+      while (!buffer.empty()) {
+        for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
+          const RetryBuffer::Entry* scanned = nullptr;
+          buffer.for_each([&](const RetryBuffer::Entry& entry) {
+            if (entry.seq == seq) scanned = &entry;
+          });
+          ASSERT_EQ(buffer.find_entry(seq), scanned) << "seq " << seq;
+        }
+        buffer.ack_up_to(seq_add(*buffer.oldest_seq(), step));
+      }
+    }
+  }
+  // Both window ends and one past each, across the wrap.
+  RetryBuffer buffer(8);
+  for (std::uint16_t i = 0; i < 8; ++i)
+    buffer.push(seq_add(1020, i), tagged_flit(static_cast<std::uint8_t>(i)));
+  ASSERT_NE(buffer.find_entry(1020), nullptr);
+  EXPECT_EQ(buffer.find_entry(1020)->flit.payload()[0], 0);
+  ASSERT_NE(buffer.find_entry(3), nullptr);
+  EXPECT_EQ(buffer.find_entry(3)->flit.payload()[0], 7);
+  EXPECT_EQ(buffer.find_entry(1019), nullptr);
+  EXPECT_EQ(buffer.find_entry(4), nullptr);
+  // Bits above the 10-bit space are ignored, as the stored seq is masked.
+  EXPECT_EQ(buffer.find_entry(3 + kSeqModulus), buffer.find_entry(3));
+}
+
 TEST(RetryBuffer, FindEntryExposesUserTag) {
   RetryBuffer buffer(4);
   buffer.push(0, tagged_flit(9), 1234);

@@ -1,10 +1,15 @@
 // Switch behaviour: FEC correct/drop, CRC handling per protocol, internal
-// corruption semantics (the §6.3/§6.4 distinction).
+// corruption semantics (the §6.3/§6.4 distinction), for SwitchDevice and
+// the multi-port PortSwitch.
 #include "rxl/switchdev/switch_device.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <vector>
+
+#include "rxl/switchdev/port_switch.hpp"
 
 #include "rxl/crc/isn_crc.hpp"
 #include "rxl/phy/error_model.hpp"
@@ -35,7 +40,6 @@ sim::FlitEnvelope data_envelope(const FlitCodec& codec, std::uint16_t seq) {
   sim::FlitEnvelope envelope;
   envelope.flit = codec.encode_data(payload, seq, std::nullopt);
   envelope.pristine = true;
-  envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
   envelope.truth_index = seq;
   envelope.has_truth = true;
   return envelope;
@@ -76,8 +80,88 @@ TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
   harness.sw->on_flit(std::move(envelope));
   harness.queue.run();
   ASSERT_EQ(harness.received.size(), 1u);
-  EXPECT_TRUE(harness.received[0].pristine);  // true correction, fingerprint ok
+  EXPECT_TRUE(harness.received[0].pristine);  // re-encoded at egress
   EXPECT_EQ(harness.sw->stats().fec_corrected, 1u);
+}
+
+// A hub leaves an FEC-corrected image non-pristine, so egress regeneration
+// re-encodes it. After a true correction that must write back exactly the
+// original encoding, under both protocols and on both hub models: the
+// pristine fast path then changes no outcome.
+std::vector<flit::Flit> originals(const FlitCodec& codec) {
+  std::vector<std::uint8_t> payload(kPayloadBytes);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  return {codec.encode_data(payload, 9, std::nullopt),
+          codec.encode_data(payload, 9, std::uint16_t{4}),
+          codec.encode_control(flit::ReplayCmd::kAck, 4)};
+}
+
+// Wire offsets of the single-symbol errors: header, payload, the last
+// payload byte, CRC and FEC.
+constexpr std::size_t kErrorOffsets[] = {0, 50, 241, 245, 253};
+
+TEST(SwitchDevice, CorrectedFlitForwardedAsOriginalEncoding) {
+  for (const Protocol protocol : {Protocol::kCxl, Protocol::kRxl}) {
+    SwitchDevice::Config config;
+    config.protocol = protocol;
+    Harness harness(config);
+    const FlitCodec codec(protocol);
+    std::size_t sent = 0;
+    for (const flit::Flit& original : originals(codec)) {
+      for (const std::size_t offset : kErrorOffsets) {
+        SCOPED_TRACE(testing::Message() << "error at byte " << offset);
+        sim::FlitEnvelope envelope;
+        envelope.flit = original;
+        envelope.flit.bytes()[offset] ^= 0xA5;
+        envelope.pristine = false;
+        harness.sw->on_flit(std::move(envelope));
+        harness.queue.run();
+        sent += 1;
+        ASSERT_EQ(harness.received.size(), sent);
+        EXPECT_TRUE(harness.received.back().flit == original);
+        EXPECT_TRUE(harness.received.back().pristine);
+      }
+    }
+    EXPECT_EQ(harness.sw->stats().fec_corrected, sent);
+    EXPECT_EQ(harness.sw->stats().dropped_crc, 0u);
+  }
+}
+
+TEST(PortSwitch, CorrectedFlitForwardedAsOriginalEncoding) {
+  for (const Protocol protocol : {Protocol::kCxl, Protocol::kRxl}) {
+    sim::EventQueue queue;
+    PortSwitch::Config config;
+    config.protocol = protocol;
+    config.ports = 2;
+    PortSwitch sw(queue, config, 1);
+    sim::LinkChannel out(queue, std::make_unique<phy::NoErrors>(), 2);
+    std::vector<sim::FlitEnvelope> received;
+    out.set_receiver([&received](sim::FlitEnvelope&& envelope) {
+      received.push_back(envelope);
+    });
+    sw.set_output(1, &out);
+    const FlitCodec codec(protocol);
+    std::size_t sent = 0;
+    for (const flit::Flit& original : originals(codec)) {
+      for (const std::size_t offset : kErrorOffsets) {
+        SCOPED_TRACE(testing::Message() << "error at byte " << offset);
+        sim::FlitEnvelope envelope;
+        envelope.flit = original;
+        envelope.flit.bytes()[offset] ^= 0xA5;
+        envelope.pristine = false;
+        envelope.dest_port = 1;
+        sw.on_flit(std::move(envelope));
+        queue.run();
+        sent += 1;
+        ASSERT_EQ(received.size(), sent);
+        EXPECT_TRUE(received.back().flit == original);
+        EXPECT_TRUE(received.back().pristine);
+      }
+    }
+    EXPECT_EQ(sw.stats().fec_corrected, sent);
+    EXPECT_EQ(sw.stats().dropped_crc, 0u);
+  }
 }
 
 TEST(SwitchDevice, DropsUncorrectableSilently) {

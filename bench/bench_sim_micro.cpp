@@ -3,8 +3,8 @@
 // times — schedule+dispatch at steady heap depth, endpoint-style timer
 // rearm, and a full LinkChannel send->deliver hop.
 //
-// Each benchmark iteration executes exactly ONE event, so the reported
-// ns/iter reads directly as ns/event.
+// Unless a row says otherwise, each benchmark iteration executes exactly
+// ONE event, so the reported ns/iter reads directly as ns/event.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -55,9 +55,10 @@ void BM_EventQueue_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_TimerRearm);
 
-// Rearm-while-armed churn: the superseded deadline stays in the heap as a
-// stale generation and must no-op cheaply. Each iteration executes two
-// events (the stale pop and the live fire).
+// Rearm-while-armed: the deadline moves out before the timer's carrier
+// entry is due, so the carrier pops at the first deadline and re-pushes
+// itself under the second one's key. Each iteration executes two events
+// (the carrier's pop and the live fire).
 void BM_EventQueue_TimerCancelRearm(benchmark::State& state) {
   sim::EventQueue queue;
   std::uint64_t fired = 0;
@@ -70,6 +71,50 @@ void BM_EventQueue_TimerCancelRearm(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventQueue_TimerCancelRearm);
+
+// Cancel-and-re-arm churn, the credit-probe pattern: each iteration cancels
+// the timer, re-arms it `lapse` + 1 ticks of 100 ps out, and advances time
+// by one tick, so the deadline keeps lapsing and never fires. A heap entry
+// per arm would keep ~`lapse` lapsed deadlines pending and pop one per
+// iteration; the timer's single carrier pops about once per `lapse`
+// iterations.
+void BM_TimerCancelRearm(benchmark::State& state) {
+  const auto lapse = static_cast<TimePs>(state.range(0));
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  sim::Timer timer(queue, [&fired] { ++fired; });
+  for (auto _ : state) {
+    timer.cancel();
+    timer.arm((lapse + 1) * 100);
+    queue.run_until(queue.now() + 100);
+  }
+  benchmark::DoNotOptimize(fired);
+  state.counters["pending"] = static_cast<double>(queue.pending());
+}
+BENCHMARK(BM_TimerCancelRearm)->Arg(1)->Arg(64)->Arg(4096);
+
+// One LinkChannel hop with K flits in flight: each iteration sends one flit
+// and delivers the oldest. Deliveries leave in FIFO order, so only the head
+// flit needs a heap entry, and the cost per hop should not grow with K.
+void BM_ChannelBurst(benchmark::State& state) {
+  const auto depth = static_cast<int>(state.range(0));
+  sim::EventQueue queue;
+  sim::LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
+                           /*slot=*/2'000, /*latency=*/8'000);
+  std::uint64_t delivered = 0;
+  channel.set_receiver(
+      [&delivered](sim::FlitEnvelope&&) { ++delivered; });
+  sim::FlitEnvelope proto;
+  proto.flit.payload()[0] = 0xAB;
+  for (int i = 0; i + 1 < depth; ++i) channel.send(proto);
+  for (auto _ : state) {
+    channel.send(proto);
+    queue.run(1);
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.counters["pending"] = static_cast<double>(queue.pending());
+}
+BENCHMARK(BM_ChannelBurst)->Arg(1)->Arg(8)->Arg(64);
 
 // One LinkChannel hop: serialisation bookkeeping + error-model pass on the
 // 256 B image + delivery event. Two events of real simulations' profile.

@@ -1,12 +1,10 @@
 // Minimal power-of-two ring-buffer FIFO.
 //
-// Exists so simulation components can park bulky in-flight values (256 B
-// flit envelopes) outside the event heap: the scheduled event captures only
-// the component pointer and pops the front when it fires. Capacity grows
-// geometrically and slots are reused, so steady-state traffic allocates
-// nothing. FIFO order matches event order because each component's
-// deliveries are scheduled at non-decreasing timestamps under the kernel's
-// FIFO tie-break.
+// Holds bulky values (256 B flit envelopes, relay payloads) by slot so they
+// never ride inside an event: sim::ParkedFifo keeps a channel's or switch's
+// in-flight items here, and relays park their store-and-forward queues.
+// Capacity grows geometrically and slots are reused, so steady-state
+// traffic allocates nothing.
 #pragma once
 
 #include <cassert>

@@ -6,11 +6,13 @@
 // coalescing means acks arrive later, which means more flits held here.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 
+#include "rxl/common/ring_queue.hpp"
 #include "rxl/flit/flit.hpp"
 #include "rxl/link/sequence.hpp"
 
@@ -23,9 +25,9 @@ class RetryBuffer {
   explicit RetryBuffer(std::size_t capacity);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool full() const noexcept { return entries_.size() >= capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool full() const noexcept { return size_ >= capacity_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// Sequence number of the oldest unacked flit (if any).
   [[nodiscard]] std::optional<std::uint16_t> oldest_seq() const noexcept;
@@ -64,7 +66,8 @@ class RetryBuffer {
   /// the go-back-N replay set. `visit(entry)` is called per entry.
   template <typename Visitor>
   void for_each_from(std::uint16_t from_seq, Visitor&& visit) const {
-    for (const Entry& entry : entries_) {
+    for (std::size_t i = 0; i < size_; ++i) {
+      const Entry& entry = entry_at(i);
       if (seq_distance(from_seq, entry.seq) >= 0) visit(entry);
     }
   }
@@ -72,26 +75,49 @@ class RetryBuffer {
   /// Visits every held entry oldest -> newest: the dead-hop drain order.
   template <typename Visitor>
   void for_each(Visitor&& visit) const {
-    for (const Entry& entry : entries_) visit(entry);
+    for (std::size_t i = 0; i < size_; ++i) visit(entry_at(i));
   }
 
   /// True when any held entry carries `flow_tag` (the fabric's reroute
   /// quiesce probe: a hop still replaying a flow's flits is not drained).
   [[nodiscard]] bool holds_flow(std::uint16_t flow_tag) const noexcept {
-    for (const Entry& entry : entries_)
-      if (entry.flow_tag == flow_tag) return true;
+    for (std::size_t i = 0; i < size_; ++i)
+      if (entry_at(i).flow_tag == flow_tag) return true;
     return false;
   }
 
   /// Releases everything without acking (dead-hop drain: the entries have
   /// been handed off to the HopDownEvent and will never be replayed here).
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept;
 
  private:
+  /// Entries live in blocks of three (816 B, small enough for the
+  /// allocator's per-thread cache), so a push is one in-place fill and at
+  /// most one allocation per block, and the footprint follows the live
+  /// window. A deque would allocate a node per 272 B entry.
+  static constexpr std::size_t kBlockEntries = 3;
+  struct Block {
+    std::array<Entry, kBlockEntries> entries;
+  };
+
+  /// The `index`-th held entry, 0 = oldest.
+  [[nodiscard]] const Entry& entry_at(std::size_t index) const noexcept {
+    const std::size_t slot = head_ + index;
+    return blocks_.at(slot / kBlockEntries)->entries[slot % kBlockEntries];
+  }
+
+  void pop_oldest() noexcept;
+
   std::size_t capacity_;
-  // Bounded by capacity_ (<= 512): push() refuses beyond it, so this deque
-  // can never grow without bound. rxl-lint: allow(R6)
-  std::deque<Entry> entries_;  ///< ordered oldest -> newest
+  /// Oldest block first. Bounded by capacity_ (<= 512): push() refuses
+  /// beyond it, so at most capacity_ / 3 + 2 blocks are held (plus the
+  /// spare), and each costs one allocation when the window grows into it.
+  RingQueue<std::unique_ptr<Block>> blocks_;
+  /// The last block the window left behind, reused before allocating, so a
+  /// window that hovers at a block boundary does not allocate per flit.
+  std::unique_ptr<Block> spare_;
+  std::size_t head_ = 0;  ///< oldest entry's slot in the front block
+  std::size_t size_ = 0;
 };
 
 }  // namespace rxl::link

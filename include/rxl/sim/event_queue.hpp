@@ -8,6 +8,14 @@
 // InlineEvents (no std::function, no per-event heap traffic) and the heap
 // is an implicit 4-ary min-heap over trivially copyable 64-byte Items —
 // shallower than a binary heap and sifted with plain block copies.
+//
+// The heap holds one entry per producer, not one per pending occurrence:
+// a Timer keeps a single carrier entry however often it is re-armed, and a
+// ParkedFifo (a channel's flits in flight, a switch's forwarding pipeline)
+// keeps only its head. Both take each occurrence's (when, FIFO-order) key
+// at the moment a plain schedule would have pushed it, and push that key
+// once the entry ahead of it has popped, so dispatch order is exactly that
+// of one event per occurrence.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +39,7 @@ class EventQueue {
   /// Schedules `event` to run at now() + delay.
   template <typename F>
   void schedule(TimePs delay, F&& fn) {
-    push_event(now_ + delay, Event(std::forward<F>(fn)));
+    push_keyed(now_ + delay, next_order_++, Event(std::forward<F>(fn)));
   }
 
   /// Schedules `event` at an absolute timestamp. Scheduling in the past is
@@ -40,7 +48,7 @@ class EventQueue {
   /// per FIFO order — never "before" the present).
   template <typename F>
   void schedule_at(TimePs when, F&& fn) {
-    push_event(when, Event(std::forward<F>(fn)));
+    push_keyed(when, next_order_++, Event(std::forward<F>(fn)));
   }
 
   /// Runs events until the queue is empty or `limit` events have executed.
@@ -57,6 +65,10 @@ class EventQueue {
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
  private:
+  friend class Timer;
+  template <typename T>
+  friend class ParkedFifo;
+
   struct Item {
     TimePs when;
     std::uint64_t order;  ///< FIFO tie-break
@@ -68,12 +80,23 @@ class EventQueue {
                 "8 B FIFO order + 48 B InlineEvent");
 
   /// Strict total order: (when, order) with order unique per item.
+  static bool earlier(TimePs when, std::uint64_t order, const Item& b) noexcept {
+    return when != b.when ? when < b.when : order < b.order;
+  }
   static bool earlier(const Item& a, const Item& b) noexcept {
-    return a.when != b.when ? a.when < b.when : a.order < b.order;
+    return earlier(a.when, a.order, b);
   }
 
-  void push_event(TimePs when, Event event);
-  Item pop_earliest();
+  /// Takes the FIFO tie-break rank an event scheduled right now would get,
+  /// for a push that happens later under push_keyed.
+  [[nodiscard]] std::uint64_t reserve_order() noexcept { return next_order_++; }
+
+  /// Pushes `event` under a (when, order) key; `order` comes from
+  /// reserve_order() and is pushed at most once. A past `when` asserts and
+  /// clamps to now(), as schedule_at documents.
+  void push_keyed(TimePs when, std::uint64_t order, Event event);
+  /// Pops the earliest item, advances now() to it and runs it.
+  void dispatch_earliest();
 
   TimePs now_ = 0;
   std::uint64_t next_order_ = 0;

@@ -19,11 +19,11 @@ class InlineEvent {
  public:
   /// Inline storage budget. Sized (with headroom) for the largest event
   /// lambda in the codebase — reference-capturing test callbacks and the
-  /// 16-byte Timer::Fire record — so a whole heap Item packs into one
+  /// 16-byte Timer::Carrier record — so a whole heap Item packs into one
   /// 64-byte cache line. Capture-by-value of anything heavier (a
   /// FlitEnvelope, say) fails the static_asserts below instead of silently
-  /// allocating: park bulky payloads in a component-owned RingQueue and
-  /// capture only the component pointer (see LinkChannel).
+  /// allocating: park bulky payloads in a component-owned ParkedFifo or
+  /// RingQueue and capture only the component pointer (see LinkChannel).
   static constexpr std::size_t kStorageBytes = 40;
   static constexpr std::size_t kStorageAlign = 8;
 

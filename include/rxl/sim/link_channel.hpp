@@ -5,6 +5,9 @@
 // channel enforces that slot rate (senders queue when the wire is busy),
 // applies an ErrorModel to the transiting image, and delivers to the
 // receiver after the propagation latency.
+//
+// A sent envelope is copied once, into its in-flight slot; the error model
+// corrupts that slot in place and the receiver is handed the same slot.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +16,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "rxl/common/ring_queue.hpp"
 #include "rxl/common/rng.hpp"
 #include "rxl/common/types.hpp"
 #include "rxl/flit/flit.hpp"
@@ -22,6 +24,7 @@
 #include "rxl/sim/event_queue.hpp"
 #include "rxl/sim/fault_plan.hpp"
 #include "rxl/sim/inline_delegate.hpp"
+#include "rxl/sim/parked_fifo.hpp"
 
 namespace rxl::sim {
 
@@ -50,12 +53,12 @@ struct FlitEnvelope {
   std::uint16_t flow_id = 0;
 };
 
-// Envelopes park in RingQueues (channel in-flight, switch forwarding,
+// Envelopes park in ring slots (channel in-flight, switch forwarding,
 // reorder buffers) and are moved by plain block copy: they must stay
 // trivially copyable, and their footprint is budgeted at the 256 B wire
 // image plus one cache line of simulation metadata.
 static_assert(std::is_trivially_copyable_v<FlitEnvelope>,
-              "FlitEnvelope rides RingQueues as a block copy");
+              "FlitEnvelope rides ring slots as a block copy");
 static_assert(sizeof(FlitEnvelope) <= kFlitBytes + 64,
               "FlitEnvelope metadata outgrew its one-cache-line budget");
 
@@ -72,8 +75,10 @@ class LinkChannel {
  public:
   /// Non-allocating receiver hook: one delivery per simulated flit makes
   /// this a hot-path callable, so captures must be trivially copyable and
-  /// fit inline (rxl-lint R3: no std::function here).
-  using DeliverFn = InlineDelegate<void(FlitEnvelope&&)>;
+  /// fit inline (rxl-lint R3: no std::function here). The receiver gets the
+  /// in-flight slot itself, which is dropped once it returns; it must not
+  /// send on this same channel meanwhile (that asserts).
+  using DeliverFn = ParkedFifo<FlitEnvelope>::Handler;
 
   /// @param queue    shared simulation kernel.
   /// @param errors   error process applied per transiting flit (owned).
@@ -85,7 +90,9 @@ class LinkChannel {
               TimePs latency = kFlitSlotPs);
 
   /// Connects the receive side.
-  void set_receiver(DeliverFn deliver) { deliver_ = std::move(deliver); }
+  void set_receiver(DeliverFn deliver) {
+    in_flight_.set_handler(std::move(deliver));
+  }
 
   /// Attaches a fault-plan timeline (not owned; must outlive the channel).
   /// While the timeline says the link is down, transmitted flits are
@@ -98,11 +105,11 @@ class LinkChannel {
     faults_ = (faults != nullptr && !faults->empty()) ? faults : nullptr;
   }
 
-  /// Queues `envelope` for transmission. The channel serialises flits
-  /// back-to-back: if the wire is busy the flit starts when it frees up.
-  /// Returns the time at which the flit's slot *ends* (when the sender may
-  /// push the next flit without queueing).
-  TimePs send(FlitEnvelope envelope);
+  /// Queues a copy of `envelope` for transmission. The channel serialises
+  /// flits back-to-back: if the wire is busy the flit starts when it frees
+  /// up. Returns the time at which the flit's slot *ends* (when the sender
+  /// may push the next flit without queueing).
+  TimePs send(const FlitEnvelope& envelope);
 
   /// Earliest time a newly offered flit would start serialising.
   [[nodiscard]] TimePs next_free() const noexcept { return next_free_; }
@@ -125,25 +132,21 @@ class LinkChannel {
   }
 
  private:
-  void deliver_front();
-
   EventQueue& queue_;
   std::unique_ptr<phy::ErrorModel> errors_;
   Xoshiro256 rng_;
   TimePs slot_;
   TimePs latency_;
   TimePs next_free_ = 0;
-  DeliverFn deliver_;
   const LinkFaultSchedule* faults_ = nullptr;  ///< not owned; may be null
   /// Completed down windows already acknowledged by an errors_->reset();
   /// compared against the schedule so each revival re-equalizes exactly
   /// once, on the first transmit after the link comes back.
   std::size_t fault_windows_seen_ = 0;
-  /// Flits on the wire, in delivery order. Per-channel delivery times are
-  /// strictly increasing (slot end is monotonic, latency constant), so the
-  /// scheduled [this] events pop this FIFO in exactly the order the heap
-  /// fires them — and the 256 B envelope never rides inside an event.
-  RingQueue<FlitEnvelope> in_flight_;
+  /// Flits on the wire, in delivery order; only the head has a heap entry.
+  /// Delivery times never decrease (slot end is monotonic, latency
+  /// constant), and the 256 B envelope never rides inside an event.
+  ParkedFifo<FlitEnvelope> in_flight_;
   ChannelStats stats_;
   obs::TraceSink* trace_ = nullptr;  ///< flit-lifecycle sink (null = off)
   std::uint16_t trace_component_ = 0;

@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "rxl/common/ring_queue.hpp"
 #include "rxl/common/rng.hpp"
 #include "rxl/sim/link_channel.hpp"
+#include "rxl/sim/parked_fifo.hpp"
 #include "rxl/transport/flit_codec.hpp"
 
 namespace rxl::switchdev {
@@ -58,20 +58,19 @@ class PortSwitch {
 
  private:
   /// A routed flit in the forwarding pipeline; the egress channel is
-  /// resolved at routing time, as before the ring existed.
+  /// resolved at routing time.
   struct PendingForward {
     sim::FlitEnvelope envelope;
     sim::LinkChannel* output = nullptr;
   };
-
-  void forward_front();
 
   sim::EventQueue& queue_;
   Config config_;
   transport::FlitCodec codec_;
   Xoshiro256 rng_;
   std::vector<sim::LinkChannel*> outputs_;
-  RingQueue<PendingForward> forwarding_;  ///< FIFO: constant forward latency
+  /// FIFO: constant forward latency.
+  sim::ParkedFifo<PendingForward> forwarding_;
   PortSwitchStats stats_;
 };
 

@@ -14,9 +14,9 @@
 
 #include <cstdint>
 
-#include "rxl/common/ring_queue.hpp"
 #include "rxl/common/rng.hpp"
 #include "rxl/sim/link_channel.hpp"
+#include "rxl/sim/parked_fifo.hpp"
 #include "rxl/transport/flit_codec.hpp"
 
 namespace rxl::switchdev {
@@ -53,16 +53,14 @@ class SwitchDevice {
   [[nodiscard]] const SwitchStats& stats() const noexcept { return stats_; }
 
  private:
-  void forward_front();
-
   sim::EventQueue& queue_;
   Config config_;
   transport::FlitCodec codec_;
   Xoshiro256 rng_;
   sim::LinkChannel* output_ = nullptr;
   /// Flits in the forwarding pipeline, in egress order (forward_latency is
-  /// constant, so scheduled events fire in FIFO order).
-  RingQueue<sim::FlitEnvelope> forwarding_;
+  /// constant, so they fall due in FIFO order).
+  sim::ParkedFifo<sim::FlitEnvelope> forwarding_;
   SwitchStats stats_;
 };
 

@@ -1,7 +1,9 @@
 #include "rxl/link/retry_buffer.hpp"
 
 #include <cassert>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace rxl::link {
 
@@ -13,30 +15,55 @@ RetryBuffer::RetryBuffer(std::size_t capacity) : capacity_(capacity) {
 }
 
 std::optional<std::uint16_t> RetryBuffer::oldest_seq() const noexcept {
-  if (entries_.empty()) return std::nullopt;
-  return entries_.front().seq;
+  if (empty()) return std::nullopt;
+  return entry_at(0).seq;
 }
 
 bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& encoded,
                        std::uint64_t user_tag, std::uint16_t flow_tag,
                        std::uint8_t vc) {
   if (full()) return false;
-  assert(entries_.empty() || seq_next(entries_.back().seq) == (seq & kSeqMask));
-  entries_.push_back(Entry{static_cast<std::uint16_t>(seq & kSeqMask), flow_tag,
-                           vc, user_tag, encoded});
+  assert(empty() || seq_next(entry_at(size_ - 1).seq) == (seq & kSeqMask));
+  const std::size_t slot = head_ + size_;
+  if (slot == blocks_.size() * kBlockEntries) {
+    blocks_.push_back(spare_ != nullptr
+                          ? std::move(spare_)
+                          : std::make_unique_for_overwrite<Block>());
+  }
+  Entry& entry = blocks_.at(slot / kBlockEntries)->entries[slot % kBlockEntries];
+  entry.seq = static_cast<std::uint16_t>(seq & kSeqMask);
+  entry.flow_tag = flow_tag;
+  entry.vc = vc;
+  entry.user_tag = user_tag;
+  entry.flit = encoded;
+  ++size_;
   return true;
+}
+
+void RetryBuffer::pop_oldest() noexcept {
+  ++head_;
+  --size_;
+  if (head_ == kBlockEntries) {
+    spare_ = blocks_.pop_front();  // frees the previous spare, if any
+    head_ = 0;
+  }
 }
 
 std::size_t RetryBuffer::ack_up_to(std::uint16_t acked_seq) {
   std::size_t released = 0;
-  while (!entries_.empty() &&
-         seq_distance(entries_.front().seq, acked_seq) >= 0 &&
-         seq_distance(entries_.front().seq, acked_seq) <
+  while (!empty() && seq_distance(entry_at(0).seq, acked_seq) >= 0 &&
+         seq_distance(entry_at(0).seq, acked_seq) <
              static_cast<int>(kSeqModulus / 2)) {
-    entries_.pop_front();
+    pop_oldest();
     ++released;
   }
   return released;
+}
+
+void RetryBuffer::clear() noexcept {
+  while (!blocks_.empty()) spare_ = blocks_.pop_front();
+  head_ = 0;
+  size_ = 0;
 }
 
 const flit::Flit* RetryBuffer::find(std::uint16_t seq) const {
@@ -47,11 +74,10 @@ const flit::Flit* RetryBuffer::find(std::uint16_t seq) const {
 const RetryBuffer::Entry* RetryBuffer::find_entry(std::uint16_t seq) const {
   // push() keeps the held sequence numbers consecutive from the front, so
   // `seq` sits at its window distance from the oldest entry, if anywhere.
-  if (entries_.empty()) return nullptr;
-  const int index = seq_distance(entries_.front().seq, seq);
-  if (index < 0 || static_cast<std::size_t>(index) >= entries_.size())
-    return nullptr;
-  const Entry& entry = entries_[static_cast<std::size_t>(index)];
+  if (empty()) return nullptr;
+  const int index = seq_distance(entry_at(0).seq, seq);
+  if (index < 0 || static_cast<std::size_t>(index) >= size_) return nullptr;
+  const Entry& entry = entry_at(static_cast<std::size_t>(index));
   assert(entry.seq == (seq & kSeqMask));
   return &entry;
 }

@@ -12,11 +12,12 @@ LinkChannel::LinkChannel(EventQueue& queue,
       errors_(std::move(errors)),
       rng_(rng_seed),
       slot_(slot),
-      latency_(latency) {
+      latency_(latency),
+      in_flight_(queue) {
   assert(errors_ != nullptr);
 }
 
-TimePs LinkChannel::send(FlitEnvelope envelope) {
+TimePs LinkChannel::send(const FlitEnvelope& envelope) {
   const TimePs start = std::max(queue_.now(), next_free_);
   const TimePs end = start + slot_;
   next_free_ = end;
@@ -52,22 +53,16 @@ TimePs LinkChannel::send(FlitEnvelope envelope) {
   }
   stats_.flits_carried += 1;
 
-  const std::size_t flipped = errors_->corrupt(envelope.flit.bytes(), rng_);
+  // Delivery happens once the last bit has propagated.
+  FlitEnvelope& slot = in_flight_.park(end + latency_);
+  slot = envelope;
+  const std::size_t flipped = errors_->corrupt(slot.flit.bytes(), rng_);
   if (flipped > 0) {
-    envelope.pristine = false;
+    slot.pristine = false;
     stats_.flits_corrupted += 1;
     stats_.bits_flipped += flipped;
   }
-
-  // Delivery happens once the last bit has propagated.
-  in_flight_.push_back(std::move(envelope));
-  queue_.schedule_at(end + latency_, [this] { deliver_front(); });
   return end;
-}
-
-void LinkChannel::deliver_front() {
-  FlitEnvelope envelope = in_flight_.pop_front();
-  if (deliver_) deliver_(std::move(envelope));
 }
 
 }  // namespace rxl::sim

@@ -1,7 +1,6 @@
 #include "rxl/switchdev/port_switch.hpp"
 
 #include <cassert>
-#include <utility>
 
 #include "rxl/common/bytes.hpp"
 
@@ -13,7 +12,10 @@ PortSwitch::PortSwitch(sim::EventQueue& queue, const Config& config,
       config_(config),
       codec_(config.protocol),
       rng_(rng_seed),
-      outputs_(config.ports, nullptr) {}
+      outputs_(config.ports, nullptr),
+      forwarding_(queue, [](PendingForward&& pending) {
+        pending.output->send(pending.envelope);
+      }) {}
 
 void PortSwitch::set_output(std::size_t port, sim::LinkChannel* output) {
   assert(port < outputs_.size());
@@ -64,13 +66,10 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     return;
   }
   stats_.flits_forwarded += 1;
-  forwarding_.push_back(PendingForward{std::move(envelope), outputs_[port]});
-  queue_.schedule(config_.forward_latency, [this] { forward_front(); });
-}
-
-void PortSwitch::forward_front() {
-  PendingForward pending = forwarding_.pop_front();
-  pending.output->send(std::move(pending.envelope));
+  PendingForward& pending =
+      forwarding_.park(queue_.now() + config_.forward_latency);
+  pending.envelope = envelope;
+  pending.output = outputs_[port];
 }
 
 }  // namespace rxl::switchdev

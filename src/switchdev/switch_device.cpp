@@ -1,14 +1,18 @@
 #include "rxl/switchdev/switch_device.hpp"
 
-#include <utility>
-
 #include "rxl/common/bytes.hpp"
 
 namespace rxl::switchdev {
 
 SwitchDevice::SwitchDevice(sim::EventQueue& queue, const Config& config,
                            std::uint64_t rng_seed)
-    : queue_(queue), config_(config), codec_(config.protocol), rng_(rng_seed) {}
+    : queue_(queue),
+      config_(config),
+      codec_(config.protocol),
+      rng_(rng_seed),
+      forwarding_(queue, [this](sim::FlitEnvelope&& envelope) {
+        output_->send(envelope);
+      }) {}
 
 void SwitchDevice::on_flit(sim::FlitEnvelope&& envelope) {
   stats_.flits_in += 1;
@@ -74,12 +78,7 @@ void SwitchDevice::on_flit(sim::FlitEnvelope&& envelope) {
 
   stats_.flits_forwarded += 1;
   if (output_ == nullptr) return;
-  forwarding_.push_back(std::move(envelope));
-  queue_.schedule(config_.forward_latency, [this] { forward_front(); });
-}
-
-void SwitchDevice::forward_front() {
-  output_->send(forwarding_.pop_front());
+  forwarding_.park(queue_.now() + config_.forward_latency) = envelope;
 }
 
 }  // namespace rxl::switchdev

@@ -84,7 +84,7 @@ bool Endpoint::send_one() {
     control_queue_.pop_front();
     envelope.dest_port = dest_port_;
     stats_.control_flits_sent += 1;
-    output_->send(std::move(envelope));
+    output_->send(envelope);
     return true;
   }
   // Priority 2: selective-repeat single-flit resends.
@@ -105,7 +105,7 @@ bool Endpoint::send_one() {
     stats_.data_flits_retransmitted += 1;
     trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag, seq,
           entry->vc, obs::kRetrySelective);
-    output_->send(std::move(envelope));
+    output_->send(envelope);
     return true;
   }
   // Priority 3: go-back-N replay.
@@ -128,7 +128,7 @@ bool Endpoint::send_one() {
       stats_.data_flits_retransmitted += 1;
       trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag,
             entry->seq, entry->vc, obs::kRetryGoBackN);
-      output_->send(std::move(envelope));
+      output_->send(envelope);
       return true;
     }
   }
@@ -242,7 +242,7 @@ void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
   next_seq_ = link::seq_next(next_seq_);
   stats_.data_flits_sent += 1;
   trace(obs::TraceEventKind::kTx, truth_index, flow_id, seq, vc, 0);
-  output_->send(std::move(envelope));
+  output_->send(envelope);
 }
 
 void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {

@@ -4,8 +4,8 @@
 // overload the credit windows exist to prevent — and node-allocates per
 // flit besides. Relay queues are RingQueue (fixed ring, externally sized);
 // a container that is bounded some other way must say so in an allow(R6)
-// comment, as link/retry_buffer.hpp does. The free_list member below must
-// NOT fire: only the std:: container names are queue types.
+// comment. The free_list member below must NOT fire: only the std::
+// container names are queue types.
 #include <cstdint>
 #include <deque>
 

@@ -5,11 +5,15 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "rxl/common/ring_queue.hpp"
 #include "rxl/common/rng.hpp"
+#include "rxl/phy/error_model.hpp"
+#include "rxl/sim/link_channel.hpp"
 #include "rxl/sim/timer.hpp"
 #include "rxl/sim/trial_runner.hpp"
 
@@ -291,6 +295,242 @@ TEST(Timer, CallbackMayRearmAtTheFiringInstant) {
   EXPECT_EQ(queue.now(), 60u);
   EXPECT_TRUE(bystander_ran);
   EXPECT_FALSE(same_instant.timer.armed());
+}
+
+TEST(Timer, CancelAndLaterRearmKeepsOneHeapEntry) {
+  // Endpoint credit-probe pattern: the deadline is cancelled and re-armed
+  // further out over and over before it ever fires. The timer's one
+  // carrier entry carries every later deadline; lapsed ones leave nothing.
+  EventQueue queue;
+  int fired = 0;
+  Timer timer(queue, [&] { ++fired; });
+  for (TimePs i = 1; i <= 1'000; ++i) {
+    timer.cancel();
+    timer.arm_at(100 * i);
+    EXPECT_LE(queue.pending(), 1u);
+  }
+  queue.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(queue.now(), 100'000u);
+}
+
+TEST(Timer, EarlierRearmFiresEarlyAndTheReplacedCarrierIsANoOp) {
+  EventQueue queue;
+  std::vector<TimePs> fires;
+  Timer timer(queue, [&] { fires.push_back(queue.now()); });
+  timer.arm_at(500);
+  timer.arm_at(200);  // earlier than the carrier: a new carrier is pushed
+  EXPECT_EQ(queue.pending(), 2u);
+  std::vector<TimePs> bystanders;
+  queue.schedule_at(500, [&] { bystanders.push_back(queue.now()); });
+  EXPECT_EQ(queue.run_until(200), 1u);
+  EXPECT_EQ(fires, (std::vector<TimePs>{200}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(queue.run(), 2u);  // the replaced carrier pops and does nothing
+  EXPECT_EQ(fires, (std::vector<TimePs>{200}));
+  EXPECT_EQ(bystanders, (std::vector<TimePs>{500}));
+  EXPECT_TRUE(queue.empty());
+}
+
+// ----- Dispatch-order oracle ----------------------------------------------
+//
+// The kernel keeps one heap entry per timer and per in-order FIFO, yet must
+// dispatch exactly as one heap entry per occurrence did. The reference
+// types below re-implement that older design: a timer that pushes a
+// generation-checked entry per arm (lazy deletion), and a channel that
+// schedules one event per flit. A seeded script drives both worlds through
+// identical operations, and the (time, id) fire logs must match.
+
+/// One-shot timer with generation-based lazy deletion: every arm pushes an
+/// entry, and cancelled or superseded entries pop as no-ops.
+class LazyDeletionTimer {
+ public:
+  template <typename F>
+  LazyDeletionTimer(EventQueue& queue, F&& callback)
+      : queue_(queue), callback_(std::forward<F>(callback)) {}
+
+  void arm(TimePs delay) { arm_at(queue_.now() + delay); }
+  void arm_at(TimePs when) {
+    ++generation_;
+    armed_ = true;
+    deadline_ = when;
+    queue_.schedule_at(when, Fire{this, generation_});
+  }
+  void cancel() noexcept {
+    ++generation_;
+    armed_ = false;
+  }
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
+  [[nodiscard]] TimePs deadline() const noexcept { return deadline_; }
+
+ private:
+  struct Fire {
+    LazyDeletionTimer* timer;
+    std::uint64_t generation;
+    void operator()() const {
+      if (!timer->armed_ || generation != timer->generation_) return;
+      timer->armed_ = false;
+      timer->callback_();
+    }
+  };
+
+  EventQueue& queue_;
+  InlineEvent callback_;
+  TimePs deadline_ = 0;
+  std::uint64_t generation_ = 0;
+  bool armed_ = false;
+};
+
+/// Error-free channel that schedules one delivery event per flit.
+class EventPerFlitChannel {
+ public:
+  EventPerFlitChannel(EventQueue& queue, std::unique_ptr<phy::ErrorModel>,
+                      std::uint64_t, TimePs slot, TimePs latency)
+      : queue_(queue), slot_(slot), latency_(latency) {}
+
+  void set_receiver(LinkChannel::DeliverFn deliver) { deliver_ = deliver; }
+  TimePs send(const FlitEnvelope& envelope) {
+    const TimePs end = std::max(queue_.now(), next_free_) + slot_;
+    next_free_ = end;
+    in_flight_.push_back(envelope);
+    queue_.schedule_at(end + latency_, [this] {
+      FlitEnvelope front = in_flight_.pop_front();
+      deliver_(std::move(front));
+    });
+    return end;
+  }
+
+ private:
+  EventQueue& queue_;
+  TimePs slot_;
+  TimePs latency_;
+  TimePs next_free_ = 0;
+  LinkChannel::DeliverFn deliver_;
+  RingQueue<FlitEnvelope> in_flight_;
+};
+
+using FireLog = std::vector<std::pair<TimePs, int>>;
+
+/// A seeded script of timer, channel and bystander operations on a 100 ps
+/// grid, so arms, deliveries and bystanders collide on timestamps. Every
+/// callback logs (now, id) and may run further operations, drawn from the
+/// world's own RNG: two worlds stay aligned exactly as long as their
+/// kernels dispatch in the same order.
+template <typename TimerT, typename ChannelT>
+class OracleWorld {
+ public:
+  explicit OracleWorld(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < kTimers; ++i)
+      timers_.push_back(
+          std::make_unique<TimerT>(queue_, [this, i] { on_timer(i); }));
+    for (int c = 0; c < 2; ++c) {
+      channels_.push_back(std::make_unique<ChannelT>(
+          queue_, std::make_unique<phy::NoErrors>(), 1, /*slot=*/100,
+          /*latency=*/100 * (c + 1)));
+      channels_.back()->set_receiver(
+          [this, c](FlitEnvelope&& envelope) { on_delivery(c, envelope); });
+    }
+    for (int i = 0; i < 24; ++i) bystander(100 * rng_.bounded(20));
+  }
+
+  FireLog run() {
+    queue_.run();
+    return log_;
+  }
+
+ private:
+  static constexpr int kTimers = 3;
+
+  TimePs step() { return 100 * rng_.bounded(4); }
+
+  void bystander(TimePs at) {
+    const int id = next_id_++;
+    queue_.schedule_at(at, [this, id] {
+      log_.emplace_back(queue_.now(), id);
+      act(-1);
+    });
+  }
+
+  void on_timer(int i) {
+    log_.emplace_back(queue_.now(), -1 - i);
+    if (rng_.bounded(3) == 0 && budget_ > 0) {
+      --budget_;
+      timers_[static_cast<std::size_t>(i)]->arm(step());  // from the callback
+    }
+    act(-1);
+  }
+
+  void on_delivery(int channel, const FlitEnvelope& envelope) {
+    log_.emplace_back(queue_.now(), static_cast<int>(envelope.truth_index));
+    act(channel);
+  }
+
+  /// One random operation; `busy_channel` is delivering right now and must
+  /// not be sent on.
+  void act(int busy_channel) {
+    if (budget_ == 0) return;
+    --budget_;
+    TimerT& timer = *timers_[rng_.bounded(kTimers)];
+    const TimePs now = queue_.now();
+    const TimePs base = timer.armed() ? timer.deadline() : now;
+    switch (rng_.bounded(9)) {
+      case 0:  // later than the current deadline
+        timer.arm_at(base + 100 + step());
+        break;
+      case 1: {  // earlier than the current deadline, never in the past
+        const TimePs back = 100 + step();
+        timer.arm_at(base >= now + back ? base - back : now);
+        break;
+      }
+      case 2:  // the same instant as the current deadline
+        timer.arm_at(base);
+        break;
+      case 3:
+        timer.arm(step());
+        break;
+      case 4:
+        timer.cancel();
+        break;
+      case 5:
+        timer.cancel();
+        timer.arm_at(base);
+        break;
+      case 6:
+      case 7: {
+        int channel = static_cast<int>(rng_.bounded(2));
+        if (channel == busy_channel) channel = 1 - channel;
+        FlitEnvelope envelope;
+        envelope.truth_index = static_cast<std::uint64_t>(next_id_++);
+        channels_[static_cast<std::size_t>(channel)]->send(envelope);
+        break;
+      }
+      default:
+        bystander(now + step());
+        break;
+    }
+    if (rng_.bounded(2) == 0) act(busy_channel);
+  }
+
+  EventQueue queue_;
+  Xoshiro256 rng_;
+  std::vector<std::unique_ptr<TimerT>> timers_;
+  std::vector<std::unique_ptr<ChannelT>> channels_;
+  FireLog log_;
+  int next_id_ = 0;
+  int budget_ = 400;
+};
+
+TEST(DispatchOracle, MatchesOneHeapEntryPerOccurrence) {
+  std::size_t timer_fires = 0;
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const FireLog reference =
+        OracleWorld<LazyDeletionTimer, EventPerFlitChannel>(seed).run();
+    const FireLog kernel = OracleWorld<Timer, LinkChannel>(seed).run();
+    ASSERT_EQ(kernel, reference);
+    for (const auto& [at, id] : kernel) timer_fires += id < 0 ? 1 : 0;
+  }
+  EXPECT_GT(timer_fires, 1'000u);  // the scripts really exercise the timers
 }
 
 // A miniature stochastic simulation whose result folds in event timestamps

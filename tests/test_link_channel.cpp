@@ -96,5 +96,54 @@ TEST(LinkChannel, IdleGapThenSend) {
   EXPECT_EQ(deliveries[1], 6000u);
 }
 
+TEST(LinkChannel, FlitsInFlightHoldOneHeapEntry) {
+  // Deliveries leave in FIFO order, so only the head flit is in the heap;
+  // the rest wait in the channel with their keys already taken.
+  EventQueue queue;
+  LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1, 2000, 8000);
+  std::vector<std::uint8_t> tags;
+  channel.set_receiver([&](FlitEnvelope&& envelope) {
+    tags.push_back(envelope.flit.payload()[0]);
+  });
+  for (int i = 0; i < 64; ++i)
+    channel.send(make_envelope(static_cast<std::uint8_t>(i)));
+  EXPECT_EQ(queue.pending(), 1u);
+  queue.run(10);
+  EXPECT_EQ(queue.pending(), 1u);
+  queue.run();
+  ASSERT_EQ(tags.size(), 64u);
+  for (std::size_t i = 0; i < tags.size(); ++i) EXPECT_EQ(tags[i], i);
+  EXPECT_EQ(queue.now(), 64u * 2000u + 8000u);
+}
+
+TEST(LinkChannel, ReceiverGetsTheCorruptedSlotAndMaySendElsewhere) {
+  // The error model corrupts the in-flight slot, and the receiver is handed
+  // that slot; forwarding it onto another channel copies it there.
+  EventQueue queue;
+  LinkChannel first(queue, std::make_unique<phy::SymbolBurstInjector>(2), 7);
+  LinkChannel second(queue, std::make_unique<phy::NoErrors>(), 1);
+  first.set_receiver([&](FlitEnvelope&& envelope) { second.send(envelope); });
+  FlitEnvelope received;
+  second.set_receiver([&](FlitEnvelope&& envelope) { received = envelope; });
+  const FlitEnvelope sent = make_envelope(0x5A);
+  first.send(sent);
+  queue.run();
+  EXPECT_FALSE(received.pristine);
+  EXPECT_NE(received.flit, sent.flit);
+  EXPECT_EQ(first.stats().flits_corrupted, 1u);
+}
+
+#ifndef NDEBUG
+TEST(LinkChannelDeathTest, SendFromItsOwnReceiverAsserts) {
+  // The receiver holds the channel's in-flight slot, which a send on the
+  // same channel could move.
+  EventQueue queue;
+  LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1);
+  channel.set_receiver([&](FlitEnvelope&& envelope) { channel.send(envelope); });
+  channel.send(make_envelope(1));
+  EXPECT_DEATH(queue.run(), "parked into while handling its head");
+}
+#endif
+
 }  // namespace
 }  // namespace rxl::sim

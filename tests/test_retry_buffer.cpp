@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <deque>
 #include <vector>
+
+#include "rxl/common/rng.hpp"
 
 namespace rxl::link {
 namespace {
@@ -83,29 +88,109 @@ TEST(RetryBuffer, ForEachFromVisitsTail) {
   EXPECT_EQ(tags, (std::vector<std::uint64_t>{300, 400, 500}));
 }
 
+/// Checks every read path of `buffer` against `model`, the held entries
+/// oldest -> newest: lookup of all 1024 sequence numbers, the dead-hop
+/// drain order (for_each), the go-back-N replay set from several resume
+/// points (for_each_from) and the reroute probe (holds_flow).
+void expect_matches_model(const RetryBuffer& buffer,
+                          const std::deque<RetryBuffer::Entry>& model) {
+  ASSERT_EQ(buffer.size(), model.size());
+  ASSERT_EQ(buffer.empty(), model.empty());
+  if (!model.empty()) {
+    ASSERT_EQ(buffer.oldest_seq(), model.front().seq);
+  }
+  std::vector<std::uint64_t> drained;
+  buffer.for_each([&](const RetryBuffer::Entry& entry) {
+    drained.push_back(entry.user_tag);
+  });
+  std::vector<std::uint64_t> expected;
+  for (const RetryBuffer::Entry& entry : model) expected.push_back(entry.user_tag);
+  ASSERT_EQ(drained, expected);
+  for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
+    const RetryBuffer::Entry* scanned = nullptr;
+    buffer.for_each([&](const RetryBuffer::Entry& entry) {
+      if (entry.seq == seq) scanned = &entry;
+    });
+    const RetryBuffer::Entry* found = buffer.find_entry(seq);
+    ASSERT_EQ(found, scanned) << "seq " << seq;
+    const auto held = std::find_if(model.begin(), model.end(),
+                                   [&](const auto& e) { return e.seq == seq; });
+    ASSERT_EQ(found != nullptr, held != model.end()) << "seq " << seq;
+    if (found != nullptr) {
+      EXPECT_EQ(found->user_tag, held->user_tag);
+      EXPECT_EQ(found->flow_tag, held->flow_tag);
+      EXPECT_EQ(found->vc, held->vc);
+      EXPECT_EQ(found->flit, held->flit);
+    }
+  }
+  for (const std::uint16_t from :
+       {std::uint16_t{0}, std::uint16_t{511}, std::uint16_t{1023},
+        model.empty() ? std::uint16_t{5} : model.front().seq,
+        model.empty() ? std::uint16_t{9} : seq_add(model.back().seq, 1000)}) {
+    std::vector<std::uint64_t> replayed;
+    buffer.for_each_from(from, [&](const RetryBuffer::Entry& entry) {
+      replayed.push_back(entry.user_tag);
+    });
+    std::vector<std::uint64_t> want;
+    for (const RetryBuffer::Entry& entry : model)
+      if (seq_distance(from, entry.seq) >= 0) want.push_back(entry.user_tag);
+    ASSERT_EQ(replayed, want) << "from " << from;
+  }
+  for (std::uint16_t flow = 0; flow < 6; ++flow) {
+    const bool held = std::any_of(model.begin(), model.end(),
+                                  [&](const auto& e) { return e.flow_tag == flow; });
+    ASSERT_EQ(buffer.holds_flow(flow), held) << "flow " << flow;
+  }
+}
+
 TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
-  // find_entry indexes by window distance from the oldest entry. Compare it
-  // with a scan over every held entry for all 1024 sequence numbers, with
-  // windows that straddle the 1023 -> 0 wrap, at capacities 1 and 512, and
-  // again after cumulative ACKs move the front.
-  for (const std::size_t capacity : {1u, 8u, 512u}) {
+  // find_entry indexes by window distance from the oldest entry, and the
+  // entries live in fixed-size storage blocks. Compare every read path with
+  // a deque model while seeded pushes and cumulative ACKs move the window
+  // across block boundaries and the 1023 -> 0 wrap, at capacities from 1 to
+  // 512, with a clear() in mid-window followed by a refill.
+  for (const std::size_t capacity : {1u, 2u, 3u, 4u, 7u, 8u, 512u}) {
     for (const std::uint16_t start : {0, 1020, 1023, 700}) {
       SCOPED_TRACE(testing::Message() << "window " << start << "+" << capacity);
+      Xoshiro256 rng(capacity * 1024 + start);
       RetryBuffer buffer(capacity);
-      for (std::size_t i = 0; i < capacity; ++i) {
-        const auto seq = seq_add(start, static_cast<std::uint16_t>(i));
-        ASSERT_TRUE(buffer.push(seq, tagged_flit(0), /*user_tag=*/i));
-      }
-      const auto step = static_cast<std::uint16_t>(capacity / 3);
-      while (!buffer.empty()) {
-        for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
-          const RetryBuffer::Entry* scanned = nullptr;
-          buffer.for_each([&](const RetryBuffer::Entry& entry) {
-            if (entry.seq == seq) scanned = &entry;
-          });
-          ASSERT_EQ(buffer.find_entry(seq), scanned) << "seq " << seq;
+      std::deque<RetryBuffer::Entry> model;
+      std::uint16_t next = start;
+      std::uint64_t tag = 0;
+      auto push = [&] {
+        RetryBuffer::Entry entry{};
+        entry.seq = next;
+        entry.flow_tag = static_cast<std::uint16_t>(rng.bounded(6));
+        entry.vc = static_cast<std::uint8_t>(rng.bounded(4));
+        entry.user_tag = tag++;
+        entry.flit = tagged_flit(static_cast<std::uint8_t>(entry.user_tag));
+        const bool room = model.size() < capacity;
+        ASSERT_EQ(buffer.push(next, entry.flit, entry.user_tag, entry.flow_tag,
+                              entry.vc),
+                  room);
+        if (!room) return;
+        model.push_back(entry);
+        next = seq_next(next);
+      };
+      for (int round = 0; round < 24; ++round) {
+        const std::size_t pushes = rng.bounded(capacity + 1);
+        for (std::size_t i = 0; i < pushes; ++i) push();
+        if (round == 12) {
+          buffer.clear();  // dead-hop drain in mid-window, then refill
+          model.clear();
+          next = seq_add(next, static_cast<std::uint16_t>(rng.bounded(1024)));
+        } else if (!model.empty()) {
+          const auto released = static_cast<std::size_t>(
+              rng.bounded(model.size() + 1));
+          const std::uint16_t acked =
+              seq_add(model.front().seq, static_cast<std::uint16_t>(
+                                             released + kSeqMask));  // -1
+          ASSERT_EQ(buffer.ack_up_to(acked), released);
+          model.erase(model.begin(),
+                      model.begin() + static_cast<std::ptrdiff_t>(released));
         }
-        buffer.ack_up_to(seq_add(*buffer.oldest_seq(), step));
+        expect_matches_model(buffer, model);
+        if (HasFatalFailure()) return;
       }
     }
   }

@@ -251,5 +251,50 @@ TEST(SwitchDevice, NoOutputConfiguredIsSafe) {
   EXPECT_EQ(sw.stats().flits_forwarded, 1u);  // processed, nowhere to go
 }
 
+TEST(SwitchDevice, ForwardingFlitsHoldOneHeapEntry) {
+  SwitchDevice::Config config;
+  Harness harness(config);
+  FlitCodec codec(Protocol::kRxl);
+  for (std::uint16_t seq = 0; seq < 64; ++seq)
+    harness.sw->on_flit(data_envelope(codec, seq));
+  EXPECT_EQ(harness.queue.pending(), 1u);
+  harness.queue.run();
+  ASSERT_EQ(harness.received.size(), 64u);
+  for (std::size_t i = 0; i < harness.received.size(); ++i)
+    EXPECT_EQ(harness.received[i].truth_index, i);
+}
+
+TEST(PortSwitch, ForwardingFlitsHoldOneHeapEntry) {
+  sim::EventQueue queue;
+  PortSwitch::Config config;
+  config.ports = 2;
+  PortSwitch sw(queue, config, 1);
+  std::vector<std::uint64_t> received[2];
+  sim::LinkChannel out0(queue, std::make_unique<phy::NoErrors>(), 2);
+  sim::LinkChannel out1(queue, std::make_unique<phy::NoErrors>(), 3);
+  out0.set_receiver([&received](sim::FlitEnvelope&& envelope) {
+    received[0].push_back(envelope.truth_index);
+  });
+  out1.set_receiver([&received](sim::FlitEnvelope&& envelope) {
+    received[1].push_back(envelope.truth_index);
+  });
+  sw.set_output(0, &out0);
+  sw.set_output(1, &out1);
+  FlitCodec codec(Protocol::kRxl);
+  for (std::uint16_t seq = 0; seq < 64; ++seq) {
+    sim::FlitEnvelope envelope = data_envelope(codec, seq);
+    envelope.dest_port = seq % 2;
+    sw.on_flit(std::move(envelope));
+  }
+  EXPECT_EQ(queue.pending(), 1u);
+  queue.run();
+  ASSERT_EQ(received[0].size(), 32u);
+  ASSERT_EQ(received[1].size(), 32u);
+  for (std::size_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(received[0][i], 2 * i);
+    EXPECT_EQ(received[1][i], 2 * i + 1);
+  }
+}
+
 }  // namespace
 }  // namespace rxl::switchdev

@@ -22,9 +22,9 @@
 //       All randomness flows through rxl::common (seeded Xoshiro256).
 //   R3  no std::function, heap `new`, make_unique/make_shared, or
 //       malloc/calloc in designated hot-path files (event kernel, link
-//       channel, ring queue, timer, flit/GF(256)/RS kernels). Placement
-//       new into inline storage (`::new (ptr) T` / `new (ptr) T`) is the
-//       sanctioned pattern and is not flagged.
+//       channel, ring queue, parked FIFO, timer, flit/GF(256)/RS kernels).
+//       Placement new into inline storage (`::new (ptr) T` /
+//       `new (ptr) T`) is the sanctioned pattern and is not flagged.
 //   R4  no float/double in protocol/sim state headers (timestamps and
 //       credits are integral). FP lives in analysis/, bench/, the stats
 //       accumulators, and the seeded RNG's distribution helpers.
@@ -262,7 +262,7 @@ bool in_hot_path_scope(const std::string& rel) {
   static const std::set<std::string> kHotFiles = {
       "event_queue.hpp", "event_queue.cpp", "inline_event.hpp",
       "inline_delegate.hpp", "link_channel.hpp", "link_channel.cpp",
-      "ring_queue.hpp", "timer.hpp", "gf256.hpp", "gf256.cpp",
+      "parked_fifo.hpp", "ring_queue.hpp", "timer.hpp", "gf256.hpp", "gf256.cpp",
       "flit.hpp", "flit.cpp", "flit68.hpp", "flit68.cpp",
       "flit_fec.hpp", "flit_fec.cpp", "reed_solomon.hpp",
       "reed_solomon.cpp", "crc64.hpp", "crc64.cpp"};

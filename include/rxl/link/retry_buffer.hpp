@@ -110,12 +110,9 @@ class RetryBuffer {
 
   std::size_t capacity_;
   /// Oldest block first. Bounded by capacity_ (<= 512): push() refuses
-  /// beyond it, so at most capacity_ / 3 + 2 blocks are held (plus the
-  /// spare), and each costs one allocation when the window grows into it.
+  /// beyond it, so at most capacity_ / 3 + 2 blocks are held, and each
+  /// costs one allocation when the window grows into it.
   RingQueue<std::unique_ptr<Block>> blocks_;
-  /// The last block the window left behind, reused before allocating, so a
-  /// window that hovers at a block boundary does not allocate per flit.
-  std::unique_ptr<Block> spare_;
   std::size_t head_ = 0;  ///< oldest entry's slot in the front block
   std::size_t size_ = 0;
 };

@@ -77,7 +77,7 @@ class LinkChannel {
   /// this a hot-path callable, so captures must be trivially copyable and
   /// fit inline (rxl-lint R3: no std::function here). The receiver gets the
   /// in-flight slot itself, which is dropped once it returns; it must not
-  /// send on this same channel meanwhile (that asserts).
+  /// send on this same channel meanwhile (that aborts, in every build).
   using DeliverFn = ParkedFifo<FlitEnvelope>::Handler;
 
   /// @param queue    shared simulation kernel.

@@ -14,6 +14,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "rxl/common/ring_queue.hpp"
@@ -41,10 +43,9 @@ class ParkedFifo {
 
   /// Appends an item due at `when`, no earlier than the last parked item,
   /// and returns its recycled slot for the caller to fill in place (every
-  /// field must be assigned). Parking from inside the handler would move
-  /// the slot being handled, so it asserts.
+  /// field must be assigned). Parking from inside the handler aborts.
   [[nodiscard]] T& park(TimePs when) {
-    assert(!handling_ && "ParkedFifo: parked into while handling its head");
+    if (handling_) [[unlikely]] parked_while_handling();
     assert((parked_.empty() || when >= parked_.at(parked_.size() - 1).when) &&
            "ParkedFifo: items must fall due in FIFO order");
     const std::uint64_t order = queue_.reserve_order();
@@ -61,6 +62,14 @@ class ParkedFifo {
     std::uint64_t order;
     T item;
   };
+
+  /// Parking from inside the handler could grow the ring and move the slot
+  /// being handled. That is checked in every build: without the check, a
+  /// release build would go on to read freed memory.
+  [[noreturn]] static void parked_while_handling() noexcept {
+    std::fputs("ParkedFifo: parked into while handling its head\n", stderr);
+    std::abort();
+  }
 
   void push_head() {
     const Parked& head = parked_.front();

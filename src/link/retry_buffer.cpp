@@ -3,7 +3,6 @@
 #include <cassert>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 
 namespace rxl::link {
 
@@ -25,11 +24,8 @@ bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& encoded,
   if (full()) return false;
   assert(empty() || seq_next(entry_at(size_ - 1).seq) == (seq & kSeqMask));
   const std::size_t slot = head_ + size_;
-  if (slot == blocks_.size() * kBlockEntries) {
-    blocks_.push_back(spare_ != nullptr
-                          ? std::move(spare_)
-                          : std::make_unique_for_overwrite<Block>());
-  }
+  if (slot == blocks_.size() * kBlockEntries)
+    blocks_.push_back(std::make_unique_for_overwrite<Block>());
   Entry& entry = blocks_.at(slot / kBlockEntries)->entries[slot % kBlockEntries];
   entry.seq = static_cast<std::uint16_t>(seq & kSeqMask);
   entry.flow_tag = flow_tag;
@@ -44,7 +40,7 @@ void RetryBuffer::pop_oldest() noexcept {
   ++head_;
   --size_;
   if (head_ == kBlockEntries) {
-    spare_ = blocks_.pop_front();  // frees the previous spare, if any
+    blocks_.pop_front().reset();
     head_ = 0;
   }
 }
@@ -61,7 +57,7 @@ std::size_t RetryBuffer::ack_up_to(std::uint16_t acked_seq) {
 }
 
 void RetryBuffer::clear() noexcept {
-  while (!blocks_.empty()) spare_ = blocks_.pop_front();
+  while (!blocks_.empty()) blocks_.pop_front().reset();
   head_ = 0;
   size_ = 0;
 }

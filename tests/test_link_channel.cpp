@@ -133,17 +133,15 @@ TEST(LinkChannel, ReceiverGetsTheCorruptedSlotAndMaySendElsewhere) {
   EXPECT_EQ(first.stats().flits_corrupted, 1u);
 }
 
-#ifndef NDEBUG
-TEST(LinkChannelDeathTest, SendFromItsOwnReceiverAsserts) {
+TEST(LinkChannelDeathTest, SendFromItsOwnReceiverAborts) {
   // The receiver holds the channel's in-flight slot, which a send on the
-  // same channel could move.
+  // same channel could move. Checked in release builds too.
   EventQueue queue;
   LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1);
   channel.set_receiver([&](FlitEnvelope&& envelope) { channel.send(envelope); });
   channel.send(make_envelope(1));
   EXPECT_DEATH(queue.run(), "parked into while handling its head");
 }
-#endif
 
 }  // namespace
 }  // namespace rxl::sim

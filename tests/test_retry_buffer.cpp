@@ -146,9 +146,10 @@ void expect_matches_model(const RetryBuffer& buffer,
 TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
   // find_entry indexes by window distance from the oldest entry, and the
   // entries live in fixed-size storage blocks. Compare every read path with
-  // a deque model while seeded pushes and cumulative ACKs move the window
-  // across block boundaries and the 1023 -> 0 wrap, at capacities from 1 to
-  // 512, with a clear() in mid-window followed by a refill.
+  // a deque model as the window moves across block boundaries and the
+  // 1023 -> 0 wrap, at capacities from 1 to 512: first a full window
+  // released in steps, then seeded pushes and cumulative ACKs with a
+  // clear() in mid-window followed by a refill.
   for (const std::size_t capacity : {1u, 2u, 3u, 4u, 7u, 8u, 512u}) {
     for (const std::uint16_t start : {0, 1020, 1023, 700}) {
       SCOPED_TRACE(testing::Message() << "window " << start << "+" << capacity);
@@ -172,22 +173,35 @@ TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
         model.push_back(entry);
         next = seq_next(next);
       };
+      auto release = [&](std::size_t released) {
+        const std::uint16_t acked =
+            seq_add(model.front().seq,
+                    static_cast<std::uint16_t>(released + kSeqMask));  // -1
+        ASSERT_EQ(buffer.ack_up_to(acked), released);
+        model.erase(model.begin(),
+                    model.begin() + static_cast<std::ptrdiff_t>(released));
+      };
+      // Fill to capacity (one more push is refused), then release the
+      // front capacity / 3 + 1 entries at a time.
+      for (std::size_t i = 0; i <= capacity; ++i) push();
+      ASSERT_EQ(model.size(), capacity);
+      while (!model.empty()) {
+        expect_matches_model(buffer, model);
+        if (HasFatalFailure()) return;
+        release(std::min(capacity / 3 + 1, model.size()));
+        if (HasFatalFailure()) return;
+      }
       for (int round = 0; round < 24; ++round) {
         const std::size_t pushes = rng.bounded(capacity + 1);
         for (std::size_t i = 0; i < pushes; ++i) push();
+        expect_matches_model(buffer, model);
+        if (HasFatalFailure()) return;
         if (round == 12) {
           buffer.clear();  // dead-hop drain in mid-window, then refill
           model.clear();
           next = seq_add(next, static_cast<std::uint16_t>(rng.bounded(1024)));
         } else if (!model.empty()) {
-          const auto released = static_cast<std::size_t>(
-              rng.bounded(model.size() + 1));
-          const std::uint16_t acked =
-              seq_add(model.front().seq, static_cast<std::uint16_t>(
-                                             released + kSeqMask));  // -1
-          ASSERT_EQ(buffer.ack_up_to(acked), released);
-          model.erase(model.begin(),
-                      model.begin() + static_cast<std::ptrdiff_t>(released));
+          release(static_cast<std::size_t>(rng.bounded(model.size() + 1)));
         }
         expect_matches_model(buffer, model);
         if (HasFatalFailure()) return;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "rxl/common/rng.hpp"
 #include "rxl/obs/trace.hpp"
@@ -39,6 +40,37 @@ void BM_EventQueue_ScheduleDispatch(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueue_ScheduleDispatch)->Arg(16)->Arg(1024);
+
+// A heap shaped like star8-noisy's: N - 8 far-future Timer carriers that
+// stay pending for the whole run, plus 8 near-term producers that re-arm
+// on every fire, as channel heads and retry timers do. Each iteration runs
+// one near-term fire whose re-arm goes back into a heap of N entries.
+void BM_EventQueue_NearChurn(benchmark::State& state) {
+  constexpr std::size_t kNear = 8;
+  const auto entries = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue;
+  Xoshiro256 rng(7);
+  std::vector<std::unique_ptr<sim::Timer>> far;
+  for (std::size_t i = kNear; i < entries; ++i) {
+    far.push_back(std::make_unique<sim::Timer>(queue, [] {}));
+    far.back()->arm((TimePs{1} << 50) + rng.bounded(1'000'000'000));
+  }
+  struct Producer {
+    Producer(sim::EventQueue& q, Xoshiro256& r)
+        : rng(r), timer(q, [this] { rearm(); }) {}
+    void rearm() { timer.arm(1'000 + rng.bounded(4'000)); }
+    Xoshiro256& rng;
+    sim::Timer timer;
+  };
+  std::vector<std::unique_ptr<Producer>> near;
+  for (std::size_t i = 0; i < kNear; ++i) {
+    near.push_back(std::make_unique<Producer>(queue, rng));
+    near.back()->rearm();
+  }
+  for (auto _ : state) queue.run(1);
+  state.counters["pending"] = static_cast<double>(queue.pending());
+}
+BENCHMARK(BM_EventQueue_NearChurn)->Arg(32)->Arg(96);
 
 // Endpoint-style retry/ack timer: a one-shot deadline armed anew after each
 // firing (the pattern behind Endpoint::arm_retry_timer). The baseline

@@ -37,11 +37,14 @@ struct RelayFailStop {
 class LinkFaultSchedule {
  public:
   /// Appends a window; call normalize() once after the last add_window()
-  /// before querying. `up_at == 0` marks a permanent outage.
+  /// before querying. `up_at == 0` marks a permanent outage. A finite window
+  /// must end after it starts; one that does not is kept as given, so that
+  /// transport::plan_dag can reject the plan with std::invalid_argument.
   void add_window(TimePs down_at, TimePs up_at);
 
   /// Sorts by down_at and merges overlapping/adjacent windows. A permanent
   /// window swallows everything at or after its down_at. Idempotent.
+  /// Asserts that every finite window ends after it starts.
   void normalize();
 
   /// True when a flit entering the wire at `t` lands in a down window.

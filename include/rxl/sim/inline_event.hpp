@@ -3,9 +3,10 @@
 // Every simulated flit turns into a handful of scheduled events, so the
 // callback representation is the hottest data structure in the Monte Carlo
 // sweeps. std::function would heap-allocate any capture beyond its SSO
-// buffer and drags a non-trivial move along through every heap sift;
-// InlineEvent instead stores the callable inline and requires it to be
-// trivially copyable, which makes a heap Item a plain 64-byte block copy.
+// buffer and needs a non-trivial move for every copy; InlineEvent instead
+// stores the callable inline and requires it to be trivially copyable, so
+// the EventQueue writes it into its slot table, and copies it out to run
+// it, as a plain 48-byte block.
 #pragma once
 
 #include <cstddef>
@@ -19,11 +20,11 @@ class InlineEvent {
  public:
   /// Inline storage budget. Sized (with headroom) for the largest event
   /// lambda in the codebase — reference-capturing test callbacks and the
-  /// 16-byte Timer::Carrier record — so a whole heap Item packs into one
-  /// 64-byte cache line. Capture-by-value of anything heavier (a
-  /// FlitEnvelope, say) fails the static_asserts below instead of silently
-  /// allocating: park bulky payloads in a component-owned ParkedFifo or
-  /// RingQueue and capture only the component pointer (see LinkChannel).
+  /// 16-byte Timer::Carrier record — so a whole InlineEvent is 48 bytes.
+  /// Capture-by-value of anything heavier (a FlitEnvelope, say) fails the
+  /// static_asserts below instead of silently allocating: park bulky
+  /// payloads in a component-owned ParkedFifo or RingQueue and capture only
+  /// the component pointer (see LinkChannel).
   static constexpr std::size_t kStorageBytes = 40;
   static constexpr std::size_t kStorageAlign = 8;
 
@@ -42,8 +43,9 @@ class InlineEvent {
                   "event callback over-aligned for InlineEvent storage");
     static_assert(std::is_trivially_copyable_v<Callable> &&
                       std::is_trivially_destructible_v<Callable>,
-                  "event callbacks must be trivially copyable so heap sifts "
-                  "are block copies (no std::function, no owning captures)");
+                  "event callbacks must be trivially copyable so the kernel "
+                  "copies them as blocks (no std::function, no owning "
+                  "captures)");
     ::new (static_cast<void*>(storage_)) Callable(std::forward<F>(fn));
     invoke_ = [](void* storage) {
       (*std::launder(reinterpret_cast<Callable*>(storage)))();
@@ -64,5 +66,6 @@ class InlineEvent {
 };
 
 static_assert(std::is_trivially_copyable_v<InlineEvent>);
+static_assert(sizeof(InlineEvent) == 48);
 
 }  // namespace rxl::sim

@@ -8,12 +8,16 @@
 namespace rxl::sim {
 
 void LinkFaultSchedule::add_window(TimePs down_at, TimePs up_at) {
-  assert(up_at == 0 || up_at > down_at);
   windows_.push_back(FaultWindow{down_at, up_at});
 }
 
 void LinkFaultSchedule::normalize() {
   if (windows_.empty()) return;
+  assert(std::all_of(windows_.begin(), windows_.end(),
+                     [](const FaultWindow& w) {
+                       return w.up_at == 0 || w.up_at > w.down_at;
+                     }) &&
+         "LinkFaultSchedule: a finite window must end after it starts");
   std::sort(windows_.begin(), windows_.end(),
             [](const FaultWindow& a, const FaultWindow& b) {
               if (a.down_at != b.down_at) return a.down_at < b.down_at;

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -531,6 +533,357 @@ TEST(DispatchOracle, MatchesOneHeapEntryPerOccurrence) {
     for (const auto& [at, id] : kernel) timer_fires += id < 0 ? 1 : 0;
   }
   EXPECT_GT(timer_fires, 1'000u);  // the scripts really exercise the timers
+}
+
+// ----- Reference model ----------------------------------------------------
+//
+// The kernel's contract, written as plainly as possible: pending events sit
+// in a map sorted by (when, FIFO order), every schedule takes the next
+// order, and a running event is no longer pending. Seeded scripts drive it
+// and the EventQueue through identical operations, and the logs of what ran
+// when, and of what pending() and empty() said inside each callback, must
+// match entry for entry.
+
+class ReferenceQueue {
+ public:
+  [[nodiscard]] TimePs now() const { return now_; }
+
+  template <typename F>
+  void schedule_at(TimePs when, F&& fn) {
+    pending_.emplace(std::make_pair(std::max(when, now_), next_order_++),
+                     std::function<void()>(std::forward<F>(fn)));
+  }
+
+  std::size_t run(std::size_t limit = SIZE_MAX) {
+    std::size_t executed = 0;
+    for (; !pending_.empty() && executed < limit; ++executed) dispatch();
+    return executed;
+  }
+
+  std::size_t run_until(TimePs until) {
+    std::size_t executed = 0;
+    for (; !pending_.empty() && pending_.begin()->first.first <= until;
+         ++executed)
+      dispatch();
+    now_ = std::max(now_, until);
+    return executed;
+  }
+
+  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+
+ private:
+  void dispatch() {
+    const auto first = pending_.begin();
+    now_ = first->first.first;
+    const std::function<void()> fn = std::move(first->second);
+    pending_.erase(first);
+    fn();
+  }
+
+  TimePs now_ = 0;
+  std::uint64_t next_order_ = 0;
+  std::map<std::pair<TimePs, std::uint64_t>, std::function<void()>> pending_;
+};
+
+/// One log line: (what, now, value, pending, empty). `what` is the event id
+/// for a callback, or a negative tag for a run call and its result.
+using ScriptEntry = std::tuple<int, TimePs, std::uint64_t, std::size_t, bool>;
+using ScriptLog = std::vector<ScriptEntry>;
+
+/// Names the first entry where two logs part, instead of printing both.
+void expect_same_log(const ScriptLog& kernel, const ScriptLog& reference) {
+  const std::size_t common = std::min(kernel.size(), reference.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    if (kernel[i] != reference[i]) {
+      ADD_FAILURE() << "logs part at entry " << i << ": kernel "
+                    << testing::PrintToString(kernel[i]) << ", reference "
+                    << testing::PrintToString(reference[i]);
+      return;
+    }
+  }
+  EXPECT_EQ(kernel.size(), reference.size());
+}
+
+/// How a script's callbacks push. kRandom draws zero, one (the in-place
+/// re-key) or several pushes, past-time clamps and nested dispatches;
+/// the other modes fix the push count so the heap grows, holds or shrinks
+/// one entry per dispatch.
+enum class PushMode { kRandom, kGrow, kHold, kDrain };
+
+template <typename Queue>
+class ScriptWorld {
+ public:
+  ScriptWorld(std::uint64_t seed, std::size_t initial, int budget)
+      : rng_(seed), budget_(budget) {
+    for (std::size_t i = 0; i < initial; ++i) push(100 * rng_.bounded(8));
+  }
+
+  void set_mode(PushMode mode) { mode_ = mode; }
+  Queue& queue() { return queue_; }
+  const ScriptLog& log() const { return log_; }
+
+  /// Drains the queue through a random mix of run(limit), run_until and
+  /// run() calls, logging what each returned.
+  const ScriptLog& drain() {
+    while (!queue_.empty()) {
+      switch (rng_.bounded(3)) {
+        case 0:
+          note(-1, queue_.run(1 + rng_.bounded(8)));
+          break;
+        case 1:
+          note(-2, queue_.run_until(queue_.now() + step()));
+          break;
+        default:
+          note(-3, queue_.run());
+          break;
+      }
+    }
+    return log_;
+  }
+
+  void push(TimePs at) {
+    const int id = next_id_++;
+    queue_.schedule_at(at, [this, id] { fire(id); });
+  }
+
+ private:
+  /// Lands on the current instant a quarter of the time.
+  TimePs step() { return 100 * rng_.bounded(4); }
+
+  void note(int what, std::uint64_t value) {
+    log_.emplace_back(what, queue_.now(), value, queue_.pending(),
+                      queue_.empty());
+  }
+
+  void fire(int id) {
+    note(id, 0);
+    std::uint64_t pushes = 0;
+    switch (mode_) {
+      case PushMode::kRandom: {
+        const std::uint64_t draw = rng_.bounded(8);
+        pushes = draw < 2 ? 0 : draw < 6 ? 1 : draw - 4;  // 0, 1, 2 or 3
+        break;
+      }
+      case PushMode::kGrow:
+        pushes = 2;
+        break;
+      case PushMode::kHold:
+        pushes = 1;
+        break;
+      case PushMode::kDrain:
+        break;
+    }
+    for (std::uint64_t k = 0; k < pushes && budget_ > 0; ++k, --budget_) {
+      const TimePs now = queue_.now();
+#ifdef NDEBUG
+      if (mode_ == PushMode::kRandom && rng_.bounded(16) == 0) {
+        push(now >= 100 ? now - 100 : 0);  // the past: clamps to now()
+        continue;
+      }
+#endif
+      push(now + step());
+      if (rng_.bounded(4) == 0) note(-4, k);  // pending() right after a push
+    }
+    if (mode_ == PushMode::kRandom && nesting_ < 2 && rng_.bounded(24) == 0) {
+      ++nesting_;  // a dispatch started from inside this callback
+      if (rng_.bounded(2) == 0)
+        note(-5, queue_.run(1 + rng_.bounded(2)));
+      else
+        note(-6, queue_.run_until(queue_.now() + step()));
+      --nesting_;
+    }
+  }
+
+  Queue queue_;
+  Xoshiro256 rng_;
+  ScriptLog log_;
+  PushMode mode_ = PushMode::kRandom;
+  int budget_;
+  int next_id_ = 0;
+  int nesting_ = 0;
+};
+
+TEST(EventQueueModel, SeededScriptsMatchTheSortedReference) {
+  std::uint64_t dispatched = 0;
+  std::uint64_t rekeyed = 0;
+  for (std::uint64_t seed = 1; seed <= 96; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::size_t initial = Xoshiro256(seed).bounded(400);
+    ScriptWorld<ReferenceQueue> reference(seed, initial, 3'000);
+    ScriptWorld<EventQueue> kernel(seed, initial, 3'000);
+    expect_same_log(kernel.drain(), reference.drain());
+    if (HasFailure()) return;
+    dispatched += kernel.queue().dispatched();
+    rekeyed += kernel.queue().rekeyed_in_place();
+  }
+  // The scripts take every path: plenty of dispatches re-key in place, and
+  // plenty (no push at all, or only clamped pushes) do not.
+  EXPECT_GT(rekeyed, dispatched / 4);
+  EXPECT_GT(dispatched - rekeyed, dispatched / 4);
+}
+
+TEST(EventQueueModel, SizesAcrossFourAryLevelBoundaries) {
+  // 1, 5, 21, 85 and 341 entries fill the first one to five levels of the
+  // 4-ary heap exactly. Each size is reached by growth (re-key then sift
+  // up), held for as many dispatches (re-key only), then drained (retire
+  // only), at the boundary itself and on either side of it.
+  for (const std::size_t size :
+       {1, 2, 4, 5, 6, 20, 21, 22, 84, 85, 86, 340, 341, 342}) {
+    SCOPED_TRACE(testing::Message() << "size " << size);
+    const auto script = [size](auto& world) {
+      world.push(0);
+      world.set_mode(PushMode::kGrow);
+      world.queue().run(size - 1);
+      EXPECT_EQ(world.queue().pending(), size);
+      world.set_mode(PushMode::kHold);
+      world.queue().run(3 * size);
+      EXPECT_EQ(world.queue().pending(), size);
+      world.set_mode(PushMode::kDrain);
+      world.queue().run();
+      EXPECT_TRUE(world.queue().empty());
+      return world.log();
+    };
+    ScriptWorld<ReferenceQueue> reference(size, 0, 1'000'000);
+    ScriptWorld<EventQueue> kernel(size, 0, 1'000'000);
+    expect_same_log(script(kernel), script(reference));
+    EXPECT_EQ(kernel.queue().peak_pending(), size);
+  }
+}
+
+TEST(EventQueueModel, SlotsAreReusedOverManyDispatches) {
+  // A population of ~64 pending events runs 10^5 dispatches, so every slot
+  // and key position is recycled thousands of times.
+  ScriptWorld<ReferenceQueue> reference(7, 64, 100'000);
+  ScriptWorld<EventQueue> kernel(7, 64, 100'000);
+  kernel.set_mode(PushMode::kHold);
+  reference.set_mode(PushMode::kHold);
+  EXPECT_EQ(kernel.queue().run(100'000), 100'000u);
+  EXPECT_EQ(reference.queue().run(100'000), 100'000u);
+  expect_same_log(kernel.drain(), reference.drain());
+  const auto callbacks = std::count_if(
+      kernel.log().begin(), kernel.log().end(),
+      [](const ScriptEntry& entry) { return std::get<0>(entry) >= 0; });
+  EXPECT_EQ(kernel.queue().dispatched(),
+            static_cast<std::uint64_t>(callbacks));
+  EXPECT_EQ(kernel.queue().peak_pending(), 64u);
+}
+
+TEST(EventQueue, PendingInsideACallbackExcludesTheRunningEvent) {
+  EventQueue queue;
+  std::vector<std::size_t> seen;
+  queue.schedule_at(10, [&] {
+    seen.push_back(queue.pending());  // no push: the other two
+    queue.schedule_at(15, [&] {
+      seen.push_back(queue.pending());  // one push, re-keyed in place
+      EXPECT_FALSE(queue.empty());
+    });
+    seen.push_back(queue.pending());
+    queue.schedule_at(16, [&] { seen.push_back(queue.pending()); });
+    seen.push_back(queue.pending());
+  });
+  queue.schedule_at(20, [&] { seen.push_back(queue.pending()); });
+  queue.schedule_at(20, [&] {
+    seen.push_back(queue.pending());
+    EXPECT_TRUE(queue.empty());  // the spent top is not counted
+  });
+  EXPECT_EQ(queue.pending(), 3u);
+  EXPECT_EQ(queue.run(), 5u);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3, 4, 3, 2, 1, 0}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, DispatchFromInsideACallbackRetiresTheSpentTopFirst) {
+  EventQueue queue;
+  std::vector<std::pair<int, TimePs>> ran;
+  queue.schedule_at(10, [&] {
+    ran.emplace_back(1, queue.now());
+    EXPECT_EQ(queue.pending(), 2u);
+    EXPECT_EQ(queue.run(1), 1u);  // runs the t=20 event inside this one
+    EXPECT_EQ(queue.pending(), 1u);
+    queue.schedule_at(queue.now(), [&] { ran.emplace_back(4, queue.now()); });
+    EXPECT_EQ(queue.run_until(queue.now()), 1u);
+    EXPECT_EQ(queue.pending(), 1u);
+  });
+  queue.schedule_at(20, [&] { ran.emplace_back(2, queue.now()); });
+  queue.schedule_at(30, [&] { ran.emplace_back(3, queue.now()); });
+  EXPECT_EQ(queue.run(), 2u);
+  EXPECT_EQ(ran, (std::vector<std::pair<int, TimePs>>{
+                     {1, 10}, {2, 20}, {4, 20}, {3, 30}}));
+  EXPECT_EQ(queue.dispatched(), 4u);
+  EXPECT_TRUE(queue.empty());
+}
+
+// ----- Kernel counters ----------------------------------------------------
+
+TEST(EventQueueCounters, ChannelBurstRekeysEveryHeadButTheLast) {
+  // 64 flits parked in one ParkedFifo: the first head is pushed, and each
+  // delivery's next head takes over the spent top. The last delivery has
+  // no successor, so its key is retired.
+  EventQueue queue;
+  LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
+                      /*slot=*/2'000, /*latency=*/8'000);
+  std::size_t delivered = 0;
+  channel.set_receiver([&delivered](FlitEnvelope&&) { ++delivered; });
+  FlitEnvelope envelope;
+  for (int i = 0; i < 64; ++i) channel.send(envelope);
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(queue.run(), 64u);
+  EXPECT_EQ(delivered, 64u);
+  EXPECT_EQ(queue.dispatched(), 64u);
+  EXPECT_EQ(queue.rekeyed_in_place(), 63u);
+  EXPECT_EQ(queue.peak_pending(), 1u);
+}
+
+TEST(EventQueueCounters, TimerRearmScript) {
+  EventQueue queue;
+  int fired = 0;
+  Timer timer(queue, [&] {
+    if (++fired < 5) timer.arm(100);  // periodic: re-armed from its callback
+  });
+  timer.arm_at(100);
+  timer.arm_at(250);  // later: the carrier pops at 100 and re-keys to 250
+  queue.run();
+  // Fires at 250, 350, 450, 550 and 650. The 100 carrier and four of the
+  // five fires re-arm in place; the last fire re-arms nothing.
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(queue.now(), 650u);
+  EXPECT_EQ(queue.dispatched(), 6u);
+  EXPECT_EQ(queue.rekeyed_in_place(), 5u);
+  EXPECT_EQ(queue.peak_pending(), 1u);
+
+  fired = 4;  // one more fire, then stop
+  timer.arm_at(900);
+  timer.arm_at(800);  // earlier: a second carrier, the first pops as a no-op
+  EXPECT_EQ(queue.pending(), 2u);
+  queue.run();
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(queue.dispatched(), 8u);
+  EXPECT_EQ(queue.rekeyed_in_place(), 5u);
+  EXPECT_EQ(queue.peak_pending(), 2u);
+}
+
+}  // namespace
+
+/// Reaches into the kernel to fast-forward its FIFO order counter, which a
+/// run would need ~10^12 schedules to exhaust.
+struct EventQueueProbe {
+  static void set_next_order(EventQueue& queue, std::uint64_t order) {
+    queue.next_order_ = order;
+  }
+};
+
+namespace {
+
+TEST(EventQueueDeathTest, OrderFieldOverflowAbortsInEveryBuild) {
+  EventQueue queue;
+  const std::uint64_t last = (std::uint64_t{1} << EventQueue::kOrderBits) - 2;
+  EventQueueProbe::set_next_order(queue, last);
+  int fired = 0;
+  queue.schedule(0, [&] { ++fired; });  // the last order that fits
+  EXPECT_EQ(queue.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DEATH(queue.schedule(0, [] {}), "order field of the heap key");
 }
 
 // A miniature stochastic simulation whose result folds in event timestamps

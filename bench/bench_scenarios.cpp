@@ -1,7 +1,7 @@
 // E10/E11: the paper's Fig. 4 / Fig. 5 failure traces, replayed through the
 // full protocol stack with a deterministic switch drop, for both protocols.
 #include <cstdio>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "rxl/flit/message_pack.hpp"
@@ -22,6 +22,15 @@ struct TraceResult {
   txn::TxnScoreboard::Stats txn;
   std::uint64_t switch_drops = 0;
 };
+
+/// The trace's payload for stream position `index`: one message, same CQID,
+/// tag = stream index.
+void pack_trace_payload(flit::MessageKind kind, std::uint64_t index,
+                        transport::Endpoint::PayloadOut out) {
+  const flit::PackedMessage message{kind, 0,
+                                    static_cast<std::uint16_t>(index)};
+  flit::pack_messages(std::span<const flit::PackedMessage>(&message, 1), out);
+}
 
 TraceResult run_trace(transport::Protocol protocol, flit::MessageKind kind) {
   sim::EventQueue queue;
@@ -57,17 +66,17 @@ TraceResult run_trace(transport::Protocol protocol, flit::MessageKind kind) {
       [&host](sim::FlitEnvelope&& envelope) { host.on_flit(std::move(envelope)); });
 
   TraceResult result;
-  txn::StreamScoreboard stream;
+  txn::StreamScoreboard stream(
+      [kind](std::uint64_t index, transport::Endpoint::PayloadOut out) {
+        pack_trace_payload(kind, index, out);
+      });
   txn::TxnScoreboard txn_board;
-  host.set_source([&stream, kind](std::uint64_t index)
-                      -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= 4) return std::nullopt;
-    std::vector<flit::PackedMessage> messages{
-        {kind, 0, static_cast<std::uint16_t>(index)}};
-    std::vector<std::uint8_t> payload(kPayloadBytes, 0);
-    flit::pack_messages(messages, payload);
-    stream.register_sent(index, payload);
-    return payload;
+  host.set_source([&stream, kind](std::uint64_t index,
+                                  transport::Endpoint::PayloadOut out) {
+    if (index >= 4) return false;
+    pack_trace_payload(kind, index, out);
+    stream.register_sent(index);
+    return true;
   });
   device.set_deliver([&](std::span<const std::uint8_t> payload,
                          const sim::FlitEnvelope& envelope) {

@@ -91,15 +91,6 @@ inline void store_le64(std::span<std::uint8_t> buf, std::size_t offset,
   return detail::load_le<std::uint64_t>(buf, offset);
 }
 
-/// 64-bit FNV-1a folded over 8-byte little-endian lanes (plus a byte tail).
-/// The scoreboards' payload hash (sent vs delivered): the values are only
-/// ever compared to each other within one process, never serialized, so
-/// the lane-wide fold is free to differ from canonical byte-at-a-time
-/// FNV-1a — it runs in an eighth of the multiply chain. Two buffers
-/// differing in a single aligned lane can never collide (XOR and
-/// multiply-by-odd are bijective in that lane).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> buf) noexcept;
-
 /// Classic offset+hex+ASCII dump, for debugging and example output.
 [[nodiscard]] std::string hexdump(std::span<const std::uint8_t> buf,
                                   std::size_t bytes_per_line = 16);

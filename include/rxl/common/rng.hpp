@@ -20,13 +20,31 @@ class Xoshiro256 {
   using result_type = std::uint64_t;
 
   /// Seeds the full 256-bit state from a single 64-bit seed via splitmix64,
-  /// as recommended by the generator's authors.
-  explicit Xoshiro256(std::uint64_t seed) noexcept;
+  /// as recommended by the generator's authors. Inline, like the draw: the
+  /// fabric sources seed one generator per 240 B payload and draw 29 words
+  /// from it.
+  explicit Xoshiro256(std::uint64_t seed) noexcept {
+    std::uint64_t s = seed;
+    for (auto& word : state_) word = splitmix64(s);
+    // A state of all zeros is the one fixed point of the generator; the
+    // splitmix64 expansion cannot produce it for any seed, but guard anyway.
+    if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
+  }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform() noexcept;
@@ -52,6 +70,18 @@ class Xoshiro256 {
   Xoshiro256 fork() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  static constexpr std::uint64_t splitmix64(std::uint64_t& x) noexcept {
+    x += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

@@ -40,12 +40,14 @@ class Flit {
     return std::span<const std::uint8_t>(bytes_.data(), kCrcOffset);
   }
 
-  [[nodiscard]] std::span<std::uint8_t> payload() noexcept {
-    return std::span<std::uint8_t>(bytes_.data() + kPayloadOffset, kPayloadBytes);
+  [[nodiscard]] std::span<std::uint8_t, kPayloadBytes> payload() noexcept {
+    return std::span<std::uint8_t, kPayloadBytes>(
+        bytes_.data() + kPayloadOffset, kPayloadBytes);
   }
-  [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
-    return std::span<const std::uint8_t>(bytes_.data() + kPayloadOffset,
-                                         kPayloadBytes);
+  [[nodiscard]] std::span<const std::uint8_t, kPayloadBytes> payload()
+      const noexcept {
+    return std::span<const std::uint8_t, kPayloadBytes>(
+        bytes_.data() + kPayloadOffset, kPayloadBytes);
   }
 
   [[nodiscard]] FlitHeader header() const noexcept {

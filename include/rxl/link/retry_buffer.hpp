@@ -29,15 +29,38 @@ class RetryBuffer {
   [[nodiscard]] bool full() const noexcept { return size_ >= capacity_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
+  struct Entry {
+    std::uint16_t seq;
+    std::uint16_t flow_tag;
+    std::uint8_t vc;  ///< virtual channel charged for the first transmission
+    std::uint64_t user_tag;
+    flit::Flit flit;
+  };
+
   /// Sequence number of the oldest unacked flit (if any).
   [[nodiscard]] std::optional<std::uint16_t> oldest_seq() const noexcept;
 
-  /// Stores a newly transmitted flit under its sequence number. Sequence
-  /// numbers must be pushed consecutively. Returns false when full (caller
-  /// must stall). `user_tag` is opaque caller metadata carried alongside
-  /// (the fabric uses it for the ground-truth stream index); `flow_tag`
-  /// likewise rides along so a replay can restore the flit's flow identity
-  /// (DAG relays route on it).
+  /// Reserves the slot the next flit will occupy and returns its image, so
+  /// the caller can write the payload and encode the flit in place. The
+  /// slot stays invisible (to size, find, find_entry, for_each, holds_flow
+  /// and clear's drain) until commit(); drop_reservation() gives it back.
+  /// The buffer must not be full, and reserving again before the last
+  /// reservation is committed or dropped aborts, in every build.
+  [[nodiscard]] flit::Flit& reserve();
+
+  /// Makes the reserved slot the newest entry, under `seq` (sequence
+  /// numbers must be committed consecutively). `user_tag` is opaque caller
+  /// metadata carried alongside (the fabric uses it for the ground-truth
+  /// stream index); `flow_tag` likewise rides along so a replay can
+  /// restore the flit's flow identity (DAG relays route on it).
+  void commit(std::uint16_t seq, std::uint64_t user_tag = 0,
+              std::uint16_t flow_tag = 0, std::uint8_t vc = 0);
+
+  /// Releases an uncommitted reservation (the source had nothing to send).
+  void drop_reservation() noexcept { reserved_ = nullptr; }
+
+  /// Stores a copy of `encoded` under `seq` (reserve, copy, commit).
+  /// Returns false when full (caller must stall).
   bool push(std::uint16_t seq, const flit::Flit& encoded,
             std::uint64_t user_tag = 0, std::uint16_t flow_tag = 0,
             std::uint8_t vc = 0);
@@ -49,14 +72,6 @@ class RetryBuffer {
 
   /// Looks up the stored flit for `seq`; nullptr if not held.
   [[nodiscard]] const flit::Flit* find(std::uint16_t seq) const;
-
-  struct Entry {
-    std::uint16_t seq;
-    std::uint16_t flow_tag;
-    std::uint8_t vc;  ///< virtual channel charged for the first transmission
-    std::uint64_t user_tag;
-    flit::Flit flit;
-  };
 
   /// Entry lookup including metadata; nullptr if not held. O(1): the
   /// entries hold consecutive sequence numbers from the oldest.
@@ -87,7 +102,8 @@ class RetryBuffer {
   }
 
   /// Releases everything without acking (dead-hop drain: the entries have
-  /// been handed off to the HopDownEvent and will never be replayed here).
+  /// been handed off to the HopDownEvent and will never be replayed here),
+  /// and drops any reservation.
   void clear() noexcept;
 
  private:
@@ -108,6 +124,8 @@ class RetryBuffer {
 
   void pop_oldest() noexcept;
 
+  [[noreturn]] static void misuse(const char* what) noexcept;
+
   std::size_t capacity_;
   /// Oldest block first. Bounded by capacity_ (<= 512): push() refuses
   /// beyond it, so at most capacity_ / 3 + 2 blocks are held, and each
@@ -115,6 +133,10 @@ class RetryBuffer {
   RingQueue<std::unique_ptr<Block>> blocks_;
   std::size_t head_ = 0;  ///< oldest entry's slot in the front block
   std::size_t size_ = 0;
+  /// The reserved slot, one past the newest entry, or null (see
+  /// reserve()). Blocks never move, and an ACK frees only blocks in front
+  /// of it, so the pointer stays valid until commit, drop or clear().
+  Entry* reserved_ = nullptr;
 };
 
 }  // namespace rxl::link

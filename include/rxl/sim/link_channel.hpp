@@ -6,7 +6,7 @@
 // applies an ErrorModel to the transiting image, and delivers to the
 // receiver after the propagation latency.
 //
-// A sent envelope is copied once, into its in-flight slot; the error model
+// A sent image is copied once, into its in-flight slot; the error model
 // corrupts that slot in place and the receiver is handed the same slot.
 #pragma once
 
@@ -62,6 +62,15 @@ static_assert(std::is_trivially_copyable_v<FlitEnvelope>,
 static_assert(sizeof(FlitEnvelope) <= kFlitBytes + 64,
               "FlitEnvelope metadata outgrew its one-cache-line budget");
 
+/// The ground truth a sender stamps on a flit it transmits: the
+/// FlitEnvelope fields other than the image and its pristine flag.
+struct FlitTags {
+  std::uint64_t truth_index = 0;
+  bool has_truth = false;
+  std::uint16_t dest_port = 0;
+  std::uint16_t flow_id = 0;
+};
+
 /// Per-channel occupancy and error statistics.
 struct ChannelStats {
   std::uint64_t flits_carried = 0;
@@ -105,11 +114,23 @@ class LinkChannel {
     faults_ = (faults != nullptr && !faults->empty()) ? faults : nullptr;
   }
 
-  /// Queues a copy of `envelope` for transmission. The channel serialises
-  /// flits back-to-back: if the wire is busy the flit starts when it frees
-  /// up. Returns the time at which the flit's slot *ends* (when the sender
-  /// may push the next flit without queueing).
-  TimePs send(const FlitEnvelope& envelope);
+  /// Queues a freshly encoded (pristine) copy of `image`, stamped with
+  /// `tags`, for transmission: the image is copied once, straight into its
+  /// in-flight slot. The channel serialises flits back-to-back: if the wire
+  /// is busy the flit starts when it frees up. Returns the time at which
+  /// the flit's slot *ends* (when the sender may push the next flit
+  /// without queueing).
+  TimePs send(const flit::Flit& image, const FlitTags& tags) {
+    return transmit(image, true, tags);
+  }
+
+  /// Envelope form (a hub forwarding a parked envelope): the same, keeping
+  /// the envelope's pristine flag.
+  TimePs send(const FlitEnvelope& envelope) {
+    return transmit(envelope.flit, envelope.pristine,
+                    FlitTags{envelope.truth_index, envelope.has_truth,
+                             envelope.dest_port, envelope.flow_id});
+  }
 
   /// Earliest time a newly offered flit would start serialising.
   [[nodiscard]] TimePs next_free() const noexcept { return next_free_; }
@@ -132,6 +153,9 @@ class LinkChannel {
   }
 
  private:
+  TimePs transmit(const flit::Flit& image, bool pristine,
+                  const FlitTags& tags);
+
   EventQueue& queue_;
   std::unique_ptr<phy::ErrorModel> errors_;
   Xoshiro256 rng_;

@@ -177,10 +177,12 @@ class RelaySwitch {
 
   void on_delivered(std::size_t ingress, std::span<const std::uint8_t> payload,
                     const sim::FlitEnvelope& envelope);
-  transport::Endpoint::RelayPull pull_next(std::size_t egress);
+  transport::Endpoint::RelayPull pull_next(
+      std::size_t egress, transport::Endpoint::PayloadOut out);
   [[nodiscard]] std::uint8_t vc_of(std::uint16_t flow_id) const noexcept;
   [[nodiscard]] static std::size_t total_pending(const Port& port) noexcept;
   void dequeue_front(Port& port, RingQueue<Pending>& queue,
+                     transport::Endpoint::PayloadOut out,
                      transport::Endpoint::RelayPull& pull);
   void update_ecn(Port& in_port, std::size_t vc);
 

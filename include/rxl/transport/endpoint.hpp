@@ -32,6 +32,7 @@
 #include "rxl/link/sequence.hpp"
 #include "rxl/obs/trace.hpp"
 #include "rxl/sim/event_queue.hpp"
+#include "rxl/sim/inline_delegate.hpp"
 #include "rxl/sim/link_channel.hpp"
 #include "rxl/sim/timer.hpp"
 #include "rxl/transport/config.hpp"
@@ -80,32 +81,43 @@ class Endpoint {
   using DeliverFn =
       std::function<void(std::span<const std::uint8_t> payload,
                          const sim::FlitEnvelope& envelope)>;
-  /// Pull-model traffic source: return the next 240 B payload for stream
-  /// position `truth_index`, or nullopt when (currently) out of data.
+  /// The 240 B payload area of the retry-buffer slot a new flit will
+  /// occupy. Sources write the payload straight into it; the endpoint then
+  /// encodes the flit around it in place.
+  using PayloadOut = std::span<std::uint8_t, kPayloadBytes>;
+  /// Pull-model traffic source: writes the payload for stream position
+  /// `truth_index` into `out` and returns true, or returns false (leaving
+  /// `out` unread) when (currently) out of data. Called once per new flit,
+  /// so it must not allocate: captures are trivially copyable and inline.
   using SourceFn =
-      std::function<std::optional<std::vector<std::uint8_t>>(std::uint64_t)>;
-  /// A relayed flit awaiting re-origination on this endpoint's hop: the
-  /// payload plus the end-to-end ground truth that must survive the hop
-  /// (DAG relays route on flow_id; scoreboards match on truth_index).
+      sim::InlineDelegate<bool(std::uint64_t truth_index, PayloadOut out)>;
+  /// A relayed payload with the end-to-end ground truth that must survive
+  /// the hop (DAG relays route on flow_id; scoreboards match on
+  /// truth_index). Relays park these between hops, and a dead hop's drain
+  /// hands them to the reroute controller.
   struct TxItem {
     std::array<std::uint8_t, kPayloadBytes> payload{};
     std::uint64_t truth_index = 0;
     std::uint16_t flow_id = 0;
     std::uint8_t vc = 0;  ///< virtual channel the flit travels (and bills) on
   };
-  /// Result of one relay-source pull. When no item is returned the flags
-  /// say WHY, so the endpoint can distinguish an empty queue (go idle) from
-  /// a blocked one (record the stall and arm the probe that guarantees the
+  /// Result of one relay-source pull. `pulled` says whether a payload was
+  /// written, and the tags then describe it. Otherwise the flags say WHY,
+  /// so the endpoint can distinguish an empty queue (go idle) from a
+  /// blocked one (record the stall and arm the probe that guarantees the
   /// unblock signal cannot be lost).
   struct RelayPull {
-    std::optional<TxItem> item;
+    bool pulled = false;
     bool credit_blocked = false;  ///< a queued VC's window partition is empty
     bool ecn_blocked = false;     ///< queued VCs blocked only by ECN marks
+    std::uint8_t vc = 0;          ///< VC the pulled flit travels on
+    std::uint16_t flow_id = 0;
+    std::uint64_t truth_index = 0;
   };
-  /// Pull-model relay source (exclusive with SourceFn): return the next
-  /// schedulable TxItem (the relay's egress scheduler picks the VC), or an
-  /// empty pull with the blocked flags set.
-  using RelaySourceFn = std::function<RelayPull()>;
+  /// Pull-model relay source (exclusive with SourceFn): writes the next
+  /// schedulable payload (the relay's egress scheduler picks the VC) into
+  /// `out`, or returns an empty pull with the blocked flags set.
+  using RelaySourceFn = sim::InlineDelegate<RelayPull(PayloadOut out)>;
 
   /// Raised at most once, when the TX exhausts its retry budget
   /// (ProtocolConfig::max_retry_episodes / dead_hop_timeout) and declares
@@ -141,12 +153,10 @@ class Endpoint {
   /// Unmapped flows default to VC 0 (the single-channel behaviour).
   void set_rx_flow_vc(std::uint16_t flow, std::uint8_t vc);
   void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
-  void set_source(SourceFn source) { source_ = std::move(source); }
+  void set_source(SourceFn source) { source_ = source; }
   /// Installs a relay source. Exclusive with set_source: an endpoint either
   /// originates a stream or re-originates a relayed one, never both.
-  void set_relay_source(RelaySourceFn source) {
-    relay_source_ = std::move(source);
-  }
+  void set_relay_source(RelaySourceFn source) { relay_source_ = source; }
 
   /// Installs the hop-death handler (fault injection's management plane).
   void set_hop_down(HopDownFn handler) { hop_down_ = std::move(handler); }
@@ -258,9 +268,10 @@ class Endpoint {
  private:
   // TX path.
   bool send_one();
-  void send_data_flit(std::span<const std::uint8_t> payload,
-                      std::uint64_t truth_index, std::uint16_t flow_id,
-                      std::uint8_t vc);
+  bool send_new_data();
+  void send_data_flit(flit::Flit& canonical, std::uint64_t truth_index,
+                      std::uint16_t flow_id, std::uint8_t vc);
+  void send_replay(const link::RetryBuffer::Entry& entry, std::uint32_t how);
   void note_credit_stall();
   void note_ecn_stall();
   void replay_step();
@@ -323,6 +334,9 @@ class Endpoint {
   std::optional<std::uint16_t> replay_cursor_;
   std::deque<std::uint16_t> single_resends_;  ///< selective-repeat requests
   std::deque<flit::Flit> control_queue_;
+  /// The wire copy of a first transmission that piggybacks an AckNum (the
+  /// retry slot keeps the canonical, ack-free image).
+  flit::Flit piggyback_image_;
   std::uint64_t next_truth_index_ = 0;
   SourceFn source_;
   RelaySourceFn relay_source_;

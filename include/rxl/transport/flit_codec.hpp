@@ -80,12 +80,19 @@ class FlitCodec {
   [[nodiscard]] Protocol protocol() const noexcept { return protocol_; }
   [[nodiscard]] const rs::FlitFec& fec() const noexcept { return fec_; }
 
-  /// Builds a fully encoded data flit.
-  /// @param payload 240 B application payload.
+  /// Encodes a data flit around the 240 B payload already in `image`:
+  /// writes the header, the CRC (ISN-folded for RXL) and the FEC field,
+  /// and leaves the payload untouched. Endpoints call it on their retry
+  /// slot, so the canonical image is built where it is kept.
   /// @param seq     this flit's sequence number.
   /// @param acknum  if set, piggyback this AckNum (ReplayCmd = kAck).
   ///                CXL then *replaces* the FSN with the AckNum; RXL keeps
   ///                the SeqNum implicit in the CRC regardless.
+  void encode_data_in_place(flit::Flit& image, std::uint16_t seq,
+                            std::optional<std::uint16_t> acknum) const;
+
+  /// encode_data_in_place on a new image holding `payload` (at most 240 B,
+  /// zero-padded).
   [[nodiscard]] flit::Flit encode_data(std::span<const std::uint8_t> payload,
                                        std::uint16_t seq,
                                        std::optional<std::uint16_t> acknum) const;

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,16 +20,24 @@
 
 namespace rxl::transport {
 
-/// The 240 B payload for stream position `index`, salted per flow. Word 0
-/// carries the index (handy when eyeballing traces); the rest is a
-/// deterministic PRNG fill so corruption cannot alias.
+/// Writes the 240 B payload for stream position `index`, salted per flow,
+/// into `out`. Word 0 carries the index (handy when eyeballing traces); the
+/// rest is a deterministic PRNG fill so corruption cannot alias. Sources
+/// write it straight into a retry-buffer slot, and scoreboards regenerate
+/// it to check a delivery, so it is a pure function of (index, salt).
+inline void fill_stream_payload(std::uint64_t index, std::uint64_t salt,
+                                std::span<std::uint8_t, kPayloadBytes> out) {
+  Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + salt);
+  store_le64(out, 0, index);
+  for (std::size_t i = 8; i < kPayloadBytes; i += 8) store_le64(out, i, rng());
+}
+
+/// fill_stream_payload into a new vector.
 [[nodiscard]] inline std::vector<std::uint8_t> make_stream_payload(
     std::uint64_t index, std::uint64_t salt) {
-  std::vector<std::uint8_t> payload(kPayloadBytes, 0);
-  Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + salt);
-  for (std::size_t i = 8; i < payload.size(); i += 8)
-    store_le64(payload, i, rng());
-  store_le64(payload, 0, index);
+  std::vector<std::uint8_t> payload(kPayloadBytes);
+  fill_stream_payload(index, salt,
+                      std::span<std::uint8_t, kPayloadBytes>(payload));
   return payload;
 }
 

@@ -3,21 +3,27 @@
 // The paper defines two failure classes (§7.1): Fail_data — corrupted data
 // forwarded to the application — and Fail_order — data forwarded out of
 // order (gaps, duplicates). The scoreboards sit above the protocol stack
-// and use simulation ground truth (the envelope's stream index plus a
-// TX-side payload hash registry), so they observe exactly what the paper's
-// hypothetical application would.
+// and use simulation ground truth (the envelope's stream index, and the
+// stream's payload regenerated from that index), so they observe exactly
+// what the paper's hypothetical application would.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
+#include "rxl/common/types.hpp"
+#include "rxl/sim/inline_delegate.hpp"
 #include "rxl/sim/link_channel.hpp"
 
 namespace rxl::txn {
 
-/// Flit-stream-level scoreboard (one per direction).
+/// Flit-stream-level scoreboard (one per direction). It stores nothing per
+/// stream position: the sent payload is regenerated from its index, and
+/// only the positions skipped past (the open gaps) are remembered, as
+/// intervals.
 class StreamScoreboard {
  public:
   struct Stats {
@@ -31,31 +37,50 @@ class StreamScoreboard {
     /// Skipped flits that eventually arrived after the stream moved on
     /// (consumed out of position; the tail of an order-violation episode).
     std::uint64_t late_deliveries = 0;
-    std::uint64_t data_corruptions = 0;  ///< Fail_data: payload hash mismatch
+    std::uint64_t data_corruptions = 0;  ///< Fail_data: payload mismatch
     std::uint64_t untracked = 0;         ///< deliveries without ground truth
     std::uint64_t missing = 0;           ///< computed by finalize()
   };
 
-  /// TX side: registers the payload content for stream position `index`.
-  void register_sent(std::uint64_t index,
-                     std::span<const std::uint8_t> payload);
+  /// Writes the 240 B payload the stream carries at position `index`: a
+  /// pure function of the index, which the source uses to originate the
+  /// flit and the scoreboard to check its delivery.
+  using PayloadFn = sim::InlineDelegate<void(
+      std::uint64_t index, std::span<std::uint8_t, kPayloadBytes> out)>;
+
+  explicit StreamScoreboard(PayloadFn payload) : payload_(payload) {}
+
+  /// TX side: stream positions up to `index` have been offered. Only those
+  /// are checked for corruption on delivery.
+  void register_sent(std::uint64_t index) noexcept {
+    if (index >= registered_) registered_ = index + 1;
+  }
 
   /// RX side: records a delivery (wire payload + envelope ground truth).
   void on_deliver(std::span<const std::uint8_t> payload,
                   const sim::FlitEnvelope& envelope);
 
-  /// Computes `missing` (registered positions at or below the highest
-  /// delivered position that never arrived) and returns the totals.
+  /// Fills in `missing` (positions below the highest delivered one that
+  /// never arrived) and returns the totals.
   [[nodiscard]] Stats finalize() const;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
+  /// Number of open gaps: maximal runs of skipped positions not yet
+  /// delivered late.
+  [[nodiscard]] std::size_t open_gaps() const noexcept { return gaps_.size(); }
+
  private:
-  std::vector<std::uint64_t> sent_hashes_;
-  std::vector<bool> seen_;
-  std::uint64_t expected_next_ = 0;
-  std::uint64_t highest_delivered_ = 0;
-  bool any_delivered_ = false;
+  /// Removes `index` from the open gaps; false when it is in none (so the
+  /// position was delivered before).
+  bool fill_gap(std::uint64_t index);
+
+  PayloadFn payload_;
+  std::uint64_t registered_ = 0;     ///< positions [0, registered_) offered
+  std::uint64_t expected_next_ = 0;  ///< one past the highest delivered
+  /// Open gaps below expected_next_, first position -> one past the last.
+  std::map<std::uint64_t, std::uint64_t> gaps_;
+  std::uint64_t gap_positions_ = 0;  ///< total length of gaps_
   Stats stats_;
 };
 

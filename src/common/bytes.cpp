@@ -35,20 +35,6 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a,
   return count;
 }
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> buf) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  std::size_t i = 0;
-  for (; i + 8 <= buf.size(); i += 8) {
-    hash ^= load_le64(buf, i);
-    hash *= 0x100000001B3ull;
-  }
-  for (; i < buf.size(); ++i) {
-    hash ^= buf[i];
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 std::string hexdump(std::span<const std::uint8_t> buf,
                     std::size_t bytes_per_line) {
   if (bytes_per_line == 0) bytes_per_line = 16;

@@ -4,41 +4,6 @@
 #include <limits>
 
 namespace rxl {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
-  std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
-  // A state of all zeros is the one fixed point of the generator; the
-  // splitmix64 expansion cannot produce it for any seed, but guard anyway.
-  if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
 
 double Xoshiro256::uniform() noexcept {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

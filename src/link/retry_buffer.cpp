@@ -1,6 +1,8 @@
 #include "rxl/link/retry_buffer.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
@@ -18,22 +20,45 @@ std::optional<std::uint16_t> RetryBuffer::oldest_seq() const noexcept {
   return entry_at(0).seq;
 }
 
-bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& encoded,
-                       std::uint64_t user_tag, std::uint16_t flow_tag,
-                       std::uint8_t vc) {
-  if (full()) return false;
-  assert(empty() || seq_next(entry_at(size_ - 1).seq) == (seq & kSeqMask));
+flit::Flit& RetryBuffer::reserve() {
+  if (reserved_ != nullptr) [[unlikely]]
+    misuse("RetryBuffer: reserved again before the reservation was committed "
+           "or dropped");
+  assert(!full());
   const std::size_t slot = head_ + size_;
   if (slot == blocks_.size() * kBlockEntries)
     blocks_.push_back(std::make_unique_for_overwrite<Block>());
-  Entry& entry = blocks_.at(slot / kBlockEntries)->entries[slot % kBlockEntries];
+  reserved_ = &blocks_.at(slot / kBlockEntries)->entries[slot % kBlockEntries];
+  return reserved_->flit;
+}
+
+void RetryBuffer::commit(std::uint16_t seq, std::uint64_t user_tag,
+                         std::uint16_t flow_tag, std::uint8_t vc) {
+  if (reserved_ == nullptr) [[unlikely]]
+    misuse("RetryBuffer: commit without a reservation");
+  assert(empty() || seq_next(entry_at(size_ - 1).seq) == (seq & kSeqMask));
+  Entry& entry = *reserved_;
+  reserved_ = nullptr;
   entry.seq = static_cast<std::uint16_t>(seq & kSeqMask);
   entry.flow_tag = flow_tag;
   entry.vc = vc;
   entry.user_tag = user_tag;
-  entry.flit = encoded;
   ++size_;
+}
+
+bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& encoded,
+                       std::uint64_t user_tag, std::uint16_t flow_tag,
+                       std::uint8_t vc) {
+  if (full()) return false;
+  reserve() = encoded;
+  commit(seq, user_tag, flow_tag, vc);
   return true;
+}
+
+void RetryBuffer::misuse(const char* what) noexcept {
+  std::fputs(what, stderr);
+  std::fputc('\n', stderr);
+  std::abort();
 }
 
 void RetryBuffer::pop_oldest() noexcept {
@@ -60,6 +85,7 @@ void RetryBuffer::clear() noexcept {
   while (!blocks_.empty()) blocks_.pop_front().reset();
   head_ = 0;
   size_ = 0;
+  reserved_ = nullptr;
 }
 
 const flit::Flit* RetryBuffer::find(std::uint16_t seq) const {

@@ -17,7 +17,8 @@ LinkChannel::LinkChannel(EventQueue& queue,
   assert(errors_ != nullptr);
 }
 
-TimePs LinkChannel::send(const FlitEnvelope& envelope) {
+TimePs LinkChannel::transmit(const flit::Flit& image, bool pristine,
+                             const FlitTags& tags) {
   const TimePs start = std::max(queue_.now(), next_free_);
   const TimePs end = start + slot_;
   next_free_ = end;
@@ -39,9 +40,9 @@ TimePs LinkChannel::send(const FlitEnvelope& envelope) {
       if (trace_ != nullptr) {
         obs::TraceEvent event;
         event.at = start;
-        event.truth_index = envelope.truth_index;
+        event.truth_index = tags.truth_index;
         event.component = trace_component_;
-        event.flow = envelope.flow_id;
+        event.flow = tags.flow_id;
         event.seq = 0;
         event.vc = 0;
         event.kind = obs::TraceEventKind::kDrop;
@@ -55,7 +56,12 @@ TimePs LinkChannel::send(const FlitEnvelope& envelope) {
 
   // Delivery happens once the last bit has propagated.
   FlitEnvelope& slot = in_flight_.park(end + latency_);
-  slot = envelope;
+  slot.flit = image;
+  slot.pristine = pristine;
+  slot.truth_index = tags.truth_index;
+  slot.has_truth = tags.has_truth;
+  slot.dest_port = tags.dest_port;
+  slot.flow_id = tags.flow_id;
   const std::size_t flipped = errors_->corrupt(slot.flit.bytes(), rng_);
   if (flipped > 0) {
     slot.pristine = false;

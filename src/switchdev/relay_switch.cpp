@@ -29,7 +29,10 @@ std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
                                      const sim::FlitEnvelope& envelope) {
     on_delivered(index, payload, envelope);
   });
-  endpoint.set_relay_source([this, index]() { return pull_next(index); });
+  endpoint.set_relay_source(
+      [this, index](transport::Endpoint::PayloadOut out) {
+        return pull_next(index, out);
+      });
   return index;
 }
 
@@ -64,21 +67,27 @@ void RelaySwitch::update_ecn(Port& in_port, std::size_t vc) {
   in_port.endpoint->set_ecn_marks(in_port.ecn_marks);
 }
 
-/// Hands the head of one of `port`'s queues to `pull`, then does the
-/// dequeue-side bookkeeping: the payload leaves the bounded buffer, so the
-/// ingress slot frees and its credit returns upstream on the VC that billed
-/// it. The head leaves the queue first: the credit return may kick the
-/// ingress endpoint into a nested pull.
+/// Copies the head of one of `port`'s queues into the pulling endpoint's
+/// retry slot and describes it in `pull`, then does the dequeue-side
+/// bookkeeping: the payload leaves the bounded buffer, so the ingress slot
+/// frees and its credit returns upstream on the VC that billed it. The
+/// head leaves the queue first: the credit return may kick the ingress
+/// endpoint into a nested pull.
 void RelaySwitch::dequeue_front(Port& port, RingQueue<Pending>& queue,
+                                transport::Endpoint::PayloadOut out,
                                 transport::Endpoint::RelayPull& pull) {
   const Pending& head = queue.front();
-  pull.item.emplace(head.item);
+  std::copy(head.item.payload.begin(), head.item.payload.end(), out.begin());
+  pull.pulled = true;
+  pull.vc = head.item.vc;
+  pull.flow_id = head.item.flow_id;
+  pull.truth_index = head.item.truth_index;
   const std::uint32_t ingress = head.ingress;
   queue.drop_front();
   port.stats.relayed_out += 1;
   if (ingress == kNoIngress) return;
   Port& in_port = ports_[ingress];
-  const std::uint8_t vc = pull.item->vc;
+  const std::uint8_t vc = pull.vc;
   assert(in_port.in_queue > 0 && in_port.in_queue_by_vc[vc] > 0);
   in_port.in_queue -= 1;
   in_port.in_queue_by_vc[vc] -= 1;
@@ -86,7 +95,8 @@ void RelaySwitch::dequeue_front(Port& port, RingQueue<Pending>& queue,
   in_port.endpoint->return_credits(vc, 1);
 }
 
-transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
+transport::Endpoint::RelayPull RelaySwitch::pull_next(
+    std::size_t egress, transport::Endpoint::PayloadOut out) {
   Port& port = ports_[egress];
   transport::Endpoint::RelayPull pull;
   const transport::Endpoint& endpoint = *port.endpoint;
@@ -103,7 +113,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
       pull.ecn_blocked = true;
       return pull;
     }
-    dequeue_front(port, port.queues[0], pull);
+    dequeue_front(port, port.queues[0], out, pull);
     return pull;
   }
   const std::optional<std::size_t> vc = scheduler_.pick(
@@ -112,7 +122,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
       [&](std::size_t v) { return endpoint.vc_send_ready(v); },
       &pull.credit_blocked, &pull.ecn_blocked);
   if (!vc.has_value()) return pull;
-  dequeue_front(port, port.queues[*vc], pull);
+  dequeue_front(port, port.queues[*vc], out, pull);
   return pull;
 }
 

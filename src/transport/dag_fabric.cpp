@@ -1132,7 +1132,10 @@ DagReport run_dag_fabric(const DagConfig& config) {
   // log-bucketed histogram plus a kLatencyRingSlots timestamp ring keyed
   // by truth index — so memory no longer grows with run length (raw
   // samples only under the debug opt-in). The vector is sized once, so the
-  // lambdas' element pointers stay stable for the whole run.
+  // sources' and sinks' element pointers stay stable for the whole run.
+  // Keep the struct lean: the 16-flow workloads' vector of them sits just
+  // under glibc's 128 KiB mmap threshold, and crossing it makes every
+  // run's set-up map and fault in fresh pages.
   struct FlowRuntime {
     stats::LatencyHistogram latency;
     std::vector<TimePs> ring_at;          // inject timestamp per ring slot
@@ -1140,12 +1143,85 @@ DagReport run_dag_fabric(const DagConfig& config) {
     std::vector<TimePs> debug_samples;
     std::uint64_t sample_misses = 0;
     bool pace_armed = false;
+    bool sample = false;  // stamp the latency ring at each pull
+    std::uint16_t id = 0;
     std::optional<ArrivalProcess> arrivals;
     std::optional<ClosedLoopWindow> loop;
     Endpoint* source = nullptr;  // closed-loop completion kick target
+    // Source side: the flow, the scoreboard that regenerates its payloads,
+    // and how many stream positions it has offered.
+    const DagFlow* spec = nullptr;
+    txn::StreamScoreboard* board = nullptr;
+    std::uint64_t offered = 0;
+    sim::EventQueue* queue = nullptr;
+    obs::TraceSink* trace = nullptr;
+
+    /// The flow's Endpoint::SourceFn: writes stream position `index` into
+    /// the source's retry slot, or returns false while none is offered.
+    bool pull(std::uint64_t index, Endpoint::PayloadOut out) {
+      if (index >= spec->flits) return false;
+      TimePs inject_stamp = queue->now();
+      if (arrivals.has_value()) {
+        // Rate-shaped source: index i is offered no earlier than its
+        // arrival due-time. A premature pull arms one wake-up kick at the
+        // due instant, so the flow needs no external traffic to resume
+        // (and arms at most one timer however often the endpoint polls
+        // meanwhile).
+        const TimePs due = arrivals->due(index);
+        const TimePs now = queue->now();
+        if (now < due) {
+          if (!pace_armed) {
+            pace_armed = true;
+            queue->schedule(due - now, [this] {
+              pace_armed = false;
+              source->kick();
+            });
+          }
+          return false;
+        }
+        // Latency is measured from the ARRIVAL, not the pull: under
+        // overload the source-side backlog is part of the delay, which is
+        // what makes a load-latency curve inflect past saturation.
+        inject_stamp = due;
+      } else if (loop.has_value()) {
+        if (!loop->may_offer()) return false;
+        loop->on_offer();
+      }
+      if (sample) {
+        const std::size_t slot =
+            static_cast<std::size_t>(index) % ring_tag.size();
+        ring_tag[slot] = index;
+        ring_at[slot] = inject_stamp;
+      }
+      if (trace != nullptr) {
+        // Stamped with the arrival DUE time — the same origin the latency
+        // ring stores — so a reconstructed journey's hop sums equal the
+        // histogram-recorded end-to-end sample exactly.
+        obs::TraceEvent event;
+        event.at = inject_stamp;
+        event.truth_index = index;
+        event.component = source->trace_component();
+        event.flow = id;
+        event.seq = 0;
+        event.vc = spec->vc;
+        event.kind = obs::TraceEventKind::kInject;
+        event.arg = 0;
+        trace->record(event.component, event);
+      }
+      fill_stream_payload(index, spec->salt, out);
+      board->register_sent(index);
+      offered = index + 1;
+      return true;
+    }
   };
-  std::vector<txn::StreamScoreboard> boards(config.flows.size());
-  std::vector<std::uint64_t> offered(config.flows.size(), 0);
+  std::vector<txn::StreamScoreboard> boards;
+  boards.reserve(config.flows.size());
+  for (const DagFlow& flow : config.flows) {
+    boards.emplace_back([salt = flow.salt](std::uint64_t index,
+                                           Endpoint::PayloadOut out) {
+      fill_stream_payload(index, salt, out);
+    });
+  }
   std::vector<FlowRuntime> flow_runtime(config.flows.size());
   const bool sample = config.sample_latency || config.debug_latency_samples;
   const bool debug = config.debug_latency_samples;
@@ -1153,22 +1229,21 @@ DagReport run_dag_fabric(const DagConfig& config) {
   std::uint64_t trace_delivered = 0;  ///< time-series goodput counter
   for (const auto& [key, endpoint] : terminal_of) {
     const std::uint16_t node = key.first;
-    txn::StreamScoreboard* const board_base = boards.data();
     const DagFlow* const flow_base = config.flows.data();
     const std::size_t flow_count = config.flows.size();
     std::uint64_t* const misrouted_ptr = &misrouted;
     std::uint64_t* const delivered_ptr = &trace_delivered;
     FlowRuntime* const runtime_base = flow_runtime.data();
     sim::EventQueue* const queue_ptr = &queue;
-    endpoint->set_deliver([board_base, flow_base, flow_count, misrouted_ptr,
+    endpoint->set_deliver([flow_base, flow_count, misrouted_ptr,
                            delivered_ptr, node, runtime_base, queue_ptr,
                            sample, debug](std::span<const std::uint8_t> payload,
                                           const sim::FlitEnvelope& envelope) {
       if (envelope.has_truth && envelope.flow_id < flow_count &&
           flow_base[envelope.flow_id].dst == node) {
-        board_base[envelope.flow_id].on_deliver(payload, envelope);
-        *delivered_ptr += 1;
         FlowRuntime& runtime = runtime_base[envelope.flow_id];
+        runtime.board->on_deliver(payload, envelope);
+        *delivered_ptr += 1;
         if (sample) {
           // The ring slot still carries this truth index unless the flow
           // fell more than kLatencyRingSlots behind its newest pull; an
@@ -1213,12 +1288,14 @@ DagReport run_dag_fabric(const DagConfig& config) {
       terminal_of.at({flow.dst, rep_of[last]})
           ->set_rx_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
     }
-    txn::StreamScoreboard* const board = &boards[f];
-    std::uint64_t* const offered_ptr = &offered[f];
-    const std::uint64_t budget = flow.flits;
-    const std::uint64_t salt = flow.salt;
     FlowRuntime* const runtime = &flow_runtime[f];
     runtime->source = source;
+    runtime->sample = sample;
+    runtime->id = static_cast<std::uint16_t>(f);
+    runtime->spec = &flow;
+    runtime->board = &boards[f];
+    runtime->queue = &queue;
+    runtime->trace = trace_sink.get();
     ArrivalKind arrival = flow.arrival;
     if (arrival == ArrivalKind::kGreedy && flow.pace > 0)
       arrival = ArrivalKind::kPaced;  // legacy shorthand
@@ -1242,74 +1319,15 @@ DagReport run_dag_fabric(const DagConfig& config) {
     }
     if (sample) {
       const std::uint64_t depth = std::min<std::uint64_t>(
-          kLatencyRingSlots, std::max<std::uint64_t>(budget, 1));
+          kLatencyRingSlots, std::max<std::uint64_t>(flow.flits, 1));
       runtime->ring_at.assign(static_cast<std::size_t>(depth), 0);
       runtime->ring_tag.assign(static_cast<std::size_t>(depth),
                                ~std::uint64_t{0});
     }
-    const bool rate_shaped = runtime->arrivals.has_value();
-    sim::EventQueue* const queue_ptr = &queue;
-    obs::TraceSink* const trace_ptr = trace_sink.get();
-    const std::uint16_t trace_flow = static_cast<std::uint16_t>(f);
-    const std::uint8_t trace_vc = flow.vc;
-    source->set_source([board, offered_ptr, budget, salt, runtime,
-                        rate_shaped, sample, queue_ptr, source, trace_ptr,
-                        trace_flow, trace_vc](std::uint64_t index)
-                           -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      TimePs inject_stamp = queue_ptr->now();
-      if (rate_shaped) {
-        // Rate-shaped source: index i is offered no earlier than its
-        // arrival due-time. A premature pull arms one wake-up kick at the
-        // due instant, so the flow needs no external traffic to resume
-        // (and arms at most one timer however often the endpoint polls
-        // meanwhile).
-        const TimePs due = runtime->arrivals->due(index);
-        const TimePs now = queue_ptr->now();
-        if (now < due) {
-          if (!runtime->pace_armed) {
-            runtime->pace_armed = true;
-            queue_ptr->schedule(due - now, [runtime, source] {
-              runtime->pace_armed = false;
-              source->kick();
-            });
-          }
-          return std::nullopt;
-        }
-        // Latency is measured from the ARRIVAL, not the pull: under
-        // overload the source-side backlog is part of the delay, which is
-        // what makes a load-latency curve inflect past saturation.
-        inject_stamp = due;
-      } else if (runtime->loop.has_value()) {
-        if (!runtime->loop->may_offer()) return std::nullopt;
-        runtime->loop->on_offer();
-      }
-      if (sample) {
-        const std::size_t slot =
-            static_cast<std::size_t>(index) % runtime->ring_tag.size();
-        runtime->ring_tag[slot] = index;
-        runtime->ring_at[slot] = inject_stamp;
-      }
-      if (trace_ptr != nullptr) {
-        // Stamped with the arrival DUE time — the same origin the latency
-        // ring stores — so a reconstructed journey's hop sums equal the
-        // histogram-recorded end-to-end sample exactly.
-        obs::TraceEvent event;
-        event.at = inject_stamp;
-        event.truth_index = index;
-        event.component = source->trace_component();
-        event.flow = trace_flow;
-        event.seq = 0;
-        event.vc = trace_vc;
-        event.kind = obs::TraceEventKind::kInject;
-        event.arg = 0;
-        trace_ptr->record(event.component, event);
-      }
-      std::vector<std::uint8_t> payload = make_stream_payload(index, salt);
-      board->register_sent(index, payload);
-      *offered_ptr = index + 1;
-      return payload;
-    });
+    source->set_source(
+        [runtime](std::uint64_t index, Endpoint::PayloadOut out) {
+          return runtime->pull(index, out);
+        });
   }
 
   // Occupancy/goodput time-series sampler: a self-rescheduling observation
@@ -1359,7 +1377,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
     DagFlowReport& flow_report = report.flows[f];
     flow_report.src = config.flows[f].src;
     flow_report.dst = config.flows[f].dst;
-    flow_report.offered = offered[f];
+    flow_report.offered = flow_runtime[f].offered;
     flow_report.scoreboard = boards[f].finalize();
     flow_report.path_edges = plan.flow_paths[f];
     flow_report.rerouted =

@@ -79,33 +79,19 @@ bool Endpoint::send_one() {
   if (hop_dead_) return false;
   // Priority 1: control flits (NACKs must reach the peer promptly).
   if (!control_queue_.empty()) {
-    sim::FlitEnvelope envelope;
-    envelope.flit = control_queue_.front();
-    control_queue_.pop_front();
-    envelope.dest_port = dest_port_;
     stats_.control_flits_sent += 1;
-    output_->send(envelope);
+    output_->send(control_queue_.front(),
+                  sim::FlitTags{0, false, dest_port_, 0});
+    control_queue_.pop_front();
     return true;
   }
   // Priority 2: selective-repeat single-flit resends.
   while (!single_resends_.empty()) {
-    const std::uint16_t seq = single_resends_.front();
-    const link::RetryBuffer::Entry* entry = retry_buffer_.find_entry(seq);
-    if (entry == nullptr) {
-      single_resends_.pop_front();  // already acked/freed; skip
-      continue;
-    }
-    sim::FlitEnvelope envelope;
-    envelope.flit = entry->flit;
-    envelope.truth_index = entry->user_tag;
-    envelope.has_truth = true;
-    envelope.dest_port = dest_port_;
-    envelope.flow_id = entry->flow_tag;
+    const link::RetryBuffer::Entry* entry =
+        retry_buffer_.find_entry(single_resends_.front());
     single_resends_.pop_front();
-    stats_.data_flits_retransmitted += 1;
-    trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag, seq,
-          entry->vc, obs::kRetrySelective);
-    output_->send(envelope);
+    if (entry == nullptr) continue;  // already acked/freed; skip
+    send_replay(*entry, obs::kRetrySelective);
     return true;
   }
   // Priority 3: go-back-N replay.
@@ -115,72 +101,79 @@ bool Endpoint::send_one() {
     if (entry == nullptr) {
       replay_cursor_.reset();
     } else {
-      sim::FlitEnvelope envelope;
-      envelope.flit = entry->flit;
-      envelope.truth_index = entry->user_tag;
-      envelope.has_truth = true;
-      envelope.dest_port = dest_port_;
-      envelope.flow_id = entry->flow_tag;
       const std::uint16_t next = link::seq_next(entry->seq);
       replay_cursor_ =
           retry_buffer_.find(next) ? std::optional<std::uint16_t>(next)
                                    : std::nullopt;
-      stats_.data_flits_retransmitted += 1;
-      trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag,
-            entry->seq, entry->vc, obs::kRetryGoBackN);
-      output_->send(envelope);
+      send_replay(*entry, obs::kRetryGoBackN);
       return true;
     }
   }
   // Priority 4: new application data (or the relay's store-and-forward
   // queue), window permitting.
-  if (source_ || relay_source_) {
-    assert(!(source_ && relay_source_));
-    if (retry_buffer_.full()) {
-      stats_.tx_stalls += 1;
-      return false;
-    }
-    if (!credit_windows_.any_available()) {
-      // Every VC's downstream partition is full as far as the windows
-      // know: only a credit return may unblock new data. Replays above are
-      // exempt — a replayed flit's slot was charged at first transmission.
-      // The probe timer recovers the hop if the peer's final return was
-      // corrupted.
-      note_credit_stall();
-      return false;
-    }
-    if (relay_source_) {
-      RelayPull pull = relay_source_();
-      if (pull.item.has_value()) {
-        send_data_flit(pull.item->payload, pull.item->truth_index,
-                       pull.item->flow_id, pull.item->vc);
-        return true;
-      }
-      // Nothing schedulable. An empty queue goes idle; a blocked one
-      // records the stall and arms the probe so the unblocking signal (a
-      // credit return or a mark clear) cannot be lost forever.
-      if (pull.credit_blocked) {
-        note_credit_stall();
-      } else if (pull.ecn_blocked) {
-        note_ecn_stall();
-      }
-    } else {
-      if (!credit_windows_.vc(tx_vc_).available()) {
-        note_credit_stall();
-        return false;
-      }
-      if (((ecn_remote_marks_ >> tx_vc_) & 1u) != 0) {
-        note_ecn_stall();
-        return false;
-      }
-      if (auto payload = source_(next_truth_index_)) {
-        send_data_flit(*payload, next_truth_index_, flow_id_, tx_vc_);
-        next_truth_index_ += 1;
-        return true;
-      }
-    }
+  return send_new_data();
+}
+
+bool Endpoint::send_new_data() {
+  if (!source_ && !relay_source_) return false;
+  assert(!(source_ && relay_source_));
+  if (retry_buffer_.full()) {
+    stats_.tx_stalls += 1;
+    return false;
   }
-  return false;
+  if (!credit_windows_.any_available()) {
+    // Every VC's downstream partition is full as far as the windows know:
+    // only a credit return may unblock new data. Replays above are exempt —
+    // a replayed flit's slot was charged at first transmission. The probe
+    // timer recovers the hop if the peer's final return was corrupted.
+    note_credit_stall();
+    return false;
+  }
+  // The source writes the payload straight into the retry slot the flit
+  // will occupy; the slot is committed only if a payload came back.
+  if (relay_source_) {
+    flit::Flit& slot = retry_buffer_.reserve();
+    const RelayPull pull = relay_source_(slot.payload());
+    if (pull.pulled) {
+      send_data_flit(slot, pull.truth_index, pull.flow_id, pull.vc);
+      return true;
+    }
+    retry_buffer_.drop_reservation();
+    // Nothing schedulable. An empty queue goes idle; a blocked one records
+    // the stall and arms the probe so the unblocking signal (a credit
+    // return or a mark clear) cannot be lost forever.
+    if (pull.credit_blocked) {
+      note_credit_stall();
+    } else if (pull.ecn_blocked) {
+      note_ecn_stall();
+    }
+    return false;
+  }
+  if (!credit_windows_.vc(tx_vc_).available()) {
+    note_credit_stall();
+    return false;
+  }
+  if (((ecn_remote_marks_ >> tx_vc_) & 1u) != 0) {
+    note_ecn_stall();
+    return false;
+  }
+  flit::Flit& slot = retry_buffer_.reserve();
+  if (!source_(next_truth_index_, slot.payload())) {
+    retry_buffer_.drop_reservation();
+    return false;
+  }
+  send_data_flit(slot, next_truth_index_, flow_id_, tx_vc_);
+  next_truth_index_ += 1;
+  return true;
+}
+
+void Endpoint::send_replay(const link::RetryBuffer::Entry& entry,
+                           std::uint32_t how) {
+  stats_.data_flits_retransmitted += 1;
+  trace(obs::TraceEventKind::kRetry, entry.user_tag, entry.flow_tag, entry.seq,
+        entry.vc, how);
+  output_->send(entry.flit, sim::FlitTags{entry.user_tag, true, dest_port_,
+                                         entry.flow_tag});
 }
 
 void Endpoint::note_credit_stall() {
@@ -203,34 +196,28 @@ void Endpoint::note_ecn_stall() {
     credit_probe_timer_.arm(config_.retry_timeout);
 }
 
-void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
+void Endpoint::send_data_flit(flit::Flit& canonical,
                               std::uint64_t truth_index,
                               std::uint16_t flow_id, std::uint8_t vc) {
   const std::uint16_t seq = next_seq_;
-  // The canonical (replayable) image always carries the explicit/implicit
-  // SeqNum with no piggybacked ACK; the wire image on first transmission
-  // may substitute an AckNum into the FSN field.
-  const flit::Flit canonical = codec_.encode_data(payload, seq, std::nullopt);
+  // The canonical (replayable) image, encoded in its retry slot, always
+  // carries the explicit/implicit SeqNum with no piggybacked ACK; the wire
+  // image on first transmission may substitute an AckNum into the FSN
+  // field, and is then a re-encoded copy.
+  codec_.encode_data_in_place(canonical, seq, std::nullopt);
 
-  std::optional<std::uint16_t> acknum;
+  const flit::Flit* wire = &canonical;
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
       ack_scheduler_.pending()) {
-    acknum = ack_scheduler_.consume();
+    if (const std::optional<std::uint16_t> acknum = ack_scheduler_.consume()) {
+      piggyback_image_ = canonical;
+      codec_.encode_data_in_place(piggyback_image_, seq, acknum);
+      wire = &piggyback_image_;
+      stats_.acks_piggybacked += 1;
+    }
   }
 
-  sim::FlitEnvelope envelope;
-  envelope.flit =
-      acknum.has_value() ? codec_.encode_data(payload, seq, acknum) : canonical;
-  envelope.truth_index = truth_index;
-  envelope.has_truth = true;
-  envelope.dest_port = dest_port_;
-  envelope.flow_id = flow_id;
-  if (acknum.has_value()) stats_.acks_piggybacked += 1;
-
-  const bool pushed =
-      retry_buffer_.push(seq, canonical, truth_index, flow_id, vc);
-  assert(pushed);
-  (void)pushed;
+  retry_buffer_.commit(seq, truth_index, flow_id, vc);
   if (credit_windows_.enabled()) {
     assert(credit_windows_.vc(vc).available());  // send_one gated on the VC
     credit_windows_.vc(vc).consume();
@@ -242,7 +229,7 @@ void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
   next_seq_ = link::seq_next(next_seq_);
   stats_.data_flits_sent += 1;
   trace(obs::TraceEventKind::kTx, truth_index, flow_id, seq, vc, 0);
-  output_->send(envelope);
+  output_->send(*wire, sim::FlitTags{truth_index, true, dest_port_, flow_id});
 }
 
 void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {

@@ -3,42 +3,23 @@
 #include <cassert>
 #include <cstdio>
 
-#include "rxl/common/bytes.hpp"
-#include "rxl/phy/error_model.hpp"
 #include "rxl/sim/event_queue.hpp"
+#include "rxl/transport/traffic.hpp"
 
 namespace rxl::transport {
 namespace {
 
-std::unique_ptr<phy::ErrorModel> make_channel_errors(
-    const FabricConfig& config) {
-  std::vector<std::unique_ptr<phy::ErrorModel>> models;
-  if (config.ber > 0.0)
-    models.push_back(std::make_unique<phy::IndependentBitErrors>(config.ber));
-  if (config.burst_injection_rate > 0.0) {
-    models.push_back(std::make_unique<phy::BernoulliGate>(
-        config.burst_injection_rate,
-        std::make_unique<phy::SymbolBurstInjector>(config.burst_symbols)));
-  }
-  if (models.empty()) return std::make_unique<phy::NoErrors>();
-  if (models.size() == 1) return std::move(models.front());
-  return std::make_unique<phy::CompositeErrorModel>(std::move(models));
-}
-
-/// Deterministic payload for stream position `index`.
-std::vector<std::uint8_t> make_payload(std::uint64_t index,
-                                       std::uint64_t direction_salt) {
-  std::vector<std::uint8_t> payload(kPayloadBytes, 0);
-  Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + direction_salt);
-  for (std::size_t i = 8; i < payload.size(); i += 8)
-    store_le64(payload, i, rng());
-  store_le64(payload, 0, index);
-  return payload;
-}
-
 /// One direction of the fabric: TX endpoint -> L+1 channels / L switches ->
-/// RX endpoint.
+/// RX endpoint, carrying the payload stream salted by `salt`.
 struct Direction {
+  explicit Direction(std::uint64_t salt)
+      : salt(salt),
+        scoreboard([salt](std::uint64_t index,
+                          std::span<std::uint8_t, kPayloadBytes> out) {
+          fill_stream_payload(index, salt, out);
+        }) {}
+
+  std::uint64_t salt;
   std::vector<std::unique_ptr<sim::LinkChannel>> channels;
   std::vector<std::unique_ptr<switchdev::SwitchDevice>> switches;
   txn::StreamScoreboard scoreboard;
@@ -52,7 +33,10 @@ void build_direction(sim::EventQueue& queue, const FabricConfig& config,
   direction.switches.reserve(config.switch_levels);
   for (unsigned hop = 0; hop < hops; ++hop) {
     direction.channels.push_back(std::make_unique<sim::LinkChannel>(
-        queue, make_channel_errors(config), seeder(), config.slot,
+        queue,
+        make_error_model(config.ber, config.burst_injection_rate,
+                         config.burst_symbols),
+        seeder(), config.slot,
         config.propagation_latency));
   }
   for (unsigned level = 0; level < config.switch_levels; ++level) {
@@ -76,18 +60,18 @@ void build_direction(sim::EventQueue& queue, const FabricConfig& config,
 }
 
 void attach_traffic(Endpoint& tx, Endpoint& rx, Direction& direction,
-                    std::uint64_t flit_budget, std::uint64_t direction_salt) {
-  txn::StreamScoreboard* scoreboard = &direction.scoreboard;
-  tx.set_source([scoreboard, flit_budget, direction_salt](
-                    std::uint64_t index) -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= flit_budget) return std::nullopt;
-    std::vector<std::uint8_t> payload = make_payload(index, direction_salt);
-    scoreboard->register_sent(index, payload);
-    return payload;
+                    std::uint64_t flit_budget) {
+  Direction* const d = &direction;
+  tx.set_source([d, flit_budget](std::uint64_t index,
+                                 Endpoint::PayloadOut out) {
+    if (index >= flit_budget) return false;
+    fill_stream_payload(index, d->salt, out);
+    d->scoreboard.register_sent(index);
+    return true;
   });
-  rx.set_deliver([scoreboard](std::span<const std::uint8_t> payload,
-                              const sim::FlitEnvelope& envelope) {
-    scoreboard->on_deliver(payload, envelope);
+  rx.set_deliver([d](std::span<const std::uint8_t> payload,
+                     const sim::FlitEnvelope& envelope) {
+    d->scoreboard.on_deliver(payload, envelope);
   });
 }
 
@@ -128,15 +112,13 @@ FabricReport run_fabric(const FabricConfig& config) {
   Endpoint host(queue, config.protocol, "host");
   Endpoint device(queue, config.protocol, "device");
 
-  Direction downstream;
-  Direction upstream;
+  Direction downstream(/*salt=*/0x00D0);
+  Direction upstream(/*salt=*/0x0B0Bu);
   build_direction(queue, config, downstream, host, device, seeder);
   build_direction(queue, config, upstream, device, host, seeder);
 
-  attach_traffic(host, device, downstream, config.downstream_flits,
-                 /*direction_salt=*/0x00D0);
-  attach_traffic(device, host, upstream, config.upstream_flits,
-                 /*direction_salt=*/0x0B0Bu);
+  attach_traffic(host, device, downstream, config.downstream_flits);
+  attach_traffic(device, host, upstream, config.upstream_flits);
 
   host.kick();
   device.kick();

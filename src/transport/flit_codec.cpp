@@ -23,13 +23,9 @@ std::uint8_t control_ecn_marks(const flit::Flit& flit) noexcept {
 
 FlitCodec::FlitCodec(Protocol protocol) : protocol_(protocol), isn_() {}
 
-flit::Flit FlitCodec::encode_data(std::span<const std::uint8_t> payload,
-                                  std::uint16_t seq,
-                                  std::optional<std::uint16_t> acknum) const {
-  assert(payload.size() <= kPayloadBytes);
-  flit::Flit out;
-  std::copy(payload.begin(), payload.end(), out.payload().begin());
-
+void FlitCodec::encode_data_in_place(
+    flit::Flit& image, std::uint16_t seq,
+    std::optional<std::uint16_t> acknum) const {
   flit::FlitHeader header;
   header.type = flit::FlitType::kData;
   if (acknum.has_value()) {
@@ -42,14 +38,23 @@ flit::Flit FlitCodec::encode_data(std::span<const std::uint8_t> payload,
                      ? static_cast<std::uint16_t>(seq & kSeqMask)
                      : 0;
   }
-  out.set_header(header);
+  image.set_header(header);
 
   const std::uint64_t crc =
       (protocol_ == Protocol::kRxl)
-          ? isn_.encode(out.crc_protected_region(), seq)
-          : isn_.encode_plain(out.crc_protected_region());
-  out.set_crc_field(crc);
-  fec_.encode(out.bytes());
+          ? isn_.encode(image.crc_protected_region(), seq)
+          : isn_.encode_plain(image.crc_protected_region());
+  image.set_crc_field(crc);
+  fec_.encode(image.bytes());
+}
+
+flit::Flit FlitCodec::encode_data(std::span<const std::uint8_t> payload,
+                                  std::uint16_t seq,
+                                  std::optional<std::uint16_t> acknum) const {
+  assert(payload.size() <= kPayloadBytes);
+  flit::Flit out;
+  std::copy(payload.begin(), payload.end(), out.payload().begin());
+  encode_data_in_place(out, seq, acknum);
   return out;
 }
 

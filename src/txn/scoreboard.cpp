@@ -1,24 +1,11 @@
 #include "rxl/txn/scoreboard.hpp"
 
-#include "rxl/common/bytes.hpp"
+#include <array>
+#include <cstring>
+
 #include "rxl/flit/message_pack.hpp"
 
 namespace rxl::txn {
-namespace {
-
-// Corruption-detection hash of a 240 B payload: equality-only and
-// in-process, so the lane-wide FNV fold applies (see common/bytes.hpp).
-std::uint64_t payload_hash(std::span<const std::uint8_t> payload) noexcept {
-  return fnv1a64(payload);
-}
-
-}  // namespace
-
-void StreamScoreboard::register_sent(std::uint64_t index,
-                                     std::span<const std::uint8_t> payload) {
-  if (index >= sent_hashes_.size()) sent_hashes_.resize(index + 1, 0);
-  sent_hashes_[index] = payload_hash(payload);
-}
 
 void StreamScoreboard::on_deliver(std::span<const std::uint8_t> payload,
                                   const sim::FlitEnvelope& envelope) {
@@ -28,53 +15,56 @@ void StreamScoreboard::on_deliver(std::span<const std::uint8_t> payload,
     return;
   }
   const std::uint64_t index = envelope.truth_index;
-  if (index >= seen_.size()) seen_.resize(index + 1, false);
-  if (!any_delivered_ || index > highest_delivered_) highest_delivered_ = index;
-  any_delivered_ = true;
 
-  if (index < sent_hashes_.size() &&
-      payload_hash(payload) != sent_hashes_[index]) {
-    stats_.data_corruptions += 1;  // Fail_data: escaped all checks
+  if (index < registered_) {
+    std::array<std::uint8_t, kPayloadBytes> sent;
+    payload_(index, sent);
+    if (payload.size() != sent.size() ||
+        std::memcmp(payload.data(), sent.data(), sent.size()) != 0) {
+      stats_.data_corruptions += 1;  // Fail_data: escaped all checks
+    }
   }
-
-  if (seen_[index]) {
-    stats_.duplicates += 1;  // Fail_order: the application executes it twice
-    return;
-  }
-  seen_[index] = true;
 
   if (index == expected_next_) {
     stats_.in_order += 1;
     expected_next_ += 1;
-    // Skip over anything already delivered out of order.
-    while (expected_next_ < seen_.size() && seen_[expected_next_]) {
-      expected_next_ += 1;
-    }
   } else if (index > expected_next_) {
     // Delivered past a gap: the application consumed data whose
     // predecessors have not arrived (Fail_order). The stream moves on —
-    // one violation per skip event.
+    // one violation per skip event — and the skipped run stays open.
     stats_.order_violations += 1;
+    gaps_.emplace_hint(gaps_.end(), expected_next_, index);
+    gap_positions_ += index - expected_next_;
     expected_next_ = index + 1;
-    while (expected_next_ < seen_.size() && seen_[expected_next_]) {
-      expected_next_ += 1;
-    }
-  } else {
-    // Below expected but not previously seen: a skipped flit finally
-    // arriving after the stream moved past it.
+  } else if (fill_gap(index)) {
+    // A skipped flit finally arriving after the stream moved past it.
     stats_.late_deliveries += 1;
+  } else {
+    stats_.duplicates += 1;  // Fail_order: the application executes it twice
   }
+}
+
+bool StreamScoreboard::fill_gap(std::uint64_t index) {
+  auto it = gaps_.upper_bound(index);
+  if (it == gaps_.begin()) return false;
+  --it;
+  const std::uint64_t first = it->first;
+  const std::uint64_t end = it->second;
+  if (index >= end) return false;
+  if (index == first) {
+    it = gaps_.erase(it);
+  } else {
+    it->second = index;
+    ++it;
+  }
+  if (index + 1 < end) gaps_.emplace_hint(it, index + 1, end);
+  gap_positions_ -= 1;
+  return true;
 }
 
 StreamScoreboard::Stats StreamScoreboard::finalize() const {
   Stats out = stats_;
-  if (any_delivered_) {
-    std::uint64_t missing = 0;
-    for (std::uint64_t i = 0; i <= highest_delivered_ && i < seen_.size(); ++i) {
-      if (!seen_[i]) ++missing;
-    }
-    out.missing = missing;
-  }
+  out.missing = gap_positions_;
   return out;
 }
 

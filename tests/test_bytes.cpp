@@ -110,26 +110,5 @@ TEST(Bytes, HexdumpEmpty) {
   EXPECT_TRUE(hexdump({}).empty());
 }
 
-TEST(Bytes, Fnv1a64DetectsAnySingleByteChange) {
-  // The contract the scoreboards' payload hash relies on: flipping any
-  // single byte (bulk lanes and the tail alike) changes the hash.
-  std::vector<std::uint8_t> buf(29);  // 3 full lanes + a 5-byte tail
-  for (std::size_t i = 0; i < buf.size(); ++i)
-    buf[i] = static_cast<std::uint8_t>(i * 7 + 1);
-  const std::uint64_t reference = fnv1a64(buf);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    std::vector<std::uint8_t> changed = buf;
-    changed[i] ^= 0x80;
-    EXPECT_NE(fnv1a64(changed), reference) << "byte " << i;
-  }
-}
-
-TEST(Bytes, Fnv1a64LengthAndEmpty) {
-  EXPECT_EQ(fnv1a64({}), 0xCBF29CE484222325ull);  // FNV-1a offset basis
-  const std::vector<std::uint8_t> zeros8(8, 0);
-  const std::vector<std::uint8_t> zeros9(9, 0);
-  EXPECT_NE(fnv1a64(zeros8), fnv1a64(zeros9));
-}
-
 }  // namespace
 }  // namespace rxl

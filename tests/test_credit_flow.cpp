@@ -5,6 +5,7 @@
 // label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -164,11 +165,10 @@ struct DirectPair {
         [this](sim::FlitEnvelope&& envelope) { rx->on_flit(std::move(envelope)); });
     reverse->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { tx->on_flit(std::move(envelope)); });
-    tx->set_source([this](std::uint64_t index)
-                       -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      return std::vector<std::uint8_t>(kPayloadBytes,
-                                       static_cast<std::uint8_t>(index));
+    tx->set_source([this](std::uint64_t index, Endpoint::PayloadOut out) {
+      if (index >= budget) return false;
+      std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(index));
+      return true;
     });
     rx->set_deliver([this](std::span<const std::uint8_t>,
                            const sim::FlitEnvelope&) { delivered += 1; });
@@ -259,10 +259,10 @@ TEST(CreditFlow, NoRouteDropsReturnTheirCredits) {
   relay.port(0).set_output(&control);
   control.set_receiver(
       [&tx](sim::FlitEnvelope&& envelope) { tx.on_flit(std::move(envelope)); });
-  tx.set_source([](std::uint64_t index)
-                    -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= 5) return std::nullopt;
-    return std::vector<std::uint8_t>(kPayloadBytes, 0x5A);
+  tx.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
+    if (index >= 5) return false;
+    std::fill(out.begin(), out.end(), std::uint8_t{0x5A});
+    return true;
   });
   tx.kick();
   queue.run_until(10'000'000);

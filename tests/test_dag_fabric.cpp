@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "rxl/link/credit.hpp"
@@ -386,10 +387,10 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   relay.port(0).set_output(&control);
   control.set_receiver(
       [&tx](sim::FlitEnvelope&& envelope) { tx.on_flit(std::move(envelope)); });
-  tx.set_source([](std::uint64_t index)
-                    -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= 3) return std::nullopt;
-    return std::vector<std::uint8_t>(kPayloadBytes, 0x5A);
+  tx.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
+    if (index >= 3) return false;
+    std::fill(out.begin(), out.end(), std::uint8_t{0x5A});
+    return true;
   });
   tx.kick();
   queue.run_until(1'000'000);

@@ -1,7 +1,10 @@
 // Endpoint pair over a direct link: delivery, retry, ACK flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <optional>
+#include <vector>
 
 #include "rxl/phy/error_model.hpp"
 #include "rxl/transport/endpoint.hpp"
@@ -10,14 +13,23 @@
 namespace rxl::transport {
 namespace {
 
+/// Stream payload for position `index`: every byte `Salt`, except the low
+/// index bytes up front.
+template <std::uint8_t Salt>
+void payload_stream(std::uint64_t index, Endpoint::PayloadOut out) {
+  std::fill(out.begin(), out.end(), Salt);
+  out[0] = static_cast<std::uint8_t>(index);
+  out[1] = static_cast<std::uint8_t>(index >> 8);
+}
+
 struct PairHarness {
   sim::EventQueue queue;
   std::optional<Endpoint> a;  // "host"
   std::optional<Endpoint> b;  // "device"
   std::optional<sim::LinkChannel> a_to_b;
   std::optional<sim::LinkChannel> b_to_a;
-  txn::StreamScoreboard down;  // a -> b
-  txn::StreamScoreboard up;    // b -> a
+  txn::StreamScoreboard down{payload_stream<1>};  // a -> b
+  txn::StreamScoreboard up{payload_stream<2>};    // b -> a
 
   PairHarness(const ProtocolConfig& config,
               std::unique_ptr<phy::ErrorModel> forward_errors,
@@ -32,21 +44,19 @@ struct PairHarness {
         [this](sim::FlitEnvelope&& envelope) { b->on_flit(std::move(envelope)); });
     b_to_a->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { a->on_flit(std::move(envelope)); });
-    attach(*a, *b, down, a_flits, 1);
-    attach(*b, *a, up, b_flits, 2);
+    attach(*a, *b, down, a_flits, payload_stream<1>);
+    attach(*b, *a, up, b_flits, payload_stream<2>);
   }
 
   static void attach(Endpoint& tx, Endpoint& rx, txn::StreamScoreboard& board,
-                     std::uint64_t budget, std::uint64_t salt) {
-    tx.set_source([&board, budget, salt](std::uint64_t index)
-                      -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      std::vector<std::uint8_t> payload(kPayloadBytes,
-                                        static_cast<std::uint8_t>(salt));
-      payload[0] = static_cast<std::uint8_t>(index);
-      payload[1] = static_cast<std::uint8_t>(index >> 8);
-      board.register_sent(index, payload);
-      return payload;
+                     std::uint64_t budget,
+                     void (*fill)(std::uint64_t, Endpoint::PayloadOut)) {
+    tx.set_source([&board, budget, fill](std::uint64_t index,
+                                         Endpoint::PayloadOut out) {
+      if (index >= budget) return false;
+      fill(index, out);
+      board.register_sent(index);
+      return true;
     });
     rx.set_deliver([&board](std::span<const std::uint8_t> payload,
                             const sim::FlitEnvelope& envelope) {
@@ -177,6 +187,165 @@ TEST(Endpoint, SequenceNumbersWrapCleanly) {
   EXPECT_EQ(down.in_order, 2500u);
   EXPECT_EQ(down.order_violations, 0u);
   EXPECT_EQ(harness.a->debug_next_seq(), 2500 % 1024);
+}
+
+/// A transmitter whose new data comes from a scripted relay source, over a
+/// clean link to a receiver that never answers: nothing is ever acked, so
+/// the retry buffer holds every committed flit until the hop dies.
+struct ScriptedRelayHarness {
+  static constexpr std::uint16_t kFlow = 5;
+  static constexpr std::uint16_t kPhantomFlow = 77;  ///< never committed
+  sim::EventQueue queue;
+  std::optional<Endpoint> tx;
+  std::optional<Endpoint> rx;
+  std::optional<sim::LinkChannel> forward;
+  std::uint64_t pulls = 0;
+  std::uint64_t items = 0;
+  std::vector<std::uint64_t> delivered;
+  bool payloads_intact = true;
+  std::optional<Endpoint::HopDownEvent> hop_down;
+
+  static void fill_item(std::uint64_t index, Endpoint::PayloadOut out) {
+    std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(0x10 + index));
+  }
+
+  ScriptedRelayHarness() {
+    ProtocolConfig config;
+    config.protocol = Protocol::kRxl;
+    config.retry_timeout = 1'000'000;
+    config.max_retry_episodes = 1;
+    tx.emplace(queue, config, "tx");
+    rx.emplace(queue, config, "rx");
+    forward.emplace(queue, std::make_unique<phy::NoErrors>(), 11);
+    tx->set_output(&*forward);
+    forward->set_receiver([this](sim::FlitEnvelope&& envelope) {
+      rx->on_flit(std::move(envelope));
+    });
+    // Every pull scribbles over the reserved slot first; only every third
+    // one hands a payload over. The others come back empty, credit-blocked
+    // or ECN-blocked, each tagged with a flow no committed flit carries.
+    tx->set_relay_source([this](Endpoint::PayloadOut out) {
+      std::fill(out.begin(), out.end(), std::uint8_t{0xEE});
+      Endpoint::RelayPull pull;
+      pull.flow_id = kPhantomFlow;
+      pull.truth_index = 999;
+      switch (pulls++ % 4) {
+        case 0:
+          break;  // empty queue
+        case 1:
+          pull.credit_blocked = true;
+          break;
+        case 2:
+          pull.ecn_blocked = true;
+          break;
+        default:
+          fill_item(items, out);
+          pull.pulled = true;
+          pull.flow_id = kFlow;
+          pull.truth_index = items++;
+          break;
+      }
+      return pull;
+    });
+    rx->set_deliver([this](std::span<const std::uint8_t> payload,
+                           const sim::FlitEnvelope& envelope) {
+      std::array<std::uint8_t, kPayloadBytes> want;
+      fill_item(envelope.truth_index, want);
+      payloads_intact =
+          payloads_intact &&
+          std::equal(payload.begin(), payload.end(), want.begin());
+      delivered.push_back(envelope.truth_index);
+    });
+    tx->set_hop_down([this](Endpoint::HopDownEvent&& event) {
+      hop_down = std::move(event);
+    });
+  }
+};
+
+TEST(Endpoint, UncommittedRetrySlotNeverLeaks) {
+  // Relay pulls that come back empty, credit-blocked or ECN-blocked leave
+  // their reserved retry slot uncommitted: the flit count, the reroute
+  // probe and the dead-hop drain see only committed flits, and no byte a
+  // dropped pull wrote reaches the wire.
+  ScriptedRelayHarness harness;
+  // Each unproductive pull idles the transmitter; kick it every 3 ns.
+  for (TimePs at = 0; at < 150'000; at += 3'000)
+    harness.queue.schedule(at, [&harness] { harness.tx->kick(); });
+  std::size_t held_mid_run = 0;
+  bool phantom_held = true;
+  harness.queue.schedule(200'000, [&] {
+    held_mid_run = harness.tx->debug_retry_buffer_size();
+    phantom_held =
+        harness.tx->tx_holds_flow(ScriptedRelayHarness::kPhantomFlow);
+  });
+  harness.queue.run_until(10'000'000);
+
+  ASSERT_GT(harness.items, 10u);
+  EXPECT_EQ(harness.pulls / 4, harness.items);  // one item per four pulls
+  EXPECT_EQ(held_mid_run, harness.items);
+  EXPECT_FALSE(phantom_held);
+  EXPECT_EQ(harness.tx->stats().data_flits_sent, harness.items);
+  ASSERT_EQ(harness.delivered.size(), harness.items);
+  EXPECT_TRUE(harness.payloads_intact);
+
+  // The silent receiver kills the hop; the drain is the committed flits.
+  ASSERT_TRUE(harness.hop_down.has_value());
+  ASSERT_EQ(harness.hop_down->drained.size(), harness.items);
+  for (std::size_t i = 0; i < harness.items; ++i) {
+    const Endpoint::TxItem& item = harness.hop_down->drained[i].item;
+    EXPECT_EQ(item.truth_index, i);
+    EXPECT_EQ(item.flow_id, ScriptedRelayHarness::kFlow);
+    std::array<std::uint8_t, kPayloadBytes> want;
+    ScriptedRelayHarness::fill_item(i, want);
+    EXPECT_EQ(item.payload, want) << "drained flit " << i;
+  }
+}
+
+TEST(Endpoint, SourceWithoutDataCommitsNothing) {
+  ProtocolConfig config;
+  config.protocol = Protocol::kRxl;
+  config.retry_timeout = 0;
+  sim::EventQueue queue;
+  Endpoint tx(queue, config, "tx");
+  sim::LinkChannel wire(queue, std::make_unique<phy::NoErrors>(), 11);
+  tx.set_output(&wire);
+  tx.set_flow_id(3);
+  std::uint64_t offered = 0;
+  std::uint64_t calls = 0;
+  tx.set_source([&offered, &calls](std::uint64_t index,
+                                   Endpoint::PayloadOut out) {
+    calls += 1;
+    std::fill(out.begin(), out.end(), std::uint8_t{0xEE});
+    return index < offered;
+  });
+  tx.kick();
+  queue.run_until(100'000);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(tx.debug_retry_buffer_size(), 0u);
+  EXPECT_FALSE(tx.tx_holds_flow(3));
+  offered = 2;
+  tx.kick();
+  queue.run_until(200'000);
+  EXPECT_EQ(tx.debug_retry_buffer_size(), 2u);
+  EXPECT_TRUE(tx.tx_holds_flow(3));
+  EXPECT_EQ(tx.stats().data_flits_sent, 2u);
+}
+
+TEST(EndpointDeathTest, NestedPullOnTheSameEndpointAborts) {
+  // A source that re-enters its own endpoint's transmit loop would reserve
+  // the retry slot it is still filling. Checked in release builds too.
+  ProtocolConfig config;
+  config.protocol = Protocol::kRxl;
+  sim::EventQueue queue;
+  Endpoint tx(queue, config, "tx");
+  sim::LinkChannel wire(queue, std::make_unique<phy::NoErrors>(), 11);
+  tx.set_output(&wire);
+  Endpoint* const self = &tx;
+  tx.set_source([self](std::uint64_t, Endpoint::PayloadOut) {
+    self->kick();
+    return true;
+  });
+  EXPECT_DEATH(tx.kick(), "reserved again before the reservation");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // slow label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -214,11 +215,10 @@ struct FaultyPair {
       tx->on_flit(std::move(envelope));
     });
     tx->set_flow_id(9);
-    tx->set_source([this](std::uint64_t index)
-                       -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      return std::vector<std::uint8_t>(kPayloadBytes,
-                                       static_cast<std::uint8_t>(index));
+    tx->set_source([this](std::uint64_t index, Endpoint::PayloadOut out) {
+      if (index >= budget) return false;
+      std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(index));
+      return true;
     });
     rx->set_deliver([this](std::span<const std::uint8_t>,
                            const sim::FlitEnvelope&) { delivered += 1; });

@@ -222,6 +222,95 @@ TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
   EXPECT_EQ(buffer.find_entry(3 + kSeqModulus), buffer.find_entry(3));
 }
 
+TEST(RetryBuffer, UncommittedReservationIsInvisible) {
+  // A source with nothing to send, or a credit- or ECN-blocked relay pull,
+  // leaves its reserved slot uncommitted. Whatever the caller wrote into
+  // it, size, find, find_entry, for_each(_from), holds_flow and the
+  // dead-hop drain see exactly the committed entries; a dropped slot is
+  // handed out again, and a committed one is an ordinary entry.
+  for (const std::size_t capacity : {1u, 2u, 3u, 4u, 8u, 512u}) {
+    for (const std::uint16_t start : {0, 1022}) {
+      SCOPED_TRACE(testing::Message() << "window " << start << "+" << capacity);
+      Xoshiro256 rng(capacity * 7 + start);
+      RetryBuffer buffer(capacity);
+      std::deque<RetryBuffer::Entry> model;
+      std::uint16_t next = start;
+      std::uint64_t tag = 0;
+      for (int round = 0; round < 48; ++round) {
+        if (!buffer.full()) {
+          flit::Flit& slot = buffer.reserve();
+          slot.bytes()[0] = 0xEE;
+          std::fill(slot.payload().begin(), slot.payload().end(),
+                    std::uint8_t{0xEE});
+          expect_matches_model(buffer, model);
+          if (HasFatalFailure()) return;
+          if (rng.bounded(3) == 0) {
+            buffer.drop_reservation();
+            expect_matches_model(buffer, model);
+            if (HasFatalFailure()) return;
+            // The dropped slot comes back on the next reservation.
+            ASSERT_EQ(&buffer.reserve(), &slot);
+          }
+          RetryBuffer::Entry entry{};
+          entry.seq = next;
+          entry.flow_tag = static_cast<std::uint16_t>(rng.bounded(6));
+          entry.vc = static_cast<std::uint8_t>(rng.bounded(4));
+          entry.user_tag = tag++;
+          slot.payload()[0] = static_cast<std::uint8_t>(entry.user_tag);
+          entry.flit = slot;
+          buffer.commit(next, entry.user_tag, entry.flow_tag, entry.vc);
+          ASSERT_EQ(&buffer.find_entry(next)->flit, &slot);
+          model.push_back(entry);
+          next = seq_next(next);
+          expect_matches_model(buffer, model);
+          if (HasFatalFailure()) return;
+        }
+        if (round % 16 == 15 && !buffer.full()) {
+          // Dead-hop drain with a reservation outstanding: the drain holds
+          // the committed entries only, and the reservation goes with it.
+          (void)buffer.reserve();
+          std::vector<std::uint64_t> drained;
+          buffer.for_each([&](const RetryBuffer::Entry& entry) {
+            drained.push_back(entry.user_tag);
+          });
+          ASSERT_EQ(drained.size(), model.size());
+          buffer.clear();
+          model.clear();
+          expect_matches_model(buffer, model);
+          if (HasFatalFailure()) return;
+        } else if (!model.empty() && rng.bounded(2) == 0) {
+          const auto released =
+              static_cast<std::size_t>(rng.bounded(model.size() + 1));
+          if (released > 0) {
+            const std::uint16_t acked = seq_add(
+                model.front().seq,
+                static_cast<std::uint16_t>(released + kSeqMask));  // -1
+            ASSERT_EQ(buffer.ack_up_to(acked), released);
+            model.erase(model.begin(),
+                        model.begin() + static_cast<std::ptrdiff_t>(released));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RetryBufferDeathTest, ReservingTwiceAbortsInEveryBuild) {
+  // What a nested send on the same endpoint, from inside its own source
+  // pull, would do. Checked in release builds too: a second reservation
+  // would hand out the slot the first caller is still writing.
+  RetryBuffer buffer(4);
+  (void)buffer.reserve();
+  EXPECT_DEATH((void)buffer.reserve(), "reserved again before the reservation");
+}
+
+TEST(RetryBufferDeathTest, CommitWithoutReservationAborts) {
+  RetryBuffer buffer(4);
+  (void)buffer.reserve();
+  buffer.drop_reservation();
+  EXPECT_DEATH(buffer.commit(0), "commit without a reservation");
+}
+
 TEST(RetryBuffer, FindEntryExposesUserTag) {
   RetryBuffer buffer(4);
   buffer.push(0, tagged_flit(9), 1234);

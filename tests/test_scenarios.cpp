@@ -16,6 +16,15 @@
 namespace rxl::transport {
 namespace {
 
+/// The trace's payload for stream position `index`: one message, same CQID,
+/// tag = stream index (requests for the Fig. 5a trace, data for Fig. 5b).
+void pack_trace_payload(flit::MessageKind kind, std::uint64_t index,
+                        Endpoint::PayloadOut out) {
+  const flit::PackedMessage message{kind, /*cqid=*/0,
+                                    static_cast<std::uint16_t>(index)};
+  flit::pack_messages(std::span<const flit::PackedMessage>(&message, 1), out);
+}
+
 /// host -> [kill-flit-1 channel] -> switch -> channel -> device, plus a
 /// clean direct return path for NACKs/ACKs.
 struct ScenarioHarness {
@@ -31,7 +40,10 @@ struct ScenarioHarness {
   std::vector<std::uint64_t> delivery_order;  ///< truth indices as delivered
 
   ScenarioHarness(Protocol protocol, flit::MessageKind kind,
-                  std::uint64_t flits = 4) {
+                  std::uint64_t flits = 4)
+      : stream([kind](std::uint64_t index, Endpoint::PayloadOut out) {
+          pack_trace_payload(kind, index, out);
+        }) {
     ProtocolConfig config;
     config.protocol = protocol;
     config.coalesce_factor = 100;  // no spontaneous acks during the trace
@@ -67,17 +79,12 @@ struct ScenarioHarness {
       host->on_flit(std::move(envelope));
     });
 
-    host->set_source([this, kind, flits](std::uint64_t index)
-                         -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= flits) return std::nullopt;
-      // One message per flit, same CQID, tag = stream index: requests for
-      // the Fig. 5a trace, data for Fig. 5b.
-      std::vector<flit::PackedMessage> messages{
-          {kind, /*cqid=*/0, static_cast<std::uint16_t>(index)}};
-      std::vector<std::uint8_t> payload(kPayloadBytes, 0);
-      flit::pack_messages(messages, payload);
-      stream.register_sent(index, payload);
-      return payload;
+    host->set_source([this, kind, flits](std::uint64_t index,
+                                         Endpoint::PayloadOut out) {
+      if (index >= flits) return false;
+      pack_trace_payload(kind, index, out);
+      stream.register_sent(index);
+      return true;
     });
     device->set_deliver([this](std::span<const std::uint8_t> payload,
                                const sim::FlitEnvelope& envelope) {

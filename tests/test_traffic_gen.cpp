@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "rxl/common/bytes.hpp"
 #include "rxl/common/rng.hpp"
 #include "rxl/stats/latency_histogram.hpp"
 #include "rxl/transport/dag_fabric.hpp"
+#include "rxl/transport/traffic.hpp"
 
 namespace rxl {
 namespace {
@@ -25,6 +28,89 @@ using transport::ArrivalKind;
 using transport::ArrivalProcess;
 using transport::ArrivalSpec;
 using transport::ClosedLoopWindow;
+
+// --------------------------------------------------------------------------
+// Stream payloads
+// --------------------------------------------------------------------------
+
+TEST(StreamPayload, KnownAnswers) {
+  // Every byte of the payload at a few (index, salt) pairs, recorded from
+  // the vector-returning generator the in-place fill replaced, as
+  // little-endian words. Word 0 is the index itself.
+  struct Case {
+    std::uint64_t index;
+    std::uint64_t salt;
+    std::array<std::uint64_t, kPayloadBytes / 8> words;
+  };
+  const std::array<Case, 4> cases{{
+      {0, 0,
+       {{
+          0x0000000000000000ull, 0x99EC5F36CB75F2B4ull, 0xBF6E1F784956452Aull,
+          0x1A5F849D4933E6E0ull, 0x6AA594F1262D2D2Cull, 0xBBA5AD4A1F842E59ull,
+          0xFFEF8375D9EBCACAull, 0x6C160DEED2F54C98ull, 0x8920AD648FC30A3Full,
+          0xDB032C0BA7539731ull, 0xEB3A475A3E749A3Dull, 0x1D42993FA43F2A54ull,
+          0x11361BF526A14BB5ull, 0x1B4F07A5AB3D8E9Cull, 0xA7A3257F6986DB7Full,
+          0x7EFDAA95605DFC9Cull, 0x4BDE97C0A78EAAB8ull, 0xB455EAC43518666Cull,
+          0x304DBF6C06730690ull, 0x8CBE7776598A798Cull, 0x0ECBDF7FFCD727E5ull,
+          0x4FF52157533FE270ull, 0x7E61475B87242F2Eull, 0x52558C68A9316824ull,
+          0xA0BD00C592471176ull, 0xFC9B83A3A0C63B9Eull, 0x4D786C0F0A8B88EFull,
+          0xA52473C4F62F2338ull, 0xE9DC0037DB25D6D9ull, 0xFCE5EBA9D25094C3ull
+       }}},
+      {1, 0x00D0,
+       {{
+          0x0000000000000001ull, 0xB04D4949FC618DDAull, 0x856E8E013205A641ull,
+          0xC74625116C0DA9C2ull, 0xB67D65823C64C62Full, 0x4882B14CCC98D3FCull,
+          0xC1FDCC62C1E1D889ull, 0x819C764E12733BDDull, 0xD952A99E1416218Aull,
+          0x4E28E57751A3CDA5ull, 0xE178799E5FB3AC75ull, 0x37C407AC1D356241ull,
+          0x1A0DB2547C9E98E3ull, 0x8CF8AE6112F5C746ull, 0x7C68F6D31E9BB0C1ull,
+          0x554717B54BBFA33Aull, 0x9297D915AAAAA5FCull, 0xEE8FF17077A98B5Eull,
+          0x73FC8AEA3F3AC710ull, 0x729EFDEBDB96FC99ull, 0xFB549B6F5B0AA6CDull,
+          0xBAE62C528F01A111ull, 0x1EB269C253B8A37Eull, 0xA82AB9F7A15E402Bull,
+          0x99E3FFEAB5136776ull, 0x8B4F4A7F396B76FAull, 0xB2F4621C956FE509ull,
+          0xC64974FEC88E5088ull, 0x0D39654235AA30D9ull, 0x51303F6304B2570Eull
+       }}},
+      {12345, 0x0B0B,
+       {{
+          0x0000000000003039ull, 0x0CFB5811CCD73B4Full, 0xF95C4E5EF5B9A4C9ull,
+          0x8995A1B30629BA78ull, 0xF1D5F32A016FAE6Aull, 0x24CD8C61F9672E93ull,
+          0x9C3D1015951E6F76ull, 0x34C60482AF6D65ABull, 0x944F6792F2ECA97Full,
+          0x69D620F991488891ull, 0x44052EB4BBF7A589ull, 0x23B1B7D8C190AE4Cull,
+          0xB1147AAA16C9F352ull, 0x9825BF2C1958D636ull, 0x34EA7F6336C753BDull,
+          0x501146C2BB293142ull, 0xC462474817046912ull, 0x3711F7B280E44880ull,
+          0xEEB75F916371CE15ull, 0xC4171CCF09A99968ull, 0xAA7ACA76D49331BFull,
+          0xE3F0F85A1BF099F7ull, 0x6DF8B102294F1CE1ull, 0xB3237A1B2EC796A8ull,
+          0x51079719D8151461ull, 0xA6226D03BF95A9C5ull, 0x0D7B5ADDF415450Eull,
+          0x5BF85D365BA80E0Aull, 0x295B563BEE3D7976ull, 0x3646BB2C1BDB8C6Full
+       }}},
+      {std::uint64_t{1} << 40, 7,
+       {{
+          0x0000010000000000ull, 0xF0BD9FC9CA8914D6ull, 0x226087026E3827FDull,
+          0xEF89B3252DB613E2ull, 0x134EFB27240F1239ull, 0xE9CC709B834ED343ull,
+          0xDA2543A18499E605ull, 0xD46D625C4AC10C8Eull, 0x02B12537D92BD4A5ull,
+          0x25E2B8A8A6F365D2ull, 0x35964297A03E3354ull, 0xCF93640A8ADB2E17ull,
+          0xC43109D7BBEF22C2ull, 0xFF70D39BC51B99D0ull, 0xA30CB816B69C4D7Full,
+          0xF63ED4D6F52A57A0ull, 0x07A2D13DE87204FEull, 0x2775B2D899D1C85Aull,
+          0x698724BF333D5AF0ull, 0xF0F51D632048326Cull, 0x2AD28B27E1A8E2BAull,
+          0x53EE7F9D417272FCull, 0xA19566FC194C8B7Dull, 0x82DE380C1BCEB272ull,
+          0xD913BCAB6DE07A62ull, 0xAAE114919DA8EB8Dull, 0x9B4F09D208FF079Cull,
+          0x1FCFE22A75B7BBD3ull, 0x6CF0DE0A86C8BB40ull, 0xCAD55E421928AFF6ull
+       }}}
+  }};
+  for (const Case& c : cases) {
+    std::array<std::uint8_t, kPayloadBytes> filled;
+    filled.fill(0xEE);  // a recycled slot: every byte must be written
+    transport::fill_stream_payload(c.index, c.salt, filled);
+    const std::vector<std::uint8_t> made =
+        transport::make_stream_payload(c.index, c.salt);
+    ASSERT_EQ(made.size(), kPayloadBytes);
+    for (std::size_t w = 0; w < c.words.size(); ++w) {
+      EXPECT_EQ(load_le64(filled, 8 * w), c.words[w])
+          << "index " << c.index << " word " << w;
+      EXPECT_EQ(load_le64(made, 8 * w), c.words[w])
+          << "index " << c.index << " word " << w;
+    }
+  }
+}
 
 // --------------------------------------------------------------------------
 // Nearest-rank percentile helpers

@@ -13,21 +13,29 @@
 #include "rxl/phy/error_model.hpp"
 #include "rxl/rs/flit_fec.hpp"
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 using namespace rxl;
 
 namespace {
 
-transport::FabricConfig base(transport::Protocol protocol) {
-  transport::FabricConfig config;
-  config.protocol.protocol = protocol;
-  config.switch_levels = 1;
-  config.seed = 11;
-  config.downstream_flits = 150'000;
-  config.upstream_flits = 150'000;
-  config.horizon = 700'000'000;
-  return config;
+transport::DagScenarioSpec base(transport::Protocol protocol) {
+  transport::DagScenarioSpec spec;
+  spec.protocol.protocol = protocol;
+  spec.seed = 11;
+  spec.flits_per_flow = 150'000;
+  spec.horizon = 700'000'000;
+  return spec;
+}
+
+/// Runs host <-> 1 switch level <-> device. In the report, hubs[0] is the
+/// downstream switch and hubs[1] the upstream one, channels[0..1] carry the
+/// downstream direction, and hops[0].a / .b are the host / device.
+transport::DagReport run_one_level(const transport::DagScenarioSpec& spec,
+                                   double switch_internal_error_rate = 0.0) {
+  transport::DagConfig config = transport::make_linear_dag(spec, 1);
+  config.hub_internal_error_rate = switch_internal_error_rate;
+  return transport::run_dag_fabric(config);
 }
 
 void coalescing_sweep() {
@@ -41,15 +49,11 @@ void coalescing_sweep() {
   for (const unsigned coalesce : {2u, 5u, 10u, 20u}) {
     for (const auto protocol :
          {transport::Protocol::kCxl, transport::Protocol::kRxl}) {
-      auto config = base(protocol);
-      config.protocol.coalesce_factor = coalesce;
-      config.burst_injection_rate = 2e-3;
-      const auto report = transport::run_fabric(config);
-      const std::uint64_t order =
-          report.downstream.scoreboard.order_violations +
-          report.upstream.scoreboard.order_violations +
-          report.downstream.scoreboard.duplicates +
-          report.upstream.scoreboard.duplicates;
+      auto spec = base(protocol);
+      spec.protocol.coalesce_factor = coalesce;
+      spec.burst_injection_rate = 2e-3;
+      const auto report = run_one_level(spec);
+      const std::uint64_t order = report.total_order_failures();
       std::string ratio = "-";
       if (protocol == transport::Protocol::kCxl) {
         if (cxl_reference < 0) cxl_reference = static_cast<double>(order);
@@ -59,8 +63,8 @@ void coalescing_sweep() {
                      sim::sci(1.0 / coalesce, 1),
                      transport::protocol_name(protocol), std::to_string(order),
                      ratio,
-                     std::to_string(report.downstream.tx.acks_piggybacked +
-                                    report.upstream.tx.acks_piggybacked)});
+                     std::to_string(report.hops[0].a.acks_piggybacked +
+                                    report.hops[0].b.acks_piggybacked)});
     }
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -73,23 +77,24 @@ void ber_sweep() {
                         "FEC corrected", "switch drops", "retry rounds",
                         "in-order", "missing"});
   for (const double ber : {1e-6, 1e-5, 1e-4, 3e-4}) {
-    auto config = base(transport::Protocol::kRxl);
-    config.ber = ber;
-    config.downstream_flits = 80'000;
-    config.upstream_flits = 80'000;
-    config.horizon = 400'000'000;
-    const auto report = transport::run_fabric(config);
+    auto spec = base(transport::Protocol::kRxl);
+    spec.ber = ber;
+    spec.flits_per_flow = 80'000;
+    spec.horizon = 400'000'000;
+    const auto report = run_one_level(spec);
+    const auto& down_switch = report.hubs[0].stats;
+    const auto& down = report.flows[0].scoreboard;
     analysis::ReliabilityParams params;
     params.ber = ber;
     table.add_row(
         {sim::sci(ber, 0), sim::sci(analysis::flit_error_rate(params)),
-         std::to_string(report.downstream.channel_flits_corrupted),
-         std::to_string(report.downstream.switch_fec_corrected +
-                        report.downstream.rx.fec_corrected_flits),
-         std::to_string(report.downstream.switch_dropped_fec),
-         std::to_string(report.downstream.tx.retry_rounds),
-         std::to_string(report.downstream.scoreboard.in_order),
-         std::to_string(report.downstream.scoreboard.missing)});
+         std::to_string(report.channels[0].flits_corrupted +
+                        report.channels[1].flits_corrupted),
+         std::to_string(down_switch.fec_corrected +
+                        report.hops[0].b.fec_corrected_flits),
+         std::to_string(down_switch.dropped_fec),
+         std::to_string(report.hops[0].a.retry_rounds),
+         std::to_string(down.in_order), std::to_string(down.missing)});
   }
   std::printf("%s\n", table.to_string().c_str());
 }
@@ -102,22 +107,18 @@ void internal_corruption_sweep() {
   for (const double rate : {1e-4, 1e-3, 1e-2}) {
     for (const auto protocol :
          {transport::Protocol::kCxl, transport::Protocol::kRxl}) {
-      auto config = base(protocol);
-      config.switch_internal_error_rate = rate;
-      config.downstream_flits = 80'000;
-      config.upstream_flits = 80'000;
-      config.horizon = 400'000'000;
-      const auto report = transport::run_fabric(config);
+      auto spec = base(protocol);
+      spec.flits_per_flow = 80'000;
+      spec.horizon = 400'000'000;
+      const auto report = run_one_level(spec, rate);
       table.add_row(
           {sim::sci(rate, 0), transport::protocol_name(protocol),
-           std::to_string(report.downstream.switch_internal_corruptions +
-                          report.upstream.switch_internal_corruptions),
-           std::to_string(report.downstream.scoreboard.data_corruptions +
-                          report.upstream.scoreboard.data_corruptions),
-           std::to_string(report.downstream.tx.retry_rounds +
-                          report.upstream.tx.retry_rounds),
-           std::to_string(report.downstream.scoreboard.missing +
-                          report.upstream.scoreboard.missing)});
+           std::to_string(report.hubs[0].stats.internal_corruptions +
+                          report.hubs[1].stats.internal_corruptions),
+           std::to_string(report.total_data_corruptions()),
+           std::to_string(report.hops[0].a.retry_rounds +
+                          report.hops[0].b.retry_rounds),
+           std::to_string(report.total_missing())});
     }
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -186,29 +187,23 @@ void retry_mode_sweep() {
                         "unchecked deliveries"});
   for (const transport::RetryMode mode :
        {transport::RetryMode::kGoBackN, transport::RetryMode::kSelectiveRepeat}) {
-    auto config = base(transport::Protocol::kCxl);
-    config.protocol.retry_mode = mode;
-    config.burst_injection_rate = 2e-3;
-    config.downstream_flits = 80'000;
-    config.upstream_flits = 80'000;
-    config.horizon = 400'000'000;
-    const auto report = transport::run_fabric(config);
+    auto spec = base(transport::Protocol::kCxl);
+    spec.protocol.retry_mode = mode;
+    spec.burst_injection_rate = 2e-3;
+    spec.flits_per_flow = 80'000;
+    spec.horizon = 400'000'000;
+    const auto report = run_one_level(spec);
+    const auto& hop = report.hops[0];
     table.add_row(
         {mode == transport::RetryMode::kGoBackN ? "go-back-N"
                                                 : "selective repeat",
-         std::to_string(report.downstream.tx.data_flits_retransmitted +
-                        report.upstream.tx.data_flits_retransmitted),
-         std::to_string(report.downstream.tx.retry_rounds +
-                        report.upstream.tx.retry_rounds),
-         std::to_string(report.downstream.scoreboard.in_order +
-                        report.upstream.scoreboard.in_order),
-         std::to_string(report.downstream.scoreboard.order_violations +
-                        report.upstream.scoreboard.order_violations +
-                        report.downstream.scoreboard.duplicates +
-                        report.upstream.scoreboard.duplicates),
-         "(see note)",
-         std::to_string(report.downstream.rx_extra.unchecked_deliveries +
-                        report.upstream.rx_extra.unchecked_deliveries)});
+         std::to_string(hop.a.data_flits_retransmitted +
+                        hop.b.data_flits_retransmitted),
+         std::to_string(hop.a.retry_rounds + hop.b.retry_rounds),
+         std::to_string(report.total_in_order()),
+         std::to_string(report.total_order_failures()), "(see note)",
+         std::to_string(hop.a_extra.unchecked_deliveries +
+                        hop.b_extra.unchecked_deliveries)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

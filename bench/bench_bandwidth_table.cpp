@@ -9,7 +9,7 @@
 
 #include "rxl/analysis/bandwidth_model.hpp"
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 using namespace rxl;
 
@@ -67,43 +67,44 @@ void simulated_section() {
        link::AckPolicy::kPiggyback, 1, "0.30%"},
   };
   for (const Case& test_case : cases) {
-    transport::FabricConfig config;
-    config.protocol.protocol = test_case.protocol;
-    config.protocol.ack_policy = test_case.policy;
-    config.protocol.coalesce_factor =
+    transport::DagScenarioSpec spec;
+    spec.protocol.protocol = test_case.protocol;
+    spec.protocol.ack_policy = test_case.policy;
+    spec.protocol.coalesce_factor =
         test_case.policy == link::AckPolicy::kStandalone ? 1 : 10;
-    config.protocol.retry_timeout = 1'000'000;  // 1 us
-    config.switch_levels = test_case.levels;
-    config.burst_injection_rate = kBurstRate;
-    config.propagation_latency = 24'000;  // ps; NACK round trip ~100 ns
-    config.seed = 99;
+    spec.protocol.retry_timeout = 1'000'000;  // 1 us
+    spec.burst_injection_rate = kBurstRate;
+    spec.latency = 24'000;  // ps; NACK round trip ~100 ns
+    spec.seed = 99;
     // Saturating in the measured direction; the reverse direction carries
     // acks (and, for the piggyback cases, its own saturating data).
-    config.downstream_flits = 1'500'000;  // more than the horizon can carry
-    config.upstream_flits =
-        test_case.policy == link::AckPolicy::kStandalone ? 0 : 1'500'000;
-    config.horizon = 2'000'000'000;  // 1M slots
-    const auto report = transport::run_fabric(config);
+    spec.flits_per_flow = 1'500'000;  // more than the horizon can carry
+    spec.horizon = 2'000'000'000;     // 1M slots
+    transport::DagConfig config =
+        transport::make_linear_dag(spec, test_case.levels);
+    if (test_case.policy == link::AckPolicy::kStandalone)
+      config.flows[1].flits = 0;
+    const auto report = transport::run_dag_fabric(config);
 
     const double slots = static_cast<double>(report.slots);
+    const auto& host = report.hops[0].a;
+    const double in_order =
+        static_cast<double>(report.flows[0].scoreboard.in_order);
     double measured_loss;
-    double in_order;
     if (test_case.policy == link::AckPolicy::kStandalone) {
       // Eq. 13 regime: data flows downstream only; the cost is the reverse
       // link carrying one standalone ACK flit per data flit. Report the
       // reverse link's ACK occupancy.
-      in_order = static_cast<double>(report.downstream.scoreboard.in_order);
       measured_loss =
-          static_cast<double>(report.upstream.tx.control_flits_sent) / slots;
+          static_cast<double>(report.hops[0].b.control_flits_sent) / slots;
     } else {
-      in_order = static_cast<double>(report.downstream.scoreboard.in_order);
       measured_loss = 1.0 - in_order / slots;
     }
     table.add_row(
         {test_case.name,
          std::to_string(static_cast<unsigned long long>(in_order)),
          std::to_string(static_cast<unsigned long long>(slots)),
-         std::to_string(report.downstream.tx.retry_rounds),
+         std::to_string(host.retry_rounds),
          sim::pct(measured_loss, 3), test_case.paper});
   }
   std::printf("%s\n", table.to_string().c_str());

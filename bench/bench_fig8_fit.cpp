@@ -9,7 +9,7 @@
 
 #include "rxl/analysis/reliability_model.hpp"
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 using namespace rxl;
 
@@ -39,35 +39,31 @@ void monte_carlo_shape() {
       "== Fig. 8 shape validation (Monte-Carlo, inflated burst rate 1e-3,\n"
       "   150k flits/direction per point) ==\n\n");
   sim::TextTable table({"switch levels", "protocol", "drops", "order fails",
-                        "order rate/flit", "95%% CI", "missing"});
+                        "order rate/flit", "95% CI", "missing"});
   for (const unsigned levels : {0u, 1u, 2u, 3u, 4u}) {
     for (const auto protocol :
          {transport::Protocol::kCxl, transport::Protocol::kRxl}) {
-      transport::FabricConfig config;
-      config.protocol.protocol = protocol;
-      config.protocol.coalesce_factor = 10;
-      config.switch_levels = levels;
-      config.burst_injection_rate = 1e-3;
-      config.seed = 42 + levels;
-      config.downstream_flits = 150'000;
-      config.upstream_flits = 150'000;
-      config.horizon = 700'000'000;
-      const auto report = transport::run_fabric(config);
-      const auto& down = report.downstream.scoreboard;
-      const auto& up = report.upstream.scoreboard;
-      const std::uint64_t order = down.order_violations + up.order_violations +
-                                  down.duplicates + up.duplicates;
-      const std::uint64_t sent = report.downstream.tx.data_flits_sent +
-                                 report.upstream.tx.data_flits_sent;
+      transport::DagScenarioSpec spec;
+      spec.protocol.protocol = protocol;
+      spec.protocol.coalesce_factor = 10;
+      spec.burst_injection_rate = 1e-3;
+      spec.seed = 42 + levels;
+      spec.flits_per_flow = 150'000;
+      spec.horizon = 700'000'000;
+      const auto report =
+          transport::run_dag_fabric(transport::make_linear_dag(spec, levels));
+      const std::uint64_t order = report.total_order_failures();
+      const std::uint64_t sent =
+          report.hops[0].a.data_flits_sent + report.hops[0].b.data_flits_sent;
+      std::uint64_t drops = 0;
+      for (const auto& hub : report.hubs) drops += hub.stats.dropped_fec;
       const auto ci = sim::wilson_interval(order, sent);
       const std::string interval =
           sim::interval_str(sim::sci(ci.lower, 1), sim::sci(ci.upper, 1));
-      table.add_row(
-          {std::to_string(levels), transport::protocol_name(protocol),
-           std::to_string(report.downstream.switch_dropped_fec +
-                          report.upstream.switch_dropped_fec),
-           std::to_string(order), sim::sci(ci.estimate), interval,
-           std::to_string(down.missing + up.missing)});
+      table.add_row({std::to_string(levels), transport::protocol_name(protocol),
+                     std::to_string(drops), std::to_string(order),
+                     sim::sci(ci.estimate), interval,
+                     std::to_string(report.total_missing())});
     }
   }
   std::printf("%s\n", table.to_string().c_str());

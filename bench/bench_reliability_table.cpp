@@ -11,7 +11,7 @@
 #include "rxl/analysis/reliability_model.hpp"
 #include "rxl/sim/stats.hpp"
 #include "rxl/sim/trial_runner.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 using namespace rxl;
 
@@ -73,30 +73,29 @@ void monte_carlo_section() {
   constexpr transport::Protocol kProtocols[] = {transport::Protocol::kCxl,
                                                 transport::Protocol::kRxl};
   const auto reports = sim::run_trials(2, [&](std::size_t trial) {
-    transport::FabricConfig config;
-    config.protocol.protocol = kProtocols[trial];
-    config.protocol.coalesce_factor = 10;
-    config.switch_levels = 1;
-    config.burst_injection_rate = kRate;
-    config.seed = 7;
-    config.downstream_flits = 400'000;
-    config.upstream_flits = 400'000;
-    config.horizon = 1'800'000'000;  // 1.8 ms
-    return transport::run_fabric(config);
+    transport::DagScenarioSpec spec;
+    spec.protocol.protocol = kProtocols[trial];
+    spec.protocol.coalesce_factor = 10;
+    spec.burst_injection_rate = kRate;
+    spec.seed = 7;
+    spec.flits_per_flow = 400'000;
+    spec.horizon = 1'800'000'000;  // 1.8 ms
+    return transport::run_dag_fabric(transport::make_linear_dag(spec, 1));
   });
   for (std::size_t trial = 0; trial < reports.size(); ++trial) {
     const transport::Protocol protocol = kProtocols[trial];
     const auto& report = reports[trial];
 
-    const auto& board = report.downstream.scoreboard;
-    const auto& up = report.upstream.scoreboard;
+    const auto& board = report.flows[0].scoreboard;
+    const auto& up = report.flows[1].scoreboard;
+    const auto& host = report.hops[0].a;
+    const auto& device = report.hops[0].b;
     const double sent = static_cast<double>(
-        report.downstream.tx.data_flits_sent +
-        report.upstream.tx.data_flits_sent +
-        report.downstream.tx.data_flits_retransmitted +
-        report.upstream.tx.data_flits_retransmitted);
-    const double drops = static_cast<double>(
-        report.downstream.switch_dropped_fec + report.upstream.switch_dropped_fec);
+        host.data_flits_sent + device.data_flits_sent +
+        host.data_flits_retransmitted + device.data_flits_retransmitted);
+    std::uint64_t hub_drops = 0;
+    for (const auto& hub : report.hubs) hub_drops += hub.stats.dropped_fec;
+    const double drops = static_cast<double>(hub_drops);
     const double order =
         static_cast<double>(board.order_violations + up.order_violations);
     const double drop_rate = drops / sent;

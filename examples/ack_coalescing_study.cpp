@@ -11,7 +11,7 @@
 #include "rxl/analysis/bandwidth_model.hpp"
 #include "rxl/analysis/reliability_model.hpp"
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 using namespace rxl;
 
@@ -37,25 +37,20 @@ int main() {
         {"piggyback", transport::Protocol::kRxl, link::AckPolicy::kPiggyback},
     };
     for (const Mode& mode : modes) {
-      transport::FabricConfig config;
-      config.protocol.protocol = mode.protocol;
-      config.protocol.ack_policy = mode.policy;
-      config.protocol.coalesce_factor = coalesce;
-      config.switch_levels = 1;
-      config.burst_injection_rate = 3e-3;
-      config.seed = 31;
-      config.downstream_flits = 150'000;
-      config.upstream_flits = 150'000;
-      config.horizon = 900'000'000;
-      const auto report = transport::run_fabric(config);
+      transport::DagScenarioSpec spec;
+      spec.protocol.protocol = mode.protocol;
+      spec.protocol.ack_policy = mode.policy;
+      spec.protocol.coalesce_factor = coalesce;
+      spec.burst_injection_rate = 3e-3;
+      spec.seed = 31;
+      spec.flits_per_flow = 150'000;
+      spec.horizon = 900'000'000;
+      const auto report =
+          transport::run_dag_fabric(transport::make_linear_dag(spec, 1));
 
-      const std::uint64_t order =
-          report.downstream.scoreboard.order_violations +
-          report.downstream.scoreboard.duplicates +
-          report.upstream.scoreboard.order_violations +
-          report.upstream.scoreboard.duplicates;
-      const std::uint64_t ack_flits = report.downstream.tx.control_flits_sent +
-                                      report.upstream.tx.control_flits_sent;
+      const std::uint64_t order = report.total_order_failures();
+      const std::uint64_t ack_flits = report.hops[0].a.control_flits_sent +
+                                      report.hops[0].b.control_flits_sent;
       analysis::BandwidthParams params;
       params.p_coalescing = 1.0 / coalesce;
       const double eq13 = mode.policy == link::AckPolicy::kStandalone

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 #include "rxl/txn/coherence.hpp"
 
 using namespace rxl;
@@ -71,33 +71,27 @@ int main() {
     coherence_config.seed = 7;
     CoherenceSource source(coherence_config);
 
-    transport::FabricConfig config;
-    config.protocol.protocol = protocol;
-    config.protocol.coalesce_factor = 10;
-    config.switch_levels = 2;
-    config.burst_injection_rate = 3e-3;
-    config.seed = 55;
-    config.downstream_flits = 100'000;
-    config.upstream_flits = 100'000;
-    config.horizon = 600'000'000;
-    const auto report = transport::run_fabric(config);
+    transport::DagScenarioSpec spec;
+    spec.protocol.protocol = protocol;
+    spec.protocol.coalesce_factor = 10;
+    spec.burst_injection_rate = 3e-3;
+    spec.seed = 55;
+    spec.flits_per_flow = 100'000;
+    spec.horizon = 600'000'000;
+    const auto report =
+        transport::run_dag_fabric(transport::make_linear_dag(spec, 2));
 
     // Message-level damage estimate: every ordering-affected flit carries
     // up to 48 packed messages (the paper's amplification argument, §2.3).
     const std::uint64_t affected_flits =
-        report.downstream.scoreboard.order_violations +
-        report.downstream.scoreboard.duplicates +
-        report.downstream.scoreboard.missing +
-        report.upstream.scoreboard.order_violations +
-        report.upstream.scoreboard.duplicates + report.upstream.scoreboard.missing;
-    results[column][0] = report.downstream.scoreboard.in_order +
-                         report.upstream.scoreboard.in_order;
-    results[column][1] = report.downstream.switch_dropped_fec +
-                         report.upstream.switch_dropped_fec;
+        report.total_order_failures() + report.total_missing();
+    std::uint64_t drops = 0;
+    for (const auto& hub : report.hubs) drops += hub.stats.dropped_fec;
+    results[column][0] = report.total_in_order();
+    results[column][1] = drops;
     results[column][2] = affected_flits;
     results[column][3] = affected_flits * flit::kSlotsPerFlit;
-    results[column][4] = report.downstream.scoreboard.data_corruptions +
-                         report.upstream.scoreboard.data_corruptions;
+    results[column][4] = report.total_data_corruptions();
     ++column;
 
     // Exercise the coherence generator itself (content shape) and verify

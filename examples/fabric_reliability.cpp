@@ -9,7 +9,7 @@
 #include <cstdlib>
 
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 using namespace rxl;
 
@@ -26,52 +26,49 @@ int main(int argc, char** argv) {
       levels, burst_rate, levels);
 
   sim::TextTable table({"metric", "CXL", "RXL"});
-  transport::FabricReport reports[2];
+  transport::DagReport reports[2];
   int column = 0;
   for (const auto protocol :
        {transport::Protocol::kCxl, transport::Protocol::kRxl}) {
-    transport::FabricConfig config;
-    config.protocol.protocol = protocol;
-    config.protocol.coalesce_factor = 10;
-    config.switch_levels = levels;
-    config.burst_injection_rate = burst_rate;
-    config.seed = 1234;
-    config.downstream_flits = 200'000;
-    config.upstream_flits = 200'000;
-    config.horizon = 1'000'000'000;  // 1 ms
-    reports[column++] = transport::run_fabric(config);
+    transport::DagScenarioSpec spec;
+    spec.protocol.protocol = protocol;
+    spec.protocol.coalesce_factor = 10;
+    spec.burst_injection_rate = burst_rate;
+    spec.seed = 1234;
+    spec.flits_per_flow = 200'000;
+    spec.horizon = 1'000'000'000;  // 1 ms
+    reports[column++] =
+        transport::run_dag_fabric(transport::make_linear_dag(spec, levels));
   }
 
   auto row = [&](const char* name, auto getter) {
     table.add_row({name, std::to_string(getter(reports[0])),
                    std::to_string(getter(reports[1]))});
   };
-  row("flits delivered in order", [](const transport::FabricReport& r) {
-    return r.downstream.scoreboard.in_order + r.upstream.scoreboard.in_order;
+  using Report = transport::DagReport;
+  row("flits delivered in order",
+      [](const Report& r) { return r.total_in_order(); });
+  row("switch drops (silent)", [](const Report& r) {
+    std::uint64_t drops = 0;
+    for (const auto& hub : r.hubs) drops += hub.stats.dropped_fec;
+    return drops;
   });
-  row("switch drops (silent)", [](const transport::FabricReport& r) {
-    return r.downstream.switch_dropped_fec + r.upstream.switch_dropped_fec;
+  row("ordering violations", [](const Report& r) {
+    return r.flows[0].scoreboard.order_violations +
+           r.flows[1].scoreboard.order_violations;
   });
-  row("ordering violations", [](const transport::FabricReport& r) {
-    return r.downstream.scoreboard.order_violations +
-           r.upstream.scoreboard.order_violations;
+  row("duplicate deliveries", [](const Report& r) {
+    return r.flows[0].scoreboard.duplicates + r.flows[1].scoreboard.duplicates;
   });
-  row("duplicate deliveries", [](const transport::FabricReport& r) {
-    return r.downstream.scoreboard.duplicates + r.upstream.scoreboard.duplicates;
+  row("flits lost forever", [](const Report& r) { return r.total_missing(); });
+  row("corrupt data consumed",
+      [](const Report& r) { return r.total_data_corruptions(); });
+  row("go-back-N retry rounds", [](const Report& r) {
+    return r.hops[0].a.retry_rounds + r.hops[0].b.retry_rounds;
   });
-  row("flits lost forever", [](const transport::FabricReport& r) {
-    return r.downstream.scoreboard.missing + r.upstream.scoreboard.missing;
-  });
-  row("corrupt data consumed", [](const transport::FabricReport& r) {
-    return r.downstream.scoreboard.data_corruptions +
-           r.upstream.scoreboard.data_corruptions;
-  });
-  row("go-back-N retry rounds", [](const transport::FabricReport& r) {
-    return r.downstream.tx.retry_rounds + r.upstream.tx.retry_rounds;
-  });
-  row("unchecked (ack-masked) deliveries", [](const transport::FabricReport& r) {
-    return r.downstream.rx_extra.unchecked_deliveries +
-           r.upstream.rx_extra.unchecked_deliveries;
+  row("unchecked (ack-masked) deliveries", [](const Report& r) {
+    return r.hops[0].a_extra.unchecked_deliveries +
+           r.hops[0].b_extra.unchecked_deliveries;
   });
 
   std::printf("%s\n", table.to_string().c_str());

@@ -1,13 +1,24 @@
-// Multi-port switching device: the scale-out building block.
+// Transparent multi-port switching device: the paper's switch model and
+// the scale-out building block.
+//
+// Per the paper (§2.3, §6.4) a switch decodes each incoming flit's FEC,
+// discards it silently if uncorrectable, and otherwise re-encodes and
+// forwards it. The protocol mode controls what happens to the CRC:
+//  * CXL  — the CRC is a link-layer field, so the switch terminates it:
+//           it checks the CRC (dropping on mismatch) and *regenerates* it
+//           when forwarding. Corruption inside the switch is therefore
+//           re-signed and becomes undetectable downstream.
+//  * RXL  — the CRC is end-to-end (ECRC): the switch forwards it untouched,
+//           so switch-internal corruption is still caught at the endpoint.
+// Switches never track sequence numbers in either mode (RXL's design goal).
 //
 // A PortSwitch is N independent ingress pipelines (FEC decode -> silent
-// drop -> regenerate, exactly as SwitchDevice) feeding a routing stage that
-// forwards each surviving flit to the egress port selected by the
-// envelope's destination. Real CXL switches route on transaction-layer
-// addresses; this model abstracts that lookup as simulation metadata
-// (`FlitEnvelope::dest_port`) — the reliability behaviour under study is
-// unaffected because routing happens after (and independently of) the
-// error handling.
+// drop -> regenerate) feeding a routing stage that forwards each surviving
+// flit to the egress port selected by the envelope's destination. Real CXL
+// switches route on transaction-layer addresses; this model abstracts that
+// lookup as simulation metadata (`FlitEnvelope::dest_port`) — the
+// reliability behaviour under study is unaffected because routing happens
+// after (and independently of) the error handling.
 //
 // Egress contention is modelled by the output LinkChannels themselves:
 // concurrent flits to one port serialise in its slot queue.

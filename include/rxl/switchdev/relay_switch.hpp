@@ -1,7 +1,7 @@
 // Hop-terminating multi-port relay: the DNP-style scale-out switch.
 //
-// Unlike SwitchDevice/PortSwitch — which forward flits transparently and
-// leave the ISN/retry domain end-to-end — a RelaySwitch TERMINATES the link
+// Unlike PortSwitch — which forwards flits transparently and leaves the
+// ISN/retry domain end-to-end — a RelaySwitch TERMINATES the link
 // protocol on every port. Each port owns a full transport::Endpoint, so each
 // incident hop is its own ISN/CRC + retry domain with per-output-port
 // sequence state: a retry storm on one hop is invisible to every other hop

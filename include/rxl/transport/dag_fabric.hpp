@@ -1,7 +1,7 @@
 // Multi-hop DAG fabrics with per-hop ISN domains.
 //
-// The star/level harnesses hard-code their wiring; DagFabric replaces that
-// with graph construction over three node kinds:
+// Every simulated fabric is built here, by graph construction over three
+// node kinds:
 //  * kTerminal — a flow source/sink (one NIC: at most one uplink edge and
 //    one downlink edge).
 //  * kRelay    — a DNP-style store-and-forward switch that TERMINATES the
@@ -9,20 +9,21 @@
 //    hop is its own ISN/CRC + retry domain with independent sequence state.
 //  * kHub      — a transparent multi-port switch (switchdev::PortSwitch)
 //    that forwards without touching sequence numbers, splicing the ISN
-//    domain through — exactly the paper's switch model. The legacy star
-//    fabric is this: endpoints around one hub.
+//    domain through — exactly the paper's switch model. The paper's
+//    host <-> N-level <-> device fabric is a chain of hubs per direction
+//    (make_linear_dag); the star is endpoints around one hub.
 //
 // Edges are directed links, each with its own ErrorModel parameters and
 // channel seed. An ISN domain spans termination-to-termination: a direct
-// edge between terminating nodes, or an edge pair through one hub. When the
-// topology also contains the reverse segment, the domain is bidirectional
-// (one Endpoint per side, ACKs piggyback — the legacy configuration);
-// otherwise an implicit reverse control channel is synthesised and ACKs
-// travel standalone.
+// edge between terminating nodes, or a chain of edges through one or more
+// hubs. When the topology also contains the reverse segment, the domain is
+// bidirectional (one Endpoint per side, ACKs piggyback); otherwise an
+// implicit reverse control channel is synthesised and ACKs travel
+// standalone.
 //
 // Routing is deterministic and table-driven: per-flow shortest paths
 // (breadth-first, ties broken by lowest edge id) compiled into per-relay
-// flow tables and per-domain hub egress tags. plan_dag() validates the
+// flow tables and per-domain hub routing tags. plan_dag() validates the
 // topology (acyclicity of the switching core, reachability, port fan-out
 // limits, domain exclusivity) before anything is instantiated.
 #pragma once
@@ -56,7 +57,7 @@ struct DagNode {
   DagNodeKind kind = DagNodeKind::kTerminal;
   /// Hub internal-corruption RNG seed; drawn from the fabric seeder when
   /// unset. Explicit seeds exist so legacy harnesses can be reproduced
-  /// draw-for-draw (see run_star_fabric_via_dag).
+  /// draw-for-draw (see make_star_dag and make_linear_dag).
   std::optional<std::uint64_t> seed;
 };
 
@@ -195,14 +196,18 @@ inline constexpr std::size_t kLatencyRingSlots = 4096;
 /// instantiates. Exposed so tests can pin routing decisions directly.
 struct DagPlan {
   /// One ISN domain direction: origin termination -> peer termination,
-  /// optionally through one hub.
+  /// directly or through a chain of hubs. The origin stamps the segment's
+  /// index as the flits' dest_port, and every hub on the chain routes that
+  /// tag onto the chain's next edge.
   struct Segment {
     std::uint16_t origin = 0;  ///< terminating node the data leaves
     std::uint16_t peer = 0;    ///< terminating node the data reaches
     std::uint16_t egress_edge = 0;   ///< edge out of origin
     std::uint16_t ingress_edge = 0;  ///< edge into peer (== egress if direct)
-    std::optional<std::uint16_t> hub;
-    std::uint16_t hub_port = 0;  ///< hub egress port tag stamped at origin
+    /// The run's edges in path order, egress_edge first and ingress_edge
+    /// last: one edge when direct, one more per hub crossed.
+    std::vector<std::uint16_t> edges;
+    std::optional<std::uint16_t> hub;  ///< first hub crossed
     /// Index of the reverse segment when the topology carries one (the
     /// domain is then bidirectional and ACKs piggyback on reverse data).
     std::optional<std::uint32_t> mate;
@@ -230,9 +235,9 @@ struct DagPlan {
 /// Validates the topology and compiles the routing plan.
 /// Throws std::invalid_argument (with the offending node/edge named) on:
 /// bad indices, self/duplicate edges, fan-out beyond max_ports, terminals
-/// with more than one uplink/downlink, hub-adjacent hubs, idle hubs, a
-/// cyclic switching core, unreachable flows, several flows originating at
-/// one terminal, two ISN domains multiplexed onto one hub egress edge, or
+/// with more than one uplink/downlink, idle hubs, a cyclic switching core,
+/// unreachable flows, several flows originating at one terminal, an ISN
+/// domain that forks at a hub, two ISN domains sharing an edge, or
 /// a credit configuration that could deadlock (an explicit zero-credit
 /// edge, a window beyond link::kMaxCreditWindow, or credits on a CXL
 /// domain crossing a transparent hub — §4.1 silent drops would leak
@@ -329,6 +334,8 @@ struct DagHubReport {
 struct DagReport {
   std::vector<DagFlowReport> flows;
   std::vector<DagLinkStats> hops;
+  /// One forward-channel snapshot per DagEdge, in edge order.
+  std::vector<sim::ChannelStats> channels;
   std::vector<DagRelayReport> relays;
   std::vector<DagHubReport> hubs;
   std::vector<DagRerouteReport> reroutes;  ///< controller episodes, in order
@@ -491,19 +498,32 @@ struct DagFlowClass {
                                        std::size_t sources,
                                        std::span<const DagFlowClass> classes);
 
-/// The legacy star fabric expressed as a one-hub DAG: N terminal pairs
-/// around a single transparent hub, seeds drawn in the order the deleted
-/// hard-coded builder used (down switch, up switch, then per pair the four
-/// channels), so a run is trajectory-identical to the legacy wiring on the
-/// same StarConfig (when switch_internal_error_rate is zero; with internal
+/// The paper's evaluation fabric: host <-> `switch_levels` transparent
+/// switch levels <-> device, one hub per level per direction, so each
+/// direction keeps its own switch counters and internal-corruption RNG
+/// streams. Layout (load-bearing for callers that read per-direction
+/// counters): host is node 0 and device node 1; downstream hubs are nodes
+/// 2..L+1 and upstream hubs L+2..2L+1 (L = switch_levels), so
+/// DagReport::hubs lists the L downstream levels first. Edges 0..L run
+/// downstream and L+1..2L+1 upstream. Flow 0 is host -> device (salt
+/// 0x00D0) and flow 1 device -> host (salt 0x0B0B); both are always
+/// declared so the domain stays paired — for one-way traffic set
+/// flows[1].flits = 0. Node and edge seeds replay the deleted per-direction
+/// harness's draws (per direction, L+1 channels then L switches), so runs
+/// are trajectory-identical to it; the recorded-counter equivalence test
+/// pins this field-for-field.
+[[nodiscard]] DagConfig make_linear_dag(const DagScenarioSpec& spec,
+                                        unsigned switch_levels);
+
+/// The star fabric expressed as a one-hub DAG: N terminal pairs around a
+/// single transparent hub, seeds drawn in the order the deleted hard-coded
+/// builder used (down switch, up switch, then per pair the four channels),
+/// so a run is trajectory-identical to the legacy wiring on the same
+/// StarConfig (when switch_internal_error_rate is zero; with internal
 /// corruption the legacy build used one RNG stream per direction and the
-/// single hub uses one in total). The equivalence test pins this against
+/// single hub uses one in total). Flows 0..N-1 run host i -> device i and
+/// flows N..2N-1 device i -> host i. The equivalence test pins this against
 /// counters recorded from the last legacy build, field-for-field.
 [[nodiscard]] DagConfig make_star_dag(const StarConfig& config);
-
-/// Runs make_star_dag() and repackages the DagReport as a StarReport.
-/// `hub` carries the shared switch's aggregate counters (what the legacy
-/// build split across its two per-direction switch instances).
-[[nodiscard]] StarReport run_star_fabric_via_dag(const StarConfig& config);
 
 }  // namespace rxl::transport

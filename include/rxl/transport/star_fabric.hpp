@@ -1,27 +1,18 @@
-// Scale-out star fabric: N host/device pairs sharing one multi-port switch.
+// Scale-out star fabric configuration: N host/device pairs sharing one
+// multi-port switch.
 //
 // This is the paper's title scenario — multiple processors communicating
 // across a shared switching device — in its smallest non-trivial form.
-// Pair i's host occupies switch port i on the downstream side and its
-// device port i on the upstream side; every flit of every pair crosses the
-// shared switch, so one pair's drops never perturb another pair's ordering
-// (a property the tests pin) while contention and error handling are
-// shared.
-//
-// The hard-coded wiring this header used to build is gone: the star is one
-// canned DagFabric topology now (make_star_dag / run_star_fabric_via_dag in
-// dag_fabric.hpp), pinned trajectory-identical to the deleted legacy
-// builder by recorded-counter equivalence tests. Only the configuration and
-// report types live here.
+// make_star_dag (dag_fabric.hpp) builds it as a one-hub DagFabric
+// topology: every flit of every pair crosses the shared hub, so contention
+// and error handling are shared while one pair's drops never perturb
+// another pair's ordering (a property the tests pin).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "rxl/switchdev/port_switch.hpp"
 #include "rxl/transport/config.hpp"
-#include "rxl/txn/scoreboard.hpp"
 
 namespace rxl::transport {
 
@@ -38,24 +29,6 @@ struct StarConfig {
   std::uint64_t seed = 1;
   std::uint64_t flits_per_direction = 0;  ///< per pair, per direction
   TimePs horizon = 0;
-};
-
-struct PairReport {
-  txn::StreamScoreboard::Stats downstream;  ///< host i -> device i
-  txn::StreamScoreboard::Stats upstream;    ///< device i -> host i
-};
-
-struct StarReport {
-  std::vector<PairReport> pairs;
-  /// The shared switch's aggregate counters, both directions (the legacy
-  /// build split these across two per-direction switch instances).
-  switchdev::PortSwitchStats hub;
-  std::uint64_t slots = 0;
-
-  /// Aggregate Fail_order events across all pairs and directions.
-  [[nodiscard]] std::uint64_t total_order_failures() const;
-  [[nodiscard]] std::uint64_t total_missing() const;
-  [[nodiscard]] std::uint64_t total_in_order() const;
 };
 
 }  // namespace rxl::transport

@@ -25,17 +25,24 @@ void PortSwitch::set_output(std::size_t port, sim::LinkChannel* output) {
 void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   stats_.flits_in += 1;
 
-  // Ingress pipeline: identical error handling to the single-port switch.
+  // --- Ingress FEC. Pristine images are valid codewords by construction
+  // (zero syndromes), so the decode is skipped without changing behaviour.
   if (!envelope.pristine) {
     const rs::FecDecodeResult fec = codec_.fec().decode(envelope.flit.bytes());
     if (!fec.accepted()) {
-      stats_.dropped_fec += 1;  // silent drop
+      stats_.dropped_fec += 1;  // the silent drop at the heart of the paper
       return;
     }
-    // A corrected image stays non-pristine and is re-encoded at egress, as
-    // in SwitchDevice.
+    // A corrected image stays non-pristine, so egress regeneration runs. A
+    // true correction restores the exact encoded image: the CXL CRC check
+    // below passes, and the re-encode writes the same CRC and FEC bytes. A
+    // miscorrection (a different but internally consistent codeword) meets
+    // the CRC check like any other non-pristine image.
     if (fec.status == rs::DecodeStatus::kCorrected) stats_.fec_corrected += 1;
   }
+
+  // --- CXL only: the switch terminates the link-layer CRC (data and
+  // control flits both carry the plain link CRC in CXL).
   if (codec_.protocol() == transport::Protocol::kCxl && !envelope.pristine) {
     if (!codec_.check_control(envelope.flit)) {
       stats_.dropped_crc += 1;
@@ -43,6 +50,8 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     }
   }
 
+  // --- Internal corruption (buffer upset / switching-logic error) strikes
+  // between ingress checks and egress regeneration, on the data path only.
   if (config_.internal_error_rate > 0.0 &&
       rng_.bernoulli(config_.internal_error_rate)) {
     stats_.internal_corruptions += 1;
@@ -51,7 +60,12 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     envelope.pristine = false;
   }
 
-  // Egress regeneration, as in SwitchDevice.
+  // --- Egress regeneration. CXL re-signs whatever the switch now holds with
+  // a fresh link CRC, which is what makes internal corruption invisible to
+  // the endpoint; RXL's ECRC passes through untouched, so only the FEC is
+  // refreshed. Either way the image is a valid codeword for the next hop's
+  // FEC again, so it is marked pristine; the endpoint always evaluates the
+  // real (E)CRC on the real bytes.
   if (!envelope.pristine) {
     if (codec_.protocol() == transport::Protocol::kCxl)
       codec_.regenerate_link_crc(envelope.flit);
@@ -59,7 +73,7 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     envelope.pristine = true;
   }
 
-  // Routing stage.
+  // --- Routing stage.
   const std::size_t port = envelope.dest_port;
   if (port >= outputs_.size() || outputs_[port] == nullptr) {
     stats_.dropped_no_route += 1;

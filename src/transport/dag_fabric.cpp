@@ -176,16 +176,6 @@ DagPlan plan_dag(const DagConfig& config) {
           message += " needs at least one ingress and one egress edge";
           invalid(std::move(message));
         }
-        for (const std::uint16_t e : out_edges[v]) {
-          if (kind(config.edges[e].dst) == DagNodeKind::kHub) {
-            std::string message = "hubs ";
-            message += label(v);
-            message += " and ";
-            message += label(config.edges[e].dst);
-            message += " are adjacent; an ISN domain may cross at most one hub";
-            invalid(std::move(message));
-          }
-        }
         break;
       case DagNodeKind::kRelay:
         break;
@@ -389,66 +379,61 @@ DagPlan plan_dag(const DagConfig& config) {
         "ecn_threshold set with credit flow control off everywhere; ECN "
         "early backpressure needs hop_credits or per-edge credits");
 
-  // Segment extraction: split each path at terminating nodes. The hub
-  // adjacency check above guarantees a run between terminations is one
-  // direct edge or an (entry, exit) pair through one hub.
-  auto hub_port_of = [&](std::uint16_t hub, std::uint16_t edge) {
-    const std::vector<std::uint16_t>& outs = out_edges[hub];
-    const auto it = std::find(outs.begin(), outs.end(), edge);
-    assert(it != outs.end());
-    return static_cast<std::uint16_t>(it - outs.begin());
-  };
-  std::vector<std::int32_t> segment_of_egress(config.edges.size(), -1);
-  std::vector<std::int32_t> segment_of_ingress(config.edges.size(), -1);
+  // Segment extraction: split each path at terminating nodes. A run between
+  // terminations is one direct edge or a chain through one or more hubs
+  // (paths end at a terminal, so every chain ends at a termination). Each
+  // edge belongs to exactly one domain direction: a run that meets an
+  // edge of another domain is either that same domain (same origin edge,
+  // same chain) or an error.
+  std::vector<std::int32_t> segment_of_edge(config.edges.size(), -1);
   auto extract_segments = [&](const std::vector<std::uint16_t>& path,
                               std::vector<std::uint32_t>& into) {
     std::size_t i = 0;
     while (i < path.size()) {
       DagPlan::Segment segment;
-      const std::uint16_t e1 = path[i];
-      segment.origin = config.edges[e1].src;
-      segment.egress_edge = e1;
-      if (kind(config.edges[e1].dst) == DagNodeKind::kHub) {
-        assert(i + 1 < path.size());
-        const std::uint16_t e2 = path[i + 1];
-        segment.hub = config.edges[e1].dst;
-        segment.hub_port = hub_port_of(*segment.hub, e2);
-        segment.ingress_edge = e2;
-        segment.peer = config.edges[e2].dst;
-        i += 2;
-      } else {
-        segment.ingress_edge = e1;
-        segment.peer = config.edges[e1].dst;
-        i += 1;
-      }
-      const std::int32_t existing = segment_of_egress[segment.egress_edge];
+      segment.origin = config.edges[path[i]].src;
+      do {
+        segment.edges.push_back(path[i]);
+      } while (kind(config.edges[path[i++]].dst) == DagNodeKind::kHub);
+      segment.egress_edge = segment.edges.front();
+      segment.ingress_edge = segment.edges.back();
+      segment.peer = config.edges[segment.ingress_edge].dst;
+      if (segment.edges.size() > 1)
+        segment.hub = config.edges[segment.egress_edge].dst;
+      // An edge out of a termination can only open a chain, so a claimed
+      // egress edge is the first edge of the claiming segment.
+      const std::int32_t existing = segment_of_edge[segment.egress_edge];
       if (existing >= 0) {
         const DagPlan::Segment& other =
             plan.segments[static_cast<std::size_t>(existing)];
-        if (other.ingress_edge != segment.ingress_edge) {
+        if (other.edges != segment.edges) {
+          const auto fork =
+              std::mismatch(segment.edges.begin(), segment.edges.end(),
+                            other.edges.begin(), other.edges.end());
           std::string message = "ISN domain leaving ";
           message += label(segment.origin);
           message += " fans out at hub ";
-          message += label(segment.hub.value_or(segment.peer));
+          message += label(config.edges[*fork.first].src);
           message += " (one TX termination cannot feed two receivers)";
           invalid(std::move(message));
         }
         into.push_back(static_cast<std::uint32_t>(existing));
         continue;
       }
-      if (segment_of_ingress[segment.ingress_edge] >= 0) {
-        std::string message =
-            "two ISN domains are multiplexed onto the edge into ";
-        message += label(segment.peer);
+      for (const std::uint16_t e : segment.edges) {
+        if (segment_of_edge[e] < 0) continue;
+        std::string message = "two ISN domains are multiplexed onto edge ";
+        message += label(config.edges[e].src);
+        message += " -> ";
+        message += label(config.edges[e].dst);
         message += " (an implicit-sequence receiver cannot demux them)";
         invalid(std::move(message));
       }
       const std::uint32_t index =
           static_cast<std::uint32_t>(plan.segments.size());
-      segment_of_egress[segment.egress_edge] = static_cast<std::int32_t>(index);
-      segment_of_ingress[segment.ingress_edge] =
-          static_cast<std::int32_t>(index);
-      plan.segments.push_back(segment);
+      for (const std::uint16_t e : segment.edges)
+        segment_of_edge[e] = static_cast<std::int32_t>(index);
+      plan.segments.push_back(std::move(segment));
       into.push_back(index);
     }
   };
@@ -481,8 +466,8 @@ DagPlan plan_dag(const DagConfig& config) {
       const DagFlow& flow = config.flows[f];
       for (const std::uint32_t si : plan.flow_segments[f]) {
         const DagPlan::Segment& segment = plan.segments[si];
-        if (edge_doomed[segment.egress_edge] == 0 &&
-            edge_doomed[segment.ingress_edge] == 0)
+        if (std::none_of(segment.edges.begin(), segment.edges.end(),
+                         [&](std::uint16_t e) { return edge_doomed[e] != 0; }))
           continue;
         // A fail-stop relay raises no usable HopDownEvent for its own
         // egress hops (its protocol state is lost with it); the upstream
@@ -553,16 +538,16 @@ DagPlan plan_dag(const DagConfig& config) {
     }
   }
 
-  // Pair mutually reverse segments into bidirectional domains. At most one
-  // candidate can exist (duplicate edges are rejected above and hubs are
-  // matched exactly), so a linear scan suffices.
+  // Pair mutually reverse segments into bidirectional domains: two segments
+  // are mates when each one's origin is the other's peer, whatever hubs
+  // either crosses. The scan takes the first unpaired candidate, so the
+  // pairing is deterministic.
   for (std::size_t i = 0; i < plan.segments.size(); ++i) {
     if (plan.segments[i].mate.has_value()) continue;
     for (std::size_t j = i + 1; j < plan.segments.size(); ++j) {
       if (plan.segments[j].mate.has_value()) continue;
       if (plan.segments[j].origin == plan.segments[i].peer &&
-          plan.segments[j].peer == plan.segments[i].origin &&
-          plan.segments[j].hub == plan.segments[i].hub) {
+          plan.segments[j].peer == plan.segments[i].origin) {
         plan.segments[i].mate = static_cast<std::uint32_t>(j);
         plan.segments[j].mate = static_cast<std::uint32_t>(i);
         break;
@@ -798,14 +783,10 @@ DagReport run_dag_fabric(const DagConfig& config) {
       schedule.normalize();
   }
 
-  // Hub out-edge port order (edge-id order, as in plan_dag).
-  std::vector<std::vector<std::uint16_t>> out_edges(node_count);
-  for (std::size_t e = 0; e < config.edges.size(); ++e)
-    out_edges[config.edges[e].src].push_back(static_cast<std::uint16_t>(e));
-
   // Seed draw order is part of the determinism contract (and of the legacy
   // star reproduction): hubs first in node order, then forward channels in
-  // edge order, then implicit control wires in domain order.
+  // edge order, then implicit control wires in domain order. A hub routes
+  // by segment index, so its table has one entry per segment.
   std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs(node_count);
   for (std::size_t v = 0; v < node_count; ++v) {
     if (kind(v) != DagNodeKind::kHub) continue;
@@ -815,7 +796,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
     hub_config.protocol = config.protocol.protocol;
     hub_config.internal_error_rate = config.hub_internal_error_rate;
     hub_config.forward_latency = config.hub_latency;
-    hub_config.ports = out_edges[v].size();
+    hub_config.ports = plan.segments.size();
     hubs[v] = std::make_unique<switchdev::PortSwitch>(queue, hub_config, seed);
   }
   std::vector<std::unique_ptr<sim::LinkChannel>> channels(config.edges.size());
@@ -880,6 +861,23 @@ DagReport run_dag_fabric(const DagConfig& config) {
     DagRelayPort& port = relay_ports[node][relay_port_of.at({node, rep})];
     if (rx_edge != DagRelayPort::kNoEdge) port.rx_edge = rx_edge;
     if (tx_edge != DagRelayPort::kNoEdge) port.tx_edge = tx_edge;
+  };
+
+  // Wires one domain direction: every edge of the chain but the last
+  // delivers into the hub it enters, whose table routes the segment's tag
+  // onto the next edge; the last edge delivers into the receiving side.
+  auto wire_segment = [&](std::size_t si, Endpoint* rx) {
+    const std::vector<std::uint16_t>& edges = plan.segments[si].edges;
+    for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
+      switchdev::PortSwitch* const hub = hubs[config.edges[edges[i]].dst].get();
+      channels[edges[i]]->set_receiver([hub](sim::FlitEnvelope&& envelope) {
+        hub->on_flit(std::move(envelope));
+      });
+      hub->set_output(si, channels[edges[i + 1]].get());
+    }
+    channels[edges.back()]->set_receiver([rx](sim::FlitEnvelope&& envelope) {
+      rx->on_flit(std::move(envelope));
+    });
   };
 
   struct Domain {
@@ -952,39 +950,16 @@ DagReport run_dag_fabric(const DagConfig& config) {
     }
 
     domain.a->set_output(domain.forward);
-    domain.a->set_dest_port(segment.hub_port);
+    domain.a->set_dest_port(static_cast<std::uint16_t>(si));
     domain.b->set_output(domain.reverse);
     domain.b->set_dest_port(
-        paired ? plan.segments[*segment.mate].hub_port : std::uint16_t{0});
+        paired ? static_cast<std::uint16_t>(*segment.mate) : std::uint16_t{0});
 
     Endpoint* const side_a = domain.a;
-    Endpoint* const side_b = domain.b;
-    channels[segment.ingress_edge]->set_receiver(
-        [side_b](sim::FlitEnvelope&& envelope) {
-          side_b->on_flit(std::move(envelope));
-        });
-    if (segment.hub.has_value()) {
-      switchdev::PortSwitch* const hub = hubs[*segment.hub].get();
-      channels[segment.egress_edge]->set_receiver(
-          [hub](sim::FlitEnvelope&& envelope) {
-            hub->on_flit(std::move(envelope));
-          });
-      hub->set_output(segment.hub_port, channels[segment.ingress_edge].get());
-    }
+    wire_segment(si, domain.b);
     if (paired) {
       const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      channels[mate.ingress_edge]->set_receiver(
-          [side_a](sim::FlitEnvelope&& envelope) {
-            side_a->on_flit(std::move(envelope));
-          });
-      if (mate.hub.has_value()) {
-        switchdev::PortSwitch* const hub = hubs[*mate.hub].get();
-        channels[mate.egress_edge]->set_receiver(
-            [hub](sim::FlitEnvelope&& envelope) {
-              hub->on_flit(std::move(envelope));
-            });
-        hub->set_output(mate.hub_port, channels[mate.ingress_edge].get());
-      }
+      wire_segment(*segment.mate, side_a);
       note_relay_edges(segment.origin, domain.rep,
                        mate.ingress_edge, segment.egress_edge);
       note_relay_edges(segment.peer, domain.rep,
@@ -1412,6 +1387,9 @@ DagReport run_dag_fabric(const DagConfig& config) {
     hop.reverse_channel = domain.reverse->snapshot();
     report.hops.push_back(hop);
   }
+  report.channels.reserve(channels.size());
+  for (const auto& channel : channels)
+    report.channels.push_back(channel->snapshot());
   for (std::size_t v = 0; v < node_count; ++v) {
     if (kind(v) == DagNodeKind::kRelay) {
       DagRelayReport relay_report;
@@ -1998,20 +1976,43 @@ DagConfig make_star_dag(const StarConfig& config) {
   return dag;
 }
 
-StarReport run_star_fabric_via_dag(const StarConfig& config) {
-  const DagReport dag = run_dag_fabric(make_star_dag(config));
-  StarReport report;
-  report.slots = config.slot > 0
-                     ? static_cast<std::uint64_t>(config.horizon / config.slot)
-                     : 0;
-  const std::size_t n = config.pairs;
-  report.pairs.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    report.pairs[i].downstream = dag.flows[i].scoreboard;
-    report.pairs[i].upstream = dag.flows[n + i].scoreboard;
+// ---------------------------------------------------------------------------
+// The paper's host <-> N-level <-> device fabric as hub chains
+// ---------------------------------------------------------------------------
+
+DagConfig make_linear_dag(const DagScenarioSpec& spec,
+                          unsigned switch_levels) {
+  DagConfig config = base_scenario_config(spec);
+  config.nodes.push_back(DagNode{"host", DagNodeKind::kTerminal, {}});
+  config.nodes.push_back(DagNode{"device", DagNodeKind::kTerminal, {}});
+  for (const char* direction : {"down", "up"}) {
+    for (unsigned level = 1; level <= switch_levels; ++level) {
+      std::string name = direction;
+      name += std::to_string(level);
+      config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kHub, {}});
+    }
   }
-  if (!dag.hubs.empty()) report.hub = dag.hubs.front().stats;
-  return report;
+  // Seeds replay the per-direction harness's draws: for each direction in
+  // turn, its L+1 channels in hop order, then its L switches.
+  Xoshiro256 seeder(spec.seed);
+  for (unsigned direction = 0; direction < 2; ++direction) {
+    const std::uint16_t src = static_cast<std::uint16_t>(direction);
+    const std::uint16_t dst = static_cast<std::uint16_t>(1 - direction);
+    const auto hub = [&](unsigned level) {
+      return static_cast<std::uint16_t>(2 + direction * switch_levels + level);
+    };
+    for (unsigned hop = 0; hop <= switch_levels; ++hop) {
+      const std::uint16_t from = hop == 0 ? src : hub(hop - 1);
+      const std::uint16_t to = hop == switch_levels ? dst : hub(hop);
+      config.edges.push_back(scenario_edge(spec, from, to));
+      config.edges.back().seed = seeder();
+    }
+    for (unsigned level = 0; level < switch_levels; ++level)
+      config.nodes[hub(level)].seed = seeder();
+  }
+  config.flows.push_back(DagFlow{0, 1, spec.flits_per_flow, 0x00D0});
+  config.flows.push_back(DagFlow{1, 0, spec.flits_per_flow, 0x0B0B});
+  return config;
 }
 
 }  // namespace rxl::transport

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "rxl/link/credit.hpp"
 #include "rxl/sim/trial_runner.hpp"
@@ -157,17 +160,136 @@ TEST(DagFabric, RejectsDomainsMultiplexedOnOneHubEgress) {
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
 }
 
-TEST(DagFabric, RejectsAdjacentHubs) {
+/// s -> h1 -> h2 -> h3 -> d with the reverse domain d -> h4 -> s: one ISN
+/// domain per direction, through hub chains of different lengths.
+DagConfig hub_chain_config() {
   DagConfig config;
   config.nodes.push_back(DagNode{"s", DagNodeKind::kTerminal, {}});
-  config.nodes.push_back(DagNode{"hub0", DagNodeKind::kHub, {}});
-  config.nodes.push_back(DagNode{"hub1", DagNodeKind::kHub, {}});
   config.nodes.push_back(DagNode{"d", DagNodeKind::kTerminal, {}});
-  config.edges.push_back(plain_edge(0, 1));
-  config.edges.push_back(plain_edge(1, 2));
-  config.edges.push_back(plain_edge(2, 3));
-  config.flows.push_back(DagFlow{0, 3, 10, 1});
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  for (const char* hub : {"h1", "h2", "h3", "h4"})
+    config.nodes.push_back(DagNode{hub, DagNodeKind::kHub, {}});
+  config.edges.push_back(plain_edge(0, 2));  // 0: s -> h1
+  config.edges.push_back(plain_edge(2, 3));  // 1: h1 -> h2
+  config.edges.push_back(plain_edge(3, 4));  // 2: h2 -> h3
+  config.edges.push_back(plain_edge(4, 1));  // 3: h3 -> d
+  config.edges.push_back(plain_edge(1, 5));  // 4: d -> h4
+  config.edges.push_back(plain_edge(5, 0));  // 5: h4 -> s
+  config.flows.push_back(DagFlow{0, 1, 300, 1});
+  config.flows.push_back(DagFlow{1, 0, 300, 2});
+  config.horizon = 20'000'000;
+  return config;
+}
+
+TEST(DagFabric, HubChainPlansAsOneSegmentPairedWithItsReverse) {
+  DagConfig config = hub_chain_config();
+  const DagPlan plan = plan_dag(config);
+  ASSERT_EQ(plan.segments.size(), 2u);
+  const DagPlan::Segment& down = plan.segments[0];
+  EXPECT_EQ(down.origin, 0u);
+  EXPECT_EQ(down.peer, 1u);
+  EXPECT_EQ(down.edges, (std::vector<std::uint16_t>{0, 1, 2, 3}));
+  EXPECT_EQ(down.egress_edge, 0u);
+  EXPECT_EQ(down.ingress_edge, 3u);
+  EXPECT_EQ(down.hub, std::optional<std::uint16_t>{2});
+  EXPECT_EQ(down.mate, std::optional<std::uint32_t>{1});
+  EXPECT_EQ(plan.segments[1].edges, (std::vector<std::uint16_t>{4, 5}));
+  EXPECT_EQ(plan.segments[1].mate, std::optional<std::uint32_t>{0});
+
+  // Every hub routes the domain's tag onto the chain's next edge.
+  config.edges[1].burst_injection_rate = 5e-3;
+  const DagReport report = run_dag_fabric(config);
+  ASSERT_EQ(report.hops.size(), 1u);
+  EXPECT_TRUE(report.hops[0].paired);
+  EXPECT_TRUE(report.hops[0].crosses_hub);
+  for (const DagFlowReport& flow : report.flows) {
+    EXPECT_EQ(flow.scoreboard.in_order, 300u);
+    EXPECT_EQ(flow.scoreboard.delivered, 300u);
+  }
+  EXPECT_EQ(report.misrouted, 0u);
+  for (const DagHubReport& hub : report.hubs)
+    EXPECT_EQ(hub.stats.dropped_no_route, 0u);
+}
+
+TEST(DagFabric, RejectsDomainsSharingAHubToHubEdge) {
+  // s0 -> h1 -> h2 -> d0 and s1 -> h1 -> h2 -> d1 would both ride h1 -> h2;
+  // every edge of a chain belongs to exactly one domain direction.
+  DagConfig config;
+  for (const char* name : {"s0", "s1", "d0", "d1"})
+    config.nodes.push_back(DagNode{name, DagNodeKind::kTerminal, {}});
+  config.nodes.push_back(DagNode{"h1", DagNodeKind::kHub, {}});  // 4
+  config.nodes.push_back(DagNode{"h2", DagNodeKind::kHub, {}});  // 5
+  config.edges.push_back(plain_edge(0, 4));
+  config.edges.push_back(plain_edge(1, 4));
+  config.edges.push_back(plain_edge(4, 5));
+  config.edges.push_back(plain_edge(5, 2));
+  config.edges.push_back(plain_edge(5, 3));
+  config.flows.push_back(DagFlow{0, 2, 10, 1});
+  config.flows.push_back(DagFlow{1, 3, 10, 2});
+  EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+}
+
+TEST(DagFabric, RejectsHubChainForkingAtAnIntermediateHub) {
+  // Relay r originates one domain r -> h1 -> h2; the two flows it carries
+  // would leave h2 for different receivers.
+  DagConfig config;
+  for (const char* name : {"a", "b", "d0", "d1"})
+    config.nodes.push_back(DagNode{name, DagNodeKind::kTerminal, {}});
+  config.nodes.push_back(DagNode{"r", DagNodeKind::kRelay, {}});  // 4
+  config.nodes.push_back(DagNode{"h1", DagNodeKind::kHub, {}});   // 5
+  config.nodes.push_back(DagNode{"h2", DagNodeKind::kHub, {}});   // 6
+  config.edges.push_back(plain_edge(0, 4));
+  config.edges.push_back(plain_edge(1, 4));
+  config.edges.push_back(plain_edge(4, 5));
+  config.edges.push_back(plain_edge(5, 6));
+  config.edges.push_back(plain_edge(6, 2));
+  config.edges.push_back(plain_edge(6, 3));
+  config.flows.push_back(DagFlow{0, 2, 10, 1});
+  config.flows.push_back(DagFlow{1, 3, 10, 2});
+  EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+}
+
+TEST(DagFabric, RejectsCxlCreditsOnAHubChain) {
+  DagConfig config = hub_chain_config();
+  config.protocol.protocol = Protocol::kCxl;
+  config.hop_credits = 4;
+  EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+  config.protocol.protocol = Protocol::kRxl;
+  EXPECT_NO_THROW((void)plan_dag(config));
+}
+
+TEST(DagFabric, DownIntermediateHubEdgeDoomsItsSegment) {
+  // src -> r, then r -> h1 -> h2 -> r2 (primary, lower edge ids) or
+  // r -> h3 -> h4 -> r2, then r2 -> dst. A permanent outage on the middle
+  // edge h1 -> h2 dooms the chain segment, so the plan detours it through
+  // h3 and h4.
+  DagConfig config;
+  // Nodes: src 0, r 1, hubs h1-h4 2-5, r2 6, dst 7.
+  config.nodes.push_back(DagNode{"src", DagNodeKind::kTerminal, {}});
+  config.nodes.push_back(DagNode{"r", DagNodeKind::kRelay, {}});
+  for (const char* hub : {"h1", "h2", "h3", "h4"})
+    config.nodes.push_back(DagNode{hub, DagNodeKind::kHub, {}});
+  config.nodes.push_back(DagNode{"r2", DagNodeKind::kRelay, {}});
+  config.nodes.push_back(DagNode{"dst", DagNodeKind::kTerminal, {}});
+  config.edges.push_back(plain_edge(0, 1));  // 0
+  config.edges.push_back(plain_edge(1, 2));  // 1
+  config.edges.push_back(plain_edge(2, 3));  // 2: the doomed middle edge
+  config.edges.push_back(plain_edge(3, 6));  // 3
+  config.edges.push_back(plain_edge(1, 4));  // 4
+  config.edges.push_back(plain_edge(4, 5));  // 5
+  config.edges.push_back(plain_edge(5, 6));  // 6
+  config.edges.push_back(plain_edge(6, 7));  // 7
+  config.flows.push_back(DagFlow{0, 7, 10, 1});
+  config.faults.edge(2).add_window(1'000'000, 0);
+  const DagPlan plan = plan_dag(config);
+  EXPECT_EQ(plan.flow_paths[0], (std::vector<std::uint16_t>{0, 1, 2, 3, 7}));
+  ASSERT_EQ(plan.reroutes.size(), 1u);
+  const DagPlan::Reroute& reroute = plan.reroutes[0];
+  EXPECT_EQ(plan.segments[reroute.dead_segment].edges,
+            (std::vector<std::uint16_t>{1, 2, 3}));
+  EXPECT_EQ(reroute.backup_edges, (std::vector<std::uint16_t>{4, 5, 6, 7}));
+  ASSERT_EQ(reroute.backup_segments.size(), 2u);
+  EXPECT_EQ(plan.segments[reroute.backup_segments[0]].edges,
+            (std::vector<std::uint16_t>{4, 5, 6}));
 }
 
 TEST(DagFabric, RejectsZeroCreditEdge) {
@@ -470,28 +592,27 @@ TEST(DagFabric, StarViaDagMatchesRecordedLegacyStarExactly) {
   config.burst_injection_rate = 2e-3;
   config.flits_per_direction = 1'500;
   config.horizon = 60'000'000;
-  const StarReport dag = run_star_fabric_via_dag(config);
-  ASSERT_EQ(dag.pairs.size(), 3u);
-  for (std::size_t i = 0; i < dag.pairs.size(); ++i) {
-    for (const auto direction :
-         {&PairReport::downstream, &PairReport::upstream}) {
-      const txn::StreamScoreboard::Stats& s = dag.pairs[i].*direction;
-      EXPECT_EQ(s.delivered, 1'500u) << "pair " << i;
-      EXPECT_EQ(s.in_order, 1'500u) << "pair " << i;
-      EXPECT_EQ(s.order_violations, 0u) << "pair " << i;
-      EXPECT_EQ(s.duplicates, 0u) << "pair " << i;
-      EXPECT_EQ(s.late_deliveries, 0u) << "pair " << i;
-      EXPECT_EQ(s.data_corruptions, 0u) << "pair " << i;
-      EXPECT_EQ(s.missing, 0u) << "pair " << i;
-    }
+  const DagReport dag = run_dag_fabric(make_star_dag(config));
+  ASSERT_EQ(dag.flows.size(), 6u);  // 3 pairs, both directions
+  for (std::size_t f = 0; f < dag.flows.size(); ++f) {
+    const txn::StreamScoreboard::Stats& s = dag.flows[f].scoreboard;
+    EXPECT_EQ(s.delivered, 1'500u) << "flow " << f;
+    EXPECT_EQ(s.in_order, 1'500u) << "flow " << f;
+    EXPECT_EQ(s.order_violations, 0u) << "flow " << f;
+    EXPECT_EQ(s.duplicates, 0u) << "flow " << f;
+    EXPECT_EQ(s.late_deliveries, 0u) << "flow " << f;
+    EXPECT_EQ(s.data_corruptions, 0u) << "flow " << f;
+    EXPECT_EQ(s.missing, 0u) << "flow " << f;
   }
   // The single hub aggregates what the legacy build split across its two
   // per-direction switch instances (recorded sums: 5285+4926 in, 10 + 3
   // FEC drops).
-  EXPECT_EQ(dag.hub.flits_in, 10'211u);
-  EXPECT_EQ(dag.hub.flits_forwarded, 10'198u);
-  EXPECT_EQ(dag.hub.dropped_fec, 13u);
-  EXPECT_EQ(dag.hub.dropped_no_route, 0u);
+  ASSERT_EQ(dag.hubs.size(), 1u);
+  const switchdev::PortSwitchStats& hub = dag.hubs[0].stats;
+  EXPECT_EQ(hub.flits_in, 10'211u);
+  EXPECT_EQ(hub.flits_forwarded, 10'198u);
+  EXPECT_EQ(hub.dropped_fec, 13u);
+  EXPECT_EQ(hub.dropped_no_route, 0u);
 }
 
 TEST(DagFabric, StarViaDagMatchesRecordedLegacyUnderCxlFailures) {
@@ -505,24 +626,174 @@ TEST(DagFabric, StarViaDagMatchesRecordedLegacyUnderCxlFailures) {
   config.burst_injection_rate = 4e-3;
   config.flits_per_direction = 1'500;
   config.horizon = 60'000'000;
-  const StarReport dag = run_star_fabric_via_dag(config);
+  const DagReport dag = run_dag_fabric(make_star_dag(config));
   EXPECT_EQ(dag.total_order_failures(), 5u);
   EXPECT_EQ(dag.total_missing(), 46u);
   EXPECT_EQ(dag.total_in_order(), 5'950u);
-  ASSERT_EQ(dag.pairs.size(), 2u);
-  EXPECT_EQ(dag.pairs[0].upstream.delivered, 1'480u);
-  EXPECT_EQ(dag.pairs[0].upstream.in_order, 1'479u);
-  EXPECT_EQ(dag.pairs[0].upstream.order_violations, 1u);
-  EXPECT_EQ(dag.pairs[0].upstream.missing, 20u);
-  EXPECT_EQ(dag.pairs[1].downstream.delivered, 1'475u);
-  EXPECT_EQ(dag.pairs[1].downstream.in_order, 1'471u);
-  EXPECT_EQ(dag.pairs[1].downstream.duplicates, 1u);
-  EXPECT_EQ(dag.pairs[1].downstream.late_deliveries, 1u);
-  EXPECT_EQ(dag.pairs[1].downstream.missing, 26u);
-  EXPECT_EQ(dag.pairs[1].upstream.delivered, 1'501u);
-  EXPECT_EQ(dag.pairs[1].upstream.duplicates, 1u);
-  EXPECT_EQ(dag.hub.flits_in, 8'308u);
-  EXPECT_EQ(dag.hub.dropped_fec, 27u);
+  // Flows 0-1 run host i -> device i, flows 2-3 device i -> host i.
+  ASSERT_EQ(dag.flows.size(), 4u);
+  const txn::StreamScoreboard::Stats& up0 = dag.flows[2].scoreboard;
+  EXPECT_EQ(up0.delivered, 1'480u);
+  EXPECT_EQ(up0.in_order, 1'479u);
+  EXPECT_EQ(up0.order_violations, 1u);
+  EXPECT_EQ(up0.missing, 20u);
+  const txn::StreamScoreboard::Stats& down1 = dag.flows[1].scoreboard;
+  EXPECT_EQ(down1.delivered, 1'475u);
+  EXPECT_EQ(down1.in_order, 1'471u);
+  EXPECT_EQ(down1.duplicates, 1u);
+  EXPECT_EQ(down1.late_deliveries, 1u);
+  EXPECT_EQ(down1.missing, 26u);
+  EXPECT_EQ(dag.flows[3].scoreboard.delivered, 1'501u);
+  EXPECT_EQ(dag.flows[3].scoreboard.duplicates, 1u);
+  ASSERT_EQ(dag.hubs.size(), 1u);
+  EXPECT_EQ(dag.hubs[0].stats.flits_in, 8'308u);
+  EXPECT_EQ(dag.hubs[0].stats.dropped_fec, 27u);
+}
+
+// --------------------------------------------------------------------------
+// The paper's host <-> N-level <-> device fabric as hub chains
+// --------------------------------------------------------------------------
+
+/// Counters of one direction of the linear fabric, recorded from the
+/// deleted per-direction harness on the same configuration.
+struct RecordedDirection {
+  /// delivered, in-order, order violations, duplicates, late, data
+  /// corruptions, missing.
+  std::array<std::uint64_t, 7> scoreboard;
+  /// Sender: data sent, retransmitted, standalone control flits, ACKs
+  /// piggybacked, NACKs sent, retry rounds.
+  std::array<std::uint64_t, 6> sender;
+  /// Receiver: flits received, CRC discards, sequence discards, FEC
+  /// corrections.
+  std::array<std::uint64_t, 4> receiver;
+  /// The direction's switches: FEC drops, CRC drops, FEC corrections,
+  /// internal corruptions; then flits corrupted on its channels.
+  std::array<std::uint64_t, 5> wire;
+};
+
+struct RecordedLinearRun {
+  Protocol protocol;
+  unsigned levels;
+  RecordedDirection down, up;
+};
+
+TEST(DagFabric, LinearDagMatchesRecordedLegacyFabric) {
+  // make_linear_dag replaced the per-direction harness. Before it was
+  // deleted, a live comparison matched both field for field on 220 configs
+  // (CXL and RXL, 0-4 levels, six error settings); these constants were
+  // recorded from the legacy harness on seed 8 at burst rate 5e-3 with
+  // switch-internal corruption 2e-3, so every §4.1 failure kind (order
+  // violations, duplicates, losses, corrupt data) is reproduced
+  // event-for-event through the hub chains.
+  const RecordedLinearRun kRecorded[] = {
+      {Protocol::kCxl, 0,
+       {{2953, 2951, 1, 1, 0, 0, 48},
+        {3000, 387, 22, 228, 20, 14},
+        {3409, 7, 389, 7},
+        {0, 0, 0, 0, 15}},
+       {{3001, 3000, 0, 1, 0, 0, 0},
+        {3000, 231, 17, 227, 14, 25},
+        {3248, 9, 169, 9},
+        {0, 0, 0, 0, 20}}},
+      {Protocol::kRxl, 0,
+       {{3000, 3000, 0, 0, 0, 0, 0},
+        {3000, 134, 21, 287, 20, 32},
+        {3155, 127, 0, 7},
+        {0, 0, 0, 0, 14}},
+       {{3000, 3000, 0, 0, 0, 0, 0},
+        {3000, 199, 31, 290, 31, 20},
+        {3230, 188, 0, 9},
+        {0, 0, 0, 0, 20}}},
+      {Protocol::kCxl, 1,
+       {{2977, 2973, 2, 1, 1, 3, 24},
+        {3000, 1340, 43, 202, 40, 37},
+        {4359, 12, 1244, 12},
+        {15, 9, 9, 5, 49}},
+       {{3001, 3000, 0, 1, 0, 5, 0},
+        {3000, 1399, 40, 203, 37, 39},
+        {4414, 8, 1286, 8},
+        {18, 7, 7, 8, 52}}},
+      {Protocol::kRxl, 1,
+       {{3000, 3000, 0, 0, 0, 0, 0},
+        {3000, 1420, 43, 205, 40, 56},
+        {4448, 1393, 0, 12},
+        {15, 0, 10, 5, 50}},
+       {{3000, 3000, 0, 0, 0, 0, 0},
+        {3000, 1623, 60, 166, 56, 39},
+        {4665, 1585, 0, 8},
+        {18, 0, 7, 8, 54}}},
+      {Protocol::kCxl, 4,
+       {{2578, 2575, 2, 1, 0, 27, 423},
+        {3000, 8222, 80, 84, 71, 86},
+        {11046, 25, 8251, 25},
+        {165, 91, 91, 92, 323}},
+       {{2335, 2332, 3, 0, 0, 13, 665},
+        {3000, 6448, 100, 76, 90, 70},
+        {9336, 19, 6540, 19},
+        {146, 66, 66, 76, 259}}},
+      {Protocol::kRxl, 4,
+       {{2407, 2407, 0, 0, 0, 0, 0},
+        {2497, 9756, 119, 85, 104, 101},
+        {12149, 9582, 0, 25},
+        {178, 0, 99, 103, 346}},
+       {{2568, 2568, 0, 0, 0, 0, 0},
+        {2650, 9975, 119, 66, 107, 102},
+        {12512, 9798, 0, 24},
+        {187, 0, 87, 99, 331}}}};
+  for (const RecordedLinearRun& expected : kRecorded) {
+    DagScenarioSpec spec;
+    spec.protocol.protocol = expected.protocol;
+    spec.protocol.coalesce_factor = 10;
+    spec.burst_injection_rate = 5e-3;
+    spec.seed = 8;
+    spec.flits_per_flow = 3'000;
+    spec.horizon = 30'000'000;
+    DagConfig config = make_linear_dag(spec, expected.levels);
+    config.hub_internal_error_rate = 2e-3;
+    const DagReport report = run_dag_fabric(config);
+    ASSERT_EQ(report.hops.size(), 1u);
+    const unsigned levels = expected.levels;
+    for (std::size_t dir = 0; dir < 2; ++dir) {
+      SCOPED_TRACE(testing::Message()
+                   << protocol_name(expected.protocol) << " " << levels
+                   << " levels, " << (dir == 0 ? "downstream" : "upstream"));
+      const RecordedDirection& want = dir == 0 ? expected.down : expected.up;
+      const txn::StreamScoreboard::Stats& s = report.flows[dir].scoreboard;
+      EXPECT_EQ(want.scoreboard,
+                (std::array<std::uint64_t, 7>{
+                    s.delivered, s.in_order, s.order_violations, s.duplicates,
+                    s.late_deliveries, s.data_corruptions, s.missing}));
+      // hops[0].a is the host, hops[0].b the device.
+      const link::EndpointStats& tx =
+          dir == 0 ? report.hops[0].a : report.hops[0].b;
+      const link::EndpointStats& rx =
+          dir == 0 ? report.hops[0].b : report.hops[0].a;
+      EXPECT_EQ(want.sender,
+                (std::array<std::uint64_t, 6>{
+                    tx.data_flits_sent, tx.data_flits_retransmitted,
+                    tx.control_flits_sent, tx.acks_piggybacked, tx.nacks_sent,
+                    tx.retry_rounds}));
+      EXPECT_EQ(want.receiver,
+                (std::array<std::uint64_t, 4>{
+                    rx.flits_received, rx.flits_discarded_crc,
+                    rx.flits_discarded_seq, rx.fec_corrected_flits}));
+      // Downstream hubs come first in node order; edges 0..L run
+      // downstream and L+1..2L+1 upstream.
+      std::array<std::uint64_t, 5> wire{};
+      for (unsigned level = 0; level < levels; ++level) {
+        const switchdev::PortSwitchStats& hub =
+            report.hubs[dir * levels + level].stats;
+        wire[0] += hub.dropped_fec;
+        wire[1] += hub.dropped_crc;
+        wire[2] += hub.fec_corrected;
+        wire[3] += hub.internal_corruptions;
+        EXPECT_EQ(hub.dropped_no_route, 0u);
+      }
+      for (unsigned hop = 0; hop <= levels; ++hop)
+        wire[4] += report.channels[dir * (levels + 1) + hop].flits_corrupted;
+      EXPECT_EQ(want.wire, wire);
+    }
+  }
 }
 
 TEST(DagFabric, DeterministicAcrossRunsAndWorkerCounts) {

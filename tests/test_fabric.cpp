@@ -1,86 +1,92 @@
-// Full-fabric integration: statistical validation of the paper's claims at
+// Full-fabric integration on the paper's host <-> N-level <-> device fabric
+// (make_linear_dag): statistical validation of the paper's claims at
 // inflated error rates (the benches sweep these; tests pin the qualitative
 // results).
-#include "rxl/transport/fabric.hpp"
-
 #include <gtest/gtest.h>
 
 #include "rxl/sim/trial_runner.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 namespace rxl::transport {
 namespace {
 
 constexpr Protocol kProtocols[] = {Protocol::kCxl, Protocol::kRxl};
 
-FabricConfig base_config(Protocol protocol) {
-  FabricConfig config;
-  config.protocol.protocol = protocol;
-  config.protocol.coalesce_factor = 10;  // p_coalescing = 0.1
-  config.switch_levels = 1;
-  config.seed = 2024;
-  config.downstream_flits = 30'000;
-  config.upstream_flits = 30'000;
-  config.horizon = 200'000'000;  // 200 us: 100k slots
-  return config;
+DagScenarioSpec base_spec(Protocol protocol) {
+  DagScenarioSpec spec;
+  spec.protocol.protocol = protocol;
+  spec.protocol.coalesce_factor = 10;  // p_coalescing = 0.1
+  spec.seed = 2024;
+  spec.flits_per_flow = 30'000;
+  spec.horizon = 200'000'000;  // 200 us: 100k slots
+  return spec;
+}
+
+/// Runs host <-> `levels` switch levels <-> device. With one level,
+/// hubs[0] is the downstream switch and edges 0 and 1 carry the downstream
+/// direction.
+DagReport run_levels(const DagScenarioSpec& spec, unsigned levels = 1,
+                     double switch_internal_error_rate = 0.0) {
+  DagConfig config = make_linear_dag(spec, levels);
+  config.hub_internal_error_rate = switch_internal_error_rate;
+  return run_dag_fabric(config);
 }
 
 TEST(Fabric, CleanFabricDeliversEverything) {
   const auto reports = sim::run_trials(2, [](std::size_t trial) {
-    FabricConfig config = base_config(kProtocols[trial]);
-    config.downstream_flits = 5'000;
-    config.upstream_flits = 5'000;
-    return run_fabric(config);
+    DagScenarioSpec spec = base_spec(kProtocols[trial]);
+    spec.flits_per_flow = 5'000;
+    return run_levels(spec);
   });
-  for (const FabricReport& report : reports) {
-    EXPECT_EQ(report.downstream.scoreboard.in_order, 5'000u);
-    EXPECT_EQ(report.downstream.scoreboard.order_violations, 0u);
-    EXPECT_EQ(report.upstream.scoreboard.in_order, 5'000u);
-    EXPECT_EQ(report.downstream.scoreboard.data_corruptions, 0u);
+  for (const DagReport& report : reports) {
+    EXPECT_EQ(report.flows[0].scoreboard.in_order, 5'000u);
+    EXPECT_EQ(report.flows[0].scoreboard.order_violations, 0u);
+    EXPECT_EQ(report.flows[1].scoreboard.in_order, 5'000u);
+    EXPECT_EQ(report.flows[0].scoreboard.data_corruptions, 0u);
   }
 }
 
 TEST(Fabric, SwitchedCxlSuffersOrderingFailuresUnderDrops) {
   // Paper §7.1.2: drops + ACK piggybacking => undetected ordering
   // violations. Inflated burst rate makes them frequent enough to count.
-  FabricConfig config = base_config(Protocol::kCxl);
-  config.burst_injection_rate = 1e-2;  // ~6.7e-3 drops/flit after FEC
-  const FabricReport report = run_fabric(config);
-  EXPECT_GT(report.downstream.switch_dropped_fec, 50u);
-  EXPECT_GT(report.downstream.scoreboard.order_violations +
-                report.downstream.scoreboard.duplicates,
+  DagScenarioSpec spec = base_spec(Protocol::kCxl);
+  spec.burst_injection_rate = 1e-2;  // ~6.7e-3 drops/flit after FEC
+  const DagReport report = run_levels(spec);
+  EXPECT_GT(report.hubs[0].stats.dropped_fec, 50u);
+  EXPECT_GT(report.flows[0].scoreboard.order_violations +
+                report.flows[0].scoreboard.duplicates,
             0u);
 }
 
 TEST(Fabric, SwitchedRxlHasZeroOrderingFailuresUnderSameDrops) {
-  FabricConfig config = base_config(Protocol::kRxl);
-  config.burst_injection_rate = 5e-3;
-  const FabricReport report = run_fabric(config);
-  EXPECT_GT(report.downstream.switch_dropped_fec, 50u);  // same physics
-  EXPECT_EQ(report.downstream.scoreboard.order_violations, 0u);
-  EXPECT_EQ(report.downstream.scoreboard.duplicates, 0u);
-  EXPECT_EQ(report.downstream.scoreboard.data_corruptions, 0u);
+  DagScenarioSpec spec = base_spec(Protocol::kRxl);
+  spec.burst_injection_rate = 5e-3;
+  const DagReport report = run_levels(spec);
+  const txn::StreamScoreboard::Stats& down = report.flows[0].scoreboard;
+  EXPECT_GT(report.hubs[0].stats.dropped_fec, 50u);  // same physics
+  EXPECT_EQ(down.order_violations, 0u);
+  EXPECT_EQ(down.duplicates, 0u);
+  EXPECT_EQ(down.data_corruptions, 0u);
   // And nothing is lost: drops are retried to completion.
-  EXPECT_EQ(report.downstream.scoreboard.missing, 0u);
+  EXPECT_EQ(down.missing, 0u);
 }
 
 TEST(Fabric, SwitchInternalCorruptionEscapesCxlButNotRxl) {
   // §6.3: CXL switches regenerate the link CRC over internally corrupted
   // data; RXL's end-to-end ECRC catches it.
   const auto reports = sim::run_trials(2, [](std::size_t trial) {
-    FabricConfig config = base_config(kProtocols[trial]);
-    config.switch_internal_error_rate = 1e-3;
-    config.downstream_flits = 20'000;
-    config.upstream_flits = 20'000;
-    return run_fabric(config);
+    DagScenarioSpec spec = base_spec(kProtocols[trial]);
+    spec.flits_per_flow = 20'000;
+    return run_levels(spec, 1, 1e-3);
   });
-  const FabricReport& cxl_report = reports[0];
-  EXPECT_GT(cxl_report.downstream.switch_internal_corruptions, 0u);
-  EXPECT_GT(cxl_report.downstream.scoreboard.data_corruptions, 0u);
+  const DagReport& cxl_report = reports[0];
+  EXPECT_GT(cxl_report.hubs[0].stats.internal_corruptions, 0u);
+  EXPECT_GT(cxl_report.flows[0].scoreboard.data_corruptions, 0u);
 
-  const FabricReport& rxl_report = reports[1];
-  EXPECT_GT(rxl_report.downstream.switch_internal_corruptions, 0u);
-  EXPECT_EQ(rxl_report.downstream.scoreboard.data_corruptions, 0u);
-  EXPECT_EQ(rxl_report.downstream.scoreboard.missing, 0u);
+  const DagReport& rxl_report = reports[1];
+  EXPECT_GT(rxl_report.hubs[0].stats.internal_corruptions, 0u);
+  EXPECT_EQ(rxl_report.flows[0].scoreboard.data_corruptions, 0u);
+  EXPECT_EQ(rxl_report.flows[0].scoreboard.missing, 0u);
 }
 
 TEST(Fabric, MoreSwitchLevelsMeanMoreCxlFailures) {
@@ -89,17 +95,11 @@ TEST(Fabric, MoreSwitchLevelsMeanMoreCxlFailures) {
   // (self-aware) resync episode — the silent-drop hole only opens in the
   // clean state — so use a modest rate over a long run.
   const auto failures = sim::run_trials(2, [](std::size_t trial) {
-    FabricConfig config = base_config(Protocol::kCxl);
-    config.switch_levels = trial == 0 ? 1u : 4u;
-    config.burst_injection_rate = 1e-3;
-    config.downstream_flits = 150'000;
-    config.upstream_flits = 150'000;
-    config.horizon = 700'000'000;  // 700 us = 350k slots
-    const FabricReport report = run_fabric(config);
-    return report.downstream.scoreboard.order_violations +
-           report.downstream.scoreboard.duplicates +
-           report.upstream.scoreboard.order_violations +
-           report.upstream.scoreboard.duplicates;
+    DagScenarioSpec spec = base_spec(Protocol::kCxl);
+    spec.burst_injection_rate = 1e-3;
+    spec.flits_per_flow = 150'000;
+    spec.horizon = 700'000'000;  // 700 us = 350k slots
+    return run_levels(spec, trial == 0 ? 1u : 4u).total_order_failures();
   });
   const std::uint64_t shallow = failures[0];
   const std::uint64_t deep = failures[1];
@@ -110,26 +110,30 @@ TEST(Fabric, MoreSwitchLevelsMeanMoreCxlFailures) {
 TEST(Fabric, BerDrivenErrorsAreMostlyCorrected) {
   // At BER 1e-5, nearly every corrupted flit carries a single-bit error the
   // FEC fixes; goodput should stay near 1 with zero failures.
-  FabricConfig config = base_config(Protocol::kRxl);
-  config.ber = 1e-5;
-  config.downstream_flits = 20'000;
-  config.upstream_flits = 20'000;
-  const FabricReport report = run_fabric(config);
-  EXPECT_GT(report.downstream.channel_flits_corrupted, 100u);
-  EXPECT_EQ(report.downstream.scoreboard.missing, 0u);
+  DagScenarioSpec spec = base_spec(Protocol::kRxl);
+  spec.ber = 1e-5;
+  spec.flits_per_flow = 20'000;
+  const DagReport report = run_levels(spec);
+  const std::uint64_t corrupted =
+      report.channels[0].flits_corrupted + report.channels[1].flits_corrupted;
+  EXPECT_GT(corrupted, 100u);
+  EXPECT_EQ(report.flows[0].scoreboard.missing, 0u);
   const double corrected_share =
-      static_cast<double>(report.downstream.switch_fec_corrected +
-                          report.downstream.rx.fec_corrected_flits) /
-      static_cast<double>(report.downstream.channel_flits_corrupted);
+      static_cast<double>(report.hubs[0].stats.fec_corrected +
+                          report.hops[0].b.fec_corrected_flits) /
+      static_cast<double>(corrupted);
   EXPECT_GT(corrected_share, 0.95);
 }
 
 TEST(Fabric, ReportsChannelCapacity) {
-  FabricConfig config = base_config(Protocol::kRxl);
-  const FabricReport report = run_fabric(config);
-  EXPECT_EQ(report.slots, config.horizon / config.slot);
-  EXPECT_GT(report.downstream.goodput, 0.0);
-  EXPECT_LE(report.downstream.goodput, 1.0);
+  const DagScenarioSpec spec = base_spec(Protocol::kRxl);
+  const DagReport report = run_levels(spec);
+  EXPECT_EQ(report.slots, spec.horizon / kFlitSlotPs);
+  const double goodput =
+      static_cast<double>(report.flows[0].scoreboard.in_order) /
+      static_cast<double>(report.slots);
+  EXPECT_GT(goodput, 0.0);
+  EXPECT_LE(goodput, 1.0);
 }
 
 TEST(Fabric, DeterministicAcrossRunsAndWorkerCounts) {
@@ -139,39 +143,27 @@ TEST(Fabric, DeterministicAcrossRunsAndWorkerCounts) {
   // (serial pair + sharded pair), so this keeps the suite's wall-time flat
   // while still exercising thousands of flits per universe.
   auto trial = [](std::size_t) {
-    FabricConfig config = base_config(Protocol::kCxl);
-    config.burst_injection_rate = 2e-3;
-    config.downstream_flits = 5'000;
-    config.upstream_flits = 5'000;
-    return run_fabric(config);
+    DagScenarioSpec spec = base_spec(Protocol::kCxl);
+    spec.burst_injection_rate = 2e-3;
+    spec.flits_per_flow = 5'000;
+    return run_levels(spec);
   };
   const auto serial = sim::run_trials(2, trial, /*workers=*/1);
   const auto sharded = sim::run_trials(2, trial, /*workers=*/2);
   for (const auto* reports : {&serial, &sharded}) {
-    const FabricReport& first = (*reports)[0];
-    const FabricReport& second = (*reports)[1];
-    EXPECT_EQ(first.downstream.scoreboard.in_order,
-              second.downstream.scoreboard.in_order);
-    EXPECT_EQ(first.downstream.scoreboard.order_violations,
-              second.downstream.scoreboard.order_violations);
-    EXPECT_EQ(first.downstream.switch_dropped_fec,
-              second.downstream.switch_dropped_fec);
+    const DagReport& first = (*reports)[0];
+    const DagReport& second = (*reports)[1];
+    EXPECT_EQ(first.flows[0].scoreboard.in_order,
+              second.flows[0].scoreboard.in_order);
+    EXPECT_EQ(first.flows[0].scoreboard.order_violations,
+              second.flows[0].scoreboard.order_violations);
+    EXPECT_EQ(first.hubs[0].stats.dropped_fec,
+              second.hubs[0].stats.dropped_fec);
   }
-  EXPECT_EQ(serial[0].downstream.scoreboard.in_order,
-            sharded[0].downstream.scoreboard.in_order);
-  EXPECT_EQ(serial[0].downstream.switch_dropped_fec,
-            sharded[0].downstream.switch_dropped_fec);
-}
-
-TEST(Fabric, SummaryMentionsKeyCounters) {
-  FabricConfig config = base_config(Protocol::kRxl);
-  config.downstream_flits = 1'000;
-  config.upstream_flits = 1'000;
-  config.horizon = 50'000'000;
-  const FabricReport report = run_fabric(config);
-  const std::string text = summarize(report);
-  EXPECT_NE(text.find("in-order"), std::string::npos);
-  EXPECT_NE(text.find("downstream"), std::string::npos);
+  EXPECT_EQ(serial[0].flows[0].scoreboard.in_order,
+            sharded[0].flows[0].scoreboard.in_order);
+  EXPECT_EQ(serial[0].hubs[0].stats.dropped_fec,
+            sharded[0].hubs[0].stats.dropped_fec);
 }
 
 }  // namespace

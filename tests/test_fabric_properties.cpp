@@ -4,7 +4,7 @@
 
 #include <tuple>
 
-#include "rxl/transport/fabric.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -17,20 +17,17 @@ class RxlLossless
 
 TEST_P(RxlLossless, HoldsUnderRandomErrorMixes) {
   const auto [seed, ber, burst_rate] = GetParam();
-  FabricConfig config;
-  config.protocol.protocol = Protocol::kRxl;
-  config.protocol.coalesce_factor = 8;
-  config.switch_levels = 2;
-  config.ber = ber;
-  config.burst_injection_rate = burst_rate;
-  config.seed = seed;
-  config.downstream_flits = 20'000;
-  config.upstream_flits = 20'000;
-  config.horizon = 200'000'000;
-  const FabricReport report = run_fabric(config);
-  for (const DirectionReport* direction :
-       {&report.downstream, &report.upstream}) {
-    const auto& board = direction->scoreboard;
+  DagScenarioSpec spec;
+  spec.protocol.protocol = Protocol::kRxl;
+  spec.protocol.coalesce_factor = 8;
+  spec.ber = ber;
+  spec.burst_injection_rate = burst_rate;
+  spec.seed = seed;
+  spec.flits_per_flow = 20'000;
+  spec.horizon = 200'000'000;
+  const DagReport report = run_dag_fabric(make_linear_dag(spec, 2));
+  for (const DagFlowReport& flow : report.flows) {
+    const auto& board = flow.scoreboard;
     EXPECT_EQ(board.order_violations, 0u);
     EXPECT_EQ(board.duplicates, 0u);
     EXPECT_EQ(board.late_deliveries, 0u);
@@ -57,18 +54,18 @@ class FabricConservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FabricConservation, CategoriesPartitionDeliveries) {
   for (const Protocol protocol : {Protocol::kCxl, Protocol::kRxl}) {
-    FabricConfig config;
-    config.protocol.protocol = protocol;
-    config.switch_levels = 1;
-    config.burst_injection_rate = 2e-3;
-    config.seed = GetParam();
-    config.downstream_flits = 15'000;
-    config.upstream_flits = 15'000;
-    config.horizon = 150'000'000;
-    const FabricReport report = run_fabric(config);
-    for (const DirectionReport* direction :
-         {&report.downstream, &report.upstream}) {
-      const auto& board = direction->scoreboard;
+    DagScenarioSpec spec;
+    spec.protocol.protocol = protocol;
+    spec.burst_injection_rate = 2e-3;
+    spec.seed = GetParam();
+    spec.flits_per_flow = 15'000;
+    spec.horizon = 150'000'000;
+    const DagReport report = run_dag_fabric(make_linear_dag(spec, 1));
+    for (std::size_t f = 0; f < 2; ++f) {
+      const auto& board = report.flows[f].scoreboard;
+      // hops[0].b (the device) receives flow 0, hops[0].a flow 1.
+      const link::EndpointStats& rx =
+          f == 0 ? report.hops[0].b : report.hops[0].a;
       // Every delivery is exactly one of: in-order, gap-skip, late, dup.
       EXPECT_EQ(board.delivered, board.in_order + board.order_violations +
                                      board.late_deliveries + board.duplicates +
@@ -77,7 +74,7 @@ TEST_P(FabricConservation, CategoriesPartitionDeliveries) {
       // No direction delivers more unique flits than were offered.
       EXPECT_LE(board.in_order + board.late_deliveries, 15'000u);
       // RX counters are self-consistent.
-      EXPECT_LE(direction->rx.flits_delivered, direction->rx.flits_received);
+      EXPECT_LE(rx.flits_delivered, rx.flits_received);
     }
   }
 }
@@ -94,27 +91,22 @@ TEST_P(InternalCorruption, RxlZeroCxlLeaks) {
   std::uint64_t cxl_leaks = 0;
   std::uint64_t cxl_injected = 0;
   for (const Protocol protocol : {Protocol::kCxl, Protocol::kRxl}) {
-    FabricConfig config;
-    config.protocol.protocol = protocol;
-    config.switch_levels = 2;
-    config.switch_internal_error_rate = 2e-3;
-    config.seed = GetParam();
-    config.downstream_flits = 15'000;
-    config.upstream_flits = 15'000;
-    config.horizon = 150'000'000;
-    const FabricReport report = run_fabric(config);
-    const std::uint64_t corruptions =
-        report.downstream.scoreboard.data_corruptions +
-        report.upstream.scoreboard.data_corruptions;
+    DagScenarioSpec spec;
+    spec.protocol.protocol = protocol;
+    spec.seed = GetParam();
+    spec.flits_per_flow = 15'000;
+    spec.horizon = 150'000'000;
+    DagConfig config = make_linear_dag(spec, 2);
+    config.hub_internal_error_rate = 2e-3;
+    const DagReport report = run_dag_fabric(config);
+    const std::uint64_t corruptions = report.total_data_corruptions();
     if (protocol == Protocol::kRxl) {
       EXPECT_EQ(corruptions, 0u) << "seed " << GetParam();
-      EXPECT_EQ(report.downstream.scoreboard.missing +
-                    report.upstream.scoreboard.missing,
-                0u);
+      EXPECT_EQ(report.total_missing(), 0u);
     } else {
       cxl_leaks = corruptions;
-      cxl_injected = report.downstream.switch_internal_corruptions +
-                     report.upstream.switch_internal_corruptions;
+      for (const DagHubReport& hub : report.hubs)
+        cxl_injected += hub.stats.internal_corruptions;
     }
   }
   EXPECT_GT(cxl_injected, 0u);

@@ -1,15 +1,15 @@
-// Switch behaviour: FEC correct/drop, CRC handling per protocol, internal
-// corruption semantics (the §6.3/§6.4 distinction), for SwitchDevice and
-// the multi-port PortSwitch.
-#include "rxl/switchdev/switch_device.hpp"
+// Transparent switch behaviour: FEC correct/drop, CRC handling per
+// protocol, internal corruption semantics (the §6.3/§6.4 distinction), and
+// routing by the envelope's destination tag. The SwitchDevice cases drive a
+// PortSwitch in its one-port, in-line form (each hop of a linear fabric's
+// hub chain); the PortSwitch cases route across several ports.
+#include "rxl/switchdev/port_switch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
 #include <vector>
-
-#include "rxl/switchdev/port_switch.hpp"
 
 #include "rxl/crc/isn_crc.hpp"
 #include "rxl/phy/error_model.hpp"
@@ -20,18 +20,20 @@ namespace {
 using transport::FlitCodec;
 using transport::Protocol;
 
+/// A one-port switch (every flit routes to port 0) feeding a clean channel.
 struct Harness {
   sim::EventQueue queue;
-  std::optional<SwitchDevice> sw;
+  std::optional<PortSwitch> sw;
   std::optional<sim::LinkChannel> out;
   std::vector<sim::FlitEnvelope> received;
 
-  explicit Harness(const SwitchDevice::Config& config, std::uint64_t seed = 1) {
+  explicit Harness(PortSwitch::Config config, std::uint64_t seed = 1) {
+    config.ports = 1;
     sw.emplace(queue, config, seed);
     out.emplace(queue, std::make_unique<phy::NoErrors>(), seed + 1);
     out->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { received.push_back(envelope); });
-    sw->set_output(&*out);
+    sw->set_output(0, &*out);
   }
 };
 
@@ -46,7 +48,7 @@ sim::FlitEnvelope data_envelope(const FlitCodec& codec, std::uint16_t seq) {
 }
 
 TEST(SwitchDevice, ForwardsPristineFlit) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -59,7 +61,7 @@ TEST(SwitchDevice, ForwardsPristineFlit) {
 }
 
 TEST(SwitchDevice, ForwardLatencyApplied) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.forward_latency = 12'345;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -70,7 +72,7 @@ TEST(SwitchDevice, ForwardLatencyApplied) {
 }
 
 TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -86,8 +88,8 @@ TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
 
 // A hub leaves an FEC-corrected image non-pristine, so egress regeneration
 // re-encodes it. After a true correction that must write back exactly the
-// original encoding, under both protocols and on both hub models: the
-// pristine fast path then changes no outcome.
+// original encoding, under both protocols: the pristine fast path then
+// changes no outcome.
 std::vector<flit::Flit> originals(const FlitCodec& codec) {
   std::vector<std::uint8_t> payload(kPayloadBytes);
   for (std::size_t i = 0; i < payload.size(); ++i)
@@ -103,7 +105,7 @@ constexpr std::size_t kErrorOffsets[] = {0, 50, 241, 245, 253};
 
 TEST(SwitchDevice, CorrectedFlitForwardedAsOriginalEncoding) {
   for (const Protocol protocol : {Protocol::kCxl, Protocol::kRxl}) {
-    SwitchDevice::Config config;
+    PortSwitch::Config config;
     config.protocol = protocol;
     Harness harness(config);
     const FlitCodec codec(protocol);
@@ -166,7 +168,7 @@ TEST(PortSwitch, CorrectedFlitForwardedAsOriginalEncoding) {
 
 TEST(SwitchDevice, DropsUncorrectableSilently) {
   // The silent flit drop at the heart of the paper: no NACK, no forward.
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -184,7 +186,7 @@ TEST(SwitchDevice, DropsUncorrectableSilently) {
 TEST(SwitchDevice, CxlRegeneratesCrcOverInternalCorruption) {
   // CXL: internal corruption is re-signed by the switch's link-layer CRC —
   // the endpoint will accept corrupt data (Fail_data).
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kCxl;
   config.internal_error_rate = 1.0;  // corrupt every transit
   Harness harness(config, 99);
@@ -206,7 +208,7 @@ TEST(SwitchDevice, CxlRegeneratesCrcOverInternalCorruption) {
 TEST(SwitchDevice, RxlPreservesEcrcOverInternalCorruption) {
   // RXL: the switch cannot re-sign; the stale ECRC travels on and the
   // endpoint's ISN check will reject the flit.
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   config.internal_error_rate = 1.0;
   Harness harness(config, 99);
@@ -226,7 +228,7 @@ TEST(SwitchDevice, RxlPreservesEcrcOverInternalCorruption) {
 TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
   // A miscorrected-FEC image (valid codeword, wrong bytes) reaches the CXL
   // switch's CRC check and is dropped there.
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kCxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kCxl);
@@ -242,17 +244,21 @@ TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
 }
 
 TEST(SwitchDevice, NoOutputConfiguredIsSafe) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
+  config.ports = 1;
   sim::EventQueue queue;
-  SwitchDevice sw(queue, config, 1);
+  PortSwitch sw(queue, config, 1);
   FlitCodec codec(Protocol::kRxl);
   sw.on_flit(data_envelope(codec, 0));
   queue.run();
-  EXPECT_EQ(sw.stats().flits_forwarded, 1u);  // processed, nowhere to go
+  // Processed, nowhere to go: counted as a no-route drop.
+  EXPECT_EQ(sw.stats().flits_in, 1u);
+  EXPECT_EQ(sw.stats().dropped_no_route, 1u);
+  EXPECT_EQ(sw.stats().flits_forwarded, 0u);
 }
 
 TEST(SwitchDevice, ForwardingFlitsHoldOneHeapEntry) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
   for (std::uint16_t seq = 0; seq < 64; ++seq)

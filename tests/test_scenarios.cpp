@@ -9,7 +9,7 @@
 
 #include "rxl/flit/message_pack.hpp"
 #include "rxl/phy/error_model.hpp"
-#include "rxl/switchdev/switch_device.hpp"
+#include "rxl/switchdev/port_switch.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
 
@@ -34,7 +34,7 @@ struct ScenarioHarness {
   std::optional<sim::LinkChannel> host_to_switch;
   std::optional<sim::LinkChannel> switch_to_device;
   std::optional<sim::LinkChannel> device_to_host;
-  std::optional<switchdev::SwitchDevice> sw;
+  std::optional<switchdev::PortSwitch> sw;
   txn::StreamScoreboard stream;
   txn::TxnScoreboard txn_board;
   std::vector<std::uint64_t> delivery_order;  ///< truth indices as delivered
@@ -61,16 +61,17 @@ struct ScenarioHarness {
     device_to_host.emplace(queue, std::make_unique<phy::NoErrors>(), 3, 2000,
                            2000);
 
-    switchdev::SwitchDevice::Config sw_config;
+    switchdev::PortSwitch::Config sw_config;
     sw_config.protocol = protocol;
     sw_config.forward_latency = 2000;
+    sw_config.ports = 1;
     sw.emplace(queue, sw_config, 4);
 
     host->set_output(&*host_to_switch);
     host_to_switch->set_receiver([this](sim::FlitEnvelope&& envelope) {
       sw->on_flit(std::move(envelope));
     });
-    sw->set_output(&*switch_to_device);
+    sw->set_output(0, &*switch_to_device);
     switch_to_device->set_receiver([this](sim::FlitEnvelope&& envelope) {
       device->on_flit(std::move(envelope));
     });

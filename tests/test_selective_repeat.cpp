@@ -7,8 +7,8 @@
 
 #include "rxl/link/reorder_buffer.hpp"
 #include "rxl/phy/error_model.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 #include "rxl/transport/endpoint.hpp"
-#include "rxl/transport/fabric.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -53,65 +53,57 @@ TEST(SelectiveRepeat, RxlRejectsTheMode) {
                std::invalid_argument);
 }
 
-FabricConfig selective_config(RetryMode mode) {
-  FabricConfig config;
-  config.protocol.protocol = Protocol::kCxl;
-  config.protocol.retry_mode = mode;
-  config.protocol.coalesce_factor = 10;
-  config.switch_levels = 1;
-  config.burst_injection_rate = 2e-3;
-  config.seed = 808;
-  config.downstream_flits = 40'000;
-  config.upstream_flits = 40'000;
-  config.horizon = 300'000'000;
-  return config;
+/// CXL through one switch level: hops[0].a is the host, hops[0].b the
+/// device, and flow 0 the downstream stream.
+DagReport run_selective(RetryMode mode) {
+  DagScenarioSpec spec;
+  spec.protocol.protocol = Protocol::kCxl;
+  spec.protocol.retry_mode = mode;
+  spec.protocol.coalesce_factor = 10;
+  spec.burst_injection_rate = 2e-3;
+  spec.seed = 808;
+  spec.flits_per_flow = 40'000;
+  spec.horizon = 300'000'000;
+  return run_dag_fabric(make_linear_dag(spec, 1));
 }
 
 TEST(SelectiveRepeat, DeliversCompletelyUnderDrops) {
-  const FabricReport report =
-      run_fabric(selective_config(RetryMode::kSelectiveRepeat));
-  EXPECT_EQ(report.downstream.scoreboard.in_order +
-                report.downstream.scoreboard.late_deliveries,
-            40'000u - report.downstream.scoreboard.missing);
+  const DagReport report = run_selective(RetryMode::kSelectiveRepeat);
+  const txn::StreamScoreboard::Stats& down = report.flows[0].scoreboard;
+  EXPECT_EQ(down.in_order + down.late_deliveries, 40'000u - down.missing);
   // The stream completes (allowing the §4.1-induced losses CXL always has).
-  EXPECT_GT(report.downstream.scoreboard.in_order, 39'000u);
+  EXPECT_GT(down.in_order, 39'000u);
 }
 
 TEST(SelectiveRepeat, RetransmitsFarLessThanGoBackN) {
   // §5's bandwidth argument: one resent flit per drop instead of a whole
   // in-flight window.
-  const FabricReport go_back_n =
-      run_fabric(selective_config(RetryMode::kGoBackN));
-  const FabricReport selective =
-      run_fabric(selective_config(RetryMode::kSelectiveRepeat));
+  const DagReport go_back_n = run_selective(RetryMode::kGoBackN);
+  const DagReport selective = run_selective(RetryMode::kSelectiveRepeat);
   const std::uint64_t gbn_retx =
-      go_back_n.downstream.tx.data_flits_retransmitted +
-      go_back_n.upstream.tx.data_flits_retransmitted;
+      go_back_n.hops[0].a.data_flits_retransmitted +
+      go_back_n.hops[0].b.data_flits_retransmitted;
   const std::uint64_t sr_retx =
-      selective.downstream.tx.data_flits_retransmitted +
-      selective.upstream.tx.data_flits_retransmitted;
+      selective.hops[0].a.data_flits_retransmitted +
+      selective.hops[0].b.data_flits_retransmitted;
   EXPECT_GT(gbn_retx, sr_retx * 3);  // window-sized vs single-flit replays
   EXPECT_GT(sr_retx, 0u);
 }
 
 TEST(SelectiveRepeat, ReorderBufferActuallyUsed) {
-  sim::EventQueue queue;  // (standalone check through the fabric run)
-  const FabricReport report =
-      run_fabric(selective_config(RetryMode::kSelectiveRepeat));
+  const DagReport report = run_selective(RetryMode::kSelectiveRepeat);
   // Out-of-order arrivals were buffered rather than discarded: the
   // receive side reports no seq-mismatch discards.
-  EXPECT_EQ(report.downstream.rx.flits_discarded_seq, 0u);
-  (void)queue;
+  EXPECT_EQ(report.hops[0].b.flits_discarded_seq, 0u);
 }
 
 TEST(SelectiveRepeat, StillVulnerableToAckMaskedDrops) {
   // Selective repeat fixes the retransmission VOLUME, not the §4.1 hole:
   // ack-carrying flits still bypass the sequence check, so ordering
   // failures persist under piggybacking. Only ISN closes the hole.
-  const FabricReport report =
-      run_fabric(selective_config(RetryMode::kSelectiveRepeat));
-  EXPECT_GT(report.downstream.rx_extra.unchecked_deliveries +
-                report.upstream.rx_extra.unchecked_deliveries,
+  const DagReport report = run_selective(RetryMode::kSelectiveRepeat);
+  EXPECT_GT(report.hops[0].a_extra.unchecked_deliveries +
+                report.hops[0].b_extra.unchecked_deliveries,
             0u);
 }
 

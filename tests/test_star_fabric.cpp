@@ -1,6 +1,6 @@
 // Scale-out star fabric: routing isolation and protocol behaviour when many
 // endpoint pairs share one switching device. The star runs as a one-hub DAG
-// (run_star_fabric_via_dag); the deleted hard-coded wiring is pinned by the
+// (make_star_dag); the deleted hard-coded wiring is pinned by the
 // recorded-counter equivalence tests in test_dag_fabric.cpp.
 #include <gtest/gtest.h>
 
@@ -27,18 +27,19 @@ StarConfig base_config(Protocol protocol, std::size_t pairs) {
 
 TEST(StarFabric, CleanFabricRoutesEveryPairCompletely) {
   const auto reports = sim::run_trials(2, [](std::size_t trial) {
-    return run_star_fabric_via_dag(base_config(kProtocols[trial], 4));
+    return run_dag_fabric(make_star_dag(base_config(kProtocols[trial], 4)));
   });
-  for (const StarReport& report : reports) {
-    ASSERT_EQ(report.pairs.size(), 4u);
-    for (const PairReport& pair : report.pairs) {
-      EXPECT_EQ(pair.downstream.in_order, 4'000u);
-      EXPECT_EQ(pair.upstream.in_order, 4'000u);
-      EXPECT_EQ(pair.downstream.order_violations, 0u);
-      EXPECT_EQ(pair.downstream.data_corruptions, 0u);
+  for (const DagReport& report : reports) {
+    ASSERT_EQ(report.flows.size(), 8u);  // 4 pairs, both directions
+    for (const DagFlowReport& flow : report.flows) {
+      EXPECT_EQ(flow.scoreboard.in_order, 4'000u);
+      EXPECT_EQ(flow.scoreboard.order_violations, 0u);
+      EXPECT_EQ(flow.scoreboard.data_corruptions, 0u);
     }
-    EXPECT_EQ(report.hub.dropped_no_route, 0u);
-    EXPECT_EQ(report.hub.flits_in, report.hub.flits_forwarded);
+    ASSERT_EQ(report.hubs.size(), 1u);
+    EXPECT_EQ(report.hubs[0].stats.dropped_no_route, 0u);
+    EXPECT_EQ(report.hubs[0].stats.flits_in,
+              report.hubs[0].stats.flits_forwarded);
   }
 }
 
@@ -47,18 +48,17 @@ TEST(StarFabric, PairsAreIsolated) {
   // as data corruption (hash mismatch) at some pair's scoreboard.
   StarConfig config = base_config(Protocol::kRxl, 8);
   config.burst_injection_rate = 1e-3;
-  const StarReport report = run_star_fabric_via_dag(config);
-  for (const PairReport& pair : report.pairs) {
-    EXPECT_EQ(pair.downstream.data_corruptions, 0u);
-    EXPECT_EQ(pair.upstream.data_corruptions, 0u);
-  }
+  const DagReport report = run_dag_fabric(make_star_dag(config));
+  for (const DagFlowReport& flow : report.flows)
+    EXPECT_EQ(flow.scoreboard.data_corruptions, 0u);
+  EXPECT_EQ(report.misrouted, 0u);
 }
 
 TEST(StarFabric, RxlLosslessAcrossSharedSwitch) {
   StarConfig config = base_config(Protocol::kRxl, 6);
   config.burst_injection_rate = 2e-3;
-  const StarReport report = run_star_fabric_via_dag(config);
-  EXPECT_GT(report.hub.dropped_fec, 20u);  // drops really happened
+  const DagReport report = run_dag_fabric(make_star_dag(config));
+  EXPECT_GT(report.hubs[0].stats.dropped_fec, 20u);  // drops really happened
   EXPECT_EQ(report.total_order_failures(), 0u);
   EXPECT_EQ(report.total_missing(), 0u);
   EXPECT_EQ(report.total_in_order(), 6u * 2u * 4'000u);
@@ -72,10 +72,10 @@ TEST(StarFabric, CxlFailuresScaleWithPairCount) {
     config.burst_injection_rate = 2e-3;
     config.flits_per_direction = 20'000;
     config.horizon = 300'000'000;
-    return run_star_fabric_via_dag(config);
+    return run_dag_fabric(make_star_dag(config));
   });
-  const StarReport& small_report = reports[0];
-  const StarReport& large_report = reports[1];
+  const DagReport& small_report = reports[0];
+  const DagReport& large_report = reports[1];
   EXPECT_GT(small_report.total_order_failures() +
                 small_report.total_missing(),
             0u);
@@ -125,19 +125,21 @@ TEST(StarFabric, DeterministicAcrossRunsAndWorkerCounts) {
     StarConfig config = base_config(Protocol::kCxl, 3);
     config.burst_injection_rate = 2e-3;
     config.flits_per_direction = 2'000;
-    return run_star_fabric_via_dag(config);
+    return run_dag_fabric(make_star_dag(config));
   };
   const auto serial = sim::run_trials(2, trial, /*workers=*/1);
   const auto sharded = sim::run_trials(2, trial, /*workers=*/2);
   for (const auto* reports : {&serial, &sharded}) {
-    const StarReport& first = (*reports)[0];
-    const StarReport& second = (*reports)[1];
+    const DagReport& first = (*reports)[0];
+    const DagReport& second = (*reports)[1];
     EXPECT_EQ(first.total_in_order(), second.total_in_order());
     EXPECT_EQ(first.total_order_failures(), second.total_order_failures());
-    EXPECT_EQ(first.hub.dropped_fec, second.hub.dropped_fec);
+    EXPECT_EQ(first.hubs[0].stats.dropped_fec,
+              second.hubs[0].stats.dropped_fec);
   }
   EXPECT_EQ(serial[0].total_in_order(), sharded[0].total_in_order());
-  EXPECT_EQ(serial[0].hub.dropped_fec, sharded[0].hub.dropped_fec);
+  EXPECT_EQ(serial[0].hubs[0].stats.dropped_fec,
+            sharded[0].hubs[0].stats.dropped_fec);
 }
 
 }  // namespace

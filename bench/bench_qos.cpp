@@ -162,7 +162,7 @@ Row run_scenario(const QosCase& scenario) {
   row.shares.reserve(64);  // also defeats a GCC 12 -Wrestrict false positive
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const transport::DagFlowReport& flow = report.flows[f];
-    if (config.flows[f].pace > 0) {
+    if (config.flows[f].arrival == transport::ArrivalKind::kPaced) {
       row.mice_delivered += flow.scoreboard.in_order;
       mice_samples.insert(mice_samples.end(), flow.latency_samples.begin(),
                           flow.latency_samples.end());

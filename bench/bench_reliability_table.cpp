@@ -156,8 +156,8 @@ void flit68_section() {
       "Reading: at CXL 2.0's BER (1e-12) the light 68 B format is tenable;\n"
       "at CXL 3.0's 1e-6 it is not — which is why the paper's analysis (and\n"
       "this reproduction) centres on the 256 B flit. ISN itself is format-\n"
-      "agnostic: the library provides the same XOR-fold construction over\n"
-      "the 68 B flit's CRC-16 (rxl::flit::Flit68Codec).\n\n");
+      "agnostic: the same XOR-fold construction applies to the 68 B flit's\n"
+      "CRC-16.\n\n");
 }
 
 }  // namespace

@@ -18,11 +18,6 @@ namespace rxl::analysis {
 /// b-symbol burst (3-way round-robin interleaving).
 [[nodiscard]] unsigned lanes_with_multi_errors(std::size_t burst_symbols);
 
-/// Per-lane miscorrection acceptance probability for a lane with n_valid
-/// valid codeword positions out of 255 (the shortened-position detection
-/// argument, idealised as a uniform random implied position).
-[[nodiscard]] double lane_miscorrect_probability(std::size_t lane_codeword_symbols);
-
 /// Probability the whole flit's FEC *detects* a b-symbol burst as
 /// uncorrectable (paper §2.5: 2/3 for b=4, 8/9 for b=5, 26/27 for b>=6;
 /// 1.0 for b <= 3 means "handled", i.e. fully corrected, never escalated).

@@ -15,17 +15,6 @@ namespace rxl {
 /// Precondition: bit_index < buf.size() * 8.
 void flip_bit(std::span<std::uint8_t> buf, std::size_t bit_index) noexcept;
 
-/// Reads bit `bit_index` (0 = LSB of byte 0).
-[[nodiscard]] bool get_bit(std::span<const std::uint8_t> buf,
-                           std::size_t bit_index) noexcept;
-
-/// Number of set bits across the whole buffer.
-[[nodiscard]] std::size_t popcount(std::span<const std::uint8_t> buf) noexcept;
-
-/// Number of differing bits between two equal-sized buffers.
-[[nodiscard]] std::size_t hamming_distance(
-    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) noexcept;
-
 namespace detail {
 
 /// `value` with its bytes in little-endian order: the identity on

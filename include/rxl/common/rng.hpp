@@ -66,9 +66,6 @@ class Xoshiro256 {
   /// value if p == 0.
   std::uint64_t geometric(double p) noexcept;
 
-  /// Derives an independent child generator (for per-component streams).
-  Xoshiro256 fork() noexcept;
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -83,9 +83,4 @@ class Crc64 {
 /// Process-wide shared engine (tables built once).
 [[nodiscard]] const Crc64& shared_crc64();
 
-/// CRC-32 (IEEE, reflected) and CRC-16/CCITT for the comparison rows of the
-/// reliability analysis (escape probabilities 2^-32 / 2^-16).
-[[nodiscard]] std::uint32_t crc32_ieee(std::span<const std::uint8_t> data);
-[[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data);
-
 }  // namespace rxl::crc

@@ -54,13 +54,6 @@ class IsnCrc {
     return encode(message, 0);
   }
 
-  /// The alternative "extended message" formulation from Fig. 6b: CRC over
-  /// message || seq (seq appended as 2 LE bytes). Not bit-identical to
-  /// encode(), but has the same detection property; both are exercised by
-  /// the property tests.
-  [[nodiscard]] std::uint64_t encode_appended(
-      std::span<const std::uint8_t> message, std::uint16_t seq) const;
-
  private:
   const Crc64* engine_;
   std::size_t fold_offset_;

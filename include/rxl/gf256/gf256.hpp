@@ -232,9 +232,6 @@ inline constexpr auto kAesMap = build_aes_map();
 void add_span(std::span<std::uint8_t> dst,
               std::span<const std::uint8_t> src) noexcept;
 
-/// dst[i] = mul(c, dst[i]) — in-place scalar-vector product.
-void mul_span(std::span<std::uint8_t> dst, std::uint8_t c) noexcept;
-
 /// dst[i] ^= mul(c, src[i]) — the GF(256) axpy kernel. Spans must be equal
 /// length and must not overlap.
 void mul_add_span(std::span<std::uint8_t> dst,

@@ -1,5 +1,5 @@
-// Shared link-layer machinery: ACK coalescing/piggybacking scheduler, NACK
-// deduplication, and the per-endpoint counters the evaluation reports.
+// Shared link-layer machinery: the ACK coalescing/piggybacking scheduler
+// and the per-endpoint counters the evaluation reports.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +31,13 @@ class AckScheduler {
   /// Records an in-order delivery of `seq`; may arm a pending ACK.
   void on_delivered(std::uint16_t seq) noexcept {
     last_delivered_ = seq;
-    have_delivered_ = true;
     if (++since_ack_ >= coalesce_factor_) pending_ = true;
-  }
-
-  /// Forces an ACK to be pending (used after retry resynchronisation so the
-  /// transmitter can free its replay buffer promptly).
-  void arm() noexcept {
-    if (have_delivered_) pending_ = true;
   }
 
   /// Test instrumentation: makes `seq` the pending cumulative AckNum
   /// immediately, regardless of the coalescing counter.
   void force(std::uint16_t seq) noexcept {
     last_delivered_ = seq;
-    have_delivered_ = true;
     pending_ = true;
   }
 
@@ -67,35 +59,7 @@ class AckScheduler {
   unsigned coalesce_factor_;
   unsigned since_ack_ = 0;
   std::uint16_t last_delivered_ = 0;
-  bool have_delivered_ = false;
   bool pending_ = false;
-};
-
-/// Suppresses duplicate NACKs for the same gap: one NACK per resync episode.
-/// A new NACK is allowed only after the expected flit finally arrives (the
-/// episode closes) or after a timeout-driven re-arm by the endpoint.
-class NackDeduper {
- public:
-  /// Attempts to open a NACK episode for resync point `resume_seq`.
-  /// Returns true if the caller should actually transmit the NACK.
-  bool request(std::uint16_t resume_seq) noexcept {
-    if (active_ && resume_seq == resume_seq_) return false;
-    active_ = true;
-    resume_seq_ = resume_seq;
-    return true;
-  }
-
-  /// Closes the episode (expected flit arrived).
-  void resolve() noexcept { active_ = false; }
-
-  /// Re-arms (timeout): the next request() will fire even for the same seq.
-  void rearm() noexcept { active_ = false; }
-
-  [[nodiscard]] bool active() const noexcept { return active_; }
-
- private:
-  bool active_ = false;
-  std::uint16_t resume_seq_ = 0;
 };
 
 /// Counters accumulated by each endpoint; the benches aggregate these into

@@ -59,12 +59,6 @@ class RetryBuffer {
   /// Releases an uncommitted reservation (the source had nothing to send).
   void drop_reservation() noexcept { reserved_ = nullptr; }
 
-  /// Stores a copy of `encoded` under `seq` (reserve, copy, commit).
-  /// Returns false when full (caller must stall).
-  bool push(std::uint16_t seq, const flit::Flit& encoded,
-            std::uint64_t user_tag = 0, std::uint16_t flow_tag = 0,
-            std::uint8_t vc = 0);
-
   /// Releases all entries up to and including `acked_seq` (cumulative ACK
   /// semantics). Out-of-window acks are ignored (stale duplicates).
   /// Returns the number of entries released.
@@ -108,7 +102,7 @@ class RetryBuffer {
 
  private:
   /// Entries live in blocks of three (816 B, small enough for the
-  /// allocator's per-thread cache), so a push is one in-place fill and at
+  /// allocator's per-thread cache), so a reserve is one in-place fill and at
   /// most one allocation per block, and the footprint follows the live
   /// window. A deque would allocate a node per 272 B entry.
   static constexpr std::size_t kBlockEntries = 3;
@@ -127,9 +121,9 @@ class RetryBuffer {
   [[noreturn]] static void misuse(const char* what) noexcept;
 
   std::size_t capacity_;
-  /// Oldest block first. Bounded by capacity_ (<= 512): push() refuses
-  /// beyond it, so at most capacity_ / 3 + 2 blocks are held, and each
-  /// costs one allocation when the window grows into it.
+  /// Oldest block first. Bounded by capacity_ (<= 512): reserve() requires
+  /// room, so at most capacity_ / 3 + 2 blocks are held, and each costs one
+  /// allocation when the window grows into it.
   RingQueue<std::unique_ptr<Block>> blocks_;
   std::size_t head_ = 0;  ///< oldest entry's slot in the front block
   std::size_t size_ = 0;

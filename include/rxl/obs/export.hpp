@@ -18,13 +18,9 @@
 namespace rxl::obs {
 
 /// Chrome-trace ("Trace Event Format") JSON, loadable by chrome://tracing
-/// and Perfetto. Components map to tids (with thread_name metadata), `pid`
-/// distinguishes captures (trials) in a combined export; ts is microseconds
-/// with the full picosecond value preserved in six fractional digits.
-[[nodiscard]] std::string chrome_trace_json(const TraceCapture& capture,
-                                            std::uint32_t pid = 0);
-
-/// Combined export: one JSON document, capture i as pid i.
+/// and Perfetto: one document, capture (trial) i as pid i. Components map
+/// to tids (with thread_name metadata); ts is microseconds with the full
+/// picosecond value preserved in six fractional digits.
 [[nodiscard]] std::string chrome_trace_json(
     std::span<const TraceCapture> captures);
 

@@ -13,8 +13,7 @@
 // The registry is an insertion-ordered vector, and registration order is a
 // pure function of the topology (flows, then hops, then relays, then hubs,
 // then aggregates), so collect_metrics() output is bit-identical for any
-// sim::run_trials worker count and merge() of per-trial registries in
-// trial order is deterministic.
+// sim::run_trials worker count.
 //
 // Completeness is pinned at compile time: src/obs/metrics.cpp
 // static_asserts sizeof() of every registered counter struct against its
@@ -25,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rxl/link/link_layer.hpp"
@@ -75,20 +73,10 @@ class MetricsRegistry {
   void add_scoreboard(const std::string& prefix,
                       const txn::StreamScoreboard::Stats& s);
 
-  /// Elementwise sum with an identically-shaped registry (same names in the
-  /// same order — the per-trial registries of one config). Deterministic:
-  /// integer adds in insertion order.
-  void merge(const MetricsRegistry& other);
-
   [[nodiscard]] const std::vector<Metric>& metrics() const noexcept {
     return metrics_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return metrics_.size(); }
-  /// Value of `name`, or nullptr when absent. Linear scan: registries are
-  /// small and built once.
-  [[nodiscard]] const std::uint64_t* find(std::string_view name) const noexcept;
-  /// Metrics whose name starts with `prefix`.
-  [[nodiscard]] std::size_t count_prefix(std::string_view prefix) const noexcept;
 
   /// "name,value\n" lines in registration order.
   [[nodiscard]] std::string to_csv() const;

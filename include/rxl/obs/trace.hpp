@@ -166,7 +166,6 @@ class TraceSink {
   [[nodiscard]] const TraceRing& ring(std::size_t i) const noexcept {
     return rings_[i];
   }
-  [[nodiscard]] std::uint64_t total_overruns() const noexcept;
 
   /// Snapshot every ring, components in registration order.
   [[nodiscard]] TraceCapture capture() const;

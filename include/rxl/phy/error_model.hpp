@@ -6,7 +6,6 @@
 //   * IndependentBitErrors — i.i.d. bit flips at a given BER.
 //   * DfeBurstErrors — a first error triggers a geometric run of follow-on
 //     symbol errors, modelling decision-feedback equalizer propagation.
-//   * GilbertElliott — two-state (good/bad) channel with per-state BERs.
 //   * SymbolBurstInjector — deterministic b-symbol bursts for the FEC
 //     detection experiment (E8).
 // All models mutate a raw flit image in place and report how many bits they
@@ -68,27 +67,6 @@ class DfeBurstErrors final : public ErrorModel {
  private:
   double seed_ber_;
   double propagation_;
-};
-
-/// Two-state Gilbert-Elliott channel. State persists across flits; the
-/// channel spends bursts of time in the bad state (high BER).
-class GilbertElliott final : public ErrorModel {
- public:
-  struct Params {
-    double p_good_to_bad = 1e-6;  ///< per-bit transition probability
-    double p_bad_to_good = 1e-2;
-    double ber_good = 1e-9;
-    double ber_bad = 1e-3;
-  };
-  explicit GilbertElliott(const Params& params) noexcept : params_(params) {}
-  std::size_t corrupt(std::span<std::uint8_t> flit, Xoshiro256& rng) override;
-  [[nodiscard]] bool in_bad_state() const noexcept { return bad_; }
-  /// Re-equalization starts the channel in the good state.
-  void reset() noexcept override { bad_ = false; }
-
- private:
-  Params params_;
-  bool bad_ = false;
 };
 
 /// Deterministic aligned symbol burst: corrupts exactly `burst_symbols`

@@ -1,31 +1,11 @@
 // Lightweight statistics helpers used by benches and examples.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace rxl::sim {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept { return std::sqrt(variance()); }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Wilson score interval for a binomial proportion — the right interval for
 /// the rare-event rates the benches estimate (never collapses to [0,0] at

@@ -37,8 +37,6 @@ struct ProtocolConfig {
   Protocol protocol = Protocol::kRxl;
   link::AckPolicy ack_policy = link::AckPolicy::kPiggyback;
   RetryMode retry_mode = RetryMode::kGoBackN;
-  /// RX reorder buffer depth for kSelectiveRepeat (the §5 buffer cost).
-  std::size_t reorder_buffer_capacity = 256;
   /// One cumulative ACK per this many delivered data flits; the paper's
   /// p_coalescing equals 1/coalesce_factor for symmetric traffic.
   unsigned coalesce_factor = 10;
@@ -64,15 +62,6 @@ struct ProtocolConfig {
   /// peer's tx_credits). 0 disables credit-return accounting. The bound is
   /// enforced by the peer's window; this side tracks/advertises the frees.
   std::size_t rx_credits = 0;
-  /// Owed-credit threshold that triggers a standalone credit-return flit
-  /// when no ACK/NACK has carried the count first. 0 = auto:
-  /// min(coalesce_factor, max(1, rx_credits / 2)) — deep buffers let the
-  /// count piggyback on the regular ACK flow, shallow ones return eagerly
-  /// enough to keep the stop-and-wait window moving.
-  unsigned credit_return_batch = 0;
-  /// RX-side: flush unadvertised credits as a standalone return flit if no
-  /// control flit has carried them within this window.
-  TimePs credit_return_timeout = 1'000'000;  // 1 us
 
   /// --- Per-flow virtual channels & early backpressure ---
   /// Virtual channels on this hop (1..link::kMaxVcs). Each VC gets its own
@@ -94,10 +83,6 @@ struct ProtocolConfig {
   /// buffer into a HopDownEvent, and stops transmitting. 0 = never give up
   /// (the pre-fault behaviour, byte-identical).
   unsigned max_retry_episodes = 0;
-  /// Age variant of the same budget: declare the hop dead when the peer
-  /// has been silent for this long while the TX is stalled on it. 0 =
-  /// disabled. Either trigger suffices when both are set.
-  TimePs dead_hop_timeout = 0;
 };
 
 [[nodiscard]] constexpr const char* protocol_name(Protocol protocol) noexcept {

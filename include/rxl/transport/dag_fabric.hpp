@@ -65,8 +65,9 @@ struct DagEdge {
   std::uint16_t src = 0;
   std::uint16_t dst = 0;
   double ber = 0.0;
+  /// Per-flit probability of a 4-symbol burst (one past the FEC's
+  /// correction limit).
   double burst_injection_rate = 0.0;
-  std::size_t burst_symbols = 4;
   TimePs latency = 8'000;
   /// Forward-channel error-stream seed; drawn from the fabric seeder when
   /// unset.
@@ -96,12 +97,6 @@ struct DagFlow {
   /// a mismatch — the relay schedules VCs, not flows). Weight 0 is legal:
   /// the scheduler's quantum floor still serves one flit per round.
   std::uint32_t weight = 1;
-  /// Deterministic-rate shorthand: payload index i is offered no earlier
-  /// than i * pace (0 = unpaced). Equivalent to arrival = kPaced with
-  /// interval = pace; kept because it is how every pre-traffic-gen harness
-  /// models a low-rate "mice" flow against greedy elephants. Only legal
-  /// with arrival = kGreedy (auto-promoted to kPaced) or kPaced.
-  TimePs pace = 0;
   /// Arrival process driving this flow's source (see traffic_gen.hpp).
   /// kGreedy (the default) offers every payload immediately — the legacy
   /// pull-limited source, byte-identical on the wire.
@@ -130,7 +125,6 @@ struct DagConfig {
   /// Probability of internal corruption per flit transiting each hub.
   double hub_internal_error_rate = 0.0;
   TimePs slot = kFlitSlotPs;
-  TimePs hub_latency = 10'000;  ///< transparent-switch forward latency
   std::uint64_t seed = 1;
   TimePs horizon = 0;
   /// Fan-out validation limit: maximum incident edges per node.
@@ -146,15 +140,6 @@ struct DagConfig {
   /// without fault support. A relay fail-stop at time T compiles into
   /// permanent down windows on every edge incident to that relay.
   sim::FaultPlan faults;
-  /// Reroute-controller quiesce poll period: after a hop death the
-  /// controller re-checks the old path suffix every `reroute_poll` ps until
-  /// it drains (no relay egress queue or suffix-hop retry buffer still
-  /// holds the flow), then swaps the flow tables.
-  TimePs reroute_poll = 500'000;
-  /// Polls before the controller abandons a reroute whose old-path suffix
-  /// never drains (e.g. a second fault downstream). Abandoned reroutes are
-  /// reported, not fatal.
-  unsigned reroute_quiesce_limit = 64;
   /// Egress scheduling policy applied to every relay (kFifo = the legacy
   /// shared queue, trajectory-identical when every flow rides VC 0).
   switchdev::EgressPolicy egress_policy = switchdev::EgressPolicy::kFifo;
@@ -399,7 +384,6 @@ struct DagScenarioSpec {
   ProtocolConfig protocol;
   double ber = 0.0;
   double burst_injection_rate = 0.0;
-  std::size_t burst_symbols = 4;
   TimePs latency = 8'000;
   std::uint64_t flits_per_flow = 0;
   std::uint64_t seed = 1;
@@ -415,7 +399,8 @@ struct DagScenarioSpec {
 };
 
 /// Per-flow QoS class for the weighted congestion builders below: which VC
-/// the flow rides, its DRR weight, its pacing interval, and an optional
+/// the flow rides, its DRR weight, its pacing interval (> 0 makes the flow
+/// a kPaced arrival at that interval; 0 leaves it greedy), and an optional
 /// flit-budget override (0 = the spec's flits_per_flow). When a builder
 /// takes a class list, flow i wears classes[i % classes.size()]; an empty
 /// list reproduces the unweighted builder exactly.

@@ -120,11 +120,11 @@ class Endpoint {
   using RelaySourceFn = sim::InlineDelegate<RelayPull(PayloadOut out)>;
 
   /// Raised at most once, when the TX exhausts its retry budget
-  /// (ProtocolConfig::max_retry_episodes / dead_hop_timeout) and declares
-  /// its hop dead. Carries every sent-but-unacked flit, oldest first, so a
-  /// management plane (DagFabric's reroute controller) can re-originate the
-  /// stream on a surviving path. After the event the endpoint is inert:
-  /// it never transmits again and ignores late arrivals.
+  /// (ProtocolConfig::max_retry_episodes) and declares its hop dead.
+  /// Carries every sent-but-unacked flit, oldest first, so a management
+  /// plane (DagFabric's reroute controller) can re-originate the stream on
+  /// a surviving path. After the event the endpoint is inert: it never
+  /// transmits again and ignores late arrivals.
   struct HopDownEvent {
     TimePs at = 0;  ///< detection time (not the underlying fault time)
     struct DrainedFlit {
@@ -179,10 +179,9 @@ class Endpoint {
     deferred_credit_return_ = deferred;
   }
 
-  /// Returns `n` receive-buffer credits to the upstream transmitter (no-op
-  /// when the hop runs without flow control). Called by the bounded-buffer
-  /// owner when payloads leave the buffer. The no-VC form credits VC 0.
-  void return_credits(std::size_t n);
+  /// Returns `n` of `vc`'s receive-buffer credits to the upstream
+  /// transmitter (no-op when the hop runs without flow control). Called by
+  /// the bounded-buffer owner when payloads leave the buffer.
   void return_credits(std::uint8_t vc, std::size_t n);
 
   /// True when a NEW data flit may be injected on `vc` right now: the VC's
@@ -283,7 +282,9 @@ class Endpoint {
   void on_ack_timer();
 
   // Credit flow control (see link/credit.hpp for the scheme).
-  [[nodiscard]] unsigned credit_return_batch() const noexcept;
+  /// Owed credits that trigger a standalone return flit when no ACK/NACK
+  /// has carried the count first.
+  [[nodiscard]] unsigned credit_advert_batch() const noexcept;
   void flush_credit_returns();
   void on_credit_timer();
   void on_credit_probe_timer();

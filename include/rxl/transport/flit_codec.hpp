@@ -33,17 +33,13 @@ namespace rxl::transport {
 inline constexpr std::uint16_t kCreditAdvertFsn = 0;  ///< pure credit return
 inline constexpr std::uint16_t kCreditProbeFsn = 1;   ///< "re-advertise" ask
 
-/// Every control flit carries a 16-bit credit word — the sender's
-/// cumulative count of receive-buffer slots freed back to its peer (see
-/// link/credit.hpp) — in the first two payload bytes, where the CRC covers
-/// it. Hops without flow control always stamp zero, which keeps the wire
-/// image byte-identical to the pre-credit encoding.
-[[nodiscard]] std::uint16_t control_credit_word(const flit::Flit& flit) noexcept;
-
-/// Per-virtual-channel credit words extend the same scheme: VC v's
-/// cumulative freed-slot count lives at payload bytes [2v, 2v+2), so VC 0
-/// aliases the legacy credit word exactly and single-VC hops stay
-/// byte-identical on the wire. All words sit inside the CRC-covered region.
+/// Every control flit carries one 16-bit credit word per virtual channel:
+/// the sender's cumulative count of receive-buffer slots freed back to its
+/// peer on that VC (see link/credit.hpp). VC v's word lives at payload
+/// bytes [2v, 2v+2), inside the CRC-covered region, so a single-VC hop
+/// uses the first two payload bytes. Hops without flow control always
+/// stamp zero, which keeps the wire image byte-identical to the pre-credit
+/// encoding.
 [[nodiscard]] std::uint16_t control_vc_credit_word(const flit::Flit& flit,
                                                   std::size_t vc) noexcept;
 

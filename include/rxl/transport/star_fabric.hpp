@@ -21,11 +21,7 @@ struct StarConfig {
   std::size_t pairs = 4;
   double ber = 0.0;
   double burst_injection_rate = 0.0;
-  std::size_t burst_symbols = 4;
   double switch_internal_error_rate = 0.0;
-  TimePs slot = kFlitSlotPs;
-  TimePs propagation_latency = 8'000;
-  TimePs switch_latency = 10'000;
   std::uint64_t seed = 1;
   std::uint64_t flits_per_direction = 0;  ///< per pair, per direction
   TimePs horizon = 0;

@@ -1,7 +1,5 @@
 #include "rxl/analysis/fec_combinatorics.hpp"
 
-#include <algorithm>
-
 namespace rxl::analysis {
 
 unsigned lanes_with_multi_errors(std::size_t burst_symbols) {
@@ -18,14 +16,6 @@ unsigned lanes_with_multi_errors(std::size_t burst_symbols) {
     if (count >= 2) ++lanes;
   }
   return lanes;
-}
-
-double lane_miscorrect_probability(std::size_t lane_codeword_symbols) {
-  // Idealised: the implied single-error position of a random multi-error
-  // syndrome is uniform over the 255 symbol positions; only the shortened
-  // codeword's own positions are accepted.
-  return static_cast<double>(std::min<std::size_t>(lane_codeword_symbols, 255)) /
-         255.0;
 }
 
 double burst_detection_probability(std::size_t burst_symbols) {

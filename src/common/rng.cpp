@@ -58,8 +58,4 @@ std::uint64_t Xoshiro256::geometric(double p) noexcept {
   return static_cast<std::uint64_t>(g);
 }
 
-Xoshiro256 Xoshiro256::fork() noexcept {
-  return Xoshiro256((*this)() ^ 0xA5A5A5A55A5A5A5Aull);
-}
-
 }  // namespace rxl

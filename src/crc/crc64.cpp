@@ -181,26 +181,4 @@ const Crc64& shared_crc64() {
   return engine;
 }
 
-std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) {
-  std::uint32_t state = ~0u;
-  for (const std::uint8_t byte : data) {
-    state ^= byte;
-    for (int bit = 0; bit < 8; ++bit)
-      state = (state >> 1) ^ ((state & 1) ? 0xEDB88320u : 0);
-  }
-  return state ^ ~0u;
-}
-
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
-  std::uint16_t state = 0xFFFF;
-  for (const std::uint8_t byte : data) {
-    state = static_cast<std::uint16_t>(state ^ (static_cast<std::uint16_t>(byte) << 8));
-    for (int bit = 0; bit < 8; ++bit) {
-      state = static_cast<std::uint16_t>((state & 0x8000) ? (state << 1) ^ 0x1021
-                                                          : (state << 1));
-    }
-  }
-  return state;
-}
-
 }  // namespace rxl::crc

@@ -31,7 +31,7 @@ std::size_t CrcMatrix::fanin(unsigned output_bit) const {
 std::uint64_t CrcMatrix::apply(std::span<const std::uint8_t> message) const {
   std::uint64_t acc = constant_;
   for (std::size_t i = 0; i < bits_ && i < message.size() * 8; ++i) {
-    if (get_bit(message, i)) acc ^= columns_[i];
+    if ((message[i / 8] >> (i % 8)) & 1u) acc ^= columns_[i];
   }
   return acc;
 }

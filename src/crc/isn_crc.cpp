@@ -25,13 +25,4 @@ std::uint64_t IsnCrc::encode(std::span<const std::uint8_t> message,
   return Crc64::finish(state);
 }
 
-std::uint64_t IsnCrc::encode_appended(std::span<const std::uint8_t> message,
-                                      std::uint16_t seq) const {
-  const std::uint16_t folded = static_cast<std::uint16_t>(seq & kSeqMask);
-  std::uint64_t state = engine_->update(Crc64::begin(), message);
-  state = engine_->update_byte(state, static_cast<std::uint8_t>(folded & 0xFF));
-  state = engine_->update_byte(state, static_cast<std::uint8_t>(folded >> 8));
-  return Crc64::finish(state);
-}
-
 }  // namespace rxl::crc

@@ -21,18 +21,6 @@ void add_span(std::span<std::uint8_t> dst,
   for (std::size_t i = 0; i < n; ++i) d[i] ^= s[i];
 }
 
-void mul_span(std::span<std::uint8_t> dst, std::uint8_t c) noexcept {
-  if (c == 1) return;
-  if (c == 0) {
-    std::memset(dst.data(), 0, dst.size());
-    return;
-  }
-  const std::size_t row = std::size_t{c} * 16;
-  std::uint8_t* __restrict d = dst.data();
-  const std::size_t n = dst.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] = detail::mul_nib(row, d[i]);
-}
-
 void mul_add_span(std::span<std::uint8_t> dst,
                   std::span<const std::uint8_t> src, std::uint8_t c) noexcept {
   assert(dst.size() == src.size());

@@ -46,15 +46,6 @@ void RetryBuffer::commit(std::uint16_t seq, std::uint64_t user_tag,
   ++size_;
 }
 
-bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& encoded,
-                       std::uint64_t user_tag, std::uint16_t flow_tag,
-                       std::uint8_t vc) {
-  if (full()) return false;
-  reserve() = encoded;
-  commit(seq, user_tag, flow_tag, vc);
-  return true;
-}
-
 void RetryBuffer::misuse(const char* what) noexcept {
   std::fputs(what, stderr);
   std::fputc('\n', stderr);
@@ -94,7 +85,7 @@ const flit::Flit* RetryBuffer::find(std::uint16_t seq) const {
 }
 
 const RetryBuffer::Entry* RetryBuffer::find_entry(std::uint16_t seq) const {
-  // push() keeps the held sequence numbers consecutive from the front, so
+  // commit() keeps the held sequence numbers consecutive from the front, so
   // `seq` sits at its window distance from the oldest entry, if anywhere.
   if (empty()) return nullptr;
   const int index = seq_distance(entry_at(0).seq, seq);

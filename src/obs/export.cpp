@@ -87,15 +87,6 @@ TimePs window_overlap(const std::vector<std::pair<TimePs, TimePs>>& windows,
 
 }  // namespace
 
-std::string chrome_trace_json(const TraceCapture& capture, std::uint32_t pid) {
-  std::string out;
-  out += "{\"traceEvents\":[\n";
-  bool first = true;
-  append_capture(out, capture, pid, first);
-  out += "\n],\"displayTimeUnit\":\"ns\"}\n";
-  return out;
-}
-
 std::string chrome_trace_json(std::span<const TraceCapture> captures) {
   std::string out;
   out += "{\"traceEvents\":[\n";

@@ -1,6 +1,5 @@
 #include "rxl/obs/metrics.hpp"
 
-#include <cassert>
 #include <utility>
 
 namespace rxl::obs {
@@ -148,30 +147,6 @@ void MetricsRegistry::add_scoreboard(const std::string& prefix,
   add(join(prefix, "data_corruptions"), s.data_corruptions);
   add(join(prefix, "untracked"), s.untracked);
   add(join(prefix, "missing"), s.missing);
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  assert(metrics_.size() == other.metrics_.size());
-  for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    assert(metrics_[i].name == other.metrics_[i].name);
-    metrics_[i].value += other.metrics_[i].value;
-  }
-}
-
-const std::uint64_t* MetricsRegistry::find(
-    std::string_view name) const noexcept {
-  for (const Metric& metric : metrics_)
-    if (metric.name == name) return &metric.value;
-  return nullptr;
-}
-
-std::size_t MetricsRegistry::count_prefix(
-    std::string_view prefix) const noexcept {
-  std::size_t count = 0;
-  for (const Metric& metric : metrics_)
-    if (std::string_view(metric.name).substr(0, prefix.size()) == prefix)
-      count += 1;
-  return count;
 }
 
 std::string MetricsRegistry::to_csv() const {

@@ -60,12 +60,6 @@ std::uint16_t TraceSink::add_component(std::string name) {
   return id;
 }
 
-std::uint64_t TraceSink::total_overruns() const noexcept {
-  std::uint64_t total = 0;
-  for (const TraceRing& ring : rings_) total += ring.overruns();
-  return total;
-}
-
 TraceCapture TraceSink::capture() const {
   TraceCapture out;
   out.components.reserve(rings_.size());

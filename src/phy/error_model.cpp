@@ -57,39 +57,6 @@ std::size_t DfeBurstErrors::corrupt(std::span<std::uint8_t> flit,
   return flipped;
 }
 
-std::size_t GilbertElliott::corrupt(std::span<std::uint8_t> flit,
-                                    Xoshiro256& rng) {
-  const std::size_t total_bits = flit.size() * 8;
-  std::size_t flipped = 0;
-  // Per-bit state walk would be O(bits); instead advance state at flit
-  // granularity when in the good state (transitions are rare) and bit
-  // granularity in the bad state (bursts are short).
-  std::size_t bit = 0;
-  while (bit < total_bits) {
-    if (!bad_) {
-      // Time to next good->bad transition, in bits.
-      const std::uint64_t to_transition = rng.geometric(params_.p_good_to_bad);
-      const std::size_t span_end =
-          (to_transition >= total_bits - bit) ? total_bits : bit + static_cast<std::size_t>(to_transition);
-      const std::size_t span_bits = span_end - bit;
-      const std::uint64_t flips = rng.binomial(span_bits, params_.ber_good);
-      for (std::uint64_t i = 0; i < flips; ++i)
-        flip_bit(flit, bit + rng.bounded(span_bits));
-      flipped += flips;
-      bit = span_end;
-      if (span_end < total_bits) bad_ = true;
-    } else {
-      if (rng.bernoulli(params_.ber_bad)) {
-        flip_bit(flit, bit);
-        ++flipped;
-      }
-      if (rng.bernoulli(params_.p_bad_to_good)) bad_ = false;
-      ++bit;
-    }
-  }
-  return flipped;
-}
-
 std::size_t SymbolBurstInjector::corrupt(std::span<std::uint8_t> flit,
                                          Xoshiro256& rng) {
   if (burst_symbols_ == 0 || flit.empty()) return 0;

@@ -1,27 +1,10 @@
 #include "rxl/sim/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace rxl::sim {
-
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
 
 Proportion wilson_interval(std::uint64_t successes, std::uint64_t trials,
                            double z) noexcept {

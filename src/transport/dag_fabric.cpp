@@ -16,6 +16,10 @@
 namespace rxl::transport {
 namespace {
 
+/// Symbols per injected burst on every edge (DagEdge::burst_injection_rate):
+/// one past the flit FEC's 3-symbol correction limit (§2.5).
+constexpr std::size_t kBurstSymbols = 4;
+
 [[noreturn]] void invalid(std::string message) {
   throw std::invalid_argument(std::move(message));
 }
@@ -319,11 +323,9 @@ DagPlan plan_dag(const DagConfig& config) {
       }
     }
   }
-  // Arrival-process sanity. `pace` is the deterministic-rate shorthand
-  // (exactly kPaced with interval = pace), so it cannot combine with a
-  // different kind or a conflicting interval; each kind's shape parameters
-  // must be present, and parameters of other kinds must be absent — a
-  // silently-ignored knob would misstate the offered load.
+  // Arrival-process sanity: each kind's shape parameters must be present,
+  // and parameters of other kinds must be absent — a silently-ignored knob
+  // would misstate the offered load.
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
     auto flow_invalid = [&](const char* what) {
@@ -335,14 +337,6 @@ DagPlan plan_dag(const DagConfig& config) {
       message += what;
       invalid(std::move(message));
     };
-    if (flow.pace > 0 && flow.arrival != ArrivalKind::kGreedy &&
-        flow.arrival != ArrivalKind::kPaced)
-      flow_invalid(
-          "sets pace, the deterministic-rate shorthand; rate-shaped kinds "
-          "set interval instead");
-    if (flow.pace > 0 && flow.interval > 0 && flow.interval != flow.pace)
-      flow_invalid("sets pace and a conflicting interval");
-    const TimePs interval = flow.interval > 0 ? flow.interval : flow.pace;
     switch (flow.arrival) {
       case ArrivalKind::kGreedy:
         if (flow.interval > 0)
@@ -350,17 +344,18 @@ DagPlan plan_dag(const DagConfig& config) {
         break;
       case ArrivalKind::kPaced:
       case ArrivalKind::kPoisson:
-        if (interval == 0) flow_invalid("needs interval > 0");
+        if (flow.interval == 0) flow_invalid("needs interval > 0");
         break;
       case ArrivalKind::kOnOff:
-        if (interval == 0) flow_invalid("needs interval > 0 (burst spacing)");
+        if (flow.interval == 0)
+          flow_invalid("needs interval > 0 (burst spacing)");
         if (flow.off_mean == 0) flow_invalid("needs off_mean > 0");
         if (!(flow.on_mean_flits >= 1.0))
           flow_invalid("needs on_mean_flits >= 1");
         break;
       case ArrivalKind::kClosedLoop:
         if (flow.window == 0) flow_invalid("needs window >= 1");
-        if (interval > 0) flow_invalid("takes no pace/interval");
+        if (flow.interval > 0) flow_invalid("takes no interval");
         break;
     }
     if (flow.window > 0 && flow.arrival != ArrivalKind::kClosedLoop)
@@ -563,6 +558,16 @@ DagPlan plan_dag(const DagConfig& config) {
 
 namespace {
 
+/// Reroute-controller quiesce poll period: after a hop death the controller
+/// re-checks the old path suffix this often until it drains (no relay
+/// egress queue or suffix-hop retry buffer still holds the flow), then
+/// swaps the flow tables.
+constexpr TimePs kReroutePoll = 500'000;
+/// Polls before the controller abandons a reroute whose old-path suffix
+/// never drains (e.g. a second fault downstream). Abandoned reroutes are
+/// reported, not fatal.
+constexpr unsigned kRerouteQuiesceLimit = 64;
+
 // Reroute controller: reacts to HopDownEvents raised by hop transmitters,
 // reconciles the drained flits against the peer receiver's sequence state,
 // quiesces the flow's old path suffix, and swaps flow tables onto the
@@ -600,12 +605,8 @@ class FaultController {
     DagRerouteReport report;
   };
 
-  FaultController(sim::EventQueue& queue, TimePs poll_period,
-                  unsigned poll_limit, std::size_t segment_count)
-      : queue_(queue),
-        poll_period_(poll_period),
-        poll_limit_(poll_limit),
-        items_of_segment_(segment_count) {}
+  FaultController(sim::EventQueue& queue, std::size_t segment_count)
+      : queue_(queue), items_of_segment_(segment_count) {}
 
   void add_item(Item item) {
     const std::size_t index = items_.size();
@@ -684,12 +685,12 @@ class FaultController {
     Item& item = items_[idx];
     if (item.resolved) return;
     if (!quiet(item)) {
-      if (item.polls >= poll_limit_) {
+      if (item.polls >= kRerouteQuiesceLimit) {
         item.resolved = true;  // abandoned: the old suffix never drained
         return;
       }
       item.polls += 1;
-      queue_.schedule(poll_period_, [this, idx] { try_switchover(idx); });
+      queue_.schedule(kReroutePoll, [this, idx] { try_switchover(idx); });
       return;
     }
     const std::uint16_t flow = item.reroute->flow;
@@ -724,8 +725,6 @@ class FaultController {
   }
 
   sim::EventQueue& queue_;
-  TimePs poll_period_;
-  unsigned poll_limit_;
   std::vector<Item> items_;
   std::vector<std::vector<std::size_t>> items_of_segment_;
   std::vector<std::size_t> fired_order_;  ///< detection order, for reports
@@ -795,7 +794,6 @@ DagReport run_dag_fabric(const DagConfig& config) {
     switchdev::PortSwitch::Config hub_config;
     hub_config.protocol = config.protocol.protocol;
     hub_config.internal_error_rate = config.hub_internal_error_rate;
-    hub_config.forward_latency = config.hub_latency;
     hub_config.ports = plan.segments.size();
     hubs[v] = std::make_unique<switchdev::PortSwitch>(queue, hub_config, seed);
   }
@@ -805,8 +803,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
     const std::uint64_t seed = edge.seed.has_value() ? *edge.seed : seeder();
     channels[e] = std::make_unique<sim::LinkChannel>(
         queue,
-        make_error_model(edge.ber, edge.burst_injection_rate,
-                         edge.burst_symbols),
+        make_error_model(edge.ber, edge.burst_injection_rate, kBurstSymbols),
         seed, config.slot, edge.latency);
     if (faults_on) channels[e]->set_fault_schedule(&fault_schedules[e]);
   }
@@ -936,7 +933,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
       control_channels.push_back(std::make_unique<sim::LinkChannel>(
           queue,
           make_error_model(edge.ber, edge.burst_injection_rate,
-                           edge.burst_symbols),
+                           kBurstSymbols),
           seeder(), config.slot, edge.latency));
       domain.reverse = control_channels.back().get();
       // The implicit control wire shares the forward edge's physical link:
@@ -1013,9 +1010,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
   // the controller never watches them.
   std::unique_ptr<FaultController> controller;
   if (faults_on && !plan.reroutes.empty()) {
-    controller = std::make_unique<FaultController>(
-        queue, config.reroute_poll, config.reroute_quiesce_limit,
-        plan.segments.size());
+    controller = std::make_unique<FaultController>(queue, plan.segments.size());
     for (const DagPlan::Reroute& reroute : plan.reroutes) {
       const DagPlan::Segment& dead = plan.segments[reroute.dead_segment];
       FaultController::Item item;
@@ -1271,14 +1266,12 @@ DagReport run_dag_fabric(const DagConfig& config) {
     runtime->board = &boards[f];
     runtime->queue = &queue;
     runtime->trace = trace_sink.get();
-    ArrivalKind arrival = flow.arrival;
-    if (arrival == ArrivalKind::kGreedy && flow.pace > 0)
-      arrival = ArrivalKind::kPaced;  // legacy shorthand
+    const ArrivalKind arrival = flow.arrival;
     if (arrival == ArrivalKind::kPaced || arrival == ArrivalKind::kPoisson ||
         arrival == ArrivalKind::kOnOff) {
       ArrivalSpec arrival_spec;
       arrival_spec.kind = arrival;
-      arrival_spec.interval = flow.interval > 0 ? flow.interval : flow.pace;
+      arrival_spec.interval = flow.interval;
       arrival_spec.on_mean_flits = flow.on_mean_flits;
       arrival_spec.off_mean = flow.off_mean;
       // Private per-flow stream, NOT drawn from the fabric seeder: an
@@ -1597,7 +1590,8 @@ DagConfig base_scenario_config(const DagScenarioSpec& spec) {
 }
 
 /// Applies per-flow QoS classes cyclically (flow i wears class i mod n);
-/// an empty list leaves the unweighted builder output untouched.
+/// an empty list leaves the unweighted builder output untouched. A class
+/// that paces makes its flows kPaced arrivals at that interval.
 void apply_flow_classes(DagConfig& config,
                         std::span<const DagFlowClass> classes) {
   if (classes.empty()) return;
@@ -1606,7 +1600,10 @@ void apply_flow_classes(DagConfig& config,
     DagFlow& flow = config.flows[f];
     flow.vc = klass.vc;
     flow.weight = klass.weight;
-    flow.pace = klass.pace;
+    if (klass.pace > 0) {
+      flow.arrival = ArrivalKind::kPaced;
+      flow.interval = klass.pace;
+    }
     if (klass.flits > 0) flow.flits = klass.flits;
   }
 }
@@ -1618,7 +1615,6 @@ DagEdge scenario_edge(const DagScenarioSpec& spec, std::uint16_t src,
   edge.dst = dst;
   edge.ber = spec.ber;
   edge.burst_injection_rate = spec.burst_injection_rate;
-  edge.burst_symbols = spec.burst_symbols;
   edge.latency = spec.latency;
   return edge;
 }
@@ -1915,8 +1911,6 @@ DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
 DagConfig make_star_dag(const StarConfig& config) {
   DagConfig dag;
   dag.protocol = config.protocol;
-  dag.slot = config.slot;
-  dag.hub_latency = config.switch_latency;
   dag.hub_internal_error_rate = config.switch_internal_error_rate;
   dag.seed = config.seed;
   dag.horizon = config.horizon;
@@ -1952,8 +1946,6 @@ DagConfig make_star_dag(const StarConfig& config) {
     edge.dst = dst;
     edge.ber = config.ber;
     edge.burst_injection_rate = config.burst_injection_rate;
-    edge.burst_symbols = config.burst_symbols;
-    edge.latency = config.propagation_latency;
     edge.seed = seeder();
     return edge;
   };

@@ -14,7 +14,13 @@ constexpr std::uint16_t seq_prev(std::uint16_t seq) noexcept {
   return link::seq_add(seq, kSeqMask);  // -1 mod 1024
 }
 
+/// RX reorder buffer depth under kSelectiveRepeat (the §5 buffer cost).
+constexpr std::size_t kReorderBufferCapacity = 256;
 
+/// RX-side: unadvertised credits below the batch threshold go out as a
+/// standalone return flit if no control flit has carried them within this
+/// window.
+constexpr TimePs kCreditReturnTimeout = 1'000'000;  // 1 us
 
 }  // namespace
 
@@ -46,7 +52,7 @@ Endpoint::Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
       throw std::invalid_argument(
           "RXL cannot use selective repeat: ISN carries no explicit "
           "sequence numbers to reorder by (paper §5)");
-    reorder_buffer_.emplace(config_.reorder_buffer_capacity);
+    reorder_buffer_.emplace(kReorderBufferCapacity);
   }
 }
 
@@ -310,17 +316,14 @@ void Endpoint::on_ack_timer() {
 // Credit flow control
 // --------------------------------------------------------------------------
 
-unsigned Endpoint::credit_return_batch() const noexcept {
-  if (config_.credit_return_batch > 0) return config_.credit_return_batch;
-  // Auto: deep buffers piggyback on the regular ACK cadence; shallow ones
-  // return after half a window so a stop-and-wait hop keeps moving.
+unsigned Endpoint::credit_advert_batch() const noexcept {
+  // Deep buffers piggyback on the regular ACK cadence; shallow ones return
+  // after half a window so a stop-and-wait hop keeps moving.
   const std::size_t half_window = std::max<std::size_t>(
       1, config_.rx_credits / 2);
   return static_cast<unsigned>(std::min<std::size_t>(
       ack_scheduler_.coalesce_factor(), half_window));
 }
-
-void Endpoint::return_credits(std::size_t n) { return_credits(0, n); }
 
 void Endpoint::return_credits(std::uint8_t vc, std::size_t n) {
   if (!credit_returns_.enabled() || n == 0) return;
@@ -369,12 +372,12 @@ std::uint8_t Endpoint::rx_vc_for_flow(std::uint16_t flow) const noexcept {
 void Endpoint::flush_credit_returns() {
   const std::size_t owed = credit_returns_.unadvertised();
   if (owed == 0) return;
-  if (owed >= credit_return_batch()) {
+  if (owed >= credit_advert_batch()) {
     extra_.credit_adverts += 1;
     enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
     kick();
-  } else if (!credit_timer_.armed() && config_.credit_return_timeout > 0) {
-    credit_timer_.arm(config_.credit_return_timeout);
+  } else if (!credit_timer_.armed()) {
+    credit_timer_.arm(kCreditReturnTimeout);
   }
 }
 
@@ -441,11 +444,8 @@ void Endpoint::process_ecn_marks(std::uint8_t marks) {
 // --------------------------------------------------------------------------
 
 bool Endpoint::hop_death_due() const noexcept {
-  if (config_.max_retry_episodes > 0 &&
-      silent_episodes_ >= config_.max_retry_episodes)
-    return true;
-  return config_.dead_hop_timeout > 0 &&
-         queue_.now() - last_peer_activity_ >= config_.dead_hop_timeout;
+  return config_.max_retry_episodes > 0 &&
+         silent_episodes_ >= config_.max_retry_episodes;
 }
 
 void Endpoint::note_silent_episode() {

@@ -8,10 +8,6 @@
 
 namespace rxl::transport {
 
-std::uint16_t control_credit_word(const flit::Flit& flit) noexcept {
-  return load_le16(flit.payload(), 0);
-}
-
 std::uint16_t control_vc_credit_word(const flit::Flit& flit,
                                      std::size_t vc) noexcept {
   return load_le16(flit.payload(), 2 * vc);

@@ -148,12 +148,5 @@ TEST(FecCombinatorics, Correctability) {
   EXPECT_FALSE(burst_correctable(4));
 }
 
-TEST(FecCombinatorics, MiscorrectProbabilityMatchesLaneSize) {
-  EXPECT_NEAR(lane_miscorrect_probability(85), 85.0 / 255.0, 1e-12);
-  EXPECT_NEAR(lane_miscorrect_probability(86), 86.0 / 255.0, 1e-12);
-  EXPECT_DOUBLE_EQ(lane_miscorrect_probability(255), 1.0);
-  EXPECT_DOUBLE_EQ(lane_miscorrect_probability(300), 1.0);
-}
-
 }  // namespace
 }  // namespace rxl::analysis

@@ -22,27 +22,6 @@ TEST(Bytes, FlipBitTogglesAndRestores) {
   EXPECT_EQ(buf, (std::array<std::uint8_t, 4>{}));
 }
 
-TEST(Bytes, GetBitMatchesFlip) {
-  std::array<std::uint8_t, 8> buf{};
-  for (std::size_t bit : {0u, 5u, 13u, 31u, 63u}) {
-    EXPECT_FALSE(get_bit(buf, bit));
-    flip_bit(buf, bit);
-    EXPECT_TRUE(get_bit(buf, bit));
-  }
-}
-
-TEST(Bytes, PopcountAccumulates) {
-  std::array<std::uint8_t, 3> buf{0xFF, 0x0F, 0x01};
-  EXPECT_EQ(popcount(buf), 13u);
-}
-
-TEST(Bytes, HammingDistance) {
-  std::array<std::uint8_t, 2> a{0x00, 0xFF};
-  std::array<std::uint8_t, 2> b{0x01, 0xFE};
-  EXPECT_EQ(hamming_distance(a, b), 2u);
-  EXPECT_EQ(hamming_distance(a, a), 0u);
-}
-
 TEST(Bytes, Le16RoundTrip) {
   std::array<std::uint8_t, 4> buf{};
   store_le16(buf, 1, 0xBEEF);

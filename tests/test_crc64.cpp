@@ -115,7 +115,7 @@ TEST(Crc64, DetectsUpToFourRandomBitErrors) {
       auto corrupted = data;
       for (int e = 0; e < errors; ++e)
         flip_bit(corrupted, rng.bounded(corrupted.size() * 8));
-      if (hamming_distance(data, corrupted) == 0) continue;
+      if (corrupted == data) continue;
       EXPECT_NE(engine.compute(corrupted), reference);
     }
   }
@@ -134,11 +134,6 @@ TEST(Crc64, LinearityOverGf2) {
   }
   EXPECT_EQ(engine.compute(both) ^ engine.compute(zero),
             engine.compute(a) ^ engine.compute(b));
-}
-
-TEST(Crc32AndCrc16, KnownCheckValues) {
-  EXPECT_EQ(crc32_ieee(ascii("123456789")), 0xCBF43926u);
-  EXPECT_EQ(crc16_ccitt(ascii("123456789")), 0x29B1u);
 }
 
 }  // namespace

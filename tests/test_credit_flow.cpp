@@ -111,7 +111,7 @@ TEST(CreditFlow, ControlFlitCarriesCreditWordUnderCrc) {
     const FlitCodec codec(protocol);
     const flit::Flit flit =
         codec.encode_control(flit::ReplayCmd::kAck, 17, 0xBEEF);
-    EXPECT_EQ(control_credit_word(flit), 0xBEEF);
+    EXPECT_EQ(control_vc_credit_word(flit, 0), 0xBEEF);
     EXPECT_TRUE(codec.check_control(flit));
     // The credit word sits inside the CRC-protected region: corrupting it
     // must fail the control check, never deliver a wrong count.
@@ -129,7 +129,7 @@ TEST(CreditFlow, ZeroCreditWordKeepsLegacyControlImage) {
   const flit::Flit with_zero =
       codec.encode_control(flit::ReplayCmd::kAck, 9, 0);
   EXPECT_EQ(with_default, with_zero);
-  EXPECT_EQ(control_credit_word(with_default), 0u);
+  EXPECT_EQ(control_vc_credit_word(with_default, 0), 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -827,7 +827,8 @@ TEST(DagFabric, PacedSourceRearmsItsWakeupAcrossIdleGaps) {
   spec.flits_per_flow = 5;
   spec.horizon = 60'000'000;
   DagConfig config = make_chain_dag(spec, 1);
-  config.flows[0].pace = 2'000'000;  // one flit per 2 us, path latency ~20 ns
+  config.flows[0].arrival = ArrivalKind::kPaced;
+  config.flows[0].interval = 2'000'000;  // one flit per 2 us, path ~20 ns
   config.sample_latency = true;
   const DagReport report = run_dag_fabric(config);
   EXPECT_EQ(report.flows[0].offered, 5u);

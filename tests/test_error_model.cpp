@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "rxl/common/bytes.hpp"
 #include "rxl/common/types.hpp"
 #include "rxl/rs/flit_fec.hpp"
 
@@ -17,12 +17,19 @@ namespace {
 
 using Buffer = std::array<std::uint8_t, kFlitBytes>;
 
+std::size_t set_bits(const Buffer& flit) {
+  std::size_t count = 0;
+  for (const std::uint8_t byte : flit)
+    count += static_cast<std::size_t>(std::popcount(byte));
+  return count;
+}
+
 TEST(IndependentBitErrors, ZeroBerNeverCorrupts) {
   IndependentBitErrors model(0.0);
   Xoshiro256 rng(1);
   Buffer flit{};
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(model.corrupt(flit, rng), 0u);
-  EXPECT_EQ(popcount(flit), 0u);
+  EXPECT_EQ(set_bits(flit), 0u);
 }
 
 TEST(IndependentBitErrors, ReportedFlipsMatchBuffer) {
@@ -31,7 +38,7 @@ TEST(IndependentBitErrors, ReportedFlipsMatchBuffer) {
   for (int trial = 0; trial < 500; ++trial) {
     Buffer flit{};
     const std::size_t reported = model.corrupt(flit, rng);
-    EXPECT_EQ(popcount(flit), reported);
+    EXPECT_EQ(set_bits(flit), reported);
   }
 }
 
@@ -86,22 +93,6 @@ TEST(DfeBurstErrors, ZeroPropagationIsIndependent) {
     total += static_cast<double>(model.corrupt(flit, rng));
   }
   EXPECT_NEAR(total / kTrials, 1e-3 * 2048, 0.1);
-}
-
-TEST(GilbertElliott, BadStateRaisesErrorRate) {
-  GilbertElliott::Params params;
-  params.p_good_to_bad = 1e-4;
-  params.p_bad_to_good = 1e-2;
-  params.ber_good = 0.0;
-  params.ber_bad = 0.5;
-  GilbertElliott model(params);
-  Xoshiro256 rng(7);
-  std::size_t flips = 0;
-  for (int trial = 0; trial < 2000; ++trial) {
-    Buffer flit{};
-    flips += model.corrupt(flit, rng);
-  }
-  EXPECT_GT(flips, 0u);  // channel visits the bad state
 }
 
 TEST(SymbolBurstInjector, ExactSymbolCount) {
@@ -212,23 +203,6 @@ TEST(NoErrors, NeverTouches) {
 // must not carry pre-outage channel state into the new link-up episode.
 // --------------------------------------------------------------------------
 
-TEST(GilbertElliott, ResetReturnsToTheGoodState) {
-  GilbertElliott::Params params;
-  params.p_good_to_bad = 0.5;  // drop into the bad state almost immediately
-  params.p_bad_to_good = 1e-12;
-  params.ber_good = 0.0;
-  params.ber_bad = 1e-2;
-  GilbertElliott model(params);
-  Xoshiro256 rng(16);
-  Buffer flit{};
-  std::size_t flipped = 0;
-  for (int i = 0; i < 64 && !model.in_bad_state(); ++i)
-    flipped += model.corrupt(flit, rng);
-  ASSERT_TRUE(model.in_bad_state());
-  model.reset();
-  EXPECT_FALSE(model.in_bad_state());
-}
-
 TEST(TargetedDoubleError, ResetRestartsTheTransitCount) {
   // The Nth flit of the CURRENT link-up episode is the target: after a
   // revival the count starts over, so the same transit index is hit again.
@@ -277,10 +251,10 @@ TEST(DfeBurstErrors, PropagationRunClampsAtTheFlitBoundary) {
   for (int trial = 0; trial < 200; ++trial) {
     Buffer flit{};
     const std::size_t reported = model.corrupt(flit, rng);
-    EXPECT_EQ(popcount(flit), reported);
+    EXPECT_EQ(set_bits(flit), reported);
     if (reported > 0) {
       // A run that started anywhere flips every bit through the last one.
-      EXPECT_TRUE(get_bit(flit, kFlitBytes * 8 - 1));
+      EXPECT_TRUE((flit.back() >> 7) & 1u);
     }
   }
 }

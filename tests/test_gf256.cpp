@@ -191,23 +191,6 @@ TEST(Gf256Span, MulAddSpanAllLengthsZeroTo300) {
   }
 }
 
-TEST(Gf256Span, MulSpanMatchesScalarExhaustively) {
-  for (unsigned c = 0; c < 256; ++c) {
-    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                            std::size_t{8}, std::size_t{85}, std::size_t{256},
-                            std::size_t{300}}) {
-      const std::size_t offset = (c + len) % 8;
-      auto backing = pattern_bytes(310 + 8, 5 + c);
-      const std::span<std::uint8_t> dst(backing.data() + offset, len);
-      std::vector<std::uint8_t> expected(dst.begin(), dst.end());
-      for (auto& byte : expected) byte = mul(static_cast<std::uint8_t>(c), byte);
-      mul_span(dst, static_cast<std::uint8_t>(c));
-      ASSERT_TRUE(std::equal(dst.begin(), dst.end(), expected.begin()))
-          << "c=" << c << " len=" << len << " offset=" << offset;
-    }
-  }
-}
-
 TEST(Gf256Span, AddSpanIsElementwiseXor) {
   for (std::size_t len = 0; len <= 300; ++len) {
     const std::size_t offset = len % 8;

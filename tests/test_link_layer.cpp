@@ -44,44 +44,11 @@ TEST(AckScheduler, ConsumeWithoutPendingIsEmpty) {
   EXPECT_EQ(scheduler.consume(), std::nullopt);
 }
 
-TEST(AckScheduler, ArmOnlyAfterDelivery) {
-  AckScheduler scheduler(10);
-  scheduler.arm();
-  EXPECT_FALSE(scheduler.pending());
-  scheduler.on_delivered(1);
-  scheduler.arm();
-  EXPECT_TRUE(scheduler.pending());
-  EXPECT_EQ(scheduler.consume(), 1);
-}
-
 TEST(AckScheduler, ForceOverridesCounter) {
   AckScheduler scheduler(100);
   scheduler.force(42);
   EXPECT_TRUE(scheduler.pending());
   EXPECT_EQ(scheduler.consume(), 42);
-}
-
-TEST(NackDeduper, OneNackPerEpisode) {
-  NackDeduper deduper;
-  EXPECT_TRUE(deduper.request(7));
-  EXPECT_FALSE(deduper.request(7));  // duplicate suppressed
-  EXPECT_TRUE(deduper.request(9));   // different resync point: new episode
-  EXPECT_FALSE(deduper.request(9));
-}
-
-TEST(NackDeduper, ResolveClosesEpisode) {
-  NackDeduper deduper;
-  EXPECT_TRUE(deduper.request(3));
-  deduper.resolve();
-  EXPECT_FALSE(deduper.active());
-  EXPECT_TRUE(deduper.request(3));  // same value fires again after resolve
-}
-
-TEST(NackDeduper, RearmAllowsRetransmitOfSameNack) {
-  NackDeduper deduper;
-  EXPECT_TRUE(deduper.request(5));
-  deduper.rearm();
-  EXPECT_TRUE(deduper.request(5));
 }
 
 TEST(EndpointStats, ZeroInitialised) {

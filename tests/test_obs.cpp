@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rxl/obs/export.hpp"
@@ -89,8 +91,8 @@ TEST(TraceSink, CaptureAccumulatesOverrunsAcrossComponents) {
   const std::uint16_t b = sink.add_component("b");
   for (TimePs t = 0; t < 5; ++t) sink.record(a, event_at(t));
   for (TimePs t = 0; t < 3; ++t) sink.record(b, event_at(t));
-  EXPECT_EQ(sink.total_overruns(), 3u + 1u);
   const obs::TraceCapture capture = sink.capture();
+  EXPECT_EQ(capture.total_overruns(), 3u + 1u);
   EXPECT_EQ(capture.components[a].overruns, 3u);
   EXPECT_EQ(capture.components[b].overruns, 1u);
   EXPECT_EQ(capture.total_events(), 4u);  // both rings retain capacity
@@ -110,6 +112,24 @@ TEST(TraceEventKinds, NamesAreDistinctAndExhaustive) {
 // compile time; these re-count the registered names per prefix so the two
 // can never drift apart silently.
 
+/// Number of registered metrics whose name starts with `prefix`.
+std::size_t metrics_under(const obs::MetricsRegistry& registry,
+                          std::string_view prefix) {
+  return static_cast<std::size_t>(
+      std::count_if(registry.metrics().begin(), registry.metrics().end(),
+                    [&](const obs::Metric& metric) {
+                      return metric.name.starts_with(prefix);
+                    }));
+}
+
+/// The value registered under `name`, or nullptr when absent.
+const std::uint64_t* value_of(const obs::MetricsRegistry& registry,
+                              std::string_view name) {
+  for (const obs::Metric& metric : registry.metrics())
+    if (metric.name == name) return &metric.value;
+  return nullptr;
+}
+
 TEST(MetricsRegistry, PerStructCountsMatchPinnedConstants) {
   obs::MetricsRegistry registry;
   registry.add_endpoint("ep", link::EndpointStats{});
@@ -119,17 +139,17 @@ TEST(MetricsRegistry, PerStructCountsMatchPinnedConstants) {
   registry.add_hub("hub", switchdev::PortSwitchStats{});
   registry.add_scoreboard("sb", txn::StreamScoreboard::Stats{});
 
-  EXPECT_EQ(registry.count_prefix("ep."),
+  EXPECT_EQ(metrics_under(registry, "ep."),
             obs::MetricsRegistry::kEndpointMetricCount);
-  EXPECT_EQ(registry.count_prefix("ex."),
+  EXPECT_EQ(metrics_under(registry, "ex."),
             obs::MetricsRegistry::kEndpointExtraMetricCount);
-  EXPECT_EQ(registry.count_prefix("rp."),
+  EXPECT_EQ(metrics_under(registry, "rp."),
             obs::MetricsRegistry::kRelayPortMetricCount);
-  EXPECT_EQ(registry.count_prefix("ch."),
+  EXPECT_EQ(metrics_under(registry, "ch."),
             obs::MetricsRegistry::kChannelMetricCount);
-  EXPECT_EQ(registry.count_prefix("hub."),
+  EXPECT_EQ(metrics_under(registry, "hub."),
             obs::MetricsRegistry::kHubMetricCount);
-  EXPECT_EQ(registry.count_prefix("sb."),
+  EXPECT_EQ(metrics_under(registry, "sb."),
             obs::MetricsRegistry::kScoreboardMetricCount);
   EXPECT_EQ(registry.size(), obs::MetricsRegistry::kEndpointMetricCount +
                                  obs::MetricsRegistry::kEndpointExtraMetricCount +
@@ -139,20 +159,11 @@ TEST(MetricsRegistry, PerStructCountsMatchPinnedConstants) {
                                  obs::MetricsRegistry::kScoreboardMetricCount);
 }
 
-TEST(MetricsRegistry, FindAndMergeAreElementwise) {
-  obs::MetricsRegistry a;
-  a.add("x.one", 3);
-  a.add("x.two", 5);
-  obs::MetricsRegistry b;
-  b.add("x.one", 10);
-  b.add("x.two", 1);
-
-  a.merge(b);
-  ASSERT_NE(a.find("x.one"), nullptr);
-  EXPECT_EQ(*a.find("x.one"), 13u);
-  EXPECT_EQ(*a.find("x.two"), 6u);
-  EXPECT_EQ(a.find("x.three"), nullptr);
-  EXPECT_EQ(a.to_csv(), "metric,value\nx.one,13\nx.two,6\n");
+TEST(MetricsRegistry, CsvListsMetricsInRegistrationOrder) {
+  obs::MetricsRegistry registry;
+  registry.add("x.one", 13);
+  registry.add("x.two", 6);
+  EXPECT_EQ(registry.to_csv(), "metric,value\nx.one,13\nx.two,6\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +292,8 @@ TEST(TraceFabric, TimeSeriesSamplerIsMonotonicSimTime) {
 TEST(TraceFabric, ExportShapesAreWellFormed) {
   const transport::DagReport report = run_dag_fabric(chain_config(true));
 
-  const std::string json = obs::chrome_trace_json(report.trace);
+  const std::string json = obs::chrome_trace_json(
+      std::span<const obs::TraceCapture>(&report.trace, 1));
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
@@ -301,16 +313,16 @@ TEST(TraceFabric, ExportShapesAreWellFormed) {
 TEST(TraceFabric, CollectMetricsCoversEveryAggregate) {
   const transport::DagReport report = run_dag_fabric(chain_config(true));
   const obs::MetricsRegistry registry = obs::collect_metrics(report);
-  EXPECT_EQ(registry.count_prefix("fabric."),
+  EXPECT_EQ(metrics_under(registry, "fabric."),
             obs::MetricsRegistry::kFabricMetricCount);
-  ASSERT_NE(registry.find("fabric.in_order"), nullptr);
-  EXPECT_EQ(*registry.find("fabric.in_order"), report.total_in_order());
-  ASSERT_NE(registry.find("fabric.latency.count"), nullptr);
-  EXPECT_EQ(*registry.find("fabric.latency.count"),
+  ASSERT_NE(value_of(registry, "fabric.in_order"), nullptr);
+  EXPECT_EQ(*value_of(registry, "fabric.in_order"), report.total_in_order());
+  ASSERT_NE(value_of(registry, "fabric.latency.count"), nullptr);
+  EXPECT_EQ(*value_of(registry, "fabric.latency.count"),
             report.merged_latency().count());
   // Per-flow: offered + scoreboard + rerouted + sample_misses + the
   // 5-entry latency summary.
-  EXPECT_EQ(registry.count_prefix("flow.0."),
+  EXPECT_EQ(metrics_under(registry, "flow.0."),
             obs::MetricsRegistry::kScoreboardMetricCount + 3 + 5);
 }
 

@@ -18,6 +18,17 @@ flit::Flit tagged_flit(std::uint8_t tag) {
   return flit;
 }
 
+/// Stores a copy of `flit` under `seq` through reserve and commit, as the
+/// endpoint does; false (and nothing stored) when the buffer is full.
+bool store(RetryBuffer& buffer, std::uint16_t seq, const flit::Flit& flit,
+           std::uint64_t user_tag = 0, std::uint16_t flow_tag = 0,
+           std::uint8_t vc = 0) {
+  if (buffer.full()) return false;
+  buffer.reserve() = flit;
+  buffer.commit(seq, user_tag, flow_tag, vc);
+  return true;
+}
+
 TEST(RetryBuffer, RejectsBadCapacity) {
   EXPECT_THROW(RetryBuffer(0), std::invalid_argument);
   EXPECT_THROW(RetryBuffer(513), std::invalid_argument);
@@ -27,7 +38,8 @@ TEST(RetryBuffer, RejectsBadCapacity) {
 TEST(RetryBuffer, PushFindAck) {
   RetryBuffer buffer(8);
   for (std::uint16_t seq = 0; seq < 5; ++seq)
-    EXPECT_TRUE(buffer.push(seq, tagged_flit(static_cast<std::uint8_t>(seq))));
+    EXPECT_TRUE(
+        store(buffer, seq, tagged_flit(static_cast<std::uint8_t>(seq))));
   EXPECT_EQ(buffer.size(), 5u);
   EXPECT_EQ(buffer.oldest_seq(), 0);
   ASSERT_NE(buffer.find(3), nullptr);
@@ -42,18 +54,18 @@ TEST(RetryBuffer, PushFindAck) {
 
 TEST(RetryBuffer, FullBlocksPush) {
   RetryBuffer buffer(2);
-  EXPECT_TRUE(buffer.push(0, tagged_flit(0)));
-  EXPECT_TRUE(buffer.push(1, tagged_flit(1)));
+  EXPECT_TRUE(store(buffer, 0, tagged_flit(0)));
+  EXPECT_TRUE(store(buffer, 1, tagged_flit(1)));
   EXPECT_TRUE(buffer.full());
-  EXPECT_FALSE(buffer.push(2, tagged_flit(2)));
+  EXPECT_FALSE(store(buffer, 2, tagged_flit(2)));
   buffer.ack_up_to(0);
-  EXPECT_TRUE(buffer.push(2, tagged_flit(2)));
+  EXPECT_TRUE(store(buffer, 2, tagged_flit(2)));
 }
 
 TEST(RetryBuffer, StaleAckIgnored) {
   RetryBuffer buffer(8);
   for (std::uint16_t seq = 10; seq < 14; ++seq)
-    buffer.push(seq, tagged_flit(static_cast<std::uint8_t>(seq)));
+    store(buffer, seq, tagged_flit(static_cast<std::uint8_t>(seq)));
   // Ack far behind the window: nothing released.
   EXPECT_EQ(buffer.ack_up_to(700), 0u);
   EXPECT_EQ(buffer.size(), 4u);
@@ -63,7 +75,7 @@ TEST(RetryBuffer, WrapAroundSequence) {
   RetryBuffer buffer(8);
   for (std::uint16_t i = 0; i < 6; ++i) {
     const std::uint16_t seq = seq_add(1021, i);  // 1021,1022,1023,0,1,2
-    EXPECT_TRUE(buffer.push(seq, tagged_flit(static_cast<std::uint8_t>(i))));
+    EXPECT_TRUE(store(buffer, seq, tagged_flit(static_cast<std::uint8_t>(i))));
   }
   EXPECT_NE(buffer.find(1023), nullptr);
   EXPECT_NE(buffer.find(0), nullptr);
@@ -76,8 +88,8 @@ TEST(RetryBuffer, WrapAroundSequence) {
 TEST(RetryBuffer, ForEachFromVisitsTail) {
   RetryBuffer buffer(8);
   for (std::uint16_t seq = 0; seq < 6; ++seq)
-    buffer.push(seq, tagged_flit(static_cast<std::uint8_t>(seq)),
-                /*user_tag=*/seq * 100u);
+    store(buffer, seq, tagged_flit(static_cast<std::uint8_t>(seq)),
+          /*user_tag=*/seq * 100u);
   std::vector<std::uint16_t> visited;
   std::vector<std::uint64_t> tags;
   buffer.for_each_from(3, [&](const RetryBuffer::Entry& entry) {
@@ -166,8 +178,8 @@ TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
         entry.user_tag = tag++;
         entry.flit = tagged_flit(static_cast<std::uint8_t>(entry.user_tag));
         const bool room = model.size() < capacity;
-        ASSERT_EQ(buffer.push(next, entry.flit, entry.user_tag, entry.flow_tag,
-                              entry.vc),
+        ASSERT_EQ(store(buffer, next, entry.flit, entry.user_tag,
+                        entry.flow_tag, entry.vc),
                   room);
         if (!room) return;
         model.push_back(entry);
@@ -211,7 +223,7 @@ TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
   // Both window ends and one past each, across the wrap.
   RetryBuffer buffer(8);
   for (std::uint16_t i = 0; i < 8; ++i)
-    buffer.push(seq_add(1020, i), tagged_flit(static_cast<std::uint8_t>(i)));
+    store(buffer, seq_add(1020, i), tagged_flit(static_cast<std::uint8_t>(i)));
   ASSERT_NE(buffer.find_entry(1020), nullptr);
   EXPECT_EQ(buffer.find_entry(1020)->flit.payload()[0], 0);
   ASSERT_NE(buffer.find_entry(3), nullptr);
@@ -313,7 +325,7 @@ TEST(RetryBufferDeathTest, CommitWithoutReservationAborts) {
 
 TEST(RetryBuffer, FindEntryExposesUserTag) {
   RetryBuffer buffer(4);
-  buffer.push(0, tagged_flit(9), 1234);
+  store(buffer, 0, tagged_flit(9), 1234);
   const auto* entry = buffer.find_entry(0);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->user_tag, 1234u);

@@ -407,11 +407,7 @@ transport::DagConfig two_node_config() {
 TEST(DagArrivalValidation, AcceptsEachWellFormedKind) {
   transport::DagConfig config = two_node_config();
   EXPECT_NO_THROW(plan_dag(config));  // greedy default
-  config.flows[0].pace = 5'000;       // legacy shorthand
-  EXPECT_NO_THROW(plan_dag(config));
-  config.flows[0].arrival = ArrivalKind::kPaced;  // pace + matching kind
-  EXPECT_NO_THROW(plan_dag(config));
-  config.flows[0].pace = 0;
+  config.flows[0].arrival = ArrivalKind::kPaced;
   config.flows[0].interval = 5'000;
   EXPECT_NO_THROW(plan_dag(config));
   config.flows[0].arrival = ArrivalKind::kPoisson;
@@ -427,20 +423,8 @@ TEST(DagArrivalValidation, AcceptsEachWellFormedKind) {
 }
 
 TEST(DagArrivalValidation, RejectsIllFormedArrivalSpecs) {
-  // pace is the deterministic-rate shorthand: no other kind may take it.
-  transport::DagConfig config = two_node_config();
-  config.flows[0].pace = 5'000;
-  config.flows[0].arrival = ArrivalKind::kPoisson;
-  config.flows[0].interval = 5'000;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
-  // pace + conflicting interval.
-  config = two_node_config();
-  config.flows[0].pace = 5'000;
-  config.flows[0].arrival = ArrivalKind::kPaced;
-  config.flows[0].interval = 6'000;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
   // Rate-shaped kinds need a rate.
-  config = two_node_config();
+  transport::DagConfig config = two_node_config();
   config.flows[0].arrival = ArrivalKind::kPaced;
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
   config.flows[0].arrival = ArrivalKind::kPoisson;
@@ -457,7 +441,7 @@ TEST(DagArrivalValidation, RejectsIllFormedArrivalSpecs) {
   config = two_node_config();
   config.flows[0].interval = 2'000;
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
-  // Closed loop: window required, pace/interval/window cross-checks.
+  // Closed loop: window required, interval/window cross-checks.
   config = two_node_config();
   config.flows[0].arrival = ArrivalKind::kClosedLoop;
   EXPECT_THROW(plan_dag(config), std::invalid_argument);  // window == 0

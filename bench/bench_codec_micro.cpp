@@ -113,7 +113,7 @@ void BM_Gf256_DotSpan(benchmark::State& state) {
 BENCHMARK(BM_Gf256_DotSpan);
 
 void BM_Rs_Syndromes(benchmark::State& state) {
-  const rs::ReedSolomon code(83, 2);
+  const rs::ReedSolomon code(83);
   auto codeword = random_bytes(85, 24);
   code.encode(std::span<const std::uint8_t>(codeword.data(), 83),
               std::span<std::uint8_t>(codeword.data() + 83, 2));
@@ -127,7 +127,7 @@ void BM_Rs_Syndromes(benchmark::State& state) {
 BENCHMARK(BM_Rs_Syndromes);
 
 void BM_Rs_Encode(benchmark::State& state) {
-  const rs::ReedSolomon code(83, 2);
+  const rs::ReedSolomon code(83);
   const auto data = random_bytes(83, 5);
   std::uint8_t parity[2];
   for (auto _ : state) {
@@ -138,7 +138,7 @@ void BM_Rs_Encode(benchmark::State& state) {
 BENCHMARK(BM_Rs_Encode);
 
 void BM_Rs_DecodeClean(benchmark::State& state) {
-  const rs::ReedSolomon code(83, 2);
+  const rs::ReedSolomon code(83);
   auto codeword = random_bytes(85, 6);
   code.encode(std::span<const std::uint8_t>(codeword.data(), 83),
               std::span<std::uint8_t>(codeword.data() + 83, 2));
@@ -150,7 +150,7 @@ void BM_Rs_DecodeClean(benchmark::State& state) {
 BENCHMARK(BM_Rs_DecodeClean);
 
 void BM_Rs_DecodeSingleError(benchmark::State& state) {
-  const rs::ReedSolomon code(83, 2);
+  const rs::ReedSolomon code(83);
   auto codeword = random_bytes(85, 7);
   code.encode(std::span<const std::uint8_t>(codeword.data(), 83),
               std::span<std::uint8_t>(codeword.data() + 83, 2));

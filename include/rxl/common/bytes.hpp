@@ -59,10 +59,6 @@ inline void store_le16(std::span<std::uint8_t> buf, std::size_t offset,
                        std::uint16_t value) noexcept {
   detail::store_le(buf, offset, value);
 }
-inline void store_le32(std::span<std::uint8_t> buf, std::size_t offset,
-                       std::uint32_t value) noexcept {
-  detail::store_le(buf, offset, value);
-}
 inline void store_le64(std::span<std::uint8_t> buf, std::size_t offset,
                        std::uint64_t value) noexcept {
   detail::store_le(buf, offset, value);
@@ -70,10 +66,6 @@ inline void store_le64(std::span<std::uint8_t> buf, std::size_t offset,
 [[nodiscard]] inline std::uint16_t load_le16(std::span<const std::uint8_t> buf,
                                              std::size_t offset) noexcept {
   return detail::load_le<std::uint16_t>(buf, offset);
-}
-[[nodiscard]] inline std::uint32_t load_le32(std::span<const std::uint8_t> buf,
-                                             std::size_t offset) noexcept {
-  return detail::load_le<std::uint32_t>(buf, offset);
 }
 [[nodiscard]] inline std::uint64_t load_le64(std::span<const std::uint8_t> buf,
                                              std::size_t offset) noexcept {

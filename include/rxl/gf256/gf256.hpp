@@ -85,19 +85,6 @@ inline constexpr auto kLog = build_log_table();
   return detail::kExp[detail::kLog[a] + kGroupOrder - detail::kLog[b]];
 }
 
-/// a^power (power >= 0; a^0 == 1 including for a == 0 by convention here,
-/// since the RS decoder never evaluates 0^0).
-[[nodiscard]] constexpr std::uint8_t pow(std::uint8_t a, unsigned power) noexcept {
-  if (power == 0) return 1;
-  if (a == 0) return 0;
-  return detail::kExp[(detail::kLog[a] * power) % kGroupOrder];
-}
-
-/// Evaluates the polynomial poly[0] + poly[1]*x + ... + poly[n-1]*x^(n-1)
-/// at the point x (Horner's rule, coefficients in ascending-degree order).
-[[nodiscard]] std::uint8_t poly_eval(std::span<const std::uint8_t> poly,
-                                     std::uint8_t x) noexcept;
-
 namespace detail {
 
 /// 4-bit split of the 256x256 product table: for any c, x

@@ -30,9 +30,6 @@ struct CrcDatapathCost {
   [[nodiscard]] std::size_t total_gates() const noexcept {
     return crc_network.xor_gates + isn_fold_gates + comparator_gates;
   }
-  [[nodiscard]] std::size_t total_depth() const noexcept {
-    return crc_network.logic_depth + isn_extra_depth;
-  }
 };
 
 /// Cost of the parallel CRC-64 network for a message of `message_bits` bits

@@ -38,14 +38,11 @@ class ReorderBuffer {
   /// Removes and returns the flit for `seq`, if held.
   std::optional<sim::FlitEnvelope> take(std::uint16_t seq);
 
-  /// Peak occupancy over the buffer's lifetime — the §5 sizing statistic.
-  [[nodiscard]] std::size_t peak_occupancy() const noexcept { return peak_; }
   /// Insertions rejected because the buffer was full.
   [[nodiscard]] std::uint64_t overflows() const noexcept { return overflows_; }
 
  private:
   std::size_t capacity_;
-  std::size_t peak_ = 0;
   std::uint64_t overflows_ = 0;
   std::unordered_map<std::uint16_t, sim::FlitEnvelope> entries_;
 };

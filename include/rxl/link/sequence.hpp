@@ -36,12 +36,4 @@ namespace rxl::link {
   return seq_distance(a, b) > 0;
 }
 
-/// True iff `seq` lies in the half-open window [base, base + size).
-[[nodiscard]] constexpr bool seq_in_window(std::uint16_t seq,
-                                           std::uint16_t base,
-                                           std::uint16_t size) noexcept {
-  const int d = seq_distance(base, seq);
-  return d >= 0 && d < static_cast<int>(size);
-}
-
 }  // namespace rxl::link

@@ -75,13 +75,6 @@ class FlitFec {
       std::size_t i) noexcept {
     return i == 0 ? 84 : 83;
   }
-
-  /// Fraction of the 255-symbol space that is a *valid* position for
-  /// sub-block i — the per-sub-block miscorrection acceptance probability
-  /// used by the analytical model.
-  [[nodiscard]] static double valid_position_fraction(std::size_t i) noexcept {
-    return static_cast<double>(sub_block_data_bytes(i) + 2) / 255.0;
-  }
 };
 
 }  // namespace rxl::rs

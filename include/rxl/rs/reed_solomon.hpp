@@ -3,9 +3,8 @@
 // The CXL 3.0 flit FEC described in the paper (§2.5) is a 3-way interleaved
 // single-symbol-correcting (SSC) RS code: each sub-block is an RS(255,253)
 // code shortened to 85/85/86 symbols (83/83/84 data + 2 parity). This module
-// provides a general shortened RS(n, k) codec (any number of parity symbols,
-// Berlekamp-Massey + Chien + Forney decoding) with a fast path for the
-// 2-parity SSC configuration.
+// provides that code for any data length k: a shortened RS(k + 2, k) codec
+// with a closed-form encode and a single-error decode.
 //
 // Shortening is what gives the code its partial *detection* power beyond t
 // errors: a decoder "correction" that lands in one of the 255 - n virtual
@@ -37,38 +36,44 @@ struct DecodeResult {
   unsigned corrected_symbols = 0;
 };
 
-/// Systematic shortened Reed-Solomon code over GF(2^8).
+/// Systematic shortened Reed-Solomon code over GF(2^8) with two parity
+/// symbols: it corrects any single-symbol error (t = 1).
 ///
 /// Codeword layout (as stored in buffers): data[0..k-1] followed by
-/// parity[0..2t-1]. Internally data[0] is the highest-degree coefficient.
-/// Generator polynomial g(x) = prod_{j=0}^{2t-1} (x - alpha^j).
+/// parity[0..1]. Internally data[0] is the highest-degree coefficient.
+/// Generator polynomial g(x) = (x - alpha^0)(x - alpha^1).
 class ReedSolomon {
  public:
-  /// @param data_symbols   k, number of data bytes per codeword.
-  /// @param parity_symbols 2t, number of redundancy bytes (>= 1).
-  /// Requires data_symbols + parity_symbols <= 255.
-  ReedSolomon(std::size_t data_symbols, std::size_t parity_symbols);
+  static constexpr std::size_t kParitySymbols = 2;
+
+  /// @param data_symbols k, number of data bytes per codeword.
+  /// Requires data_symbols + kParitySymbols <= 255.
+  explicit ReedSolomon(std::size_t data_symbols);
 
   [[nodiscard]] std::size_t data_symbols() const noexcept { return k_; }
-  [[nodiscard]] std::size_t parity_symbols() const noexcept { return r_; }
-  [[nodiscard]] std::size_t codeword_symbols() const noexcept { return k_ + r_; }
-  /// Symbol-correction capability t = floor(2t / 2).
+  [[nodiscard]] std::size_t parity_symbols() const noexcept {
+    return kParitySymbols;
+  }
+  [[nodiscard]] std::size_t codeword_symbols() const noexcept {
+    return k_ + kParitySymbols;
+  }
+  /// Symbol-correction capability t = kParitySymbols / 2.
   [[nodiscard]] unsigned correctable() const noexcept {
-    return static_cast<unsigned>(r_ / 2);
+    return static_cast<unsigned>(kParitySymbols / 2);
   }
 
-  /// Computes parity for `data` (size k) into `parity` (size 2t).
+  /// Computes parity for `data` (size k) into `parity` (size 2).
   void encode(std::span<const std::uint8_t> data,
               std::span<std::uint8_t> parity) const;
 
-  /// Decodes (and corrects in place) a codeword of size k + 2t laid out as
+  /// Decodes (and corrects in place) a codeword of size k + 2 laid out as
   /// data || parity.
   [[nodiscard]] DecodeResult decode(std::span<std::uint8_t> codeword) const;
 
-  /// Computes the 2t syndromes of a codeword; all-zero means "accepted".
+  /// Computes the 2 syndromes of a codeword; all-zero means "accepted".
   /// Exposed for tests and for the analytical miscorrection model.
-  /// Table-driven: S0 is a 64-bit XOR fold and each further syndrome is a
-  /// branchless dot product against a precomputed weight row.
+  /// Table-driven: S0 is a 64-bit XOR fold and S1 a branchless dot product
+  /// against a precomputed weight row.
   void syndromes(std::span<const std::uint8_t> codeword,
                  std::span<std::uint8_t> out) const;
 
@@ -94,11 +99,11 @@ class ReedSolomon {
   /// base[(k + i) * stride].
   void encode_strided(std::uint8_t* base, std::size_t stride) const;
 
-  /// Closed-form systematic parity of any 2-parity code of this family from
-  /// two folds of its data: D0, the XOR of the data symbols, and D1, their
-  /// dot product with syndrome weight row 1 (alpha^(n-1-b) at data index
-  /// b). Writes p0 to parity[0] and p1 to parity[parity_stride]. The r == 2
-  /// encode and FlitFec's vector kernel both finish through this step.
+  /// Closed-form systematic parity of any code of this family from two
+  /// folds of its data: D0, the XOR of the data symbols, and D1, their dot
+  /// product with syndrome weight row 1 (alpha^(n-1-b) at data index b).
+  /// Writes p0 to parity[0] and p1 to parity[parity_stride]. encode and
+  /// FlitFec's vector kernel both finish through this step.
   static void parity2_from_folds(std::uint8_t d0, std::uint8_t d1,
                                  std::uint8_t* parity,
                                  std::size_t parity_stride) noexcept;
@@ -111,11 +116,10 @@ class ReedSolomon {
     std::uint8_t magnitude = 0;    ///< XOR patch, valid only when corrected
   };
 
-  /// Classifies nonzero syndromes (s0, s1) of a 2-parity code under the
-  /// single-error hypothesis, including the shortened-position detection of
-  /// §2.5. Shared by decode() and the FlitFec zero-copy path so both apply
-  /// the exact same verdict logic. Requires parity_symbols() == 2 and
-  /// (s0, s1) != (0, 0).
+  /// Classifies nonzero syndromes (s0, s1) under the single-error
+  /// hypothesis, including the shortened-position detection of §2.5.
+  /// Shared by decode() and the FlitFec zero-copy path so both apply the
+  /// exact same verdict logic. Requires (s0, s1) != (0, 0).
   [[nodiscard]] SingleVerdict classify_single(std::uint8_t s0,
                                               std::uint8_t s1) const;
 
@@ -124,20 +128,10 @@ class ReedSolomon {
                    std::uint8_t* parity, std::size_t parity_stride) const;
   void syndromes_impl(const std::uint8_t* base, std::size_t stride,
                       std::span<std::uint8_t> out) const;
-  [[nodiscard]] DecodeResult decode_single(std::span<std::uint8_t> codeword,
-                                           std::uint8_t s0,
-                                           std::uint8_t s1) const;
-  [[nodiscard]] DecodeResult decode_general(
-      std::span<std::uint8_t> codeword,
-      std::span<const std::uint8_t> syndrome) const;
 
   std::size_t k_;                        ///< data symbols
-  std::size_t r_;                        ///< parity symbols (2t)
   std::vector<std::uint8_t> generator_;  ///< g(x), ascending degree, monic
-  /// Row f (r_ bytes) holds f * generator_[i] for every feedback value f,
-  /// so the encode LFSR is pure table lookups on the hot path.
-  std::vector<std::uint8_t> generator_mul_;
-  /// r_ rows of n = k_ + r_ syndrome weights, row j holding
+  /// 2 rows of n = k_ + 2 syndrome weights, row j holding
   /// W[j][b] = alpha^(j * (n - 1 - b)) so S_j = sum_b W[j][b] * codeword[b]
   /// is a straight dot product (row 0 is all ones: S0 is a plain XOR fold).
   std::vector<std::uint8_t> syndrome_weights_;

@@ -24,8 +24,8 @@
 // Routing is deterministic and table-driven: per-flow shortest paths
 // (breadth-first, ties broken by lowest edge id) compiled into per-relay
 // flow tables and per-domain hub routing tags. plan_dag() validates the
-// topology (acyclicity of the switching core, reachability, port fan-out
-// limits, domain exclusivity) before anything is instantiated.
+// topology (acyclicity of the switching core, reachability, domain
+// exclusivity) before anything is instantiated.
 #pragma once
 
 #include <array>
@@ -99,22 +99,12 @@ struct DagFlow {
   std::uint32_t weight = 1;
   /// Arrival process driving this flow's source (see traffic_gen.hpp).
   /// kGreedy (the default) offers every payload immediately — the legacy
-  /// pull-limited source, byte-identical on the wire.
+  /// pull-limited source, byte-identical on the wire. A kPoisson stream is
+  /// seeded from DagConfig::seed and the flow index, so two flows with
+  /// identical specs never share an arrival sequence.
   ArrivalKind arrival = ArrivalKind::kGreedy;
-  /// Mean inter-arrival (kPaced/kPoisson) or intra-burst spacing (kOnOff).
+  /// Mean inter-arrival time (kPaced/kPoisson; 0 for kGreedy).
   TimePs interval = 0;
-  /// kOnOff: mean burst length in flits (>= 1).
-  double on_mean_flits = 16.0;
-  /// kOnOff: mean idle gap between bursts (> 0).
-  TimePs off_mean = 0;
-  /// kClosedLoop: max outstanding payloads (>= 1).
-  std::uint32_t window = 0;
-  /// kClosedLoop: think time between a delivery and the freed slot.
-  TimePs think = 0;
-  /// Extra per-flow entropy mixed into the arrival stream's seed (the
-  /// stream also mixes DagConfig::seed and the flow index, so two flows
-  /// with identical specs never share an arrival sequence).
-  std::uint64_t arrival_seed = 0;
 };
 
 struct DagConfig {
@@ -127,8 +117,6 @@ struct DagConfig {
   TimePs slot = kFlitSlotPs;
   std::uint64_t seed = 1;
   TimePs horizon = 0;
-  /// Fan-out validation limit: maximum incident edges per node.
-  std::size_t max_ports = 64;
   /// Default per-hop bounded-buffer depth (= credit window) applied to
   /// every ISN domain direction; DagEdge::credits overrides per edge.
   /// 0 = flow control off everywhere (unbounded relay queues — the
@@ -219,10 +207,10 @@ struct DagPlan {
 
 /// Validates the topology and compiles the routing plan.
 /// Throws std::invalid_argument (with the offending node/edge named) on:
-/// bad indices, self/duplicate edges, fan-out beyond max_ports, terminals
-/// with more than one uplink/downlink, idle hubs, a cyclic switching core,
-/// unreachable flows, several flows originating at one terminal, an ISN
-/// domain that forks at a hub, two ISN domains sharing an edge, or
+/// bad indices, self/duplicate edges, terminals with more than one
+/// uplink/downlink, idle hubs, a cyclic switching core, unreachable flows,
+/// several flows originating at one terminal, an ISN domain that forks at
+/// a hub, two ISN domains sharing an edge, or
 /// a credit configuration that could deadlock (an explicit zero-credit
 /// edge, a window beyond link::kMaxCreditWindow, or credits on a CXL
 /// domain crossing a transparent hub — §4.1 silent drops would leak
@@ -267,11 +255,11 @@ struct DagFlowReport {
   /// path mid-run (its delivered stream then spans both paths).
   bool rerouted = false;
   /// End-to-end delivery latency histogram (fixed footprint, exact
-  /// deterministic merge). For open-loop rate-driven flows (kPaced /
-  /// kPoisson / kOnOff) the latency is measured from the arrival DUE time,
-  /// so source-side queueing under overload is included — that is what
-  /// makes load-latency curves inflect past saturation. Greedy and
-  /// closed-loop flows measure from the source pull. Populated only when
+  /// deterministic merge). For rate-driven flows (kPaced / kPoisson) the
+  /// latency is measured from the arrival DUE time, so source-side
+  /// queueing under overload is included — that is what makes
+  /// load-latency curves inflect past saturation. Greedy flows measure
+  /// from the source pull. Populated only when
   /// DagConfig::sample_latency (or debug_latency_samples) is set.
   stats::LatencyHistogram latency;
   /// Deliveries whose inject timestamp had already been overwritten in the
@@ -398,12 +386,12 @@ struct DagScenarioSpec {
   bool sample_latency = false;
 };
 
-/// Per-flow QoS class for the weighted congestion builders below: which VC
-/// the flow rides, its DRR weight, its pacing interval (> 0 makes the flow
-/// a kPaced arrival at that interval; 0 leaves it greedy), and an optional
-/// flit-budget override (0 = the spec's flits_per_flow). When a builder
-/// takes a class list, flow i wears classes[i % classes.size()]; an empty
-/// list reproduces the unweighted builder exactly.
+/// Per-flow QoS class for the congestion builders below: which VC the flow
+/// rides, its DRR weight, its pacing interval (> 0 makes the flow a kPaced
+/// arrival at that interval; 0 leaves it greedy), and an optional
+/// flit-budget override (0 = the spec's flits_per_flow). Flow i wears
+/// classes[i % classes.size()]; an empty list (the default) leaves every
+/// flow greedy on VC 0 with weight 1.
 struct DagFlowClass {
   std::uint8_t vc = 0;
   std::uint32_t weight = 1;
@@ -434,29 +422,22 @@ struct DagFlowClass {
 /// that multiplexes every flow onto a single egress hop to one sink. The
 /// egress wire is oversubscribed `sources`:1, so with finite buffers the
 /// relay backpressures every source through its ingress hop's credits.
-[[nodiscard]] DagConfig make_incast_dag(const DagScenarioSpec& spec,
-                                        std::size_t sources);
-
-/// Weighted incast: flow i wears classes[i % classes.size()] (VC, DRR
-/// weight, pacing, flit budget). One call builds an elephant/mice mix:
-/// e.g. {elephant, elephant, mouse} puts two greedy flows and one paced
-/// low-rate flow on their own VCs through the shared egress hop.
-[[nodiscard]] DagConfig make_incast_dag(const DagScenarioSpec& spec,
-                                        std::size_t sources,
-                                        std::span<const DagFlowClass> classes);
+/// Flow i wears classes[i % classes.size()] (VC, DRR weight, pacing, flit
+/// budget), so one call builds an elephant/mice mix: e.g. {elephant,
+/// elephant, mouse} puts two greedy flows and one paced low-rate flow on
+/// their own VCs through the shared egress hop.
+[[nodiscard]] DagConfig make_incast_dag(
+    const DagScenarioSpec& spec, std::size_t sources,
+    std::span<const DagFlowClass> classes = {});
 
 /// Hotspot: `sources` terminals feed one relay; all but the last flow
 /// target the hot sink (sharing its egress hop) while the last rides to a
 /// private cold sink — backpressure must throttle the hot flows without
-/// starving the uncontended one.
-[[nodiscard]] DagConfig make_hotspot_dag(const DagScenarioSpec& spec,
-                                         std::size_t sources);
-
-/// Weighted hotspot: per-flow classes as in the weighted incast builder
+/// starving the uncontended one. Per-flow classes as in make_incast_dag
 /// (the last class lands on the cold flow).
-[[nodiscard]] DagConfig make_hotspot_dag(const DagScenarioSpec& spec,
-                                         std::size_t sources,
-                                         std::span<const DagFlowClass> classes);
+[[nodiscard]] DagConfig make_hotspot_dag(
+    const DagScenarioSpec& spec, std::size_t sources,
+    std::span<const DagFlowClass> classes = {});
 
 /// Diamond: `sources` terminals -> R0 -> {M_0 .. M_(branches-1)} -> R1 ->
 /// `sources` sinks. Every flow's primary path rides the lowest-id middle
@@ -473,15 +454,11 @@ struct DagFlowClass {
 /// Trunk contention: `sources` terminals -> R1 -> R2 -> `sources` sinks;
 /// every flow squeezes through the single R1 -> R2 trunk hop (the
 /// multistage-network bottleneck whose buffer provisioning the Stergiou
-/// study measures), then fans back out to private sinks.
-[[nodiscard]] DagConfig make_trunk_dag(const DagScenarioSpec& spec,
-                                       std::size_t sources);
-
-/// Weighted trunk contention: per-flow classes as in the weighted incast
-/// builder, all squeezing through the single R1 -> R2 trunk hop.
-[[nodiscard]] DagConfig make_trunk_dag(const DagScenarioSpec& spec,
-                                       std::size_t sources,
-                                       std::span<const DagFlowClass> classes);
+/// study measures), then fans back out to private sinks. Per-flow classes
+/// as in make_incast_dag.
+[[nodiscard]] DagConfig make_trunk_dag(
+    const DagScenarioSpec& spec, std::size_t sources,
+    std::span<const DagFlowClass> classes = {});
 
 /// The paper's evaluation fabric: host <-> `switch_levels` transparent
 /// switch levels <-> device, one hub per level per direction, so each
@@ -504,9 +481,8 @@ struct DagFlowClass {
 /// single transparent hub, seeds drawn in the order the deleted hard-coded
 /// builder used (down switch, up switch, then per pair the four channels),
 /// so a run is trajectory-identical to the legacy wiring on the same
-/// StarConfig (when switch_internal_error_rate is zero; with internal
-/// corruption the legacy build used one RNG stream per direction and the
-/// single hub uses one in total). Flows 0..N-1 run host i -> device i and
+/// StarConfig. The hub corrupts nothing internally (hub_internal_error_rate
+/// keeps its default of 0). Flows 0..N-1 run host i -> device i and
 /// flows N..2N-1 device i -> host i. The equivalence test pins this against
 /// counters recorded from the last legacy build, field-for-field.
 [[nodiscard]] DagConfig make_star_dag(const StarConfig& config);

@@ -247,9 +247,6 @@ class Endpoint {
   [[nodiscard]] std::size_t debug_credit_balance() const noexcept {
     return credit_windows_.vc(0).balance();
   }
-  [[nodiscard]] std::size_t debug_vc_credit_balance(std::size_t vc) const {
-    return credit_windows_.vc(vc).balance();
-  }
   /// Per-VC transmit windows / return ledgers, for the conservation
   /// invariants (consumed == returned per VC) asserted by tests.
   [[nodiscard]] const link::VcCreditWindows& credit_windows() const noexcept {
@@ -258,10 +255,6 @@ class Endpoint {
   [[nodiscard]] const link::VcCreditReturnLedgers& credit_ledgers()
       const noexcept {
     return credit_returns_;
-  }
-  /// Selective repeat only: reorder-buffer statistics (§5 sizing).
-  [[nodiscard]] const link::ReorderBuffer* reorder_buffer() const noexcept {
-    return reorder_buffer_.has_value() ? &*reorder_buffer_ : nullptr;
   }
 
  private:

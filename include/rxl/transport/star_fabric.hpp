@@ -21,7 +21,6 @@ struct StarConfig {
   std::size_t pairs = 4;
   double ber = 0.0;
   double burst_injection_rate = 0.0;
-  double switch_internal_error_rate = 0.0;
   std::uint64_t seed = 1;
   std::uint64_t flits_per_direction = 0;  ///< per pair, per direction
   TimePs horizon = 0;

@@ -5,13 +5,6 @@
 
 namespace rxl::gf256 {
 
-std::uint8_t poly_eval(std::span<const std::uint8_t> poly,
-                       std::uint8_t x) noexcept {
-  std::uint8_t acc = 0;
-  for (std::size_t i = poly.size(); i-- > 0;) acc = add(mul(acc, x), poly[i]);
-  return acc;
-}
-
 void add_span(std::span<std::uint8_t> dst,
               std::span<const std::uint8_t> src) noexcept {
   assert(dst.size() == src.size());

@@ -20,7 +20,6 @@ bool ReorderBuffer::insert(std::uint16_t seq, sim::FlitEnvelope&& envelope) {
     return false;
   }
   entries_.emplace(key, std::move(envelope));
-  peak_ = std::max(peak_, entries_.size());
   return true;
 }
 

@@ -31,8 +31,8 @@ namespace {
 namespace gf = rxl::gf256;
 
 struct LaneCodes {
-  ReedSolomon lane0{84, 2};   ///< k = 84 (sub-block 0)
-  ReedSolomon lanes12{83, 2};  ///< k = 83 (sub-blocks 1, 2)
+  ReedSolomon lane0{84};    ///< k = 84 (sub-block 0)
+  ReedSolomon lanes12{83};  ///< k = 83 (sub-blocks 1, 2)
 };
 
 const LaneCodes& lane_codes() {

@@ -148,16 +148,6 @@ DagPlan plan_dag(const DagConfig& config) {
 
   // Per-node-kind constraints.
   for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t fanout = out_edges[v].size() + in_edges[v].size();
-    if (fanout > config.max_ports) {
-      std::string message = label(v);
-      message += " exceeds the fan-out limit (";
-      message += std::to_string(fanout);
-      message += " incident edges, max_ports=";
-      message += std::to_string(config.max_ports);
-      message += ")";
-      invalid(std::move(message));
-    }
     switch (kind(v)) {
       case DagNodeKind::kTerminal:
         if (out_edges[v].size() > 1) {
@@ -323,9 +313,9 @@ DagPlan plan_dag(const DagConfig& config) {
       }
     }
   }
-  // Arrival-process sanity: each kind's shape parameters must be present,
-  // and parameters of other kinds must be absent — a silently-ignored knob
-  // would misstate the offered load.
+  // Arrival-process sanity: a rate-shaped kind needs its interval, and a
+  // greedy flow takes none — a silently-ignored knob would misstate the
+  // offered load.
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
     auto flow_invalid = [&](const char* what) {
@@ -346,22 +336,7 @@ DagPlan plan_dag(const DagConfig& config) {
       case ArrivalKind::kPoisson:
         if (flow.interval == 0) flow_invalid("needs interval > 0");
         break;
-      case ArrivalKind::kOnOff:
-        if (flow.interval == 0)
-          flow_invalid("needs interval > 0 (burst spacing)");
-        if (flow.off_mean == 0) flow_invalid("needs off_mean > 0");
-        if (!(flow.on_mean_flits >= 1.0))
-          flow_invalid("needs on_mean_flits >= 1");
-        break;
-      case ArrivalKind::kClosedLoop:
-        if (flow.window == 0) flow_invalid("needs window >= 1");
-        if (flow.interval > 0) flow_invalid("takes no interval");
-        break;
     }
-    if (flow.window > 0 && flow.arrival != ArrivalKind::kClosedLoop)
-      flow_invalid("sets window; only closed-loop flows take one");
-    if (flow.think > 0 && flow.arrival != ArrivalKind::kClosedLoop)
-      flow_invalid("sets think; only closed-loop flows take one");
   }
 
   // ECN marks ride on the credit machinery (they throttle a VC BEFORE its
@@ -1097,15 +1072,15 @@ DagReport run_dag_fabric(const DagConfig& config) {
   }
 
   // Flow sources and sinks. Per-flow runtime state for arrival processes
-  // (one armed wake-up per rate-shaped flow), closed-loop windows, and
-  // latency sampling. The sampling footprint is fixed per flow — a
-  // log-bucketed histogram plus a kLatencyRingSlots timestamp ring keyed
-  // by truth index — so memory no longer grows with run length (raw
-  // samples only under the debug opt-in). The vector is sized once, so the
-  // sources' and sinks' element pointers stay stable for the whole run.
-  // Keep the struct lean: the 16-flow workloads' vector of them sits just
-  // under glibc's 128 KiB mmap threshold, and crossing it makes every
-  // run's set-up map and fault in fresh pages.
+  // (one armed wake-up per rate-shaped flow) and latency sampling. The
+  // sampling footprint is fixed per flow — a log-bucketed histogram plus a
+  // kLatencyRingSlots timestamp ring keyed by truth index — so memory no
+  // longer grows with run length (raw samples only under the debug
+  // opt-in). The vector is sized once, so the sources' and sinks' element
+  // pointers stay stable for the whole run. Keep the struct lean: the
+  // 16-flow workloads' vector of them sits just under glibc's 128 KiB mmap
+  // threshold, and crossing it makes every run's set-up map and fault in
+  // fresh pages.
   struct FlowRuntime {
     stats::LatencyHistogram latency;
     std::vector<TimePs> ring_at;          // inject timestamp per ring slot
@@ -1116,8 +1091,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
     bool sample = false;  // stamp the latency ring at each pull
     std::uint16_t id = 0;
     std::optional<ArrivalProcess> arrivals;
-    std::optional<ClosedLoopWindow> loop;
-    Endpoint* source = nullptr;  // closed-loop completion kick target
+    Endpoint* source = nullptr;  // wake-up kick target
     // Source side: the flow, the scoreboard that regenerates its payloads,
     // and how many stream positions it has offered.
     const DagFlow* spec = nullptr;
@@ -1153,9 +1127,6 @@ DagReport run_dag_fabric(const DagConfig& config) {
         // overload the source-side backlog is part of the delay, which is
         // what makes a load-latency curve inflect past saturation.
         inject_stamp = due;
-      } else if (loop.has_value()) {
-        if (!loop->may_offer()) return false;
-        loop->on_offer();
       }
       if (sample) {
         const std::size_t slot =
@@ -1230,16 +1201,6 @@ DagReport run_dag_fabric(const DagConfig& config) {
             runtime.sample_misses += 1;
           }
         }
-        if (runtime.loop.has_value()) {
-          // Closed loop: this completion frees a window slot after the
-          // think time, then re-kicks the source.
-          ClosedLoopWindow* const loop = &*runtime.loop;
-          Endpoint* const src = runtime.source;
-          queue_ptr->schedule(loop->think(), [loop, src] {
-            loop->on_ready();
-            src->kick();
-          });
-        }
       } else {
         *misrouted_ptr += 1;
       }
@@ -1266,24 +1227,17 @@ DagReport run_dag_fabric(const DagConfig& config) {
     runtime->board = &boards[f];
     runtime->queue = &queue;
     runtime->trace = trace_sink.get();
-    const ArrivalKind arrival = flow.arrival;
-    if (arrival == ArrivalKind::kPaced || arrival == ArrivalKind::kPoisson ||
-        arrival == ArrivalKind::kOnOff) {
+    if (flow.arrival != ArrivalKind::kGreedy) {
       ArrivalSpec arrival_spec;
-      arrival_spec.kind = arrival;
+      arrival_spec.kind = flow.arrival;
       arrival_spec.interval = flow.interval;
-      arrival_spec.on_mean_flits = flow.on_mean_flits;
-      arrival_spec.off_mean = flow.off_mean;
       // Private per-flow stream, NOT drawn from the fabric seeder: an
       // extra seeder draw here would shift every channel seed and change
       // the wire trajectory of flows that use no randomness at all.
       arrival_spec.seed =
           config.seed ^
-          (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(f) + 1)) ^
-          flow.arrival_seed;
+          (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(f) + 1));
       runtime->arrivals.emplace(arrival_spec);
-    } else if (arrival == ArrivalKind::kClosedLoop) {
-      runtime->loop.emplace(flow.window, flow.think);
     }
     if (sample) {
       const std::uint64_t depth = std::min<std::uint64_t>(
@@ -1590,8 +1544,8 @@ DagConfig base_scenario_config(const DagScenarioSpec& spec) {
 }
 
 /// Applies per-flow QoS classes cyclically (flow i wears class i mod n);
-/// an empty list leaves the unweighted builder output untouched. A class
-/// that paces makes its flows kPaced arrivals at that interval.
+/// an empty list leaves the builder's flows untouched. A class that paces
+/// makes its flows kPaced arrivals at that interval.
 void apply_flow_classes(DagConfig& config,
                         std::span<const DagFlowClass> classes) {
   if (classes.empty()) return;
@@ -1739,7 +1693,8 @@ DagConfig make_asymmetric_dag(const DagScenarioSpec& spec) {
   return config;
 }
 
-DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources) {
+DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources,
+                          std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
   for (std::size_t i = 0; i < sources; ++i) {
@@ -1752,7 +1707,6 @@ DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources) {
   const std::uint16_t sink = static_cast<std::uint16_t>(sources + 1);
   config.nodes.push_back(DagNode{"relay", DagNodeKind::kRelay, {}});
   config.nodes.push_back(DagNode{"sink", DagNodeKind::kTerminal, {}});
-  config.max_ports = std::max(config.max_ports, sources + 1);
   for (std::size_t i = 0; i < sources; ++i)
     config.edges.push_back(
         scenario_edge(spec, static_cast<std::uint16_t>(i), relay));
@@ -1765,17 +1719,12 @@ DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources) {
     flow.salt = 0x1CA0 + i;
     config.flows.push_back(flow);
   }
-  return config;
-}
-
-DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources,
-                          std::span<const DagFlowClass> classes) {
-  DagConfig config = make_incast_dag(spec, sources);
   apply_flow_classes(config, classes);
   return config;
 }
 
-DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources) {
+DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources,
+                           std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
   for (std::size_t i = 0; i < sources; ++i) {
@@ -1790,7 +1739,6 @@ DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources) {
   config.nodes.push_back(DagNode{"relay", DagNodeKind::kRelay, {}});
   config.nodes.push_back(DagNode{"hot", DagNodeKind::kTerminal, {}});
   config.nodes.push_back(DagNode{"cold", DagNodeKind::kTerminal, {}});
-  config.max_ports = std::max(config.max_ports, sources + 2);
   for (std::size_t i = 0; i < sources; ++i)
     config.edges.push_back(
         scenario_edge(spec, static_cast<std::uint16_t>(i), relay));
@@ -1803,12 +1751,6 @@ DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources) {
                                    spec.flits_per_flow, 0x407u + i});
   config.flows.push_back(DagFlow{static_cast<std::uint16_t>(sources - 1),
                                  cold, spec.flits_per_flow, 0xC07D});
-  return config;
-}
-
-DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources,
-                           std::span<const DagFlowClass> classes) {
-  DagConfig config = make_hotspot_dag(spec, sources);
   apply_flow_classes(config, classes);
   return config;
 }
@@ -1838,7 +1780,6 @@ DagConfig make_diamond_dag(const DagScenarioSpec& spec, std::size_t sources,
     config.nodes.push_back(
         DagNode{std::move(name), DagNodeKind::kTerminal, {}});
   }
-  config.max_ports = std::max(config.max_ports, sources + branches);
   // Edge-id layout documented in the header: source uplinks first, then the
   // branch edge pairs interleaved (R0 -> M_j at sources + 2j, M_j -> R1 at
   // sources + 2j + 1), then the sink downlinks. BFS ties break on the
@@ -1862,7 +1803,8 @@ DagConfig make_diamond_dag(const DagScenarioSpec& spec, std::size_t sources,
   return config;
 }
 
-DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources) {
+DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
+                         std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
   for (std::size_t i = 0; i < sources; ++i) {
@@ -1881,7 +1823,6 @@ DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources) {
     config.nodes.push_back(
         DagNode{std::move(name), DagNodeKind::kTerminal, {}});
   }
-  config.max_ports = std::max(config.max_ports, sources + 1);
   for (std::size_t i = 0; i < sources; ++i)
     config.edges.push_back(
         scenario_edge(spec, static_cast<std::uint16_t>(i), r1));
@@ -1894,12 +1835,6 @@ DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources) {
         DagFlow{static_cast<std::uint16_t>(i),
                 static_cast<std::uint16_t>(sources + 2 + i),
                 spec.flits_per_flow, 0x7A00u + i});
-  return config;
-}
-
-DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
-                         std::span<const DagFlowClass> classes) {
-  DagConfig config = make_trunk_dag(spec, sources);
   apply_flow_classes(config, classes);
   return config;
 }
@@ -1911,7 +1846,6 @@ DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
 DagConfig make_star_dag(const StarConfig& config) {
   DagConfig dag;
   dag.protocol = config.protocol;
-  dag.hub_internal_error_rate = config.switch_internal_error_rate;
   dag.seed = config.seed;
   dag.horizon = config.horizon;
 
@@ -1937,8 +1871,6 @@ DagConfig make_star_dag(const StarConfig& config) {
   }
   const std::uint16_t hub = static_cast<std::uint16_t>(2 * n);
   dag.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, hub_seed});
-  // 2N terminals + the hub: keep validation permissive for large stars.
-  dag.max_ports = std::max<std::size_t>(dag.max_ports, 4 * n);
 
   auto star_edge = [&](std::uint16_t src, std::uint16_t dst) {
     DagEdge edge;

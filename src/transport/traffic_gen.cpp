@@ -1,32 +1,10 @@
 #include "rxl/transport/traffic_gen.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace rxl::transport {
 namespace {
-
-// Pareto tail exponent for ON/OFF burst lengths and idle gaps. 1 < alpha < 2
-// gives finite mean but infinite variance — the self-similar regime where a
-// few huge bursts carry most of the traffic.
-constexpr double kParetoAlpha = 1.5;
-
-// A Pareto(alpha) variate with scale x_m has mean alpha * x_m / (alpha - 1),
-// so x_m = mean * (alpha - 1) / alpha reproduces a requested mean.
-constexpr double kParetoScaleFromMean = (kParetoAlpha - 1.0) / kParetoAlpha;
-
-// Cap individual draws at 1000x the mean: the tail stays heavy enough to
-// matter, but one astronomically unlucky draw cannot idle a flow for the
-// whole horizon and make empirical-rate tests meaningless.
-constexpr double kParetoCapFactor = 1000.0;
-
-// Inverse-CDF Pareto draw, capped. u is uniform in [0, 1).
-double pareto_from_mean(double mean, double u) {
-  const double scale = mean * kParetoScaleFromMean;
-  const double value = scale / std::pow(1.0 - u, 1.0 / kParetoAlpha);
-  return std::min(value, mean * kParetoCapFactor);
-}
 
 TimePs to_time(double ps) {
   if (ps <= 0.0) return 0;
@@ -43,71 +21,30 @@ const char* arrival_kind_name(ArrivalKind kind) noexcept {
       return "paced";
     case ArrivalKind::kPoisson:
       return "poisson";
-    case ArrivalKind::kOnOff:
-      return "onoff";
-    case ArrivalKind::kClosedLoop:
-      return "closed";
   }
   return "?";
 }
 
 ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec) noexcept
-    : spec_(spec), rng_(spec.seed) {
-  if (spec_.kind == ArrivalKind::kOnOff) {
-    // The process starts at the head of an ON burst: arrival 0 is due at
-    // t = 0 and burst_remaining_ counts the gaps left inside this burst.
-    const double len = std::max(
-        1.0, std::floor(pareto_from_mean(spec_.on_mean_flits, rng_.uniform())));
-    burst_remaining_ = static_cast<std::uint64_t>(len) - 1;
-  }
-}
-
-TimePs ArrivalProcess::next_gap() noexcept {
-  switch (spec_.kind) {
-    case ArrivalKind::kPoisson: {
-      // Exponential inter-arrival via inverse CDF; uniform() < 1 so the
-      // log argument is strictly positive.
-      const double u = rng_.uniform();
-      return to_time(-std::log(1.0 - u) * static_cast<double>(spec_.interval));
-    }
-    case ArrivalKind::kOnOff: {
-      if (burst_remaining_ > 0) {
-        burst_remaining_ -= 1;
-        return spec_.interval;
-      }
-      // Burst exhausted: draw the idle gap, then the next burst's length.
-      const TimePs gap = to_time(pareto_from_mean(
-          static_cast<double>(spec_.off_mean), rng_.uniform()));
-      const double len = std::max(
-          1.0,
-          std::floor(pareto_from_mean(spec_.on_mean_flits, rng_.uniform())));
-      burst_remaining_ = static_cast<std::uint64_t>(len) - 1;
-      return std::max<TimePs>(gap, 1);
-    }
-    case ArrivalKind::kGreedy:
-    case ArrivalKind::kPaced:
-    case ArrivalKind::kClosedLoop:
-      break;
-  }
-  assert(false && "next_gap on a non-stochastic arrival kind");
-  return 0;
-}
+    : spec_(spec), rng_(spec.seed) {}
 
 TimePs ArrivalProcess::due(std::uint64_t index) noexcept {
   switch (spec_.kind) {
     case ArrivalKind::kGreedy:
-    case ArrivalKind::kClosedLoop:
       return 0;
     case ArrivalKind::kPaced:
       // Exact legacy pace arithmetic: no state, no drift, no RNG draws.
       return static_cast<TimePs>(index) * spec_.interval;
     case ArrivalKind::kPoisson:
-    case ArrivalKind::kOnOff:
       break;
   }
   assert(index >= current_index_ && "arrival indices must be nondecreasing");
   while (current_index_ < index) {
-    current_due_ += next_gap();
+    // Exponential inter-arrival via inverse CDF; uniform() < 1 so the log
+    // argument is strictly positive.
+    const double u = rng_.uniform();
+    current_due_ +=
+        to_time(-std::log(1.0 - u) * static_cast<double>(spec_.interval));
     current_index_ += 1;
   }
   return current_due_;

@@ -134,12 +134,6 @@ TEST(FlitFec, SixSymbolBurstDetectionNear26Of27) {
   EXPECT_NEAR(static_cast<double>(detected) / kTrials, 26.0 / 27.0, 0.02);
 }
 
-TEST(FlitFec, ValidPositionFractionNearOneThird) {
-  EXPECT_NEAR(FlitFec::valid_position_fraction(0), 86.0 / 255.0, 1e-12);
-  EXPECT_NEAR(FlitFec::valid_position_fraction(1), 85.0 / 255.0, 1e-12);
-  EXPECT_NEAR(FlitFec::valid_position_fraction(2), 85.0 / 255.0, 1e-12);
-}
-
 // --- Zero-copy pipeline parity: the strided screen-first decode and the
 // in-place strided encode must match a reference gather/decode/scatter
 // pipeline (the pre-optimization datapath) on every byte and verdict. ---
@@ -147,8 +141,8 @@ TEST(FlitFec, ValidPositionFractionNearOneThird) {
 /// Reference FEC built from the contiguous ReedSolomon entry points via
 /// explicit gather/scatter, mirroring the original FlitFec implementation.
 struct ReferenceFlitFec {
-  ReedSolomon code84{84, 2};
-  ReedSolomon code83{83, 2};
+  ReedSolomon code84{84};
+  ReedSolomon code83{83};
 
   static std::size_t gather(std::span<const std::uint8_t> flit,
                             std::size_t lane, std::span<std::uint8_t> out) {

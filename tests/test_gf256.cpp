@@ -105,32 +105,6 @@ TEST(Gf256, LogIsInverseOfExp) {
   }
 }
 
-TEST(Gf256, PowMatchesRepeatedMul) {
-  const std::uint8_t a = 0x53;
-  std::uint8_t acc = 1;
-  for (unsigned e = 0; e < 20; ++e) {
-    EXPECT_EQ(pow(a, e), acc);
-    acc = mul(acc, a);
-  }
-  EXPECT_EQ(pow(0, 0), 1);
-  EXPECT_EQ(pow(0, 5), 0);
-}
-
-TEST(Gf256, PolyEvalHorner) {
-  // p(x) = 3 + 2x + x^2 at x = alpha: verify against manual expansion.
-  const std::uint8_t coeffs[] = {3, 2, 1};
-  const std::uint8_t x = alpha_pow(1);
-  const std::uint8_t expected =
-      add(add(3, mul(2, x)), mul(x, x));
-  EXPECT_EQ(poly_eval(coeffs, x), expected);
-}
-
-TEST(Gf256, PolyEvalEmptyAndConstant) {
-  EXPECT_EQ(poly_eval({}, 0x42), 0);
-  const std::uint8_t constant[] = {0x7E};
-  EXPECT_EQ(poly_eval(constant, 0x42), 0x7E);
-}
-
 // --- Span kernel equivalence: every batch kernel must agree byte-for-byte
 // with the scalar `mul` reference for all 256 scalars, lengths 0..300, and
 // unaligned base addresses. ---

@@ -25,7 +25,7 @@ std::vector<std::uint8_t> random_codeword(const ReedSolomon& code,
 }
 
 TEST(ReedSolomon, CleanCodewordHasZeroSyndromes) {
-  ReedSolomon code(83, 2);
+  ReedSolomon code(83);
   Xoshiro256 rng(1);
   auto cw = random_codeword(code, rng);
   std::uint8_t syn[2];
@@ -36,12 +36,11 @@ TEST(ReedSolomon, CleanCodewordHasZeroSyndromes) {
 }
 
 TEST(ReedSolomon, RejectsInvalidGeometry) {
-  EXPECT_THROW(ReedSolomon(254, 2), std::invalid_argument);
-  EXPECT_THROW(ReedSolomon(10, 0), std::invalid_argument);
+  EXPECT_THROW(ReedSolomon(254), std::invalid_argument);
 }
 
 TEST(ReedSolomon, AccessorsReportGeometry) {
-  ReedSolomon code(84, 2);
+  ReedSolomon code(84);
   EXPECT_EQ(code.data_symbols(), 84u);
   EXPECT_EQ(code.parity_symbols(), 2u);
   EXPECT_EQ(code.codeword_symbols(), 86u);
@@ -52,7 +51,7 @@ TEST(ReedSolomon, AccessorsReportGeometry) {
 class RsSinglePosition : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RsSinglePosition, CorrectsAnyPosition) {
-  ReedSolomon code(83, 2);
+  ReedSolomon code(83);
   Xoshiro256 rng(42);
   const auto original = random_codeword(code, rng);
   const std::size_t position = GetParam();
@@ -72,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(AllPositions, RsSinglePosition,
 TEST(ReedSolomon, DoubleErrorSameMagnitudeAlwaysDetected) {
   // Two equal-magnitude errors force S0 = 0 with S1 != 0: detected with
   // certainty. This is the deterministic kill pattern scenario tests use.
-  ReedSolomon code(83, 2);
+  ReedSolomon code(83);
   Xoshiro256 rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     auto cw = random_codeword(code, rng);
@@ -95,7 +94,7 @@ TEST(ReedSolomon, DoubleErrorSameMagnitudeAlwaysDetected) {
 TEST(ReedSolomon, DoubleErrorMiscorrectionRateNearOneThird) {
   // Random double errors in a k=83 shortened code alias to a valid single-
   // error syndrome with probability ~ n/255 = 85/255 = 1/3 (paper §2.5).
-  ReedSolomon code(83, 2);
+  ReedSolomon code(83);
   Xoshiro256 rng(99);
   int miscorrected = 0;
   constexpr int kTrials = 4000;
@@ -115,7 +114,7 @@ TEST(ReedSolomon, DoubleErrorMiscorrectionRateNearOneThird) {
 TEST(ReedSolomon, UnshortenedCodeMiscorrectsAlmostAlways) {
   // With k = 253 (no shortening) nearly every double error aliases to some
   // valid position — the detection power comes FROM the shortening.
-  ReedSolomon code(253, 2);
+  ReedSolomon code(253);
   Xoshiro256 rng(5);
   int miscorrected = 0;
   constexpr int kTrials = 2000;
@@ -131,69 +130,21 @@ TEST(ReedSolomon, UnshortenedCodeMiscorrectsAlmostAlways) {
   EXPECT_GT(static_cast<double>(miscorrected) / kTrials, 0.9);
 }
 
-/// Generic decoder (t >= 2): parameterised over parity count.
-class RsGeneral : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RsGeneral, CorrectsUpToTErrors) {
-  const std::size_t parity = GetParam();
-  const unsigned t = static_cast<unsigned>(parity / 2);
-  ReedSolomon code(64, parity);
-  Xoshiro256 rng(1234 + parity);
-  for (int trial = 0; trial < 30; ++trial) {
-    auto cw = random_codeword(code, rng);
-    const auto original = cw;
-    // Inject exactly t errors at distinct positions.
-    std::vector<std::size_t> positions;
-    while (positions.size() < t) {
-      const std::size_t p = rng.bounded(cw.size());
-      bool fresh = true;
-      for (const std::size_t q : positions) fresh = fresh && q != p;
-      if (fresh) positions.push_back(p);
-    }
-    for (const std::size_t p : positions)
-      cw[p] ^= static_cast<std::uint8_t>(1 + rng.bounded(255));
-    const DecodeResult result = code.decode(cw);
-    EXPECT_EQ(result.status, DecodeStatus::kCorrected);
-    EXPECT_EQ(result.corrected_symbols, t);
-    EXPECT_EQ(cw, original);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ParitySweep, RsGeneral,
-                         ::testing::Values(4u, 6u, 8u, 16u));
-
-TEST(ReedSolomon, GeneralDecoderDetectsBeyondT) {
-  ReedSolomon code(64, 4);  // t = 2
-  Xoshiro256 rng(77);
-  int detected = 0;
-  constexpr int kTrials = 300;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    auto cw = random_codeword(code, rng);
-    // 4 errors > t = 2.
-    for (int e = 0; e < 4; ++e)
-      cw[rng.bounded(cw.size())] ^= static_cast<std::uint8_t>(1 + rng.bounded(255));
-    if (code.decode(cw).status == DecodeStatus::kDetectedUncorrectable)
-      ++detected;
-  }
-  // Miscorrection is possible but rare; most beyond-t patterns are caught.
-  EXPECT_GT(detected, kTrials * 8 / 10);
-}
-
-// --- Fast-path parity: the table-driven syndrome and unrolled/table encode
+// --- Fast-path parity: the table-driven syndrome and closed-form encode
 // paths must agree byte-for-byte with the generic log/exp reference paths
-// for the paper's geometries (k in {83, 84}) across parity counts, under
-// random single, burst and scattered multi-symbol error patterns. ---
+// for the paper's geometries (k in {83, 84}), under random single, burst
+// and scattered multi-symbol error patterns. ---
 
 struct RsGeometry {
   std::size_t k;
-  std::size_t r;
+  std::size_t r;  ///< always ReedSolomon::kParitySymbols
 };
 
 class RsFastPathParity : public ::testing::TestWithParam<RsGeometry> {};
 
 TEST_P(RsFastPathParity, EncodeMatchesReference) {
   const auto [k, r] = GetParam();
-  ReedSolomon code(k, r);
+  ReedSolomon code(k);
   Xoshiro256 rng(1000 + k * 10 + r);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::uint8_t> data(k);
@@ -208,7 +159,7 @@ TEST_P(RsFastPathParity, EncodeMatchesReference) {
 
 TEST_P(RsFastPathParity, SyndromesMatchReferenceUnderErrorPatterns) {
   const auto [k, r] = GetParam();
-  ReedSolomon code(k, r);
+  ReedSolomon code(k);
   Xoshiro256 rng(2000 + k * 10 + r);
   const std::size_t n = code.codeword_symbols();
   for (int trial = 0; trial < 60; ++trial) {
@@ -242,7 +193,7 @@ TEST_P(RsFastPathParity, SyndromesMatchReferenceUnderErrorPatterns) {
 
 TEST_P(RsFastPathParity, StridedPathsMatchContiguous) {
   const auto [k, r] = GetParam();
-  ReedSolomon code(k, r);
+  ReedSolomon code(k);
   Xoshiro256 rng(3000 + k * 10 + r);
   const std::size_t n = code.codeword_symbols();
   constexpr std::size_t kStride = 3;
@@ -284,8 +235,7 @@ TEST_P(RsFastPathParity, StridedPathsMatchContiguous) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperGeometries, RsFastPathParity,
-    ::testing::Values(RsGeometry{83, 2}, RsGeometry{84, 2}, RsGeometry{83, 4},
-                      RsGeometry{84, 4}, RsGeometry{83, 8}, RsGeometry{84, 8}),
+    ::testing::Values(RsGeometry{83, 2}, RsGeometry{84, 2}),
     [](const ::testing::TestParamInfo<RsGeometry>& info) {
       std::string name;
       name += 'k';
@@ -300,7 +250,7 @@ TEST(ReedSolomon, ClassifySingleAgreesWithDecodeVerdicts) {
   // classify_single verdict must equal what decode() does to the codeword —
   // including the shortened-position detections of §2.5.
   for (const std::size_t k : {std::size_t{83}, std::size_t{84}}) {
-    ReedSolomon code(k, 2);
+    ReedSolomon code(k);
     Xoshiro256 rng(4000 + k);
     const std::size_t n = code.codeword_symbols();
     for (int trial = 0; trial < 400; ++trial) {
@@ -333,7 +283,7 @@ TEST(ReedSolomon, ClassifySingleFlagsShortenedPositions) {
   // rejected; in-range degrees must correct. Sweeps every degree of the
   // unshortened 255-symbol space for both paper geometries.
   for (const std::size_t k : {std::size_t{83}, std::size_t{84}}) {
-    ReedSolomon code(k, 2);
+    ReedSolomon code(k);
     const std::size_t n = code.codeword_symbols();
     const std::uint8_t magnitude = 0x5D;
     for (unsigned degree = 0; degree < gf256::kGroupOrder; ++degree) {
@@ -359,7 +309,7 @@ TEST(ReedSolomon, ClassifySingleFlagsShortenedPositions) {
 
 TEST(ReedSolomon, ParityPlacementIsSystematic) {
   // Data bytes must appear verbatim in the codeword (systematic encoding).
-  ReedSolomon code(10, 2);
+  ReedSolomon code(10);
   std::vector<std::uint8_t> data{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   std::vector<std::uint8_t> parity(2);
   code.encode(data, parity);

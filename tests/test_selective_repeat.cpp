@@ -25,7 +25,7 @@ TEST(ReorderBuffer, InsertTakeAndStats) {
   ASSERT_TRUE(taken.has_value());
   EXPECT_EQ(taken->truth_index, 42u);
   EXPECT_FALSE(buffer.contains(10));
-  EXPECT_EQ(buffer.peak_occupancy(), 1u);
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(ReorderBuffer, DuplicateAndOverflowRejected) {

@@ -40,23 +40,6 @@ TEST(Sequence, BeforeIsStrictOrder) {
   EXPECT_TRUE(seq_before(1023, 0));
 }
 
-/// Window membership, exhaustively over bases (parameterised).
-class SequenceWindow : public ::testing::TestWithParam<std::uint16_t> {};
-
-TEST_P(SequenceWindow, MembershipExact) {
-  const std::uint16_t base = GetParam();
-  const std::uint16_t size = 256;
-  for (std::uint16_t offset = 0; offset < kSeqModulus; ++offset) {
-    const std::uint16_t seq = seq_add(base, offset);
-    EXPECT_EQ(seq_in_window(seq, base, size), offset < size)
-        << "base=" << base << " offset=" << offset;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bases, SequenceWindow,
-                         ::testing::Values<std::uint16_t>(0, 1, 511, 512, 900,
-                                                          1023));
-
 TEST(Sequence, RoundTripAddDistance) {
   for (std::uint16_t a = 0; a < kSeqModulus; a += 5) {
     for (std::uint16_t d = 0; d < 512; d += 9) {

@@ -27,7 +27,6 @@ using stats::LatencyHistogram;
 using transport::ArrivalKind;
 using transport::ArrivalProcess;
 using transport::ArrivalSpec;
-using transport::ClosedLoopWindow;
 
 // --------------------------------------------------------------------------
 // Stream payloads
@@ -275,35 +274,31 @@ TEST(ArrivalProcess, PacedReproducesLegacyPaceArithmeticExactly) {
 }
 
 TEST(ArrivalProcess, DuesAreDeterministicIdempotentAndMonotone) {
-  for (const ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kOnOff}) {
-    ArrivalSpec spec;
-    spec.kind = kind;
-    spec.interval = 4'000;
-    spec.off_mean = 200'000;
-    spec.on_mean_flits = 8.0;
-    spec.seed = 99;
-    ArrivalProcess a(spec);
-    ArrivalProcess b(spec);
-    TimePs previous = 0;
-    for (std::uint64_t i = 0; i < 5'000; ++i) {
-      const TimePs due = a.due(i);
-      // Same spec -> same sequence; re-querying the current index draws
-      // nothing and returns the same instant (a blocked arrival's due time
-      // must never drift while the endpoint polls).
-      ASSERT_EQ(b.due(i), due);
-      ASSERT_EQ(a.due(i), due);
-      ASSERT_GE(due, previous);
-      previous = due;
-    }
-    ArrivalSpec reseeded = spec;
-    reseeded.seed = 100;
-    ArrivalProcess c(reseeded);
-    bool any_difference = false;
-    ArrivalProcess d(spec);
-    for (std::uint64_t i = 0; i < 100 && !any_difference; ++i)
-      any_difference = c.due(i) != d.due(i);
-    EXPECT_TRUE(any_difference) << arrival_kind_name(kind);
+  ArrivalSpec spec;
+  spec.kind = ArrivalKind::kPoisson;
+  spec.interval = 4'000;
+  spec.seed = 99;
+  ArrivalProcess a(spec);
+  ArrivalProcess b(spec);
+  TimePs previous = 0;
+  for (std::uint64_t i = 0; i < 5'000; ++i) {
+    const TimePs due = a.due(i);
+    // Same spec -> same sequence; re-querying the current index draws
+    // nothing and returns the same instant (a blocked arrival's due time
+    // must never drift while the endpoint polls).
+    ASSERT_EQ(b.due(i), due);
+    ASSERT_EQ(a.due(i), due);
+    ASSERT_GE(due, previous);
+    previous = due;
   }
+  ArrivalSpec reseeded = spec;
+  reseeded.seed = 100;
+  ArrivalProcess c(reseeded);
+  bool any_difference = false;
+  ArrivalProcess d(spec);
+  for (std::uint64_t i = 0; i < 100 && !any_difference; ++i)
+    any_difference = c.due(i) != d.due(i);
+  EXPECT_TRUE(any_difference);
 }
 
 TEST(ArrivalProcess, PoissonEmpiricalRateMatchesInterval) {
@@ -329,60 +324,6 @@ TEST(ArrivalProcess, PoissonEmpiricalRateMatchesInterval) {
   const TimePs g2 = d2 - d1;
   const TimePs g3 = d3 - d2;
   EXPECT_TRUE(g1 != g2 || g2 != g3);
-}
-
-TEST(ArrivalProcess, OnOffAlternatesBurstsAndHeavyIdleGaps) {
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kOnOff;
-  spec.interval = 2'000;
-  spec.on_mean_flits = 16.0;
-  spec.off_mean = 400'000;
-  spec.seed = 5;
-  ArrivalProcess process(spec);
-  const std::uint64_t n = 20'000;
-  std::uint64_t intra_burst = 0, idle = 0;
-  TimePs previous = process.due(0);
-  TimePs longest_idle = 0;
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    const TimePs due = process.due(i);
-    const TimePs gap = due - previous;
-    previous = due;
-    if (gap == spec.interval) {
-      intra_burst += 1;
-    } else {
-      idle += 1;
-      longest_idle = std::max(longest_idle, gap);
-    }
-  }
-  // Burstiness shape: most gaps are the intra-burst spacing (mean burst 16
-  // -> ~15/16 of gaps), idle gaps are rare but HEAVY — the Pareto tail
-  // must produce at least one idle far beyond its mean.
-  EXPECT_GT(intra_burst, n * 8 / 10);
-  EXPECT_GT(idle, n / 100);
-  EXPECT_GT(longest_idle, 4 * spec.off_mean);
-  // Empirical burst length near the configured mean (within 2x bands: the
-  // capped Pareto skews the realized mean; the point is order-of-magnitude
-  // fidelity, pinned exactly by the fixed seed).
-  const double mean_burst =
-      static_cast<double>(intra_burst + idle) / static_cast<double>(idle);
-  EXPECT_GT(mean_burst, spec.on_mean_flits / 2.0);
-  EXPECT_LT(mean_burst, spec.on_mean_flits * 2.0);
-}
-
-TEST(ClosedLoopWindowUnit, GatesOffersUntilCompletionsReady) {
-  ClosedLoopWindow window(2, 1'000);
-  EXPECT_TRUE(window.may_offer());
-  window.on_offer();
-  EXPECT_TRUE(window.may_offer());
-  window.on_offer();
-  EXPECT_FALSE(window.may_offer());  // window full
-  window.on_ready();
-  EXPECT_TRUE(window.may_offer());  // one slot freed
-  window.on_offer();
-  EXPECT_FALSE(window.may_offer());
-  EXPECT_EQ(window.offered(), 3u);
-  EXPECT_EQ(window.ready(), 1u);
-  EXPECT_EQ(window.think(), 1'000u);
 }
 
 // --------------------------------------------------------------------------
@@ -412,14 +353,6 @@ TEST(DagArrivalValidation, AcceptsEachWellFormedKind) {
   EXPECT_NO_THROW(plan_dag(config));
   config.flows[0].arrival = ArrivalKind::kPoisson;
   EXPECT_NO_THROW(plan_dag(config));
-  config.flows[0].arrival = ArrivalKind::kOnOff;
-  config.flows[0].off_mean = 100'000;
-  EXPECT_NO_THROW(plan_dag(config));
-  config = two_node_config();
-  config.flows[0].arrival = ArrivalKind::kClosedLoop;
-  config.flows[0].window = 4;
-  config.flows[0].think = 10'000;
-  EXPECT_NO_THROW(plan_dag(config));
 }
 
 TEST(DagArrivalValidation, RejectsIllFormedArrivalSpecs) {
@@ -429,30 +362,9 @@ TEST(DagArrivalValidation, RejectsIllFormedArrivalSpecs) {
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
   config.flows[0].arrival = ArrivalKind::kPoisson;
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
-  // ON/OFF needs its burst/idle shape.
-  config = two_node_config();
-  config.flows[0].arrival = ArrivalKind::kOnOff;
-  config.flows[0].interval = 2'000;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);  // off_mean == 0
-  config.flows[0].off_mean = 100'000;
-  config.flows[0].on_mean_flits = 0.5;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
   // Greedy flows take no interval (that is what the kinds are for).
   config = two_node_config();
   config.flows[0].interval = 2'000;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
-  // Closed loop: window required, interval/window cross-checks.
-  config = two_node_config();
-  config.flows[0].arrival = ArrivalKind::kClosedLoop;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);  // window == 0
-  config.flows[0].window = 4;
-  config.flows[0].interval = 2'000;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
-  config = two_node_config();
-  config.flows[0].window = 4;  // window without closed-loop arrivals
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
-  config = two_node_config();
-  config.flows[0].think = 1'000;  // think without closed-loop arrivals
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
 }
 
@@ -460,8 +372,6 @@ TEST(DagArrivalValidation, KindNamesAreStable) {
   EXPECT_STREQ(arrival_kind_name(ArrivalKind::kGreedy), "greedy");
   EXPECT_STREQ(arrival_kind_name(ArrivalKind::kPaced), "paced");
   EXPECT_STREQ(arrival_kind_name(ArrivalKind::kPoisson), "poisson");
-  EXPECT_STREQ(arrival_kind_name(ArrivalKind::kOnOff), "onoff");
-  EXPECT_STREQ(arrival_kind_name(ArrivalKind::kClosedLoop), "closed");
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Property sweeps over randomized arrival processes x scenario topologies:
-// whatever the traffic generator does — paced, Poisson, heavy-tailed ON/OFF
-// bursts, or a closed-loop window — an RXL flow must still deliver exactly
-// once in order, every delivery must land in the latency histogram (zero
+// whatever the traffic generator does — paced or Poisson — an RXL flow must
+// still deliver exactly once in order, every delivery must land in the latency histogram (zero
 // ring misses while the per-flow budget fits the timestamp ring), and the
 // histogram must merge bit-identically across TrialRunner worker counts.
 // Every universe derives from one generator seed printed on failure.
@@ -22,7 +21,6 @@ struct Universe {
   DagConfig config;
   const char* family = "";
   ArrivalKind kind = ArrivalKind::kGreedy;
-  std::uint64_t window_total = 0;  ///< sum of closed-loop windows, 0 if open
 };
 
 Universe random_universe(std::uint64_t gen_seed) {
@@ -58,33 +56,14 @@ Universe random_universe(std::uint64_t gen_seed) {
       break;
   }
 
-  constexpr ArrivalKind kKinds[] = {ArrivalKind::kPaced, ArrivalKind::kPoisson,
-                                    ArrivalKind::kOnOff,
-                                    ArrivalKind::kClosedLoop};
-  universe.kind = kKinds[rng.bounded(4)];
+  constexpr ArrivalKind kKinds[] = {ArrivalKind::kPaced,
+                                    ArrivalKind::kPoisson};
+  universe.kind = kKinds[rng.bounded(2)];
   for (DagFlow& flow : universe.config.flows) {
     flow.arrival = universe.kind;
-    flow.arrival_seed = rng();
-    switch (universe.kind) {
-      case ArrivalKind::kPaced:
-      case ArrivalKind::kPoisson:
-        // From ~2x under to ~2x over the shared wire's per-flow fair share:
-        // both drained and backlogged regimes are swept.
-        flow.interval = 4'000 + rng.bounded(12'000);
-        break;
-      case ArrivalKind::kOnOff:
-        flow.interval = 2'000 + rng.bounded(6'000);
-        flow.on_mean_flits = static_cast<double>(4 + rng.bounded(28));
-        flow.off_mean = 50'000 + rng.bounded(150'000);
-        break;
-      case ArrivalKind::kClosedLoop:
-        flow.window = static_cast<std::uint32_t>(1 + rng.bounded(8));
-        flow.think = rng.bounded(50'000);
-        universe.window_total += flow.window;
-        break;
-      case ArrivalKind::kGreedy:
-        break;
-    }
+    // From ~2x under to ~2x over the shared wire's per-flow fair share:
+    // both drained and backlogged regimes are swept.
+    flow.interval = 4'000 + rng.bounded(12'000);
   }
   return universe;
 }
@@ -100,7 +79,6 @@ struct TrialOutcome {
   std::uint64_t order_failures = 0;
   std::uint64_t missing = 0;
   std::uint64_t sample_misses = 0;
-  std::uint64_t window_total = 0;
   std::uint64_t hop_retransmissions = 0;
   bool per_flow_counts_ok = true;  ///< histogram count == in_order per flow
   stats::LatencyHistogram merged;
@@ -120,7 +98,6 @@ TrialOutcome run_traffic_trial(std::uint64_t gen_seed) {
   outcome.order_failures = report.total_order_failures();
   outcome.missing = report.total_missing();
   outcome.sample_misses = report.total_latency_sample_misses();
-  outcome.window_total = universe.window_total;
   outcome.hop_retransmissions = report.total_hop_retransmissions();
   for (const DagFlowReport& flow : report.flows) {
     if (flow.latency.count() != flow.scoreboard.in_order)
@@ -143,11 +120,6 @@ void assert_traffic_invariants(const TrialOutcome& outcome) {
   EXPECT_EQ(outcome.in_order, outcome.budget_total);
   EXPECT_EQ(outcome.order_failures, 0u);
   EXPECT_EQ(outcome.missing, 0u);
-  // A closed-loop window may never hold more than `window` pulls in
-  // flight; at quiescence offered == delivered, so the gap is zero.
-  if (outcome.kind == ArrivalKind::kClosedLoop) {
-    EXPECT_LE(outcome.offered - outcome.in_order, outcome.window_total);
-  }
   // Every delivery was stamped: budgets fit the timestamp ring, so no
   // delivery may fall back to the miss counter, and the histogram holds
   // exactly one sample per in-order flit.

@@ -90,19 +90,6 @@ void BM_IsnCrc_Encode(benchmark::State& state) {
 }
 BENCHMARK(BM_IsnCrc_Encode);
 
-void BM_Gf256_MulAddSpan(benchmark::State& state) {
-  const auto src = random_bytes(240, 20);
-  auto dst = random_bytes(240, 21);
-  std::uint8_t c = 2;
-  for (auto _ : state) {
-    gf256::mul_add_span(dst, src, c);
-    benchmark::DoNotOptimize(dst.data());
-    c = static_cast<std::uint8_t>(c * 3 + 1) | 2;  // keep c outside {0, 1}
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 240);
-}
-BENCHMARK(BM_Gf256_MulAddSpan);
-
 void BM_Gf256_DotSpan(benchmark::State& state) {
   const auto weights = random_bytes(85, 22);
   const auto data = random_bytes(85, 23);

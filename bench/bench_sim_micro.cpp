@@ -160,7 +160,7 @@ void BM_LinkChannel_SendDeliver(benchmark::State& state) {
       [&delivered](sim::FlitEnvelope&&) { ++delivered; });
   sim::FlitEnvelope proto;
   proto.flit.payload()[0] = 0xAB;
-  proto.pristine = true;
+  proto.seal = sim::SealState::kCodeword;
   for (auto _ : state) {
     channel.send(proto);  // copies the 256 B image, as endpoints do
     queue.run(1);

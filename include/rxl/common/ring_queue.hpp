@@ -67,6 +67,12 @@ class RingQueue {
     --count_;
   }
 
+  /// Drops every element; the slots stay allocated for reuse.
+  void clear() noexcept {
+    head_ = 0;
+    count_ = 0;
+  }
+
  private:
   void grow() {
     const std::size_t capacity = slots_.empty() ? 8 : slots_.size() * 2;

@@ -76,4 +76,13 @@ class Flit {
   std::array<std::uint8_t, kFlitBytes> bytes_;
 };
 
+/// Seals `image` around its header and payload: writes the CRC with
+/// `crc_fold` folded in (crc::IsnCrc::encode; the SeqNum of an RXL data
+/// flit, 0 for the plain CRC of CXL data and of every control flit), then
+/// the FEC field over everything before it. The one place a flit's CRC and
+/// FEC are computed from scratch: the codec's encoders call it, and so do a
+/// link channel or a hub about to flip bits of a flit its sender left
+/// unsealed (see sim::SealState).
+void seal(Flit& image, std::uint16_t crc_fold);
+
 }  // namespace rxl::flit

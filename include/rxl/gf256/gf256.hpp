@@ -211,18 +211,7 @@ inline constexpr auto kAesMap = build_aes_map();
 // --- Batch (span) kernels -------------------------------------------------
 // The scalar `mul` above stays the semantic reference; every kernel below is
 // tested byte-for-byte against it (tests/test_gf256.cpp). The RS hot paths
-// consume xor_fold_span/dot_span (plus strided detail::mul_nib loops); the
-// axpy-style kernels are the general-purpose counterparts for matrix-shaped
-// GF(256) work (erasure coding, generator-matrix products).
-
-/// dst[i] ^= src[i] — GF(256) vector addition. Spans must be equal length.
-void add_span(std::span<std::uint8_t> dst,
-              std::span<const std::uint8_t> src) noexcept;
-
-/// dst[i] ^= mul(c, src[i]) — the GF(256) axpy kernel. Spans must be equal
-/// length and must not overlap.
-void mul_add_span(std::span<std::uint8_t> dst,
-                  std::span<const std::uint8_t> src, std::uint8_t c) noexcept;
+// consume xor_fold_span/dot_span (plus strided detail::mul_nib loops).
 
 /// XOR-reduction of a span, folded 8 bytes at a time. This is syndrome S0
 /// (the weight-1 dot product) of any codeword.

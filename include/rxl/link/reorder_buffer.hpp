@@ -38,12 +38,8 @@ class ReorderBuffer {
   /// Removes and returns the flit for `seq`, if held.
   std::optional<sim::FlitEnvelope> take(std::uint16_t seq);
 
-  /// Insertions rejected because the buffer was full.
-  [[nodiscard]] std::uint64_t overflows() const noexcept { return overflows_; }
-
  private:
   std::size_t capacity_;
-  std::uint64_t overflows_ = 0;
   std::unordered_map<std::uint16_t, sim::FlitEnvelope> entries_;
 };
 

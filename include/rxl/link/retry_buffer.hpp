@@ -1,4 +1,5 @@
-// Go-back-N replay buffer: fully-encoded flits awaiting acknowledgment.
+// Go-back-N replay buffer: flit images awaiting acknowledgment (endpoints
+// keep them unsealed, header and payload only; see sim::SealState).
 //
 // The transmitter keeps every sent-but-unacked flit so a NACK (or an ack
 // timeout) can replay the stream from any in-window sequence number. The
@@ -41,7 +42,7 @@ class RetryBuffer {
   [[nodiscard]] std::optional<std::uint16_t> oldest_seq() const noexcept;
 
   /// Reserves the slot the next flit will occupy and returns its image, so
-  /// the caller can write the payload and encode the flit in place. The
+  /// the caller can write the payload and header in place. The
   /// slot stays invisible (to size, find, find_entry, for_each, holds_flow
   /// and clear's drain) until commit(); drop_reservation() gives it back.
   /// The buffer must not be full, and reserving again before the last

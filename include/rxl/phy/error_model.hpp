@@ -11,6 +11,13 @@
 // All models mutate a raw flit image in place and report how many bits they
 // flipped, so the simulator can skip FEC/CRC work for untouched flits
 // without changing observable behaviour.
+//
+// The XOR-pattern contract: every model XORs a pattern into the image that
+// does not depend on the image's bytes. Which bits flip, the returned count
+// and the RNG draws are functions of the model's state and the RNG alone,
+// so corrupt(zeros) XOR image == corrupt(image), with the RNG left in the
+// same state. sim::LinkChannel relies on it: it draws the pattern onto a
+// zero buffer and computes a flit's CRC and FEC only when the pattern hits.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +36,9 @@ class ErrorModel {
  public:
   virtual ~ErrorModel() = default;
 
-  /// Corrupts `flit` in place; returns the number of bits flipped (0 means
-  /// the flit transited cleanly).
+  /// Corrupts `flit` in place by XORing in a pattern that must not depend
+  /// on its bytes (the contract above); returns the number of bits flipped
+  /// (0 means the flit transited cleanly).
   virtual std::size_t corrupt(std::span<std::uint8_t> flit,
                               Xoshiro256& rng) = 0;
 

@@ -51,16 +51,6 @@ class ReedSolomon {
   explicit ReedSolomon(std::size_t data_symbols);
 
   [[nodiscard]] std::size_t data_symbols() const noexcept { return k_; }
-  [[nodiscard]] std::size_t parity_symbols() const noexcept {
-    return kParitySymbols;
-  }
-  [[nodiscard]] std::size_t codeword_symbols() const noexcept {
-    return k_ + kParitySymbols;
-  }
-  /// Symbol-correction capability t = kParitySymbols / 2.
-  [[nodiscard]] unsigned correctable() const noexcept {
-    return static_cast<unsigned>(kParitySymbols / 2);
-  }
 
   /// Computes parity for `data` (size k) into `parity` (size 2).
   void encode(std::span<const std::uint8_t> data,

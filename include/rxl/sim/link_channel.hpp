@@ -6,8 +6,14 @@
 // applies an ErrorModel to the transiting image, and delivers to the
 // receiver after the propagation latency.
 //
-// A sent image is copied once, into its in-flight slot; the error model
-// corrupts that slot in place and the receiver is handed the same slot.
+// A sent image is copied once, into its in-flight slot, and the receiver
+// is handed that slot. Endpoints send flits unsealed: the CRC and FEC
+// fields are not computed, and the envelope records the value the CRC
+// folds in. Error models XOR in a pattern that does not depend on the
+// image (see phy::ErrorModel), so the channel draws the pattern onto
+// zeros and seals a slot only when the pattern hits it; the flip then
+// lands on the real codeword. A flit no error touched keeps its seal
+// state, and its receiver takes the check's verdict from the metadata.
 #pragma once
 
 #include <cstddef>
@@ -28,16 +34,30 @@
 
 namespace rxl::sim {
 
+/// How much of a flit image's parity is real (see FlitEnvelope::seal).
+enum class SealState : std::uint8_t {
+  /// The CRC and FEC fields were never computed; the header and payload
+  /// are exactly what the sender wrote. Receivers skip the FEC decode and
+  /// take the CRC verdict from FlitEnvelope::crc_fold.
+  kUnsealed,
+  /// Bit-identical to what the last encoder wrote (a valid FEC codeword),
+  /// so receivers skip the FEC decode but check the real CRC.
+  kCodeword,
+  /// Flipped since it was sealed: receivers run the real FEC decode and
+  /// CRC check. An FEC correction leaves the state here; only a re-encode
+  /// (a hub's egress regeneration) makes it a codeword again.
+  kTouched,
+};
+
 /// A flit in flight, with simulation-only ground-truth metadata that no
 /// protocol logic may read (it exists so the simulator can skip FEC/CRC
 /// work on untouched images and so scoreboards can classify failures).
 struct FlitEnvelope {
   flit::Flit flit;
-  /// True while the image is bit-identical to what the last encoder wrote,
-  /// so a receiver may skip the FEC decode. Any ErrorModel flip clears it,
-  /// and an FEC correction leaves it clear; only a re-encode (a hub's
-  /// egress regeneration) sets it again.
-  bool pristine = true;
+  SealState seal = SealState::kCodeword;
+  /// The value flit::seal folds into the CRC: the SeqNum of an RXL data
+  /// flit, 0 for CXL data and for every control flit.
+  std::uint16_t crc_fold = 0;
   /// Ground truth for scoreboards: global stream index assigned by the
   /// sending endpoint's application layer (data flits only).
   std::uint64_t truth_index = 0;
@@ -62,13 +82,15 @@ static_assert(std::is_trivially_copyable_v<FlitEnvelope>,
 static_assert(sizeof(FlitEnvelope) <= kFlitBytes + 64,
               "FlitEnvelope metadata outgrew its one-cache-line budget");
 
-/// The ground truth a sender stamps on a flit it transmits: the
-/// FlitEnvelope fields other than the image and its pristine flag.
+/// What a sender stamps on a flit it transmits: the FlitEnvelope fields
+/// other than the image.
 struct FlitTags {
   std::uint64_t truth_index = 0;
   bool has_truth = false;
   std::uint16_t dest_port = 0;
   std::uint16_t flow_id = 0;
+  std::uint16_t crc_fold = 0;
+  SealState seal = SealState::kCodeword;
 };
 
 /// Per-channel occupancy and error statistics.
@@ -114,22 +136,23 @@ class LinkChannel {
     faults_ = (faults != nullptr && !faults->empty()) ? faults : nullptr;
   }
 
-  /// Queues a freshly encoded (pristine) copy of `image`, stamped with
-  /// `tags`, for transmission: the image is copied once, straight into its
-  /// in-flight slot. The channel serialises flits back-to-back: if the wire
-  /// is busy the flit starts when it frees up. Returns the time at which
-  /// the flit's slot *ends* (when the sender may push the next flit
-  /// without queueing).
+  /// Queues a copy of `image`, stamped with `tags` (its seal state and CRC
+  /// fold among them), for transmission: the image is copied once,
+  /// straight into its in-flight slot. The channel serialises flits
+  /// back-to-back: if the wire is busy the flit starts when it frees up.
+  /// Returns the time at which the flit's slot *ends* (when the sender may
+  /// push the next flit without queueing).
   TimePs send(const flit::Flit& image, const FlitTags& tags) {
-    return transmit(image, true, tags);
+    return transmit(image, tags);
   }
 
   /// Envelope form (a hub forwarding a parked envelope): the same, keeping
-  /// the envelope's pristine flag.
+  /// the envelope's seal state and CRC fold.
   TimePs send(const FlitEnvelope& envelope) {
-    return transmit(envelope.flit, envelope.pristine,
+    return transmit(envelope.flit,
                     FlitTags{envelope.truth_index, envelope.has_truth,
-                             envelope.dest_port, envelope.flow_id});
+                             envelope.dest_port, envelope.flow_id,
+                             envelope.crc_fold, envelope.seal});
   }
 
   /// Earliest time a newly offered flit would start serialising.
@@ -153,8 +176,7 @@ class LinkChannel {
   }
 
  private:
-  TimePs transmit(const flit::Flit& image, bool pristine,
-                  const FlitTags& tags);
+  TimePs transmit(const flit::Flit& image, const FlitTags& tags);
 
   EventQueue& queue_;
   std::unique_ptr<phy::ErrorModel> errors_;

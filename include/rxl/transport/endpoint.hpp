@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "rxl/common/ring_queue.hpp"
 #include "rxl/link/credit.hpp"
 #include "rxl/link/link_layer.hpp"
 #include "rxl/link/reorder_buffer.hpp"
@@ -305,7 +306,7 @@ class Endpoint {
 
   // RX path.
   void rx_data(sim::FlitEnvelope&& envelope);
-  void rx_control(const flit::Flit& flit);
+  void rx_control(const sim::FlitEnvelope& envelope);
   void process_acknum(std::uint16_t acknum);
   void process_nack(std::uint16_t last_good);
   void send_nack();
@@ -327,7 +328,7 @@ class Endpoint {
   link::RetryBuffer retry_buffer_;
   std::optional<std::uint16_t> replay_cursor_;
   std::deque<std::uint16_t> single_resends_;  ///< selective-repeat requests
-  std::deque<flit::Flit> control_queue_;
+  RingQueue<flit::Flit> control_queue_;
   /// The wire copy of a first transmission that piggybacks an AckNum (the
   /// retry slot keeps the canonical, ack-free image).
   flit::Flit piggyback_image_;

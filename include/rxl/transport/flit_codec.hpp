@@ -12,6 +12,16 @@
 //    and stream position.
 // Both stacks then apply the same 3-way interleaved RS FEC over the first
 // 250 bytes.
+//
+// Seal states. flit::seal computes the CRC and FEC fields; the encoders
+// below call it. Endpoints instead send flits unsealed (header and payload
+// only) and record the CRC fold in the envelope, and the link channel
+// seals a flit only when an error hits it (sim::SealState). An untouched
+// arrival's check then follows from metadata: RXL's ISN CRC passes iff the
+// sender's fold equals the receiver's ESeqNum, every other CRC iff the
+// fold is 0, and CXL reads its explicit SeqNum from the real header. The
+// *_unsealed checks give exactly the verdict the plain checks would give
+// on the sealed image; an exhaustive test pins that.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +74,8 @@ struct RxCheck {
   /// For CXL: the explicit sequence number, if the flit carried one.
   /// For RXL: never set (sequence validity is implied by crc_ok).
   std::optional<std::uint16_t> explicit_seq;
+
+  friend bool operator==(const RxCheck&, const RxCheck&) = default;
 };
 
 /// Stateless encoder/checker used by endpoints. One instance per endpoint;
@@ -76,36 +88,43 @@ class FlitCodec {
   [[nodiscard]] Protocol protocol() const noexcept { return protocol_; }
   [[nodiscard]] const rs::FlitFec& fec() const noexcept { return fec_; }
 
-  /// Encodes a data flit around the 240 B payload already in `image`:
-  /// writes the header, the CRC (ISN-folded for RXL) and the FEC field,
-  /// and leaves the payload untouched. Endpoints call it on their retry
-  /// slot, so the canonical image is built where it is kept.
+  /// Writes a data flit's header into `image`, around the 240 B payload
+  /// already there, and leaves the CRC and FEC fields unsealed. Endpoints
+  /// call it on their retry slot, so the canonical image is built where it
+  /// is kept.
   /// @param seq     this flit's sequence number.
   /// @param acknum  if set, piggyback this AckNum (ReplayCmd = kAck).
   ///                CXL then *replaces* the FSN with the AckNum; RXL keeps
   ///                the SeqNum implicit in the CRC regardless.
-  void encode_data_in_place(flit::Flit& image, std::uint16_t seq,
-                            std::optional<std::uint16_t> acknum) const;
+  void write_data_header(flit::Flit& image, std::uint16_t seq,
+                         std::optional<std::uint16_t> acknum) const;
 
-  /// encode_data_in_place on a new image holding `payload` (at most 240 B,
-  /// zero-padded).
+  /// The value a data flit's CRC folds in: its SeqNum under RXL's ISN, 0
+  /// under CXL's plain link CRC.
+  [[nodiscard]] std::uint16_t data_crc_fold(std::uint16_t seq) const noexcept {
+    return protocol_ == Protocol::kRxl ? seq : 0;
+  }
+
+  /// A sealed data flit holding `payload` (at most 240 B, zero-padded):
+  /// write_data_header, then flit::seal.
   [[nodiscard]] flit::Flit encode_data(std::span<const std::uint8_t> payload,
                                        std::uint16_t seq,
                                        std::optional<std::uint16_t> acknum) const;
 
-  /// Builds a standalone control flit (ACK, NACK, or credit management).
-  /// `credit_word` is the sender's cumulative freed-slot count (0 on hops
-  /// without flow control, leaving the payload all-zero as before).
+  /// An unsealed control flit (ACK, NACK, or credit management): one
+  /// cumulative credit word per VC (VC 0 at the legacy offset) plus the
+  /// absolute ECN mark bitmap. Control flits sit outside the data sequence
+  /// stream in both stacks, so their CRC fold is 0.
+  [[nodiscard]] static flit::Flit control_flit(flit::ReplayCmd command,
+                                               std::uint16_t fsn,
+                                               const ControlCreditStamp& stamp);
+
+  /// A sealed single-VC control flit. `credit_word` is the sender's
+  /// cumulative freed-slot count (0 on hops without flow control, leaving
+  /// the payload all-zero).
   [[nodiscard]] flit::Flit encode_control(flit::ReplayCmd command,
                                           std::uint16_t fsn,
                                           std::uint16_t credit_word = 0) const;
-
-  /// Multi-VC form: stamps one cumulative credit word per VC (VC 0 at the
-  /// legacy offset) plus the absolute ECN mark bitmap. With one VC and no
-  /// marks this encodes byte-identically to the single-word overload.
-  [[nodiscard]] flit::Flit encode_control(flit::ReplayCmd command,
-                                          std::uint16_t fsn,
-                                          const ControlCreditStamp& stamp) const;
 
   /// Endpoint receive check for a data flit whose FEC stage already passed.
   /// @param expected_seq the receiver's ESeqNum (used only by RXL's ISN
@@ -114,8 +133,19 @@ class FlitCodec {
   [[nodiscard]] RxCheck check_data(const flit::Flit& flit,
                                    std::uint16_t expected_seq) const;
 
+  /// check_data's verdict on the sealed form of an unsealed data flit
+  /// whose sender recorded `crc_fold`, from metadata and the real header.
+  [[nodiscard]] RxCheck check_data_unsealed(const flit::Flit& flit,
+                                            std::uint16_t crc_fold,
+                                            std::uint16_t expected_seq) const;
+
   /// Control flits are sequence-less in both stacks: plain CRC check.
   [[nodiscard]] bool check_control(const flit::Flit& flit) const;
+
+  /// check_control's verdict on the sealed form of an unsealed control
+  /// flit: its plain CRC passes iff `crc_fold` is 0.
+  [[nodiscard]] bool check_control_unsealed(const flit::Flit& flit,
+                                            std::uint16_t crc_fold) const;
 
   /// Recomputes the link-layer CRC in place (baseline CXL switches do this
   /// when regenerating a flit; the call is what *masks* switch-internal

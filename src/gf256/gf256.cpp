@@ -5,30 +5,6 @@
 
 namespace rxl::gf256 {
 
-void add_span(std::span<std::uint8_t> dst,
-              std::span<const std::uint8_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::uint8_t* __restrict d = dst.data();
-  const std::uint8_t* __restrict s = src.data();
-  const std::size_t n = dst.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] ^= s[i];
-}
-
-void mul_add_span(std::span<std::uint8_t> dst,
-                  std::span<const std::uint8_t> src, std::uint8_t c) noexcept {
-  assert(dst.size() == src.size());
-  if (c == 0) return;
-  if (c == 1) {
-    add_span(dst, src);
-    return;
-  }
-  const std::size_t row = std::size_t{c} * 16;
-  std::uint8_t* __restrict d = dst.data();
-  const std::uint8_t* __restrict s = src.data();
-  const std::size_t n = dst.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] ^= detail::mul_nib(row, s[i]);
-}
-
 std::uint8_t xor_fold_span(std::span<const std::uint8_t> data) noexcept {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();

@@ -15,10 +15,7 @@ ReorderBuffer::ReorderBuffer(std::size_t capacity) : capacity_(capacity) {
 bool ReorderBuffer::insert(std::uint16_t seq, sim::FlitEnvelope&& envelope) {
   const std::uint16_t key = seq & kSeqMask;
   if (entries_.count(key) != 0) return false;  // duplicate arrival
-  if (full()) {
-    ++overflows_;
-    return false;
-  }
+  if (full()) return false;
   entries_.emplace(key, std::move(envelope));
   return true;
 }

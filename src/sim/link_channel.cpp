@@ -1,9 +1,19 @@
 #include "rxl/sim/link_channel.hpp"
 
+#include <array>
 #include <cassert>
 #include <utility>
 
 namespace rxl::sim {
+namespace {
+
+/// The error model draws its pattern onto this buffer, which is all zeros
+/// between transmits. One per thread, since trial workers run channels in
+/// parallel, rather than one per channel: a transmit uses it only until it
+/// returns.
+alignas(64) thread_local std::array<std::uint8_t, kFlitBytes> error_pattern{};
+
+}  // namespace
 
 LinkChannel::LinkChannel(EventQueue& queue,
                          std::unique_ptr<phy::ErrorModel> errors,
@@ -17,8 +27,7 @@ LinkChannel::LinkChannel(EventQueue& queue,
   assert(errors_ != nullptr);
 }
 
-TimePs LinkChannel::transmit(const flit::Flit& image, bool pristine,
-                             const FlitTags& tags) {
+TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
   const TimePs start = std::max(queue_.now(), next_free_);
   const TimePs end = start + slot_;
   next_free_ = end;
@@ -57,14 +66,22 @@ TimePs LinkChannel::transmit(const flit::Flit& image, bool pristine,
   // Delivery happens once the last bit has propagated.
   FlitEnvelope& slot = in_flight_.park(end + latency_);
   slot.flit = image;
-  slot.pristine = pristine;
+  slot.seal = tags.seal;
+  slot.crc_fold = tags.crc_fold;
   slot.truth_index = tags.truth_index;
   slot.has_truth = tags.has_truth;
   slot.dest_port = tags.dest_port;
   slot.flow_id = tags.flow_id;
-  const std::size_t flipped = errors_->corrupt(slot.flit.bytes(), rng_);
+  // The pattern does not depend on the image (the ErrorModel contract), so
+  // drawing it onto zeros takes the same RNG draws as corrupting the slot,
+  // and only a hit pays for the seal.
+  const std::size_t flipped = errors_->corrupt(error_pattern, rng_);
   if (flipped > 0) {
-    slot.pristine = false;
+    if (slot.seal == SealState::kUnsealed) flit::seal(slot.flit, slot.crc_fold);
+    const std::span<std::uint8_t, kFlitBytes> bytes = slot.flit.bytes();
+    for (std::size_t i = 0; i < kFlitBytes; ++i) bytes[i] ^= error_pattern[i];
+    error_pattern.fill(0);
+    slot.seal = SealState::kTouched;
     stats_.flits_corrupted += 1;
     stats_.bits_flipped += flipped;
   }

@@ -25,25 +25,27 @@ void PortSwitch::set_output(std::size_t port, sim::LinkChannel* output) {
 void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   stats_.flits_in += 1;
 
-  // --- Ingress FEC. Pristine images are valid codewords by construction
-  // (zero syndromes), so the decode is skipped without changing behaviour.
-  if (!envelope.pristine) {
+  // --- Ingress FEC. Only a touched image can have nonzero syndromes, so
+  // the decode is skipped on the rest without changing behaviour.
+  if (envelope.seal == sim::SealState::kTouched) {
     const rs::FecDecodeResult fec = codec_.fec().decode(envelope.flit.bytes());
     if (!fec.accepted()) {
       stats_.dropped_fec += 1;  // the silent drop at the heart of the paper
       return;
     }
-    // A corrected image stays non-pristine, so egress regeneration runs. A
-    // true correction restores the exact encoded image: the CXL CRC check
-    // below passes, and the re-encode writes the same CRC and FEC bytes. A
+    // A corrected image stays touched, so egress regeneration runs. A true
+    // correction restores the exact encoded image: the CXL CRC check below
+    // passes, and the re-encode writes the same CRC and FEC bytes. A
     // miscorrection (a different but internally consistent codeword) meets
-    // the CRC check like any other non-pristine image.
+    // the CRC check like any other touched image.
     if (fec.status == rs::DecodeStatus::kCorrected) stats_.fec_corrected += 1;
   }
 
   // --- CXL only: the switch terminates the link-layer CRC (data and
-  // control flits both carry the plain link CRC in CXL).
-  if (codec_.protocol() == transport::Protocol::kCxl && !envelope.pristine) {
+  // control flits both carry the plain link CRC in CXL). An untouched image
+  // passes it by construction.
+  if (codec_.protocol() == transport::Protocol::kCxl &&
+      envelope.seal == sim::SealState::kTouched) {
     if (!codec_.check_control(envelope.flit)) {
       stats_.dropped_crc += 1;
       return;
@@ -52,25 +54,29 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
 
   // --- Internal corruption (buffer upset / switching-logic error) strikes
   // between ingress checks and egress regeneration, on the data path only.
+  // An unsealed flit is sealed first, so the flip lands on the codeword its
+  // sender would have sent.
   if (config_.internal_error_rate > 0.0 &&
       rng_.bernoulli(config_.internal_error_rate)) {
     stats_.internal_corruptions += 1;
+    if (envelope.seal == sim::SealState::kUnsealed)
+      flit::seal(envelope.flit, envelope.crc_fold);
     flip_bit(envelope.flit.bytes(),
              rng_.bounded((kHeaderBytes + kPayloadBytes) * 8));
-    envelope.pristine = false;
+    envelope.seal = sim::SealState::kTouched;
   }
 
   // --- Egress regeneration. CXL re-signs whatever the switch now holds with
   // a fresh link CRC, which is what makes internal corruption invisible to
   // the endpoint; RXL's ECRC passes through untouched, so only the FEC is
   // refreshed. Either way the image is a valid codeword for the next hop's
-  // FEC again, so it is marked pristine; the endpoint always evaluates the
-  // real (E)CRC on the real bytes.
-  if (!envelope.pristine) {
+  // FEC again; the endpoint always evaluates the real (E)CRC on the real
+  // bytes. An unsealed flit crosses the hub unsealed.
+  if (envelope.seal == sim::SealState::kTouched) {
     if (codec_.protocol() == transport::Protocol::kCxl)
       codec_.regenerate_link_crc(envelope.flit);
     codec_.apply_fec(envelope.flit);
-    envelope.pristine = true;
+    envelope.seal = sim::SealState::kCodeword;
   }
 
   // --- Routing stage.

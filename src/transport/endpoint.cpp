@@ -87,8 +87,9 @@ bool Endpoint::send_one() {
   if (!control_queue_.empty()) {
     stats_.control_flits_sent += 1;
     output_->send(control_queue_.front(),
-                  sim::FlitTags{0, false, dest_port_, 0});
-    control_queue_.pop_front();
+                  sim::FlitTags{0, false, dest_port_, 0, 0,
+                                sim::SealState::kUnsealed});
+    control_queue_.drop_front();
     return true;
   }
   // Priority 2: selective-repeat single-flit resends.
@@ -178,8 +179,10 @@ void Endpoint::send_replay(const link::RetryBuffer::Entry& entry,
   stats_.data_flits_retransmitted += 1;
   trace(obs::TraceEventKind::kRetry, entry.user_tag, entry.flow_tag, entry.seq,
         entry.vc, how);
-  output_->send(entry.flit, sim::FlitTags{entry.user_tag, true, dest_port_,
-                                         entry.flow_tag});
+  output_->send(entry.flit,
+                sim::FlitTags{entry.user_tag, true, dest_port_, entry.flow_tag,
+                              codec_.data_crc_fold(entry.seq),
+                              sim::SealState::kUnsealed});
 }
 
 void Endpoint::note_credit_stall() {
@@ -206,18 +209,19 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
                               std::uint64_t truth_index,
                               std::uint16_t flow_id, std::uint8_t vc) {
   const std::uint16_t seq = next_seq_;
-  // The canonical (replayable) image, encoded in its retry slot, always
-  // carries the explicit/implicit SeqNum with no piggybacked ACK; the wire
-  // image on first transmission may substitute an AckNum into the FSN
-  // field, and is then a re-encoded copy.
-  codec_.encode_data_in_place(canonical, seq, std::nullopt);
+  // The canonical (replayable) image in its retry slot always carries the
+  // explicit/implicit SeqNum with no piggybacked ACK; the wire image on
+  // first transmission may substitute an AckNum into the FSN field, and is
+  // then a copy with its own header. Both leave unsealed: the channel
+  // seals a flit only if an error hits it.
+  codec_.write_data_header(canonical, seq, std::nullopt);
 
   const flit::Flit* wire = &canonical;
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
       ack_scheduler_.pending()) {
     if (const std::optional<std::uint16_t> acknum = ack_scheduler_.consume()) {
       piggyback_image_ = canonical;
-      codec_.encode_data_in_place(piggyback_image_, seq, acknum);
+      codec_.write_data_header(piggyback_image_, seq, acknum);
       wire = &piggyback_image_;
       stats_.acks_piggybacked += 1;
     }
@@ -235,7 +239,9 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
   next_seq_ = link::seq_next(next_seq_);
   stats_.data_flits_sent += 1;
   trace(obs::TraceEventKind::kTx, truth_index, flow_id, seq, vc, 0);
-  output_->send(*wire, sim::FlitTags{truth_index, true, dest_port_, flow_id});
+  output_->send(*wire, sim::FlitTags{truth_index, true, dest_port_, flow_id,
+                                     codec_.data_crc_fold(seq),
+                                     sim::SealState::kUnsealed});
 }
 
 void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
@@ -254,7 +260,7 @@ void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
   }
   const ControlCreditStamp stamp{
       std::span<const std::uint16_t>(words.data(), stamped), ecn_local_marks_};
-  control_queue_.push_back(codec_.encode_control(command, fsn, stamp));
+  control_queue_.push_back(FlitCodec::control_flit(command, fsn, stamp));
 }
 
 void Endpoint::begin_replay_from(std::uint16_t seq) {
@@ -512,10 +518,10 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
   last_peer_activity_ = queue_.now();
   if (hop_dead_) return;  // inert: late arrivals are dropped unprocessed
 
-  // Link-layer FEC at the endpoint's own ingress. Pristine images are valid
-  // codewords by construction, so decode is skipped without changing
-  // behaviour.
-  if (!envelope.pristine) {
+  // Link-layer FEC at the endpoint's own ingress. Only a touched image can
+  // have nonzero syndromes (unsealed images have no FEC to check until an
+  // error seals them), so decode is skipped without changing behaviour.
+  if (envelope.seal == sim::SealState::kTouched) {
     const rs::FecDecodeResult fec = codec_.fec().decode(envelope.flit.bytes());
     if (!fec.accepted()) {
       stats_.flits_discarded_fec += 1;
@@ -535,12 +541,16 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
     // Control, idle, or a data flit whose Type bits were corrupted: the
     // CRC decides (rx_control NACKs on mismatch so no gap goes
     // unsignalled).
-    rx_control(envelope.flit);
+    rx_control(envelope);
   }
 }
 
 void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
-  const RxCheck check = codec_.check_data(envelope.flit, expected_seq_);
+  const RxCheck check =
+      envelope.seal == sim::SealState::kUnsealed
+          ? codec_.check_data_unsealed(envelope.flit, envelope.crc_fold,
+                                       expected_seq_)
+          : codec_.check_data(envelope.flit, expected_seq_);
   if (!check.crc_ok) {
     // RXL: corruption OR sequence mismatch (drop/stale) — same response.
     // CXL: corruption only.
@@ -652,8 +662,13 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
   after_delivery(envelope.flow_id);
 }
 
-void Endpoint::rx_control(const flit::Flit& flit) {
-  if (!codec_.check_control(flit)) {
+void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
+  const flit::Flit& flit = envelope.flit;
+  const bool crc_ok =
+      envelope.seal == sim::SealState::kUnsealed
+          ? codec_.check_control_unsealed(flit, envelope.crc_fold)
+          : codec_.check_control(flit);
+  if (!crc_ok) {
     // A CRC-failed flit of ANY apparent type triggers a retry request: the
     // header (and with it the Type field) is untrustworthy, so this may
     // have been a data flit whose type bits were corrupted. Without the

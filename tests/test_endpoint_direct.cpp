@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "rxl/obs/metrics.hpp"
 #include "rxl/phy/error_model.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
@@ -141,6 +144,125 @@ TEST_P(EndpointBothProtocols, PiggybackPolicyUsesDataFlits) {
   PairHarness harness(config, std::make_unique<phy::NoErrors>(), 400, 400);
   harness.run(10'000'000);
   EXPECT_GT(harness.a->stats().acks_piggybacked, 50u);
+}
+
+// Seal states: endpoints send unsealed flits, channels seal only the flits
+// an error hits, and receivers take an untouched flit's verdict from
+// metadata. This oracle forces the other path on every flit and requires
+// the same run.
+
+/// Reports a hit on every flit but flips nothing beyond what `inner` flips,
+/// so the channel seals every flit and every receiver runs the real FEC
+/// decode and CRC check.
+class HitWithoutFlip final : public phy::ErrorModel {
+ public:
+  explicit HitWithoutFlip(std::unique_ptr<phy::ErrorModel> inner)
+      : inner_(std::move(inner)) {}
+  std::size_t corrupt(std::span<std::uint8_t> flit, Xoshiro256& rng) override {
+    return std::max<std::size_t>(inner_->corrupt(flit, rng), 1);
+  }
+  void reset() noexcept override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<phy::ErrorModel> inner_;
+};
+
+/// What one bidirectional run produces: both endpoints' counters, both
+/// delivered streams (each flit's low truth-index byte and payload, in
+/// delivery order), and how many flits the channels sealed.
+struct OracleRun {
+  std::string counters;
+  std::array<Endpoint::Snapshot, 2> snapshots;
+  std::array<std::vector<std::uint8_t>, 2> delivered;
+  std::uint64_t carried = 0;
+  std::uint64_t touched = 0;
+};
+
+/// Go-back-N, piggybacked ACKs and credits over a link with 4-symbol bursts
+/// in both directions, so FEC drops, CRC drops, NACKs, replays and credit
+/// returns all occur.
+OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
+  ProtocolConfig config;
+  config.protocol = protocol;
+  config.ack_policy = link::AckPolicy::kPiggyback;
+  config.retry_mode = RetryMode::kGoBackN;
+  config.coalesce_factor = 4;
+  config.tx_credits = 24;
+  config.rx_credits = 24;
+  const auto errors = [force_seal]() -> std::unique_ptr<phy::ErrorModel> {
+    auto bursts = std::make_unique<phy::BernoulliGate>(
+        0.03, std::make_unique<phy::SymbolBurstInjector>(4));
+    if (force_seal) return std::make_unique<HitWithoutFlip>(std::move(bursts));
+    return bursts;
+  };
+  sim::EventQueue queue;
+  Endpoint a(queue, config, "a");
+  Endpoint b(queue, config, "b");
+  sim::LinkChannel a_to_b(queue, errors(), 21);
+  sim::LinkChannel b_to_a(queue, errors(), 22);
+  a.set_output(&a_to_b);
+  b.set_output(&b_to_a);
+  a_to_b.set_receiver(
+      [&b](sim::FlitEnvelope&& envelope) { b.on_flit(std::move(envelope)); });
+  b_to_a.set_receiver(
+      [&a](sim::FlitEnvelope&& envelope) { a.on_flit(std::move(envelope)); });
+  OracleRun run;
+  constexpr std::uint64_t kFlits = 1500;
+  a.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
+    if (index >= kFlits) return false;
+    payload_stream<1>(index, out);
+    return true;
+  });
+  b.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
+    if (index >= kFlits) return false;
+    payload_stream<2>(index, out);
+    return true;
+  });
+  for (const int side : {0, 1}) {
+    std::vector<std::uint8_t>& stream = run.delivered[side];
+    (side == 0 ? b : a)
+        .set_deliver([&stream](std::span<const std::uint8_t> payload,
+                               const sim::FlitEnvelope& envelope) {
+          stream.push_back(static_cast<std::uint8_t>(envelope.truth_index));
+          stream.insert(stream.end(), payload.begin(), payload.end());
+        });
+  }
+  a.kick();
+  b.kick();
+  queue.run_until(40'000'000);
+  obs::MetricsRegistry registry;
+  for (const Endpoint* endpoint : {&a, &b}) {
+    registry.add_endpoint(endpoint->name(), endpoint->stats());
+    registry.add_endpoint_extra(endpoint->name(), endpoint->extra_stats());
+  }
+  run.counters = registry.to_csv();
+  run.snapshots = {a.snapshot(), b.snapshot()};
+  for (const sim::LinkChannel* channel : {&a_to_b, &b_to_a}) {
+    run.carried += channel->stats().flits_carried;
+    run.touched += channel->stats().flits_corrupted;
+  }
+  return run;
+}
+
+TEST_P(EndpointBothProtocols, MetadataVerdictsMatchSealingEveryFlit) {
+  const OracleRun lazy = run_oracle_pair(GetParam(), false);
+  const OracleRun sealed = run_oracle_pair(GetParam(), true);
+  EXPECT_EQ(lazy.counters, sealed.counters);
+  EXPECT_EQ(lazy.delivered[0], sealed.delivered[0]);
+  EXPECT_EQ(lazy.delivered[1], sealed.delivered[1]);
+  // The forced run sealed every flit; the lazy one only the hit ones.
+  EXPECT_EQ(sealed.touched, sealed.carried);
+  EXPECT_EQ(lazy.carried, sealed.carried);
+  EXPECT_GT(lazy.touched, 0u);
+  EXPECT_LT(lazy.touched, lazy.carried / 10);
+  // Every mechanism the oracle is meant to cover ran, in both directions.
+  for (const Endpoint::Snapshot& snapshot : lazy.snapshots) {
+    EXPECT_GT(snapshot.link.data_flits_retransmitted, 0u);
+    EXPECT_GT(snapshot.link.acks_piggybacked, 0u);
+    EXPECT_GT(snapshot.link.nacks_sent, 0u);
+    EXPECT_GT(snapshot.link.flits_discarded_fec, 0u);
+    EXPECT_GT(snapshot.extra.credits_granted, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, EndpointBothProtocols,

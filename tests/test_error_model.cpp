@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -255,6 +256,75 @@ TEST(DfeBurstErrors, PropagationRunClampsAtTheFlitBoundary) {
     if (reported > 0) {
       // A run that started anywhere flips every bit through the last one.
       EXPECT_TRUE((flit.back() >> 7) & 1u);
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// The XOR-pattern contract sim::LinkChannel relies on: a model's pattern
+// does not depend on the image, so corrupting zeros and XORing the result
+// into an image equals corrupting the image, draw for draw.
+// --------------------------------------------------------------------------
+
+/// Every model in error_model.hpp at one rate: `rate` is the per-bit rate
+/// of the bit-level models and, scaled up, the gates' per-flit rate.
+std::vector<std::unique_ptr<ErrorModel>> every_model(double rate) {
+  std::vector<std::unique_ptr<ErrorModel>> models;
+  models.push_back(std::make_unique<IndependentBitErrors>(rate));
+  models.push_back(std::make_unique<DfeBurstErrors>(rate, 0.6));
+  models.push_back(std::make_unique<SymbolBurstInjector>(4));
+  models.push_back(std::make_unique<NoErrors>());
+  models.push_back(std::make_unique<BernoulliGate>(
+      std::min(1.0, rate * 200), std::make_unique<SymbolBurstInjector>(3)));
+  std::vector<std::unique_ptr<ErrorModel>> parts;
+  parts.push_back(std::make_unique<IndependentBitErrors>(rate));
+  parts.push_back(std::make_unique<BernoulliGate>(
+      std::min(1.0, rate * 100), std::make_unique<DfeBurstErrors>(rate, 0.9)));
+  parts.push_back(std::make_unique<TargetedDoubleError>(3));
+  models.push_back(std::make_unique<CompositeErrorModel>(std::move(parts)));
+  models.push_back(std::make_unique<TargetedDoubleError>(7));
+  return models;
+}
+
+TEST(ErrorModelContract, PatternDrawnOnZerosEqualsCorruptingTheImage) {
+  for (const double rate : {1e-4, 1e-3, 1e-2}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::vector<std::unique_ptr<ErrorModel>> on_zeros =
+          every_model(rate);
+      const std::vector<std::unique_ptr<ErrorModel>> on_images =
+          every_model(rate);
+      for (std::size_t m = 0; m < on_zeros.size(); ++m) {
+        SCOPED_TRACE(testing::Message()
+                     << "model " << m << " rate " << rate << " seed " << seed);
+        Xoshiro256 zeros_rng(seed);
+        Xoshiro256 image_rng(seed);
+        Xoshiro256 bytes(seed + 100);
+        std::size_t hits = 0;
+        for (int transit = 0; transit < 200; ++transit) {
+          Buffer image{};
+          for (std::uint8_t& byte : image)
+            byte = static_cast<std::uint8_t>(bytes.bounded(256));
+          Buffer pattern{};
+          const std::size_t from_zeros =
+              on_zeros[m]->corrupt(pattern, zeros_rng);
+          Buffer corrupted = image;
+          const std::size_t from_image =
+              on_images[m]->corrupt(corrupted, image_rng);
+          ASSERT_EQ(from_zeros, from_image) << "transit " << transit;
+          for (std::size_t i = 0; i < kFlitBytes; ++i) image[i] ^= pattern[i];
+          ASSERT_EQ(image, corrupted) << "transit " << transit;
+          // Equal states draw equal words; copies leave the streams as
+          // they are.
+          Xoshiro256 zeros_probe = zeros_rng;
+          Xoshiro256 image_probe = image_rng;
+          for (int draw = 0; draw < 4; ++draw)
+            ASSERT_EQ(zeros_probe(), image_probe()) << "transit " << transit;
+          if (from_zeros > 0) ++hits;
+        }
+        // Every model but NoErrors hit something, so hits were compared.
+        EXPECT_EQ(hits > 0,
+                  dynamic_cast<const NoErrors*>(on_zeros[m].get()) == nullptr);
+      }
     }
   }
 }

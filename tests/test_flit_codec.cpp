@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "rxl/common/rng.hpp"
@@ -151,6 +156,109 @@ TEST_P(FlitCodecSeqSweep, RxlRejectsExactlyTheWrongSequences) {
 INSTANTIATE_TEST_SUITE_P(Seqs, FlitCodecSeqSweep,
                          ::testing::Values<std::uint16_t>(0, 1, 2, 511, 512,
                                                           1022, 1023));
+
+// --------------------------------------------------------------------------
+// Seal states: an unsealed flit's metadata verdict against the real check
+// of its sealed image, exhaustively over the 10-bit sequence space. One
+// test case per flit kind keeps each grid small enough for Debug builds.
+// --------------------------------------------------------------------------
+
+class UnsealedDataVerdict
+    : public ::testing::TestWithParam<std::tuple<Protocol, bool>> {};
+
+TEST_P(UnsealedDataVerdict, MatchesSealedCheckForEveryPair) {
+  const auto [protocol, piggyback] = GetParam();
+  const FlitCodec codec(protocol);
+  const std::vector<std::uint8_t> payload = random_payload(30);
+  std::size_t mismatches = 0;
+  std::size_t passes = 0;
+  for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
+    const std::optional<std::uint16_t> acknum =
+        piggyback ? std::optional<std::uint16_t>((seq * 7 + 3) & kSeqMask)
+                  : std::nullopt;
+    // What an endpoint sends: the header around its payload, unsealed,
+    // with the fold recorded beside it.
+    flit::Flit unsealed;
+    std::copy(payload.begin(), payload.end(), unsealed.payload().begin());
+    codec.write_data_header(unsealed, seq, acknum);
+    const std::uint16_t fold = codec.data_crc_fold(seq);
+    flit::Flit sealed = unsealed;
+    flit::seal(sealed, fold);
+    ASSERT_EQ(sealed, codec.encode_data(payload, seq, acknum));
+    for (std::uint16_t expected = 0; expected < kSeqModulus; ++expected) {
+      const RxCheck metadata =
+          codec.check_data_unsealed(unsealed, fold, expected);
+      const RxCheck real = codec.check_data(sealed, expected);
+      if (metadata != real) ++mismatches;
+      if (real.crc_ok) ++passes;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // RXL passes exactly the aligned pairs; CXL's plain CRC passes all.
+  EXPECT_EQ(passes, protocol == Protocol::kRxl
+                        ? std::size_t{kSeqModulus}
+                        : std::size_t{kSeqModulus} * kSeqModulus);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FlitCodecSealing, UnsealedDataVerdict,
+    ::testing::Combine(::testing::Values(Protocol::kCxl, Protocol::kRxl),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(protocol_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "WithAckNum" : "WithoutAckNum");
+    });
+
+class UnsealedControlVerdict
+    : public ::testing::TestWithParam<std::tuple<Protocol, flit::ReplayCmd>> {
+};
+
+TEST_P(UnsealedControlVerdict, MatchesSealedCheckForEveryPair) {
+  // A control flit's check takes no ESeqNum, so its grid pairs every FSN
+  // the sender can carry with every fold it could have recorded: only fold
+  // 0, what senders record, may pass.
+  const auto [protocol, command] = GetParam();
+  const FlitCodec codec(protocol);
+  const std::array<std::uint16_t, 3> words{0xBEEF, 0x0001, 0x8000};
+  std::size_t mismatches = 0;
+  std::size_t passes = 0;
+  for (std::uint16_t fsn = 0; fsn < kSeqModulus; ++fsn) {
+    const flit::Flit unsealed =
+        FlitCodec::control_flit(command, fsn, ControlCreditStamp{words, 5});
+    for (std::uint16_t fold = 0; fold < kSeqModulus; ++fold) {
+      flit::Flit sealed = unsealed;
+      flit::seal(sealed, fold);
+      const bool real = codec.check_control(sealed);
+      if (codec.check_control_unsealed(unsealed, fold) != real) ++mismatches;
+      if (real) ++passes;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(passes, std::size_t{kSeqModulus});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FlitCodecSealing, UnsealedControlVerdict,
+    ::testing::Combine(::testing::Values(Protocol::kCxl, Protocol::kRxl),
+                       ::testing::Values(flit::ReplayCmd::kSeqNum,
+                                         flit::ReplayCmd::kAck,
+                                         flit::ReplayCmd::kNackGoBackN,
+                                         flit::ReplayCmd::kNackSingle)),
+    [](const auto& info) {
+      return std::string(protocol_name(std::get<0>(info.param))) + "Command" +
+             std::to_string(static_cast<int>(std::get<1>(info.param)));
+    });
+
+TEST(FlitCodecSealing, SealedSingleWordControlMatchesTheStampedImage) {
+  // encode_control is control_flit with one credit word and no ECN marks,
+  // sealed with fold 0.
+  const FlitCodec codec(Protocol::kRxl);
+  const std::uint16_t word = 0xBEEF;
+  flit::Flit stamped = FlitCodec::control_flit(
+      flit::ReplayCmd::kAck, 17, ControlCreditStamp{std::span(&word, 1), 0});
+  flit::seal(stamped, 0);
+  EXPECT_EQ(stamped, codec.encode_control(flit::ReplayCmd::kAck, 17, word));
+}
 
 }  // namespace
 }  // namespace rxl::transport

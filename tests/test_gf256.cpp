@@ -120,66 +120,6 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint32_t seed) {
   return out;
 }
 
-TEST(Gf256Span, MulAddSpanMatchesScalarExhaustively) {
-  // Backing buffers are oversized so each (scalar, length) case can run at a
-  // different sub-byte offset: offsets cycle 0..7, covering every alignment
-  // of the 8-byte folding/vector paths.
-  const auto src_backing = pattern_bytes(310 + 8, 1);
-  for (unsigned c = 0; c < 256; ++c) {
-    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                            std::size_t{7}, std::size_t{8}, std::size_t{9},
-                            std::size_t{15}, std::size_t{16}, std::size_t{31},
-                            std::size_t{63}, std::size_t{85}, std::size_t{86},
-                            std::size_t{240}, std::size_t{255},
-                            std::size_t{256}, std::size_t{300}}) {
-      const std::size_t offset = (c + len) % 8;
-      auto dst_backing = pattern_bytes(310 + 8, 2 + c);
-      const std::span<const std::uint8_t> src(src_backing.data() + offset, len);
-      const std::span<std::uint8_t> dst(dst_backing.data() + offset, len);
-      std::vector<std::uint8_t> expected(dst.begin(), dst.end());
-      for (std::size_t i = 0; i < len; ++i)
-        expected[i] ^= mul(static_cast<std::uint8_t>(c), src[i]);
-      mul_add_span(dst, src, static_cast<std::uint8_t>(c));
-      ASSERT_TRUE(std::equal(dst.begin(), dst.end(), expected.begin()))
-          << "c=" << c << " len=" << len << " offset=" << offset;
-    }
-  }
-}
-
-TEST(Gf256Span, MulAddSpanAllLengthsZeroTo300) {
-  // Sweep every length 0..300 (fixed representative scalars) so no residual
-  // tail-handling length is ever skipped.
-  const auto src_backing = pattern_bytes(301 + 8, 3);
-  for (const std::uint8_t c : {0x00, 0x01, 0x02, 0x53, 0x8E, 0xFF}) {
-    for (std::size_t len = 0; len <= 300; ++len) {
-      const std::size_t offset = len % 8;
-      auto dst_backing = pattern_bytes(301 + 8, 4 + len);
-      const std::span<const std::uint8_t> src(src_backing.data() + offset, len);
-      const std::span<std::uint8_t> dst(dst_backing.data() + offset, len);
-      std::vector<std::uint8_t> expected(dst.begin(), dst.end());
-      for (std::size_t i = 0; i < len; ++i) expected[i] ^= mul(c, src[i]);
-      mul_add_span(dst, src, c);
-      ASSERT_TRUE(std::equal(dst.begin(), dst.end(), expected.begin()))
-          << "c=" << unsigned{c} << " len=" << len;
-    }
-  }
-}
-
-TEST(Gf256Span, AddSpanIsElementwiseXor) {
-  for (std::size_t len = 0; len <= 300; ++len) {
-    const std::size_t offset = len % 8;
-    const auto src_backing = pattern_bytes(301 + 8, 6);
-    auto dst_backing = pattern_bytes(301 + 8, 7 + len);
-    const std::span<const std::uint8_t> src(src_backing.data() + offset, len);
-    const std::span<std::uint8_t> dst(dst_backing.data() + offset, len);
-    std::vector<std::uint8_t> expected(dst.begin(), dst.end());
-    for (std::size_t i = 0; i < len; ++i) expected[i] ^= src[i];
-    add_span(dst, src);
-    ASSERT_TRUE(std::equal(dst.begin(), dst.end(), expected.begin()))
-        << "len=" << len;
-  }
-}
-
 TEST(Gf256Span, XorFoldSpanMatchesByteLoop) {
   for (std::size_t len = 0; len <= 300; ++len) {
     const std::size_t offset = len % 8;

@@ -10,7 +10,7 @@ namespace {
 FlitEnvelope make_envelope(std::uint8_t tag) {
   FlitEnvelope envelope;
   envelope.flit.payload()[0] = tag;
-  envelope.pristine = true;
+  envelope.seal = SealState::kCodeword;
   return envelope;
 }
 
@@ -43,15 +43,15 @@ TEST(LinkChannel, PreservesPayloadWithoutErrors) {
   EventQueue queue;
   LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1);
   std::uint8_t seen = 0;
-  bool pristine = false;
+  SealState seal = SealState::kTouched;
   channel.set_receiver([&](FlitEnvelope&& envelope) {
     seen = envelope.flit.payload()[0];
-    pristine = envelope.pristine;
+    seal = envelope.seal;
   });
   channel.send(make_envelope(0xAB));
   queue.run();
   EXPECT_EQ(seen, 0xAB);
-  EXPECT_TRUE(pristine);
+  EXPECT_EQ(seal, SealState::kCodeword);
 }
 
 TEST(LinkChannel, MarksCorruptedEnvelopes) {
@@ -59,12 +59,11 @@ TEST(LinkChannel, MarksCorruptedEnvelopes) {
   // BER 1.0 would flip everything; use a deterministic always-burst model.
   LinkChannel channel(queue,
                       std::make_unique<phy::SymbolBurstInjector>(2), 7);
-  bool pristine = true;
-  channel.set_receiver(
-      [&](FlitEnvelope&& envelope) { pristine = envelope.pristine; });
+  SealState seal = SealState::kCodeword;
+  channel.set_receiver([&](FlitEnvelope&& envelope) { seal = envelope.seal; });
   channel.send(make_envelope(1));
   queue.run();
-  EXPECT_FALSE(pristine);
+  EXPECT_EQ(seal, SealState::kTouched);
   EXPECT_EQ(channel.stats().flits_corrupted, 1u);
   EXPECT_GT(channel.stats().bits_flipped, 0u);
 }
@@ -128,7 +127,7 @@ TEST(LinkChannel, ReceiverGetsTheCorruptedSlotAndMaySendElsewhere) {
   const FlitEnvelope sent = make_envelope(0x5A);
   first.send(sent);
   queue.run();
-  EXPECT_FALSE(received.pristine);
+  EXPECT_EQ(received.seal, SealState::kTouched);
   EXPECT_NE(received.flit, sent.flit);
   EXPECT_EQ(first.stats().flits_corrupted, 1u);
 }

@@ -41,7 +41,7 @@ sim::FlitEnvelope data_envelope(const FlitCodec& codec, std::uint16_t seq) {
   std::vector<std::uint8_t> payload(kPayloadBytes, 0x42);
   sim::FlitEnvelope envelope;
   envelope.flit = codec.encode_data(payload, seq, std::nullopt);
-  envelope.pristine = true;
+  envelope.seal = sim::SealState::kCodeword;
   envelope.truth_index = seq;
   envelope.has_truth = true;
   return envelope;
@@ -55,7 +55,7 @@ TEST(SwitchDevice, ForwardsPristineFlit) {
   harness.sw->on_flit(data_envelope(codec, 0));
   harness.queue.run();
   ASSERT_EQ(harness.received.size(), 1u);
-  EXPECT_TRUE(harness.received[0].pristine);
+  EXPECT_EQ(harness.received[0].seal, sim::SealState::kCodeword);
   EXPECT_EQ(harness.sw->stats().flits_forwarded, 1u);
   EXPECT_EQ(harness.sw->stats().dropped_fec, 0u);
 }
@@ -78,17 +78,18 @@ TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
   FlitCodec codec(Protocol::kRxl);
   auto envelope = data_envelope(codec, 1);
   envelope.flit.bytes()[50] ^= 0xFF;
-  envelope.pristine = false;
+  envelope.seal = sim::SealState::kTouched;
   harness.sw->on_flit(std::move(envelope));
   harness.queue.run();
   ASSERT_EQ(harness.received.size(), 1u);
-  EXPECT_TRUE(harness.received[0].pristine);  // re-encoded at egress
+  // Re-encoded at egress.
+  EXPECT_EQ(harness.received[0].seal, sim::SealState::kCodeword);
   EXPECT_EQ(harness.sw->stats().fec_corrected, 1u);
 }
 
-// A hub leaves an FEC-corrected image non-pristine, so egress regeneration
+// A hub leaves an FEC-corrected image touched, so egress regeneration
 // re-encodes it. After a true correction that must write back exactly the
-// original encoding, under both protocols: the pristine fast path then
+// original encoding, under both protocols: the codeword fast path then
 // changes no outcome.
 std::vector<flit::Flit> originals(const FlitCodec& codec) {
   std::vector<std::uint8_t> payload(kPayloadBytes);
@@ -116,13 +117,13 @@ TEST(SwitchDevice, CorrectedFlitForwardedAsOriginalEncoding) {
         sim::FlitEnvelope envelope;
         envelope.flit = original;
         envelope.flit.bytes()[offset] ^= 0xA5;
-        envelope.pristine = false;
+        envelope.seal = sim::SealState::kTouched;
         harness.sw->on_flit(std::move(envelope));
         harness.queue.run();
         sent += 1;
         ASSERT_EQ(harness.received.size(), sent);
         EXPECT_TRUE(harness.received.back().flit == original);
-        EXPECT_TRUE(harness.received.back().pristine);
+        EXPECT_EQ(harness.received.back().seal, sim::SealState::kCodeword);
       }
     }
     EXPECT_EQ(harness.sw->stats().fec_corrected, sent);
@@ -151,14 +152,14 @@ TEST(PortSwitch, CorrectedFlitForwardedAsOriginalEncoding) {
         sim::FlitEnvelope envelope;
         envelope.flit = original;
         envelope.flit.bytes()[offset] ^= 0xA5;
-        envelope.pristine = false;
+        envelope.seal = sim::SealState::kTouched;
         envelope.dest_port = 1;
         sw.on_flit(std::move(envelope));
         queue.run();
         sent += 1;
         ASSERT_EQ(received.size(), sent);
         EXPECT_TRUE(received.back().flit == original);
-        EXPECT_TRUE(received.back().pristine);
+        EXPECT_EQ(received.back().seal, sim::SealState::kCodeword);
       }
     }
     EXPECT_EQ(sw.stats().fec_corrected, sent);
@@ -175,7 +176,7 @@ TEST(SwitchDevice, DropsUncorrectableSilently) {
   auto envelope = data_envelope(codec, 2);
   envelope.flit.bytes()[10] ^= 0x5A;
   envelope.flit.bytes()[13] ^= 0x5A;  // same-lane equal pair: surely fatal
-  envelope.pristine = false;
+  envelope.seal = sim::SealState::kTouched;
   harness.sw->on_flit(std::move(envelope));
   harness.queue.run();
   EXPECT_TRUE(harness.received.empty());
@@ -236,7 +237,7 @@ TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
   // Corrupt payload then re-encode FEC only: FEC passes, CRC stale.
   envelope.flit.payload()[0] ^= 0x01;
   codec.apply_fec(envelope.flit);
-  envelope.pristine = false;
+  envelope.seal = sim::SealState::kTouched;
   harness.sw->on_flit(std::move(envelope));
   harness.queue.run();
   EXPECT_TRUE(harness.received.empty());

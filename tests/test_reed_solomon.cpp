@@ -15,12 +15,13 @@ namespace {
 
 std::vector<std::uint8_t> random_codeword(const ReedSolomon& code,
                                           Xoshiro256& rng) {
-  std::vector<std::uint8_t> cw(code.codeword_symbols());
+  std::vector<std::uint8_t> cw(code.data_symbols() +
+                               ReedSolomon::kParitySymbols);
   for (std::size_t i = 0; i < code.data_symbols(); ++i)
     cw[i] = static_cast<std::uint8_t>(rng.bounded(256));
   code.encode(std::span<const std::uint8_t>(cw.data(), code.data_symbols()),
               std::span<std::uint8_t>(cw.data() + code.data_symbols(),
-                                      code.parity_symbols()));
+                                      ReedSolomon::kParitySymbols));
   return cw;
 }
 
@@ -42,9 +43,7 @@ TEST(ReedSolomon, RejectsInvalidGeometry) {
 TEST(ReedSolomon, AccessorsReportGeometry) {
   ReedSolomon code(84);
   EXPECT_EQ(code.data_symbols(), 84u);
-  EXPECT_EQ(code.parity_symbols(), 2u);
-  EXPECT_EQ(code.codeword_symbols(), 86u);
-  EXPECT_EQ(code.correctable(), 1u);
+  EXPECT_EQ(ReedSolomon::kParitySymbols, 2u);
 }
 
 /// Single-symbol errors must be corrected at EVERY codeword position.
@@ -161,7 +160,7 @@ TEST_P(RsFastPathParity, SyndromesMatchReferenceUnderErrorPatterns) {
   const auto [k, r] = GetParam();
   ReedSolomon code(k);
   Xoshiro256 rng(2000 + k * 10 + r);
-  const std::size_t n = code.codeword_symbols();
+  const std::size_t n = code.data_symbols() + ReedSolomon::kParitySymbols;
   for (int trial = 0; trial < 60; ++trial) {
     auto cw = random_codeword(code, rng);
     // Error patterns: clean, single, contiguous burst, scattered multi.
@@ -195,7 +194,7 @@ TEST_P(RsFastPathParity, StridedPathsMatchContiguous) {
   const auto [k, r] = GetParam();
   ReedSolomon code(k);
   Xoshiro256 rng(3000 + k * 10 + r);
-  const std::size_t n = code.codeword_symbols();
+  const std::size_t n = code.data_symbols() + ReedSolomon::kParitySymbols;
   constexpr std::size_t kStride = 3;
   for (int trial = 0; trial < 20; ++trial) {
     // Build a strided image with poisoned gaps; the strided entry points
@@ -252,7 +251,7 @@ TEST(ReedSolomon, ClassifySingleAgreesWithDecodeVerdicts) {
   for (const std::size_t k : {std::size_t{83}, std::size_t{84}}) {
     ReedSolomon code(k);
     Xoshiro256 rng(4000 + k);
-    const std::size_t n = code.codeword_symbols();
+    const std::size_t n = code.data_symbols() + ReedSolomon::kParitySymbols;
     for (int trial = 0; trial < 400; ++trial) {
       auto cw = random_codeword(code, rng);
       const std::size_t i = rng.bounded(n);
@@ -284,7 +283,7 @@ TEST(ReedSolomon, ClassifySingleFlagsShortenedPositions) {
   // unshortened 255-symbol space for both paper geometries.
   for (const std::size_t k : {std::size_t{83}, std::size_t{84}}) {
     ReedSolomon code(k);
-    const std::size_t n = code.codeword_symbols();
+    const std::size_t n = code.data_symbols() + ReedSolomon::kParitySymbols;
     const std::uint8_t magnitude = 0x5D;
     for (unsigned degree = 0; degree < gf256::kGroupOrder; ++degree) {
       const std::uint8_t s0 = magnitude;

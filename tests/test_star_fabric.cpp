@@ -90,7 +90,7 @@ TEST(StarFabric, UnroutablePortIsCountedNotCrashed) {
   config.ports = 2;
   switchdev::PortSwitch sw(queue, config, 1);
   sim::FlitEnvelope envelope;
-  envelope.pristine = true;
+  envelope.seal = sim::SealState::kCodeword;
   envelope.dest_port = 5;  // beyond the port count
   sw.on_flit(std::move(envelope));
   queue.run();

@@ -263,7 +263,7 @@ bool in_hot_path_scope(const std::string& rel) {
       "event_queue.hpp", "event_queue.cpp", "inline_event.hpp",
       "inline_delegate.hpp", "link_channel.hpp", "link_channel.cpp",
       "parked_fifo.hpp", "ring_queue.hpp", "timer.hpp", "gf256.hpp", "gf256.cpp",
-      "flit.hpp", "flit_fec.hpp", "flit_fec.cpp",
+      "flit.hpp", "flit.cpp", "flit_fec.hpp", "flit_fec.cpp",
       "reed_solomon.hpp", "reed_solomon.cpp", "crc64.hpp", "crc64.cpp"};
   return kHotFiles.count(basename_of(rel)) != 0;
 }

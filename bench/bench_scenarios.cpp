@@ -1,5 +1,6 @@
 // E10/E11: the paper's Fig. 4 / Fig. 5 failure traces, replayed through the
 // full protocol stack with a deterministic switch drop, for both protocols.
+#include <array>
 #include <cstdio>
 #include <span>
 #include <vector>
@@ -72,17 +73,18 @@ TraceResult run_trace(transport::Protocol protocol, flit::MessageKind kind) {
         pack_trace_payload(kind, index, out);
       });
   txn::TxnScoreboard txn_board;
-  host.set_source([&stream, kind](std::uint64_t index,
-                                  transport::Endpoint::PayloadOut out) {
-    if (index >= 4) return false;
-    pack_trace_payload(kind, index, out);
-    stream.register_sent(index);
-    return true;
-  });
-  device.set_deliver([&](std::span<const std::uint8_t> payload,
-                         const sim::FlitEnvelope& envelope) {
-    stream.on_deliver(payload, envelope);
-    txn_board.on_deliver_payload(payload);
+  host.set_source(
+      [&stream](std::uint64_t index) {
+        if (index >= 4) return false;
+        stream.register_sent(index);
+        return true;
+      },
+      stream.payload_fn());
+  device.set_deliver([&stream, &txn_board,
+                      &result](const sim::FlitEnvelope& envelope) {
+    stream.on_deliver(envelope);
+    std::array<std::uint8_t, kPayloadBytes> scratch;
+    txn_board.on_deliver_payload(sim::payload_bytes(envelope, scratch));
     if (envelope.has_truth) result.delivery_order.push_back(envelope.truth_index);
   });
   queue.schedule(3000, [&host] { host.debug_arm_ack(100); });

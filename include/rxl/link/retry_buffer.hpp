@@ -1,5 +1,7 @@
 // Go-back-N replay buffer: flit images awaiting acknowledgment (endpoints
-// keep them unsealed, header and payload only; see sim::SealState).
+// keep them unsealed, header and payload only; see sim::SealState). A
+// source's payload is held by reference (Entry::payload_of), so its slot
+// holds a header and 240 B that were never written.
 //
 // The transmitter keeps every sent-but-unacked flit so a NACK (or an ack
 // timeout) can replay the stream from any in-window sequence number. The
@@ -16,6 +18,7 @@
 #include "rxl/common/ring_queue.hpp"
 #include "rxl/flit/flit.hpp"
 #include "rxl/link/sequence.hpp"
+#include "rxl/sim/payload_fn.hpp"
 
 namespace rxl::link {
 
@@ -35,6 +38,9 @@ class RetryBuffer {
     std::uint16_t flow_tag;
     std::uint8_t vc;  ///< virtual channel charged for the first transmission
     std::uint64_t user_tag;
+    /// Non-null: the payload is held by reference, as
+    /// (*payload_of)(user_tag), and the image's payload bytes are unwritten.
+    sim::PayloadFn* payload_of;
     flit::Flit flit;
   };
 
@@ -53,9 +59,11 @@ class RetryBuffer {
   /// numbers must be committed consecutively). `user_tag` is opaque caller
   /// metadata carried alongside (the fabric uses it for the ground-truth
   /// stream index); `flow_tag` likewise rides along so a replay can
-  /// restore the flit's flow identity (DAG relays route on it).
+  /// restore the flit's flow identity (DAG relays route on it), and
+  /// `payload_of` so a replay keeps a payload held by reference.
   void commit(std::uint16_t seq, std::uint64_t user_tag = 0,
-              std::uint16_t flow_tag = 0, std::uint8_t vc = 0);
+              std::uint16_t flow_tag = 0, std::uint8_t vc = 0,
+              sim::PayloadFn* payload_of = nullptr);
 
   /// Releases an uncommitted reservation (the source had nothing to send).
   void drop_reservation() noexcept { reserved_ = nullptr; }
@@ -102,10 +110,10 @@ class RetryBuffer {
   void clear() noexcept;
 
  private:
-  /// Entries live in blocks of three (816 B, small enough for the
+  /// Entries live in blocks of three (840 B, small enough for the
   /// allocator's per-thread cache), so a reserve is one in-place fill and at
   /// most one allocation per block, and the footprint follows the live
-  /// window. A deque would allocate a node per 272 B entry.
+  /// window. A deque would allocate a node per 280 B entry.
   static constexpr std::size_t kBlockEntries = 3;
   struct Block {
     std::array<Entry, kBlockEntries> entries;

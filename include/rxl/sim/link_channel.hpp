@@ -9,16 +9,21 @@
 // A sent image is copied once, into its in-flight slot, and the receiver
 // is handed that slot. Endpoints send flits unsealed: the CRC and FEC
 // fields are not computed, and the envelope records the value the CRC
-// folds in. Error models XOR in a pattern that does not depend on the
-// image (see phy::ErrorModel), so the channel draws the pattern onto
-// zeros and seals a slot only when the pattern hits it; the flip then
-// lands on the real codeword. A flit no error touched keeps its seal
-// state, and its receiver takes the check's verdict from the metadata.
+// folds in. A data flit's payload may also travel by reference
+// (FlitEnvelope::payload_of): its 240 B were never written. Error models
+// XOR in a pattern that does not depend on the image (see
+// phy::ErrorModel), so the channel draws the pattern onto zeros and, only
+// when the pattern hits, writes the payload, seals the slot and flips it;
+// the flip then lands on the real codeword. A flit no error touched keeps
+// its seal state and its payload reference, and its receiver takes the
+// check's verdict from the metadata.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -31,6 +36,7 @@
 #include "rxl/sim/fault_plan.hpp"
 #include "rxl/sim/inline_delegate.hpp"
 #include "rxl/sim/parked_fifo.hpp"
+#include "rxl/sim/payload_fn.hpp"
 
 namespace rxl::sim {
 
@@ -71,6 +77,11 @@ struct FlitEnvelope {
   /// address/stream lookup; the link protocol never reads it, and relays
   /// preserve it when a flit is re-originated on the next hop.
   std::uint16_t flow_id = 0;
+  /// Non-null: the payload is held by reference. The image's 240 payload
+  /// bytes were never written; they are (*payload_of)(truth_index). Such
+  /// a flit is always unsealed: whatever seals or flips it (a channel's
+  /// error hit, a hub's internal flip) materializes the bytes first.
+  PayloadFn* payload_of = nullptr;
 };
 
 // Envelopes park in ring slots (channel in-flight, switch forwarding,
@@ -82,6 +93,25 @@ static_assert(std::is_trivially_copyable_v<FlitEnvelope>,
 static_assert(sizeof(FlitEnvelope) <= kFlitBytes + 64,
               "FlitEnvelope metadata outgrew its one-cache-line budget");
 
+/// Writes a payload held by reference into the envelope's image and drops
+/// the reference; a payload held as bytes is left as it is.
+inline void materialize(FlitEnvelope& envelope) {
+  if (envelope.payload_of == nullptr) return;
+  (*envelope.payload_of)(envelope.truth_index, envelope.flit.payload());
+  envelope.payload_of = nullptr;
+}
+
+/// The envelope's payload bytes, for readers that need them (a byte-level
+/// transaction scoreboard, a test): the image's own, or `scratch` filled
+/// from the reference.
+inline std::span<const std::uint8_t, kPayloadBytes> payload_bytes(
+    const FlitEnvelope& envelope,
+    std::array<std::uint8_t, kPayloadBytes>& scratch) {
+  if (envelope.payload_of == nullptr) return envelope.flit.payload();
+  (*envelope.payload_of)(envelope.truth_index, scratch);
+  return scratch;
+}
+
 /// What a sender stamps on a flit it transmits: the FlitEnvelope fields
 /// other than the image.
 struct FlitTags {
@@ -91,6 +121,7 @@ struct FlitTags {
   std::uint16_t flow_id = 0;
   std::uint16_t crc_fold = 0;
   SealState seal = SealState::kCodeword;
+  PayloadFn* payload_of = nullptr;  ///< see FlitEnvelope::payload_of
 };
 
 /// Per-channel occupancy and error statistics.
@@ -136,10 +167,11 @@ class LinkChannel {
     faults_ = (faults != nullptr && !faults->empty()) ? faults : nullptr;
   }
 
-  /// Queues a copy of `image`, stamped with `tags` (its seal state and CRC
-  /// fold among them), for transmission: the image is copied once,
-  /// straight into its in-flight slot. The channel serialises flits
-  /// back-to-back: if the wire is busy the flit starts when it frees up.
+  /// Queues a copy of `image`, stamped with `tags` (its seal state, CRC
+  /// fold and payload reference among them), for transmission: the image
+  /// is copied once, straight into its in-flight slot. The channel
+  /// serialises flits back-to-back: if the wire is busy the flit starts
+  /// when it frees up.
   /// Returns the time at which the flit's slot *ends* (when the sender may
   /// push the next flit without queueing).
   TimePs send(const flit::Flit& image, const FlitTags& tags) {
@@ -147,12 +179,13 @@ class LinkChannel {
   }
 
   /// Envelope form (a hub forwarding a parked envelope): the same, keeping
-  /// the envelope's seal state and CRC fold.
+  /// the envelope's seal state, CRC fold and payload reference.
   TimePs send(const FlitEnvelope& envelope) {
     return transmit(envelope.flit,
                     FlitTags{envelope.truth_index, envelope.has_truth,
                              envelope.dest_port, envelope.flow_id,
-                             envelope.crc_fold, envelope.seal});
+                             envelope.crc_fold, envelope.seal,
+                             envelope.payload_of});
   }
 
   /// Earliest time a newly offered flit would start serialising.

@@ -9,7 +9,10 @@
 // ingress port are routed by flow and queued store-and-forward on the egress
 // port, where they are re-originated with fresh sequence numbers; the
 // end-to-end ground truth (truth_index, flow_id) rides the envelope across
-// the re-origination so scoreboards still observe the original stream.
+// the re-origination so scoreboards still observe the original stream. A
+// payload held by reference (sim::PayloadFn) is queued and re-originated
+// as the reference; only a payload held as bytes, one an error touched
+// on the way in, is copied into and out of the queue.
 //
 // Accepting a flit transfers responsibility to this relay (the upstream hop
 // is ACKed and may free its replay buffer). The store-and-forward buffering
@@ -175,8 +178,7 @@ class RelaySwitch {
     RelayPortStats stats;
   };
 
-  void on_delivered(std::size_t ingress, std::span<const std::uint8_t> payload,
-                    const sim::FlitEnvelope& envelope);
+  void on_delivered(std::size_t ingress, const sim::FlitEnvelope& envelope);
   transport::Endpoint::RelayPull pull_next(
       std::size_t egress, transport::Endpoint::PayloadOut out);
   [[nodiscard]] std::uint8_t vc_of(std::uint16_t flow_id) const noexcept;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -35,6 +36,7 @@
 #include "rxl/sim/event_queue.hpp"
 #include "rxl/sim/inline_delegate.hpp"
 #include "rxl/sim/link_channel.hpp"
+#include "rxl/sim/payload_fn.hpp"
 #include "rxl/sim/timer.hpp"
 #include "rxl/transport/config.hpp"
 #include "rxl/transport/flit_codec.hpp"
@@ -77,34 +79,40 @@ struct EndpointExtraStats {
 
 class Endpoint {
  public:
-  /// Application delivery: `payload` is the 240 B payload of an accepted
-  /// flit; `envelope` carries simulation ground truth for scoreboards.
+  /// Application delivery of an accepted flit. The envelope carries the
+  /// simulation ground truth scoreboards match on, and the payload: held by
+  /// reference (`payload_of` non-null) unless an error touched the flit on
+  /// some hop, so a hook that reads bytes takes them from
+  /// sim::payload_bytes. Called once per delivered flit, so it must not
+  /// allocate: captures are trivially copyable and inline.
   using DeliverFn =
-      std::function<void(std::span<const std::uint8_t> payload,
-                         const sim::FlitEnvelope& envelope)>;
+      sim::InlineDelegate<void(const sim::FlitEnvelope& envelope)>;
   /// The 240 B payload area of the retry-buffer slot a new flit will
-  /// occupy. Sources write the payload straight into it; the endpoint then
-  /// encodes the flit around it in place.
+  /// occupy. A relay source writes a payload it holds as bytes straight
+  /// into it; the endpoint then writes the header around it in place.
   using PayloadOut = std::span<std::uint8_t, kPayloadBytes>;
-  /// Pull-model traffic source: writes the payload for stream position
-  /// `truth_index` into `out` and returns true, or returns false (leaving
-  /// `out` unread) when (currently) out of data. Called once per new flit,
-  /// so it must not allocate: captures are trivially copyable and inline.
-  using SourceFn =
-      sim::InlineDelegate<bool(std::uint64_t truth_index, PayloadOut out)>;
+  /// Pull-model traffic source gate: true when stream position
+  /// `truth_index` is offered now, false when (currently) out of data. The
+  /// payload is never written: the flit carries the PayloadFn given to
+  /// set_source by reference. Called once per new flit, so it must not
+  /// allocate: captures are trivially copyable and inline.
+  using SourceFn = sim::InlineDelegate<bool(std::uint64_t truth_index)>;
   /// A relayed payload with the end-to-end ground truth that must survive
   /// the hop (DAG relays route on flow_id; scoreboards match on
   /// truth_index). Relays park these between hops, and a dead hop's drain
   /// hands them to the reroute controller.
   struct TxItem {
+    /// The bytes, unwritten while the payload is held by reference.
     std::array<std::uint8_t, kPayloadBytes> payload{};
     std::uint64_t truth_index = 0;
+    /// Non-null: the payload is (*payload_of)(truth_index), by reference.
+    sim::PayloadFn* payload_of = nullptr;
     std::uint16_t flow_id = 0;
     std::uint8_t vc = 0;  ///< virtual channel the flit travels (and bills) on
   };
   /// Result of one relay-source pull. `pulled` says whether a payload was
-  /// written, and the tags then describe it. Otherwise the flags say WHY,
-  /// so the endpoint can distinguish an empty queue (go idle) from a
+  /// handed over, and the tags then describe it. Otherwise the flags say
+  /// WHY, so the endpoint can distinguish an empty queue (go idle) from a
   /// blocked one (record the stall and arm the probe that guarantees the
   /// unblock signal cannot be lost).
   struct RelayPull {
@@ -114,10 +122,13 @@ class Endpoint {
     std::uint8_t vc = 0;          ///< VC the pulled flit travels on
     std::uint16_t flow_id = 0;
     std::uint64_t truth_index = 0;
+    /// Non-null: the payload is held by reference and `out` was not written.
+    sim::PayloadFn* payload_of = nullptr;
   };
-  /// Pull-model relay source (exclusive with SourceFn): writes the next
-  /// schedulable payload (the relay's egress scheduler picks the VC) into
-  /// `out`, or returns an empty pull with the blocked flags set.
+  /// Pull-model relay source (exclusive with SourceFn): hands over the
+  /// next schedulable payload (the relay's egress scheduler picks the VC),
+  /// writing it into `out` only if it is held as bytes, or returns an empty
+  /// pull with the blocked flags set.
   using RelaySourceFn = sim::InlineDelegate<RelayPull(PayloadOut out)>;
 
   /// Raised at most once, when the TX exhausts its retry budget
@@ -130,11 +141,12 @@ class Endpoint {
     TimePs at = 0;  ///< detection time (not the underlying fault time)
     struct DrainedFlit {
       std::uint16_t seq = 0;  ///< hop-local sequence number (reconciliation)
-      TxItem item;            ///< payload + ground truth, ready to re-send
+      TxItem item;  ///< payload (as bytes) + ground truth, ready to re-send
     };
     std::vector<DrainedFlit> drained;  ///< oldest -> newest
   };
-  using HopDownFn = std::function<void(HopDownEvent&&)>;
+  /// Fires at most once per hop, at its death, so it may allocate.
+  using HopDownFn = std::function<void(HopDownEvent&&)>;  // rxl-lint: allow(R3)
 
   Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
            std::string name);
@@ -153,8 +165,16 @@ class Endpoint {
   /// receiving several flows frees the slot on the VC the flow rode in on.
   /// Unmapped flows default to VC 0 (the single-channel behaviour).
   void set_rx_flow_vc(std::uint16_t flow, std::uint8_t vc);
-  void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
-  void set_source(SourceFn source) { source_ = source; }
+  void set_deliver(DeliverFn deliver) { deliver_ = deliver; }
+  /// Installs a stream source: `gate` says whether a stream position is
+  /// offered, and every flit it admits carries `payload` (not owned; it
+  /// must outlive every flit of the stream, retries and relay queues
+  /// included) by reference.
+  void set_source(SourceFn gate, sim::PayloadFn* payload) {
+    assert(payload != nullptr);
+    source_ = gate;
+    source_payload_ = payload;
+  }
   /// Installs a relay source. Exclusive with set_source: an endpoint either
   /// originates a stream or re-originates a relayed one, never both.
   void set_relay_source(RelaySourceFn source) { relay_source_ = source; }
@@ -263,7 +283,8 @@ class Endpoint {
   bool send_one();
   bool send_new_data();
   void send_data_flit(flit::Flit& canonical, std::uint64_t truth_index,
-                      std::uint16_t flow_id, std::uint8_t vc);
+                      std::uint16_t flow_id, std::uint8_t vc,
+                      sim::PayloadFn* payload_of);
   void send_replay(const link::RetryBuffer::Entry& entry, std::uint32_t how);
   void note_credit_stall();
   void note_ecn_stall();
@@ -334,6 +355,7 @@ class Endpoint {
   flit::Flit piggyback_image_;
   std::uint64_t next_truth_index_ = 0;
   SourceFn source_;
+  sim::PayloadFn* source_payload_ = nullptr;  ///< set with source_
   RelaySourceFn relay_source_;
   bool kick_scheduled_ = false;
   sim::Timer retry_timer_;

@@ -22,9 +22,11 @@ namespace rxl::transport {
 
 /// Writes the 240 B payload for stream position `index`, salted per flow,
 /// into `out`. Word 0 carries the index (handy when eyeballing traces); the
-/// rest is a deterministic PRNG fill so corruption cannot alias. Sources
-/// write it straight into a retry-buffer slot, and scoreboards regenerate
-/// it to check a delivery, so it is a pure function of (index, salt).
+/// rest is a deterministic PRNG fill so corruption cannot alias. It is a
+/// pure function of (index, salt), so a fabric flow's flits carry it by
+/// reference, as the flow scoreboard's sim::PayloadFn: it runs only where
+/// the bytes are read, when an error or a hub flip touches a flit, a dead
+/// hop drains, or a scoreboard checks a delivery that an error touched.
 inline void fill_stream_payload(std::uint64_t index, std::uint64_t salt,
                                 std::span<std::uint8_t, kPayloadBytes> out) {
   Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + salt);

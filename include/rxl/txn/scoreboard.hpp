@@ -6,6 +6,13 @@
 // and use simulation ground truth (the envelope's stream index, and the
 // stream's payload regenerated from that index), so they observe exactly
 // what the paper's hypothetical application would.
+//
+// A Fail_data needs an error to touch the flit, and a touched flit holds
+// its payload as bytes (the channel or hub that touched it wrote them).
+// A delivery whose payload still references the stream's own PayloadFn
+// was touched by no error, so its bytes are the sent ones by construction
+// and the regenerate-and-compare is skipped; every other delivery is
+// compared.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +22,8 @@
 #include <unordered_map>
 
 #include "rxl/common/types.hpp"
-#include "rxl/sim/inline_delegate.hpp"
 #include "rxl/sim/link_channel.hpp"
+#include "rxl/sim/payload_fn.hpp"
 
 namespace rxl::txn {
 
@@ -42,13 +49,13 @@ class StreamScoreboard {
     std::uint64_t missing = 0;           ///< computed by finalize()
   };
 
-  /// Writes the 240 B payload the stream carries at position `index`: a
-  /// pure function of the index, which the source uses to originate the
-  /// flit and the scoreboard to check its delivery.
-  using PayloadFn = sim::InlineDelegate<void(
-      std::uint64_t index, std::span<std::uint8_t, kPayloadBytes> out)>;
+  /// `payload` is the stream's payload as a function of its position. The
+  /// board holds it: the stream's source sends payload_fn() by reference,
+  /// so the board must not move while flits reference it.
+  explicit StreamScoreboard(sim::PayloadFn payload) : payload_(payload) {}
 
-  explicit StreamScoreboard(PayloadFn payload) : payload_(payload) {}
+  /// The stream's PayloadFn, for its source to send by reference.
+  [[nodiscard]] sim::PayloadFn* payload_fn() noexcept { return &payload_; }
 
   /// TX side: stream positions up to `index` have been offered. Only those
   /// are checked for corruption on delivery.
@@ -56,9 +63,11 @@ class StreamScoreboard {
     if (index >= registered_) registered_ = index + 1;
   }
 
-  /// RX side: records a delivery (wire payload + envelope ground truth).
-  void on_deliver(std::span<const std::uint8_t> payload,
-                  const sim::FlitEnvelope& envelope);
+  /// RX side: records a delivery (envelope ground truth and payload). The
+  /// payload is compared with the regenerated one unless it references
+  /// payload_fn(): one held as bytes is compared as it is, one held by
+  /// another function through that function.
+  void on_deliver(const sim::FlitEnvelope& envelope);
 
   /// Fills in `missing` (positions below the highest delivered one that
   /// never arrived) and returns the totals.
@@ -75,7 +84,7 @@ class StreamScoreboard {
   /// position was delivered before).
   bool fill_gap(std::uint64_t index);
 
-  PayloadFn payload_;
+  sim::PayloadFn payload_;
   std::uint64_t registered_ = 0;     ///< positions [0, registered_) offered
   std::uint64_t expected_next_ = 0;  ///< one past the highest delivered
   /// Open gaps below expected_next_, first position -> one past the last.
@@ -95,7 +104,8 @@ class TxnScoreboard {
     std::uint64_t out_of_order_data = 0;     ///< Fig. 5b failure (same CQID)
   };
 
-  /// Feeds one delivered 240 B payload.
+  /// Feeds one delivered 240 B payload (as bytes: a payload held by
+  /// reference is written out first, see sim::payload_bytes).
   void on_deliver_payload(std::span<const std::uint8_t> payload);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -33,7 +33,8 @@ flit::Flit& RetryBuffer::reserve() {
 }
 
 void RetryBuffer::commit(std::uint16_t seq, std::uint64_t user_tag,
-                         std::uint16_t flow_tag, std::uint8_t vc) {
+                         std::uint16_t flow_tag, std::uint8_t vc,
+                         sim::PayloadFn* payload_of) {
   if (reserved_ == nullptr) [[unlikely]]
     misuse("RetryBuffer: commit without a reservation");
   assert(empty() || seq_next(entry_at(size_ - 1).seq) == (seq & kSeqMask));
@@ -43,6 +44,7 @@ void RetryBuffer::commit(std::uint16_t seq, std::uint64_t user_tag,
   entry.flow_tag = flow_tag;
   entry.vc = vc;
   entry.user_tag = user_tag;
+  entry.payload_of = payload_of;
   ++size_;
 }
 

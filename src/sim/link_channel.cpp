@@ -72,11 +72,14 @@ TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
   slot.has_truth = tags.has_truth;
   slot.dest_port = tags.dest_port;
   slot.flow_id = tags.flow_id;
+  slot.payload_of = tags.payload_of;
+  assert(slot.payload_of == nullptr || slot.seal == SealState::kUnsealed);
   // The pattern does not depend on the image (the ErrorModel contract), so
   // drawing it onto zeros takes the same RNG draws as corrupting the slot,
-  // and only a hit pays for the seal.
+  // and only a hit pays for the payload bytes and the seal.
   const std::size_t flipped = errors_->corrupt(error_pattern, rng_);
   if (flipped > 0) {
+    materialize(slot);
     if (slot.seal == SealState::kUnsealed) flit::seal(slot.flit, slot.crc_fold);
     const std::span<std::uint8_t, kFlitBytes> bytes = slot.flit.bytes();
     for (std::size_t i = 0; i < kFlitBytes; ++i) bytes[i] ^= error_pattern[i];

@@ -24,6 +24,11 @@ void PortSwitch::set_output(std::size_t port, sim::LinkChannel* output) {
 
 void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   stats_.flits_in += 1;
+  // Only an unsealed flit may hold its payload by reference: whatever
+  // sealed a flit wrote its payload first, so the FEC decode and CRC check
+  // below read real bytes.
+  assert(envelope.payload_of == nullptr ||
+         envelope.seal == sim::SealState::kUnsealed);
 
   // --- Ingress FEC. Only a touched image can have nonzero syndromes, so
   // the decode is skipped on the rest without changing behaviour.
@@ -54,11 +59,13 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
 
   // --- Internal corruption (buffer upset / switching-logic error) strikes
   // between ingress checks and egress regeneration, on the data path only.
-  // An unsealed flit is sealed first, so the flip lands on the codeword its
-  // sender would have sent.
+  // A payload held by reference is written out and an unsealed flit is
+  // sealed first, so the flip lands on the codeword its sender would have
+  // sent.
   if (config_.internal_error_rate > 0.0 &&
       rng_.bernoulli(config_.internal_error_rate)) {
     stats_.internal_corruptions += 1;
+    sim::materialize(envelope);
     if (envelope.seal == sim::SealState::kUnsealed)
       flit::seal(envelope.flit, envelope.crc_fold);
     flip_bit(envelope.flit.bytes(),
@@ -71,7 +78,8 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   // the endpoint; RXL's ECRC passes through untouched, so only the FEC is
   // refreshed. Either way the image is a valid codeword for the next hop's
   // FEC again; the endpoint always evaluates the real (E)CRC on the real
-  // bytes. An unsealed flit crosses the hub unsealed.
+  // bytes. An unsealed flit crosses the hub unsealed, its payload still
+  // held the way it arrived.
   if (envelope.seal == sim::SealState::kTouched) {
     if (codec_.protocol() == transport::Protocol::kCxl)
       codec_.regenerate_link_crc(envelope.flit);

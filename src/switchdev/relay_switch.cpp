@@ -17,17 +17,17 @@ std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
   port_name += ".p";
   port_name += std::to_string(index);
   Port port;
-  port.endpoint = std::make_unique<transport::Endpoint>(queue_, config,
-                                                        std::move(port_name));
+  // Set-up only: ports are added before traffic starts.
+  port.endpoint = std::make_unique<transport::Endpoint>(  // rxl-lint: allow(R3)
+      queue_, config, std::move(port_name));
   ports_.push_back(std::move(port));
   transport::Endpoint& endpoint = *ports_[index].endpoint;
   // The relay, not the endpoint, owns the bounded store-and-forward buffer:
   // a slot frees (and its credit returns upstream) only when the egress
   // port re-originates the payload, not when the ingress delivers it.
   endpoint.set_deferred_credit_return(true);
-  endpoint.set_deliver([this, index](std::span<const std::uint8_t> payload,
-                                     const sim::FlitEnvelope& envelope) {
-    on_delivered(index, payload, envelope);
+  endpoint.set_deliver([this, index](const sim::FlitEnvelope& envelope) {
+    on_delivered(index, envelope);
   });
   endpoint.set_relay_source(
       [this, index](transport::Endpoint::PayloadOut out) {
@@ -67,21 +67,24 @@ void RelaySwitch::update_ecn(Port& in_port, std::size_t vc) {
   in_port.endpoint->set_ecn_marks(in_port.ecn_marks);
 }
 
-/// Copies the head of one of `port`'s queues into the pulling endpoint's
-/// retry slot and describes it in `pull`, then does the dequeue-side
-/// bookkeeping: the payload leaves the bounded buffer, so the ingress slot
-/// frees and its credit returns upstream on the VC that billed it. The
-/// head leaves the queue first: the credit return may kick the ingress
-/// endpoint into a nested pull.
+/// Hands the head of one of `port`'s queues to the pulling endpoint,
+/// described in `pull` (a payload held as bytes is copied into its retry
+/// slot, one held by reference is passed on as the reference), then does
+/// the dequeue-side bookkeeping: the payload leaves the bounded buffer, so
+/// the ingress slot frees and its credit returns upstream on the VC that
+/// billed it. The head leaves the queue first: the credit return may kick
+/// the ingress endpoint into a nested pull.
 void RelaySwitch::dequeue_front(Port& port, RingQueue<Pending>& queue,
                                 transport::Endpoint::PayloadOut out,
                                 transport::Endpoint::RelayPull& pull) {
   const Pending& head = queue.front();
-  std::copy(head.item.payload.begin(), head.item.payload.end(), out.begin());
+  if (head.item.payload_of == nullptr)
+    std::copy(head.item.payload.begin(), head.item.payload.end(), out.begin());
   pull.pulled = true;
   pull.vc = head.item.vc;
   pull.flow_id = head.item.flow_id;
   pull.truth_index = head.item.truth_index;
+  pull.payload_of = head.item.payload_of;
   const std::uint32_t ingress = head.ingress;
   queue.drop_front();
   port.stats.relayed_out += 1;
@@ -224,8 +227,11 @@ void RelaySwitch::trace_record(obs::TraceEventKind kind, std::uint64_t truth,
 }
 
 void RelaySwitch::on_delivered(std::size_t ingress,
-                               std::span<const std::uint8_t> payload,
                                const sim::FlitEnvelope& envelope) {
+  // Only a flit an error touched was sealed, and it holds its payload as
+  // bytes: a reference never rides a sealed image into the queue.
+  assert(envelope.payload_of == nullptr ||
+         envelope.seal == sim::SealState::kUnsealed);
   Port& in_port = ports_[ingress];
   in_port.stats.relayed_in += 1;
   const std::uint32_t egress =
@@ -247,8 +253,14 @@ void RelaySwitch::on_delivered(std::size_t ingress,
   trace(obs::TraceEventKind::kEnqueue, envelope.truth_index,
         envelope.flow_id, 0, vc, static_cast<std::uint32_t>(egress));
   Pending& pending = out_port.queues[queue_index].push_back_slot();
-  assert(payload.size() == pending.item.payload.size());
-  std::copy(payload.begin(), payload.end(), pending.item.payload.begin());
+  // Bytes are copied only for a payload held as bytes (one an error
+  // touched on the way in); a reference is parked as the reference.
+  if (envelope.payload_of == nullptr) {
+    const std::span<const std::uint8_t, kPayloadBytes> payload =
+        envelope.flit.payload();
+    std::copy(payload.begin(), payload.end(), pending.item.payload.begin());
+  }
+  pending.item.payload_of = envelope.payload_of;
   pending.item.truth_index = envelope.truth_index;
   pending.item.flow_id = envelope.flow_id;
   pending.item.vc = vc;

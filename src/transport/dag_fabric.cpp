@@ -1092,17 +1092,17 @@ DagReport run_dag_fabric(const DagConfig& config) {
     std::uint16_t id = 0;
     std::optional<ArrivalProcess> arrivals;
     Endpoint* source = nullptr;  // wake-up kick target
-    // Source side: the flow, the scoreboard that regenerates its payloads,
-    // and how many stream positions it has offered.
+    // Source side: the flow, the scoreboard whose PayloadFn its flits
+    // carry by reference, and how many stream positions it has offered.
     const DagFlow* spec = nullptr;
     txn::StreamScoreboard* board = nullptr;
     std::uint64_t offered = 0;
     sim::EventQueue* queue = nullptr;
     obs::TraceSink* trace = nullptr;
 
-    /// The flow's Endpoint::SourceFn: writes stream position `index` into
-    /// the source's retry slot, or returns false while none is offered.
-    bool pull(std::uint64_t index, Endpoint::PayloadOut out) {
+    /// The flow's Endpoint::SourceFn gate: offers stream position `index`,
+    /// or returns false while none is offered.
+    bool pull(std::uint64_t index) {
       if (index >= spec->flits) return false;
       TimePs inject_stamp = queue->now();
       if (arrivals.has_value()) {
@@ -1149,12 +1149,15 @@ DagReport run_dag_fabric(const DagConfig& config) {
         event.arg = 0;
         trace->record(event.component, event);
       }
-      fill_stream_payload(index, spec->salt, out);
       board->register_sent(index);
       offered = index + 1;
       return true;
     }
   };
+  // Each board holds its flow's payload as a function of the stream
+  // position; the flow's source sends that function by reference, so the
+  // board skips the compare for every delivery no error touched. The
+  // vector never reallocates after this loop.
   std::vector<txn::StreamScoreboard> boards;
   boards.reserve(config.flows.size());
   for (const DagFlow& flow : config.flows) {
@@ -1165,46 +1168,56 @@ DagReport run_dag_fabric(const DagConfig& config) {
   }
   std::vector<FlowRuntime> flow_runtime(config.flows.size());
   const bool sample = config.sample_latency || config.debug_latency_samples;
-  const bool debug = config.debug_latency_samples;
   std::uint64_t misrouted = 0;
   std::uint64_t trace_delivered = 0;  ///< time-series goodput counter
-  for (const auto& [key, endpoint] : terminal_of) {
-    const std::uint16_t node = key.first;
-    const DagFlow* const flow_base = config.flows.data();
-    const std::size_t flow_count = config.flows.size();
-    std::uint64_t* const misrouted_ptr = &misrouted;
-    std::uint64_t* const delivered_ptr = &trace_delivered;
-    FlowRuntime* const runtime_base = flow_runtime.data();
-    sim::EventQueue* const queue_ptr = &queue;
-    endpoint->set_deliver([flow_base, flow_count, misrouted_ptr,
-                           delivered_ptr, node, runtime_base, queue_ptr,
-                           sample, debug](std::span<const std::uint8_t> payload,
-                                          const sim::FlitEnvelope& envelope) {
-      if (envelope.has_truth && envelope.flow_id < flow_count &&
-          flow_base[envelope.flow_id].dst == node) {
-        FlowRuntime& runtime = runtime_base[envelope.flow_id];
-        runtime.board->on_deliver(payload, envelope);
-        *delivered_ptr += 1;
-        if (sample) {
-          // The ring slot still carries this truth index unless the flow
-          // fell more than kLatencyRingSlots behind its newest pull; an
-          // overwritten slot is a MISS, counted instead of silently
-          // skipped (samples must never undercount without a signal).
-          const std::size_t slot =
-              static_cast<std::size_t>(envelope.truth_index) %
-              runtime.ring_tag.size();
-          if (runtime.ring_tag[slot] == envelope.truth_index) {
-            const TimePs delay = queue_ptr->now() - runtime.ring_at[slot];
-            runtime.latency.add(delay);
-            if (debug) runtime.debug_samples.push_back(delay);
-          } else {
-            runtime.sample_misses += 1;
-          }
-        }
-      } else {
-        *misrouted_ptr += 1;
+  // One sink per terminal endpoint: its delivery hook captures only a
+  // pointer to it (reserved up front, so the pointers stay stable).
+  struct Sink {
+    const DagFlow* flows;
+    std::size_t flow_count;
+    FlowRuntime* runtime;
+    const sim::EventQueue* queue;
+    std::uint64_t* misrouted;
+    std::uint64_t* delivered;
+    std::uint16_t node;
+    bool sample;
+    bool debug;
+
+    void deliver(const sim::FlitEnvelope& envelope) {
+      if (!envelope.has_truth || envelope.flow_id >= flow_count ||
+          flows[envelope.flow_id].dst != node) {
+        *misrouted += 1;
+        return;
       }
-    });
+      FlowRuntime& flow = runtime[envelope.flow_id];
+      flow.board->on_deliver(envelope);
+      *delivered += 1;
+      if (!sample) return;
+      // The ring slot still carries this truth index unless the flow fell
+      // more than kLatencyRingSlots behind its newest pull; an overwritten
+      // slot is a MISS, counted instead of silently skipped (samples must
+      // never undercount without a signal).
+      const std::size_t slot =
+          static_cast<std::size_t>(envelope.truth_index) %
+          flow.ring_tag.size();
+      if (flow.ring_tag[slot] == envelope.truth_index) {
+        const TimePs delay = queue->now() - flow.ring_at[slot];
+        flow.latency.add(delay);
+        if (debug) flow.debug_samples.push_back(delay);
+      } else {
+        flow.sample_misses += 1;
+      }
+    }
+  };
+  std::vector<Sink> sinks;
+  sinks.reserve(terminal_of.size());
+  for (const auto& [key, endpoint] : terminal_of) {
+    Sink* const sink = &sinks.emplace_back(
+        Sink{config.flows.data(), config.flows.size(), flow_runtime.data(),
+             &queue, &misrouted, &trace_delivered, key.first, sample,
+             config.debug_latency_samples});
+    endpoint->set_deliver(
+        [sink](const sim::FlitEnvelope& envelope) { sink->deliver(envelope); });
   }
   std::vector<Endpoint*> flow_sources(config.flows.size(), nullptr);
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
@@ -1247,9 +1260,8 @@ DagReport run_dag_fabric(const DagConfig& config) {
                                ~std::uint64_t{0});
     }
     source->set_source(
-        [runtime](std::uint64_t index, Endpoint::PayloadOut out) {
-          return runtime->pull(index, out);
-        });
+        [runtime](std::uint64_t index) { return runtime->pull(index); },
+        boards[f].payload_fn());
   }
 
   // Occupancy/goodput time-series sampler: a self-rescheduling observation

@@ -136,13 +136,15 @@ bool Endpoint::send_new_data() {
     note_credit_stall();
     return false;
   }
-  // The source writes the payload straight into the retry slot the flit
-  // will occupy; the slot is committed only if a payload came back.
+  // The slot the flit will occupy is reserved first, so a relay source
+  // can write a payload it holds as bytes straight into it; the slot is
+  // committed only if a payload came back.
   if (relay_source_) {
     flit::Flit& slot = retry_buffer_.reserve();
     const RelayPull pull = relay_source_(slot.payload());
     if (pull.pulled) {
-      send_data_flit(slot, pull.truth_index, pull.flow_id, pull.vc);
+      send_data_flit(slot, pull.truth_index, pull.flow_id, pull.vc,
+                     pull.payload_of);
       return true;
     }
     retry_buffer_.drop_reservation();
@@ -165,11 +167,11 @@ bool Endpoint::send_new_data() {
     return false;
   }
   flit::Flit& slot = retry_buffer_.reserve();
-  if (!source_(next_truth_index_, slot.payload())) {
+  if (!source_(next_truth_index_)) {
     retry_buffer_.drop_reservation();
     return false;
   }
-  send_data_flit(slot, next_truth_index_, flow_id_, tx_vc_);
+  send_data_flit(slot, next_truth_index_, flow_id_, tx_vc_, source_payload_);
   next_truth_index_ += 1;
   return true;
 }
@@ -182,7 +184,7 @@ void Endpoint::send_replay(const link::RetryBuffer::Entry& entry,
   output_->send(entry.flit,
                 sim::FlitTags{entry.user_tag, true, dest_port_, entry.flow_tag,
                               codec_.data_crc_fold(entry.seq),
-                              sim::SealState::kUnsealed});
+                              sim::SealState::kUnsealed, entry.payload_of});
 }
 
 void Endpoint::note_credit_stall() {
@@ -207,13 +209,15 @@ void Endpoint::note_ecn_stall() {
 
 void Endpoint::send_data_flit(flit::Flit& canonical,
                               std::uint64_t truth_index,
-                              std::uint16_t flow_id, std::uint8_t vc) {
+                              std::uint16_t flow_id, std::uint8_t vc,
+                              sim::PayloadFn* payload_of) {
   const std::uint16_t seq = next_seq_;
   // The canonical (replayable) image in its retry slot always carries the
   // explicit/implicit SeqNum with no piggybacked ACK; the wire image on
   // first transmission may substitute an AckNum into the FSN field, and is
-  // then a copy with its own header. Both leave unsealed: the channel
-  // seals a flit only if an error hits it.
+  // then a copy with its own header. Both leave unsealed, and a payload
+  // held by reference stays unwritten: the channel writes it and seals the
+  // flit only if an error hits it.
   codec_.write_data_header(canonical, seq, std::nullopt);
 
   const flit::Flit* wire = &canonical;
@@ -227,7 +231,7 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
     }
   }
 
-  retry_buffer_.commit(seq, truth_index, flow_id, vc);
+  retry_buffer_.commit(seq, truth_index, flow_id, vc, payload_of);
   if (credit_windows_.enabled()) {
     assert(credit_windows_.vc(vc).available());  // send_one gated on the VC
     credit_windows_.vc(vc).consume();
@@ -241,7 +245,7 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
   trace(obs::TraceEventKind::kTx, truth_index, flow_id, seq, vc, 0);
   output_->send(*wire, sim::FlitTags{truth_index, true, dest_port_, flow_id,
                                      codec_.data_crc_fold(seq),
-                                     sim::SealState::kUnsealed});
+                                     sim::SealState::kUnsealed, payload_of});
 }
 
 void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
@@ -488,8 +492,14 @@ void Endpoint::declare_hop_dead() {
   retry_buffer_.for_each([&](const link::RetryBuffer::Entry& entry) {
     HopDownEvent::DrainedFlit drained;
     drained.seq = entry.seq;
-    const auto payload = entry.flit.payload();
-    std::copy(payload.begin(), payload.end(), drained.item.payload.begin());
+    // The management plane gets bytes: a payload held by reference is
+    // written out here.
+    if (entry.payload_of != nullptr) {
+      (*entry.payload_of)(entry.user_tag, drained.item.payload);
+    } else {
+      const auto payload = entry.flit.payload();
+      std::copy(payload.begin(), payload.end(), drained.item.payload.begin());
+    }
     drained.item.truth_index = entry.user_tag;
     drained.item.flow_id = entry.flow_tag;
     drained.item.vc = entry.vc;
@@ -517,6 +527,10 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
   // peer transmits: it resets the silent-peer death budget.
   last_peer_activity_ = queue_.now();
   if (hop_dead_) return;  // inert: late arrivals are dropped unprocessed
+  // Whatever sealed or flipped a flit wrote its payload first, so the real
+  // FEC decode and CRC check below only ever read real bytes.
+  assert(envelope.payload_of == nullptr ||
+         envelope.seal == sim::SealState::kUnsealed);
 
   // Link-layer FEC at the endpoint's own ingress. Only a touched image can
   // have nonzero syndromes (unsealed images have no FEC to check until an
@@ -808,7 +822,7 @@ void Endpoint::deliver(const sim::FlitEnvelope& envelope) {
                  rx_vc_for_flow(envelope.flow_id), 0);
   }
   last_rx_progress_ = queue_.now();
-  if (deliver_) deliver_(envelope.flit.payload(), envelope);
+  if (deliver_) deliver_(envelope);
 }
 
 void Endpoint::trace_record(obs::TraceEventKind kind, std::uint64_t truth,

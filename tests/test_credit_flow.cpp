@@ -145,6 +145,10 @@ struct DirectPair {
   std::optional<sim::LinkChannel> reverse;
   std::uint64_t delivered = 0;
   std::uint64_t budget = 0;
+  /// Stream position i carries 240 copies of the byte i.
+  sim::PayloadFn payload{[](std::uint64_t index, Endpoint::PayloadOut out) {
+    std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(index));
+  }};
 
   explicit DirectPair(std::size_t credits, std::uint64_t flits) {
     budget = flits;
@@ -165,13 +169,9 @@ struct DirectPair {
         [this](sim::FlitEnvelope&& envelope) { rx->on_flit(std::move(envelope)); });
     reverse->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { tx->on_flit(std::move(envelope)); });
-    tx->set_source([this](std::uint64_t index, Endpoint::PayloadOut out) {
-      if (index >= budget) return false;
-      std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(index));
-      return true;
-    });
-    rx->set_deliver([this](std::span<const std::uint8_t>,
-                           const sim::FlitEnvelope&) { delivered += 1; });
+    tx->set_source(
+        [this](std::uint64_t index) { return index < budget; }, &payload);
+    rx->set_deliver([this](const sim::FlitEnvelope&) { delivered += 1; });
   }
 };
 
@@ -259,11 +259,10 @@ TEST(CreditFlow, NoRouteDropsReturnTheirCredits) {
   relay.port(0).set_output(&control);
   control.set_receiver(
       [&tx](sim::FlitEnvelope&& envelope) { tx.on_flit(std::move(envelope)); });
-  tx.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
-    if (index >= 5) return false;
+  sim::PayloadFn payload = [](std::uint64_t, Endpoint::PayloadOut out) {
     std::fill(out.begin(), out.end(), std::uint8_t{0x5A});
-    return true;
-  });
+  };
+  tx.set_source([](std::uint64_t index) { return index < 5; }, &payload);
   tx.kick();
   queue.run_until(10'000'000);
   EXPECT_EQ(relay.port_stats(0).relayed_in, 5u);

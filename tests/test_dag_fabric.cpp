@@ -503,11 +503,10 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   relay.port(0).set_output(&control);
   control.set_receiver(
       [&tx](sim::FlitEnvelope&& envelope) { tx.on_flit(std::move(envelope)); });
-  tx.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
-    if (index >= 3) return false;
+  sim::PayloadFn payload = [](std::uint64_t, Endpoint::PayloadOut out) {
     std::fill(out.begin(), out.end(), std::uint8_t{0x5A});
-    return true;
-  });
+  };
+  tx.set_source([](std::uint64_t index) { return index < 3; }, &payload);
   tx.kick();
   queue.run_until(1'000'000);
   EXPECT_EQ(relay.port_stats(0).relayed_in, 3u);

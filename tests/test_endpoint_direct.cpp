@@ -5,11 +5,14 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rxl/obs/metrics.hpp"
 #include "rxl/phy/error_model.hpp"
+#include "rxl/switchdev/port_switch.hpp"
+#include "rxl/switchdev/relay_switch.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
 
@@ -23,6 +26,16 @@ void payload_stream(std::uint64_t index, Endpoint::PayloadOut out) {
   std::fill(out.begin(), out.end(), Salt);
   out[0] = static_cast<std::uint8_t>(index);
   out[1] = static_cast<std::uint8_t>(index >> 8);
+}
+
+/// The first `flits` positions of `board`'s stream, registered as offered.
+Endpoint::SourceFn stream_gate(txn::StreamScoreboard& board,
+                               std::uint64_t flits) {
+  return [&board, flits](std::uint64_t index) {
+    if (index >= flits) return false;
+    board.register_sent(index);
+    return true;
+  };
 }
 
 struct PairHarness {
@@ -47,23 +60,17 @@ struct PairHarness {
         [this](sim::FlitEnvelope&& envelope) { b->on_flit(std::move(envelope)); });
     b_to_a->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { a->on_flit(std::move(envelope)); });
-    attach(*a, *b, down, a_flits, payload_stream<1>);
-    attach(*b, *a, up, b_flits, payload_stream<2>);
+    attach(*a, *b, down, a_flits);
+    attach(*b, *a, up, b_flits);
   }
 
+  /// `tx` sends the first `budget` positions of `board`'s stream, by
+  /// reference, and `rx` delivers them to `board`.
   static void attach(Endpoint& tx, Endpoint& rx, txn::StreamScoreboard& board,
-                     std::uint64_t budget,
-                     void (*fill)(std::uint64_t, Endpoint::PayloadOut)) {
-    tx.set_source([&board, budget, fill](std::uint64_t index,
-                                         Endpoint::PayloadOut out) {
-      if (index >= budget) return false;
-      fill(index, out);
-      board.register_sent(index);
-      return true;
-    });
-    rx.set_deliver([&board](std::span<const std::uint8_t> payload,
-                            const sim::FlitEnvelope& envelope) {
-      board.on_deliver(payload, envelope);
+                     std::uint64_t budget) {
+    tx.set_source(stream_gate(board, budget), board.payload_fn());
+    rx.set_deliver([&board](const sim::FlitEnvelope& envelope) {
+      board.on_deliver(envelope);
     });
   }
 
@@ -119,8 +126,11 @@ TEST_P(EndpointBothProtocols, CorruptionIsRetriedToFullDelivery) {
   EXPECT_EQ(down.in_order, 2000u);
   EXPECT_EQ(down.missing, 0u);
   EXPECT_EQ(down.data_corruptions, 0u);
-  // In a DIRECT connection even baseline CXL never misorders: every data
-  // flit that matters arrives (nothing is silently dropped by a switch).
+  // In a DIRECT connection whose reverse path is clean, even baseline CXL
+  // never misorders: every data flit that matters arrives (nothing is
+  // silently dropped by a switch) and every ACK and NACK arrives intact.
+  // Once the reverse path errs too, CXL can lose flits on a direct link
+  // (see RxlDeliversExactlyOnceUnderNoiseBothWays).
   EXPECT_EQ(down.order_violations, 0u);
 }
 
@@ -146,10 +156,11 @@ TEST_P(EndpointBothProtocols, PiggybackPolicyUsesDataFlits) {
   EXPECT_GT(harness.a->stats().acks_piggybacked, 50u);
 }
 
-// Seal states: endpoints send unsealed flits, channels seal only the flits
-// an error hits, and receivers take an untouched flit's verdict from
-// metadata. This oracle forces the other path on every flit and requires
-// the same run.
+// Seal states and payloads by reference: endpoints send unsealed flits
+// whose payload is a reference to the stream's PayloadFn, channels write
+// the payload and seal only the flits an error hits, and receivers take an
+// untouched flit's verdict from metadata. These oracles force the other
+// path on every flit and require the same run.
 
 /// Reports a hit on every flit but flips nothing beyond what `inner` flips,
 /// so the channel seals every flit and every receiver runs the real FEC
@@ -167,21 +178,61 @@ class HitWithoutFlip final : public phy::ErrorModel {
   std::unique_ptr<phy::ErrorModel> inner_;
 };
 
-/// What one bidirectional run produces: both endpoints' counters, both
-/// delivered streams (each flit's low truth-index byte and payload, in
-/// delivery order), and how many flits the channels sealed.
+/// What one oracle run produces: the counters (scoreboards included), the
+/// delivered streams (each flit's low truth-index byte and payload bytes,
+/// in delivery order), how many deliveries still held their payload by
+/// reference, and how many flits the channels sealed.
 struct OracleRun {
   std::string counters;
   std::array<Endpoint::Snapshot, 2> snapshots;
+  std::array<txn::StreamScoreboard::Stats, 2> boards;
   std::array<std::vector<std::uint8_t>, 2> delivered;
+  std::uint64_t by_reference = 0;
+  std::uint64_t hub_flips = 0;
   std::uint64_t carried = 0;
   std::uint64_t touched = 0;
 };
 
-/// Go-back-N, piggybacked ACKs and credits over a link with 4-symbol bursts
-/// in both directions, so FEC drops, CRC drops, NACKs, replays and credit
-/// returns all occur.
-OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
+/// A sink's delivery hook: scores the delivery on `board` and appends its
+/// truth-index byte and payload bytes (written out here if the payload is
+/// held by reference) to `stream`.
+struct RecordingSink {
+  txn::StreamScoreboard* board = nullptr;
+  std::vector<std::uint8_t>* stream = nullptr;
+  std::uint64_t* by_reference = nullptr;
+
+  void operator()(const sim::FlitEnvelope& envelope) const {
+    board->on_deliver(envelope);
+    if (envelope.payload_of != nullptr) *by_reference += 1;
+    std::array<std::uint8_t, kPayloadBytes> scratch;
+    const std::span<const std::uint8_t, kPayloadBytes> payload =
+        sim::payload_bytes(envelope, scratch);
+    stream->push_back(static_cast<std::uint8_t>(envelope.truth_index));
+    stream->insert(stream->end(), payload.begin(), payload.end());
+  }
+};
+
+/// 4-symbol bursts (past FEC) on 3 % of flits, plus, when `correctable`,
+/// 2-symbol bursts (FEC corrects them) on another 3 %; every flit reported
+/// hit when `force_seal`.
+std::unique_ptr<phy::ErrorModel> oracle_errors(bool force_seal,
+                                               bool correctable = false) {
+  std::unique_ptr<phy::ErrorModel> errors =
+      std::make_unique<phy::BernoulliGate>(
+          0.03, std::make_unique<phy::SymbolBurstInjector>(4));
+  if (correctable) {
+    std::vector<std::unique_ptr<phy::ErrorModel>> both;
+    both.push_back(std::move(errors));
+    both.push_back(std::make_unique<phy::BernoulliGate>(
+        0.03, std::make_unique<phy::SymbolBurstInjector>(2)));
+    errors = std::make_unique<phy::CompositeErrorModel>(std::move(both));
+  }
+  if (force_seal) return std::make_unique<HitWithoutFlip>(std::move(errors));
+  return errors;
+}
+
+/// Go-back-N, piggybacked ACKs and 24 credits.
+ProtocolConfig oracle_config(Protocol protocol) {
   ProtocolConfig config;
   config.protocol = protocol;
   config.ack_policy = link::AckPolicy::kPiggyback;
@@ -189,17 +240,21 @@ OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
   config.coalesce_factor = 4;
   config.tx_credits = 24;
   config.rx_credits = 24;
-  const auto errors = [force_seal]() -> std::unique_ptr<phy::ErrorModel> {
-    auto bursts = std::make_unique<phy::BernoulliGate>(
-        0.03, std::make_unique<phy::SymbolBurstInjector>(4));
-    if (force_seal) return std::make_unique<HitWithoutFlip>(std::move(bursts));
-    return bursts;
-  };
+  return config;
+}
+
+constexpr std::uint64_t kOracleFlits = 1500;
+
+/// Go-back-N, piggybacked ACKs and credits over a link with 4-symbol bursts
+/// in both directions, so FEC drops, CRC drops, NACKs, replays and credit
+/// returns all occur.
+OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
+  const ProtocolConfig config = oracle_config(protocol);
   sim::EventQueue queue;
   Endpoint a(queue, config, "a");
   Endpoint b(queue, config, "b");
-  sim::LinkChannel a_to_b(queue, errors(), 21);
-  sim::LinkChannel b_to_a(queue, errors(), 22);
+  sim::LinkChannel a_to_b(queue, oracle_errors(force_seal), 21);
+  sim::LinkChannel b_to_a(queue, oracle_errors(force_seal), 22);
   a.set_output(&a_to_b);
   b.set_output(&b_to_a);
   a_to_b.set_receiver(
@@ -207,34 +262,23 @@ OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
   b_to_a.set_receiver(
       [&a](sim::FlitEnvelope&& envelope) { a.on_flit(std::move(envelope)); });
   OracleRun run;
-  constexpr std::uint64_t kFlits = 1500;
-  a.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
-    if (index >= kFlits) return false;
-    payload_stream<1>(index, out);
-    return true;
-  });
-  b.set_source([](std::uint64_t index, Endpoint::PayloadOut out) {
-    if (index >= kFlits) return false;
-    payload_stream<2>(index, out);
-    return true;
-  });
-  for (const int side : {0, 1}) {
-    std::vector<std::uint8_t>& stream = run.delivered[side];
-    (side == 0 ? b : a)
-        .set_deliver([&stream](std::span<const std::uint8_t> payload,
-                               const sim::FlitEnvelope& envelope) {
-          stream.push_back(static_cast<std::uint8_t>(envelope.truth_index));
-          stream.insert(stream.end(), payload.begin(), payload.end());
-        });
-  }
+  txn::StreamScoreboard down(payload_stream<1>);  // a -> b
+  txn::StreamScoreboard up(payload_stream<2>);    // b -> a
+  a.set_source(stream_gate(down, kOracleFlits), down.payload_fn());
+  b.set_source(stream_gate(up, kOracleFlits), up.payload_fn());
+  b.set_deliver(RecordingSink{&down, &run.delivered[0], &run.by_reference});
+  a.set_deliver(RecordingSink{&up, &run.delivered[1], &run.by_reference});
   a.kick();
   b.kick();
   queue.run_until(40'000'000);
+  run.boards = {down.finalize(), up.finalize()};
   obs::MetricsRegistry registry;
   for (const Endpoint* endpoint : {&a, &b}) {
     registry.add_endpoint(endpoint->name(), endpoint->stats());
     registry.add_endpoint_extra(endpoint->name(), endpoint->extra_stats());
   }
+  registry.add_scoreboard("down", run.boards[0]);
+  registry.add_scoreboard("up", run.boards[1]);
   run.counters = registry.to_csv();
   run.snapshots = {a.snapshot(), b.snapshot()};
   for (const sim::LinkChannel* channel : {&a_to_b, &b_to_a}) {
@@ -250,11 +294,14 @@ TEST_P(EndpointBothProtocols, MetadataVerdictsMatchSealingEveryFlit) {
   EXPECT_EQ(lazy.counters, sealed.counters);
   EXPECT_EQ(lazy.delivered[0], sealed.delivered[0]);
   EXPECT_EQ(lazy.delivered[1], sealed.delivered[1]);
-  // The forced run sealed every flit; the lazy one only the hit ones.
+  // The forced run sealed, and so wrote out, every flit; the lazy one only
+  // the hit ones, and delivered the rest by reference.
   EXPECT_EQ(sealed.touched, sealed.carried);
+  EXPECT_EQ(sealed.by_reference, 0u);
   EXPECT_EQ(lazy.carried, sealed.carried);
   EXPECT_GT(lazy.touched, 0u);
   EXPECT_LT(lazy.touched, lazy.carried / 10);
+  EXPECT_GT(lazy.by_reference, 2 * kOracleFlits * 8 / 10);
   // Every mechanism the oracle is meant to cover ran, in both directions.
   for (const Endpoint::Snapshot& snapshot : lazy.snapshots) {
     EXPECT_GT(snapshot.link.data_flits_retransmitted, 0u);
@@ -265,11 +312,130 @@ TEST_P(EndpointBothProtocols, MetadataVerdictsMatchSealingEveryFlit) {
   }
 }
 
+/// One flow, source -> wire -> RelaySwitch -> wire -> PortSwitch (with
+/// internal flips) -> wire -> sink, each hop's control path running straight
+/// back. Every wire, the reverse ones included, carries oracle_errors with
+/// correctable bursts, so some flits are delivered with an error corrected
+/// and their payload held as bytes.
+OracleRun run_oracle_relay_hub(Protocol protocol, bool force_seal) {
+  const ProtocolConfig config = oracle_config(protocol);
+  constexpr std::uint16_t kFlow = 3;
+  sim::EventQueue queue;
+  Endpoint source(queue, config, "source");
+  Endpoint sink(queue, config, "sink");
+  switchdev::RelaySwitch relay(queue, "relay");
+  relay.add_port(config);  // 0: from the source
+  relay.add_port(config);  // 1: toward the hub
+  relay.set_route(kFlow, 1);
+  switchdev::PortSwitch::Config hub_config;
+  hub_config.protocol = protocol;
+  hub_config.internal_error_rate = 0.01;
+  hub_config.ports = 1;
+  switchdev::PortSwitch hub(queue, hub_config, 31);
+  sim::LinkChannel to_relay(queue, oracle_errors(force_seal, true), 21);
+  sim::LinkChannel to_source(queue, oracle_errors(force_seal, true), 22);
+  sim::LinkChannel to_hub(queue, oracle_errors(force_seal, true), 23);
+  sim::LinkChannel to_sink(queue, oracle_errors(force_seal, true), 24);
+  sim::LinkChannel sink_to_relay(queue, oracle_errors(force_seal, true),
+                                 25);
+  source.set_output(&to_relay);
+  to_relay.set_receiver([&relay](sim::FlitEnvelope&& envelope) {
+    relay.port(0).on_flit(std::move(envelope));
+  });
+  relay.port(0).set_output(&to_source);
+  to_source.set_receiver([&source](sim::FlitEnvelope&& envelope) {
+    source.on_flit(std::move(envelope));
+  });
+  relay.port(1).set_output(&to_hub);
+  to_hub.set_receiver([&hub](sim::FlitEnvelope&& envelope) {
+    hub.on_flit(std::move(envelope));
+  });
+  hub.set_output(0, &to_sink);
+  to_sink.set_receiver([&sink](sim::FlitEnvelope&& envelope) {
+    sink.on_flit(std::move(envelope));
+  });
+  sink.set_output(&sink_to_relay);
+  sink_to_relay.set_receiver([&relay](sim::FlitEnvelope&& envelope) {
+    relay.port(1).on_flit(std::move(envelope));
+  });
+  OracleRun run;
+  txn::StreamScoreboard board(payload_stream<1>);
+  source.set_flow_id(kFlow);
+  source.set_source(stream_gate(board, kOracleFlits), board.payload_fn());
+  sink.set_deliver(RecordingSink{&board, &run.delivered[0], &run.by_reference});
+  source.kick();
+  queue.run_until(80'000'000);
+  obs::MetricsRegistry registry;
+  for (const Endpoint* endpoint :
+       {&source, &relay.port(0), &relay.port(1), &sink}) {
+    registry.add_endpoint(endpoint->name(), endpoint->stats());
+    registry.add_endpoint_extra(endpoint->name(), endpoint->extra_stats());
+  }
+  run.boards = {board.finalize(), {}};
+  registry.add_relay_port("relay.p0", relay.port_stats(0));
+  registry.add_relay_port("relay.p1", relay.port_stats(1));
+  registry.add_hub("hub", hub.stats());
+  registry.add_scoreboard("board", run.boards[0]);
+  run.counters = registry.to_csv();
+  run.snapshots = {source.snapshot(), sink.snapshot()};
+  run.hub_flips = hub.stats().internal_corruptions;
+  for (const sim::LinkChannel* channel :
+       {&to_relay, &to_source, &to_hub, &to_sink, &sink_to_relay}) {
+    run.carried += channel->stats().flits_carried;
+    run.touched += channel->stats().flits_corrupted;
+  }
+  return run;
+}
+
+TEST_P(EndpointBothProtocols,
+       PayloadsMaterializeOnlyWhereReadAcrossRelayAndHub) {
+  const OracleRun lazy = run_oracle_relay_hub(GetParam(), false);
+  const OracleRun sealed = run_oracle_relay_hub(GetParam(), true);
+  EXPECT_EQ(lazy.counters, sealed.counters);
+  EXPECT_EQ(lazy.delivered[0], sealed.delivered[0]);
+  // The forced run wrote out every payload on its first wire; the lazy one
+  // delivered most by reference and the rest (hit on some wire, or flipped
+  // in the hub) as bytes.
+  EXPECT_EQ(sealed.touched, sealed.carried);
+  EXPECT_EQ(sealed.by_reference, 0u);
+  EXPECT_GT(lazy.touched, 0u);
+  EXPECT_GT(lazy.hub_flips, 0u);
+  EXPECT_GT(lazy.by_reference, lazy.boards[0].delivered / 2);
+  EXPECT_LT(lazy.by_reference, lazy.boards[0].delivered);
+  if (GetParam() == Protocol::kRxl) {
+    // The ECRC catches every hub flip end to end: exactly once, in order,
+    // with intact payloads.
+    EXPECT_EQ(lazy.boards[0].in_order, kOracleFlits);
+    EXPECT_EQ(lazy.boards[0].duplicates, 0u);
+    EXPECT_EQ(lazy.boards[0].data_corruptions, 0u);
+  } else {
+    // CXL's hub re-signs what it flipped (Fail_data), and the board sees
+    // it in the bytes the hub wrote out.
+    EXPECT_GT(lazy.boards[0].data_corruptions, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Protocols, EndpointBothProtocols,
                          ::testing::Values(Protocol::kCxl, Protocol::kRxl),
                          [](const auto& info) {
                            return info.param == Protocol::kCxl ? "CXL" : "RXL";
                          });
+
+TEST(Endpoint, RxlDeliversExactlyOnceUnderNoiseBothWays) {
+  // The pair oracle's wiring: bursts on both directions of a direct link.
+  // RXL delivers every flit exactly once and in order both ways. Baseline
+  // CXL loses a few flits here (an ACK or NACK the reverse path corrupted
+  // is in the chain); that loss is not pinned.
+  const OracleRun run = run_oracle_pair(Protocol::kRxl, false);
+  for (const txn::StreamScoreboard::Stats& stats : run.boards) {
+    EXPECT_EQ(stats.delivered, kOracleFlits);
+    EXPECT_EQ(stats.in_order, kOracleFlits);
+    EXPECT_EQ(stats.duplicates, 0u);
+    EXPECT_EQ(stats.order_violations, 0u);
+    EXPECT_EQ(stats.data_corruptions, 0u);
+    EXPECT_EQ(stats.missing, 0u);
+  }
+}
 
 TEST(Endpoint, UnidirectionalTrafficFlushesAcksViaTimeout) {
   ProtocolConfig config;
@@ -369,8 +535,10 @@ struct ScriptedRelayHarness {
       }
       return pull;
     });
-    rx->set_deliver([this](std::span<const std::uint8_t> payload,
-                           const sim::FlitEnvelope& envelope) {
+    rx->set_deliver([this](const sim::FlitEnvelope& envelope) {
+      std::array<std::uint8_t, kPayloadBytes> scratch;
+      const std::span<const std::uint8_t, kPayloadBytes> payload =
+          sim::payload_bytes(envelope, scratch);
       std::array<std::uint8_t, kPayloadBytes> want;
       fill_item(envelope.truth_index, want);
       payloads_intact =
@@ -434,12 +602,13 @@ TEST(Endpoint, SourceWithoutDataCommitsNothing) {
   tx.set_flow_id(3);
   std::uint64_t offered = 0;
   std::uint64_t calls = 0;
-  tx.set_source([&offered, &calls](std::uint64_t index,
-                                   Endpoint::PayloadOut out) {
-    calls += 1;
-    std::fill(out.begin(), out.end(), std::uint8_t{0xEE});
-    return index < offered;
-  });
+  sim::PayloadFn payload = payload_stream<1>;
+  tx.set_source(
+      [&offered, &calls](std::uint64_t index) {
+        calls += 1;
+        return index < offered;
+      },
+      &payload);
   tx.kick();
   queue.run_until(100'000);
   EXPECT_EQ(calls, 1u);
@@ -455,7 +624,8 @@ TEST(Endpoint, SourceWithoutDataCommitsNothing) {
 
 TEST(EndpointDeathTest, NestedPullOnTheSameEndpointAborts) {
   // A source that re-enters its own endpoint's transmit loop would reserve
-  // the retry slot it is still filling. Checked in release builds too.
+  // the retry slot its flit is about to occupy again. Checked in release
+  // builds too.
   ProtocolConfig config;
   config.protocol = Protocol::kRxl;
   sim::EventQueue queue;
@@ -463,10 +633,13 @@ TEST(EndpointDeathTest, NestedPullOnTheSameEndpointAborts) {
   sim::LinkChannel wire(queue, std::make_unique<phy::NoErrors>(), 11);
   tx.set_output(&wire);
   Endpoint* const self = &tx;
-  tx.set_source([self](std::uint64_t, Endpoint::PayloadOut) {
-    self->kick();
-    return true;
-  });
+  sim::PayloadFn payload = payload_stream<1>;
+  tx.set_source(
+      [self](std::uint64_t) {
+        self->kick();
+        return true;
+      },
+      &payload);
   EXPECT_DEATH(tx.kick(), "reserved again before the reservation");
 }
 

@@ -185,6 +185,10 @@ struct FaultyPair {
   std::uint64_t delivered = 0;
   std::uint64_t budget = 0;
   std::optional<Endpoint::HopDownEvent> hop_down;
+  /// Stream position i carries 240 copies of the byte i.
+  sim::PayloadFn payload{[](std::uint64_t index, Endpoint::PayloadOut out) {
+    std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(index));
+  }};
 
   FaultyPair(std::size_t credits, std::uint64_t flits,
              const sim::LinkFaultSchedule& faults, unsigned episodes) {
@@ -215,13 +219,9 @@ struct FaultyPair {
       tx->on_flit(std::move(envelope));
     });
     tx->set_flow_id(9);
-    tx->set_source([this](std::uint64_t index, Endpoint::PayloadOut out) {
-      if (index >= budget) return false;
-      std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(index));
-      return true;
-    });
-    rx->set_deliver([this](std::span<const std::uint8_t>,
-                           const sim::FlitEnvelope&) { delivered += 1; });
+    tx->set_source(
+        [this](std::uint64_t index) { return index < budget; }, &payload);
+    rx->set_deliver([this](const sim::FlitEnvelope&) { delivered += 1; });
     tx->set_hop_down([this](Endpoint::HopDownEvent&& event) {
       hop_down = std::move(event);
     });

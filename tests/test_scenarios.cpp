@@ -5,6 +5,7 @@
 // Each CXL trace has an RXL counterpart showing ISN closing the hole.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 
 #include "rxl/flit/message_pack.hpp"
@@ -80,17 +81,17 @@ struct ScenarioHarness {
       host->on_flit(std::move(envelope));
     });
 
-    host->set_source([this, kind, flits](std::uint64_t index,
-                                         Endpoint::PayloadOut out) {
-      if (index >= flits) return false;
-      pack_trace_payload(kind, index, out);
-      stream.register_sent(index);
-      return true;
-    });
-    device->set_deliver([this](std::span<const std::uint8_t> payload,
-                               const sim::FlitEnvelope& envelope) {
-      stream.on_deliver(payload, envelope);
-      txn_board.on_deliver_payload(payload);
+    host->set_source(
+        [this, flits](std::uint64_t index) {
+          if (index >= flits) return false;
+          stream.register_sent(index);
+          return true;
+        },
+        stream.payload_fn());
+    device->set_deliver([this](const sim::FlitEnvelope& envelope) {
+      stream.on_deliver(envelope);
+      std::array<std::uint8_t, kPayloadBytes> scratch;
+      txn_board.on_deliver_payload(sim::payload_bytes(envelope, scratch));
       if (envelope.has_truth) delivery_order.push_back(envelope.truth_index);
     });
 

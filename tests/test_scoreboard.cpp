@@ -35,12 +35,20 @@ std::vector<std::uint8_t> payload_of(std::uint8_t fill) {
   return std::vector<std::uint8_t>(kPayloadBytes, fill);
 }
 
+/// Delivers `envelope` to `board` with `payload` held as bytes in its image.
+void deliver_bytes(StreamScoreboard& board,
+                   std::span<const std::uint8_t> payload,
+                   sim::FlitEnvelope envelope) {
+  std::copy(payload.begin(), payload.end(), envelope.flit.payload().begin());
+  board.on_deliver(envelope);
+}
+
 TEST(StreamScoreboard, InOrderStream) {
   StreamScoreboard board(fill_with_index);
   for (std::uint64_t i = 0; i < 5; ++i) {
     board.register_sent(i);
-    board.on_deliver(payload_of(static_cast<std::uint8_t>(i)),
-                     envelope_for(i));
+    deliver_bytes(board, payload_of(static_cast<std::uint8_t>(i)),
+                  envelope_for(i));
   }
   const auto stats = board.finalize();
   EXPECT_EQ(stats.delivered, 5u);
@@ -54,8 +62,8 @@ TEST(StreamScoreboard, InOrderStream) {
 TEST(StreamScoreboard, GapIsOrderViolation) {
   StreamScoreboard board(fill_with_index);
   board.register_sent(2);
-  board.on_deliver(payload_of(0), envelope_for(0));
-  board.on_deliver(payload_of(2), envelope_for(2));  // skipped 1
+  deliver_bytes(board, payload_of(0), envelope_for(0));
+  deliver_bytes(board, payload_of(2), envelope_for(2));  // skipped 1
   const auto stats = board.finalize();
   EXPECT_EQ(stats.order_violations, 1u);
   EXPECT_EQ(stats.in_order, 1u);
@@ -65,9 +73,9 @@ TEST(StreamScoreboard, GapIsOrderViolation) {
 TEST(StreamScoreboard, GapLaterFilledCountsOnce) {
   StreamScoreboard board(fill_with_index);
   board.register_sent(2);
-  board.on_deliver(payload_of(0), envelope_for(0));
-  board.on_deliver(payload_of(2), envelope_for(2));
-  board.on_deliver(payload_of(1), envelope_for(1));  // late arrival
+  deliver_bytes(board, payload_of(0), envelope_for(0));
+  deliver_bytes(board, payload_of(2), envelope_for(2));
+  deliver_bytes(board, payload_of(1), envelope_for(1));  // late arrival
   const auto stats = board.finalize();
   EXPECT_EQ(stats.order_violations, 1u);   // one skip event (2 before 1)
   EXPECT_EQ(stats.late_deliveries, 1u);    // 1 consumed out of position
@@ -81,11 +89,11 @@ TEST(StreamScoreboard, PermanentGapCountsOneViolation) {
   // repeatedly penalised for an old gap.
   StreamScoreboard board(fill_with_index);
   board.register_sent(5);
-  board.on_deliver(payload_of(0), envelope_for(0));
-  board.on_deliver(payload_of(2), envelope_for(2));  // 1 lost forever
+  deliver_bytes(board, payload_of(0), envelope_for(0));
+  deliver_bytes(board, payload_of(2), envelope_for(2));  // 1 lost forever
   for (std::uint64_t i = 3; i < 6; ++i)
-    board.on_deliver(payload_of(static_cast<std::uint8_t>(i)),
-                     envelope_for(i));
+    deliver_bytes(board, payload_of(static_cast<std::uint8_t>(i)),
+                  envelope_for(i));
   const auto stats = board.finalize();
   EXPECT_EQ(stats.order_violations, 1u);
   EXPECT_EQ(stats.in_order, 4u);  // 0, 3, 4, 5
@@ -95,8 +103,8 @@ TEST(StreamScoreboard, PermanentGapCountsOneViolation) {
 TEST(StreamScoreboard, DuplicateDetected) {
   StreamScoreboard board(fill_with_index);
   board.register_sent(0);
-  board.on_deliver(payload_of(0), envelope_for(0));
-  board.on_deliver(payload_of(0), envelope_for(0));
+  deliver_bytes(board, payload_of(0), envelope_for(0));
+  deliver_bytes(board, payload_of(0), envelope_for(0));
   EXPECT_EQ(board.stats().duplicates, 1u);
   EXPECT_EQ(board.stats().in_order, 1u);
 }
@@ -106,8 +114,70 @@ TEST(StreamScoreboard, CorruptionDetectedByRegeneration) {
   board.register_sent(0);
   std::vector<std::uint8_t> payload = payload_of(0);
   payload[117] ^= 0x10;  // one bit differs from the regenerated payload
-  board.on_deliver(payload, envelope_for(0));
+  deliver_bytes(board, payload, envelope_for(0));
   EXPECT_EQ(board.stats().data_corruptions, 1u);
+}
+
+// A payload held by reference (FlitEnvelope::payload_of) to the board's own
+// PayloadFn was touched by no error: its delivery is not compared. Every
+// other delivery is.
+
+TEST(StreamScoreboard, OwnPayloadReferenceIsNotCompared) {
+  std::uint64_t regenerated = 0;
+  StreamScoreboard board(
+      [&regenerated](std::uint64_t index,
+                     std::span<std::uint8_t, kPayloadBytes> out) {
+        regenerated += 1;
+        fill_with_index(index, out);
+      });
+  board.register_sent(1);
+  sim::FlitEnvelope envelope = envelope_for(0);
+  std::fill(envelope.flit.payload().begin(), envelope.flit.payload().end(),
+            std::uint8_t{0xEE});  // the unwritten bytes are never read
+  envelope.payload_of = board.payload_fn();
+  board.on_deliver(envelope);
+  EXPECT_EQ(regenerated, 0u);
+  EXPECT_EQ(board.stats().data_corruptions, 0u);
+  EXPECT_EQ(board.stats().in_order, 1u);
+}
+
+TEST(StreamScoreboard, AnotherPayloadReferenceIsCompared) {
+  StreamScoreboard board(fill_with_index);
+  board.register_sent(1);
+  sim::PayloadFn same = fill_with_index;  // the sent bytes, another function
+  sim::PayloadFn shifted = [](std::uint64_t index,
+                              std::span<std::uint8_t, kPayloadBytes> out) {
+    fill_with_index(index + 1, out);
+  };
+  sim::FlitEnvelope envelope = envelope_for(0);
+  std::fill(envelope.flit.payload().begin(), envelope.flit.payload().end(),
+            std::uint8_t{0xEE});  // compared through the function, not these
+  envelope.payload_of = &same;
+  board.on_deliver(envelope);
+  EXPECT_EQ(board.stats().data_corruptions, 0u);
+  envelope.truth_index = 1;
+  envelope.payload_of = &shifted;
+  board.on_deliver(envelope);
+  EXPECT_EQ(board.stats().data_corruptions, 1u);
+  EXPECT_EQ(board.stats().in_order, 2u);
+}
+
+TEST(StreamScoreboard, CorruptedPayloadHeldAsBytesIsCounted) {
+  // What a link does to a flit its error hits: the payload is written out
+  // (the reference dropped), then bits flip.
+  StreamScoreboard board(fill_with_index);
+  board.register_sent(0);
+  sim::FlitEnvelope envelope = envelope_for(0);
+  envelope.payload_of = board.payload_fn();
+  sim::materialize(envelope);
+  ASSERT_EQ(envelope.payload_of, nullptr);
+  envelope.flit.payload()[17] ^= 0x04;
+  board.on_deliver(envelope);
+  EXPECT_EQ(board.stats().data_corruptions, 1u);
+  envelope.flit.payload()[17] ^= 0x04;  // the intact bytes pass
+  board.on_deliver(envelope);
+  EXPECT_EQ(board.stats().data_corruptions, 1u);
+  EXPECT_EQ(board.stats().duplicates, 1u);
 }
 
 TEST(StreamScoreboard, EveryPayloadByteIsChecked) {
@@ -122,12 +192,13 @@ TEST(StreamScoreboard, EveryPayloadByteIsChecked) {
     std::vector<std::uint8_t> payload =
         transport::make_stream_payload(byte, 0x5EED);
     payload[byte] ^= static_cast<std::uint8_t>(1u << (byte % 8));
-    board.on_deliver(payload, envelope_for(byte));  // first delivery
-    board.on_deliver(payload, envelope_for(byte));  // duplicate
+    deliver_bytes(board, payload, envelope_for(byte));  // first delivery
+    deliver_bytes(board, payload, envelope_for(byte));  // duplicate
     EXPECT_EQ(board.stats().data_corruptions, 2 * (byte + 1))
         << "byte " << byte;
   }
-  board.on_deliver(transport::make_stream_payload(7, 0x5EED), envelope_for(7));
+  deliver_bytes(board, transport::make_stream_payload(7, 0x5EED),
+                envelope_for(7));
   EXPECT_EQ(board.stats().data_corruptions, 2 * kPayloadBytes);
   EXPECT_EQ(board.stats().in_order, kPayloadBytes);
 }
@@ -135,11 +206,11 @@ TEST(StreamScoreboard, EveryPayloadByteIsChecked) {
 TEST(StreamScoreboard, PositionsNotYetRegisteredAreNotCompared) {
   StreamScoreboard board(fill_with_index);
   board.register_sent(0);
-  board.on_deliver(payload_of(0), envelope_for(0));
-  board.on_deliver(payload_of(0xEE), envelope_for(1));  // not registered
+  deliver_bytes(board, payload_of(0), envelope_for(0));
+  deliver_bytes(board, payload_of(0xEE), envelope_for(1));  // not registered
   EXPECT_EQ(board.stats().data_corruptions, 0u);
   board.register_sent(1);
-  board.on_deliver(payload_of(0xEE), envelope_for(1));  // now it is
+  deliver_bytes(board, payload_of(0xEE), envelope_for(1));  // now it is
   EXPECT_EQ(board.stats().data_corruptions, 1u);
   EXPECT_EQ(board.stats().duplicates, 1u);
 }
@@ -147,7 +218,7 @@ TEST(StreamScoreboard, PositionsNotYetRegisteredAreNotCompared) {
 TEST(StreamScoreboard, UntrackedDeliveriesCounted) {
   StreamScoreboard board(fill_with_index);
   sim::FlitEnvelope envelope;  // has_truth = false
-  board.on_deliver(payload_of(0), envelope);
+  deliver_bytes(board, payload_of(0), envelope);
   EXPECT_EQ(board.stats().untracked, 1u);
   EXPECT_EQ(board.stats().in_order, 0u);
 }
@@ -171,7 +242,7 @@ TEST(StreamScoreboard, GapSetStaysEmptyOverALongInOrderStream) {
   for (std::uint64_t i = 0; i < kFlits; ++i) {
     transport::fill_stream_payload(i, 3, payload);
     board.register_sent(i);
-    board.on_deliver(payload, envelope_for(i));
+    deliver_bytes(board, payload, envelope_for(i));
     if (board.open_gaps() != 0) FAIL() << "gap opened at " << i;
   }
   const auto stats = board.finalize();
@@ -184,8 +255,8 @@ TEST(StreamScoreboard, OneIntervalPerOpenGap) {
   StreamScoreboard board(fill_with_index);
   board.register_sent(100);
   const auto deliver = [&](std::uint64_t index) {
-    board.on_deliver(payload_of(static_cast<std::uint8_t>(index)),
-                     envelope_for(index));
+    deliver_bytes(board, payload_of(static_cast<std::uint8_t>(index)),
+                  envelope_for(index));
   };
   deliver(0);
   deliver(5);   // gap [1, 5)
@@ -427,7 +498,7 @@ TEST(StreamScoreboard, MatchesReferenceModelOnSeededScripts) {
         payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       }
 
-      board.on_deliver(payload, envelope);
+      deliver_bytes(board, payload, envelope);
       reference.on_deliver(payload, envelope);
 
       if (envelope.has_truth) {

@@ -22,7 +22,8 @@
 //       All randomness flows through rxl::common (seeded Xoshiro256).
 //   R3  no std::function, heap `new`, make_unique/make_shared, or
 //       malloc/calloc in designated hot-path files (event kernel, link
-//       channel, ring queue, parked FIFO, timer, flit/GF(256)/RS kernels).
+//       channel, ring queue, parked FIFO, timer, flit/GF(256)/RS kernels,
+//       and the per-flit endpoint, switch and scoreboard code).
 //       Placement new into inline storage (`::new (ptr) T` /
 //       `new (ptr) T`) is the sanctioned pattern and is not flagged.
 //   R4  no float/double in protocol/sim state headers (timestamps and
@@ -257,14 +258,18 @@ std::string basename_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// R3: the event/link hot path plus the flit / GF(256) / RS kernels.
+/// R3: the event/link hot path, the flit / GF(256) / RS kernels, and the
+/// endpoint, switch and scoreboard code every flit passes through.
 bool in_hot_path_scope(const std::string& rel) {
   static const std::set<std::string> kHotFiles = {
       "event_queue.hpp", "event_queue.cpp", "inline_event.hpp",
       "inline_delegate.hpp", "link_channel.hpp", "link_channel.cpp",
       "parked_fifo.hpp", "ring_queue.hpp", "timer.hpp", "gf256.hpp", "gf256.cpp",
       "flit.hpp", "flit.cpp", "flit_fec.hpp", "flit_fec.cpp",
-      "reed_solomon.hpp", "reed_solomon.cpp", "crc64.hpp", "crc64.cpp"};
+      "reed_solomon.hpp", "reed_solomon.cpp", "crc64.hpp", "crc64.cpp",
+      "endpoint.hpp", "endpoint.cpp", "relay_switch.hpp", "relay_switch.cpp",
+      "port_switch.hpp", "port_switch.cpp", "scoreboard.hpp",
+      "scoreboard.cpp"};
   return kHotFiles.count(basename_of(rel)) != 0;
 }
 

@@ -1,13 +1,14 @@
-# Pins one example program: it must exit 0 AND print exactly the bytes in
-# its examples/expected/<name>.txt file on stdout. (A plain
-# PASS_REGULAR_EXPRESSION would ignore the exit code and accept drift, so
-# both checks are done explicitly here.)
+# Pins one program's output: it must exit 0 AND print exactly the bytes in
+# EXPECTED_FILE on stdout. (A plain PASS_REGULAR_EXPRESSION would ignore the
+# exit code and accept drift, so both checks are done explicitly here.)
+# EXAMPLE_ARGS, optional, holds the program's arguments separated by spaces.
 if(NOT DEFINED EXAMPLE_BIN OR NOT DEFINED EXPECTED_FILE)
   message(FATAL_ERROR "EXAMPLE_BIN and EXPECTED_FILE must be set")
 endif()
+separate_arguments(example_args UNIX_COMMAND "${EXAMPLE_ARGS}")
 
 execute_process(
-  COMMAND ${EXAMPLE_BIN}
+  COMMAND ${EXAMPLE_BIN} ${example_args}
   RESULT_VARIABLE example_rc
   OUTPUT_VARIABLE example_out
   ERROR_VARIABLE example_err)

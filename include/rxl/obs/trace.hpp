@@ -157,6 +157,22 @@ class TraceSink {
     rings_[component].record(event);
   }
 
+  /// Records one lifecycle event stamped with sim time `at`: the writer
+  /// every emission site calls after its own inline null-sink check.
+  void emit(std::uint16_t component, TimePs at, TraceEventKind kind,
+            std::uint64_t truth, std::uint16_t flow, std::uint16_t seq,
+            std::uint8_t vc, std::uint32_t arg) noexcept {
+    TraceEvent event;
+    event.at = at;
+    event.truth_index = truth;
+    event.flow = flow;
+    event.seq = seq;
+    event.vc = vc;
+    event.kind = kind;
+    event.arg = arg;
+    record(component, event);
+  }
+
   [[nodiscard]] std::size_t component_count() const noexcept {
     return rings_.size();
   }

@@ -188,17 +188,15 @@ class RelaySwitch {
                      transport::Endpoint::RelayPull& pull);
   void update_ecn(Port& in_port, std::size_t vc);
 
-  // Flit-lifecycle tracing (see transport/endpoint.hpp for the pattern:
-  // inline null check, out-of-line record path).
+  // Flit-lifecycle tracing: an inline null check, so a disabled trace
+  // costs one predictable branch at each emission site.
   void trace(obs::TraceEventKind kind, std::uint64_t truth,
              std::uint16_t flow, std::uint16_t seq, std::uint8_t vc,
              std::uint32_t arg) noexcept {
     if (trace_ == nullptr) return;
-    trace_record(kind, truth, flow, seq, vc, arg);
+    trace_->emit(trace_component_, queue_.now(), kind, truth, flow, seq, vc,
+                 arg);
   }
-  void trace_record(obs::TraceEventKind kind, std::uint64_t truth,
-                    std::uint16_t flow, std::uint16_t seq, std::uint8_t vc,
-                    std::uint32_t arg) noexcept;
 
   sim::EventQueue& queue_;
   std::string name_;

@@ -317,8 +317,11 @@ struct DagReport {
   std::uint64_t misrouted = 0;
   std::uint64_t slots = 0;
   /// Flit-lifecycle trace capture (empty unless DagConfig::trace.enabled).
-  /// Component ids match registration order: flow sources, then per-hop
-  /// endpoint pairs, relay fabrics, channels, and the reroute controller.
+  /// Component ids are registration indices: terminal endpoints by (node,
+  /// ISN domain), then per relay in node order its port endpoints and its
+  /// queue (`<relay>.q`), the forward wires (`wire.e<edge>`), the implicit
+  /// control wires (`ctrl.w<n>`, in domain order), and the reroute
+  /// controller (`reroute`).
   obs::TraceCapture trace;
   /// Occupancy/goodput time series (empty unless trace.sample_period > 0).
   std::vector<obs::TimeSeriesPoint> timeseries;

@@ -313,17 +313,14 @@ class Endpoint {
   void declare_hop_dead();
 
   // Flit-lifecycle tracing. The null check lives inline so a disabled
-  // trace costs one predictable branch at each emission site; the record
-  // path is out of line.
+  // trace costs one predictable branch at each emission site.
   void trace(obs::TraceEventKind kind, std::uint64_t truth,
              std::uint16_t flow, std::uint16_t seq, std::uint8_t vc,
              std::uint32_t arg) noexcept {
     if (trace_ == nullptr) return;
-    trace_record(kind, truth, flow, seq, vc, arg);
+    trace_->emit(trace_component_, queue_.now(), kind, truth, flow, seq, vc,
+                 arg);
   }
-  void trace_record(obs::TraceEventKind kind, std::uint64_t truth,
-                    std::uint16_t flow, std::uint16_t seq, std::uint8_t vc,
-                    std::uint32_t arg) noexcept;
 
   // RX path.
   void rx_data(sim::FlitEnvelope&& envelope);
@@ -377,7 +374,6 @@ class Endpoint {
   // RX state.
   std::uint16_t expected_seq_ = 0;   ///< ESeqNum
   std::uint16_t last_verified_ = kSeqMask;  ///< CXL: last explicit-seq match
-  bool any_verified_ = false;
   link::AckScheduler ack_scheduler_;
   sim::Timer ack_timer_;
   bool nack_active_ = false;

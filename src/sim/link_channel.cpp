@@ -46,18 +46,10 @@ TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
       // event, no error-model draw (the RNG stream stays aligned with the
       // flits that actually transit).
       stats_.flits_blackholed += 1;
-      if (trace_ != nullptr) {
-        obs::TraceEvent event;
-        event.at = start;
-        event.truth_index = tags.truth_index;
-        event.component = trace_component_;
-        event.flow = tags.flow_id;
-        event.seq = 0;
-        event.vc = 0;
-        event.kind = obs::TraceEventKind::kDrop;
-        event.arg = obs::kDropBlackhole;
-        trace_->record(trace_component_, event);
-      }
+      if (trace_ != nullptr)
+        trace_->emit(trace_component_, start, obs::TraceEventKind::kDrop,
+                     tags.truth_index, tags.flow_id, 0, 0,
+                     obs::kDropBlackhole);
       return end;
     }
   }

@@ -211,21 +211,6 @@ RelayPortStats RelaySwitch::port_stats(std::size_t i) const {
   return stats;
 }
 
-void RelaySwitch::trace_record(obs::TraceEventKind kind, std::uint64_t truth,
-                               std::uint16_t flow, std::uint16_t seq,
-                               std::uint8_t vc, std::uint32_t arg) noexcept {
-  obs::TraceEvent event;
-  event.at = queue_.now();
-  event.truth_index = truth;
-  event.component = trace_component_;
-  event.flow = flow;
-  event.seq = seq;
-  event.vc = vc;
-  event.kind = kind;
-  event.arg = arg;
-  trace_->record(trace_component_, event);
-}
-
 void RelaySwitch::on_delivered(std::size_t ingress,
                                const sim::FlitEnvelope& envelope) {
   // Only a flit an error touched was sealed, and it holds its payload as

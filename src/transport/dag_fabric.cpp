@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <map>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "rxl/link/credit.hpp"
 #include "rxl/link/sequence.hpp"
@@ -30,6 +34,45 @@ std::string node_label(const DagConfig& config, std::size_t node) {
   std::string label = "node#";
   label += std::to_string(node);
   return label;
+}
+
+/// Breadth-first shortest path from `from` to `to`, ties broken by lowest
+/// edge id (out-edge lists are in edge-id order, so the first edge to reach
+/// a node wins). Traffic transits no terminal but `from` and takes no edge
+/// that `doomed` marks (an empty span marks none). Returns the path's edges
+/// in order, or no edges when `to` is unreachable.
+std::vector<std::uint16_t> shortest_path(
+    const DagConfig& config,
+    const std::vector<std::vector<std::uint16_t>>& out_edges,
+    std::uint16_t from, std::uint16_t to,
+    std::span<const std::uint8_t> doomed) {
+  const std::size_t n = config.nodes.size();
+  std::vector<std::int32_t> parent_edge(n, -1);
+  std::vector<std::uint8_t> visited(n, 0);
+  std::vector<std::uint16_t> frontier{from};
+  visited[from] = 1;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const std::uint16_t u = frontier[head];
+    if (u != from && config.nodes[u].kind == DagNodeKind::kTerminal) continue;
+    for (const std::uint16_t e : out_edges[u]) {
+      if (!doomed.empty() && doomed[e] != 0) continue;
+      const std::uint16_t w = config.edges[e].dst;
+      if (visited[w]) continue;
+      visited[w] = 1;
+      parent_edge[w] = static_cast<std::int32_t>(e);
+      frontier.push_back(w);
+    }
+  }
+  std::vector<std::uint16_t> path;
+  if (!visited[to]) return path;
+  for (std::uint16_t v = to; v != from;) {
+    const std::int32_t e = parent_edge[v];
+    assert(e >= 0);
+    path.push_back(static_cast<std::uint16_t>(e));
+    v = config.edges[static_cast<std::size_t>(e)].src;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 }  // namespace
@@ -215,8 +258,7 @@ DagPlan plan_dag(const DagConfig& config) {
     }
   }
 
-  // Per-flow routing: BFS shortest path, ties broken by lowest edge id
-  // (out-edge lists are in declaration order, so first-reached wins).
+  // Per-flow routing: the shortest path, ties broken by lowest edge id.
   DagPlan plan;
   plan.flow_paths.resize(config.flows.size());
   plan.flow_segments.resize(config.flows.size());
@@ -258,22 +300,9 @@ DagPlan plan_dag(const DagConfig& config) {
       invalid(std::move(message));
     }
 
-    std::vector<std::int32_t> parent_edge(n, -1);
-    std::vector<std::uint8_t> visited(n, 0);
-    std::vector<std::uint16_t> frontier{flow.src};
-    visited[flow.src] = 1;
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const std::uint16_t u = frontier[head];
-      if (u != flow.src && kind(u) == DagNodeKind::kTerminal) continue;
-      for (const std::uint16_t e : out_edges[u]) {
-        const std::uint16_t w = config.edges[e].dst;
-        if (visited[w]) continue;
-        visited[w] = 1;
-        parent_edge[w] = static_cast<std::int32_t>(e);
-        frontier.push_back(w);
-      }
-    }
-    if (!visited[flow.dst]) {
+    plan.flow_paths[f] = shortest_path(config, out_edges, flow.src, flow.dst,
+                                       {});
+    if (plan.flow_paths[f].empty()) {
       std::string message = "flow ";
       message += label(flow.src);
       message += " -> ";
@@ -281,14 +310,6 @@ DagPlan plan_dag(const DagConfig& config) {
       message += " is unreachable";
       invalid(std::move(message));
     }
-    std::vector<std::uint16_t>& path = plan.flow_paths[f];
-    for (std::uint16_t v = flow.dst; v != flow.src;) {
-      const std::int32_t e = parent_edge[v];
-      assert(e >= 0);
-      path.push_back(static_cast<std::uint16_t>(e));
-      v = config.edges[static_cast<std::size_t>(e)].src;
-    }
-    std::reverse(path.begin(), path.end());
   }
 
   // QoS sanity. Relays schedule VCs, not flows, so every flow sharing a VC
@@ -446,34 +467,9 @@ DagPlan plan_dag(const DagConfig& config) {
         DagPlan::Reroute reroute;
         reroute.flow = static_cast<std::uint16_t>(f);
         reroute.dead_segment = si;
-        std::vector<std::int32_t> parent_edge(n, -1);
-        std::vector<std::uint8_t> visited(n, 0);
-        std::vector<std::uint16_t> frontier{segment.origin};
-        visited[segment.origin] = 1;
-        for (std::size_t head = 0; head < frontier.size(); ++head) {
-          const std::uint16_t u = frontier[head];
-          if (u != segment.origin && kind(u) == DagNodeKind::kTerminal)
-            continue;
-          for (const std::uint16_t e : out_edges[u]) {
-            if (edge_doomed[e] != 0) continue;
-            const std::uint16_t w = config.edges[e].dst;
-            if (visited[w]) continue;
-            visited[w] = 1;
-            parent_edge[w] = static_cast<std::int32_t>(e);
-            frontier.push_back(w);
-          }
-        }
-        if (visited[flow.dst]) {
-          for (std::uint16_t v = flow.dst; v != segment.origin;) {
-            const std::int32_t e = parent_edge[v];
-            assert(e >= 0);
-            reroute.backup_edges.push_back(static_cast<std::uint16_t>(e));
-            v = config.edges[static_cast<std::size_t>(e)].src;
-          }
-          std::reverse(reroute.backup_edges.begin(),
-                       reroute.backup_edges.end());
-          extract_segments(reroute.backup_edges, reroute.backup_segments);
-        }
+        reroute.backup_edges = shortest_path(config, out_edges, segment.origin,
+                                             flow.dst, edge_doomed);
+        extract_segments(reroute.backup_edges, reroute.backup_segments);
         plan.reroutes.push_back(std::move(reroute));
       }
     }
@@ -633,12 +629,6 @@ class FaultController {
     return out;
   }
 
-  [[nodiscard]] bool flow_rerouted(std::size_t flow) const {
-    for (const Item& item : items_)
-      if (item.reroute->flow == flow && item.report.rerouted) return true;
-    return false;
-  }
-
   /// Attaches the controller to a flit-lifecycle trace sink: each executed
   /// switchover emits kRerouteDrain (flow tagged, arg = re-injected count).
   void set_trace(obs::TraceSink* sink, std::uint16_t component) noexcept {
@@ -685,18 +675,10 @@ class FaultController {
     item.report.rerouted = true;
     item.report.switched_at = queue_.now();
     item.resolved = true;
-    if (trace_ != nullptr) {
-      obs::TraceEvent event;
-      event.at = queue_.now();
-      event.truth_index = 0;
-      event.component = trace_component_;
-      event.flow = flow;
-      event.seq = 0;
-      event.vc = 0;
-      event.kind = obs::TraceEventKind::kRerouteDrain;
-      event.arg = static_cast<std::uint32_t>(item.report.reinjected);
-      trace_->record(trace_component_, event);
-    }
+    if (trace_ != nullptr)
+      trace_->emit(trace_component_, queue_.now(),
+                   obs::TraceEventKind::kRerouteDrain, 0, flow, 0, 0,
+                   static_cast<std::uint32_t>(item.report.reinjected));
   }
 
   sim::EventQueue& queue_;
@@ -707,53 +689,135 @@ class FaultController {
   std::uint16_t trace_component_ = 0;
 };
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Instantiation + run
 // ---------------------------------------------------------------------------
 
-DagReport run_dag_fabric(const DagConfig& config) {
-  assert(config.horizon > 0);
-  const DagPlan plan = plan_dag(config);
-  const std::size_t node_count = config.nodes.size();
+/// One end of a segment: the endpoint terminating it there and, at a relay,
+/// that endpoint's port index.
+struct Side {
+  Endpoint* endpoint = nullptr;
+  std::size_t port = 0;
+};
 
-  sim::EventQueue queue;
-  Xoshiro256 seeder(config.seed);
-  auto kind = [&](std::size_t node) { return config.nodes[node].kind; };
+/// A DAG fabric built from its plan: the event queue, every component, and
+/// the report the run fills. Hooks reach fabric state through the fabric
+/// and a plan index (flow, node), and every segment's two ends are
+/// recorded as its domain is built, so nothing is looked up by key.
+class Fabric {
+ public:
+  Fabric(const DagConfig& config, const DagPlan& plan);
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
+
+  /// Runs to the horizon and hands over the report; call it once.
+  [[nodiscard]] DagReport run();
+
+ private:
+  /// A segment's TX side (where its data leaves) and RX side.
+  struct Ends {
+    Side tx;
+    Side rx;
+  };
+  /// One ISN domain: its first segment and the wire its reverse direction
+  /// rides (the mate's edge, or the implicit control wire).
+  struct Domain {
+    std::uint32_t rep = 0;
+    sim::LinkChannel* reverse = nullptr;
+  };
+  /// A terminal's endpoint in one domain, and the node it sits at.
+  struct Terminal {
+    std::uint16_t node = 0;
+    std::unique_ptr<Endpoint> endpoint;
+  };
+  /// Per-flow state: the stream's scoreboard, the arrival process with
+  /// its one armed wake-up, the stream positions offered so far, and the
+  /// latency ring (kLatencyRingSlots inject timestamps keyed by truth
+  /// index, so sampling memory does not grow with run length).
+  struct FlowRuntime {
+    explicit FlowRuntime(sim::PayloadFn payload) : board(payload) {}
+    /// Holds the flow's payload as a function of the stream position; the
+    /// source sends that function by reference, so the board skips the
+    /// compare for every delivery no error touched.
+    txn::StreamScoreboard board;
+    std::vector<TimePs> ring_at;          // inject timestamp per ring slot
+    std::vector<std::uint64_t> ring_tag;  // truth index stamped in the slot
+    std::optional<ArrivalProcess> arrivals;
+    Endpoint* source = nullptr;  // wake-up kick target
+    std::uint64_t offered = 0;
+    bool pace_armed = false;
+  };
+
+  void build_domain(std::uint32_t si, const ProtocolConfig& protocol,
+                    Xoshiro256& seeder);
+  Side add_side(std::uint16_t node, const ProtocolConfig& protocol);
+  void wire_segment(std::size_t si, Endpoint* rx);
+  void build_controller(const std::vector<std::uint8_t>& node_failed);
+  void register_trace();
+  void build_flows();
+  /// The flow's Endpoint::SourceFn gate: offers stream position `index`,
+  /// or returns false while none is offered.
+  bool pull(std::size_t f, std::uint64_t index);
+  /// The delivery hook of every terminal endpoint at `node`.
+  void deliver(std::uint16_t node, const sim::FlitEnvelope& envelope);
+  /// One occupancy/goodput time-series point; re-arms itself.
+  void sample();
+
+  const DagConfig& config_;
+  const DagPlan& plan_;
+  const bool sample_latency_;  ///< stamp the latency ring at each pull
+  sim::EventQueue queue_;
+  std::unique_ptr<obs::TraceSink> trace_;
+  std::vector<sim::LinkFaultSchedule> fault_schedules_;
+  std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs_;  ///< by node
+  std::vector<std::unique_ptr<sim::LinkChannel>> channels_;   ///< by edge
+  std::vector<std::unique_ptr<switchdev::RelaySwitch>> relays_;  ///< by node
+  std::vector<Terminal> terminals_;
+  std::vector<std::unique_ptr<sim::LinkChannel>> control_channels_;
+  std::vector<Ends> ends_;  ///< by segment
+  std::vector<Domain> domains_;
+  /// By flow; reserved once, so the boards' PayloadFns never move.
+  std::vector<FlowRuntime> flows_;
+  std::optional<FaultController> controller_;
+  DagReport report_;
+};
+
+Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
+    : config_(config),
+      plan_(plan),
+      sample_latency_(config.sample_latency || config.debug_latency_samples),
+      ends_(plan.segments.size()) {
+  const std::size_t node_count = config.nodes.size();
 
   // Flit-lifecycle tracing: the sink exists only when enabled, so every
   // emission site in the built components stays a null-pointer no-op on
   // untraced runs. Creating it draws nothing from the fabric seeder — the
   // channel/hub seed sequence (and with it the wire trajectory) is
   // byte-identical with tracing on or off.
-  std::unique_ptr<obs::TraceSink> trace_sink;
   if (config.trace.enabled)
-    trace_sink = std::make_unique<obs::TraceSink>(config.trace.ring_depth);
+    trace_ = std::make_unique<obs::TraceSink>(config.trace.ring_depth);
 
   // Compile the fault plan into one normalized schedule per edge: the
   // configured per-edge windows, plus a permanent outage on every edge
-  // incident to a fail-stop relay from its failure instant. The vector
-  // outlives the run; channels hold pointers into it. With an empty plan
-  // nothing here runs and every channel keeps its null-schedule fast path
-  // (bit-identical to a build without fault support).
-  const bool faults_on = !config.faults.empty();
+  // incident to a fail-stop relay from its failure instant. Channels hold
+  // pointers into the schedules. With an empty plan nothing here runs and
+  // every channel keeps its null-schedule fast path (bit-identical to a
+  // build without fault support).
   std::vector<std::uint8_t> node_failed(node_count, 0);
-  std::vector<sim::LinkFaultSchedule> fault_schedules;
-  if (faults_on) {
+  if (!config.faults.empty()) {
     for (const sim::RelayFailStop& failure : config.faults.relay_failures)
       node_failed[failure.node] = 1;
-    fault_schedules.resize(config.edges.size());
+    fault_schedules_.resize(config.edges.size());
     for (std::size_t e = 0; e < config.faults.edges.size(); ++e)
-      fault_schedules[e] = config.faults.edges[e];
+      fault_schedules_[e] = config.faults.edges[e];
     for (const sim::RelayFailStop& failure : config.faults.relay_failures) {
       for (std::size_t e = 0; e < config.edges.size(); ++e) {
         if (config.edges[e].src == failure.node ||
             config.edges[e].dst == failure.node)
-          fault_schedules[e].add_window(failure.at, 0);
+          fault_schedules_[e].add_window(failure.at, 0);
       }
     }
-    for (sim::LinkFaultSchedule& schedule : fault_schedules)
+    for (sim::LinkFaultSchedule& schedule : fault_schedules_)
       schedule.normalize();
   }
 
@@ -761,41 +825,46 @@ DagReport run_dag_fabric(const DagConfig& config) {
   // star reproduction): hubs first in node order, then forward channels in
   // edge order, then implicit control wires in domain order. A hub routes
   // by segment index, so its table has one entry per segment.
-  std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs(node_count);
+  Xoshiro256 seeder(config.seed);
+  hubs_.resize(node_count);
   for (std::size_t v = 0; v < node_count; ++v) {
-    if (kind(v) != DagNodeKind::kHub) continue;
+    if (config.nodes[v].kind != DagNodeKind::kHub) continue;
     const std::uint64_t seed =
         config.nodes[v].seed.has_value() ? *config.nodes[v].seed : seeder();
     switchdev::PortSwitch::Config hub_config;
     hub_config.protocol = config.protocol.protocol;
     hub_config.internal_error_rate = config.hub_internal_error_rate;
     hub_config.ports = plan.segments.size();
-    hubs[v] = std::make_unique<switchdev::PortSwitch>(queue, hub_config, seed);
+    hubs_[v] =
+        std::make_unique<switchdev::PortSwitch>(queue_, hub_config, seed);
   }
-  std::vector<std::unique_ptr<sim::LinkChannel>> channels(config.edges.size());
+  channels_.reserve(config.edges.size());
   for (std::size_t e = 0; e < config.edges.size(); ++e) {
     const DagEdge& edge = config.edges[e];
     const std::uint64_t seed = edge.seed.has_value() ? *edge.seed : seeder();
-    channels[e] = std::make_unique<sim::LinkChannel>(
-        queue,
-        make_error_model(edge.ber, edge.burst_injection_rate, kBurstSymbols),
-        seed, config.slot, edge.latency);
-    if (faults_on) channels[e]->set_fault_schedule(&fault_schedules[e]);
+    sim::LinkChannel& channel =
+        *channels_.emplace_back(std::make_unique<sim::LinkChannel>(
+            queue_,
+            make_error_model(edge.ber, edge.burst_injection_rate,
+                             kBurstSymbols),
+            seed, config.slot, edge.latency));
+    if (!fault_schedules_.empty())
+      channel.set_fault_schedule(&fault_schedules_[e]);
   }
-
-  std::vector<std::unique_ptr<switchdev::RelaySwitch>> relays(node_count);
+  relays_.resize(node_count);
   for (std::size_t v = 0; v < node_count; ++v) {
-    if (kind(v) == DagNodeKind::kRelay)
-      relays[v] = std::make_unique<switchdev::RelaySwitch>(
-          queue, node_label(config, v));
+    if (config.nodes[v].kind == DagNodeKind::kRelay)
+      relays_[v] = std::make_unique<switchdev::RelaySwitch>(
+          queue_, node_label(config, v));
   }
 
-  // Per-hop domains. Unpaired domains carry acknowledgments standalone on
-  // the implicit reverse control wire (there is no reverse data to
-  // piggyback on); paired domains keep the configured policy. Every hop is
-  // provisioned with exactly the VCs the flows demand (1 + the largest VC
-  // in use — one VC when every flow rides VC 0, the legacy wire image) and
-  // the fabric-wide ECN threshold.
+  // Per-hop domains, in segment order (a mate is built with its pair).
+  // Unpaired domains carry acknowledgments standalone on the implicit
+  // reverse control wire (there is no reverse data to piggyback on);
+  // paired domains keep the configured policy. Every hop is provisioned
+  // with exactly the VCs the flows demand (1 + the largest VC in use — one
+  // VC when every flow rides VC 0, the legacy wire image) and the
+  // fabric-wide ECN threshold.
   ProtocolConfig hop_protocol = config.protocol;
   hop_protocol.num_vcs = 1;
   for (const DagFlow& flow : config.flows)
@@ -804,442 +873,266 @@ DagReport run_dag_fabric(const DagConfig& config) {
   hop_protocol.ecn_threshold = config.ecn_threshold;
   ProtocolConfig unpaired_protocol = hop_protocol;
   unpaired_protocol.ack_policy = link::AckPolicy::kStandalone;
-
-  std::vector<std::unique_ptr<Endpoint>> terminal_endpoints;
-  std::map<std::pair<std::uint16_t, std::uint32_t>, Endpoint*> terminal_of;
-  std::map<std::pair<std::uint16_t, std::uint32_t>, std::size_t> relay_port_of;
-  std::vector<std::vector<DagRelayPort>> relay_ports(node_count);
-  auto attach = [&](std::uint16_t node, std::uint32_t rep,
-                    const ProtocolConfig& protocol) -> Endpoint* {
-    const std::pair<std::uint16_t, std::uint32_t> key{node, rep};
-    if (kind(node) == DagNodeKind::kRelay) {
-      const auto it = relay_port_of.find(key);
-      if (it != relay_port_of.end()) return &relays[node]->port(it->second);
-      const std::size_t port = relays[node]->add_port(protocol);
-      relay_port_of.emplace(key, port);
-      relay_ports[node].push_back(DagRelayPort{});
-      return &relays[node]->port(port);
-    }
-    const auto it = terminal_of.find(key);
-    if (it != terminal_of.end()) return it->second;
-    terminal_endpoints.push_back(std::make_unique<Endpoint>(
-        queue, protocol, node_label(config, node)));
-    terminal_of.emplace(key, terminal_endpoints.back().get());
-    return terminal_endpoints.back().get();
-  };
-  auto note_relay_edges = [&](std::uint16_t node, std::uint32_t rep,
-                              std::uint16_t rx_edge, std::uint16_t tx_edge) {
-    if (kind(node) != DagNodeKind::kRelay) return;
-    DagRelayPort& port = relay_ports[node][relay_port_of.at({node, rep})];
-    if (rx_edge != DagRelayPort::kNoEdge) port.rx_edge = rx_edge;
-    if (tx_edge != DagRelayPort::kNoEdge) port.tx_edge = tx_edge;
-  };
-
-  // Wires one domain direction: every edge of the chain but the last
-  // delivers into the hub it enters, whose table routes the segment's tag
-  // onto the next edge; the last edge delivers into the receiving side.
-  auto wire_segment = [&](std::size_t si, Endpoint* rx) {
-    const std::vector<std::uint16_t>& edges = plan.segments[si].edges;
-    for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-      switchdev::PortSwitch* const hub = hubs[config.edges[edges[i]].dst].get();
-      channels[edges[i]]->set_receiver([hub](sim::FlitEnvelope&& envelope) {
-        hub->on_flit(std::move(envelope));
-      });
-      hub->set_output(si, channels[edges[i + 1]].get());
-    }
-    channels[edges.back()]->set_receiver([rx](sim::FlitEnvelope&& envelope) {
-      rx->on_flit(std::move(envelope));
-    });
-  };
-
-  struct Domain {
-    std::uint32_t rep = 0;
-    Endpoint* a = nullptr;
-    Endpoint* b = nullptr;
-    sim::LinkChannel* forward = nullptr;
-    sim::LinkChannel* reverse = nullptr;
-  };
-  std::vector<Domain> domains;
-  std::vector<std::unique_ptr<sim::LinkChannel>> control_channels;
-  std::vector<std::uint32_t> rep_of(plan.segments.size(), 0);
-  std::vector<std::uint8_t> processed(plan.segments.size(), 0);
-  // Per-segment transmitter/receiver endpoints, for the fault controller's
-  // hop-down handlers, reconciliation reads, and quiesce probes.
-  std::vector<Endpoint*> seg_tx(plan.segments.size(), nullptr);
-  std::vector<Endpoint*> seg_rx(plan.segments.size(), nullptr);
-  for (std::size_t si = 0; si < plan.segments.size(); ++si) {
-    if (processed[si]) continue;
-    const DagPlan::Segment& segment = plan.segments[si];
-    const bool paired = segment.mate.has_value();
-    processed[si] = 1;
-    rep_of[si] = static_cast<std::uint32_t>(si);
-    if (paired) {
-      processed[*segment.mate] = 1;
-      rep_of[*segment.mate] = static_cast<std::uint32_t>(si);
-    }
-    const ProtocolConfig& protocol =
-        paired ? hop_protocol : unpaired_protocol;
-    // Credit flow control per domain direction: the window for data flowing
-    // toward a termination equals the bounded-buffer depth configured on
-    // the edge entering it (the relay's store-and-forward slots, or the
-    // sink terminal's notional consume buffer).
-    auto resolved_credits = [&](const DagPlan::Segment& s) {
-      return config.edges[s.ingress_edge].credits.value_or(config.hop_credits);
-    };
-    ProtocolConfig protocol_a = protocol;
-    ProtocolConfig protocol_b = protocol;
-    protocol_a.tx_credits = resolved_credits(segment);
-    protocol_b.rx_credits = protocol_a.tx_credits;
-    if (paired) {
-      const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      protocol_b.tx_credits = resolved_credits(mate);
-      protocol_a.rx_credits = protocol_b.tx_credits;
-    }
-
-    Domain domain;
-    domain.rep = static_cast<std::uint32_t>(si);
-    domain.a = attach(segment.origin, domain.rep, protocol_a);
-    domain.b = attach(segment.peer, domain.rep, protocol_b);
-    domain.forward = channels[segment.egress_edge].get();
-    if (paired) {
-      domain.reverse = channels[plan.segments[*segment.mate].egress_edge].get();
-    } else {
-      const DagEdge& edge = config.edges[segment.egress_edge];
-      control_channels.push_back(std::make_unique<sim::LinkChannel>(
-          queue,
-          make_error_model(edge.ber, edge.burst_injection_rate,
-                           kBurstSymbols),
-          seeder(), config.slot, edge.latency));
-      domain.reverse = control_channels.back().get();
-      // The implicit control wire shares the forward edge's physical link:
-      // when that cable is down, acknowledgments die with the data (this is
-      // what starves the TX into declaring the hop dead). Paired domains
-      // route acks over the mate edge, which carries its own schedule —
-      // fault plans for bidirectional hops must down both edges.
-      if (faults_on)
-        domain.reverse->set_fault_schedule(
-            &fault_schedules[segment.egress_edge]);
-    }
-
-    domain.a->set_output(domain.forward);
-    domain.a->set_dest_port(static_cast<std::uint16_t>(si));
-    domain.b->set_output(domain.reverse);
-    domain.b->set_dest_port(
-        paired ? static_cast<std::uint16_t>(*segment.mate) : std::uint16_t{0});
-
-    Endpoint* const side_a = domain.a;
-    wire_segment(si, domain.b);
-    if (paired) {
-      const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      wire_segment(*segment.mate, side_a);
-      note_relay_edges(segment.origin, domain.rep,
-                       mate.ingress_edge, segment.egress_edge);
-      note_relay_edges(segment.peer, domain.rep,
-                       segment.ingress_edge, mate.egress_edge);
-    } else {
-      domain.reverse->set_receiver([side_a](sim::FlitEnvelope&& envelope) {
-        side_a->on_flit(std::move(envelope));
-      });
-      note_relay_edges(segment.origin, domain.rep, DagRelayPort::kNoEdge,
-                       segment.egress_edge);
-      note_relay_edges(segment.peer, domain.rep, segment.ingress_edge,
-                       DagRelayPort::kNoEdge);
-    }
-    seg_tx[si] = domain.a;
-    seg_rx[si] = domain.b;
-    if (paired) {
-      seg_tx[*segment.mate] = domain.b;
-      seg_rx[*segment.mate] = domain.a;
-    }
-    domains.push_back(domain);
+  for (std::uint32_t si = 0;
+       si < static_cast<std::uint32_t>(plan.segments.size()); ++si) {
+    if (ends_[si].tx.endpoint != nullptr) continue;
+    build_domain(si,
+                 plan.segments[si].mate.has_value() ? hop_protocol
+                                                    : unpaired_protocol,
+                 seeder);
   }
+  // Terminal endpoints were created in domain order; ordered by node they
+  // are in (node, domain) order, the trace registration order.
+  std::stable_sort(terminals_.begin(), terminals_.end(),
+                   [](const Terminal& x, const Terminal& y) {
+                     return x.node < y.node;
+                   });
 
   // Relay flow tables + QoS plumbing: every relay learns each flow's VC
   // (flow ids are fabric-global, and an ingress relay accounts by VC even
   // when only the egress relay routes the flow), the scheduling policy, and
   // the per-VC DRR weights (plan_dag proved flows sharing a VC agree).
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (relays[v] == nullptr) continue;
-    relays[v]->set_egress_policy(config.egress_policy);
+  for (const auto& relay : relays_) {
+    if (relay == nullptr) continue;
+    relay->set_egress_policy(config.egress_policy);
     for (std::size_t f = 0; f < config.flows.size(); ++f) {
       const DagFlow& flow = config.flows[f];
       if (flow.vc != 0)
-        relays[v]->set_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
-      relays[v]->set_vc_weight(flow.vc, flow.weight);
+        relay->set_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
+      relay->set_vc_weight(flow.vc, flow.weight);
     }
   }
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     for (const std::uint32_t si : plan.flow_segments[f]) {
-      const DagPlan::Segment& segment = plan.segments[si];
-      if (kind(segment.origin) != DagNodeKind::kRelay) continue;
-      relays[segment.origin]->set_route(
-          static_cast<std::uint16_t>(f),
-          relay_port_of.at({segment.origin, rep_of[si]}));
+      switchdev::RelaySwitch* const relay =
+          relays_[plan.segments[si].origin].get();
+      if (relay != nullptr)
+        relay->set_route(static_cast<std::uint16_t>(f), ends_[si].tx.port);
     }
   }
 
-  // Fault management plane: resolve each planned reroute to its runtime
-  // pointers and install hop-down handlers on the transmitters of doomed
-  // segments. Endpoints on a fail-stop relay still simulate (their incident
-  // links just go dark), but their events carry no recoverable state, so
-  // the controller never watches them.
-  std::unique_ptr<FaultController> controller;
-  if (faults_on && !plan.reroutes.empty()) {
-    controller = std::make_unique<FaultController>(queue, plan.segments.size());
-    for (const DagPlan::Reroute& reroute : plan.reroutes) {
-      const DagPlan::Segment& dead = plan.segments[reroute.dead_segment];
-      FaultController::Item item;
-      item.reroute = &reroute;
-      item.peer_failed = node_failed[dead.peer] != 0;
-      item.peer_rx = item.peer_failed ? nullptr : seg_rx[reroute.dead_segment];
-      if (kind(dead.origin) == DagNodeKind::kRelay) {
-        item.origin_relay = relays[dead.origin].get();
-        item.old_port =
-            relay_port_of.at({dead.origin, rep_of[reroute.dead_segment]});
-      }
-      if (!reroute.backup_segments.empty()) {
-        const std::uint32_t first = reroute.backup_segments.front();
-        if (item.origin_relay != nullptr)
-          item.new_port = relay_port_of.at({dead.origin, rep_of[first]});
-        for (const std::uint32_t si : reroute.backup_segments) {
-          const DagPlan::Segment& segment = plan.segments[si];
-          if (kind(segment.origin) != DagNodeKind::kRelay) continue;
-          item.route_installs.emplace_back(
-              relays[segment.origin].get(),
-              relay_port_of.at({segment.origin, rep_of[si]}));
-        }
-      }
-      // Old-path suffix: every segment after the dead one still drains
-      // in-flight flits toward the destination; the quiesce phase waits for
-      // them so re-injected traffic cannot overtake. Probes on a fail-stop
-      // relay are skipped — anything it holds is lost, and waiting on its
-      // frozen queues would only burn the poll budget.
-      const std::vector<std::uint32_t>& fsegs =
-          plan.flow_segments[reroute.flow];
-      auto it = std::find(fsegs.begin(), fsegs.end(), reroute.dead_segment);
-      assert(it != fsegs.end());
-      for (++it; it != fsegs.end(); ++it) {
-        const DagPlan::Segment& segment = plan.segments[*it];
-        if (node_failed[segment.origin] != 0) continue;
-        if (kind(segment.origin) == DagNodeKind::kRelay)
-          item.suffix_relays.push_back(relays[segment.origin].get());
-        item.suffix_tx.push_back(seg_tx[*it]);
-      }
-      controller->add_item(std::move(item));
-    }
-    for (std::uint32_t si = 0;
-         si < static_cast<std::uint32_t>(plan.segments.size()); ++si) {
-      if (!controller->watches(si)) continue;
-      FaultController* const ctrl = controller.get();
-      seg_tx[si]->set_hop_down([ctrl, si](Endpoint::HopDownEvent&& event) {
-        ctrl->on_hop_down(si, std::move(event));
-      });
-    }
-  }
+  if (!plan.reroutes.empty()) build_controller(node_failed);
+  if (trace_ != nullptr) register_trace();
+  build_flows();
 
-  // Trace-component registration, in a fixed deterministic order: terminal
-  // endpoints (map order), then per-relay port endpoints and the relay's
-  // routing fabric, forward channels, implicit control wires, and the
-  // reroute controller. Component ids are the registration indices, so a
-  // capture is comparable across runs and worker counts.
-  if (trace_sink != nullptr) {
-    obs::TraceSink* const sink = trace_sink.get();
-    for (const auto& [key, endpoint] : terminal_of)
-      endpoint->set_trace(sink, sink->add_component(endpoint->name()));
-    for (std::size_t v = 0; v < node_count; ++v) {
-      if (relays[v] == nullptr) continue;
-      for (std::size_t p = 0; p < relays[v]->ports(); ++p) {
-        Endpoint& port = relays[v]->port(p);
-        port.set_trace(sink, sink->add_component(port.name()));
-      }
-      std::string fabric_name = relays[v]->name();
-      fabric_name += ".q";
-      relays[v]->set_trace(sink, sink->add_component(std::move(fabric_name)));
-    }
-    for (std::size_t e = 0; e < channels.size(); ++e) {
-      std::string wire_name = "wire.e";
-      wire_name += std::to_string(e);
-      channels[e]->set_trace(sink, sink->add_component(std::move(wire_name)));
-    }
-    for (std::size_t w = 0; w < control_channels.size(); ++w) {
-      std::string wire_name = "ctrl.w";
-      wire_name += std::to_string(w);
-      control_channels[w]->set_trace(
-          sink, sink->add_component(std::move(wire_name)));
-    }
-    if (controller != nullptr)
-      controller->set_trace(sink, sink->add_component("reroute"));
-  }
+  // Occupancy/goodput time-series sampler: a self-rescheduling observation
+  // event that only READS counters, so the trajectory is untouched (the
+  // traced-vs-untraced report-equality test pins this).
+  if (trace_ != nullptr && config.trace.sample_period > 0)
+    queue_.schedule(config.trace.sample_period, [this] { sample(); });
+}
 
-  // Flow sources and sinks. Per-flow runtime state for arrival processes
-  // (one armed wake-up per rate-shaped flow) and latency sampling. The
-  // sampling footprint is fixed per flow — a log-bucketed histogram plus a
-  // kLatencyRingSlots timestamp ring keyed by truth index — so memory no
-  // longer grows with run length (raw samples only under the debug
-  // opt-in). The vector is sized once, so the sources' and sinks' element
-  // pointers stay stable for the whole run. Keep the struct lean: the
-  // 16-flow workloads' vector of them sits just under glibc's 128 KiB mmap
-  // threshold, and crossing it makes every run's set-up map and fault in
-  // fresh pages.
-  struct FlowRuntime {
-    stats::LatencyHistogram latency;
-    std::vector<TimePs> ring_at;          // inject timestamp per ring slot
-    std::vector<std::uint64_t> ring_tag;  // truth index stamped in the slot
-    std::vector<TimePs> debug_samples;
-    std::uint64_t sample_misses = 0;
-    bool pace_armed = false;
-    bool sample = false;  // stamp the latency ring at each pull
-    std::uint16_t id = 0;
-    std::optional<ArrivalProcess> arrivals;
-    Endpoint* source = nullptr;  // wake-up kick target
-    // Source side: the flow, the scoreboard whose PayloadFn its flits
-    // carry by reference, and how many stream positions it has offered.
-    const DagFlow* spec = nullptr;
-    txn::StreamScoreboard* board = nullptr;
-    std::uint64_t offered = 0;
-    sim::EventQueue* queue = nullptr;
-    obs::TraceSink* trace = nullptr;
-
-    /// The flow's Endpoint::SourceFn gate: offers stream position `index`,
-    /// or returns false while none is offered.
-    bool pull(std::uint64_t index) {
-      if (index >= spec->flits) return false;
-      TimePs inject_stamp = queue->now();
-      if (arrivals.has_value()) {
-        // Rate-shaped source: index i is offered no earlier than its
-        // arrival due-time. A premature pull arms one wake-up kick at the
-        // due instant, so the flow needs no external traffic to resume
-        // (and arms at most one timer however often the endpoint polls
-        // meanwhile).
-        const TimePs due = arrivals->due(index);
-        const TimePs now = queue->now();
-        if (now < due) {
-          if (!pace_armed) {
-            pace_armed = true;
-            queue->schedule(due - now, [this] {
-              pace_armed = false;
-              source->kick();
-            });
-          }
-          return false;
-        }
-        // Latency is measured from the ARRIVAL, not the pull: under
-        // overload the source-side backlog is part of the delay, which is
-        // what makes a load-latency curve inflect past saturation.
-        inject_stamp = due;
-      }
-      if (sample) {
-        const std::size_t slot =
-            static_cast<std::size_t>(index) % ring_tag.size();
-        ring_tag[slot] = index;
-        ring_at[slot] = inject_stamp;
-      }
-      if (trace != nullptr) {
-        // Stamped with the arrival DUE time — the same origin the latency
-        // ring stores — so a reconstructed journey's hop sums equal the
-        // histogram-recorded end-to-end sample exactly.
-        obs::TraceEvent event;
-        event.at = inject_stamp;
-        event.truth_index = index;
-        event.component = source->trace_component();
-        event.flow = id;
-        event.seq = 0;
-        event.vc = spec->vc;
-        event.kind = obs::TraceEventKind::kInject;
-        event.arg = 0;
-        trace->record(event.component, event);
-      }
-      board->register_sent(index);
-      offered = index + 1;
-      return true;
-    }
+void Fabric::build_domain(std::uint32_t si, const ProtocolConfig& protocol,
+                          Xoshiro256& seeder) {
+  const DagPlan::Segment& segment = plan_.segments[si];
+  const DagPlan::Segment* const mate =
+      segment.mate.has_value() ? &plan_.segments[*segment.mate] : nullptr;
+  // Credit flow control per domain direction: the window for data flowing
+  // toward a termination equals the bounded-buffer depth configured on
+  // the edge entering it (the relay's store-and-forward slots, or the
+  // sink terminal's notional consume buffer).
+  auto resolved_credits = [&](const DagPlan::Segment& s) {
+    return config_.edges[s.ingress_edge].credits.value_or(config_.hop_credits);
   };
-  // Each board holds its flow's payload as a function of the stream
-  // position; the flow's source sends that function by reference, so the
-  // board skips the compare for every delivery no error touched. The
-  // vector never reallocates after this loop.
-  std::vector<txn::StreamScoreboard> boards;
-  boards.reserve(config.flows.size());
-  for (const DagFlow& flow : config.flows) {
-    boards.emplace_back([salt = flow.salt](std::uint64_t index,
-                                           Endpoint::PayloadOut out) {
-      fill_stream_payload(index, salt, out);
+  ProtocolConfig protocol_a = protocol;
+  ProtocolConfig protocol_b = protocol;
+  protocol_a.tx_credits = resolved_credits(segment);
+  protocol_b.rx_credits = protocol_a.tx_credits;
+  if (mate != nullptr) {
+    protocol_b.tx_credits = resolved_credits(*mate);
+    protocol_a.rx_credits = protocol_b.tx_credits;
+  }
+
+  const Side a = add_side(segment.origin, protocol_a);
+  const Side b = add_side(segment.peer, protocol_b);
+  sim::LinkChannel* reverse = nullptr;
+  if (mate != nullptr) {
+    reverse = channels_[mate->egress_edge].get();
+  } else {
+    const DagEdge& edge = config_.edges[segment.egress_edge];
+    reverse = control_channels_
+                  .emplace_back(std::make_unique<sim::LinkChannel>(
+                      queue_,
+                      make_error_model(edge.ber, edge.burst_injection_rate,
+                                       kBurstSymbols),
+                      seeder(), config_.slot, edge.latency))
+                  .get();
+    // The implicit control wire shares the forward edge's physical link:
+    // when that cable is down, acknowledgments die with the data (this is
+    // what starves the TX into declaring the hop dead). Paired domains
+    // route acks over the mate edge, which carries its own schedule —
+    // fault plans for bidirectional hops must down both edges.
+    if (!fault_schedules_.empty())
+      reverse->set_fault_schedule(&fault_schedules_[segment.egress_edge]);
+  }
+
+  a.endpoint->set_output(channels_[segment.egress_edge].get());
+  a.endpoint->set_dest_port(static_cast<std::uint16_t>(si));
+  b.endpoint->set_output(reverse);
+  b.endpoint->set_dest_port(
+      mate != nullptr ? static_cast<std::uint16_t>(*segment.mate)
+                      : std::uint16_t{0});
+  wire_segment(si, b.endpoint);
+  ends_[si] = Ends{a, b};
+  if (mate != nullptr) {
+    wire_segment(*segment.mate, a.endpoint);
+    ends_[*segment.mate] = Ends{b, a};
+  } else {
+    reverse->set_receiver([rx = a.endpoint](sim::FlitEnvelope&& envelope) {
+      rx->on_flit(std::move(envelope));
     });
   }
-  std::vector<FlowRuntime> flow_runtime(config.flows.size());
-  const bool sample = config.sample_latency || config.debug_latency_samples;
-  std::uint64_t misrouted = 0;
-  std::uint64_t trace_delivered = 0;  ///< time-series goodput counter
-  // One sink per terminal endpoint: its delivery hook captures only a
-  // pointer to it (reserved up front, so the pointers stay stable).
-  struct Sink {
-    const DagFlow* flows;
-    std::size_t flow_count;
-    FlowRuntime* runtime;
-    const sim::EventQueue* queue;
-    std::uint64_t* misrouted;
-    std::uint64_t* delivered;
-    std::uint16_t node;
-    bool sample;
-    bool debug;
+  domains_.push_back(Domain{si, reverse});
+}
 
-    void deliver(const sim::FlitEnvelope& envelope) {
-      if (!envelope.has_truth || envelope.flow_id >= flow_count ||
-          flows[envelope.flow_id].dst != node) {
-        *misrouted += 1;
-        return;
-      }
-      FlowRuntime& flow = runtime[envelope.flow_id];
-      flow.board->on_deliver(envelope);
-      *delivered += 1;
-      if (!sample) return;
-      // The ring slot still carries this truth index unless the flow fell
-      // more than kLatencyRingSlots behind its newest pull; an overwritten
-      // slot is a MISS, counted instead of silently skipped (samples must
-      // never undercount without a signal).
-      const std::size_t slot =
-          static_cast<std::size_t>(envelope.truth_index) %
-          flow.ring_tag.size();
-      if (flow.ring_tag[slot] == envelope.truth_index) {
-        const TimePs delay = queue->now() - flow.ring_at[slot];
-        flow.latency.add(delay);
-        if (debug) flow.debug_samples.push_back(delay);
-      } else {
-        flow.sample_misses += 1;
-      }
-    }
-  };
-  std::vector<Sink> sinks;
-  sinks.reserve(terminal_of.size());
-  for (const auto& [key, endpoint] : terminal_of) {
-    Sink* const sink = &sinks.emplace_back(
-        Sink{config.flows.data(), config.flows.size(), flow_runtime.data(),
-             &queue, &misrouted, &trace_delivered, key.first, sample,
-             config.debug_latency_samples});
-    endpoint->set_deliver(
-        [sink](const sim::FlitEnvelope& envelope) { sink->deliver(envelope); });
+Side Fabric::add_side(std::uint16_t node, const ProtocolConfig& protocol) {
+  if (relays_[node] != nullptr) {
+    const std::size_t port = relays_[node]->add_port(protocol);
+    return Side{&relays_[node]->port(port), port};
   }
-  std::vector<Endpoint*> flow_sources(config.flows.size(), nullptr);
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    const DagFlow& flow = config.flows[f];
-    const std::uint32_t first = plan.flow_segments[f].front();
-    Endpoint* const source = terminal_of.at({flow.src, rep_of[first]});
-    flow_sources[f] = source;
+  Endpoint* const endpoint =
+      terminals_
+          .emplace_back(Terminal{node, std::make_unique<Endpoint>(
+                                           queue_, protocol,
+                                           node_label(config_, node))})
+          .endpoint.get();
+  return Side{endpoint, 0};
+}
+
+// Wires one domain direction: every edge of the chain but the last
+// delivers into the hub it enters, whose table routes the segment's tag
+// onto the next edge; the last edge delivers into the receiving side.
+void Fabric::wire_segment(std::size_t si, Endpoint* rx) {
+  const std::vector<std::uint16_t>& edges = plan_.segments[si].edges;
+  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
+    switchdev::PortSwitch* const hub = hubs_[config_.edges[edges[i]].dst].get();
+    channels_[edges[i]]->set_receiver([hub](sim::FlitEnvelope&& envelope) {
+      hub->on_flit(std::move(envelope));
+    });
+    hub->set_output(si, channels_[edges[i + 1]].get());
+  }
+  channels_[edges.back()]->set_receiver([rx](sim::FlitEnvelope&& envelope) {
+    rx->on_flit(std::move(envelope));
+  });
+}
+
+// Fault management plane: resolve each planned reroute from the segment
+// ends and install hop-down handlers on the transmitters of doomed
+// segments. Endpoints on a fail-stop relay still simulate (their incident
+// links just go dark), but their events carry no recoverable state, so
+// the controller never watches them.
+void Fabric::build_controller(const std::vector<std::uint8_t>& node_failed) {
+  FaultController& controller =
+      controller_.emplace(queue_, plan_.segments.size());
+  for (const DagPlan::Reroute& reroute : plan_.reroutes) {
+    const DagPlan::Segment& dead = plan_.segments[reroute.dead_segment];
+    FaultController::Item item;
+    item.reroute = &reroute;
+    item.peer_failed = node_failed[dead.peer] != 0;
+    if (!item.peer_failed)
+      item.peer_rx = ends_[reroute.dead_segment].rx.endpoint;
+    item.origin_relay = relays_[dead.origin].get();
+    item.old_port = ends_[reroute.dead_segment].tx.port;
+    if (!reroute.backup_segments.empty())
+      item.new_port = ends_[reroute.backup_segments.front()].tx.port;
+    for (const std::uint32_t si : reroute.backup_segments) {
+      switchdev::RelaySwitch* const relay =
+          relays_[plan_.segments[si].origin].get();
+      if (relay != nullptr)
+        item.route_installs.emplace_back(relay, ends_[si].tx.port);
+    }
+    // Old-path suffix: every segment after the dead one still drains
+    // in-flight flits toward the destination; the quiesce phase waits for
+    // them so re-injected traffic cannot overtake. Probes on a fail-stop
+    // relay are skipped — anything it holds is lost, and waiting on its
+    // frozen queues would only burn the poll budget.
+    const std::vector<std::uint32_t>& fsegs =
+        plan_.flow_segments[reroute.flow];
+    auto it = std::find(fsegs.begin(), fsegs.end(), reroute.dead_segment);
+    assert(it != fsegs.end());
+    for (++it; it != fsegs.end(); ++it) {
+      const std::uint16_t origin = plan_.segments[*it].origin;
+      if (node_failed[origin] != 0) continue;
+      if (relays_[origin] != nullptr)
+        item.suffix_relays.push_back(relays_[origin].get());
+      item.suffix_tx.push_back(ends_[*it].tx.endpoint);
+    }
+    controller.add_item(std::move(item));
+  }
+  for (std::uint32_t si = 0; si < static_cast<std::uint32_t>(ends_.size());
+       ++si) {
+    if (!controller.watches(si)) continue;
+    ends_[si].tx.endpoint->set_hop_down(
+        [ctrl = &controller, si](Endpoint::HopDownEvent&& event) {
+          ctrl->on_hop_down(si, std::move(event));
+        });
+  }
+}
+
+// Trace-component registration, in a fixed deterministic order: terminal
+// endpoints by (node, domain), then per relay its port endpoints and its
+// routing fabric, forward channels, implicit control wires, and the
+// reroute controller. Component ids are the registration indices, so a
+// capture is comparable across runs and worker counts.
+void Fabric::register_trace() {
+  obs::TraceSink* const sink = trace_.get();
+  for (const Terminal& terminal : terminals_)
+    terminal.endpoint->set_trace(
+        sink, sink->add_component(terminal.endpoint->name()));
+  for (const auto& relay : relays_) {
+    if (relay == nullptr) continue;
+    for (std::size_t p = 0; p < relay->ports(); ++p) {
+      Endpoint& port = relay->port(p);
+      port.set_trace(sink, sink->add_component(port.name()));
+    }
+    std::string fabric_name = relay->name();
+    fabric_name += ".q";
+    relay->set_trace(sink, sink->add_component(std::move(fabric_name)));
+  }
+  for (std::size_t e = 0; e < channels_.size(); ++e) {
+    std::string wire_name = "wire.e";
+    wire_name += std::to_string(e);
+    channels_[e]->set_trace(sink, sink->add_component(std::move(wire_name)));
+  }
+  for (std::size_t w = 0; w < control_channels_.size(); ++w) {
+    std::string wire_name = "ctrl.w";
+    wire_name += std::to_string(w);
+    control_channels_[w]->set_trace(
+        sink, sink->add_component(std::move(wire_name)));
+  }
+  if (controller_.has_value())
+    controller_->set_trace(sink, sink->add_component("reroute"));
+}
+
+// Flow sources and sinks.
+void Fabric::build_flows() {
+  const std::size_t flow_count = config_.flows.size();
+  flows_.reserve(flow_count);
+  report_.flows.resize(flow_count);
+  for (const Terminal& terminal : terminals_) {
+    terminal.endpoint->set_deliver(
+        [this, node = terminal.node](const sim::FlitEnvelope& envelope) {
+          deliver(node, envelope);
+        });
+  }
+  for (std::size_t f = 0; f < flow_count; ++f) {
+    const DagFlow& flow = config_.flows[f];
+    DagFlowReport& flow_report = report_.flows[f];
+    flow_report.src = flow.src;
+    flow_report.dst = flow.dst;
+    flow_report.path_edges = plan_.flow_paths[f];
+    Endpoint* const source = ends_[plan_.flow_segments[f].front()].tx.endpoint;
     source->set_flow_id(static_cast<std::uint16_t>(f));
     if (flow.vc != 0) {
       source->set_tx_vc(flow.vc);
-      const std::uint32_t last = plan.flow_segments[f].back();
-      terminal_of.at({flow.dst, rep_of[last]})
-          ->set_rx_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
+      ends_[plan_.flow_segments[f].back()].rx.endpoint->set_rx_flow_vc(
+          static_cast<std::uint16_t>(f), flow.vc);
     }
-    FlowRuntime* const runtime = &flow_runtime[f];
-    runtime->source = source;
-    runtime->sample = sample;
-    runtime->id = static_cast<std::uint16_t>(f);
-    runtime->spec = &flow;
-    runtime->board = &boards[f];
-    runtime->queue = &queue;
-    runtime->trace = trace_sink.get();
+    FlowRuntime& runtime = flows_.emplace_back(
+        [salt = flow.salt](std::uint64_t index, Endpoint::PayloadOut out) {
+          fill_stream_payload(index, salt, out);
+        });
+    runtime.source = source;
     if (flow.arrival != ArrivalKind::kGreedy) {
       ArrivalSpec arrival_spec;
       arrival_spec.kind = flow.arrival;
@@ -1248,280 +1141,330 @@ DagReport run_dag_fabric(const DagConfig& config) {
       // extra seeder draw here would shift every channel seed and change
       // the wire trajectory of flows that use no randomness at all.
       arrival_spec.seed =
-          config.seed ^
+          config_.seed ^
           (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(f) + 1));
-      runtime->arrivals.emplace(arrival_spec);
+      runtime.arrivals.emplace(arrival_spec);
     }
-    if (sample) {
+    if (sample_latency_) {
       const std::uint64_t depth = std::min<std::uint64_t>(
           kLatencyRingSlots, std::max<std::uint64_t>(flow.flits, 1));
-      runtime->ring_at.assign(static_cast<std::size_t>(depth), 0);
-      runtime->ring_tag.assign(static_cast<std::size_t>(depth),
-                               ~std::uint64_t{0});
+      runtime.ring_at.assign(static_cast<std::size_t>(depth), 0);
+      runtime.ring_tag.assign(static_cast<std::size_t>(depth),
+                              ~std::uint64_t{0});
     }
     source->set_source(
-        [runtime](std::uint64_t index) { return runtime->pull(index); },
-        boards[f].payload_fn());
+        [this, f](std::uint64_t index) { return pull(f, index); },
+        runtime.board.payload_fn());
   }
+}
 
-  // Occupancy/goodput time-series sampler: a self-rescheduling observation
-  // event that only READS counters, so the trajectory is untouched (the
-  // traced-vs-untraced report-equality test pins this).
-  struct TraceSampler {
-    sim::EventQueue* queue = nullptr;
-    TimePs period = 0;
-    const std::uint64_t* delivered = nullptr;
-    const std::vector<std::unique_ptr<switchdev::RelaySwitch>>* relays =
-        nullptr;
-    std::vector<obs::TimeSeriesPoint>* out = nullptr;
-    void tick() {
-      std::uint64_t queued = 0;
-      for (const auto& relay : *relays) {
-        if (relay == nullptr) continue;
-        for (std::size_t p = 0; p < relay->ports(); ++p)
-          queued += relay->port_stats(p).queue_occupancy;
+bool Fabric::pull(std::size_t f, std::uint64_t index) {
+  const DagFlow& flow = config_.flows[f];
+  if (index >= flow.flits) return false;
+  FlowRuntime& runtime = flows_[f];
+  TimePs inject_stamp = queue_.now();
+  if (runtime.arrivals.has_value()) {
+    // Rate-shaped source: index i is offered no earlier than its arrival
+    // due-time. A premature pull arms one wake-up kick at the due instant,
+    // so the flow needs no external traffic to resume (and arms at most
+    // one timer however often the endpoint polls meanwhile).
+    const TimePs due = runtime.arrivals->due(index);
+    const TimePs now = queue_.now();
+    if (now < due) {
+      if (!runtime.pace_armed) {
+        runtime.pace_armed = true;
+        queue_.schedule(due - now, [this, f] {
+          flows_[f].pace_armed = false;
+          flows_[f].source->kick();
+        });
       }
-      out->push_back(obs::TimeSeriesPoint{queue->now(), *delivered, queued});
-      queue->schedule(period, [this] { tick(); });
+      return false;
     }
-  };
-  std::vector<obs::TimeSeriesPoint> timeseries;
-  TraceSampler sampler;
-  if (trace_sink != nullptr && config.trace.sample_period > 0) {
-    sampler.queue = &queue;
-    sampler.period = config.trace.sample_period;
-    sampler.delivered = &trace_delivered;
-    sampler.relays = &relays;
-    sampler.out = &timeseries;
-    queue.schedule(config.trace.sample_period,
-                   [s = &sampler] { s->tick(); });
+    // Latency is measured from the ARRIVAL, not the pull: under overload
+    // the source-side backlog is part of the delay, which is what makes a
+    // load-latency curve inflect past saturation.
+    inject_stamp = due;
   }
-
-  for (Endpoint* const source : flow_sources) source->kick();
-  queue.run_until(config.horizon);
-
-  // Reports.
-  DagReport report;
-  report.slots = config.slot > 0
-                     ? static_cast<std::uint64_t>(config.horizon / config.slot)
-                     : 0;
-  report.misrouted = misrouted;
-  report.flows.resize(config.flows.size());
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    DagFlowReport& flow_report = report.flows[f];
-    flow_report.src = config.flows[f].src;
-    flow_report.dst = config.flows[f].dst;
-    flow_report.offered = flow_runtime[f].offered;
-    flow_report.scoreboard = boards[f].finalize();
-    flow_report.path_edges = plan.flow_paths[f];
-    flow_report.rerouted =
-        controller != nullptr && controller->flow_rerouted(f);
-    flow_report.latency = flow_runtime[f].latency;
-    flow_report.latency_sample_misses = flow_runtime[f].sample_misses;
-    flow_report.latency_samples = std::move(flow_runtime[f].debug_samples);
+  if (sample_latency_) {
+    const std::size_t slot =
+        static_cast<std::size_t>(index) % runtime.ring_tag.size();
+    runtime.ring_tag[slot] = index;
+    runtime.ring_at[slot] = inject_stamp;
   }
-  if (controller != nullptr) report.reroutes = controller->reports();
-  for (const Domain& domain : domains) {
-    const DagPlan::Segment& segment = plan.segments[domain.rep];
-    DagLinkStats hop;
+  if (trace_ != nullptr) {
+    // Stamped with the arrival DUE time — the same origin the latency ring
+    // stores — so a reconstructed journey's hop sums equal the
+    // histogram-recorded end-to-end sample exactly.
+    trace_->emit(runtime.source->trace_component(), inject_stamp,
+                 obs::TraceEventKind::kInject, index,
+                 static_cast<std::uint16_t>(f), 0, flow.vc, 0);
+  }
+  runtime.board.register_sent(index);
+  runtime.offered = index + 1;
+  return true;
+}
+
+void Fabric::deliver(std::uint16_t node, const sim::FlitEnvelope& envelope) {
+  if (!envelope.has_truth || envelope.flow_id >= config_.flows.size() ||
+      config_.flows[envelope.flow_id].dst != node) {
+    report_.misrouted += 1;
+    return;
+  }
+  FlowRuntime& runtime = flows_[envelope.flow_id];
+  runtime.board.on_deliver(envelope);
+  if (!sample_latency_) return;
+  // The ring slot still carries this truth index unless the flow fell more
+  // than kLatencyRingSlots behind its newest pull; an overwritten slot is a
+  // MISS, counted instead of silently skipped (samples must never
+  // undercount without a signal).
+  DagFlowReport& flow = report_.flows[envelope.flow_id];
+  const std::size_t slot = static_cast<std::size_t>(envelope.truth_index) %
+                           runtime.ring_tag.size();
+  if (runtime.ring_tag[slot] == envelope.truth_index) {
+    const TimePs delay = queue_.now() - runtime.ring_at[slot];
+    flow.latency.add(delay);
+    if (config_.debug_latency_samples) flow.latency_samples.push_back(delay);
+  } else {
+    flow.latency_sample_misses += 1;
+  }
+}
+
+void Fabric::sample() {
+  std::uint64_t delivered = 0;
+  for (const FlowRuntime& flow : flows_)
+    delivered += flow.board.stats().delivered;
+  std::uint64_t queued = 0;
+  for (const auto& relay : relays_) {
+    if (relay == nullptr) continue;
+    for (std::size_t p = 0; p < relay->ports(); ++p)
+      queued += relay->port_stats(p).queue_occupancy;
+  }
+  report_.timeseries.push_back(
+      obs::TimeSeriesPoint{queue_.now(), delivered, queued});
+  queue_.schedule(config_.trace.sample_period, [this] { sample(); });
+}
+
+DagReport Fabric::run() {
+  for (const FlowRuntime& flow : flows_) flow.source->kick();
+  queue_.run_until(config_.horizon);
+
+  report_.slots = config_.slot > 0 ? static_cast<std::uint64_t>(
+                                         config_.horizon / config_.slot)
+                                   : 0;
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    report_.flows[f].offered = flows_[f].offered;
+    report_.flows[f].scoreboard = flows_[f].board.finalize();
+  }
+  if (controller_.has_value()) {
+    report_.reroutes = controller_->reports();
+    for (const DagRerouteReport& reroute : report_.reroutes)
+      if (reroute.rerouted) report_.flows[reroute.flow].rerouted = true;
+  }
+  for (const Domain& domain : domains_) {
+    const DagPlan::Segment& segment = plan_.segments[domain.rep];
+    Endpoint* const a = ends_[domain.rep].tx.endpoint;
+    Endpoint* const b = ends_[domain.rep].rx.endpoint;
+    DagLinkStats& hop = report_.hops.emplace_back();
     hop.segment = domain.rep;
     hop.node_a = segment.origin;
     hop.node_b = segment.peer;
     hop.forward_edge = segment.egress_edge;
     hop.paired = segment.mate.has_value();
     hop.crosses_hub = segment.hub.has_value();
-    const Endpoint::Snapshot snap_a = domain.a->snapshot();
-    const Endpoint::Snapshot snap_b = domain.b->snapshot();
+    const Endpoint::Snapshot snap_a = a->snapshot();
+    const Endpoint::Snapshot snap_b = b->snapshot();
     hop.a = snap_a.link;
     hop.b = snap_b.link;
     hop.a_extra = snap_a.extra;
     hop.b_extra = snap_b.extra;
-    for (std::size_t v = 0; v < domain.a->credit_windows().num_vcs(); ++v) {
-      hop.a_vc_consumed[v] = domain.a->credit_windows().vc(v).consumed();
-      hop.b_vc_consumed[v] = domain.b->credit_windows().vc(v).consumed();
-      hop.a_vc_returned[v] = domain.a->credit_ledgers().vc(v).returned();
-      hop.b_vc_returned[v] = domain.b->credit_ledgers().vc(v).returned();
+    for (std::size_t v = 0; v < a->credit_windows().num_vcs(); ++v) {
+      hop.a_vc_consumed[v] = a->credit_windows().vc(v).consumed();
+      hop.b_vc_consumed[v] = b->credit_windows().vc(v).consumed();
+      hop.a_vc_returned[v] = a->credit_ledgers().vc(v).returned();
+      hop.b_vc_returned[v] = b->credit_ledgers().vc(v).returned();
     }
-    hop.forward_channel = domain.forward->snapshot();
+    hop.forward_channel = channels_[segment.egress_edge]->snapshot();
     hop.reverse_channel = domain.reverse->snapshot();
-    report.hops.push_back(hop);
   }
-  report.channels.reserve(channels.size());
-  for (const auto& channel : channels)
-    report.channels.push_back(channel->snapshot());
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (kind(v) == DagNodeKind::kRelay) {
-      DagRelayReport relay_report;
-      relay_report.node = static_cast<std::uint16_t>(v);
-      relay_report.ports = relay_ports[v];
-      for (std::size_t p = 0; p < relay_report.ports.size(); ++p)
-        relay_report.ports[p].stats = relays[v]->snapshot(p);
-      report.relays.push_back(std::move(relay_report));
-    } else if (kind(v) == DagNodeKind::kHub) {
-      report.hubs.push_back(
-          DagHubReport{static_cast<std::uint16_t>(v), hubs[v]->stats()});
+  report_.channels.reserve(channels_.size());
+  for (const auto& channel : channels_)
+    report_.channels.push_back(channel->snapshot());
+  for (std::size_t v = 0; v < relays_.size(); ++v) {
+    if (relays_[v] == nullptr) continue;
+    DagRelayReport& relay = report_.relays.emplace_back();
+    relay.node = static_cast<std::uint16_t>(v);
+    relay.ports.resize(relays_[v]->ports());
+    for (std::size_t p = 0; p < relay.ports.size(); ++p)
+      relay.ports[p].stats = relays_[v]->snapshot(p);
+    // A port transmits on the first edge of the segment it originates and
+    // receives on the last edge of the segment it terminates.
+    for (std::size_t si = 0; si < ends_.size(); ++si) {
+      const DagPlan::Segment& segment = plan_.segments[si];
+      if (segment.origin == v)
+        relay.ports[ends_[si].tx.port].tx_edge = segment.egress_edge;
+      if (segment.peer == v)
+        relay.ports[ends_[si].rx.port].rx_edge = segment.ingress_edge;
     }
   }
-  if (trace_sink != nullptr) {
-    report.trace = trace_sink->capture();
-    report.timeseries = std::move(timeseries);
+  for (std::size_t v = 0; v < hubs_.size(); ++v) {
+    if (hubs_[v] != nullptr)
+      report_.hubs.push_back(
+          DagHubReport{static_cast<std::uint16_t>(v), hubs_[v]->stats()});
   }
-  return report;
+  if (trace_ != nullptr) report_.trace = trace_->capture();
+  return std::move(report_);
+}
+
+}  // namespace
+
+DagReport run_dag_fabric(const DagConfig& config) {
+  assert(config.horizon > 0);
+  const DagPlan plan = plan_dag(config);
+  Fabric fabric(config, plan);
+  return fabric.run();
 }
 
 // ---------------------------------------------------------------------------
 // Report aggregates
 // ---------------------------------------------------------------------------
 
-std::uint64_t DagReport::total_offered() const {
+namespace {
+
+/// Sums value(item) over one report section.
+template <typename Item, typename Value>
+std::uint64_t sum_of(const std::vector<Item>& items, Value value) {
   std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows) total += flow.offered;
+  for (const Item& item : items) total += value(item);
   return total;
+}
+
+/// Sums one endpoint counter over both sides of every hop.
+std::uint64_t sum_sides(const std::vector<DagLinkStats>& hops,
+                        std::uint64_t EndpointExtraStats::*counter) {
+  return sum_of(hops, [counter](const DagLinkStats& hop) {
+    return hop.a_extra.*counter + hop.b_extra.*counter;
+  });
+}
+
+/// Folds one counter over every port of every relay.
+template <typename Fold>
+std::uint64_t fold_ports(const std::vector<DagRelayReport>& relays,
+                         std::uint64_t switchdev::RelayPortStats::*counter,
+                         Fold fold) {
+  std::uint64_t out = 0;
+  for (const DagRelayReport& relay : relays)
+    for (const DagRelayPort& port : relay.ports)
+      out = fold(out, port.stats.*counter);
+  return out;
+}
+
+std::uint64_t larger(std::uint64_t x, std::uint64_t y) {
+  return std::max(x, y);
+}
+
+}  // namespace
+
+std::uint64_t DagReport::total_offered() const {
+  return sum_of(flows, [](const DagFlowReport& flow) { return flow.offered; });
 }
 
 std::uint64_t DagReport::total_in_order() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows) total += flow.scoreboard.in_order;
-  return total;
+  return sum_of(flows, [](const DagFlowReport& flow) {
+    return flow.scoreboard.in_order;
+  });
 }
 
 std::uint64_t DagReport::total_order_failures() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows)
-    total += flow.scoreboard.order_violations + flow.scoreboard.duplicates;
-  return total;
+  return sum_of(flows, [](const DagFlowReport& flow) {
+    return flow.scoreboard.order_violations + flow.scoreboard.duplicates;
+  });
 }
 
 std::uint64_t DagReport::total_missing() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows) total += flow.scoreboard.missing;
-  return total;
+  return sum_of(flows, [](const DagFlowReport& flow) {
+    return flow.scoreboard.missing;
+  });
 }
 
 std::uint64_t DagReport::total_data_corruptions() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows)
-    total += flow.scoreboard.data_corruptions;
-  return total;
+  return sum_of(flows, [](const DagFlowReport& flow) {
+    return flow.scoreboard.data_corruptions;
+  });
 }
 
 std::uint64_t DagReport::total_hop_retransmissions() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a.data_flits_retransmitted + hop.b.data_flits_retransmitted;
-  return total;
+  return sum_of(hops, [](const DagLinkStats& hop) {
+    return hop.a.data_flits_retransmitted + hop.b.data_flits_retransmitted;
+  });
 }
 
 std::uint64_t DagReport::total_relay_no_route_drops() const {
-  std::uint64_t total = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      total += port.stats.dropped_no_route;
-  return total;
+  return fold_ports(relays, &switchdev::RelayPortStats::dropped_no_route,
+                    std::plus<>());
 }
 
 std::uint64_t DagReport::total_credit_stalls() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credit_stalls + hop.b_extra.credit_stalls;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::credit_stalls);
 }
 
 std::uint64_t DagReport::total_credits_consumed() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_consumed + hop.b_extra.credits_consumed;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::credits_consumed);
 }
 
 std::uint64_t DagReport::total_credits_returned() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_returned + hop.b_extra.credits_returned;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::credits_returned);
 }
 
 std::uint64_t DagReport::total_credits_granted() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_granted + hop.b_extra.credits_granted;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::credits_granted);
 }
 
 std::uint64_t DagReport::max_ingress_occupancy() const {
-  std::uint64_t highest = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      if (port.stats.ingress_high_water > highest)
-        highest = port.stats.ingress_high_water;
-  return highest;
+  return fold_ports(relays, &switchdev::RelayPortStats::ingress_high_water,
+                    larger);
 }
 
 std::uint64_t DagReport::max_relay_queue_depth() const {
-  std::uint64_t highest = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      if (port.stats.max_queue_depth > highest)
-        highest = port.stats.max_queue_depth;
-  return highest;
+  return fold_ports(relays, &switchdev::RelayPortStats::max_queue_depth,
+                    larger);
 }
 
 std::uint64_t DagReport::total_ecn_mark_events() const {
-  std::uint64_t total = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      total += port.stats.ecn_mark_events;
-  return total;
+  return fold_ports(relays, &switchdev::RelayPortStats::ecn_mark_events,
+                    std::plus<>());
 }
 
 std::uint64_t DagReport::total_ecn_stalls() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.ecn_stalls + hop.b_extra.ecn_stalls;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::ecn_stalls);
 }
 
 std::uint64_t DagReport::total_hops_declared_dead() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.hops_declared_dead + hop.b_extra.hops_declared_dead;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::hops_declared_dead);
 }
 
 std::uint64_t DagReport::total_dead_flits_drained() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.dead_flits_drained + hop.b_extra.dead_flits_drained;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::dead_flits_drained);
 }
 
 std::uint64_t DagReport::total_credits_refunded() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_refunded + hop.b_extra.credits_refunded;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::credits_refunded);
 }
 
 std::uint64_t DagReport::total_flap_recoveries() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.flap_recoveries + hop.b_extra.flap_recoveries;
-  return total;
+  return sum_sides(hops, &EndpointExtraStats::flap_recoveries);
 }
 
 std::uint64_t DagReport::total_flits_blackholed() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.forward_channel.flits_blackholed +
-             hop.reverse_channel.flits_blackholed;
-  return total;
+  return sum_of(hops, [](const DagLinkStats& hop) {
+    return hop.forward_channel.flits_blackholed +
+           hop.reverse_channel.flits_blackholed;
+  });
 }
 
 std::uint64_t DagReport::total_reroutes_executed() const {
-  std::uint64_t total = 0;
-  for (const DagRerouteReport& reroute : reroutes)
-    if (reroute.rerouted) total += 1;
-  return total;
+  return sum_of(reroutes, [](const DagRerouteReport& reroute) {
+    return std::uint64_t{reroute.rerouted};
+  });
 }
 
 stats::LatencyHistogram DagReport::merged_latency() const {
@@ -1531,10 +1474,9 @@ stats::LatencyHistogram DagReport::merged_latency() const {
 }
 
 std::uint64_t DagReport::total_latency_sample_misses() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows)
-    total += flow.latency_sample_misses;
-  return total;
+  return sum_of(flows, [](const DagFlowReport& flow) {
+    return flow.latency_sample_misses;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1574,6 +1516,17 @@ void apply_flow_classes(DagConfig& config,
   }
 }
 
+/// Appends `count` nodes of `kind` named prefix + index, the index counting
+/// from `first`.
+void add_nodes(DagConfig& config, const char* prefix, std::size_t count,
+               DagNodeKind kind, std::size_t first = 0) {
+  for (std::size_t i = first; i < first + count; ++i) {
+    std::string name = prefix;
+    name += std::to_string(i);
+    config.nodes.push_back(DagNode{std::move(name), kind, {}});
+  }
+}
+
 DagEdge scenario_edge(const DagScenarioSpec& spec, std::uint16_t src,
                       std::uint16_t dst) {
   DagEdge edge;
@@ -1590,11 +1543,7 @@ DagEdge scenario_edge(const DagScenarioSpec& spec, std::uint16_t src,
 DagConfig make_chain_dag(const DagScenarioSpec& spec, std::size_t relays) {
   DagConfig config = base_scenario_config(spec);
   config.nodes.push_back(DagNode{"src", DagNodeKind::kTerminal, {}});
-  for (std::size_t r = 0; r < relays; ++r) {
-    std::string name = "relay";
-    name += std::to_string(r + 1);
-    config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kRelay, {}});
-  }
+  add_nodes(config, "relay", relays, DagNodeKind::kRelay, 1);
   config.nodes.push_back(DagNode{"dst", DagNodeKind::kTerminal, {}});
   const std::uint16_t last = static_cast<std::uint16_t>(relays + 1);
   for (std::uint16_t v = 0; v < last; ++v)
@@ -1606,22 +1555,12 @@ DagConfig make_chain_dag(const DagScenarioSpec& spec, std::size_t relays) {
 
 DagConfig make_butterfly_dag(const DagScenarioSpec& spec) {
   DagConfig config = base_scenario_config(spec);
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "s";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "s", 4, DagNodeKind::kTerminal);
   config.nodes.push_back(DagNode{"r10", DagNodeKind::kRelay, {}});  // id 4
   config.nodes.push_back(DagNode{"r11", DagNodeKind::kRelay, {}});  // id 5
   config.nodes.push_back(DagNode{"r20", DagNodeKind::kRelay, {}});  // id 6
   config.nodes.push_back(DagNode{"r21", DagNodeKind::kRelay, {}});  // id 7
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "d";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }  // ids 8..11
+  add_nodes(config, "d", 4, DagNodeKind::kTerminal);  // ids 8..11
   config.edges.push_back(scenario_edge(spec, 0, 4));
   config.edges.push_back(scenario_edge(spec, 1, 4));
   config.edges.push_back(scenario_edge(spec, 2, 5));
@@ -1647,23 +1586,13 @@ DagConfig make_butterfly_dag(const DagScenarioSpec& spec) {
 
 DagConfig make_fat_tree_dag(const DagScenarioSpec& spec) {
   DagConfig config = base_scenario_config(spec);
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "h";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "h", 4, DagNodeKind::kTerminal);
   config.nodes.push_back(DagNode{"up0", DagNodeKind::kRelay, {}});    // id 4
   config.nodes.push_back(DagNode{"up1", DagNodeKind::kRelay, {}});    // id 5
   config.nodes.push_back(DagNode{"spine", DagNodeKind::kRelay, {}});  // id 6
   config.nodes.push_back(DagNode{"down0", DagNodeKind::kRelay, {}});  // id 7
   config.nodes.push_back(DagNode{"down1", DagNodeKind::kRelay, {}});  // id 8
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "d";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }  // ids 9..12
+  add_nodes(config, "d", 4, DagNodeKind::kTerminal);  // ids 9..12
   config.edges.push_back(scenario_edge(spec, 0, 4));
   config.edges.push_back(scenario_edge(spec, 1, 4));
   config.edges.push_back(scenario_edge(spec, 2, 5));
@@ -1709,12 +1638,7 @@ DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources,
                           std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "src", sources, DagNodeKind::kTerminal);
   const std::uint16_t relay = static_cast<std::uint16_t>(sources);
   const std::uint16_t sink = static_cast<std::uint16_t>(sources + 1);
   config.nodes.push_back(DagNode{"relay", DagNodeKind::kRelay, {}});
@@ -1739,12 +1663,7 @@ DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources,
                            std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "src", sources, DagNodeKind::kTerminal);
   const std::uint16_t relay = static_cast<std::uint16_t>(sources);
   const std::uint16_t hot = static_cast<std::uint16_t>(sources + 1);
   const std::uint16_t cold = static_cast<std::uint16_t>(sources + 2);
@@ -1771,27 +1690,13 @@ DagConfig make_diamond_dag(const DagScenarioSpec& spec, std::size_t sources,
                            std::size_t branches) {
   assert(sources >= 1 && branches >= 1);
   DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "src", sources, DagNodeKind::kTerminal);
   const std::uint16_t r0 = static_cast<std::uint16_t>(sources);
   config.nodes.push_back(DagNode{"r0", DagNodeKind::kRelay, {}});
-  for (std::size_t j = 0; j < branches; ++j) {
-    std::string name = "m";
-    name += std::to_string(j);
-    config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kRelay, {}});
-  }
+  add_nodes(config, "m", branches, DagNodeKind::kRelay);
   const std::uint16_t r1 = static_cast<std::uint16_t>(sources + branches + 1);
   config.nodes.push_back(DagNode{"r1", DagNodeKind::kRelay, {}});
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "dst";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "dst", sources, DagNodeKind::kTerminal);
   // Edge-id layout documented in the header: source uplinks first, then the
   // branch edge pairs interleaved (R0 -> M_j at sources + 2j, M_j -> R1 at
   // sources + 2j + 1), then the sink downlinks. BFS ties break on the
@@ -1819,22 +1724,12 @@ DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
                          std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "src", sources, DagNodeKind::kTerminal);
   const std::uint16_t r1 = static_cast<std::uint16_t>(sources);
   const std::uint16_t r2 = static_cast<std::uint16_t>(sources + 1);
   config.nodes.push_back(DagNode{"r1", DagNodeKind::kRelay, {}});
   config.nodes.push_back(DagNode{"r2", DagNodeKind::kRelay, {}});
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "dst";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, "dst", sources, DagNodeKind::kTerminal);
   for (std::size_t i = 0; i < sources; ++i)
     config.edges.push_back(
         scenario_edge(spec, static_cast<std::uint16_t>(i), r1));
@@ -1871,16 +1766,8 @@ DagConfig make_star_dag(const StarConfig& config) {
   const std::uint64_t hub_seed = seeder();
   (void)seeder();  // the legacy up-switch stream; the single hub has one
 
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name = "host";
-    name += std::to_string(i);
-    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name = "dev";
-    name += std::to_string(i);
-    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(dag, "host", n, DagNodeKind::kTerminal);
+  add_nodes(dag, "dev", n, DagNodeKind::kTerminal);
   const std::uint16_t hub = static_cast<std::uint16_t>(2 * n);
   dag.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, hub_seed});
 
@@ -1921,13 +1808,8 @@ DagConfig make_linear_dag(const DagScenarioSpec& spec,
   DagConfig config = base_scenario_config(spec);
   config.nodes.push_back(DagNode{"host", DagNodeKind::kTerminal, {}});
   config.nodes.push_back(DagNode{"device", DagNodeKind::kTerminal, {}});
-  for (const char* direction : {"down", "up"}) {
-    for (unsigned level = 1; level <= switch_levels; ++level) {
-      std::string name = direction;
-      name += std::to_string(level);
-      config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kHub, {}});
-    }
-  }
+  add_nodes(config, "down", switch_levels, DagNodeKind::kHub, 1);
+  add_nodes(config, "up", switch_levels, DagNodeKind::kHub, 1);
   // Seeds replay the per-direction harness's draws: for each direction in
   // turn, its L+1 channels in hop order, then its L switches.
   Xoshiro256 seeder(spec.seed);

@@ -817,27 +817,13 @@ void Endpoint::deliver(const sim::FlitEnvelope& envelope) {
   if (trace_ != nullptr) {
     // Guarded here (not via trace()) so the rx_vc_for_flow scan is never
     // evaluated when tracing is off.
-    trace_record(obs::TraceEventKind::kDeliver, envelope.truth_index,
+    trace_->emit(trace_component_, queue_.now(),
+                 obs::TraceEventKind::kDeliver, envelope.truth_index,
                  envelope.flow_id, seq_prev(expected_seq_),
                  rx_vc_for_flow(envelope.flow_id), 0);
   }
   last_rx_progress_ = queue_.now();
   if (deliver_) deliver_(envelope);
-}
-
-void Endpoint::trace_record(obs::TraceEventKind kind, std::uint64_t truth,
-                            std::uint16_t flow, std::uint16_t seq,
-                            std::uint8_t vc, std::uint32_t arg) noexcept {
-  obs::TraceEvent event;
-  event.at = queue_.now();
-  event.truth_index = truth;
-  event.component = trace_component_;
-  event.flow = flow;
-  event.seq = seq;
-  event.vc = vc;
-  event.kind = kind;
-  event.arg = arg;
-  trace_->record(trace_component_, event);
 }
 
 void Endpoint::after_delivery(std::uint16_t flow_id) {

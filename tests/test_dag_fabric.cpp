@@ -9,6 +9,7 @@
 #include <array>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "rxl/link/credit.hpp"
@@ -898,6 +899,90 @@ TEST(DagFabric, RingOverrunCountsMissesInsteadOfSilentlySkipping) {
   for (const DagFlowReport& flow : report.flows)
     EXPECT_EQ(flow.latency.count() + flow.latency_sample_misses,
               flow.scoreboard.in_order);
+}
+
+// --------------------------------------------------------------------------
+// Trace component order
+// --------------------------------------------------------------------------
+
+std::vector<std::string> component_names(const DagReport& report) {
+  std::vector<std::string> names;
+  for (const obs::TraceComponentCapture& component : report.trace.components)
+    names.push_back(component.name);
+  return names;
+}
+
+bool records(const obs::TraceComponentCapture& component,
+             obs::TraceEventKind kind) {
+  return std::any_of(
+      component.events.begin(), component.events.end(),
+      [kind](const obs::TraceEvent& event) { return event.kind == kind; });
+}
+
+TEST(DagFabric, TraceComponentOrderIsPinned) {
+  // Component ids are registration indices, so a capture compares across
+  // runs only while the order holds: terminal endpoints by (node, domain),
+  // then per relay its ports and its queue, then the wires, the control
+  // wires and the reroute controller. The ring T0 -> R1 -> T1 -> R2 -> T0
+  // carries one flow each way over four unpaired domains, so each terminal
+  // holds two same-named endpoints and every domain gets a control wire.
+  DagConfig ring;
+  ring.protocol.protocol = Protocol::kRxl;
+  ring.seed = 5;
+  ring.horizon = 2'000'000;
+  ring.nodes.push_back(DagNode{"T0", DagNodeKind::kTerminal, {}});
+  ring.nodes.push_back(DagNode{"R1", DagNodeKind::kRelay, {}});
+  ring.nodes.push_back(DagNode{"T1", DagNodeKind::kTerminal, {}});
+  ring.nodes.push_back(DagNode{"R2", DagNodeKind::kRelay, {}});
+  for (std::uint16_t v = 0; v < 4; ++v)
+    ring.edges.push_back(
+        plain_edge(v, static_cast<std::uint16_t>((v + 1) % 4)));
+  ring.flows.push_back(DagFlow{0, 2, 20, 0x61});
+  ring.flows.push_back(DagFlow{2, 0, 20, 0x62});
+  ring.trace.enabled = true;
+  ring.trace.ring_depth = 64;
+  const DagReport ring_report = run_dag_fabric(ring);
+  for (const DagFlowReport& flow : ring_report.flows)
+    EXPECT_EQ(flow.scoreboard.in_order, 20u);
+  ASSERT_EQ(component_names(ring_report),
+            (std::vector<std::string>{
+                "T0", "T0", "T1", "T1", "R1.p0", "R1.p1", "R1.q", "R2.p0",
+                "R2.p1", "R2.q", "wire.e0", "wire.e1", "wire.e2", "wire.e3",
+                "ctrl.w0", "ctrl.w1", "ctrl.w2", "ctrl.w3"}));
+  // Same-named endpoints keep domain order: T0's uplink domain (0) comes
+  // before its downlink domain (3), and T1's downlink domain (1) before
+  // its uplink domain (2).
+  const std::vector<obs::TraceComponentCapture>& terminals =
+      ring_report.trace.components;
+  EXPECT_TRUE(records(terminals[0], obs::TraceEventKind::kTx));
+  EXPECT_TRUE(records(terminals[1], obs::TraceEventKind::kDeliver));
+  EXPECT_TRUE(records(terminals[2], obs::TraceEventKind::kDeliver));
+  EXPECT_TRUE(records(terminals[3], obs::TraceEventKind::kTx));
+  for (std::size_t c : {0, 3})
+    EXPECT_FALSE(records(terminals[c], obs::TraceEventKind::kDeliver)) << c;
+  for (std::size_t c : {1, 2})
+    EXPECT_FALSE(records(terminals[c], obs::TraceEventKind::kTx)) << c;
+
+  // A diamond whose M_0 fail-stops: the backup branch adds relay ports
+  // after the primary ones, and the controller registers last.
+  DagScenarioSpec spec = base_spec();
+  spec.flits_per_flow = 40;
+  spec.hop_credits = 4;
+  spec.protocol.max_retry_episodes = 6;
+  DagConfig diamond = make_diamond_dag(spec, 1, 2);
+  diamond.faults.relay_failures.push_back({/*node=*/2, /*at=*/10'000});
+  diamond.trace.enabled = true;
+  diamond.trace.ring_depth = 64;
+  const DagReport diamond_report = run_dag_fabric(diamond);
+  EXPECT_EQ(diamond_report.total_reroutes_executed(), 1u);
+  EXPECT_EQ(component_names(diamond_report),
+            (std::vector<std::string>{
+                "src0",    "dst0",    "r0.p0",   "r0.p1",   "r0.p2",
+                "r0.q",    "m0.p0",   "m0.p1",   "m0.q",    "m1.p0",
+                "m1.p1",   "m1.q",    "r1.p0",   "r1.p1",   "r1.p2",
+                "r1.q",    "wire.e0", "wire.e1", "wire.e2", "wire.e3",
+                "wire.e4", "wire.e5", "ctrl.w0", "ctrl.w1", "ctrl.w2",
+                "ctrl.w3", "ctrl.w4", "ctrl.w5", "reroute"}));
 }
 
 }  // namespace

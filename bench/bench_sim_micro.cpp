@@ -1,7 +1,8 @@
 // Simulation-kernel microbenchmarks (google-benchmark): ns/event for the
 // discrete-event core that every fabric Monte Carlo trial spins millions of
 // times — schedule+dispatch at steady heap depth, endpoint-style timer
-// rearm, and a full LinkChannel send->deliver hop.
+// rearm, a fabric-shaped mix of lane posts and timers, and a full
+// LinkChannel send->deliver hop.
 //
 // Unless a row says otherwise, each benchmark iteration executes exactly
 // ONE event, so the reported ns/iter reads directly as ns/event.
@@ -41,10 +42,11 @@ void BM_EventQueue_ScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_ScheduleDispatch)->Arg(16)->Arg(1024);
 
-// A heap shaped like star8-noisy's: N - 8 far-future Timer carriers that
-// stay pending for the whole run, plus 8 near-term producers that re-arm
-// on every fire, as channel heads and retry timers do. Each iteration runs
-// one near-term fire whose re-arm goes back into a heap of N entries.
+// A heap of timers: N - 8 far-future Timer carriers that stay pending for
+// the whole run, plus 8 near-term timers that re-arm on every fire, as
+// retry timers do. Each iteration runs one near-term fire whose re-arm goes
+// back into a heap of N entries. (Channel flits and endpoint kicks wait in
+// delay lanes instead; BM_EventQueue_FabricMix covers them.)
 void BM_EventQueue_NearChurn(benchmark::State& state) {
   constexpr std::size_t kNear = 8;
   const auto entries = static_cast<std::size_t>(state.range(0));
@@ -71,6 +73,49 @@ void BM_EventQueue_NearChurn(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(queue.pending());
 }
 BENCHMARK(BM_EventQueue_NearChurn)->Arg(32)->Arg(96);
+
+// A queue shaped like a fabric's: N LinkChannels (slot 2 000, latency
+// 8 000), each fed by a sender shaped like Endpoint::kick, which sends one
+// flit and re-posts itself one slot later through the same lane API, plus
+// 2N far-future Timer carriers that stay pending. The senders start spread
+// over one slot. Each iteration runs one dispatch: a kick or a delivery.
+void BM_EventQueue_FabricMix(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue;
+  Xoshiro256 rng(7);
+  std::vector<std::unique_ptr<sim::Timer>> far;
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    far.push_back(std::make_unique<sim::Timer>(queue, [] {}));
+    far.back()->arm((TimePs{1} << 50) + rng.bounded(1'000'000'000));
+  }
+  struct Sender {
+    explicit Sender(sim::EventQueue& q)
+        : queue(q),
+          channel(q, std::make_unique<phy::NoErrors>(), 1, /*slot=*/2'000,
+                  /*latency=*/8'000),
+          kick(q.add_producer([this] { send(); })) {
+      channel.set_receiver([](sim::FlitEnvelope&&) {});
+      proto.seal = sim::SealState::kUnsealed;
+    }
+    void send() {
+      channel.send(proto);
+      queue.post(kick, channel.next_free(), channel.slot());
+    }
+    sim::EventQueue& queue;
+    sim::LinkChannel channel;
+    sim::EventQueue::Producer kick;
+    sim::FlitEnvelope proto;
+  };
+  std::vector<std::unique_ptr<Sender>> senders;
+  for (std::size_t i = 0; i < n; ++i) {
+    senders.push_back(std::make_unique<Sender>(queue));
+    Sender* sender = senders.back().get();
+    queue.schedule(2'000 * i / n, [sender] { sender->send(); });
+  }
+  for (auto _ : state) queue.run(1);
+  state.counters["pending"] = static_cast<double>(queue.pending());
+}
+BENCHMARK(BM_EventQueue_FabricMix)->Arg(8)->Arg(32);
 
 // Endpoint-style retry/ack timer: a one-shot deadline armed anew after each
 // firing (the pattern behind Endpoint::arm_retry_timer). The baseline
@@ -126,9 +171,9 @@ void BM_TimerCancelRearm(benchmark::State& state) {
 BENCHMARK(BM_TimerCancelRearm)->Arg(1)->Arg(64)->Arg(4096);
 
 // One LinkChannel hop with K flits in flight: each iteration sends one flit
-// and delivers the oldest. Deliveries leave in FIFO order, so only the head
-// flit needs a heap entry, and the cost per hop should not grow with K.
-// K = 1 is BM_LinkChannel_SendDeliver.
+// and delivers the oldest. Every flit's key waits in the lane of the
+// channel's delay, so a hop is a ring append and a ring pop, and the cost
+// per hop should not grow with K. K = 1 is BM_LinkChannel_SendDeliver.
 void BM_ChannelBurst(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));
   sim::EventQueue queue;

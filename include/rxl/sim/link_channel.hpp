@@ -222,9 +222,10 @@ class LinkChannel {
   /// compared against the schedule so each revival re-equalizes exactly
   /// once, on the first transmit after the link comes back.
   std::size_t fault_windows_seen_ = 0;
-  /// Flits on the wire, in delivery order; only the head has a heap entry.
-  /// Delivery times never decrease (slot end is monotonic, latency
-  /// constant), and the 256 B envelope never rides inside an event.
+  /// Flits on the wire, in delivery order; each one's key waits in the
+  /// event queue's lane for slot + latency. Delivery times never decrease
+  /// (slot end is monotonic, latency constant), and the 256 B envelope
+  /// never rides inside an event.
   ParkedFifo<FlitEnvelope> in_flight_;
   ChannelStats stats_;
   obs::TraceSink* trace_ = nullptr;  ///< flit-lifecycle sink (null = off)

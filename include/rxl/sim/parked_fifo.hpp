@@ -1,19 +1,20 @@
-// FIFO of component-owned items, each due at a timestamp, that keeps only
-// its head in the event heap.
+// FIFO of component-owned items, each due at a timestamp, whose keys wait
+// in the event queue's delay lanes.
 //
 // A channel's flits in flight and a switch's forwarding pipeline deliver
-// strictly in order: every item is due no earlier than the one ahead of it.
-// Scheduling an event per item would make the heap as deep as the number of
-// items in flight. A ParkedFifo instead takes each item's (when, FIFO-order)
-// key from the EventQueue when the item is parked — the key schedule_at
-// would have pushed — and pushes only the head's key. When the head fires,
-// its handler runs on the item in place, the slot is dropped, and the next
-// item's key goes into the heap. Keys rise strictly along the FIFO, so
-// every item fires exactly where its own event would have.
+// strictly in order: every item is due no earlier than the one ahead of it,
+// and most are due a constant delay after they were parked (a channel's
+// slot plus latency, a switch's pipeline latency). The item itself stays in
+// the FIFO's ring, so the 256 B envelope never rides inside an event; at
+// park time the FIFO posts one key for it, under the (when, FIFO-order) key
+// schedule_at would have pushed, on the lane of the shortest delay the FIFO
+// has parked at. Keys rise strictly along the FIFO, so its k-th dispatch is
+// its k-th item's, and each fires exactly where its own event would have.
+// When one fires, its handler runs on the front item in place, and the slot
+// is dropped.
 #pragma once
 
 #include <cassert>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -33,9 +34,11 @@ class ParkedFifo {
   using Handler = InlineDelegate<void(T&&)>;
 
   explicit ParkedFifo(EventQueue& queue, Handler on_due = {})
-      : queue_(queue), on_due_(std::move(on_due)) {}
+      : queue_(queue),
+        on_due_(std::move(on_due)),
+        producer_(queue.add_producer([this] { fire_front(); })) {}
 
-  /// Heap entries hold this FIFO's address.
+  /// The queue's producer slot holds this FIFO's address.
   ParkedFifo(const ParkedFifo&) = delete;
   ParkedFifo& operator=(const ParkedFifo&) = delete;
 
@@ -45,50 +48,43 @@ class ParkedFifo {
   /// and returns its recycled slot for the caller to fill in place (every
   /// field must be assigned). Parking from inside the handler aborts.
   [[nodiscard]] T& park(TimePs when) {
-    if (handling_) [[unlikely]] parked_while_handling();
-    assert((parked_.empty() || when >= parked_.at(parked_.size() - 1).when) &&
+    if (handling_) [[unlikely]] reentered("parked into");
+    assert(when >= last_due_ &&
            "ParkedFifo: items must fall due in FIFO order");
-    const std::uint64_t order = queue_.reserve_order();
-    Parked& slot = parked_.push_back_slot();
-    slot.when = when;
-    slot.order = order;
-    if (parked_.size() == 1) push_head();
-    return slot.item;
+    last_due_ = when;
+    if (when - queue_.now() < lane_delay_) lane_delay_ = when - queue_.now();
+    queue_.post(producer_, when, lane_delay_);
+    return parked_.push_back_slot();
   }
 
  private:
-  struct Parked {
-    TimePs when;
-    std::uint64_t order;
-    T item;
-  };
-
   /// Parking from inside the handler could grow the ring and move the slot
-  /// being handled. That is checked in every build: without the check, a
-  /// release build would go on to read freed memory.
-  [[noreturn]] static void parked_while_handling() noexcept {
-    std::fputs("ParkedFifo: parked into while handling its head\n", stderr);
+  /// being handled, and a nested dispatch that reaches this FIFO's next key
+  /// would hand over the item being handled a second time. Both are checked
+  /// in every build: without the check, a release build would go on to
+  /// read freed or consumed memory.
+  [[noreturn]] static void reentered(const char* how) noexcept {
+    std::fprintf(stderr, "ParkedFifo: %s while handling its head\n", how);
     std::abort();
   }
 
-  void push_head() {
-    const Parked& head = parked_.front();
-    queue_.push_keyed(head.when, head.order, [this] { fire_head(); });
-  }
-
-  void fire_head() {
+  void fire_front() {
+    if (handling_) [[unlikely]] reentered("fired");
     if (on_due_) {
       handling_ = true;
-      on_due_(std::move(parked_.front().item));
+      on_due_(std::move(parked_.front()));
       handling_ = false;
     }
     parked_.drop_front();
-    if (!parked_.empty()) push_head();
   }
 
   EventQueue& queue_;
   Handler on_due_;
-  RingQueue<Parked> parked_;
+  EventQueue::Producer producer_;
+  RingQueue<T> parked_;
+  TimePs last_due_ = 0;
+  /// Only a busy wire parks later than this, so it is the FIFO's lane.
+  TimePs lane_delay_ = ~TimePs{0};
   bool handling_ = false;
 };
 

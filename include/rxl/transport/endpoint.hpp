@@ -355,6 +355,7 @@ class Endpoint {
   sim::PayloadFn* source_payload_ = nullptr;  ///< set with source_
   RelaySourceFn relay_source_;
   bool kick_scheduled_ = false;
+  sim::EventQueue::Producer rekick_;  ///< clears kick_scheduled_, kicks
   sim::Timer retry_timer_;
   TimePs last_ack_progress_ = 0;
   std::uint8_t tx_vc_ = 0;  ///< VC for SourceFn-originated flits

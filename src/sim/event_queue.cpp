@@ -14,65 +14,89 @@ namespace {
 constexpr std::size_t kArity = 4;
 constexpr std::uint64_t kSlotMask =
     (std::uint64_t{1} << EventQueue::kSlotBits) - 1;
-/// Orders run up to one short of the field, so no live key is all ones.
-constexpr std::uint64_t kOrderLimit =
-    (std::uint64_t{1} << EventQueue::kOrderBits) - 1;
 
-/// Fills the heap past its last live key; above every live key.
+/// Fills the heap past its last live key, and stands for an empty lane's
+/// head; above every live key.
 constexpr unsigned __int128 kSentinel = ~static_cast<unsigned __int128>(0);
 
-[[noreturn]] void overflow(const char* field) noexcept {
+}  // namespace
+
+void EventQueue::overflow(const char* field) noexcept {
   std::fprintf(stderr, "EventQueue: %s field of the heap key overflowed\n",
                field);
   std::abort();
 }
 
-}  // namespace
+void EventQueue::post_slow(Key key, TimePs delay) {
+  std::size_t lane = 0;
+  while (lane < lane_count_ && lane_delays_[lane] != delay) ++lane;
+  if (lane == lane_count_ && lane_count_ < kMaxLanes) {
+    ++lane_count_;
+    lane_delays_[lane] = delay;
+    append(lane, key);
+    return;
+  }
+  // Below its lane's tail, or no lane left: the heap keeps the key's place
+  // in the dispatch order, with a copy of the producer's callback.
+  ++heap_posts_;
+  const auto low = static_cast<std::uint64_t>(key);
+  push_keyed(static_cast<TimePs>(key >> 64), low >> kSlotBits,
+             slots_[low & kSlotMask]);
+}
 
 void EventQueue::push_keyed(TimePs when, std::uint64_t order, Event event) {
   assert(when >= now_ && "EventQueue: event scheduled in the past");
   if (when < now_) when = now_;  // release builds: clamp, never time-travel
-  if (order >= kOrderLimit) [[unlikely]] overflow("order");
-  const Key high = static_cast<Key>(when) << 64 |
-                   static_cast<Key>(order << kSlotBits);
+  const Key key = make_key(when, order, 0);
   if (spent_top_) {
     // The dispatch in progress left its key at the root: take over its slot
     // and sift the new key down from there.
     spent_top_ = false;
     ++rekeyed_in_place_;
     slots_[spent_slot_] = event;
-    sift_down(0, high | spent_slot_);
+    sift_down(0, key | spent_slot_);
     return;
   }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = event;
-  } else {
-    if (slots_.size() > kSlotMask) [[unlikely]] overflow("slot");
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(event);
-  }
+  const std::uint32_t slot = claim_slot(event);
   if (heap_.size() <= kArity * (size_ + 1)) {
     heap_.resize(std::max(kArity * (size_ + 1) + 1, 2 * heap_.size()),
                  kSentinel);
   }
-  sift_up(size_++, high | slot);
-  peak_pending_ = std::max(peak_pending_, size_);
+  sift_up(size_++, key | slot);
+  peak_pending_ = std::max(peak_pending_, pending());
 }
 
-void EventQueue::dispatch_earliest() {
-  const Key top = heap_[0];
-  now_ = static_cast<TimePs>(top >> 64);
-  spent_slot_ = static_cast<std::uint32_t>(static_cast<std::uint64_t>(top) &
-                                           kSlotMask);
+bool EventQueue::dispatch_next(TimePs until) {
+  const Key top = size_ > 0 ? heap_[0] : kSentinel;
+  const Key head = lane_heads_[least_lane_];
+  const bool from_lane = head < top;
+  const Key key = from_lane ? head : top;
+  // Above every live key due by `until`, and below the sentinel: no live
+  // key's low word is all ones.
+  const Key last_due = static_cast<Key>(until) << 64 | (~std::uint64_t{0} - 1);
+  if (key > last_due) return false;
+  now_ = static_cast<TimePs>(key >> 64);
+  const auto slot = static_cast<std::uint32_t>(static_cast<std::uint64_t>(key) &
+                                               kSlotMask);
   // A copy: a push made by the callback may reuse the slot or grow the table.
-  Event event = slots_[spent_slot_];
-  spent_top_ = true;
+  Event event = slots_[slot];
   ++dispatched_;
+  if (from_lane) {
+    RingQueue<Key>& lane = lanes_[least_lane_];
+    lane.drop_front();
+    lane_heads_[least_lane_] = lane.empty() ? kSentinel : lane.front();
+    --lane_keys_;
+    least_lane_ = 0;
+    for (std::size_t next = 1; next < lane_count_; ++next)
+      if (lane_heads_[next] < lane_heads_[least_lane_]) least_lane_ = next;
+    event();
+    return true;
+  }
+  spent_slot_ = slot;
+  spent_top_ = true;
   event();
   if (spent_top_) retire_spent_top();
+  return true;
 }
 
 void EventQueue::retire_spent_top() {
@@ -128,10 +152,7 @@ void EventQueue::sift_up(std::size_t hole, Key key) noexcept {
 std::size_t EventQueue::run(std::size_t limit) {
   if (spent_top_) retire_spent_top();  // started from inside a callback
   std::size_t executed = 0;
-  while (size_ > 0 && executed < limit) {
-    dispatch_earliest();
-    ++executed;
-  }
+  while (executed < limit && dispatch_next(~TimePs{0})) ++executed;
   return executed;
 }
 
@@ -139,10 +160,7 @@ std::size_t EventQueue::run_until(TimePs until) {
   assert(until >= now_ && "EventQueue: run_until into the past");
   if (spent_top_) retire_spent_top();  // started from inside a callback
   std::size_t executed = 0;
-  while (size_ > 0 && static_cast<TimePs>(heap_[0] >> 64) <= until) {
-    dispatch_earliest();
-    ++executed;
-  }
+  while (dispatch_next(until)) ++executed;
   if (until > now_) now_ = until;  // never rewind (mirrors push_keyed)
   return executed;
 }

@@ -1232,7 +1232,7 @@ void Fabric::deliver(std::uint16_t node, const sim::FlitEnvelope& envelope) {
 void Fabric::sample() {
   std::uint64_t delivered = 0;
   for (const FlowRuntime& flow : flows_)
-    delivered += flow.board.stats().delivered;
+    delivered += flow.board.stats().in_order;
   std::uint64_t queued = 0;
   for (const auto& relay : relays_) {
     if (relay == nullptr) continue;

@@ -31,6 +31,10 @@ Endpoint::Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
       name_(std::move(name)),
       codec_(config.protocol),
       retry_buffer_(config.retry_buffer_capacity),
+      rekick_(queue.add_producer([this] {
+        kick_scheduled_ = false;
+        kick();
+      })),
       retry_timer_(queue, [this] { on_retry_timer(); }),
       credit_windows_(config.tx_credits, config.num_vcs),
       credit_probe_timer_(queue, [this] { on_credit_probe_timer(); }),
@@ -62,23 +66,12 @@ Endpoint::Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
 
 void Endpoint::kick() {
   if (output_ == nullptr || kick_scheduled_ || hop_dead_) return;
-  const TimePs free_at = output_->next_free();
-  if (free_at > queue_.now()) {
-    kick_scheduled_ = true;
-    queue_.schedule_at(free_at, [this] {
-      kick_scheduled_ = false;
-      kick();
-    });
-    return;
-  }
-  if (send_one()) {
-    kick_scheduled_ = true;
-    queue_.schedule_at(output_->next_free(), [this] {
-      kick_scheduled_ = false;
-      kick();
-    });
-  }
-  // Otherwise: idle. ACK arrivals, NACKs and new source data re-kick us.
+  // A free wire takes one flit, and then the next kick is due one slot
+  // later; a busy wire is waited out. With nothing to send the endpoint
+  // idles: ACK arrivals, NACKs and new source data re-kick it.
+  if (output_->next_free() <= queue_.now() && !send_one()) return;
+  kick_scheduled_ = true;
+  queue_.post(rekick_, output_->next_free(), output_->slot());
 }
 
 bool Endpoint::send_one() {

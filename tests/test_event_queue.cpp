@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "rxl/sim/link_channel.hpp"
 #include "rxl/sim/timer.hpp"
 #include "rxl/sim/trial_runner.hpp"
+#include "event_queue_probe.hpp"
 
 namespace rxl::sim {
 namespace {
@@ -336,12 +338,13 @@ TEST(Timer, EarlierRearmFiresEarlyAndTheReplacedCarrierIsANoOp) {
 
 // ----- Dispatch-order oracle ----------------------------------------------
 //
-// The kernel keeps one heap entry per timer and per in-order FIFO, yet must
-// dispatch exactly as one heap entry per occurrence did. The reference
-// types below re-implement that older design: a timer that pushes a
-// generation-checked entry per arm (lazy deletion), and a channel that
-// schedules one event per flit. A seeded script drives both worlds through
-// identical operations, and the (time, id) fire logs must match.
+// The kernel keeps one heap entry per timer and posts in-order FIFOs and
+// endpoint-style kicks to delay lanes, yet must dispatch exactly as one
+// heap entry per occurrence did. The reference types below re-implement
+// that older design: a timer that pushes a generation-checked entry per
+// arm (lazy deletion), a channel that schedules one event per flit, and
+// kickers that schedule each kick. A seeded script drives both worlds
+// through identical operations, and the (time, id) fire logs must match.
 
 /// One-shot timer with generation-based lazy deletion: every arm pushes an
 /// entry, and cancelled or superseded entries pop as no-ops.
@@ -401,6 +404,8 @@ class EventPerFlitChannel {
     });
     return end;
   }
+  [[nodiscard]] TimePs next_free() const noexcept { return next_free_; }
+  [[nodiscard]] TimePs slot() const noexcept { return slot_; }
 
  private:
   EventQueue& queue_;
@@ -413,35 +418,89 @@ class EventPerFlitChannel {
 
 using FireLog = std::vector<std::pair<TimePs, int>>;
 
-/// A seeded script of timer, channel and bystander operations on a 100 ps
-/// grid, so arms, deliveries and bystanders collide on timestamps. Every
-/// callback logs (now, id) and may run further operations, drawn from the
-/// world's own RNG: two worlds stay aligned exactly as long as their
-/// kernels dispatch in the same order.
+/// Fire-log ids for a run call's return, apart from the flits' (>= 0),
+/// timers' (-1 - timer) and kicks' (-10 - kicker). What a call ran is not
+/// logged: stale timer entries pop in one world and not the other.
+constexpr int kSteppedRun = -100;
+constexpr int kNestedRun = -101;
+
+/// What an oracle world holds besides its three timers and its bystanders.
+/// The default is two channels and no kickers, drained by one run().
+struct OracleShape {
+  /// Latencies of the plain channels; every one serialises a flit per
+  /// 100 ps.
+  std::vector<TimePs> latencies{100, 200};
+  /// Kickers, shaped like Endpoint::kick, as (slot, latency) of the channel
+  /// each one sends on; the script may send on those channels too.
+  std::vector<std::pair<TimePs, TimePs>> kickers;
+  /// Bystanders may dispatch from inside themselves.
+  bool nested_runs = false;
+  /// Drained through run_until horizons, on the grid and between it.
+  bool stepped = false;
+};
+
+/// A seeded script of timer, channel, kicker and bystander operations on a
+/// 100 ps grid, so arms, deliveries, kicks and bystanders collide on
+/// timestamps. Every callback logs (now, id) and may run further
+/// operations, drawn from the world's own RNG: two worlds stay aligned
+/// exactly as long as their kernels dispatch in the same order. The kernel
+/// world (LinkChannel) posts its kickers as Endpoint::kick does; the
+/// reference world schedules them.
 template <typename TimerT, typename ChannelT>
 class OracleWorld {
  public:
-  explicit OracleWorld(std::uint64_t seed) : rng_(seed) {
+  explicit OracleWorld(std::uint64_t seed, OracleShape shape = {})
+      : rng_(seed), shape_(std::move(shape)) {
     for (int i = 0; i < kTimers; ++i)
       timers_.push_back(
           std::make_unique<TimerT>(queue_, [this, i] { on_timer(i); }));
-    for (int c = 0; c < 2; ++c) {
-      channels_.push_back(std::make_unique<ChannelT>(
-          queue_, std::make_unique<phy::NoErrors>(), 1, /*slot=*/100,
-          /*latency=*/100 * (c + 1)));
-      channels_.back()->set_receiver(
-          [this, c](FlitEnvelope&& envelope) { on_delivery(c, envelope); });
+    for (const TimePs latency : shape_.latencies)
+      add_channel(/*slot=*/100, latency);
+    for (const auto& [slot, latency] : shape_.kickers) {
+      const std::size_t k = kickers_.size();
+      kickers_.emplace_back().channel = channels_.size();
+      if constexpr (kLanes) {
+        kickers_.back().producer =
+            queue_.add_producer([this, k] { on_kick(k); });
+      }
+      add_channel(slot, latency);
     }
     for (int i = 0; i < 24; ++i) bystander(100 * rng_.bounded(20));
   }
 
   FireLog run() {
-    queue_.run();
+    if (!shape_.stepped) {
+      queue_.run();
+      return log_;
+    }
+    Xoshiro256 horizons(rng_.bounded(1'000'000));
+    while (!queue_.empty()) {
+      queue_.run_until(queue_.now() + 50 * horizons.bounded(8));
+      log_.emplace_back(queue_.now(), kSteppedRun);
+    }
     return log_;
   }
 
+  const EventQueue& queue() const { return queue_; }
+
  private:
   static constexpr int kTimers = 3;
+  static constexpr bool kLanes = std::is_same_v<ChannelT, LinkChannel>;
+
+  struct Kicker {
+    std::size_t channel = 0;
+    int backlog = 0;  ///< flits still to send
+    bool scheduled = false;
+    EventQueue::Producer producer;
+  };
+
+  void add_channel(TimePs slot, TimePs latency) {
+    const int c = static_cast<int>(channels_.size());
+    channels_.push_back(std::make_unique<ChannelT>(
+        queue_, std::make_unique<phy::NoErrors>(), 1, slot, latency));
+    channels_.back()->set_receiver(
+        [this, c](FlitEnvelope&& envelope) { on_delivery(c, envelope); });
+  }
 
   TimePs step() { return 100 * rng_.bounded(4); }
 
@@ -450,6 +509,14 @@ class OracleWorld {
     queue_.schedule_at(at, [this, id] {
       log_.emplace_back(queue_.now(), id);
       act(-1);
+      if (shape_.nested_runs && nesting_ < 2 && rng_.bounded(6) == 0) {
+        // No channel is delivering, so a nested run is safe. It is bounded
+        // by time, not by count: stale timer entries pop in one world only.
+        ++nesting_;
+        queue_.run_until(queue_.now() + step());
+        log_.emplace_back(queue_.now(), kNestedRun);
+        --nesting_;
+      }
     });
   }
 
@@ -467,6 +534,34 @@ class OracleWorld {
     act(channel);
   }
 
+  /// Endpoint::kick's shape: a free wire takes one flit and the kicker
+  /// comes back once the wire frees, one slot later; a busy wire (the
+  /// script sent on it) is waited out; with nothing to send it idles.
+  void kick(std::size_t k) {
+    Kicker& kicker = kickers_[k];
+    ChannelT& channel = *channels_[kicker.channel];
+    if (kicker.scheduled) return;
+    if (channel.next_free() <= queue_.now()) {
+      if (kicker.backlog == 0) return;
+      --kicker.backlog;
+      FlitEnvelope envelope;
+      envelope.truth_index = static_cast<std::uint64_t>(next_id_++);
+      channel.send(envelope);
+    }
+    kicker.scheduled = true;
+    if constexpr (kLanes) {
+      queue_.post(kicker.producer, channel.next_free(), channel.slot());
+    } else {
+      queue_.schedule_at(channel.next_free(), [this, k] { on_kick(k); });
+    }
+  }
+
+  void on_kick(std::size_t k) {
+    log_.emplace_back(queue_.now(), -10 - static_cast<int>(k));
+    kickers_[k].scheduled = false;
+    kick(k);
+  }
+
   /// One random operation; `busy_channel` is delivering right now and must
   /// not be sent on.
   void act(int busy_channel) {
@@ -475,7 +570,7 @@ class OracleWorld {
     TimerT& timer = *timers_[rng_.bounded(kTimers)];
     const TimePs now = queue_.now();
     const TimePs base = timer.armed() ? timer.deadline() : now;
-    switch (rng_.bounded(9)) {
+    switch (rng_.bounded(kickers_.empty() ? 9 : 11)) {
       case 0:  // later than the current deadline
         timer.arm_at(base + 100 + step());
         break;
@@ -498,12 +593,20 @@ class OracleWorld {
         timer.arm_at(base);
         break;
       case 6:
-      case 7: {
-        int channel = static_cast<int>(rng_.bounded(2));
-        if (channel == busy_channel) channel = 1 - channel;
+      case 7: {  // a busy wire parks the flit behind the ones on it
+        const int channels = static_cast<int>(channels_.size());
+        int channel = static_cast<int>(rng_.bounded(channels_.size()));
+        if (channel == busy_channel) channel = (channel + 1) % channels;
         FlitEnvelope envelope;
         envelope.truth_index = static_cast<std::uint64_t>(next_id_++);
         channels_[static_cast<std::size_t>(channel)]->send(envelope);
+        break;
+      }
+      case 9:
+      case 10: {  // more work for a kicker, which starts unless it is busy
+        const std::size_t k = rng_.bounded(kickers_.size());
+        kickers_[k].backlog += 1 + static_cast<int>(rng_.bounded(4));
+        if (static_cast<int>(kickers_[k].channel) != busy_channel) kick(k);
         break;
       }
       default:
@@ -515,11 +618,14 @@ class OracleWorld {
 
   EventQueue queue_;
   Xoshiro256 rng_;
+  OracleShape shape_;
   std::vector<std::unique_ptr<TimerT>> timers_;
   std::vector<std::unique_ptr<ChannelT>> channels_;
+  std::vector<Kicker> kickers_;
   FireLog log_;
   int next_id_ = 0;
   int budget_ = 400;
+  int nesting_ = 0;
 };
 
 TEST(DispatchOracle, MatchesOneHeapEntryPerOccurrence) {
@@ -533,6 +639,48 @@ TEST(DispatchOracle, MatchesOneHeapEntryPerOccurrence) {
     for (const auto& [at, id] : kernel) timer_fires += id < 0 ? 1 : 0;
   }
   EXPECT_GT(timer_fires, 1'000u);  // the scripts really exercise the timers
+}
+
+TEST(DispatchOracle, LanesAndTheirHeapFallbackMatchOneEntryPerOccurrence) {
+  // Five plain channels and three kickers on channels of their own: nine
+  // distinct delays (kicks at 100, 200 and 300 ps; flits at 200 to 900 ps
+  // and at 600, 800 and 1000 ps), one more than the lane table holds, so
+  // whichever delay comes last posts to the heap. Busy wires park flits
+  // and kicks later than their lane's delay, sometimes below its tail.
+  OracleShape shape;
+  shape.latencies = {100, 200, 300, 400, 800};
+  shape.kickers = {{100, 500}, {200, 600}, {300, 700}};
+  shape.nested_runs = true;
+  std::uint64_t kicks = 0;
+  std::uint64_t nested = 0;
+  std::uint64_t heap_posts = 0;
+  std::uint64_t full_tables = 0;
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    shape.stepped = seed % 2 == 0;
+    const FireLog reference =
+        OracleWorld<LazyDeletionTimer, EventPerFlitChannel>(seed, shape).run();
+    OracleWorld<Timer, LinkChannel> world(seed, shape);
+    const FireLog kernel = world.run();
+    const auto parted =
+        std::mismatch(kernel.begin(), kernel.end(), reference.begin(),
+                      reference.end());
+    ASSERT_TRUE(parted.first == kernel.end() &&
+                parted.second == reference.end())
+        << "logs part at entry " << (parted.first - kernel.begin());
+    for (const auto& [at, id] : kernel) {
+      kicks += id <= -10 && id > -13 ? 1 : 0;
+      nested += id == kNestedRun ? 1 : 0;
+    }
+    heap_posts += EventQueueProbe::heap_posts(world.queue());
+    full_tables +=
+        EventQueueProbe::lanes(world.queue()) == EventQueue::kMaxLanes ? 1 : 0;
+  }
+  // The scripts really kick, nest, fill the lane table and fall back.
+  EXPECT_GT(kicks, 10'000u);
+  EXPECT_GT(nested, 1'000u);
+  EXPECT_GT(full_tables, 128u);
+  EXPECT_GT(heap_posts, 1'000u);
 }
 
 // ----- Reference model ----------------------------------------------------
@@ -816,10 +964,11 @@ TEST(EventQueue, DispatchFromInsideACallbackRetiresTheSpentTopFirst) {
 
 // ----- Kernel counters ----------------------------------------------------
 
-TEST(EventQueueCounters, ChannelBurstRekeysEveryHeadButTheLast) {
-  // 64 flits parked in one ParkedFifo: the first head is pushed, and each
-  // delivery's next head takes over the spent top. The last delivery has
-  // no successor, so its key is retired.
+TEST(EventQueueCounters, ChannelBurstFillsOneLane) {
+  // 64 flits parked in one ParkedFifo at once: the first at the channel's
+  // slot + latency, the rest behind it on the busy wire. All 64 keys rise,
+  // so they wait in the one lane of the channel's delay, and the heap takes
+  // none of them, so nothing is re-keyed.
   EventQueue queue;
   LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
                       /*slot=*/2'000, /*latency=*/8'000);
@@ -827,12 +976,16 @@ TEST(EventQueueCounters, ChannelBurstRekeysEveryHeadButTheLast) {
   channel.set_receiver([&delivered](FlitEnvelope&&) { ++delivered; });
   FlitEnvelope envelope;
   for (int i = 0; i < 64; ++i) channel.send(envelope);
-  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(queue.pending(), 64u);
+  EXPECT_EQ(EventQueueProbe::lanes(queue), 1u);
+  EXPECT_EQ(EventQueueProbe::lane_keys(queue, 10'000), 64u);
+  EXPECT_EQ(EventQueueProbe::heap_entries(queue), 0u);
   EXPECT_EQ(queue.run(), 64u);
   EXPECT_EQ(delivered, 64u);
   EXPECT_EQ(queue.dispatched(), 64u);
-  EXPECT_EQ(queue.rekeyed_in_place(), 63u);
-  EXPECT_EQ(queue.peak_pending(), 1u);
+  EXPECT_EQ(queue.rekeyed_in_place(), 0u);
+  EXPECT_EQ(queue.peak_pending(), 64u);
+  EXPECT_EQ(EventQueueProbe::heap_posts(queue), 0u);
 }
 
 TEST(EventQueueCounters, TimerRearmScript) {
@@ -863,17 +1016,182 @@ TEST(EventQueueCounters, TimerRearmScript) {
   EXPECT_EQ(queue.peak_pending(), 2u);
 }
 
-}  // namespace
+// ----- Delay lanes --------------------------------------------------------
 
-/// Reaches into the kernel to fast-forward its FIFO order counter, which a
-/// run would need ~10^12 schedules to exhaust.
-struct EventQueueProbe {
-  static void set_next_order(EventQueue& queue, std::uint64_t order) {
-    queue.next_order_ = order;
+TEST(EventQueueLanes, RandomDelaySchedulesCreateNoLane) {
+  // The shape of the e2e bench's unit.dispatch loop: a heap of random
+  // delays, then one random-delay schedule and one dispatch per step.
+  // Plain schedules never take a lane, whatever their delays.
+  EventQueue queue;
+  Xoshiro256 rng(42);
+  std::uint64_t sink = 0;
+  for (int i = 0; i < 96; ++i)
+    queue.schedule(rng.bounded(10'000) + 1, [&sink] { ++sink; });
+  for (int i = 0; i < 10'000; ++i) {
+    queue.schedule(rng.bounded(10'000) + 1, [&sink] { ++sink; });
+    EXPECT_EQ(queue.run(1), 1u);
   }
+  EXPECT_EQ(sink, 10'000u);
+  EXPECT_EQ(EventQueueProbe::lanes(queue), 0u);
+  EXPECT_EQ(EventQueueProbe::heap_entries(queue), 96u);
+  EXPECT_EQ(EventQueueProbe::heap_posts(queue), 0u);
+}
+
+/// Producers that each re-post themselves at their own delay, and log each
+/// firing after scheduling a plain event 50 ps out. The kernel world posts
+/// them; the reference world schedules them.
+template <bool kPost>
+struct RepostWorld {
+  explicit RepostWorld(int producers) : left(producers, 3) {
+    for (int i = 0; i < producers; ++i)
+      ids.push_back(queue.add_producer([this, i] { fire(i); }));
+    for (int i = 0; i < producers; ++i) repost(i);
+  }
+
+  static TimePs delay(int i) { return 100 * static_cast<TimePs>(i + 1); }
+
+  void repost(int i) {
+    const TimePs when = queue.now() + delay(i);
+    if constexpr (kPost) {
+      queue.post(ids[static_cast<std::size_t>(i)], when, delay(i));
+    } else {
+      queue.schedule_at(when, [this, i] { fire(i); });
+    }
+  }
+
+  void fire(int i) {
+    log.emplace_back(queue.now(), i);
+    queue.schedule(50, [this] { log.emplace_back(queue.now(), -1); });
+    if (--left[static_cast<std::size_t>(i)] > 0) repost(i);
+  }
+
+  EventQueue queue;
+  std::vector<EventQueue::Producer> ids;
+  std::vector<int> left;
+  FireLog log;
 };
 
-namespace {
+TEST(EventQueueLanes, FullTableSendsTheNextDelayToTheHeap) {
+  // kMaxLanes + 1 producers at distinct delays: the first kMaxLanes open
+  // the lanes, and the last one's posts go to the heap. Its firings come
+  // from the heap, and the plain event each one schedules first takes over
+  // the spent top; the producer's own callback, in its never-freed slot,
+  // must survive that and fire again.
+  constexpr int kProducers = static_cast<int>(EventQueue::kMaxLanes) + 1;
+  RepostWorld<true> kernel(kProducers);
+  RepostWorld<false> reference(kProducers);
+  EXPECT_EQ(EventQueueProbe::lanes(kernel.queue), EventQueue::kMaxLanes);
+  EXPECT_EQ(EventQueueProbe::heap_entries(kernel.queue), 1u);
+  EXPECT_EQ(kernel.queue.pending(), static_cast<std::size_t>(kProducers));
+  kernel.queue.run();
+  reference.queue.run();
+  EXPECT_EQ(kernel.log, reference.log);
+  const auto last_fires = std::count_if(
+      kernel.log.begin(), kernel.log.end(),
+      [](const auto& entry) { return entry.second == kProducers - 1; });
+  EXPECT_EQ(last_fires, 3);
+  EXPECT_EQ(EventQueueProbe::heap_posts(kernel.queue), 3u);
+  EXPECT_GE(kernel.queue.rekeyed_in_place(), 3u);
+}
+
+TEST(EventQueueLanes, KeyBelowItsLaneTailGoesToTheHeap) {
+  // A busy wire posts a kick 3000 ps out on the 1000 ps lane; a kick 1000
+  // ps out, posted after it, falls below that tail and takes the heap, and
+  // each still fires at its own time.
+  EventQueue queue;
+  std::vector<std::pair<int, TimePs>> ran;
+  const auto busy =
+      queue.add_producer([&] { ran.emplace_back(0, queue.now()); });
+  const auto idle =
+      queue.add_producer([&] { ran.emplace_back(1, queue.now()); });
+  queue.post(busy, 3'000, 1'000);
+  queue.post(idle, 1'000, 1'000);
+  EXPECT_EQ(EventQueueProbe::lane_keys(queue, 1'000), 1u);
+  EXPECT_EQ(EventQueueProbe::heap_entries(queue), 1u);
+  EXPECT_EQ(EventQueueProbe::heap_posts(queue), 1u);
+  EXPECT_EQ(queue.run(), 2u);
+  EXPECT_EQ(ran, (std::vector<std::pair<int, TimePs>>{{1, 1'000}, {0, 3'000}}));
+}
+
+TEST(EventQueueLanes, SameInstantTiesRunInPostOrder) {
+  // Lane keys and heap entries due at one instant run in the order they
+  // were posted and scheduled, from either side.
+  EventQueue queue;
+  std::vector<int> order;
+  const auto kick = queue.add_producer([&] { order.push_back(0); });
+  queue.schedule_at(100, [&] { order.push_back(1); });
+  queue.post(kick, 100, 100);
+  queue.schedule_at(100, [&] { order.push_back(2); });
+  queue.post(kick, 100, 100);
+  queue.post(kick, 100, 100);
+  queue.schedule_at(100, [&] { order.push_back(3); });
+  EXPECT_EQ(EventQueueProbe::lane_keys(queue, 100), 3u);
+  EXPECT_EQ(queue.run(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 0, 0, 3}));
+}
+
+TEST(EventQueueLanes, RunUntilStopsBetweenLaneHeads) {
+  // A kicker re-posting itself every 100 ps, and a heap entry at 250:
+  // horizons between the lane's heads run exactly what is due by them and
+  // leave time at the horizon.
+  EventQueue queue;
+  std::vector<TimePs> kicks;
+  EventQueue::Producer kick;
+  kick = queue.add_producer([&] {
+    kicks.push_back(queue.now());
+    if (kicks.size() < 5) queue.post(kick, queue.now() + 100, 100);
+  });
+  bool heap_ran = false;
+  queue.post(kick, 100, 100);
+  queue.schedule_at(250, [&] { heap_ran = true; });
+  EXPECT_EQ(queue.run_until(150), 1u);
+  EXPECT_EQ(queue.now(), 150u);
+  EXPECT_EQ(queue.run_until(249), 1u);  // the kick at 200
+  EXPECT_FALSE(heap_ran);
+  EXPECT_EQ(queue.run_until(250), 1u);
+  EXPECT_TRUE(heap_ran);
+  EXPECT_EQ(queue.pending(), 1u);  // the kick at 300
+  EXPECT_EQ(queue.run_until(10'000), 3u);
+  EXPECT_EQ(queue.now(), 10'000u);
+  EXPECT_EQ(kicks, (std::vector<TimePs>{100, 200, 300, 400, 500}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueLanes, NestedRunFromAHeapEventDispatchesLaneKeys) {
+  // A heap event at 150 runs the queue from inside itself: its own spent
+  // entry is retired, and the nested run takes the lane's keys in order.
+  EventQueue queue;
+  std::vector<std::pair<int, TimePs>> ran;
+  const auto kick =
+      queue.add_producer([&] { ran.emplace_back(0, queue.now()); });
+  queue.post(kick, 100, 100);
+  queue.post(kick, 200, 100);
+  queue.post(kick, 300, 100);
+  queue.schedule_at(150, [&] {
+    ran.emplace_back(1, queue.now());
+    EXPECT_EQ(queue.pending(), 2u);
+    EXPECT_EQ(queue.run(1), 1u);
+    EXPECT_EQ(queue.run_until(250), 0u);
+    EXPECT_EQ(queue.pending(), 1u);
+  });
+  EXPECT_EQ(queue.run(), 3u);
+  EXPECT_EQ(ran, (std::vector<std::pair<int, TimePs>>{
+                     {0, 100}, {1, 150}, {0, 200}, {0, 300}}));
+  EXPECT_EQ(queue.dispatched(), 4u);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueDeathTest, LanePostsTakeOrdersFromTheSameField) {
+  EventQueue queue;
+  const std::uint64_t last = (std::uint64_t{1} << EventQueue::kOrderBits) - 2;
+  int fired = 0;
+  const auto kick = queue.add_producer([&] { ++fired; });
+  EventQueueProbe::set_next_order(queue, last);
+  queue.post(kick, 100, 100);  // the last order that fits
+  EXPECT_EQ(queue.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DEATH(queue.post(kick, 200, 100), "order field of the heap key");
+}
 
 TEST(EventQueueDeathTest, OrderFieldOverflowAbortsInEveryBuild) {
   EventQueue queue;

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "event_queue_probe.hpp"
+
 namespace rxl::sim {
 namespace {
 
@@ -95,9 +97,10 @@ TEST(LinkChannel, IdleGapThenSend) {
   EXPECT_EQ(deliveries[1], 6000u);
 }
 
-TEST(LinkChannel, FlitsInFlightHoldOneHeapEntry) {
-  // Deliveries leave in FIFO order, so only the head flit is in the heap;
-  // the rest wait in the channel with their keys already taken.
+TEST(LinkChannel, FlitsInFlightWaitInOneLane) {
+  // Deliveries leave in FIFO order and every key rises, so each flit's key
+  // waits in the lane of the channel's slot + latency, none in the heap,
+  // and one leaves per delivery.
   EventQueue queue;
   LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1, 2000, 8000);
   std::vector<std::uint8_t> tags;
@@ -106,13 +109,18 @@ TEST(LinkChannel, FlitsInFlightHoldOneHeapEntry) {
   });
   for (int i = 0; i < 64; ++i)
     channel.send(make_envelope(static_cast<std::uint8_t>(i)));
-  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(queue.pending(), 64u);
+  EXPECT_EQ(EventQueueProbe::lane_keys(queue, 10'000), 64u);
+  EXPECT_EQ(EventQueueProbe::heap_entries(queue), 0u);
   queue.run(10);
-  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(queue.pending(), 54u);
+  EXPECT_EQ(EventQueueProbe::lane_keys(queue, 10'000), 54u);
   queue.run();
   ASSERT_EQ(tags.size(), 64u);
   for (std::size_t i = 0; i < tags.size(); ++i) EXPECT_EQ(tags[i], i);
   EXPECT_EQ(queue.now(), 64u * 2000u + 8000u);
+  EXPECT_EQ(queue.rekeyed_in_place(), 0u);
+  EXPECT_EQ(queue.peak_pending(), 64u);
 }
 
 TEST(LinkChannel, ReceiverGetsTheCorruptedSlotAndMaySendElsewhere) {
@@ -140,6 +148,18 @@ TEST(LinkChannelDeathTest, SendFromItsOwnReceiverAborts) {
   channel.set_receiver([&](FlitEnvelope&& envelope) { channel.send(envelope); });
   channel.send(make_envelope(1));
   EXPECT_DEATH(queue.run(), "parked into while handling its head");
+}
+
+TEST(LinkChannelDeathTest, NestedRunThatReachesTheChannelAborts) {
+  // Every flit's key is posted when it is sent, so a receiver that runs
+  // the queue would be handed the next flit while it still holds this
+  // one's slot. Checked in release builds too.
+  EventQueue queue;
+  LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1);
+  channel.set_receiver([&](FlitEnvelope&&) { queue.run(); });
+  channel.send(make_envelope(1));
+  channel.send(make_envelope(2));
+  EXPECT_DEATH(queue.run(), "fired while handling its head");
 }
 
 }  // namespace

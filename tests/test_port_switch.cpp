@@ -13,6 +13,7 @@
 
 #include "rxl/crc/isn_crc.hpp"
 #include "rxl/phy/error_model.hpp"
+#include "event_queue_probe.hpp"
 
 namespace rxl::switchdev {
 namespace {
@@ -258,20 +259,29 @@ TEST(SwitchDevice, NoOutputConfiguredIsSafe) {
   EXPECT_EQ(sw.stats().flits_forwarded, 0u);
 }
 
-TEST(SwitchDevice, ForwardingFlitsHoldOneHeapEntry) {
+TEST(SwitchDevice, ForwardingFlitsWaitInOneLane) {
+  // Every flit enters the pipeline at once and leaves a forward latency
+  // later, so the 64 keys wait in that latency's lane, none in the heap.
   PortSwitch::Config config;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
   for (std::uint16_t seq = 0; seq < 64; ++seq)
     harness.sw->on_flit(data_envelope(codec, seq));
-  EXPECT_EQ(harness.queue.pending(), 1u);
+  EXPECT_EQ(harness.queue.pending(), 64u);
+  EXPECT_EQ(sim::EventQueueProbe::lane_keys(harness.queue,
+                                            config.forward_latency),
+            64u);
+  EXPECT_EQ(sim::EventQueueProbe::heap_entries(harness.queue), 0u);
   harness.queue.run();
   ASSERT_EQ(harness.received.size(), 64u);
   for (std::size_t i = 0; i < harness.received.size(); ++i)
     EXPECT_EQ(harness.received[i].truth_index, i);
 }
 
-TEST(PortSwitch, ForwardingFlitsHoldOneHeapEntry) {
+TEST(PortSwitch, ForwardingFlitsWaitInOneLane) {
+  // The pipeline's 64 keys wait in the forward latency's lane. When they
+  // fire, both egress wires are busy, and their flits' rising keys share
+  // the lane of the wires' slot + latency.
   sim::EventQueue queue;
   PortSwitch::Config config;
   config.ports = 2;
@@ -293,7 +303,12 @@ TEST(PortSwitch, ForwardingFlitsHoldOneHeapEntry) {
     envelope.dest_port = seq % 2;
     sw.on_flit(std::move(envelope));
   }
-  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(queue.pending(), 64u);
+  EXPECT_EQ(sim::EventQueueProbe::lane_keys(queue, config.forward_latency),
+            64u);
+  EXPECT_EQ(queue.run(64), 64u);
+  EXPECT_EQ(sim::EventQueueProbe::lane_keys(queue, 2 * kFlitSlotPs), 64u);
+  EXPECT_EQ(sim::EventQueueProbe::heap_entries(queue), 0u);
   queue.run();
   ASSERT_EQ(received[0].size(), 32u);
   ASSERT_EQ(received[1].size(), 32u);

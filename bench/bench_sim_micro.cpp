@@ -1,8 +1,9 @@
 // Simulation-kernel microbenchmarks (google-benchmark): ns/event for the
 // discrete-event core that every fabric Monte Carlo trial spins millions of
 // times — schedule+dispatch at steady heap depth, endpoint-style timer
-// rearm, a fabric-shaped mix of lane posts and timers, and a full
-// LinkChannel send->deliver hop.
+// rearm, a fabric-shaped mix of lane posts and timers, a full
+// LinkChannel send->deliver hop (a flit held as bytes, and one held by
+// reference as endpoints send it), and a retry buffer's steady window.
 //
 // Unless a row says otherwise, each benchmark iteration executes exactly
 // ONE event, so the reported ns/iter reads directly as ns/event.
@@ -10,9 +11,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rxl/common/rng.hpp"
+#include "rxl/link/retry_buffer.hpp"
+#include "rxl/link/sequence.hpp"
 #include "rxl/obs/trace.hpp"
 #include "rxl/phy/error_model.hpp"
 #include "rxl/sim/event_queue.hpp"
@@ -194,8 +198,10 @@ void BM_ChannelBurst(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelBurst)->Arg(8)->Arg(64);
 
-// One LinkChannel hop: serialisation bookkeeping + error-model pass on the
-// 256 B image + delivery event. Two events of real simulations' profile.
+// One LinkChannel hop: serialisation bookkeeping + error-model pass +
+// delivery event. Two events of real simulations' profile. The flit holds
+// its payload as bytes, as a control flit or a hub's regenerated flit
+// does, so the whole 256 B image is copied into the in-flight slot.
 void BM_LinkChannel_SendDeliver(benchmark::State& state) {
   sim::EventQueue queue;
   sim::LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
@@ -207,12 +213,64 @@ void BM_LinkChannel_SendDeliver(benchmark::State& state) {
   proto.flit.payload()[0] = 0xAB;
   proto.seal = sim::SealState::kCodeword;
   for (auto _ : state) {
-    channel.send(proto);  // copies the 256 B image, as endpoints do
+    channel.send(proto);  // held as bytes: copies the 256 B image
     queue.run(1);
   }
   benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK(BM_LinkChannel_SendDeliver);
+
+// The same hop for a data flit as endpoints send it: unsealed, its payload
+// held by reference, so only the 2 B header is copied.
+void BM_LinkChannel_SendDeliver_ByReference(benchmark::State& state) {
+  sim::EventQueue queue;
+  sim::LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
+                           /*slot=*/2'000, /*latency=*/8'000);
+  std::uint64_t delivered = 0;
+  channel.set_receiver(
+      [&delivered](sim::FlitEnvelope&&) { ++delivered; });
+  sim::PayloadFn payload = [](std::uint64_t index,
+                              std::span<std::uint8_t, kPayloadBytes> out) {
+    out[0] = static_cast<std::uint8_t>(index);
+  };
+  flit::Flit image;
+  image.bytes()[0] = 0x12;
+  sim::FlitTags tags;
+  tags.has_truth = true;
+  tags.seal = sim::SealState::kUnsealed;
+  tags.payload_of = &payload;
+  for (auto _ : state) {
+    channel.send(image, tags);
+    queue.run(1);
+    ++tags.truth_index;
+  }
+  benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK(BM_LinkChannel_SendDeliver_ByReference);
+
+// A retry buffer sliding at a window of 30 flits: each iteration reserves
+// and commits the newest entry and ACKs the oldest, as an endpoint does
+// per data flit sent and acknowledged. Every third iteration the window
+// leaves a block and needs a new one; the thread's pool of released blocks
+// supplies it.
+void BM_RetryBuffer_SteadyWindow(benchmark::State& state) {
+  constexpr std::uint16_t kWindow = 30;
+  link::RetryBuffer buffer(64);
+  std::uint16_t next = 0;
+  for (; next < kWindow; ++next) {
+    (void)buffer.reserve();
+    buffer.commit(next);
+  }
+  for (auto _ : state) {
+    flit::Flit& slot = buffer.reserve();
+    slot.bytes()[0] = static_cast<std::uint8_t>(next);
+    buffer.commit(next, next);
+    next = link::seq_next(next);
+    benchmark::DoNotOptimize(buffer.ack_up_to(*buffer.oldest_seq()));
+  }
+  state.counters["window"] = static_cast<double>(buffer.size());
+}
+BENCHMARK(BM_RetryBuffer_SteadyWindow);
 
 // One TraceRing write: the marginal cost of every emission site when
 // tracing is on (a bounded ring store, no allocation). The trace-off cost

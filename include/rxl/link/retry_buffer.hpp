@@ -1,7 +1,7 @@
 // Go-back-N replay buffer: flit images awaiting acknowledgment (endpoints
 // keep them unsealed, header and payload only; see sim::SealState). A
 // source's payload is held by reference (Entry::payload_of), so its slot
-// holds a header and 240 B that were never written.
+// holds a header and 240 B that were never written (or an earlier flit's).
 //
 // The transmitter keeps every sent-but-unacked flit so a NACK (or an ack
 // timeout) can replay the stream from any in-window sequence number. The
@@ -110,14 +110,27 @@ class RetryBuffer {
   void clear() noexcept;
 
  private:
-  /// Entries live in blocks of three (840 B, small enough for the
-  /// allocator's per-thread cache), so a reserve is one in-place fill and at
-  /// most one allocation per block, and the footprint follows the live
-  /// window. A deque would allocate a node per 280 B entry.
+  friend struct RetryBufferProbe;  ///< unit tests: fresh block count
+
+  /// Entries live in blocks of three (840 B), so a reserve is one in-place
+  /// fill. A block the window leaves (on ACK, clear() or destruction) goes
+  /// back to its thread's pool (retry_buffer.cpp), and a reserve that needs
+  /// a block takes one from there: only a thread's peak window allocates,
+  /// and a steady window allocates nothing. A deque would allocate a node
+  /// per 280 B entry.
   static constexpr std::size_t kBlockEntries = 3;
   struct Block {
     std::array<Entry, kBlockEntries> entries;
   };
+  class Pool;
+  /// Returns a block to its thread's pool instead of freeing it.
+  struct ToPool {
+    void operator()(Block* block) const noexcept;
+  };
+  using BlockPtr = std::unique_ptr<Block, ToPool>;
+
+  /// A block from this thread's pool, or a fresh one when it is empty.
+  [[nodiscard]] BlockPtr take_block();
 
   /// The `index`-th held entry, 0 = oldest.
   [[nodiscard]] const Entry& entry_at(std::size_t index) const noexcept {
@@ -131,15 +144,16 @@ class RetryBuffer {
 
   std::size_t capacity_;
   /// Oldest block first. Bounded by capacity_ (<= 512): reserve() requires
-  /// room, so at most capacity_ / 3 + 2 blocks are held, and each costs one
-  /// allocation when the window grows into it.
-  RingQueue<std::unique_ptr<Block>> blocks_;
+  /// room, so at most capacity_ / 3 + 2 blocks are held.
+  RingQueue<BlockPtr> blocks_;
   std::size_t head_ = 0;  ///< oldest entry's slot in the front block
   std::size_t size_ = 0;
   /// The reserved slot, one past the newest entry, or null (see
-  /// reserve()). Blocks never move, and an ACK frees only blocks in front
+  /// reserve()). Blocks never move, and an ACK releases only blocks in front
   /// of it, so the pointer stays valid until commit, drop or clear().
   Entry* reserved_ = nullptr;
+  /// Blocks this buffer allocated because its thread's pool was empty.
+  std::uint64_t fresh_blocks_ = 0;
 };
 
 }  // namespace rxl::link

@@ -10,15 +10,17 @@
 // is handed that slot. Endpoints send flits unsealed: the CRC and FEC
 // fields are not computed, and the envelope records the value the CRC
 // folds in. A data flit's payload may also travel by reference
-// (FlitEnvelope::payload_of): its 240 B were never written. Error models
-// XOR in a pattern that does not depend on the image (see
-// phy::ErrorModel), so the channel draws the pattern onto zeros and, only
-// when the pattern hits, writes the payload, seals the slot and flips it;
-// the flip then lands on the real codeword. A flit no error touched keeps
-// its seal state and its payload reference, and its receiver takes the
-// check's verdict from the metadata.
+// (FlitEnvelope::payload_of): its 240 B were never written, so only its
+// 2 B header is copied (copy_readable), and the slot's payload and parity
+// keep whatever an earlier flit left there. Error models XOR in a pattern
+// that does not depend on the image (see phy::ErrorModel), so the channel
+// draws the pattern onto zeros and, only when the pattern hits, writes the
+// payload, seals the slot and flips it; the flip then lands on the real
+// codeword. A flit no error touched keeps its seal state and its payload
+// reference, and its receiver takes the check's verdict from the metadata.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -80,7 +82,9 @@ struct FlitEnvelope {
   /// Non-null: the payload is held by reference. The image's 240 payload
   /// bytes were never written; they are (*payload_of)(truth_index). Such
   /// a flit is always unsealed: whatever seals or flips it (a channel's
-  /// error hit, a hub's internal flip) materializes the bytes first.
+  /// error hit, a hub's internal flip) materializes the bytes first. Only
+  /// its header is copied from slot to slot (copy_readable), so a
+  /// recycled slot's payload and parity may hold an earlier flit's bytes.
   PayloadFn* payload_of = nullptr;
 };
 
@@ -99,6 +103,19 @@ inline void materialize(FlitEnvelope& envelope) {
   if (envelope.payload_of == nullptr) return;
   (*envelope.payload_of)(envelope.truth_index, envelope.flit.payload());
   envelope.payload_of = nullptr;
+}
+
+/// Copies the bytes of `from` that a reader may read into `to`: the 2 B
+/// header alone when the payload is held by reference (`payload_of` set),
+/// since the payload and parity were never written, and the whole image
+/// otherwise. A by-reference copy leaves the rest of `to` as it was.
+inline void copy_readable(flit::Flit& to, const flit::Flit& from,
+                          const PayloadFn* payload_of) noexcept {
+  if (payload_of != nullptr) {
+    std::copy_n(from.bytes().begin(), kHeaderBytes, to.bytes().begin());
+  } else {
+    to = from;
+  }
 }
 
 /// The envelope's payload bytes, for readers that need them (a byte-level
@@ -123,6 +140,29 @@ struct FlitTags {
   SealState seal = SealState::kCodeword;
   PayloadFn* payload_of = nullptr;  ///< see FlitEnvelope::payload_of
 };
+
+/// The tags that re-send `envelope` as it is.
+inline FlitTags tags_of(const FlitEnvelope& envelope) noexcept {
+  return FlitTags{envelope.truth_index, envelope.has_truth,
+                  envelope.dest_port,   envelope.flow_id,
+                  envelope.crc_fold,    envelope.seal,
+                  envelope.payload_of};
+}
+
+/// Fills a recycled ring slot (a channel's in-flight ring, a hub's
+/// forwarding pipeline) with `image` stamped with `tags`, copying only
+/// the image bytes a reader may read (copy_readable).
+inline void fill_slot(FlitEnvelope& slot, const flit::Flit& image,
+                      const FlitTags& tags) noexcept {
+  copy_readable(slot.flit, image, tags.payload_of);
+  slot.seal = tags.seal;
+  slot.crc_fold = tags.crc_fold;
+  slot.truth_index = tags.truth_index;
+  slot.has_truth = tags.has_truth;
+  slot.dest_port = tags.dest_port;
+  slot.flow_id = tags.flow_id;
+  slot.payload_of = tags.payload_of;
+}
 
 /// Per-channel occupancy and error statistics.
 struct ChannelStats {
@@ -167,11 +207,12 @@ class LinkChannel {
     faults_ = (faults != nullptr && !faults->empty()) ? faults : nullptr;
   }
 
-  /// Queues a copy of `image`, stamped with `tags` (its seal state, CRC
-  /// fold and payload reference among them), for transmission: the image
-  /// is copied once, straight into its in-flight slot. The channel
-  /// serialises flits back-to-back: if the wire is busy the flit starts
-  /// when it frees up.
+  /// Queues `image`, stamped with `tags` (its seal state, CRC fold and
+  /// payload reference among them), for transmission: the bytes a reader
+  /// may read (the header alone when `tags.payload_of` is set; see
+  /// copy_readable) are copied once, straight into its in-flight slot. The
+  /// channel serialises flits back-to-back: if the wire is busy the flit
+  /// starts when it frees up.
   /// Returns the time at which the flit's slot *ends* (when the sender may
   /// push the next flit without queueing).
   TimePs send(const flit::Flit& image, const FlitTags& tags) {
@@ -181,11 +222,7 @@ class LinkChannel {
   /// Envelope form (a hub forwarding a parked envelope): the same, keeping
   /// the envelope's seal state, CRC fold and payload reference.
   TimePs send(const FlitEnvelope& envelope) {
-    return transmit(envelope.flit,
-                    FlitTags{envelope.truth_index, envelope.has_truth,
-                             envelope.dest_port, envelope.flow_id,
-                             envelope.crc_fold, envelope.seal,
-                             envelope.payload_of});
+    return transmit(envelope.flit, tags_of(envelope));
   }
 
   /// Earliest time a newly offered flit would start serialising.

@@ -1,12 +1,79 @@
 #include "rxl/link/retry_buffer.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 namespace rxl::link {
+namespace {
+
+/// Set once this thread's pool is destroyed. A buffer that outlives it (one
+/// in static storage, destroyed after the main thread's thread-locals)
+/// frees its blocks instead of pooling them.
+constinit thread_local bool pool_closed = false;
+
+}  // namespace
+
+/// The blocks this thread's buffers released, for the thread's next
+/// reserve() to take. One pool per thread, like link_channel.cpp's
+/// error_pattern, since trial workers run fabrics in parallel; a pool per
+/// buffer would keep every endpoint's peak window. A pooled block is
+/// poisoned under ASan, so a stale Entry* into it faults.
+class RetryBuffer::Pool {
+ public:
+  /// This thread's pool, or null once it has been destroyed.
+  static Pool* local() noexcept {
+    if (pool_closed) return nullptr;
+    thread_local Pool pool;
+    return &pool;
+  }
+
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+  ~Pool() {
+    pool_closed = true;
+    while (Block* block = take()) delete block;
+  }
+
+  /// A pooled block, or null when the pool is empty.
+  [[nodiscard]] Block* take() noexcept {
+    if (spare_.empty()) return nullptr;
+    Block* block = spare_.back();
+    spare_.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(block, sizeof(Block));
+    return block;
+  }
+
+  void give(Block* block) {
+    ASAN_POISON_MEMORY_REGION(block, sizeof(Block));
+    spare_.push_back(block);
+  }
+
+ private:
+  std::vector<Block*> spare_;
+};
+
+void RetryBuffer::ToPool::operator()(Block* block) const noexcept {
+  if (Pool* pool = Pool::local()) {
+    pool->give(block);
+  } else {
+    delete block;
+  }
+}
+
+RetryBuffer::BlockPtr RetryBuffer::take_block() {
+  if (Pool* pool = Pool::local())
+    if (Block* block = pool->take()) return BlockPtr(block);
+  ++fresh_blocks_;
+  // rxl-lint: allow(R3) the pool's refill: only a thread's peak window gets here
+  return BlockPtr(new Block);
+}
 
 RetryBuffer::RetryBuffer(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0 || capacity_ > kSeqModulus / 2)
@@ -27,7 +94,7 @@ flit::Flit& RetryBuffer::reserve() {
   assert(!full());
   const std::size_t slot = head_ + size_;
   if (slot == blocks_.size() * kBlockEntries)
-    blocks_.push_back(std::make_unique_for_overwrite<Block>());
+    blocks_.push_back(take_block());
   reserved_ = &blocks_.at(slot / kBlockEntries)->entries[slot % kBlockEntries];
   return reserved_->flit;
 }

@@ -57,18 +57,13 @@ TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
 
   // Delivery happens once the last bit has propagated.
   FlitEnvelope& slot = in_flight_.park(end + latency_);
-  slot.flit = image;
-  slot.seal = tags.seal;
-  slot.crc_fold = tags.crc_fold;
-  slot.truth_index = tags.truth_index;
-  slot.has_truth = tags.has_truth;
-  slot.dest_port = tags.dest_port;
-  slot.flow_id = tags.flow_id;
-  slot.payload_of = tags.payload_of;
+  fill_slot(slot, image, tags);
   assert(slot.payload_of == nullptr || slot.seal == SealState::kUnsealed);
   // The pattern does not depend on the image (the ErrorModel contract), so
   // drawing it onto zeros takes the same RNG draws as corrupting the slot,
-  // and only a hit pays for the payload bytes and the seal.
+  // and only a hit pays for the payload bytes and the seal. The hit writes
+  // the payload and seals before it flips, so a recycled slot's stale
+  // payload and parity never reach a check.
   const std::size_t flipped = errors_->corrupt(error_pattern, rng_);
   if (flipped > 0) {
     materialize(slot);

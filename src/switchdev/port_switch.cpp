@@ -94,9 +94,11 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     return;
   }
   stats_.flits_forwarded += 1;
+  // The recycled slot takes the header alone of a flit whose payload is
+  // held by reference (sim::copy_readable).
   PendingForward& pending =
       forwarding_.park(queue_.now() + config_.forward_latency);
-  pending.envelope = envelope;
+  sim::fill_slot(pending.envelope, envelope.flit, sim::tags_of(envelope));
   pending.output = outputs_[port];
 }
 

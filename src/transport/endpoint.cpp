@@ -208,16 +208,17 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
   // The canonical (replayable) image in its retry slot always carries the
   // explicit/implicit SeqNum with no piggybacked ACK; the wire image on
   // first transmission may substitute an AckNum into the FSN field, and is
-  // then a copy with its own header. Both leave unsealed, and a payload
-  // held by reference stays unwritten: the channel writes it and seals the
-  // flit only if an error hits it.
+  // then a copy with its own header (the header alone when the payload is
+  // held by reference; see sim::copy_readable). Both leave unsealed, and a
+  // payload held by reference stays unwritten: the channel writes it and
+  // seals the flit only if an error hits it.
   codec_.write_data_header(canonical, seq, std::nullopt);
 
   const flit::Flit* wire = &canonical;
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
       ack_scheduler_.pending()) {
     if (const std::optional<std::uint16_t> acknum = ack_scheduler_.consume()) {
-      piggyback_image_ = canonical;
+      sim::copy_readable(piggyback_image_, canonical, payload_of);
       codec_.write_data_header(piggyback_image_, seq, acknum);
       wire = &piggyback_image_;
       stats_.acks_piggybacked += 1;

@@ -15,6 +15,7 @@
 #include "rxl/switchdev/relay_switch.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
+#include "hit_without_flip.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -162,22 +163,6 @@ TEST_P(EndpointBothProtocols, PiggybackPolicyUsesDataFlits) {
 // untouched flit's verdict from metadata. These oracles force the other
 // path on every flit and require the same run.
 
-/// Reports a hit on every flit but flips nothing beyond what `inner` flips,
-/// so the channel seals every flit and every receiver runs the real FEC
-/// decode and CRC check.
-class HitWithoutFlip final : public phy::ErrorModel {
- public:
-  explicit HitWithoutFlip(std::unique_ptr<phy::ErrorModel> inner)
-      : inner_(std::move(inner)) {}
-  std::size_t corrupt(std::span<std::uint8_t> flit, Xoshiro256& rng) override {
-    return std::max<std::size_t>(inner_->corrupt(flit, rng), 1);
-  }
-  void reset() noexcept override { inner_->reset(); }
-
- private:
-  std::unique_ptr<phy::ErrorModel> inner_;
-};
-
 /// What one oracle run produces: the counters (scoreboards included), the
 /// delivered streams (each flit's low truth-index byte and payload bytes,
 /// in delivery order), how many deliveries still held their payload by
@@ -227,7 +212,8 @@ std::unique_ptr<phy::ErrorModel> oracle_errors(bool force_seal,
         0.03, std::make_unique<phy::SymbolBurstInjector>(2)));
     errors = std::make_unique<phy::CompositeErrorModel>(std::move(both));
   }
-  if (force_seal) return std::make_unique<HitWithoutFlip>(std::move(errors));
+  if (force_seal)
+    return std::make_unique<phy::HitWithoutFlip>(std::move(errors));
   return errors;
 }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "rxl/transport/flit_codec.hpp"
 #include "event_queue_probe.hpp"
+#include "hit_without_flip.hpp"
 
 namespace rxl::sim {
 namespace {
@@ -14,6 +20,12 @@ FlitEnvelope make_envelope(std::uint8_t tag) {
   envelope.flit.payload()[0] = tag;
   envelope.seal = SealState::kCodeword;
   return envelope;
+}
+
+/// Stream payload for position `index`: every byte 0xC0 + index.
+void salted_payload(std::uint64_t index,
+                    std::span<std::uint8_t, kPayloadBytes> out) {
+  std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(0xC0 + index));
 }
 
 TEST(LinkChannel, DeliversAfterSlotPlusLatency) {
@@ -138,6 +150,59 @@ TEST(LinkChannel, ReceiverGetsTheCorruptedSlotAndMaySendElsewhere) {
   EXPECT_EQ(received.seal, SealState::kTouched);
   EXPECT_NE(received.flit, sent.flit);
   EXPECT_EQ(first.stats().flits_corrupted, 1u);
+}
+
+TEST(LinkChannel, ByReferenceFlitCopiesOnlyItsHeader) {
+  // A flit whose payload is held by reference hops as its 2 B header: the
+  // recycled in-flight slot keeps the payload an earlier flit left there.
+  // An error hit writes the reference's payload and seals the slot before
+  // it flips, so those stale bytes never reach a check.
+  const transport::FlitCodec codec(transport::Protocol::kRxl);
+  PayloadFn stream = salted_payload;
+  constexpr std::uint16_t kSeq = 5;
+  flit::Flit image;  // as an endpoint sends it: header only, payload zero
+  codec.write_data_header(image, kSeq, std::nullopt);
+  const FlitTags tags{/*truth_index=*/7, true, 0, 0, codec.data_crc_fold(kSeq),
+                      SealState::kUnsealed, &stream};
+  std::array<std::uint8_t, kPayloadBytes> expected{};
+  stream(7, expected);
+
+  const auto run = [&](std::unique_ptr<phy::ErrorModel> errors) {
+    EventQueue queue;
+    LinkChannel channel(queue, std::move(errors), 1);
+    std::optional<FlitEnvelope> seen;
+    channel.set_receiver([&](FlitEnvelope&& envelope) { seen = envelope; });
+    // Eight bytes-held flits fill the ring's eight slots and drain, so the
+    // next flit lands in a slot whose payload reads 0x5A.
+    FlitEnvelope held;
+    std::fill(held.flit.payload().begin(), held.flit.payload().end(),
+              std::uint8_t{0x5A});
+    for (int i = 0; i < 8; ++i) channel.send(held);
+    queue.run();
+    channel.send(image, tags);
+    queue.run();
+    return *seen;
+  };
+
+  const FlitEnvelope clean = run(std::make_unique<phy::NoErrors>());
+  EXPECT_EQ(clean.flit.header(), image.header());
+  EXPECT_EQ(clean.payload_of, &stream);
+  EXPECT_EQ(clean.truth_index, 7u);
+  EXPECT_EQ(clean.seal, SealState::kUnsealed);
+  EXPECT_TRUE(std::all_of(clean.flit.payload().begin(),
+                          clean.flit.payload().end(),
+                          [](std::uint8_t byte) { return byte == 0x5A; }));
+
+  FlitEnvelope hit = run(
+      std::make_unique<phy::HitWithoutFlip>(std::make_unique<phy::NoErrors>()));
+  EXPECT_EQ(hit.flit.header(), image.header());
+  EXPECT_EQ(hit.payload_of, nullptr);
+  EXPECT_EQ(hit.seal, SealState::kTouched);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         hit.flit.payload().begin()));
+  const rs::FecDecodeResult fec = codec.fec().decode(hit.flit.bytes());
+  EXPECT_EQ(fec.status, rs::DecodeStatus::kClean);
+  EXPECT_TRUE(codec.check_data(hit.flit, kSeq).crc_ok);
 }
 
 TEST(LinkChannelDeathTest, SendFromItsOwnReceiverAborts) {

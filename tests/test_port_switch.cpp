@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rxl/crc/isn_crc.hpp"
@@ -243,6 +247,95 @@ TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
   harness.queue.run();
   EXPECT_TRUE(harness.received.empty());
   EXPECT_EQ(harness.sw->stats().dropped_crc, 1u);
+}
+
+/// A stream payload: every byte 0xC0 + index.
+void salted_payload(std::uint64_t index,
+                    std::span<std::uint8_t, kPayloadBytes> out) {
+  std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(0xC0 + index));
+}
+
+/// Data flit `seq` as an endpoint sends it: the header written, the
+/// payload region zero and held by reference to `stream`, unsealed.
+sim::FlitEnvelope by_reference_envelope(const FlitCodec& codec,
+                                        std::uint16_t seq,
+                                        sim::PayloadFn& stream) {
+  sim::FlitEnvelope envelope;
+  codec.write_data_header(envelope.flit, seq, std::nullopt);
+  envelope.seal = sim::SealState::kUnsealed;
+  envelope.crc_fold = codec.data_crc_fold(seq);
+  envelope.truth_index = 3;
+  envelope.has_truth = true;
+  envelope.payload_of = &stream;
+  return envelope;
+}
+
+TEST(SwitchDevice, ByReferenceFlitCrossesAsItsHeader) {
+  // Eight bytes-held flits (payload 0x42) fill and drain the forwarding
+  // ring and the egress channel's ring. A flit whose payload is held by
+  // reference then parks in recycled slots of both: only its header is
+  // copied, so it arrives still unsealed and by reference, over the 0x42
+  // its slots last held.
+  PortSwitch::Config config;
+  Harness harness(config);
+  FlitCodec codec(Protocol::kRxl);
+  for (std::uint16_t seq = 0; seq < 8; ++seq)
+    harness.sw->on_flit(data_envelope(codec, seq));
+  harness.queue.run();
+  sim::PayloadFn stream = salted_payload;
+  const sim::FlitEnvelope sent = by_reference_envelope(codec, 8, stream);
+  harness.sw->on_flit(sim::FlitEnvelope(sent));
+  harness.queue.run();
+  ASSERT_EQ(harness.received.size(), 9u);
+  const sim::FlitEnvelope& out = harness.received.back();
+  EXPECT_EQ(out.flit.header(), sent.flit.header());
+  EXPECT_EQ(out.payload_of, &stream);
+  EXPECT_EQ(out.seal, sim::SealState::kUnsealed);
+  EXPECT_EQ(out.crc_fold, sent.crc_fold);
+  EXPECT_TRUE(std::all_of(out.flit.payload().begin(), out.flit.payload().end(),
+                          [](std::uint8_t byte) { return byte == 0x42; }));
+}
+
+TEST(SwitchDevice, ByReferenceFlitInARecycledSlotIsSealedBeforeItsFlip) {
+  // Eight bytes-held flits fill and drain the forwarding ring, so the next
+  // flit parks in a slot whose payload last held theirs. A flit whose
+  // payload is held by reference crosses a hub that flips every flit: it
+  // arrives as the reference's payload, sealed and then flipped in one bit,
+  // and the regenerated FEC accepts it.
+  PortSwitch::Config config;
+  config.protocol = Protocol::kRxl;
+  config.internal_error_rate = 1.0;
+  Harness harness(config, 99);
+  FlitCodec codec(Protocol::kRxl);
+  for (std::uint16_t seq = 0; seq < 8; ++seq)
+    harness.sw->on_flit(data_envelope(codec, seq));
+  harness.queue.run();
+  ASSERT_EQ(harness.received.size(), 8u);
+
+  sim::PayloadFn stream = salted_payload;
+  constexpr std::uint16_t kSeq = 8;
+  const sim::FlitEnvelope reference = by_reference_envelope(codec, kSeq, stream);
+  harness.sw->on_flit(sim::FlitEnvelope(reference));
+  harness.queue.run();
+  ASSERT_EQ(harness.received.size(), 9u);
+  EXPECT_EQ(harness.sw->stats().internal_corruptions, 9u);
+
+  const sim::FlitEnvelope& out = harness.received.back();
+  EXPECT_EQ(out.payload_of, nullptr);
+  EXPECT_EQ(out.seal, sim::SealState::kCodeword);
+  flit::Flit sealed = reference.flit;
+  stream(reference.truth_index, sealed.payload());
+  flit::seal(sealed, reference.crc_fold);
+  int flipped_bits = 0;
+  for (std::size_t i = 0; i < kHeaderBytes + kPayloadBytes; ++i)
+    flipped_bits += std::popcount(
+        static_cast<unsigned>(out.flit.bytes()[i] ^ sealed.bytes()[i]));
+  EXPECT_EQ(flipped_bits, 1);
+  // RXL forwards the sender's ECRC, which the flip now fails.
+  EXPECT_EQ(out.flit.crc_field(), sealed.crc_field());
+  EXPECT_FALSE(codec.check_data(out.flit, kSeq).crc_ok);
+  flit::Flit copy = out.flit;
+  EXPECT_EQ(codec.fec().decode(copy.bytes()).status, rs::DecodeStatus::kClean);
 }
 
 TEST(SwitchDevice, NoOutputConfiguredIsSafe) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdlib>
 #include <deque>
 #include <vector>
 
 #include "rxl/common/rng.hpp"
+#include "retry_buffer_probe.hpp"
 
 namespace rxl::link {
 namespace {
@@ -305,6 +308,135 @@ TEST(RetryBuffer, UncommittedReservationIsInvisible) {
       }
     }
   }
+}
+
+TEST(RetryBuffer, SteadyWindowTakesNoFreshBlock) {
+  // A block the window leaves goes back to the thread's pool and the next
+  // block the window needs comes from there, so once the window has grown
+  // to its size, sliding it allocates nothing.
+  constexpr std::uint16_t kWindow = 30;
+  RetryBuffer buffer(64);
+  std::uint16_t next = 0;
+  for (; next < kWindow; ++next) store(buffer, next, tagged_flit(1));
+  const auto cycle = [&] {
+    store(buffer, next, tagged_flit(2), next);
+    next = seq_next(next);
+    ASSERT_EQ(buffer.ack_up_to(*buffer.oldest_seq()), 1u);
+  };
+  for (int i = 0; i < 6; ++i) cycle();  // two blocks' worth
+  const std::uint64_t warm = RetryBufferProbe::fresh_blocks(buffer);
+  for (int i = 0; i < 10'000; ++i) {
+    cycle();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(buffer.size(), kWindow);
+  EXPECT_EQ(RetryBufferProbe::fresh_blocks(buffer), warm);
+}
+
+TEST(RetryBuffer, BuffersTradingPooledBlocksMatchTheModel) {
+  // Two buffers on one thread share its pool: each grows into blocks the
+  // other released, and each must still read back exactly its own
+  // entries. A buffer that grows just after the other drained takes only
+  // pooled blocks.
+  struct Side {
+    Side(std::uint16_t first_seq, std::uint64_t first_tag)
+        : next(first_seq), tag(first_tag) {}
+    RetryBuffer buffer{64};
+    std::deque<RetryBuffer::Entry> model;
+    std::uint16_t next;
+    std::uint64_t tag;
+  };
+  std::array<Side, 2> sides{Side(0, 0), Side(700, 1'000'000)};
+  Xoshiro256 rng(42);
+  const auto grow = [&](Side& side, std::size_t pushes) {
+    for (std::size_t i = 0; i < pushes && !side.buffer.full(); ++i) {
+      RetryBuffer::Entry entry{};
+      entry.seq = side.next;
+      entry.flow_tag = static_cast<std::uint16_t>(rng.bounded(6));
+      entry.vc = static_cast<std::uint8_t>(rng.bounded(4));
+      entry.user_tag = side.tag++;
+      entry.flit = tagged_flit(static_cast<std::uint8_t>(rng.bounded(256)));
+      ASSERT_TRUE(store(side.buffer, side.next, entry.flit, entry.user_tag,
+                        entry.flow_tag, entry.vc));
+      side.model.push_back(entry);
+      side.next = seq_next(side.next);
+    }
+  };
+  const auto drain = [&](Side& side, std::size_t released) {
+    released = std::min(released, side.model.size());
+    if (released == 0) return;
+    const std::uint16_t acked = seq_add(
+        side.model.front().seq,
+        static_cast<std::uint16_t>(released + kSeqMask));  // -1
+    ASSERT_EQ(side.buffer.ack_up_to(acked), released);
+    side.model.erase(side.model.begin(),
+                     side.model.begin() + static_cast<std::ptrdiff_t>(released));
+  };
+  for (int round = 0; round < 64; ++round) {
+    Side& growing = sides[round % 2];
+    Side& draining = sides[1 - round % 2];
+    grow(growing, rng.bounded(40));
+    if (HasFatalFailure()) return;
+    if (round % 16 == 7) {
+      draining.buffer.clear();
+      draining.model.clear();
+    } else {
+      drain(draining, rng.bounded(40));
+      if (HasFatalFailure()) return;
+    }
+    for (const Side& side : sides) {
+      expect_matches_model(side.buffer, side.model);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // With both empty, the first grows by 30 entries and drains them; the
+  // second then grows by 30 from empty and takes only pooled blocks.
+  drain(sides[0], sides[0].model.size());
+  sides[1].buffer.clear();
+  sides[1].model.clear();
+  grow(sides[0], 30);
+  drain(sides[0], 30);
+  const std::uint64_t before = RetryBufferProbe::fresh_blocks(sides[1].buffer);
+  grow(sides[1], 30);
+  EXPECT_EQ(RetryBufferProbe::fresh_blocks(sides[1].buffer), before);
+  for (const Side& side : sides) expect_matches_model(side.buffer, side.model);
+}
+
+TEST(RetryBufferDeathTest, StaleEntryInAPooledBlockFaultsUnderAsan) {
+  // A block the window left sits poisoned in its thread's pool, so a stale
+  // Entry* into it faults under ASan instead of reading whatever a later
+  // reserve wrote there.
+#if defined(__SANITIZE_ADDRESS__)
+  RetryBuffer buffer(8);
+  for (std::uint16_t seq = 0; seq < 3; ++seq)
+    store(buffer, seq, tagged_flit(static_cast<std::uint8_t>(seq)), seq);
+  const RetryBuffer::Entry* stale = buffer.find_entry(0);
+  ASSERT_NE(stale, nullptr);
+  ASSERT_EQ(buffer.ack_up_to(2), 3u);  // the whole block leaves the window
+  EXPECT_DEATH(
+      {
+        const volatile std::uint64_t tag = stale->user_tag;
+        static_cast<void>(tag);
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "pooled blocks are poisoned only under AddressSanitizer";
+#endif
+}
+
+TEST(RetryBufferDeathTest, BufferOutlivingItsThreadsPoolFreesItsBlocks) {
+  // A buffer in static storage is destroyed after the main thread's
+  // thread-locals, its pool among them. It must free its blocks, not push
+  // them into the destroyed pool: ASan would report the use after free,
+  // and LeakSanitizer a block left in neither.
+  EXPECT_EXIT(
+      {
+        static RetryBuffer buffer(8);
+        for (std::uint16_t seq = 0; seq < 5; ++seq)
+          store(buffer, seq, tagged_flit(1));
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 TEST(RetryBufferDeathTest, ReservingTwiceAbortsInEveryBuild) {

@@ -20,10 +20,11 @@
 //       rand(), srand(), std::random_device, std::mt19937, time(),
 //       clock(), gettimeofday(), clock_gettime(), std::chrono::*_clock.
 //       All randomness flows through rxl::common (seeded Xoshiro256).
-//   R3  no std::function, heap `new`, make_unique/make_shared, or
-//       malloc/calloc in designated hot-path files (event kernel, link
-//       channel, ring queue, parked FIFO, timer, flit/GF(256)/RS kernels,
-//       and the per-flit endpoint, switch and scoreboard code).
+//   R3  no std::function, heap `new`, make_unique/make_shared (and their
+//       _for_overwrite forms), or malloc/calloc in designated hot-path
+//       files (event kernel, link channel, ring queue, parked FIFO, timer,
+//       flit/GF(256)/RS kernels, and the per-flit endpoint, retry buffer,
+//       switch and scoreboard code).
 //       Placement new into inline storage (`::new (ptr) T` /
 //       `new (ptr) T`) is the sanctioned pattern and is not flagged.
 //   R4  no float/double in protocol/sim state headers (timestamps and
@@ -259,7 +260,8 @@ std::string basename_of(const std::string& path) {
 }
 
 /// R3: the event/link hot path, the flit / GF(256) / RS kernels, and the
-/// endpoint, switch and scoreboard code every flit passes through.
+/// endpoint, retry buffer, switch and scoreboard code every flit passes
+/// through.
 bool in_hot_path_scope(const std::string& rel) {
   static const std::set<std::string> kHotFiles = {
       "event_queue.hpp", "event_queue.cpp", "inline_event.hpp",
@@ -267,9 +269,9 @@ bool in_hot_path_scope(const std::string& rel) {
       "parked_fifo.hpp", "ring_queue.hpp", "timer.hpp", "gf256.hpp", "gf256.cpp",
       "flit.hpp", "flit.cpp", "flit_fec.hpp", "flit_fec.cpp",
       "reed_solomon.hpp", "reed_solomon.cpp", "crc64.hpp", "crc64.cpp",
-      "endpoint.hpp", "endpoint.cpp", "relay_switch.hpp", "relay_switch.cpp",
-      "port_switch.hpp", "port_switch.cpp", "scoreboard.hpp",
-      "scoreboard.cpp"};
+      "endpoint.hpp", "endpoint.cpp", "retry_buffer.hpp", "retry_buffer.cpp",
+      "relay_switch.hpp", "relay_switch.cpp", "port_switch.hpp",
+      "port_switch.cpp", "scoreboard.hpp", "scoreboard.cpp"};
   return kHotFiles.count(basename_of(rel)) != 0;
 }
 
@@ -429,7 +431,9 @@ void check_r3(const std::vector<Line>& lines, const std::string& rel,
                            "std::function in a hot-path file — heap-allocates "
                            "captures; use InlineEvent/InlineDelegate"});
     }
-    for (const char* fn : {"make_unique", "make_shared", "malloc", "calloc"}) {
+    for (const char* fn :
+         {"make_unique", "make_shared", "make_unique_for_overwrite",
+          "make_shared_for_overwrite", "malloc", "calloc"}) {
       if (find_word(code, fn) != std::string::npos) {
         findings->push_back(
             {rel, n + 1, "R3",

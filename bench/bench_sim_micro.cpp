@@ -264,7 +264,7 @@ void BM_RetryBuffer_SteadyWindow(benchmark::State& state) {
   for (auto _ : state) {
     flit::Flit& slot = buffer.reserve();
     slot.bytes()[0] = static_cast<std::uint8_t>(next);
-    buffer.commit(next, next);
+    buffer.commit(next, {.truth_index = next});
     next = link::seq_next(next);
     benchmark::DoNotOptimize(buffer.ack_up_to(*buffer.oldest_seq()));
   }

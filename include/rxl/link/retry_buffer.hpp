@@ -1,7 +1,9 @@
 // Go-back-N replay buffer: flit images awaiting acknowledgment (endpoints
-// keep them unsealed, header and payload only; see sim::SealState). A
-// source's payload is held by reference (Entry::payload_of), so its slot
-// holds a header and 240 B that were never written (or an earlier flit's).
+// keep them unsealed, header and payload only; see sim::SealState), each
+// with the stream identity (sim::StreamTag) a replay or a dead hop's drain
+// re-sends whole. A source's payload is held by reference
+// (StreamTag::payload_of), so its slot holds a header and 240 B that were
+// never written (or an earlier flit's).
 //
 // The transmitter keeps every sent-but-unacked flit so a NACK (or an ack
 // timeout) can replay the stream from any in-window sequence number. The
@@ -33,15 +35,11 @@ class RetryBuffer {
   [[nodiscard]] bool full() const noexcept { return size_ >= capacity_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  struct Entry {
-    std::uint16_t seq;
-    std::uint16_t flow_tag;
-    std::uint8_t vc;  ///< virtual channel charged for the first transmission
-    std::uint64_t user_tag;
-    /// Non-null: the payload is held by reference, as
-    /// (*payload_of)(user_tag), and the image's payload bytes are unwritten.
-    sim::PayloadFn* payload_of;
-    flit::Flit flit;
+  /// A held flit: its stream identity (the VC is the one its first
+  /// transmission was charged on), hop-local sequence number and image.
+  struct Entry : sim::StreamTag {
+    std::uint16_t seq = 0;
+    alignas(8) flit::Flit flit;  // word-aligned for whole-image copies
   };
 
   /// Sequence number of the oldest unacked flit (if any).
@@ -56,14 +54,10 @@ class RetryBuffer {
   [[nodiscard]] flit::Flit& reserve();
 
   /// Makes the reserved slot the newest entry, under `seq` (sequence
-  /// numbers must be committed consecutively). `user_tag` is opaque caller
-  /// metadata carried alongside (the fabric uses it for the ground-truth
-  /// stream index); `flow_tag` likewise rides along so a replay can
-  /// restore the flit's flow identity (DAG relays route on it), and
-  /// `payload_of` so a replay keeps a payload held by reference.
-  void commit(std::uint16_t seq, std::uint64_t user_tag = 0,
-              std::uint16_t flow_tag = 0, std::uint8_t vc = 0,
-              sim::PayloadFn* payload_of = nullptr);
+  /// numbers must be committed consecutively), holding `stream`, so a
+  /// replay re-sends the flit's identity and its payload reference as
+  /// they were.
+  void commit(std::uint16_t seq, const sim::StreamTag& stream = {});
 
   /// Releases an uncommitted reservation (the source had nothing to send).
   void drop_reservation() noexcept { reserved_ = nullptr; }
@@ -80,27 +74,17 @@ class RetryBuffer {
   /// entries hold consecutive sequence numbers from the oldest.
   [[nodiscard]] const Entry* find_entry(std::uint16_t seq) const;
 
-  /// Visits every held flit from `from_seq` onward, in sequence order:
-  /// the go-back-N replay set. `visit(entry)` is called per entry.
-  template <typename Visitor>
-  void for_each_from(std::uint16_t from_seq, Visitor&& visit) const {
-    for (std::size_t i = 0; i < size_; ++i) {
-      const Entry& entry = entry_at(i);
-      if (seq_distance(from_seq, entry.seq) >= 0) visit(entry);
-    }
-  }
-
   /// Visits every held entry oldest -> newest: the dead-hop drain order.
   template <typename Visitor>
   void for_each(Visitor&& visit) const {
     for (std::size_t i = 0; i < size_; ++i) visit(entry_at(i));
   }
 
-  /// True when any held entry carries `flow_tag` (the fabric's reroute
+  /// True when any held entry belongs to `flow_id` (the fabric's reroute
   /// quiesce probe: a hop still replaying a flow's flits is not drained).
-  [[nodiscard]] bool holds_flow(std::uint16_t flow_tag) const noexcept {
+  [[nodiscard]] bool holds_flow(std::uint16_t flow_id) const noexcept {
     for (std::size_t i = 0; i < size_; ++i)
-      if (entry_at(i).flow_tag == flow_tag) return true;
+      if (entry_at(i).flow_id == flow_id) return true;
     return false;
   }
 
@@ -122,6 +106,7 @@ class RetryBuffer {
   struct Block {
     std::array<Entry, kBlockEntries> entries;
   };
+  static_assert(sizeof(Entry) == 280);
   class Pool;
   /// Returns a block to its thread's pool instead of freeing it.
   struct ToPool {

@@ -179,9 +179,6 @@ class TraceSink {
   [[nodiscard]] const std::string& component_name(std::size_t i) const noexcept {
     return names_[i];
   }
-  [[nodiscard]] const TraceRing& ring(std::size_t i) const noexcept {
-    return rings_[i];
-  }
 
   /// Snapshot every ring, components in registration order.
   [[nodiscard]] TraceCapture capture() const;

@@ -1,14 +1,14 @@
-// Non-allocating, fixed-size callable with arguments — InlineEvent's
-// sibling for receiver hooks.
+// Non-allocating, fixed-size callable: the kernel's event callbacks
+// (InlineEvent, inline_event.hpp) and the per-flit hooks (receivers,
+// sources, payload functions).
 //
 // LinkChannel delivers one envelope per simulated flit, so its receiver
 // callback sits on the same hot path as the event heap. std::function
 // heap-allocates any capture beyond its SSO buffer and costs an indirect
 // destructor walk per assignment; InlineDelegate stores the callable inline
-// and requires it to be trivially copyable, exactly like InlineEvent
-// (rxl-lint R3 bans std::function from hot-path files). Receivers capture a
-// component pointer or a couple of references — anything heavier belongs in
-// component-owned state.
+// and requires it to be trivially copyable (rxl-lint R3 bans std::function
+// from hot-path files). Callbacks capture a component pointer or a couple
+// of references — anything heavier belongs in component-owned state.
 #pragma once
 
 #include <cstddef>

@@ -57,35 +57,31 @@ enum class SealState : std::uint8_t {
   kTouched,
 };
 
-/// A flit in flight, with simulation-only ground-truth metadata that no
-/// protocol logic may read (it exists so the simulator can skip FEC/CRC
-/// work on untouched images and so scoreboards can classify failures).
-struct FlitEnvelope {
-  flit::Flit flit;
-  SealState seal = SealState::kCodeword;
-  /// The value flit::seal folds into the CRC: the SeqNum of an RXL data
-  /// flit, 0 for CXL data and for every control flit.
-  std::uint16_t crc_fold = 0;
-  /// Ground truth for scoreboards: global stream index assigned by the
-  /// sending endpoint's application layer (data flits only).
-  std::uint64_t truth_index = 0;
-  bool has_truth = false;
+/// What a sender stamps on a flit it transmits: the stream identity, which
+/// survives every hop, plus the per-hop fields. Simulation-only ground
+/// truth that no protocol logic may read (it exists so the simulator can
+/// skip FEC/CRC work on untouched images and so scoreboards can classify
+/// failures). A payload held by reference (payload_of) is always unsealed:
+/// whatever seals or flips it (a channel's error hit, a hub's internal
+/// flip) materializes the bytes first.
+struct FlitTags : StreamTag {
+  bool has_truth = false;  ///< a data flit, whose truth_index is real
   /// Destination routing tag consumed by multi-port switches. Stands in
   /// for the transaction-layer address lookup of a real CXL switch; the
   /// protocol logic never reads it.
   std::uint16_t dest_port = 0;
-  /// Flow identity tag consumed by DAG relays (next-hop lookup) and flow
-  /// sinks (per-flow scoreboard demux). Like dest_port it stands in for an
-  /// address/stream lookup; the link protocol never reads it, and relays
-  /// preserve it when a flit is re-originated on the next hop.
-  std::uint16_t flow_id = 0;
-  /// Non-null: the payload is held by reference. The image's 240 payload
-  /// bytes were never written; they are (*payload_of)(truth_index). Such
-  /// a flit is always unsealed: whatever seals or flips it (a channel's
-  /// error hit, a hub's internal flip) materializes the bytes first. Only
-  /// its header is copied from slot to slot (copy_readable), so a
-  /// recycled slot's payload and parity may hold an earlier flit's bytes.
-  PayloadFn* payload_of = nullptr;
+  /// The value flit::seal folds into the CRC: the SeqNum of an RXL data
+  /// flit, 0 for CXL data and for every control flit.
+  std::uint16_t crc_fold = 0;
+  SealState seal = SealState::kCodeword;
+};
+
+/// A flit in flight: its wire image and its tags. Only the header of a
+/// flit whose payload is held by reference is copied from slot to slot
+/// (copy_readable), so a recycled slot's payload and parity may hold an
+/// earlier flit's bytes.
+struct FlitEnvelope : FlitTags {
+  alignas(8) flit::Flit flit;  // word-aligned for whole-image copies
 };
 
 // Envelopes park in ring slots (channel in-flight, switch forwarding,
@@ -94,7 +90,8 @@ struct FlitEnvelope {
 // image plus one cache line of simulation metadata.
 static_assert(std::is_trivially_copyable_v<FlitEnvelope>,
               "FlitEnvelope rides ring slots as a block copy");
-static_assert(sizeof(FlitEnvelope) <= kFlitBytes + 64,
+static_assert(sizeof(FlitTags) == 32);
+static_assert(sizeof(FlitEnvelope) == 288,
               "FlitEnvelope metadata outgrew its one-cache-line budget");
 
 /// Writes a payload held by reference into the envelope's image and drops
@@ -129,39 +126,13 @@ inline std::span<const std::uint8_t, kPayloadBytes> payload_bytes(
   return scratch;
 }
 
-/// What a sender stamps on a flit it transmits: the FlitEnvelope fields
-/// other than the image.
-struct FlitTags {
-  std::uint64_t truth_index = 0;
-  bool has_truth = false;
-  std::uint16_t dest_port = 0;
-  std::uint16_t flow_id = 0;
-  std::uint16_t crc_fold = 0;
-  SealState seal = SealState::kCodeword;
-  PayloadFn* payload_of = nullptr;  ///< see FlitEnvelope::payload_of
-};
-
-/// The tags that re-send `envelope` as it is.
-inline FlitTags tags_of(const FlitEnvelope& envelope) noexcept {
-  return FlitTags{envelope.truth_index, envelope.has_truth,
-                  envelope.dest_port,   envelope.flow_id,
-                  envelope.crc_fold,    envelope.seal,
-                  envelope.payload_of};
-}
-
 /// Fills a recycled ring slot (a channel's in-flight ring, a hub's
 /// forwarding pipeline) with `image` stamped with `tags`, copying only
 /// the image bytes a reader may read (copy_readable).
 inline void fill_slot(FlitEnvelope& slot, const flit::Flit& image,
                       const FlitTags& tags) noexcept {
   copy_readable(slot.flit, image, tags.payload_of);
-  slot.seal = tags.seal;
-  slot.crc_fold = tags.crc_fold;
-  slot.truth_index = tags.truth_index;
-  slot.has_truth = tags.has_truth;
-  slot.dest_port = tags.dest_port;
-  slot.flow_id = tags.flow_id;
-  slot.payload_of = tags.payload_of;
+  static_cast<FlitTags&>(slot) = tags;
 }
 
 /// Per-channel occupancy and error statistics.
@@ -222,15 +193,13 @@ class LinkChannel {
   /// Envelope form (a hub forwarding a parked envelope): the same, keeping
   /// the envelope's seal state, CRC fold and payload reference.
   TimePs send(const FlitEnvelope& envelope) {
-    return transmit(envelope.flit, tags_of(envelope));
+    return transmit(envelope.flit, envelope);
   }
 
   /// Earliest time a newly offered flit would start serialising.
   [[nodiscard]] TimePs next_free() const noexcept { return next_free_; }
 
   [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
-  /// Unified snapshot API (by-value copy; see Endpoint::snapshot).
-  [[nodiscard]] ChannelStats snapshot() const noexcept { return stats_; }
   [[nodiscard]] TimePs slot() const noexcept { return slot_; }
 
   /// Attaches the channel to a flit-lifecycle trace sink as `component`.
@@ -240,9 +209,6 @@ class LinkChannel {
   void set_trace(obs::TraceSink* sink, std::uint16_t component) noexcept {
     trace_ = sink;
     trace_component_ = component;
-  }
-  [[nodiscard]] std::uint16_t trace_component() const noexcept {
-    return trace_component_;
   }
 
  private:

@@ -3,12 +3,12 @@
 //
 // Every payload a fabric stream carries is a pure function of its stream
 // position, so a flit can carry a pointer to that function instead of the
-// bytes (FlitEnvelope::payload_of, RetryBuffer::Entry::payload_of, relay
-// queue items). The bytes are written only where something reads them: a
-// link error or hub flip that touches the flit, a dead hop's drain, and
-// byte-reading application hooks. Scoreboards skip the regenerate-and-
-// compare of a delivery that still references their own function, since
-// no error touched it.
+// bytes (StreamTag::payload_of, which every flit record carries). The
+// bytes are written only where something reads them: a link error or hub
+// flip that touches the flit, a dead hop's drain, and byte-reading
+// application hooks. Scoreboards skip the regenerate-and-compare of a
+// delivery that still references their own function, since no error
+// touched it.
 #pragma once
 
 #include <cstdint>
@@ -25,5 +25,23 @@ namespace rxl::sim {
 /// must outlive every flit that references it.
 using PayloadFn = InlineDelegate<void(
     std::uint64_t index, std::span<std::uint8_t, kPayloadBytes> out)>;
+
+/// A data flit's end-to-end identity, which survives every hop while the
+/// per-hop fields (sequence number, seal state, routing tag) change. The
+/// source stamps it once; every record a flit passes through holds it as a
+/// base and assigns it whole. Simulation metadata: the link protocol never
+/// reads it.
+struct StreamTag {
+  std::uint64_t truth_index = 0;  ///< stream position, for scoreboards
+  /// Non-null: the payload is held by reference, as
+  /// (*payload_of)(truth_index), and the image's 240 payload bytes were
+  /// never written.
+  PayloadFn* payload_of = nullptr;
+  std::uint16_t flow_id = 0;  ///< relays route on it, sinks demux by it
+  std::uint8_t vc = 0;  ///< the VC it travels and bills credits on, per hop
+};
+// The default member initializers make StreamTag non-POD for layout, so a
+// derived record packs its first small fields into the 5 tail bytes.
+static_assert(sizeof(StreamTag) == 24);
 
 }  // namespace rxl::sim

@@ -69,9 +69,6 @@ class EgressScheduler {
   void set_weight(std::size_t vc, std::uint32_t weight) noexcept {
     weights_[vc] = weight;
   }
-  [[nodiscard]] std::uint32_t weight(std::size_t vc) const noexcept {
-    return weights_[vc];
-  }
 
   /// Flits granted per visit. The max(1, w) floor is the starvation guard:
   /// even a zero-weight VC drains one flit per round.

@@ -65,7 +65,6 @@ class PortSwitch {
   void on_flit(sim::FlitEnvelope&& envelope);
 
   [[nodiscard]] const PortSwitchStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t ports() const noexcept { return outputs_.size(); }
 
  private:
   /// A routed flit in the forwarding pipeline; the egress channel is

@@ -8,11 +8,13 @@
 // (the property the DAG test layer pins). Payloads accepted in order by an
 // ingress port are routed by flow and queued store-and-forward on the egress
 // port, where they are re-originated with fresh sequence numbers; the
-// end-to-end ground truth (truth_index, flow_id) rides the envelope across
-// the re-origination so scoreboards still observe the original stream. A
-// payload held by reference (sim::PayloadFn) is queued and re-originated
-// as the reference; only a payload held as bytes, one an error touched
-// on the way in, is copied into and out of the queue.
+// flit's stream identity (sim::StreamTag: truth_index, payload reference,
+// flow_id, vc) is queued and re-originated whole, so scoreboards still
+// observe the original stream and every hop queues and bills the flit on
+// the VC its source stamped. A payload held by reference
+// (sim::PayloadFn) is queued and re-originated as the reference; only a
+// payload held as bytes, one an error touched on the way in, is copied
+// into and out of the queue.
 //
 // Accepting a flit transfers responsibility to this relay (the upstream hop
 // is ACKed and may free its replay buffer). The store-and-forward buffering
@@ -84,18 +86,10 @@ class RelaySwitch {
   /// onto its backup path after a hop death.
   void set_route(std::uint16_t flow_id, std::size_t egress_port);
 
-  /// Maps `flow_id` onto a virtual channel (default: VC 0). The VC decides
-  /// which per-VC queue parks the flow's payloads, which credit partition
-  /// they bill, and which ECN mark throttles them.
-  void set_flow_vc(std::uint16_t flow_id, std::uint8_t vc);
-
   /// Egress scheduling policy for every port of this relay (default kFifo,
   /// the legacy-identical shared queue).
   void set_egress_policy(EgressPolicy policy) noexcept {
     scheduler_.set_policy(policy);
-  }
-  [[nodiscard]] EgressPolicy egress_policy() const noexcept {
-    return scheduler_.policy();
   }
 
   /// DRR weight for `vc` (default 1). The scheduler's quantum floor serves
@@ -105,10 +99,11 @@ class RelaySwitch {
   }
 
   /// Re-injects a management-plane payload (a flit drained from a dead
-  /// hop's retry buffer) at the tail of `egress_port`'s store-and-forward
-  /// queue. Unlike relayed traffic it occupies no ingress buffer slot —
-  /// its original slot was already refunded when the dead hop drained —
-  /// so no credit is returned when it leaves.
+  /// hop's retry buffer, on the VC it carries) at the tail of
+  /// `egress_port`'s store-and-forward queue. Unlike relayed traffic it
+  /// occupies no ingress buffer slot — its original slot was already
+  /// refunded when the dead hop drained — so no credit is returned when
+  /// it leaves.
   void inject(std::size_t egress_port, transport::Endpoint::TxItem item);
 
   /// Moves every parked payload of `flow_id` from one egress queue to
@@ -131,11 +126,6 @@ class RelaySwitch {
   /// Snapshot of the port's counters (live occupancy and endpoint credit
   /// stalls are sampled at call time).
   [[nodiscard]] RelayPortStats port_stats(std::size_t i) const;
-  /// Unified snapshot API — the name every stats producer shares (see
-  /// Endpoint::snapshot / LinkChannel::snapshot); alias of port_stats.
-  [[nodiscard]] RelayPortStats snapshot(std::size_t i) const {
-    return port_stats(i);
-  }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Attaches the relay's routing fabric (enqueue/no-route decisions) to a
@@ -145,9 +135,6 @@ class RelaySwitch {
   void set_trace(obs::TraceSink* sink, std::uint16_t component) noexcept {
     trace_ = sink;
     trace_component_ = component;
-  }
-  [[nodiscard]] std::uint16_t trace_component() const noexcept {
-    return trace_component_;
   }
 
  private:
@@ -181,7 +168,6 @@ class RelaySwitch {
   void on_delivered(std::size_t ingress, const sim::FlitEnvelope& envelope);
   transport::Endpoint::RelayPull pull_next(
       std::size_t egress, transport::Endpoint::PayloadOut out);
-  [[nodiscard]] std::uint8_t vc_of(std::uint16_t flow_id) const noexcept;
   [[nodiscard]] static std::size_t total_pending(const Port& port) noexcept;
   void dequeue_front(Port& port, RingQueue<Pending>& queue,
                      transport::Endpoint::PayloadOut out,
@@ -204,7 +190,6 @@ class RelaySwitch {
   EgressScheduler scheduler_;
   static constexpr std::uint32_t kNoRoute = UINT32_MAX;
   std::vector<std::uint32_t> routes_;    ///< flow_id -> egress port
-  std::vector<std::uint8_t> flow_vcs_;   ///< flow_id -> VC (default 0)
   obs::TraceSink* trace_ = nullptr;      ///< flit-lifecycle sink (null = off)
   std::uint16_t trace_component_ = 0;
 };

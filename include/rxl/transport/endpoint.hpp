@@ -97,34 +97,26 @@ class Endpoint {
   /// set_source by reference. Called once per new flit, so it must not
   /// allocate: captures are trivially copyable and inline.
   using SourceFn = sim::InlineDelegate<bool(std::uint64_t truth_index)>;
-  /// A relayed payload with the end-to-end ground truth that must survive
-  /// the hop (DAG relays route on flow_id; scoreboards match on
+  /// A relayed payload with the stream identity that must survive the hop
+  /// (DAG relays route on flow_id and queue by vc; scoreboards match on
   /// truth_index). Relays park these between hops, and a dead hop's drain
   /// hands them to the reroute controller.
-  struct TxItem {
+  struct TxItem : sim::StreamTag {
     /// The bytes, unwritten while the payload is held by reference.
-    std::array<std::uint8_t, kPayloadBytes> payload{};
-    std::uint64_t truth_index = 0;
-    /// Non-null: the payload is (*payload_of)(truth_index), by reference.
-    sim::PayloadFn* payload_of = nullptr;
-    std::uint16_t flow_id = 0;
-    std::uint8_t vc = 0;  ///< virtual channel the flit travels (and bills) on
+    alignas(8) std::array<std::uint8_t, kPayloadBytes> payload{};
   };
   /// Result of one relay-source pull. `pulled` says whether a payload was
-  /// handed over, and the tags then describe it. Otherwise the flags say
-  /// WHY, so the endpoint can distinguish an empty queue (go idle) from a
-  /// blocked one (record the stall and arm the probe that guarantees the
-  /// unblock signal cannot be lost).
-  struct RelayPull {
+  /// handed over, and the stream tag then describes it (`out` was written
+  /// only if the payload is held as bytes). Otherwise the flags say WHY, so
+  /// the endpoint can distinguish an empty queue (go idle) from a blocked
+  /// one (record the stall and arm the probe that guarantees the unblock
+  /// signal cannot be lost).
+  struct RelayPull : sim::StreamTag {
     bool pulled = false;
     bool credit_blocked = false;  ///< a queued VC's window partition is empty
     bool ecn_blocked = false;     ///< queued VCs blocked only by ECN marks
-    std::uint8_t vc = 0;          ///< VC the pulled flit travels on
-    std::uint16_t flow_id = 0;
-    std::uint64_t truth_index = 0;
-    /// Non-null: the payload is held by reference and `out` was not written.
-    sim::PayloadFn* payload_of = nullptr;
   };
+  static_assert(sizeof(TxItem) == 264 && sizeof(RelayPull) == 24);
   /// Pull-model relay source (exclusive with SourceFn): hands over the
   /// next schedulable payload (the relay's egress scheduler picks the VC),
   /// writing it into `out` only if it is held as bytes, or returns an empty
@@ -157,14 +149,11 @@ class Endpoint {
   void set_dest_port(std::uint16_t port) noexcept { dest_port_ = port; }
   /// Flow identity stamped on flits originated through SourceFn (relay
   /// items carry their own). Simulation metadata, like dest_port.
-  void set_flow_id(std::uint16_t flow_id) noexcept { flow_id_ = flow_id; }
-  /// Virtual channel for flits originated through SourceFn (relay items
-  /// carry their own). Must be < config.num_vcs.
-  void set_tx_vc(std::uint8_t vc) noexcept { tx_vc_ = vc; }
-  /// RX-side flow -> VC attribution for terminal auto credit return: a sink
-  /// receiving several flows frees the slot on the VC the flow rode in on.
-  /// Unmapped flows default to VC 0 (the single-channel behaviour).
-  void set_rx_flow_vc(std::uint16_t flow, std::uint8_t vc);
+  void set_flow_id(std::uint16_t flow_id) noexcept { stamp_.flow_id = flow_id; }
+  /// Virtual channel stamped on flits originated through SourceFn (relay
+  /// items carry their own); every later hop reads it from the flit. Must
+  /// be < config.num_vcs.
+  void set_tx_vc(std::uint8_t vc) noexcept { stamp_.vc = vc; }
   void set_deliver(DeliverFn deliver) { deliver_ = deliver; }
   /// Installs a stream source: `gate` says whether a stream position is
   /// offered, and every flit it admits carries `payload` (not owned; it
@@ -173,7 +162,7 @@ class Endpoint {
   void set_source(SourceFn gate, sim::PayloadFn* payload) {
     assert(payload != nullptr);
     source_ = gate;
-    source_payload_ = payload;
+    stamp_.payload_of = payload;
   }
   /// Installs a relay source. Exclusive with set_source: an endpoint either
   /// originates a stream or re-originates a relayed one, never both.
@@ -252,13 +241,16 @@ class Endpoint {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const ProtocolConfig& config() const noexcept { return config_; }
 
+  /// The receive side's expected sequence number (ESeqNum): the reroute
+  /// controller reconciles a dead hop's drained flits against it.
+  [[nodiscard]] std::uint16_t expected_seq() const noexcept {
+    return expected_seq_;
+  }
+
   /// --- Test instrumentation (not used by protocol logic) ---
   /// Forces a pending cumulative ACK so the next data flit piggybacks it
   /// (deterministic reproduction of the paper's Fig. 4/5 traces).
   void debug_arm_ack(std::uint16_t acknum);
-  [[nodiscard]] std::uint16_t debug_expected_seq() const noexcept {
-    return expected_seq_;
-  }
   [[nodiscard]] std::uint16_t debug_next_seq() const noexcept {
     return next_seq_;
   }
@@ -282,9 +274,7 @@ class Endpoint {
   // TX path.
   bool send_one();
   bool send_new_data();
-  void send_data_flit(flit::Flit& canonical, std::uint64_t truth_index,
-                      std::uint16_t flow_id, std::uint8_t vc,
-                      sim::PayloadFn* payload_of);
+  void send_data_flit(flit::Flit& canonical, const sim::StreamTag& stream);
   void send_replay(const link::RetryBuffer::Entry& entry, std::uint32_t how);
   void note_credit_stall();
   void note_ecn_stall();
@@ -305,7 +295,6 @@ class Endpoint {
   void on_credit_probe_timer();
   void process_vc_credit_word(std::size_t vc, std::uint16_t credit_word);
   void process_ecn_marks(std::uint8_t marks);
-  [[nodiscard]] std::uint8_t rx_vc_for_flow(std::uint16_t flow) const noexcept;
 
   // Failure detection (fault injection).
   [[nodiscard]] bool hop_death_due() const noexcept;
@@ -331,7 +320,7 @@ class Endpoint {
   void arm_nack_timer();
   void on_nack_timer();
   void deliver(const sim::FlitEnvelope& envelope);
-  void after_delivery(std::uint16_t flow_id);
+  void after_delivery(std::uint8_t vc);
 
   sim::EventQueue& queue_;
   ProtocolConfig config_;
@@ -341,7 +330,6 @@ class Endpoint {
   // TX state.
   sim::LinkChannel* output_ = nullptr;
   std::uint16_t dest_port_ = 0;
-  std::uint16_t flow_id_ = 0;
   std::uint16_t next_seq_ = 0;  ///< sequence number of the next new flit
   link::RetryBuffer retry_buffer_;
   std::optional<std::uint16_t> replay_cursor_;
@@ -350,15 +338,13 @@ class Endpoint {
   /// The wire copy of a first transmission that piggybacks an AckNum (the
   /// retry slot keeps the canonical, ack-free image).
   flit::Flit piggyback_image_;
-  std::uint64_t next_truth_index_ = 0;
   SourceFn source_;
-  sim::PayloadFn* source_payload_ = nullptr;  ///< set with source_
+  sim::StreamTag stamp_;  ///< identity of the next flit SourceFn admits
   RelaySourceFn relay_source_;
   bool kick_scheduled_ = false;
   sim::EventQueue::Producer rekick_;  ///< clears kick_scheduled_, kicks
   sim::Timer retry_timer_;
   TimePs last_ack_progress_ = 0;
-  std::uint8_t tx_vc_ = 0;  ///< VC for SourceFn-originated flits
   link::VcCreditWindows credit_windows_;
   bool credit_stalled_ = false;  ///< TX wanted a new flit, window was empty
   bool ecn_stalled_ = false;     ///< TX blocked only by an ECN mark
@@ -388,9 +374,6 @@ class Endpoint {
   link::VcCreditReturnLedgers credit_returns_;
   bool deferred_credit_return_ = false;
   std::uint8_t ecn_local_marks_ = 0;  ///< bitmap stamped on control flits
-  /// Flow -> VC attribution for terminal auto returns (few flows per sink;
-  /// linear scan keeps iteration deterministic).
-  std::vector<std::pair<std::uint16_t, std::uint8_t>> rx_flow_vcs_;
   sim::Timer credit_timer_;
   /// Allocated only in kSelectiveRepeat mode (CXL only).
   std::optional<link::ReorderBuffer> reorder_buffer_;

@@ -99,19 +99,14 @@ flit::Flit& RetryBuffer::reserve() {
   return reserved_->flit;
 }
 
-void RetryBuffer::commit(std::uint16_t seq, std::uint64_t user_tag,
-                         std::uint16_t flow_tag, std::uint8_t vc,
-                         sim::PayloadFn* payload_of) {
+void RetryBuffer::commit(std::uint16_t seq, const sim::StreamTag& stream) {
   if (reserved_ == nullptr) [[unlikely]]
     misuse("RetryBuffer: commit without a reservation");
   assert(empty() || seq_next(entry_at(size_ - 1).seq) == (seq & kSeqMask));
   Entry& entry = *reserved_;
   reserved_ = nullptr;
   entry.seq = static_cast<std::uint16_t>(seq & kSeqMask);
-  entry.flow_tag = flow_tag;
-  entry.vc = vc;
-  entry.user_tag = user_tag;
-  entry.payload_of = payload_of;
+  static_cast<sim::StreamTag&>(entry) = stream;
   ++size_;
 }
 

@@ -98,7 +98,7 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   // held by reference (sim::copy_readable).
   PendingForward& pending =
       forwarding_.park(queue_.now() + config_.forward_latency);
-  sim::fill_slot(pending.envelope, envelope.flit, sim::tags_of(envelope));
+  sim::fill_slot(pending.envelope, envelope.flit, envelope);
   pending.output = outputs_[port];
 }
 

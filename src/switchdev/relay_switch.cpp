@@ -36,10 +36,6 @@ std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
   return index;
 }
 
-std::uint8_t RelaySwitch::vc_of(std::uint16_t flow_id) const noexcept {
-  return flow_id < flow_vcs_.size() ? flow_vcs_[flow_id] : std::uint8_t{0};
-}
-
 std::size_t RelaySwitch::total_pending(const Port& port) noexcept {
   std::size_t total = 0;
   for (const RingQueue<Pending>& queue : port.queues) total += queue.size();
@@ -80,11 +76,8 @@ void RelaySwitch::dequeue_front(Port& port, RingQueue<Pending>& queue,
   const Pending& head = queue.front();
   if (head.item.payload_of == nullptr)
     std::copy(head.item.payload.begin(), head.item.payload.end(), out.begin());
+  static_cast<sim::StreamTag&>(pull) = head.item;
   pull.pulled = true;
-  pull.vc = head.item.vc;
-  pull.flow_id = head.item.flow_id;
-  pull.truth_index = head.item.truth_index;
-  pull.payload_of = head.item.payload_of;
   const std::uint32_t ingress = head.ingress;
   queue.drop_front();
   port.stats.relayed_out += 1;
@@ -135,21 +128,13 @@ void RelaySwitch::set_route(std::uint16_t flow_id, std::size_t egress_port) {
   routes_[flow_id] = static_cast<std::uint32_t>(egress_port);
 }
 
-void RelaySwitch::set_flow_vc(std::uint16_t flow_id, std::uint8_t vc) {
-  assert(vc < link::kMaxVcs);
-  if (flow_vcs_.size() <= flow_id) flow_vcs_.resize(flow_id + 1u, 0);
-  flow_vcs_[flow_id] = vc;
-}
-
 void RelaySwitch::inject(std::size_t egress_port,
                          transport::Endpoint::TxItem item) {
   assert(egress_port < ports_.size());
   Port& out_port = ports_[egress_port];
+  assert(item.vc < link::kMaxVcs);
   Pending pending;
   pending.item = std::move(item);
-  // Re-derive the VC from the flow table: it is a flow property that
-  // survives reroutes, whatever hop the drained flit was charged on.
-  pending.item.vc = vc_of(pending.item.flow_id);
   pending.ingress = kNoIngress;
   trace(obs::TraceEventKind::kEnqueue, pending.item.truth_index,
         pending.item.flow_id, 0, pending.item.vc,
@@ -221,7 +206,10 @@ void RelaySwitch::on_delivered(std::size_t ingress,
   in_port.stats.relayed_in += 1;
   const std::uint32_t egress =
       envelope.flow_id < routes_.size() ? routes_[envelope.flow_id] : kNoRoute;
-  const std::uint8_t vc = vc_of(envelope.flow_id);
+  // The flit carries its VC from the source; it picks the per-VC queue,
+  // the ingress partition it bills and the ECN mark that throttles it.
+  const std::uint8_t vc = envelope.vc;
+  assert(vc < link::kMaxVcs);
   if (egress == kNoRoute) {
     in_port.stats.dropped_no_route += 1;
     trace(obs::TraceEventKind::kDrop, envelope.truth_index, envelope.flow_id,
@@ -245,10 +233,7 @@ void RelaySwitch::on_delivered(std::size_t ingress,
         envelope.flit.payload();
     std::copy(payload.begin(), payload.end(), pending.item.payload.begin());
   }
-  pending.item.payload_of = envelope.payload_of;
-  pending.item.truth_index = envelope.truth_index;
-  pending.item.flow_id = envelope.flow_id;
-  pending.item.vc = vc;
+  static_cast<sim::StreamTag&>(pending.item) = envelope;
   pending.ingress = static_cast<std::uint32_t>(ingress);
   const std::size_t depth = total_pending(out_port);
   if (depth > out_port.stats.max_queue_depth)

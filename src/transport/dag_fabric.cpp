@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,7 +25,22 @@ namespace {
 /// one past the flit FEC's 3-symbol correction limit (§2.5).
 constexpr std::size_t kBurstSymbols = 4;
 
-[[noreturn]] void invalid(std::string message) {
+template <typename Part>
+void append_part(std::string& message, const Part& part) {
+  if constexpr (std::is_integral_v<Part>) {
+    message += std::to_string(part);  // a std::uint8_t VC prints as a number
+  } else {
+    message += part;
+  }
+}
+
+/// Rejects a DagConfig: the message is `parts` (strings, C strings and
+/// integers) appended in order (appends, not operator+ chains, which GCC 12
+/// -O2/-O3 flags under -Wrestrict).
+template <typename... Parts>
+[[noreturn]] void invalid(const Parts&... parts) {
+  std::string message;
+  (append_part(message, parts), ...);
   throw std::invalid_argument(std::move(message));
 }
 
@@ -96,52 +112,30 @@ DagPlan plan_dag(const DagConfig& config) {
   std::vector<std::vector<std::uint16_t>> in_edges(n);
   for (std::size_t e = 0; e < config.edges.size(); ++e) {
     const DagEdge& edge = config.edges[e];
-    if (edge.src >= n || edge.dst >= n) {
-      std::string message = "edge ";
-      message += std::to_string(e);
-      message += " references a node out of range";
-      invalid(std::move(message));
-    }
-    if (edge.src == edge.dst) {
-      std::string message = "self-edge at ";
-      message += label(edge.src);
-      invalid(std::move(message));
-    }
+    if (edge.src >= n || edge.dst >= n)
+      invalid("edge ", e, " references a node out of range");
+    if (edge.src == edge.dst) invalid("self-edge at ", label(edge.src));
     if (edge.credits.has_value()) {
       // Deadlock safety: the acyclicity check below guarantees progress
       // only if every flow-controlled hop can hold at least one flit
       // (sinks drain unconditionally, so one credit per hop suffices for
       // induction along the acyclic downstream order). A zero-credit hop
       // could never transmit at all.
-      if (*edge.credits == 0) {
-        std::string message = "edge ";
-        message += std::to_string(e);
-        message += " into ";
-        message += label(edge.dst);
-        message += " declares a zero-credit buffer (the hop could never "
-                   "transmit); use at least one credit, or leave the edge "
-                   "at the DagConfig default";
-        invalid(std::move(message));
-      }
-      if (*edge.credits > link::kMaxCreditWindow) {
-        std::string message = "edge ";
-        message += std::to_string(e);
-        message += " credit window exceeds link::kMaxCreditWindow";
-        invalid(std::move(message));
-      }
+      if (*edge.credits == 0)
+        invalid("edge ", e, " into ", label(edge.dst),
+                " declares a zero-credit buffer (the hop could never "
+                "transmit); use at least one credit, or leave the edge at "
+                "the DagConfig default");
+      if (*edge.credits > link::kMaxCreditWindow)
+        invalid("edge ", e, " credit window exceeds link::kMaxCreditWindow");
       // A hop's buffer lives at its terminating end, so credits are
       // resolved from the edge INTO the receiving termination. An edge
       // entering a hub never terminates a hop — credits set there would
       // be silently inert, so refuse them instead.
-      if (kind(edge.dst) == DagNodeKind::kHub) {
-        std::string message = "edge ";
-        message += std::to_string(e);
-        message += " enters hub ";
-        message += label(edge.dst);
-        message += ", which does not terminate the hop; set credits on "
-                   "the hub's egress edge (into the receiving termination)";
-        invalid(std::move(message));
-      }
+      if (kind(edge.dst) == DagNodeKind::kHub)
+        invalid("edge ", e, " enters hub ", label(edge.dst),
+                ", which does not terminate the hop; set credits on the "
+                "hub's egress edge (into the receiving termination)");
     }
     out_edges[edge.src].push_back(static_cast<std::uint16_t>(e));
     in_edges[edge.dst].push_back(static_cast<std::uint16_t>(e));
@@ -157,21 +151,14 @@ DagPlan plan_dag(const DagConfig& config) {
     invalid("fault plan addresses more edges than the topology declares");
   for (std::size_t e = 0; e < config.faults.edges.size(); ++e) {
     for (const sim::FaultWindow& window : config.faults.edges[e].windows()) {
-      if (window.up_at != 0 && window.up_at <= window.down_at) {
-        std::string message = "fault window on edge ";
-        message += std::to_string(e);
-        message += " ends at or before it starts";
-        invalid(std::move(message));
-      }
+      if (window.up_at != 0 && window.up_at <= window.down_at)
+        invalid("fault window on edge ", e, " ends at or before it starts");
     }
   }
   for (const sim::RelayFailStop& failure : config.faults.relay_failures) {
-    if (failure.node >= n || kind(failure.node) != DagNodeKind::kRelay) {
-      std::string message = "relay fail-stop event at node ";
-      message += std::to_string(failure.node);
-      message += " does not name a relay";
-      invalid(std::move(message));
-    }
+    if (failure.node >= n || kind(failure.node) != DagNodeKind::kRelay)
+      invalid("relay fail-stop event at node ", failure.node,
+              " does not name a relay");
   }
   {
     std::vector<std::pair<std::uint16_t, std::uint16_t>> pairs;
@@ -180,39 +167,23 @@ DagPlan plan_dag(const DagConfig& config) {
       pairs.emplace_back(edge.src, edge.dst);
     std::sort(pairs.begin(), pairs.end());
     const auto dup = std::adjacent_find(pairs.begin(), pairs.end());
-    if (dup != pairs.end()) {
-      std::string message = "duplicate edge ";
-      message += label(dup->first);
-      message += " -> ";
-      message += label(dup->second);
-      invalid(std::move(message));
-    }
+    if (dup != pairs.end())
+      invalid("duplicate edge ", label(dup->first), " -> ", label(dup->second));
   }
 
   // Per-node-kind constraints.
   for (std::size_t v = 0; v < n; ++v) {
     switch (kind(v)) {
       case DagNodeKind::kTerminal:
-        if (out_edges[v].size() > 1) {
-          std::string message = "terminal ";
-          message += label(v);
-          message += " has more than one uplink edge";
-          invalid(std::move(message));
-        }
-        if (in_edges[v].size() > 1) {
-          std::string message = "terminal ";
-          message += label(v);
-          message += " has more than one downlink edge";
-          invalid(std::move(message));
-        }
+        if (out_edges[v].size() > 1)
+          invalid("terminal ", label(v), " has more than one uplink edge");
+        if (in_edges[v].size() > 1)
+          invalid("terminal ", label(v), " has more than one downlink edge");
         break;
       case DagNodeKind::kHub:
-        if (out_edges[v].empty() || in_edges[v].empty()) {
-          std::string message = "hub ";
-          message += label(v);
-          message += " needs at least one ingress and one egress edge";
-          invalid(std::move(message));
-        }
+        if (out_edges[v].empty() || in_edges[v].empty())
+          invalid("hub ", label(v),
+                  " needs at least one ingress and one egress edge");
         break;
       case DagNodeKind::kRelay:
         break;
@@ -240,12 +211,8 @@ DagPlan plan_dag(const DagConfig& config) {
           const std::uint16_t e = out_edges[frame.node][frame.next++];
           const std::uint16_t w = config.edges[e].dst;
           if (kind(w) == DagNodeKind::kTerminal) continue;
-          if (color[w] == 1) {
-            std::string message =
-                "the switching core contains a cycle through ";
-            message += label(w);
-            invalid(std::move(message));
-          }
+          if (color[w] == 1)
+            invalid("the switching core contains a cycle through ", label(w));
           if (color[w] == 0) {
             color[w] = 1;
             stack.push_back(Frame{w, 0});
@@ -265,51 +232,23 @@ DagPlan plan_dag(const DagConfig& config) {
   std::vector<std::int32_t> origin_flow(n, -1);
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
-    if (flow.src >= n || flow.dst >= n) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " references a node out of range";
-      invalid(std::move(message));
-    }
+    if (flow.src >= n || flow.dst >= n)
+      invalid("flow ", f, " references a node out of range");
     if (kind(flow.src) != DagNodeKind::kTerminal ||
-        kind(flow.dst) != DagNodeKind::kTerminal) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " endpoints must be terminals";
-      invalid(std::move(message));
-    }
-    if (flow.src == flow.dst) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " sends to its own source";
-      invalid(std::move(message));
-    }
-    if (origin_flow[flow.src] >= 0) {
-      std::string message = "terminal ";
-      message += label(flow.src);
-      message += " originates more than one flow";
-      invalid(std::move(message));
-    }
+        kind(flow.dst) != DagNodeKind::kTerminal)
+      invalid("flow ", f, " endpoints must be terminals");
+    if (flow.src == flow.dst) invalid("flow ", f, " sends to its own source");
+    if (origin_flow[flow.src] >= 0)
+      invalid("terminal ", label(flow.src), " originates more than one flow");
     origin_flow[flow.src] = static_cast<std::int32_t>(f);
-    if (flow.vc >= link::kMaxVcs) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " rides VC ";
-      message += std::to_string(flow.vc);
-      message += ", beyond link::kMaxVcs";
-      invalid(std::move(message));
-    }
+    if (flow.vc >= link::kMaxVcs)
+      invalid("flow ", f, " rides VC ", flow.vc, ", beyond link::kMaxVcs");
 
     plan.flow_paths[f] = shortest_path(config, out_edges, flow.src, flow.dst,
                                        {});
-    if (plan.flow_paths[f].empty()) {
-      std::string message = "flow ";
-      message += label(flow.src);
-      message += " -> ";
-      message += label(flow.dst);
-      message += " is unreachable";
-      invalid(std::move(message));
-    }
+    if (plan.flow_paths[f].empty())
+      invalid("flow ", label(flow.src), " -> ", label(flow.dst),
+              " is unreachable");
   }
 
   // QoS sanity. Relays schedule VCs, not flows, so every flow sharing a VC
@@ -322,15 +261,9 @@ DagPlan plan_dag(const DagConfig& config) {
       if (vc_weight[flow.vc] < 0) {
         vc_weight[flow.vc] = static_cast<std::int64_t>(flow.weight);
       } else if (vc_weight[flow.vc] != static_cast<std::int64_t>(flow.weight)) {
-        std::string message = "flow ";
-        message += std::to_string(f);
-        message += " declares weight ";
-        message += std::to_string(flow.weight);
-        message += " for VC ";
-        message += std::to_string(flow.vc);
-        message += ", but an earlier flow on the same VC declared ";
-        message += std::to_string(vc_weight[flow.vc]);
-        invalid(std::move(message));
+        invalid("flow ", f, " declares weight ", flow.weight, " for VC ",
+                flow.vc, ", but an earlier flow on the same VC declared ",
+                vc_weight[flow.vc]);
       }
     }
   }
@@ -339,23 +272,17 @@ DagPlan plan_dag(const DagConfig& config) {
   // offered load.
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
-    auto flow_invalid = [&](const char* what) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " (";
-      message += arrival_kind_name(flow.arrival);
-      message += " arrivals) ";
-      message += what;
-      invalid(std::move(message));
-    };
+    const char* const arrivals = arrival_kind_name(flow.arrival);
     switch (flow.arrival) {
       case ArrivalKind::kGreedy:
         if (flow.interval > 0)
-          flow_invalid("sets interval; pick a rate-shaped arrival kind");
+          invalid("flow ", f, " (", arrivals,
+                  " arrivals) sets interval; pick a rate-shaped arrival kind");
         break;
       case ArrivalKind::kPaced:
       case ArrivalKind::kPoisson:
-        if (flow.interval == 0) flow_invalid("needs interval > 0");
+        if (flow.interval == 0)
+          invalid("flow ", f, " (", arrivals, " arrivals) needs interval > 0");
         break;
     }
   }
@@ -401,24 +328,18 @@ DagPlan plan_dag(const DagConfig& config) {
           const auto fork =
               std::mismatch(segment.edges.begin(), segment.edges.end(),
                             other.edges.begin(), other.edges.end());
-          std::string message = "ISN domain leaving ";
-          message += label(segment.origin);
-          message += " fans out at hub ";
-          message += label(config.edges[*fork.first].src);
-          message += " (one TX termination cannot feed two receivers)";
-          invalid(std::move(message));
+          invalid("ISN domain leaving ", label(segment.origin),
+                  " fans out at hub ", label(config.edges[*fork.first].src),
+                  " (one TX termination cannot feed two receivers)");
         }
         into.push_back(static_cast<std::uint32_t>(existing));
         continue;
       }
       for (const std::uint16_t e : segment.edges) {
         if (segment_of_edge[e] < 0) continue;
-        std::string message = "two ISN domains are multiplexed onto edge ";
-        message += label(config.edges[e].src);
-        message += " -> ";
-        message += label(config.edges[e].dst);
-        message += " (an implicit-sequence receiver cannot demux them)";
-        invalid(std::move(message));
+        invalid("two ISN domains are multiplexed onto edge ",
+                label(config.edges[e].src), " -> ", label(config.edges[e].dst),
+                " (an implicit-sequence receiver cannot demux them)");
       }
       const std::uint32_t index =
           static_cast<std::uint32_t>(plan.segments.size());
@@ -491,16 +412,13 @@ DagPlan plan_dag(const DagConfig& config) {
       const std::size_t credits =
           config.edges[segment.ingress_edge].credits.value_or(
               config.hop_credits);
-      if (credits > 0) {
-        std::string message =
-            "credit flow control on the CXL domain through hub ";
-        message += label(*segment.hub);
-        message += " would leak credits on silently dropped flits (§4.1 "
-                   "losses are invisible to the cumulative return count); "
-                   "use RXL, terminate the hop at a relay, or disable "
-                   "credits on this edge";
-        invalid(std::move(message));
-      }
+      if (credits > 0)
+        invalid("credit flow control on the CXL domain through hub ",
+                label(*segment.hub),
+                " would leak credits on silently dropped flits (§4.1 losses "
+                "are invisible to the cumulative return count); use RXL, "
+                "terminate the hop at a relay, or disable credits on this "
+                "edge");
     }
   }
 
@@ -599,7 +517,7 @@ class FaultController {
       item.report.segment = segment;
       item.report.detected_at = event.at;
       const std::uint16_t expected =
-          item.peer_failed ? 0 : item.peer_rx->debug_expected_seq();
+          item.peer_failed ? 0 : item.peer_rx->expected_seq();
       for (Endpoint::HopDownEvent::DrainedFlit& drained : event.drained) {
         if (drained.item.flow_id != item.reroute->flow) continue;
         item.report.drained += 1;
@@ -888,19 +806,14 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
                      return x.node < y.node;
                    });
 
-  // Relay flow tables + QoS plumbing: every relay learns each flow's VC
-  // (flow ids are fabric-global, and an ingress relay accounts by VC even
-  // when only the egress relay routes the flow), the scheduling policy, and
-  // the per-VC DRR weights (plan_dag proved flows sharing a VC agree).
+  // QoS plumbing: every relay learns the scheduling policy and the per-VC
+  // DRR weights (plan_dag proved flows sharing a VC agree). A flit carries
+  // its flow's VC from the source, so relays keep no flow -> VC table.
   for (const auto& relay : relays_) {
     if (relay == nullptr) continue;
     relay->set_egress_policy(config.egress_policy);
-    for (std::size_t f = 0; f < config.flows.size(); ++f) {
-      const DagFlow& flow = config.flows[f];
-      if (flow.vc != 0)
-        relay->set_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
+    for (const DagFlow& flow : config.flows)
       relay->set_vc_weight(flow.vc, flow.weight);
-    }
   }
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     for (const std::uint32_t si : plan.flow_segments[f]) {
@@ -1123,11 +1036,7 @@ void Fabric::build_flows() {
     flow_report.path_edges = plan_.flow_paths[f];
     Endpoint* const source = ends_[plan_.flow_segments[f].front()].tx.endpoint;
     source->set_flow_id(static_cast<std::uint16_t>(f));
-    if (flow.vc != 0) {
-      source->set_tx_vc(flow.vc);
-      ends_[plan_.flow_segments[f].back()].rx.endpoint->set_rx_flow_vc(
-          static_cast<std::uint16_t>(f), flow.vc);
-    }
+    source->set_tx_vc(flow.vc);
     FlowRuntime& runtime = flows_.emplace_back(
         [salt = flow.salt](std::uint64_t index, Endpoint::PayloadOut out) {
           fill_stream_payload(index, salt, out);
@@ -1283,19 +1192,19 @@ DagReport Fabric::run() {
       hop.a_vc_returned[v] = a->credit_ledgers().vc(v).returned();
       hop.b_vc_returned[v] = b->credit_ledgers().vc(v).returned();
     }
-    hop.forward_channel = channels_[segment.egress_edge]->snapshot();
-    hop.reverse_channel = domain.reverse->snapshot();
+    hop.forward_channel = channels_[segment.egress_edge]->stats();
+    hop.reverse_channel = domain.reverse->stats();
   }
   report_.channels.reserve(channels_.size());
   for (const auto& channel : channels_)
-    report_.channels.push_back(channel->snapshot());
+    report_.channels.push_back(channel->stats());
   for (std::size_t v = 0; v < relays_.size(); ++v) {
     if (relays_[v] == nullptr) continue;
     DagRelayReport& relay = report_.relays.emplace_back();
     relay.node = static_cast<std::uint16_t>(v);
     relay.ports.resize(relays_[v]->ports());
     for (std::size_t p = 0; p < relay.ports.size(); ++p)
-      relay.ports[p].stats = relays_[v]->snapshot(p);
+      relay.ports[p].stats = relays_[v]->port_stats(p);
     // A port transmits on the first edge of the segment it originates and
     // receives on the last edge of the segment it terminates.
     for (std::size_t si = 0; si < ends_.size(); ++si) {

@@ -80,7 +80,7 @@ bool Endpoint::send_one() {
   if (!control_queue_.empty()) {
     stats_.control_flits_sent += 1;
     output_->send(control_queue_.front(),
-                  sim::FlitTags{0, false, dest_port_, 0, 0,
+                  sim::FlitTags{{}, false, dest_port_, 0,
                                 sim::SealState::kUnsealed});
     control_queue_.drop_front();
     return true;
@@ -136,8 +136,7 @@ bool Endpoint::send_new_data() {
     flit::Flit& slot = retry_buffer_.reserve();
     const RelayPull pull = relay_source_(slot.payload());
     if (pull.pulled) {
-      send_data_flit(slot, pull.truth_index, pull.flow_id, pull.vc,
-                     pull.payload_of);
+      send_data_flit(slot, pull);
       return true;
     }
     retry_buffer_.drop_reservation();
@@ -151,33 +150,33 @@ bool Endpoint::send_new_data() {
     }
     return false;
   }
-  if (!credit_windows_.vc(tx_vc_).available()) {
+  if (!credit_windows_.vc(stamp_.vc).available()) {
     note_credit_stall();
     return false;
   }
-  if (((ecn_remote_marks_ >> tx_vc_) & 1u) != 0) {
+  if (((ecn_remote_marks_ >> stamp_.vc) & 1u) != 0) {
     note_ecn_stall();
     return false;
   }
   flit::Flit& slot = retry_buffer_.reserve();
-  if (!source_(next_truth_index_)) {
+  if (!source_(stamp_.truth_index)) {
     retry_buffer_.drop_reservation();
     return false;
   }
-  send_data_flit(slot, next_truth_index_, flow_id_, tx_vc_, source_payload_);
-  next_truth_index_ += 1;
+  send_data_flit(slot, stamp_);
+  stamp_.truth_index += 1;
   return true;
 }
 
 void Endpoint::send_replay(const link::RetryBuffer::Entry& entry,
                            std::uint32_t how) {
   stats_.data_flits_retransmitted += 1;
-  trace(obs::TraceEventKind::kRetry, entry.user_tag, entry.flow_tag, entry.seq,
-        entry.vc, how);
+  trace(obs::TraceEventKind::kRetry, entry.truth_index, entry.flow_id,
+        entry.seq, entry.vc, how);
   output_->send(entry.flit,
-                sim::FlitTags{entry.user_tag, true, dest_port_, entry.flow_tag,
+                sim::FlitTags{entry, true, dest_port_,
                               codec_.data_crc_fold(entry.seq),
-                              sim::SealState::kUnsealed, entry.payload_of});
+                              sim::SealState::kUnsealed});
 }
 
 void Endpoint::note_credit_stall() {
@@ -201,9 +200,7 @@ void Endpoint::note_ecn_stall() {
 }
 
 void Endpoint::send_data_flit(flit::Flit& canonical,
-                              std::uint64_t truth_index,
-                              std::uint16_t flow_id, std::uint8_t vc,
-                              sim::PayloadFn* payload_of) {
+                              const sim::StreamTag& stream) {
   const std::uint16_t seq = next_seq_;
   // The canonical (replayable) image in its retry slot always carries the
   // explicit/implicit SeqNum with no piggybacked ACK; the wire image on
@@ -218,17 +215,17 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
       ack_scheduler_.pending()) {
     if (const std::optional<std::uint16_t> acknum = ack_scheduler_.consume()) {
-      sim::copy_readable(piggyback_image_, canonical, payload_of);
+      sim::copy_readable(piggyback_image_, canonical, stream.payload_of);
       codec_.write_data_header(piggyback_image_, seq, acknum);
       wire = &piggyback_image_;
       stats_.acks_piggybacked += 1;
     }
   }
 
-  retry_buffer_.commit(seq, truth_index, flow_id, vc, payload_of);
+  retry_buffer_.commit(seq, stream);
   if (credit_windows_.enabled()) {
-    assert(credit_windows_.vc(vc).available());  // send_one gated on the VC
-    credit_windows_.vc(vc).consume();
+    assert(credit_windows_.vc(stream.vc).available());  // gated by send_one
+    credit_windows_.vc(stream.vc).consume();
     extra_.credits_consumed += 1;
   }
   if (retry_buffer_.size() == 1) last_ack_progress_ = queue_.now();
@@ -236,10 +233,11 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
 
   next_seq_ = link::seq_next(next_seq_);
   stats_.data_flits_sent += 1;
-  trace(obs::TraceEventKind::kTx, truth_index, flow_id, seq, vc, 0);
-  output_->send(*wire, sim::FlitTags{truth_index, true, dest_port_, flow_id,
+  trace(obs::TraceEventKind::kTx, stream.truth_index, stream.flow_id, seq,
+        stream.vc, 0);
+  output_->send(*wire, sim::FlitTags{stream, true, dest_port_,
                                      codec_.data_crc_fold(seq),
-                                     sim::SealState::kUnsealed, payload_of});
+                                     sim::SealState::kUnsealed});
 }
 
 void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
@@ -356,23 +354,6 @@ void Endpoint::set_ecn_marks(std::uint8_t marks) {
   }
 }
 
-void Endpoint::set_rx_flow_vc(std::uint16_t flow, std::uint8_t vc) {
-  for (auto& entry : rx_flow_vcs_) {
-    if (entry.first == flow) {
-      entry.second = vc;
-      return;
-    }
-  }
-  rx_flow_vcs_.emplace_back(flow, vc);
-}
-
-std::uint8_t Endpoint::rx_vc_for_flow(std::uint16_t flow) const noexcept {
-  for (const auto& entry : rx_flow_vcs_) {
-    if (entry.first == flow) return entry.second;
-  }
-  return 0;
-}
-
 void Endpoint::flush_credit_returns() {
   const std::size_t owed = credit_returns_.unadvertised();
   if (owed == 0) return;
@@ -486,17 +467,16 @@ void Endpoint::declare_hop_dead() {
   retry_buffer_.for_each([&](const link::RetryBuffer::Entry& entry) {
     HopDownEvent::DrainedFlit drained;
     drained.seq = entry.seq;
+    static_cast<sim::StreamTag&>(drained.item) = entry;
     // The management plane gets bytes: a payload held by reference is
     // written out here.
     if (entry.payload_of != nullptr) {
-      (*entry.payload_of)(entry.user_tag, drained.item.payload);
+      (*entry.payload_of)(entry.truth_index, drained.item.payload);
+      drained.item.payload_of = nullptr;
     } else {
       const auto payload = entry.flit.payload();
       std::copy(payload.begin(), payload.end(), drained.item.payload.begin());
     }
-    drained.item.truth_index = entry.user_tag;
-    drained.item.flow_id = entry.flow_tag;
-    drained.item.vc = entry.vc;
     event.drained.push_back(std::move(drained));
   });
   extra_.dead_flits_drained += event.drained.size();
@@ -577,7 +557,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
     nack_active_ = false;
     expected_seq_ = link::seq_next(expected_seq_);
     deliver(envelope);
-    after_delivery(envelope.flow_id);
+    after_delivery(envelope.vc);
     return;
   }
 
@@ -590,7 +570,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
       episode_ahead_discards_ = 0;
       expected_seq_ = link::seq_next(expected_seq_);
       deliver(envelope);
-      after_delivery(envelope.flow_id);
+      after_delivery(envelope.vc);
       // Selective repeat: the gap just filled; drain every consecutive
       // buffered successor in order.
       if (reorder_buffer_.has_value()) {
@@ -598,7 +578,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
           last_verified_ = expected_seq_;
           expected_seq_ = link::seq_next(expected_seq_);
           deliver(*buffered);
-          after_delivery(buffered->flow_id);
+          after_delivery(buffered->vc);
         }
         // Buffered flits beyond ANOTHER gap remain: request the next
         // missing flit right away instead of waiting for a fresh arrival.
@@ -641,7 +621,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
         episode_ahead_discards_ = 0;
         expected_seq_ = link::seq_next(seq);
         deliver(envelope);
-        after_delivery(envelope.flow_id);
+        after_delivery(envelope.vc);
         return;
       }
       send_nack();
@@ -667,7 +647,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
   extra_.unchecked_deliveries += 1;
   expected_seq_ = link::seq_next(expected_seq_);
   deliver(envelope);
-  after_delivery(envelope.flow_id);
+  after_delivery(envelope.vc);
 }
 
 void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
@@ -808,27 +788,21 @@ void Endpoint::on_nack_timer() {
 
 void Endpoint::deliver(const sim::FlitEnvelope& envelope) {
   stats_.flits_delivered += 1;
-  if (trace_ != nullptr) {
-    // Guarded here (not via trace()) so the rx_vc_for_flow scan is never
-    // evaluated when tracing is off.
-    trace_->emit(trace_component_, queue_.now(),
-                 obs::TraceEventKind::kDeliver, envelope.truth_index,
-                 envelope.flow_id, seq_prev(expected_seq_),
-                 rx_vc_for_flow(envelope.flow_id), 0);
-  }
+  trace(obs::TraceEventKind::kDeliver, envelope.truth_index, envelope.flow_id,
+        seq_prev(expected_seq_), envelope.vc, 0);
   last_rx_progress_ = queue_.now();
   if (deliver_) deliver_(envelope);
 }
 
-void Endpoint::after_delivery(std::uint16_t flow_id) {
+void Endpoint::after_delivery(std::uint8_t vc) {
   // Terminal consumption frees the notional one-deep receive buffer at
   // once; count the free BEFORE scheduling the ACK so an ACK due this very
   // delivery carries the freshest cumulative count (piggybacked return).
-  // The free is attributed to the VC the delivered flow rides on.
+  // The free is attributed to the VC the delivered flit rode in on.
   const bool auto_return =
       credit_returns_.enabled() && !deferred_credit_return_;
   if (auto_return) {
-    credit_returns_.vc(rx_vc_for_flow(flow_id)).on_slot_freed();
+    credit_returns_.vc(vc).on_slot_freed();
     extra_.credits_returned += 1;
   }
   ack_scheduler_.on_delivered(seq_prev(expected_seq_));

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "plan_rejection.hpp"
 #include "rxl/link/credit.hpp"
 #include "rxl/sim/trial_runner.hpp"
 #include "rxl/transport/star_fabric.hpp"
@@ -45,14 +46,25 @@ DagScenarioSpec base_spec() {
 }
 
 // --------------------------------------------------------------------------
-// Validation
+// Validation: every plan_dag rule, each pinned to its exact message
 // --------------------------------------------------------------------------
+
+std::string cxl_hub_credit_message(const std::string& hub) {
+  std::string message = "credit flow control on the CXL domain through hub ";
+  message += hub;
+  message +=
+      " would leak credits on silently dropped flits (§4.1 losses are "
+      "invisible to the cumulative return count); use RXL, terminate the "
+      "hop at a relay, or disable credits on this edge";
+  return message;
+}
 
 TEST(DagFabric, RejectsCyclicSwitchingCore) {
   DagConfig config = make_chain_dag(base_spec(), 2);
   // relay2 -> relay1 closes a cycle among the relays.
   config.edges.push_back(plain_edge(2, 1));
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "the switching core contains a cycle through relay1");
 }
 
 TEST(DagFabric, AllowsTerminalRelayBackEdge) {
@@ -113,30 +125,31 @@ TEST(DagFabric, BidirectionalRelayChainPairsDomainsAndPiggybacks) {
 TEST(DagFabric, RejectsDuplicateAndSelfEdges) {
   DagConfig config = make_chain_dag(base_spec(), 1);
   config.edges.push_back(config.edges.front());
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, "duplicate edge src -> relay1");
   config = make_chain_dag(base_spec(), 1);
   config.edges.push_back(plain_edge(1, 1));
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, "self-edge at relay1");
 }
 
 TEST(DagFabric, RejectsMultiHomedTerminals) {
   DagConfig config = make_chain_dag(base_spec(), 2);
   config.edges.push_back(plain_edge(0, 2));  // second uplink out of src
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, "terminal src has more than one uplink edge");
 }
 
 TEST(DagFabric, RejectsUnreachableFlow) {
+  // The chain's one flow is sent to an island instead (a second flow out of
+  // src would trip the one-flow-per-source rule first).
   DagConfig config = make_chain_dag(base_spec(), 1);
   config.nodes.push_back(DagNode{"island", DagNodeKind::kTerminal, {}});
-  config.flows.push_back(
-      DagFlow{0, static_cast<std::uint16_t>(config.nodes.size() - 1), 100, 1});
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  config.flows[0].dst = static_cast<std::uint16_t>(config.nodes.size() - 1);
+  expect_plan_rejects(config, "flow src -> island is unreachable");
 }
 
 TEST(DagFabric, RejectsTwoFlowsFromOneTerminal) {
   DagConfig config = make_butterfly_dag(base_spec());
   config.flows.push_back(DagFlow{0, 9, 100, 1});  // s0 already originates one
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, "terminal s0 originates more than one flow");
 }
 
 TEST(DagFabric, RejectsDomainsMultiplexedOnOneHubEgress) {
@@ -152,7 +165,9 @@ TEST(DagFabric, RejectsDomainsMultiplexedOnOneHubEgress) {
   config.edges.push_back(plain_edge(2, 3));
   config.flows.push_back(DagFlow{0, 3, 10, 1});
   config.flows.push_back(DagFlow{1, 3, 10, 2});
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "two ISN domains are multiplexed onto edge hub -> d (an "
+                      "implicit-sequence receiver cannot demux them)");
 }
 
 /// s -> h1 -> h2 -> h3 -> d with the reverse domain d -> h4 -> s: one ISN
@@ -220,7 +235,9 @@ TEST(DagFabric, RejectsDomainsSharingAHubToHubEdge) {
   config.edges.push_back(plain_edge(5, 3));
   config.flows.push_back(DagFlow{0, 2, 10, 1});
   config.flows.push_back(DagFlow{1, 3, 10, 2});
-  EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "two ISN domains are multiplexed onto edge h1 -> h2 (an "
+                      "implicit-sequence receiver cannot demux them)");
 }
 
 TEST(DagFabric, RejectsHubChainForkingAtAnIntermediateHub) {
@@ -240,14 +257,16 @@ TEST(DagFabric, RejectsHubChainForkingAtAnIntermediateHub) {
   config.edges.push_back(plain_edge(6, 3));
   config.flows.push_back(DagFlow{0, 2, 10, 1});
   config.flows.push_back(DagFlow{1, 3, 10, 2});
-  EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "ISN domain leaving r fans out at hub h2 (one TX "
+                      "termination cannot feed two receivers)");
 }
 
 TEST(DagFabric, RejectsCxlCreditsOnAHubChain) {
   DagConfig config = hub_chain_config();
   config.protocol.protocol = Protocol::kCxl;
   config.hop_credits = 4;
-  EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, cxl_hub_credit_message("h1"));
   config.protocol.protocol = Protocol::kRxl;
   EXPECT_NO_THROW((void)plan_dag(config));
 }
@@ -293,7 +312,10 @@ TEST(DagFabric, RejectsZeroCreditEdge) {
   // refuses the one configuration that breaks the induction.
   DagConfig config = make_chain_dag(base_spec(), 1);
   config.edges[1].credits = 0;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "edge 1 into dst declares a zero-credit buffer (the hop "
+                      "could never transmit); use at least one credit, or "
+                      "leave the edge at the DagConfig default");
   config.edges[1].credits = 1;  // the minimum is accepted
   EXPECT_NO_THROW(plan_dag(config));
 }
@@ -308,7 +330,10 @@ TEST(DagFabric, RejectsCreditsOnHubIngressEdges) {
   star.horizon = 1'000'000;
   DagConfig config = make_star_dag(star);
   config.edges[0].credits = 4;  // host0's uplink INTO the hub
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "edge 0 enters hub hub, which does not terminate the "
+                      "hop; set credits on the hub's egress edge (into the "
+                      "receiving termination)");
   config.edges[0].credits.reset();
   config.edges[1].credits = 4;  // the hub's egress into dev0: meaningful
   EXPECT_NO_THROW(plan_dag(config));
@@ -326,7 +351,7 @@ TEST(DagFabric, RejectsCxlCreditsAcrossTransparentHubs) {
   star.protocol.protocol = Protocol::kCxl;
   DagConfig config = make_star_dag(star);
   config.hop_credits = 4;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, cxl_hub_credit_message("hub"));
   config.protocol.protocol = Protocol::kRxl;
   EXPECT_NO_THROW(plan_dag(config));
   config.protocol.protocol = Protocol::kCxl;
@@ -345,10 +370,77 @@ TEST(DagFabric, RejectsOversizedCreditWindows) {
   // the count space would make grants ambiguous.
   DagConfig config = make_chain_dag(base_spec(), 1);
   config.edges[0].credits = link::kMaxCreditWindow + 1;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config,
+                      "edge 0 credit window exceeds link::kMaxCreditWindow");
   config.edges[0].credits.reset();
   config.hop_credits = link::kMaxCreditWindow + 1;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  expect_plan_rejects(config, "hop_credits exceeds link::kMaxCreditWindow");
+}
+
+TEST(DagFabric, RejectsEmptyAndOversizedTopologies) {
+  expect_plan_rejects(DagConfig{}, "DAG topology has no nodes");
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.nodes.resize(0xFFFF);
+  expect_plan_rejects(config, "DAG topology exceeds the 16-bit id space");
+}
+
+TEST(DagFabric, RejectsEdgeToAMissingNode) {
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.edges.push_back(plain_edge(1, 99));
+  expect_plan_rejects(config, "edge 2 references a node out of range");
+}
+
+TEST(DagFabric, RejectsTerminalWithTwoDownlinks) {
+  DagConfig config = make_chain_dag(base_spec(), 2);
+  config.edges.push_back(plain_edge(1, 3));  // relay1 -> dst beside relay2's
+  expect_plan_rejects(config, "terminal dst has more than one downlink edge");
+}
+
+TEST(DagFabric, RejectsHubWithoutEgress) {
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.nodes.push_back(DagNode{"h", DagNodeKind::kHub, {}});
+  config.edges.push_back(plain_edge(1, 3));  // into the hub, nothing out
+  expect_plan_rejects(config,
+                      "hub h needs at least one ingress and one egress edge");
+}
+
+TEST(DagFabric, RejectsFlowsWithBadEndpoints) {
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.flows[0].dst = 99;
+  expect_plan_rejects(config, "flow 0 references a node out of range");
+  config = make_chain_dag(base_spec(), 1);
+  config.flows[0].dst = 1;  // relay1
+  expect_plan_rejects(config, "flow 0 endpoints must be terminals");
+  config = make_chain_dag(base_spec(), 1);
+  config.flows[0].dst = 0;
+  expect_plan_rejects(config, "flow 0 sends to its own source");
+}
+
+TEST(DagFabric, RejectsFlowOnAVcBeyondTheLimit) {
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.flows[0].vc = link::kMaxVcs;
+  expect_plan_rejects(config, "flow 0 rides VC 8, beyond link::kMaxVcs");
+}
+
+TEST(DagFabric, RejectsFlowsDisagreeingOnTheirVcWeight) {
+  DagConfig config = make_butterfly_dag(base_spec());
+  config.flows[2].vc = 3;
+  config.flows[2].weight = 4;
+  config.flows[3].vc = 3;
+  expect_plan_rejects(config,
+                      "flow 3 declares weight 1 for VC 3, but an earlier flow "
+                      "on the same VC declared 4");
+}
+
+TEST(DagFabric, RejectsEcnWithoutCredits) {
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.ecn_threshold = 2;
+  expect_plan_rejects(config,
+                      "ecn_threshold set with credit flow control off "
+                      "everywhere; ECN early backpressure needs hop_credits or "
+                      "per-edge credits");
+  config.edges[1].credits = 4;
+  EXPECT_NO_THROW((void)plan_dag(config));
 }
 
 // --------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "plan_rejection.hpp"
 #include "rxl/common/ring_queue.hpp"
 #include "rxl/link/sequence.hpp"
 #include "rxl/phy/error_model.hpp"
@@ -323,23 +324,29 @@ TEST(FaultPlanValidation, RejectsMalformedFaultPlans) {
   {
     DagConfig config = make_diamond_dag(diamond_spec(), 2, 2);
     config.faults.edge(config.edges.size());  // timeline past the last edge
-    EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+    expect_plan_rejects(
+        config, "fault plan addresses more edges than the topology declares");
   }
   {
     DagConfig config = make_diamond_dag(diamond_spec(), 2, 2);
     config.faults.edge(2).add_window(20'000, 10'000);  // ends before it starts
-    EXPECT_THROW((void)plan_dag(config), std::invalid_argument);
+    expect_plan_rejects(config,
+                        "fault window on edge 2 ends at or before it starts");
   }
   {
     DagConfig config = make_diamond_dag(diamond_spec(), 2, 2);
+    // Node 0 is a terminal.
     config.faults.relay_failures.push_back({/*node=*/0, /*at=*/1'000});
-    EXPECT_THROW((void)plan_dag(config), std::invalid_argument);  // a terminal
+    expect_plan_rejects(
+        config, "relay fail-stop event at node 0 does not name a relay");
   }
   {
     DagConfig config = make_diamond_dag(diamond_spec(), 2, 2);
+    // No such node.
     config.faults.relay_failures.push_back(
         {static_cast<std::uint16_t>(config.nodes.size()), 1'000});
-    EXPECT_THROW((void)plan_dag(config), std::invalid_argument);  // no such node
+    expect_plan_rejects(
+        config, "relay fail-stop event at node 8 does not name a relay");
   }
 }
 
@@ -407,6 +414,64 @@ TEST(FaultFabric, DiamondLinkDeathReroutesBothFlowsExactlyOnce) {
   // or refunded when the dead hop drained.
   EXPECT_EQ(report.total_credits_consumed(),
             report.total_credits_granted() + report.total_credits_refunded());
+}
+
+TEST(FaultFabric, RerouteOnAVcAboveZeroBillsThatVcEverywhere) {
+  // Both flows ride VC 1 when R0 -> M_0 dies mid-run. The flits drained
+  // from the dead hop are re-injected at R0 on the VC they carry, so every
+  // hop, the backup branch included, bills VC 1 and nothing else, and each
+  // per-VC ledger closes: on a live hop every slot consumed on a VC was
+  // freed on it, and the dead hop's window closes by its refund.
+  DagConfig config = make_diamond_dag(diamond_spec(), 2, 2);
+  config.slot = kSlowSlot;
+  for (DagFlow& flow : config.flows) flow.vc = 1;
+  config.faults.edge(2).add_window(10'000'000, 0);
+  config.trace.enabled = true;
+  config.trace.ring_depth = 1u << 14;
+  const DagReport report = run_dag_fabric(config);
+  expect_exactly_once(report, 300);
+  ASSERT_EQ(report.reroutes.size(), 2u);
+  std::uint64_t reinjected = 0;
+  for (const DagRerouteReport& episode : report.reroutes) {
+    EXPECT_TRUE(episode.rerouted);
+    reinjected += episode.reinjected;
+  }
+  EXPECT_GT(reinjected, 0u);
+
+  std::size_t dead_hops = 0;
+  for (const DagLinkStats& hop : report.hops) {
+    SCOPED_TRACE(testing::Message() << "segment " << hop.segment);
+    EXPECT_EQ(hop.a_vc_consumed[0], 0u);
+    EXPECT_EQ(hop.b_vc_consumed[0], 0u);
+    EXPECT_EQ(hop.a_vc_returned[0], 0u);
+    EXPECT_EQ(hop.b_vc_returned[0], 0u);
+    if (hop.a_extra.hops_declared_dead > 0) {
+      dead_hops += 1;
+      EXPECT_EQ(hop.a_vc_consumed[1],
+                hop.a_extra.credits_granted + hop.a_extra.credits_refunded);
+      continue;
+    }
+    EXPECT_EQ(hop.a_vc_consumed[1], hop.b_vc_returned[1]);
+    EXPECT_EQ(hop.b_vc_consumed[1], hop.a_vc_returned[1]);
+  }
+  EXPECT_GE(dead_hops, 1u);
+  // Every enqueue at a relay, the re-injections at R0 included, and every
+  // first transmission and replay ran on VC 1.
+  std::uint64_t enqueues = 0;
+  for (const obs::TraceComponentCapture& component : report.trace.components) {
+    EXPECT_EQ(component.overruns, 0u) << component.name;
+    for (const obs::TraceEvent& event : component.events) {
+      if (event.kind == obs::TraceEventKind::kEnqueue) enqueues += 1;
+      if (event.kind == obs::TraceEventKind::kEnqueue ||
+          event.kind == obs::TraceEventKind::kTx ||
+          event.kind == obs::TraceEventKind::kDeliver ||
+          (event.kind == obs::TraceEventKind::kRetry &&
+           event.flow != obs::kTraceNoFlow)) {
+        EXPECT_EQ(static_cast<int>(event.vc), 1) << component.name;
+      }
+    }
+  }
+  EXPECT_GT(enqueues, 0u);
 }
 
 TEST(FaultFabric, RelayFailStopReroutesWithoutReconciliation) {

@@ -162,8 +162,8 @@ TEST(LinkChannel, ByReferenceFlitCopiesOnlyItsHeader) {
   constexpr std::uint16_t kSeq = 5;
   flit::Flit image;  // as an endpoint sends it: header only, payload zero
   codec.write_data_header(image, kSeq, std::nullopt);
-  const FlitTags tags{/*truth_index=*/7, true, 0, 0, codec.data_crc_fold(kSeq),
-                      SealState::kUnsealed, &stream};
+  const FlitTags tags{{/*truth_index=*/7, &stream}, true, 0,
+                      codec.data_crc_fold(kSeq), SealState::kUnsealed};
   std::array<std::uint8_t, kPayloadBytes> expected{};
   stream(7, expected);
 

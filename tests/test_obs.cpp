@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <span>
@@ -344,6 +345,66 @@ TEST(TraceFabric, CollectMetricsCoversEveryAggregate) {
   // 5-entry latency summary.
   EXPECT_EQ(metrics_under(registry, "flow.0."),
             obs::MetricsRegistry::kScoreboardMetricCount + 3 + 5);
+}
+
+TEST(TraceFabric, RelayIngressDeliverCarriesTheFlitsVc) {
+  // A flit carries its flow's VC from the source, so the relay's ingress
+  // port logs each delivery on the VC its source sent it on (a per-flow
+  // table at the relay would have to be wired to agree).
+  transport::DagScenarioSpec spec;
+  spec.protocol.protocol = transport::Protocol::kRxl;
+  spec.flits_per_flow = 50;
+  spec.seed = 29;
+  spec.hop_credits = 4;
+  spec.horizon = 50'000'000;
+  const std::array<transport::DagFlowClass, 4> classes{
+      {{0, 1, 0, 0}, {1, 1, 0, 0}, {2, 1, 0, 0}, {3, 1, 0, 0}}};
+  transport::DagConfig config = transport::make_incast_dag(spec, 4, classes);
+  config.trace.enabled = true;
+  config.trace.ring_depth = 1u << 14;
+  const transport::DagReport report = run_dag_fabric(config);
+  ASSERT_EQ(report.total_in_order(), 4u * 50u);
+
+  std::vector<std::string> relay_ports;
+  for (const transport::DagNode& node : config.nodes)
+    if (node.kind == transport::DagNodeKind::kRelay)
+      relay_ports.push_back(node.name + ".p");
+  const auto is_relay_port = [&](const std::string& name) {
+    return std::any_of(relay_ports.begin(), relay_ports.end(),
+                       [&](const std::string& prefix) {
+                         return name.starts_with(prefix);
+                       });
+  };
+  // The VC each flow's source sends on, from its kTx events.
+  std::array<int, 4> tx_vc{-1, -1, -1, -1};
+  for (const obs::TraceComponentCapture& component : report.trace.components) {
+    EXPECT_EQ(component.overruns, 0u) << component.name;
+    if (is_relay_port(component.name)) continue;
+    for (const obs::TraceEvent& event : component.events) {
+      if (event.kind != obs::TraceEventKind::kTx) continue;
+      ASSERT_LT(event.flow, tx_vc.size()) << component.name;
+      int& vc = tx_vc[event.flow];
+      if (vc < 0) vc = event.vc;
+      EXPECT_EQ(event.vc, vc) << component.name;
+    }
+  }
+  for (std::size_t f = 0; f < tx_vc.size(); ++f)
+    EXPECT_EQ(tx_vc[f], static_cast<int>(config.flows[f].vc)) << "flow " << f;
+
+  std::array<std::uint64_t, 4> relay_delivers{};
+  for (const obs::TraceComponentCapture& component : report.trace.components) {
+    if (!is_relay_port(component.name)) continue;
+    for (const obs::TraceEvent& event : component.events) {
+      if (event.kind != obs::TraceEventKind::kDeliver) continue;
+      ASSERT_LT(event.flow, tx_vc.size()) << component.name;
+      EXPECT_EQ(static_cast<int>(event.vc), tx_vc[event.flow])
+          << component.name << " flow " << event.flow;
+      relay_delivers[event.flow] += 1;
+    }
+  }
+  // Every flow, those on VCs 1-3 included, crossed a relay ingress port.
+  for (std::size_t f = 0; f < relay_delivers.size(); ++f)
+    EXPECT_EQ(relay_delivers[f], 50u) << "flow " << f;
 }
 
 }  // namespace

@@ -24,11 +24,11 @@ flit::Flit tagged_flit(std::uint8_t tag) {
 /// Stores a copy of `flit` under `seq` through reserve and commit, as the
 /// endpoint does; false (and nothing stored) when the buffer is full.
 bool store(RetryBuffer& buffer, std::uint16_t seq, const flit::Flit& flit,
-           std::uint64_t user_tag = 0, std::uint16_t flow_tag = 0,
+           std::uint64_t truth_index = 0, std::uint16_t flow_id = 0,
            std::uint8_t vc = 0) {
   if (buffer.full()) return false;
   buffer.reserve() = flit;
-  buffer.commit(seq, user_tag, flow_tag, vc);
+  buffer.commit(seq, sim::StreamTag{truth_index, nullptr, flow_id, vc});
   return true;
 }
 
@@ -92,12 +92,13 @@ TEST(RetryBuffer, ForEachFromVisitsTail) {
   RetryBuffer buffer(8);
   for (std::uint16_t seq = 0; seq < 6; ++seq)
     store(buffer, seq, tagged_flit(static_cast<std::uint8_t>(seq)),
-          /*user_tag=*/seq * 100u);
+          /*truth_index=*/seq * 100u);
   std::vector<std::uint16_t> visited;
   std::vector<std::uint64_t> tags;
-  buffer.for_each_from(3, [&](const RetryBuffer::Entry& entry) {
+  buffer.for_each([&](const RetryBuffer::Entry& entry) {
+    if (seq_distance(3, entry.seq) < 0) return;
     visited.push_back(entry.seq);
-    tags.push_back(entry.user_tag);
+    tags.push_back(entry.truth_index);
   });
   EXPECT_EQ(visited, (std::vector<std::uint16_t>{3, 4, 5}));
   EXPECT_EQ(tags, (std::vector<std::uint64_t>{300, 400, 500}));
@@ -106,7 +107,8 @@ TEST(RetryBuffer, ForEachFromVisitsTail) {
 /// Checks every read path of `buffer` against `model`, the held entries
 /// oldest -> newest: lookup of all 1024 sequence numbers, the dead-hop
 /// drain order (for_each), the go-back-N replay set from several resume
-/// points (for_each_from) and the reroute probe (holds_flow).
+/// points (for_each, from the resume point on) and the reroute probe
+/// (holds_flow).
 void expect_matches_model(const RetryBuffer& buffer,
                           const std::deque<RetryBuffer::Entry>& model) {
   ASSERT_EQ(buffer.size(), model.size());
@@ -116,10 +118,11 @@ void expect_matches_model(const RetryBuffer& buffer,
   }
   std::vector<std::uint64_t> drained;
   buffer.for_each([&](const RetryBuffer::Entry& entry) {
-    drained.push_back(entry.user_tag);
+    drained.push_back(entry.truth_index);
   });
   std::vector<std::uint64_t> expected;
-  for (const RetryBuffer::Entry& entry : model) expected.push_back(entry.user_tag);
+  for (const RetryBuffer::Entry& entry : model)
+    expected.push_back(entry.truth_index);
   ASSERT_EQ(drained, expected);
   for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
     const RetryBuffer::Entry* scanned = nullptr;
@@ -132,8 +135,8 @@ void expect_matches_model(const RetryBuffer& buffer,
                                    [&](const auto& e) { return e.seq == seq; });
     ASSERT_EQ(found != nullptr, held != model.end()) << "seq " << seq;
     if (found != nullptr) {
-      EXPECT_EQ(found->user_tag, held->user_tag);
-      EXPECT_EQ(found->flow_tag, held->flow_tag);
+      EXPECT_EQ(found->truth_index, held->truth_index);
+      EXPECT_EQ(found->flow_id, held->flow_id);
       EXPECT_EQ(found->vc, held->vc);
       EXPECT_EQ(found->flit, held->flit);
     }
@@ -143,17 +146,19 @@ void expect_matches_model(const RetryBuffer& buffer,
         model.empty() ? std::uint16_t{5} : model.front().seq,
         model.empty() ? std::uint16_t{9} : seq_add(model.back().seq, 1000)}) {
     std::vector<std::uint64_t> replayed;
-    buffer.for_each_from(from, [&](const RetryBuffer::Entry& entry) {
-      replayed.push_back(entry.user_tag);
+    buffer.for_each([&](const RetryBuffer::Entry& entry) {
+      if (seq_distance(from, entry.seq) >= 0)
+        replayed.push_back(entry.truth_index);
     });
     std::vector<std::uint64_t> want;
     for (const RetryBuffer::Entry& entry : model)
-      if (seq_distance(from, entry.seq) >= 0) want.push_back(entry.user_tag);
+      if (seq_distance(from, entry.seq) >= 0) want.push_back(entry.truth_index);
     ASSERT_EQ(replayed, want) << "from " << from;
   }
   for (std::uint16_t flow = 0; flow < 6; ++flow) {
-    const bool held = std::any_of(model.begin(), model.end(),
-                                  [&](const auto& e) { return e.flow_tag == flow; });
+    const bool held =
+        std::any_of(model.begin(), model.end(),
+                    [&](const auto& e) { return e.flow_id == flow; });
     ASSERT_EQ(buffer.holds_flow(flow), held) << "flow " << flow;
   }
 }
@@ -176,13 +181,13 @@ TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
       auto push = [&] {
         RetryBuffer::Entry entry{};
         entry.seq = next;
-        entry.flow_tag = static_cast<std::uint16_t>(rng.bounded(6));
+        entry.flow_id = static_cast<std::uint16_t>(rng.bounded(6));
         entry.vc = static_cast<std::uint8_t>(rng.bounded(4));
-        entry.user_tag = tag++;
-        entry.flit = tagged_flit(static_cast<std::uint8_t>(entry.user_tag));
+        entry.truth_index = tag++;
+        entry.flit = tagged_flit(static_cast<std::uint8_t>(entry.truth_index));
         const bool room = model.size() < capacity;
-        ASSERT_EQ(store(buffer, next, entry.flit, entry.user_tag,
-                        entry.flow_tag, entry.vc),
+        ASSERT_EQ(store(buffer, next, entry.flit, entry.truth_index,
+                        entry.flow_id, entry.vc),
                   room);
         if (!room) return;
         model.push_back(entry);
@@ -240,7 +245,7 @@ TEST(RetryBuffer, IndexedLookupMatchesLinearScan) {
 TEST(RetryBuffer, UncommittedReservationIsInvisible) {
   // A source with nothing to send, or a credit- or ECN-blocked relay pull,
   // leaves its reserved slot uncommitted. Whatever the caller wrote into
-  // it, size, find, find_entry, for_each(_from), holds_flow and the
+  // it, size, find, find_entry, for_each, holds_flow and the
   // dead-hop drain see exactly the committed entries; a dropped slot is
   // handed out again, and a committed one is an ordinary entry.
   for (const std::size_t capacity : {1u, 2u, 3u, 4u, 8u, 512u}) {
@@ -268,12 +273,12 @@ TEST(RetryBuffer, UncommittedReservationIsInvisible) {
           }
           RetryBuffer::Entry entry{};
           entry.seq = next;
-          entry.flow_tag = static_cast<std::uint16_t>(rng.bounded(6));
+          entry.flow_id = static_cast<std::uint16_t>(rng.bounded(6));
           entry.vc = static_cast<std::uint8_t>(rng.bounded(4));
-          entry.user_tag = tag++;
-          slot.payload()[0] = static_cast<std::uint8_t>(entry.user_tag);
+          entry.truth_index = tag++;
+          slot.payload()[0] = static_cast<std::uint8_t>(entry.truth_index);
           entry.flit = slot;
-          buffer.commit(next, entry.user_tag, entry.flow_tag, entry.vc);
+          buffer.commit(next, entry);
           ASSERT_EQ(&buffer.find_entry(next)->flit, &slot);
           model.push_back(entry);
           next = seq_next(next);
@@ -286,7 +291,7 @@ TEST(RetryBuffer, UncommittedReservationIsInvisible) {
           (void)buffer.reserve();
           std::vector<std::uint64_t> drained;
           buffer.for_each([&](const RetryBuffer::Entry& entry) {
-            drained.push_back(entry.user_tag);
+            drained.push_back(entry.truth_index);
           });
           ASSERT_EQ(drained.size(), model.size());
           buffer.clear();
@@ -352,12 +357,12 @@ TEST(RetryBuffer, BuffersTradingPooledBlocksMatchTheModel) {
     for (std::size_t i = 0; i < pushes && !side.buffer.full(); ++i) {
       RetryBuffer::Entry entry{};
       entry.seq = side.next;
-      entry.flow_tag = static_cast<std::uint16_t>(rng.bounded(6));
+      entry.flow_id = static_cast<std::uint16_t>(rng.bounded(6));
       entry.vc = static_cast<std::uint8_t>(rng.bounded(4));
-      entry.user_tag = side.tag++;
+      entry.truth_index = side.tag++;
       entry.flit = tagged_flit(static_cast<std::uint8_t>(rng.bounded(256)));
-      ASSERT_TRUE(store(side.buffer, side.next, entry.flit, entry.user_tag,
-                        entry.flow_tag, entry.vc));
+      ASSERT_TRUE(store(side.buffer, side.next, entry.flit, entry.truth_index,
+                        entry.flow_id, entry.vc));
       side.model.push_back(entry);
       side.next = seq_next(side.next);
     }
@@ -415,7 +420,7 @@ TEST(RetryBufferDeathTest, StaleEntryInAPooledBlockFaultsUnderAsan) {
   ASSERT_EQ(buffer.ack_up_to(2), 3u);  // the whole block leaves the window
   EXPECT_DEATH(
       {
-        const volatile std::uint64_t tag = stale->user_tag;
+        const volatile std::uint64_t tag = stale->truth_index;
         static_cast<void>(tag);
       },
       "use-after-poison");
@@ -460,7 +465,7 @@ TEST(RetryBuffer, FindEntryExposesUserTag) {
   store(buffer, 0, tagged_flit(9), 1234);
   const auto* entry = buffer.find_entry(0);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->user_tag, 1234u);
+  EXPECT_EQ(entry->truth_index, 1234u);
   EXPECT_EQ(entry->flit.payload()[0], 9);
 }
 

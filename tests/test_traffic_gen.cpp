@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "plan_rejection.hpp"
 #include "rxl/common/bytes.hpp"
 #include "rxl/common/rng.hpp"
 #include "rxl/stats/latency_histogram.hpp"
@@ -359,13 +360,18 @@ TEST(DagArrivalValidation, RejectsIllFormedArrivalSpecs) {
   // Rate-shaped kinds need a rate.
   transport::DagConfig config = two_node_config();
   config.flows[0].arrival = ArrivalKind::kPaced;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  transport::expect_plan_rejects(
+      config, "flow 0 (paced arrivals) needs interval > 0");
   config.flows[0].arrival = ArrivalKind::kPoisson;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  transport::expect_plan_rejects(
+      config, "flow 0 (poisson arrivals) needs interval > 0");
   // Greedy flows take no interval (that is what the kinds are for).
   config = two_node_config();
   config.flows[0].interval = 2'000;
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  transport::expect_plan_rejects(
+      config,
+      "flow 0 (greedy arrivals) sets interval; pick a rate-shaped arrival "
+      "kind");
 }
 
 TEST(DagArrivalValidation, KindNamesAreStable) {

@@ -79,7 +79,7 @@ TraceResult run_trace(transport::Protocol protocol, flit::MessageKind kind) {
         stream.register_sent(index);
         return true;
       },
-      stream.payload_fn());
+      {.payload_of = stream.payload_fn()});
   device.set_deliver([&stream, &txn_board,
                       &result](const sim::FlitEnvelope& envelope) {
     stream.on_deliver(envelope);

@@ -24,9 +24,6 @@ class CrcMatrix {
 
   [[nodiscard]] std::size_t message_bits() const noexcept { return bits_; }
 
-  /// Constant term c = crc(0...0): the affine offset.
-  [[nodiscard]] std::uint64_t affine_constant() const noexcept { return constant_; }
-
   /// Column for input bit `i`: the 64-bit CRC delta caused by flipping
   /// message bit i. (Bit i follows the wire order: bit 0 = LSB of byte 0.)
   [[nodiscard]] std::uint64_t column(std::size_t i) const { return columns_[i]; }

@@ -153,20 +153,27 @@ class CreditReturnLedger {
   std::uint64_t returned_ = 0;
 };
 
+/// A hop termination's credit provisioning: the window its TX spends (`tx`,
+/// 0 = flow control off), the depth its RX advertises (`rx`, the peer's
+/// `tx`) and the VCs the hop carries (1..kMaxVcs).
+struct HopCredits {
+  std::size_t tx = 0;
+  std::size_t rx = 0;
+  std::size_t vcs = 1;
+};
+
 /// Per-virtual-channel partition of transmit windows. Each VC owns a full
 /// window of `window` credits — the receive side provisions one bounded
 /// queue of that depth per VC — so an elephant flow exhausting its VC can
-/// never starve a sibling VC of transmit credits. `num_vcs == 1` is exactly
+/// never starve a sibling VC of transmit credits. `vcs == 1` is exactly
 /// the legacy single-window behaviour.
 class VcCreditWindows {
  public:
-  VcCreditWindows(std::size_t window, std::size_t num_vcs)
-      : windows_(num_vcs == 0 ? 1 : num_vcs, CreditWindow(window)) {}
+  VcCreditWindows(std::size_t window, std::size_t vcs)
+      : windows_(vcs == 0 ? 1 : vcs, CreditWindow(window)) {}
 
   [[nodiscard]] bool enabled() const noexcept { return windows_[0].enabled(); }
-  [[nodiscard]] std::size_t num_vcs() const noexcept {
-    return windows_.size();
-  }
+  [[nodiscard]] std::size_t vcs() const noexcept { return windows_.size(); }
 
   [[nodiscard]] CreditWindow& vc(std::size_t v) noexcept {
     return windows_[v];
@@ -190,23 +197,6 @@ class VcCreditWindows {
     return total;
   }
 
-  /// Aggregate lifetime counters (sum over VCs), for the legacy invariants.
-  [[nodiscard]] std::uint64_t consumed() const noexcept {
-    std::uint64_t total = 0;
-    for (const CreditWindow& w : windows_) total += w.consumed();
-    return total;
-  }
-  [[nodiscard]] std::uint64_t granted() const noexcept {
-    std::uint64_t total = 0;
-    for (const CreditWindow& w : windows_) total += w.granted();
-    return total;
-  }
-  [[nodiscard]] std::uint64_t refunded() const noexcept {
-    std::uint64_t total = 0;
-    for (const CreditWindow& w : windows_) total += w.refunded();
-    return total;
-  }
-
  private:
   std::vector<CreditWindow> windows_;
 };
@@ -218,13 +208,11 @@ class VcCreditWindows {
 /// absolute count.
 class VcCreditReturnLedgers {
  public:
-  VcCreditReturnLedgers(bool enabled, std::size_t num_vcs)
-      : ledgers_(num_vcs == 0 ? 1 : num_vcs, CreditReturnLedger(enabled)) {}
+  VcCreditReturnLedgers(bool enabled, std::size_t vcs)
+      : ledgers_(vcs == 0 ? 1 : vcs, CreditReturnLedger(enabled)) {}
 
   [[nodiscard]] bool enabled() const noexcept { return ledgers_[0].enabled(); }
-  [[nodiscard]] std::size_t num_vcs() const noexcept {
-    return ledgers_.size();
-  }
+  [[nodiscard]] std::size_t vcs() const noexcept { return ledgers_.size(); }
 
   [[nodiscard]] CreditReturnLedger& vc(std::size_t v) noexcept {
     return ledgers_[v];
@@ -243,13 +231,6 @@ class VcCreditReturnLedgers {
   /// Marks every VC's current count as carried (control flits stamp all).
   void mark_advertised() noexcept {
     for (CreditReturnLedger& l : ledgers_) l.mark_advertised();
-  }
-
-  /// Aggregate lifetime count of slots freed, summed over VCs.
-  [[nodiscard]] std::uint64_t returned() const noexcept {
-    std::uint64_t total = 0;
-    for (const CreditReturnLedger& l : ledgers_) total += l.returned();
-    return total;
   }
 
  private:

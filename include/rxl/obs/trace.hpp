@@ -176,9 +176,6 @@ class TraceSink {
   [[nodiscard]] std::size_t component_count() const noexcept {
     return rings_.size();
   }
-  [[nodiscard]] const std::string& component_name(std::size_t i) const noexcept {
-    return names_[i];
-  }
 
   /// Snapshot every ring, components in registration order.
   [[nodiscard]] TraceCapture capture() const;

@@ -56,7 +56,6 @@ class IndependentBitErrors final : public ErrorModel {
  public:
   explicit IndependentBitErrors(double ber) noexcept : ber_(ber) {}
   std::size_t corrupt(std::span<std::uint8_t> flit, Xoshiro256& rng) override;
-  [[nodiscard]] double ber() const noexcept { return ber_; }
 
  private:
   double ber_;

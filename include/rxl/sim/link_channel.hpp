@@ -94,6 +94,23 @@ static_assert(sizeof(FlitTags) == 32);
 static_assert(sizeof(FlitEnvelope) == 288,
               "FlitEnvelope metadata outgrew its one-cache-line budget");
 
+/// Records a kDrop (`reason`, an obs::kDrop* value) of the flit `tags`
+/// describe, at hop-local sequence number `seq`: a data flit (`has_truth`)
+/// keeps its stream position, flow and VC; a control flit belongs to no
+/// stream and is booked to obs::kTraceNoFlow. A null sink records nothing.
+inline void trace_drop(obs::TraceSink* sink, std::uint16_t component,
+                       TimePs at, const FlitTags& tags, std::uint16_t seq,
+                       std::uint32_t reason) noexcept {
+  if (sink == nullptr) return;
+  if (tags.has_truth) {
+    sink->emit(component, at, obs::TraceEventKind::kDrop, tags.truth_index,
+               tags.flow_id, seq, tags.vc, reason);
+  } else {
+    sink->emit(component, at, obs::TraceEventKind::kDrop, 0,
+               obs::kTraceNoFlow, seq, 0, reason);
+  }
+}
+
 /// Writes a payload held by reference into the envelope's image and drops
 /// the reference; a payload held as bytes is left as it is.
 inline void materialize(FlitEnvelope& envelope) {

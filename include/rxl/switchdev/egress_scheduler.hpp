@@ -60,15 +60,18 @@ struct DrrState {
   bool in_service = false;
 };
 
-/// Policy + weight table shared by every port of one relay.
+/// DRR weight per VC (flits per scheduler visit).
+using VcWeights = std::array<std::uint32_t, link::kMaxVcs>;
+
+/// Policy + weight table shared by every port of one relay, fixed when the
+/// relay is built. The default is kFifo with every weight 1.
 class EgressScheduler {
  public:
-  [[nodiscard]] EgressPolicy policy() const noexcept { return policy_; }
-  void set_policy(EgressPolicy policy) noexcept { policy_ = policy; }
+  EgressScheduler() = default;
+  EgressScheduler(EgressPolicy policy, const VcWeights& weights) noexcept
+      : policy_(policy), weights_(weights) {}
 
-  void set_weight(std::size_t vc, std::uint32_t weight) noexcept {
-    weights_[vc] = weight;
-  }
+  [[nodiscard]] EgressPolicy policy() const noexcept { return policy_; }
 
   /// Flits granted per visit. The max(1, w) floor is the starvation guard:
   /// even a zero-weight VC drains one flit per round.
@@ -128,7 +131,7 @@ class EgressScheduler {
   }
 
   EgressPolicy policy_ = EgressPolicy::kFifo;
-  std::array<std::uint32_t, link::kMaxVcs> weights_{1, 1, 1, 1, 1, 1, 1, 1};
+  VcWeights weights_{1, 1, 1, 1, 1, 1, 1, 1};
 };
 
 }  // namespace rxl::switchdev

@@ -19,7 +19,7 @@
 // Accepting a flit transfers responsibility to this relay (the upstream hop
 // is ACKed and may free its replay buffer). The store-and-forward buffering
 // is BOUNDED when the ingress hop runs credit flow control: the upstream
-// transmitter holds `rx_credits` credits for this relay's buffer, each
+// transmitter holds one credit per slot of this relay's buffer, each
 // accepted payload occupies one slot until the egress port re-originates it,
 // and the freed slot is returned as a credit on the ingress hop's reverse
 // control path (piggybacked on its ACK stream; see link/credit.hpp). With
@@ -56,14 +56,14 @@ struct RelayPortStats {
   std::uint64_t max_queue_depth = 0;   ///< egress store-and-forward high water
   /// Peak count of payloads accepted by this INGRESS port still waiting in
   /// some egress queue — the occupancy the ingress hop's credit window
-  /// bounds (<= the hop's rx_credits whenever flow control is on).
+  /// bounds (<= the port's receive depth whenever flow control is on).
   std::uint64_t ingress_high_water = 0;
   std::uint64_t queue_occupancy = 0;  ///< egress queue depth at capture time
   /// The port endpoint's TX credit-stall episodes (next hop's buffer full),
   /// mirrored from its EndpointExtraStats for one-stop congestion reports.
   std::uint64_t credit_stalls = 0;
   /// Per-VC split of ingress_high_water: peak occupancy each VC partition
-  /// reached (<= rx_credits per VC whenever flow control is on).
+  /// reached (<= the receive depth per VC whenever flow control is on).
   std::array<std::uint64_t, link::kMaxVcs> vc_ingress_high_water{};
   /// ECN hysteresis transitions on this ingress port's VCs.
   std::uint64_t ecn_mark_events = 0;   ///< occupancy crossed the threshold
@@ -72,31 +72,23 @@ struct RelayPortStats {
 
 class RelaySwitch {
  public:
-  RelaySwitch(sim::EventQueue& queue, std::string name);
+  /// `scheduler` serves every egress port; an ingress VC is ECN-marked at
+  /// `ecn_threshold` occupancy and cleared at half of it (0 = never).
+  RelaySwitch(sim::EventQueue& queue, std::string name,
+              EgressScheduler scheduler = {}, std::size_t ecn_threshold = 0);
 
-  /// Adds a port with its own link-termination endpoint; returns its index.
-  /// The caller wires the port endpoint's channels (set_output + the inbound
-  /// channel's receiver). The port config's rx_credits is the bounded
-  /// store-and-forward depth offered to the ingress hop (0 = unbounded).
-  /// Ports must all be added before traffic starts.
-  std::size_t add_port(const transport::ProtocolConfig& config);
+  /// Adds a port with its own link-termination endpoint, provisioned with
+  /// `credits`; returns its index. The caller wires the port endpoint's
+  /// channels (set_output + the inbound channel's receiver). `credits.rx`
+  /// is the bounded store-and-forward depth offered to the ingress hop per
+  /// VC (0 = unbounded). Ports must all be added before traffic starts.
+  std::size_t add_port(const transport::ProtocolConfig& config,
+                       link::HopCredits credits = {});
 
   /// Routes `flow_id` out of `egress_port` (deterministic table routing).
   /// Also used mid-run by the fabric's reroute controller to swap a flow
   /// onto its backup path after a hop death.
   void set_route(std::uint16_t flow_id, std::size_t egress_port);
-
-  /// Egress scheduling policy for every port of this relay (default kFifo,
-  /// the legacy-identical shared queue).
-  void set_egress_policy(EgressPolicy policy) noexcept {
-    scheduler_.set_policy(policy);
-  }
-
-  /// DRR weight for `vc` (default 1). The scheduler's quantum floor serves
-  /// even weight-0 VCs one flit per round.
-  void set_vc_weight(std::size_t vc, std::uint32_t weight) noexcept {
-    scheduler_.set_weight(vc, weight);
-  }
 
   /// Re-injects a management-plane payload (a flit drained from a dead
   /// hop's retry buffer, on the VC it carries) at the tail of
@@ -187,7 +179,8 @@ class RelaySwitch {
   sim::EventQueue& queue_;
   std::string name_;
   std::vector<Port> ports_;
-  EgressScheduler scheduler_;
+  const EgressScheduler scheduler_;
+  const std::size_t ecn_threshold_;
   static constexpr std::uint32_t kNoRoute = UINT32_MAX;
   std::vector<std::uint32_t> routes_;    ///< flow_id -> egress port
   obs::TraceSink* trace_ = nullptr;      ///< flit-lifecycle sink (null = off)

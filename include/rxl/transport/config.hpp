@@ -1,4 +1,5 @@
-// Protocol configuration shared by endpoints, switches, and the fabric.
+// Protocol configuration shared by endpoints, switches, and the fabric. A
+// hop's own credit provisioning is a link::HopCredits given at construction.
 #pragma once
 
 #include <cstddef>
@@ -52,29 +53,6 @@ struct ProtocolConfig {
   /// NACK if no forward progress happens within this window — the standard
   /// recovery for a NACK (or the replay's head) lost in transit.
   TimePs nack_retransmit_timeout = 1'000'000;  // 1 us
-
-  /// --- Credit-based flow control (link/credit.hpp) ---
-  /// Credits this endpoint may spend on new data flits: the receive-buffer
-  /// depth at the peer it is allowed to fill. 0 = unlimited (flow control
-  /// off; the pre-credit behaviour, byte-identical on the wire).
-  std::size_t tx_credits = 0;
-  /// Receive-buffer depth this endpoint advertises for incoming data (the
-  /// peer's tx_credits). 0 disables credit-return accounting. The bound is
-  /// enforced by the peer's window; this side tracks/advertises the frees.
-  std::size_t rx_credits = 0;
-
-  /// --- Per-flow virtual channels & early backpressure ---
-  /// Virtual channels on this hop (1..link::kMaxVcs). Each VC gets its own
-  /// tx_credits-deep window partition and its own cumulative credit word on
-  /// control flits; 1 (the default) is the legacy single-channel wire image
-  /// and trajectory. Only meaningful when credits are enabled.
-  std::size_t num_vcs = 1;
-  /// ECN-style early backpressure: when a VC's downstream queue occupancy
-  /// reaches this threshold, the receiver marks that VC on every outbound
-  /// control flit and the transmitter stops INJECTING new flits on it
-  /// (replays still flow) until the mark clears at <= threshold/2.
-  /// 0 = disabled (no marks ever stamped; legacy wire image).
-  std::size_t ecn_threshold = 0;
 
   /// --- Failure detection (sim/fault_plan.hpp fault injection) ---
   /// Consecutive timeout-driven retry (or credit-probe) episodes during

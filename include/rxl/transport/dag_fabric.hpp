@@ -88,9 +88,9 @@ struct DagFlow {
   std::uint64_t salt = 0;  ///< payload stream salt
   /// Virtual channel this flow rides end to end: which per-VC relay queue
   /// parks it, which credit partition it bills, and which ECN mark throttles
-  /// it. Must be < link::kMaxVcs; hop endpoints are provisioned with
-  /// num_vcs = 1 + the largest VC any flow uses (all-zero = legacy wire
-  /// image, byte-identical).
+  /// it. Must be < link::kMaxVcs; every hop carries DagPlan::vcs = 1 + the
+  /// largest VC any flow uses (all-zero = legacy wire image,
+  /// byte-identical).
   std::uint8_t vc = 0;
   /// DRR service weight for this flow's VC (flits per scheduler visit).
   /// Every flow sharing a VC must declare the same weight (plan_dag rejects
@@ -165,8 +165,9 @@ struct DagConfig {
 /// (retry windows + relay queues are hundreds, not thousands).
 inline constexpr std::size_t kLatencyRingSlots = 4096;
 
-/// The compiled routing plan: what plan_dag() validates and run_dag_fabric()
-/// instantiates. Exposed so tests can pin routing decisions directly.
+/// The compiled plan: what plan_dag() validates and decides (routes, each
+/// hop's credits and VCs, DRR weights, fault timelines) and run_dag_fabric()
+/// builds. Exposed so tests can pin those decisions directly.
 struct DagPlan {
   /// One ISN domain direction: origin termination -> peer termination,
   /// directly or through a chain of hubs. The origin stamps the segment's
@@ -184,15 +185,19 @@ struct DagPlan {
     /// Index of the reverse segment when the topology carries one (the
     /// domain is then bidirectional and ACKs piggyback on reverse data).
     std::optional<std::uint32_t> mate;
+    /// Credit window (the buffer depth at peer): DagEdge::credits on
+    /// ingress_edge, else DagConfig::hop_credits (0 = flow control off).
+    std::size_t credits = 0;
   };
   /// A precomputed backup route: when `dead_segment` of `flow`'s primary
-  /// path dies (its forward edge has a permanent fault window or its peer
-  /// relay fail-stops), the flow re-enters the fabric at the dead segment's
+  /// path dies (one of its edges is doomed: its compiled timeline in
+  /// edge_faults ends down for good, as every edge incident to a fail-stop
+  /// relay does), the flow re-enters the fabric at the dead segment's
   /// ORIGIN and follows `backup_edges` to its destination. Computed by the
   /// same deterministic BFS as primaries (lowest edge id breaks ties) on
-  /// the surviving graph — doomed edges and edges incident to fail-stop
-  /// relays excluded. Empty backup_edges = no surviving route (the flow
-  /// degrades; run_dag_fabric reports the abandonment).
+  /// the surviving graph, doomed edges excluded. Empty backup_edges = no
+  /// surviving route (the flow degrades; run_dag_fabric reports the
+  /// abandonment).
   struct Reroute {
     std::uint16_t flow = 0;
     std::uint32_t dead_segment = 0;
@@ -203,9 +208,17 @@ struct DagPlan {
   std::vector<Segment> segments;                       ///< deduplicated
   std::vector<std::vector<std::uint32_t>> flow_segments;  ///< per flow
   std::vector<Reroute> reroutes;  ///< one per (flow, doomed primary segment)
+  std::size_t vcs = 1;  ///< VCs every hop carries: 1 + the largest in use
+  /// Every relay's DRR weights: each VC's declared weight, 1 if unused.
+  switchdev::VcWeights vc_weights{1, 1, 1, 1, 1, 1, 1, 1};
+  /// Per edge, the fault plan's windows plus a permanent outage from each
+  /// incident relay's fail-stop, normalized; empty without faults.
+  std::vector<sim::LinkFaultSchedule> edge_faults;
+  std::vector<std::uint8_t> failed;  ///< by node: 1 = relay fail-stops
 };
 
-/// Validates the topology and compiles the routing plan.
+/// Validates the topology and compiles the plan, the one place each hop's
+/// credits, VCs, DRR weights and fault timeline are decided.
 /// Throws std::invalid_argument (with the offending node/edge named) on:
 /// bad indices, self/duplicate edges, terminals with more than one
 /// uplink/downlink, idle hubs, a cyclic switching core, unreachable flows,

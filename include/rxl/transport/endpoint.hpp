@@ -18,7 +18,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -67,7 +66,7 @@ struct EndpointExtraStats {
   std::uint64_t credits_returned = 0; ///< RX buffer slots freed upstream
   std::uint64_t credit_adverts = 0;   ///< standalone credit-return flits
   std::uint64_t credit_probes = 0;    ///< stalled-TX re-advertise requests
-  /// --- ECN-style early backpressure (zero unless ecn_threshold > 0) ---
+  /// --- ECN-style early backpressure (zero unless the peer relay marks) ---
   std::uint64_t ecn_marks_seen = 0;   ///< VC mark transitions observed at TX
   std::uint64_t ecn_stalls = 0;       ///< TX throttle episodes (marked VCs)
   /// --- Failure detection (all zero unless fault injection is enabled) ---
@@ -140,29 +139,25 @@ class Endpoint {
   /// Fires at most once per hop, at its death, so it may allocate.
   using HopDownFn = std::function<void(HopDownEvent&&)>;  // rxl-lint: allow(R3)
 
+  /// `credits` is this termination's flow-control provisioning (plan_dag
+  /// decides it per fabric hop); the default is no flow control on one VC.
   Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
-           std::string name);
+           std::string name, link::HopCredits credits = {});
 
   void set_output(sim::LinkChannel* output) noexcept { output_ = output; }
   /// Destination routing tag stamped on every outgoing envelope (consumed
   /// by multi-port switches; stands in for address-based routing).
   void set_dest_port(std::uint16_t port) noexcept { dest_port_ = port; }
-  /// Flow identity stamped on flits originated through SourceFn (relay
-  /// items carry their own). Simulation metadata, like dest_port.
-  void set_flow_id(std::uint16_t flow_id) noexcept { stamp_.flow_id = flow_id; }
-  /// Virtual channel stamped on flits originated through SourceFn (relay
-  /// items carry their own); every later hop reads it from the flit. Must
-  /// be < config.num_vcs.
-  void set_tx_vc(std::uint8_t vc) noexcept { stamp_.vc = vc; }
   void set_deliver(DeliverFn deliver) { deliver_ = deliver; }
   /// Installs a stream source: `gate` says whether a stream position is
-  /// offered, and every flit it admits carries `payload` (not owned; it
-  /// must outlive every flit of the stream, retries and relay queues
-  /// included) by reference.
-  void set_source(SourceFn gate, sim::PayloadFn* payload) {
-    assert(payload != nullptr);
+  /// offered, and every flit it admits carries `stream` (its flow, its VC
+  /// and its payload by reference, which must outlive every flit of the
+  /// stream, retries and relay queues included), numbered on from
+  /// `stream.truth_index`.
+  void set_source(SourceFn gate, const sim::StreamTag& stream) {
+    assert(stream.payload_of != nullptr);
     source_ = gate;
-    stamp_.payload_of = payload;
+    stamp_ = stream;
   }
   /// Installs a relay source. Exclusive with set_source: an endpoint either
   /// originates a stream or re-originates a relayed one, never both.
@@ -239,7 +234,9 @@ class Endpoint {
   };
   [[nodiscard]] Snapshot snapshot() const noexcept { return {stats_, extra_}; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const ProtocolConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const link::HopCredits& credits() const noexcept {
+    return credits_;
+  }
 
   /// The receive side's expected sequence number (ESeqNum): the reroute
   /// controller reconciles a dead hop's drained flits against it.
@@ -278,7 +275,6 @@ class Endpoint {
   void send_replay(const link::RetryBuffer::Entry& entry, std::uint32_t how);
   void note_credit_stall();
   void note_ecn_stall();
-  void replay_step();
   void enqueue_control(flit::ReplayCmd command, std::uint16_t fsn);
   void begin_replay_from(std::uint16_t seq);
   void arm_retry_timer();
@@ -290,6 +286,8 @@ class Endpoint {
   /// Owed credits that trigger a standalone return flit when no ACK/NACK
   /// has carried the count first.
   [[nodiscard]] unsigned credit_advert_batch() const noexcept;
+  /// Sends the counts and marks on a standalone credit-advert flit.
+  void advertise_credits();
   void flush_credit_returns();
   void on_credit_timer();
   void on_credit_probe_timer();
@@ -310,6 +308,11 @@ class Endpoint {
     trace_->emit(trace_component_, queue_.now(), kind, truth, flow, seq, vc,
                  arg);
   }
+  /// A received flit's drop, attributed from its tags (sim::trace_drop).
+  void trace_drop(const sim::FlitTags& tags, std::uint16_t seq,
+                  std::uint32_t reason) noexcept {
+    sim::trace_drop(trace_, trace_component_, queue_.now(), tags, seq, reason);
+  }
 
   // RX path.
   void rx_data(sim::FlitEnvelope&& envelope);
@@ -319,11 +322,13 @@ class Endpoint {
   void send_nack();
   void arm_nack_timer();
   void on_nack_timer();
+  /// Hands an accepted flit up, then frees its receive slot (unless the
+  /// relay owns the buffer) and schedules its ACK.
   void deliver(const sim::FlitEnvelope& envelope);
-  void after_delivery(std::uint8_t vc);
 
   sim::EventQueue& queue_;
   ProtocolConfig config_;
+  link::HopCredits credits_;
   std::string name_;
   FlitCodec codec_;
 
@@ -333,7 +338,7 @@ class Endpoint {
   std::uint16_t next_seq_ = 0;  ///< sequence number of the next new flit
   link::RetryBuffer retry_buffer_;
   std::optional<std::uint16_t> replay_cursor_;
-  std::deque<std::uint16_t> single_resends_;  ///< selective-repeat requests
+  RingQueue<std::uint16_t> single_resends_;  ///< selective-repeat requests
   RingQueue<flit::Flit> control_queue_;
   /// The wire copy of a first transmission that piggybacks an AckNum (the
   /// retry slot keeps the canonical, ack-free image).

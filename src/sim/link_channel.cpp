@@ -46,10 +46,8 @@ TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
       // event, no error-model draw (the RNG stream stays aligned with the
       // flits that actually transit).
       stats_.flits_blackholed += 1;
-      if (trace_ != nullptr)
-        trace_->emit(trace_component_, start, obs::TraceEventKind::kDrop,
-                     tags.truth_index, tags.flow_id, 0, 0,
-                     obs::kDropBlackhole);
+      trace_drop(trace_, trace_component_, start, tags, 0,
+                 obs::kDropBlackhole);
       return end;
     }
   }

@@ -6,12 +6,15 @@
 
 namespace rxl::switchdev {
 
-RelaySwitch::RelaySwitch(sim::EventQueue& queue, std::string name)
-    : queue_(queue), name_(std::move(name)) {
-  (void)queue_;
-}
+RelaySwitch::RelaySwitch(sim::EventQueue& queue, std::string name,
+                         EgressScheduler scheduler, std::size_t ecn_threshold)
+    : queue_(queue),
+      name_(std::move(name)),
+      scheduler_(scheduler),
+      ecn_threshold_(ecn_threshold) {}
 
-std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
+std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config,
+                                  link::HopCredits credits) {
   const std::size_t index = ports_.size();
   std::string port_name = name_;
   port_name += ".p";
@@ -19,7 +22,7 @@ std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
   Port port;
   // Set-up only: ports are added before traffic starts.
   port.endpoint = std::make_unique<transport::Endpoint>(  // rxl-lint: allow(R3)
-      queue_, config, std::move(port_name));
+      queue_, config, std::move(port_name), credits);
   ports_.push_back(std::move(port));
   transport::Endpoint& endpoint = *ports_[index].endpoint;
   // The relay, not the endpoint, owns the bounded store-and-forward buffer:
@@ -43,18 +46,17 @@ std::size_t RelaySwitch::total_pending(const Port& port) noexcept {
 }
 
 void RelaySwitch::update_ecn(Port& in_port, std::size_t vc) {
-  const std::size_t threshold = in_port.endpoint->config().ecn_threshold;
-  if (threshold == 0) return;
+  if (ecn_threshold_ == 0) return;
   const std::size_t occupancy = in_port.in_queue_by_vc[vc];
   const auto bit = static_cast<std::uint8_t>(1u << vc);
   const bool marked = (in_port.ecn_marks & bit) != 0;
   // Hysteresis: mark at >= threshold, clear only once drained to half, so
   // an occupancy oscillating around the threshold does not flap the mark
   // (and its standalone adverts) on every flit.
-  if (!marked && occupancy >= threshold) {
+  if (!marked && occupancy >= ecn_threshold_) {
     in_port.ecn_marks = static_cast<std::uint8_t>(in_port.ecn_marks | bit);
     in_port.stats.ecn_mark_events += 1;
-  } else if (marked && occupancy <= threshold / 2) {
+  } else if (marked && occupancy <= ecn_threshold_ / 2) {
     in_port.ecn_marks = static_cast<std::uint8_t>(in_port.ecn_marks & ~bit);
     in_port.stats.ecn_clear_events += 1;
   } else {
@@ -247,8 +249,8 @@ void RelaySwitch::on_delivered(std::size_t ingress,
   // With credit flow control on the ingress hop, the upstream PER-VC window
   // makes overflow impossible: each VC partition's occupancy can never
   // exceed the advertised depth.
-  assert(in_port.endpoint->config().rx_credits == 0 ||
-         in_port.in_queue_by_vc[vc] <= in_port.endpoint->config().rx_credits);
+  assert(in_port.endpoint->credits().rx == 0 ||
+         in_port.in_queue_by_vc[vc] <= in_port.endpoint->credits().rx);
   update_ecn(in_port, vc);
   out_port.endpoint->kick();
 }

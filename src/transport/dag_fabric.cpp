@@ -91,6 +91,25 @@ std::vector<std::uint16_t> shortest_path(
   return path;
 }
 
+/// The fault compiler: fills DagPlan::failed and DagPlan::edge_faults from
+/// a validated fault plan.
+void compile_faults(const DagConfig& config, DagPlan& plan) {
+  plan.failed.assign(config.nodes.size(), 0);
+  if (config.faults.empty()) return;
+  plan.edge_faults = config.faults.edges;
+  plan.edge_faults.resize(config.edges.size());
+  for (const sim::RelayFailStop& failure : config.faults.relay_failures) {
+    plan.failed[failure.node] = 1;
+    for (std::size_t e = 0; e < config.edges.size(); ++e) {
+      if (config.edges[e].src == failure.node ||
+          config.edges[e].dst == failure.node)
+        plan.edge_faults[e].add_window(failure.at, 0);
+    }
+  }
+  for (sim::LinkFaultSchedule& schedule : plan.edge_faults)
+    schedule.normalize();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -251,19 +270,21 @@ DagPlan plan_dag(const DagConfig& config) {
               " is unreachable");
   }
 
-  // QoS sanity. Relays schedule VCs, not flows, so every flow sharing a VC
-  // must declare the same DRR weight — a mismatch would silently pick one.
+  // QoS. Relays schedule VCs, not flows, so every flow sharing a VC must
+  // declare the same DRR weight — a mismatch would silently pick one. The
+  // agreed weights and the VC count go into the plan.
   {
-    std::array<std::int64_t, link::kMaxVcs> vc_weight;
-    vc_weight.fill(-1);
+    std::array<bool, link::kMaxVcs> declared{};
     for (std::size_t f = 0; f < config.flows.size(); ++f) {
       const DagFlow& flow = config.flows[f];
-      if (vc_weight[flow.vc] < 0) {
-        vc_weight[flow.vc] = static_cast<std::int64_t>(flow.weight);
-      } else if (vc_weight[flow.vc] != static_cast<std::int64_t>(flow.weight)) {
+      plan.vcs = std::max<std::size_t>(plan.vcs, flow.vc + 1u);
+      if (!declared[flow.vc]) {
+        declared[flow.vc] = true;
+        plan.vc_weights[flow.vc] = flow.weight;
+      } else if (plan.vc_weights[flow.vc] != flow.weight) {
         invalid("flow ", f, " declares weight ", flow.weight, " for VC ",
                 flow.vc, ", but an earlier flow on the same VC declared ",
-                vc_weight[flow.vc]);
+                plan.vc_weights[flow.vc]);
       }
     }
   }
@@ -316,6 +337,9 @@ DagPlan plan_dag(const DagConfig& config) {
       segment.egress_edge = segment.edges.front();
       segment.ingress_edge = segment.edges.back();
       segment.peer = config.edges[segment.ingress_edge].dst;
+      segment.credits =
+          config.edges[segment.ingress_edge].credits.value_or(
+              config.hop_credits);
       if (segment.edges.size() > 1)
         segment.hub = config.edges[segment.egress_edge].dst;
       // An edge out of a termination can only open a chain, so a claimed
@@ -353,27 +377,19 @@ DagPlan plan_dag(const DagConfig& config) {
     extract_segments(plan.flow_paths[f], plan.flow_segments[f]);
 
   // Backup routes for planned faults: for every (flow, primary segment)
-  // whose forward edges are doomed — a permanent down window, or incidence
-  // to a fail-stop relay — precompute a detour from the dead segment's
-  // origin to the flow's destination over the surviving graph, with the
-  // same BFS and lowest-edge-id tie-break as primaries. Backup segments go
-  // through the same dedup maps BEFORE mate pairing below, so they pair
-  // with reverse topology edges exactly like primary segments. Empty
-  // backup_edges records "no surviving route": the reroute controller
-  // reports the abandonment and the flow degrades.
-  if (!config.faults.empty()) {
-    std::vector<std::uint8_t> node_failed(n, 0);
-    for (const sim::RelayFailStop& failure : config.faults.relay_failures)
-      node_failed[failure.node] = 1;
+  // with a doomed edge — one whose compiled timeline ends down for good, as
+  // every edge incident to a fail-stop relay does — precompute a detour
+  // from the dead segment's origin to the flow's destination over the
+  // surviving graph, with the same BFS and lowest-edge-id tie-break as
+  // primaries. Backup segments go through the same dedup maps BEFORE mate
+  // pairing below, so they pair with reverse topology edges exactly like
+  // primary segments. Empty backup_edges records "no surviving route": the
+  // reroute controller reports the abandonment and the flow degrades.
+  compile_faults(config, plan);
+  if (!plan.edge_faults.empty()) {
     std::vector<std::uint8_t> edge_doomed(config.edges.size(), 0);
-    for (std::size_t e = 0; e < config.edges.size(); ++e) {
-      if (e < config.faults.edges.size() &&
-          config.faults.edges[e].permanently_down())
-        edge_doomed[e] = 1;
-      if (node_failed[config.edges[e].src] != 0 ||
-          node_failed[config.edges[e].dst] != 0)
-        edge_doomed[e] = 1;
-    }
+    for (std::size_t e = 0; e < config.edges.size(); ++e)
+      edge_doomed[e] = plan.edge_faults[e].permanently_down() ? 1 : 0;
     for (std::size_t f = 0; f < config.flows.size(); ++f) {
       const DagFlow& flow = config.flows[f];
       for (const std::uint32_t si : plan.flow_segments[f]) {
@@ -384,7 +400,7 @@ DagPlan plan_dag(const DagConfig& config) {
         // A fail-stop relay raises no usable HopDownEvent for its own
         // egress hops (its protocol state is lost with it); the upstream
         // segment INTO the failed relay owns the recovery instead.
-        if (node_failed[segment.origin] != 0) continue;
+        if (plan.failed[segment.origin] != 0) continue;
         DagPlan::Reroute reroute;
         reroute.flow = static_cast<std::uint16_t>(f);
         reroute.dead_segment = si;
@@ -408,11 +424,7 @@ DagPlan plan_dag(const DagConfig& config) {
   // rejected.
   if (config.protocol.protocol == Protocol::kCxl) {
     for (const DagPlan::Segment& segment : plan.segments) {
-      if (!segment.hub.has_value()) continue;
-      const std::size_t credits =
-          config.edges[segment.ingress_edge].credits.value_or(
-              config.hop_credits);
-      if (credits > 0)
+      if (segment.hub.has_value() && segment.credits > 0)
         invalid("credit flow control on the CXL domain through hub ",
                 label(*segment.hub),
                 " would leak credits on silently dropped flits (§4.1 losses "
@@ -668,9 +680,10 @@ class Fabric {
 
   void build_domain(std::uint32_t si, const ProtocolConfig& protocol,
                     Xoshiro256& seeder);
-  Side add_side(std::uint16_t node, const ProtocolConfig& protocol);
+  Side add_side(std::uint16_t node, const ProtocolConfig& protocol,
+                link::HopCredits credits);
   void wire_segment(std::size_t si, Endpoint* rx);
-  void build_controller(const std::vector<std::uint8_t>& node_failed);
+  void build_controller();
   void register_trace();
   void build_flows();
   /// The flow's Endpoint::SourceFn gate: offers stream position `index`,
@@ -686,7 +699,6 @@ class Fabric {
   const bool sample_latency_;  ///< stamp the latency ring at each pull
   sim::EventQueue queue_;
   std::unique_ptr<obs::TraceSink> trace_;
-  std::vector<sim::LinkFaultSchedule> fault_schedules_;
   std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs_;  ///< by node
   std::vector<std::unique_ptr<sim::LinkChannel>> channels_;   ///< by edge
   std::vector<std::unique_ptr<switchdev::RelaySwitch>> relays_;  ///< by node
@@ -715,30 +727,6 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
   if (config.trace.enabled)
     trace_ = std::make_unique<obs::TraceSink>(config.trace.ring_depth);
 
-  // Compile the fault plan into one normalized schedule per edge: the
-  // configured per-edge windows, plus a permanent outage on every edge
-  // incident to a fail-stop relay from its failure instant. Channels hold
-  // pointers into the schedules. With an empty plan nothing here runs and
-  // every channel keeps its null-schedule fast path (bit-identical to a
-  // build without fault support).
-  std::vector<std::uint8_t> node_failed(node_count, 0);
-  if (!config.faults.empty()) {
-    for (const sim::RelayFailStop& failure : config.faults.relay_failures)
-      node_failed[failure.node] = 1;
-    fault_schedules_.resize(config.edges.size());
-    for (std::size_t e = 0; e < config.faults.edges.size(); ++e)
-      fault_schedules_[e] = config.faults.edges[e];
-    for (const sim::RelayFailStop& failure : config.faults.relay_failures) {
-      for (std::size_t e = 0; e < config.edges.size(); ++e) {
-        if (config.edges[e].src == failure.node ||
-            config.edges[e].dst == failure.node)
-          fault_schedules_[e].add_window(failure.at, 0);
-      }
-    }
-    for (sim::LinkFaultSchedule& schedule : fault_schedules_)
-      schedule.normalize();
-  }
-
   // Seed draw order is part of the determinism contract (and of the legacy
   // star reproduction): hubs first in node order, then forward channels in
   // edge order, then implicit control wires in domain order. A hub routes
@@ -766,36 +754,29 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
             make_error_model(edge.ber, edge.burst_injection_rate,
                              kBurstSymbols),
             seed, config.slot, edge.latency));
-    if (!fault_schedules_.empty())
-      channel.set_fault_schedule(&fault_schedules_[e]);
+    if (!plan.edge_faults.empty())
+      channel.set_fault_schedule(&plan.edge_faults[e]);
   }
   relays_.resize(node_count);
   for (std::size_t v = 0; v < node_count; ++v) {
     if (config.nodes[v].kind == DagNodeKind::kRelay)
       relays_[v] = std::make_unique<switchdev::RelaySwitch>(
-          queue_, node_label(config, v));
+          queue_, node_label(config, v),
+          switchdev::EgressScheduler(config.egress_policy, plan.vc_weights),
+          config.ecn_threshold);
   }
 
   // Per-hop domains, in segment order (a mate is built with its pair).
   // Unpaired domains carry acknowledgments standalone on the implicit
   // reverse control wire (there is no reverse data to piggyback on);
-  // paired domains keep the configured policy. Every hop is provisioned
-  // with exactly the VCs the flows demand (1 + the largest VC in use — one
-  // VC when every flow rides VC 0, the legacy wire image) and the
-  // fabric-wide ECN threshold.
-  ProtocolConfig hop_protocol = config.protocol;
-  hop_protocol.num_vcs = 1;
-  for (const DagFlow& flow : config.flows)
-    hop_protocol.num_vcs =
-        std::max<std::size_t>(hop_protocol.num_vcs, flow.vc + 1u);
-  hop_protocol.ecn_threshold = config.ecn_threshold;
-  ProtocolConfig unpaired_protocol = hop_protocol;
+  // paired domains keep the configured policy.
+  ProtocolConfig unpaired_protocol = config.protocol;
   unpaired_protocol.ack_policy = link::AckPolicy::kStandalone;
   for (std::uint32_t si = 0;
        si < static_cast<std::uint32_t>(plan.segments.size()); ++si) {
     if (ends_[si].tx.endpoint != nullptr) continue;
     build_domain(si,
-                 plan.segments[si].mate.has_value() ? hop_protocol
+                 plan.segments[si].mate.has_value() ? config.protocol
                                                     : unpaired_protocol,
                  seeder);
   }
@@ -806,15 +787,7 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
                      return x.node < y.node;
                    });
 
-  // QoS plumbing: every relay learns the scheduling policy and the per-VC
-  // DRR weights (plan_dag proved flows sharing a VC agree). A flit carries
-  // its flow's VC from the source, so relays keep no flow -> VC table.
-  for (const auto& relay : relays_) {
-    if (relay == nullptr) continue;
-    relay->set_egress_policy(config.egress_policy);
-    for (const DagFlow& flow : config.flows)
-      relay->set_vc_weight(flow.vc, flow.weight);
-  }
+  // Flow tables: a relay routes each flow out of its next segment's port.
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     for (const std::uint32_t si : plan.flow_segments[f]) {
       switchdev::RelaySwitch* const relay =
@@ -824,7 +797,7 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
     }
   }
 
-  if (!plan.reroutes.empty()) build_controller(node_failed);
+  if (!plan.reroutes.empty()) build_controller();
   if (trace_ != nullptr) register_trace();
   build_flows();
 
@@ -840,24 +813,14 @@ void Fabric::build_domain(std::uint32_t si, const ProtocolConfig& protocol,
   const DagPlan::Segment& segment = plan_.segments[si];
   const DagPlan::Segment* const mate =
       segment.mate.has_value() ? &plan_.segments[*segment.mate] : nullptr;
-  // Credit flow control per domain direction: the window for data flowing
-  // toward a termination equals the bounded-buffer depth configured on
-  // the edge entering it (the relay's store-and-forward slots, or the
-  // sink terminal's notional consume buffer).
-  auto resolved_credits = [&](const DagPlan::Segment& s) {
-    return config_.edges[s.ingress_edge].credits.value_or(config_.hop_credits);
-  };
-  ProtocolConfig protocol_a = protocol;
-  ProtocolConfig protocol_b = protocol;
-  protocol_a.tx_credits = resolved_credits(segment);
-  protocol_b.rx_credits = protocol_a.tx_credits;
-  if (mate != nullptr) {
-    protocol_b.tx_credits = resolved_credits(*mate);
-    protocol_a.rx_credits = protocol_b.tx_credits;
-  }
-
-  const Side a = add_side(segment.origin, protocol_a);
-  const Side b = add_side(segment.peer, protocol_b);
+  // Each side's TX spends the window of the direction it sends, and its RX
+  // advertises the window of the direction it receives.
+  const std::size_t forward = segment.credits;
+  const std::size_t backward = mate != nullptr ? mate->credits : 0;
+  const Side a = add_side(segment.origin, protocol,
+                          link::HopCredits{forward, backward, plan_.vcs});
+  const Side b = add_side(segment.peer, protocol,
+                          link::HopCredits{backward, forward, plan_.vcs});
   sim::LinkChannel* reverse = nullptr;
   if (mate != nullptr) {
     reverse = channels_[mate->egress_edge].get();
@@ -875,8 +838,8 @@ void Fabric::build_domain(std::uint32_t si, const ProtocolConfig& protocol,
     // what starves the TX into declaring the hop dead). Paired domains
     // route acks over the mate edge, which carries its own schedule —
     // fault plans for bidirectional hops must down both edges.
-    if (!fault_schedules_.empty())
-      reverse->set_fault_schedule(&fault_schedules_[segment.egress_edge]);
+    if (!plan_.edge_faults.empty())
+      reverse->set_fault_schedule(&plan_.edge_faults[segment.egress_edge]);
   }
 
   a.endpoint->set_output(channels_[segment.egress_edge].get());
@@ -898,16 +861,18 @@ void Fabric::build_domain(std::uint32_t si, const ProtocolConfig& protocol,
   domains_.push_back(Domain{si, reverse});
 }
 
-Side Fabric::add_side(std::uint16_t node, const ProtocolConfig& protocol) {
+Side Fabric::add_side(std::uint16_t node, const ProtocolConfig& protocol,
+                      link::HopCredits credits) {
   if (relays_[node] != nullptr) {
-    const std::size_t port = relays_[node]->add_port(protocol);
+    const std::size_t port = relays_[node]->add_port(protocol, credits);
     return Side{&relays_[node]->port(port), port};
   }
   Endpoint* const endpoint =
       terminals_
           .emplace_back(Terminal{node, std::make_unique<Endpoint>(
                                            queue_, protocol,
-                                           node_label(config_, node))})
+                                           node_label(config_, node),
+                                           credits)})
           .endpoint.get();
   return Side{endpoint, 0};
 }
@@ -934,14 +899,14 @@ void Fabric::wire_segment(std::size_t si, Endpoint* rx) {
 // segments. Endpoints on a fail-stop relay still simulate (their incident
 // links just go dark), but their events carry no recoverable state, so
 // the controller never watches them.
-void Fabric::build_controller(const std::vector<std::uint8_t>& node_failed) {
+void Fabric::build_controller() {
   FaultController& controller =
       controller_.emplace(queue_, plan_.segments.size());
   for (const DagPlan::Reroute& reroute : plan_.reroutes) {
     const DagPlan::Segment& dead = plan_.segments[reroute.dead_segment];
     FaultController::Item item;
     item.reroute = &reroute;
-    item.peer_failed = node_failed[dead.peer] != 0;
+    item.peer_failed = plan_.failed[dead.peer] != 0;
     if (!item.peer_failed)
       item.peer_rx = ends_[reroute.dead_segment].rx.endpoint;
     item.origin_relay = relays_[dead.origin].get();
@@ -965,7 +930,7 @@ void Fabric::build_controller(const std::vector<std::uint8_t>& node_failed) {
     assert(it != fsegs.end());
     for (++it; it != fsegs.end(); ++it) {
       const std::uint16_t origin = plan_.segments[*it].origin;
-      if (node_failed[origin] != 0) continue;
+      if (plan_.failed[origin] != 0) continue;
       if (relays_[origin] != nullptr)
         item.suffix_relays.push_back(relays_[origin].get());
       item.suffix_tx.push_back(ends_[*it].tx.endpoint);
@@ -1035,8 +1000,6 @@ void Fabric::build_flows() {
     flow_report.dst = flow.dst;
     flow_report.path_edges = plan_.flow_paths[f];
     Endpoint* const source = ends_[plan_.flow_segments[f].front()].tx.endpoint;
-    source->set_flow_id(static_cast<std::uint16_t>(f));
-    source->set_tx_vc(flow.vc);
     FlowRuntime& runtime = flows_.emplace_back(
         [salt = flow.salt](std::uint64_t index, Endpoint::PayloadOut out) {
           fill_stream_payload(index, salt, out);
@@ -1063,7 +1026,9 @@ void Fabric::build_flows() {
     }
     source->set_source(
         [this, f](std::uint64_t index) { return pull(f, index); },
-        runtime.board.payload_fn());
+        {.payload_of = runtime.board.payload_fn(),
+         .flow_id = static_cast<std::uint16_t>(f),
+         .vc = flow.vc});
   }
 }
 
@@ -1186,7 +1151,7 @@ DagReport Fabric::run() {
     hop.b = snap_b.link;
     hop.a_extra = snap_a.extra;
     hop.b_extra = snap_b.extra;
-    for (std::size_t v = 0; v < a->credit_windows().num_vcs(); ++v) {
+    for (std::size_t v = 0; v < a->credit_windows().vcs(); ++v) {
       hop.a_vc_consumed[v] = a->credit_windows().vc(v).consumed();
       hop.b_vc_consumed[v] = b->credit_windows().vc(v).consumed();
       hop.a_vc_returned[v] = a->credit_ledgers().vc(v).returned();

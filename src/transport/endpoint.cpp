@@ -25,9 +25,10 @@ constexpr TimePs kCreditReturnTimeout = 1'000'000;  // 1 us
 }  // namespace
 
 Endpoint::Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
-                   std::string name)
+                   std::string name, link::HopCredits credits)
     : queue_(queue),
       config_(config),
+      credits_(credits),
       name_(std::move(name)),
       codec_(config.protocol),
       retry_buffer_(config.retry_buffer_capacity),
@@ -36,18 +37,18 @@ Endpoint::Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
         kick();
       })),
       retry_timer_(queue, [this] { on_retry_timer(); }),
-      credit_windows_(config.tx_credits, config.num_vcs),
+      credit_windows_(credits.tx, credits.vcs),
       credit_probe_timer_(queue, [this] { on_credit_probe_timer(); }),
       last_verified_(kSeqMask),  // "-1": nothing verified yet
       ack_scheduler_(config.coalesce_factor),
       ack_timer_(queue, [this] { on_ack_timer(); }),
       nack_timer_(queue, [this] { on_nack_timer(); }),
-      credit_returns_(config.rx_credits > 0, config.num_vcs),
+      credit_returns_(credits.rx > 0, credits.vcs),
       credit_timer_(queue, [this] { on_credit_timer(); }) {
-  if (config_.num_vcs == 0 || config_.num_vcs > link::kMaxVcs)
+  if (credits.vcs == 0 || credits.vcs > link::kMaxVcs)
     throw std::invalid_argument(
-        "num_vcs must be in [1, 8]: each VC's credit word occupies two "
-        "CRC-covered control-flit payload bytes");
+        "a hop's VC count must be in [1, 8]: each VC's credit word occupies "
+        "two CRC-covered control-flit payload bytes");
   if (config_.retry_mode == RetryMode::kSelectiveRepeat) {
     // §5: selective repeat needs explicit sequence numbers to place
     // out-of-order flits; ISN's pass/fail check cannot. This is the
@@ -89,7 +90,7 @@ bool Endpoint::send_one() {
   while (!single_resends_.empty()) {
     const link::RetryBuffer::Entry* entry =
         retry_buffer_.find_entry(single_resends_.front());
-    single_resends_.pop_front();
+    single_resends_.drop_front();
     if (entry == nullptr) continue;  // already acked/freed; skip
     send_replay(*entry, obs::kRetrySelective);
     return true;
@@ -249,7 +250,7 @@ void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
   std::array<std::uint16_t, link::kMaxVcs> words{};
   std::size_t stamped = 0;
   if (credit_returns_.enabled()) {
-    stamped = credit_returns_.num_vcs();
+    stamped = credit_returns_.vcs();
     for (std::size_t vc = 0; vc < stamped; ++vc)
       words[vc] = credit_returns_.vc(vc).returned_total();
     credit_returns_.mark_advertised();
@@ -321,8 +322,7 @@ void Endpoint::on_ack_timer() {
 unsigned Endpoint::credit_advert_batch() const noexcept {
   // Deep buffers piggyback on the regular ACK cadence; shallow ones return
   // after half a window so a stop-and-wait hop keeps moving.
-  const std::size_t half_window = std::max<std::size_t>(
-      1, config_.rx_credits / 2);
+  const std::size_t half_window = std::max<std::size_t>(1, credits_.rx / 2);
   return static_cast<unsigned>(std::min<std::size_t>(
       ack_scheduler_.coalesce_factor(), half_window));
 }
@@ -347,20 +347,20 @@ void Endpoint::set_ecn_marks(std::uint8_t marks) {
   // the "before credit exhaustion" purpose, and resuming late strands
   // bandwidth. The advert is the standard credit-return flit — marks ride
   // the same CRC-covered control payload as the cumulative counts.
-  if (credit_returns_.enabled()) {
-    extra_.credit_adverts += 1;
-    enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-    kick();
-  }
+  if (credit_returns_.enabled()) advertise_credits();
+}
+
+void Endpoint::advertise_credits() {
+  extra_.credit_adverts += 1;
+  enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
+  kick();
 }
 
 void Endpoint::flush_credit_returns() {
   const std::size_t owed = credit_returns_.unadvertised();
   if (owed == 0) return;
   if (owed >= credit_advert_batch()) {
-    extra_.credit_adverts += 1;
-    enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-    kick();
+    advertise_credits();
   } else if (!credit_timer_.armed()) {
     credit_timer_.arm(kCreditReturnTimeout);
   }
@@ -370,9 +370,7 @@ void Endpoint::on_credit_timer() {
   // Stragglers below the batch threshold that no ACK/NACK picked up in
   // time: return them standalone so the peer's window cannot strand.
   if (credit_returns_.unadvertised() == 0) return;
-  extra_.credit_adverts += 1;
-  enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-  kick();
+  advertise_credits();
 }
 
 void Endpoint::on_credit_probe_timer() {
@@ -513,8 +511,7 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
     const rs::FecDecodeResult fec = codec_.fec().decode(envelope.flit.bytes());
     if (!fec.accepted()) {
       stats_.flits_discarded_fec += 1;
-      trace(obs::TraceEventKind::kDrop, envelope.truth_index,
-            envelope.flow_id, 0, 0, obs::kDropFec);
+      trace_drop(envelope, 0, obs::kDropFec);
       send_nack();
       return;
     }
@@ -543,8 +540,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
     // RXL: corruption OR sequence mismatch (drop/stale) — same response.
     // CXL: corruption only.
     stats_.flits_discarded_crc += 1;
-    trace(obs::TraceEventKind::kDrop, envelope.truth_index, envelope.flow_id,
-          0, 0, obs::kDropCrc);
+    trace_drop(envelope, 0, obs::kDropCrc);
     send_nack();
     return;
   }
@@ -557,7 +553,6 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
     nack_active_ = false;
     expected_seq_ = link::seq_next(expected_seq_);
     deliver(envelope);
-    after_delivery(envelope.vc);
     return;
   }
 
@@ -570,7 +565,6 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
       episode_ahead_discards_ = 0;
       expected_seq_ = link::seq_next(expected_seq_);
       deliver(envelope);
-      after_delivery(envelope.vc);
       // Selective repeat: the gap just filled; drain every consecutive
       // buffered successor in order.
       if (reorder_buffer_.has_value()) {
@@ -578,7 +572,6 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
           last_verified_ = expected_seq_;
           expected_seq_ = link::seq_next(expected_seq_);
           deliver(*buffered);
-          after_delivery(buffered->vc);
         }
         // Buffered flits beyond ANOTHER gap remain: request the next
         // missing flit right away instead of waiting for a fresh arrival.
@@ -587,20 +580,19 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
     } else if (link::seq_distance(expected_seq_, seq) < 0) {
       // Behind the window: a stale replay of something already delivered.
       extra_.stale_discards += 1;
-      trace(obs::TraceEventKind::kDrop, envelope.truth_index,
-            envelope.flow_id, seq, 0, obs::kDropStale);
+      trace_drop(envelope, seq, obs::kDropStale);
     } else {
       // Ahead of the window: a gap — some flit was silently dropped.
       if (reorder_buffer_.has_value()) {
-        // Selective repeat: hold the arrival and request only the missing
-        // flit (ReplayCmd = kNackSingle on the wire; same NACK machinery).
+        // Selective repeat: hold the arrival and NACK the gap. The NACK is
+        // the same kNackGoBackN flit as ever; the transmitter, also in
+        // selective-repeat mode, resends only the missing flit.
         reorder_buffer_->insert(seq, std::move(envelope));
         send_nack();
         return;
       }
       stats_.flits_discarded_seq += 1;
-      trace(obs::TraceEventKind::kDrop, envelope.truth_index,
-            envelope.flow_id, seq, 0, obs::kDropSeqWindow);
+      trace_drop(envelope, seq, obs::kDropSeqWindow);
       // Threshold: if the transmitter still held our expected flit, its
       // go-back-N window could put at most `capacity` flits ahead of it on
       // the wire before stalling (and its retry timeout would then replay
@@ -621,7 +613,6 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
         episode_ahead_discards_ = 0;
         expected_seq_ = link::seq_next(seq);
         deliver(envelope);
-        after_delivery(envelope.vc);
         return;
       }
       send_nack();
@@ -637,8 +628,7 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
     // standard link-layer replay behaviour. The §4.1 hole below only opens
     // when the loss was SILENT (a switch drop the endpoint never saw).
     extra_.stale_discards += 1;
-    trace(obs::TraceEventKind::kDrop, envelope.truth_index, envelope.flow_id,
-          0, 0, obs::kDropStale);
+    trace_drop(envelope, 0, obs::kDropStale);
     return;
   }
   // No error has been *observed*: the receiver forwards the flit and
@@ -647,7 +637,6 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
   extra_.unchecked_deliveries += 1;
   expected_seq_ = link::seq_next(expected_seq_);
   deliver(envelope);
-  after_delivery(envelope.vc);
 }
 
 void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
@@ -663,13 +652,12 @@ void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
     // NACK the gap would be unsignalled and an ack-carrying successor
     // could mask it (§4.1).
     stats_.flits_discarded_crc += 1;
-    trace(obs::TraceEventKind::kDrop, 0, obs::kTraceNoFlow, 0, 0,
-          obs::kDropCrc);
+    trace_drop(envelope, 0, obs::kDropCrc);
     send_nack();
     return;
   }
   const flit::FlitHeader header = flit.header();
-  for (std::size_t vc = 0; vc < credit_windows_.num_vcs(); ++vc)
+  for (std::size_t vc = 0; vc < credit_windows_.vcs(); ++vc)
     process_vc_credit_word(vc, control_vc_credit_word(flit, vc));
   // ECN marks only exist on top of credit flow control (they throttle BEFORE
   // window exhaustion), so with credits off the mark byte is ignored — a
@@ -677,7 +665,7 @@ void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
   // Masking to the configured VC count drops corrupt high bits the same way.
   if (credit_windows_.enabled()) {
     const auto vc_mask = static_cast<std::uint8_t>(
-        (1u << credit_windows_.num_vcs()) - 1u);
+        (1u << credit_windows_.vcs()) - 1u);
     process_ecn_marks(static_cast<std::uint8_t>(control_ecn_marks(flit) &
                                                 vc_mask));
   }
@@ -693,11 +681,8 @@ void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
       // Credit-management control flit: the credit word above already
       // delivered any return; a probe additionally asks this side to
       // re-advertise its cumulative count (its last return may be lost).
-      if (header.fsn == kCreditProbeFsn && credit_returns_.enabled()) {
-        extra_.credit_adverts += 1;
-        enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-        kick();
-      }
+      if (header.fsn == kCreditProbeFsn && credit_returns_.enabled())
+        advertise_credits();
       break;
   }
 }
@@ -792,9 +777,6 @@ void Endpoint::deliver(const sim::FlitEnvelope& envelope) {
         seq_prev(expected_seq_), envelope.vc, 0);
   last_rx_progress_ = queue_.now();
   if (deliver_) deliver_(envelope);
-}
-
-void Endpoint::after_delivery(std::uint8_t vc) {
   // Terminal consumption frees the notional one-deep receive buffer at
   // once; count the free BEFORE scheduling the ACK so an ACK due this very
   // delivery carries the freshest cumulative count (piggybacked return).
@@ -802,7 +784,7 @@ void Endpoint::after_delivery(std::uint8_t vc) {
   const bool auto_return =
       credit_returns_.enabled() && !deferred_credit_return_;
   if (auto_return) {
-    credit_returns_.vc(vc).on_slot_freed();
+    credit_returns_.vc(envelope.vc).on_slot_freed();
     extra_.credits_returned += 1;
   }
   ack_scheduler_.on_delivered(seq_prev(expected_seq_));

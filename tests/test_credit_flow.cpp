@@ -155,10 +155,10 @@ struct DirectPair {
     config.protocol = Protocol::kRxl;
     config.ack_policy = link::AckPolicy::kStandalone;
     config.coalesce_factor = 4;
-    config.tx_credits = credits;
-    config.rx_credits = credits;  // symmetric hop; only tx's window is spent
-    tx.emplace(queue, config, "tx");
-    rx.emplace(queue, config, "rx");
+    // A symmetric hop; only tx's window is spent.
+    const link::HopCredits hop{credits, credits, 1};
+    tx.emplace(queue, config, "tx", hop);
+    rx.emplace(queue, config, "rx", hop);
     forward.emplace(queue, std::make_unique<phy::NoErrors>(), 11, 2'000,
                     8'000);
     reverse.emplace(queue, std::make_unique<phy::NoErrors>(), 12, 2'000,
@@ -169,8 +169,8 @@ struct DirectPair {
         [this](sim::FlitEnvelope&& envelope) { rx->on_flit(std::move(envelope)); });
     reverse->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { tx->on_flit(std::move(envelope)); });
-    tx->set_source(
-        [this](std::uint64_t index) { return index < budget; }, &payload);
+    tx->set_source([this](std::uint64_t index) { return index < budget; },
+                   {.payload_of = &payload});
     rx->set_deliver([this](const sim::FlitEnvelope&) { delivered += 1; });
   }
 };
@@ -242,12 +242,10 @@ TEST(CreditFlow, NoRouteDropsReturnTheirCredits) {
   ProtocolConfig protocol;
   protocol.protocol = Protocol::kRxl;
   protocol.ack_policy = link::AckPolicy::kStandalone;
-  protocol.tx_credits = 2;
-  protocol.rx_credits = 2;
-  Endpoint tx(queue, protocol, "tx");
-  tx.set_flow_id(7);
+  const link::HopCredits hop{2, 2, 1};
+  Endpoint tx(queue, protocol, "tx", hop);
   switchdev::RelaySwitch relay(queue, "r");
-  relay.add_port(protocol);
+  relay.add_port(protocol, hop);
   sim::LinkChannel uplink(queue, std::make_unique<phy::NoErrors>(), 1, 2'000,
                           2'000);
   sim::LinkChannel control(queue, std::make_unique<phy::NoErrors>(), 2, 2'000,
@@ -262,7 +260,8 @@ TEST(CreditFlow, NoRouteDropsReturnTheirCredits) {
   sim::PayloadFn payload = [](std::uint64_t, Endpoint::PayloadOut out) {
     std::fill(out.begin(), out.end(), std::uint8_t{0x5A});
   };
-  tx.set_source([](std::uint64_t index) { return index < 5; }, &payload);
+  tx.set_source([](std::uint64_t index) { return index < 5; },
+                {.payload_of = &payload, .flow_id = 7});
   tx.kick();
   queue.run_until(10'000'000);
   EXPECT_EQ(relay.port_stats(0).relayed_in, 5u);

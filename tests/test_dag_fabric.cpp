@@ -10,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "plan_rejection.hpp"
@@ -489,6 +490,90 @@ TEST(DagFabric, StarPlanPairsEveryDomainThroughTheHub) {
   }
 }
 
+TEST(DagFabric, PlanResolvesEveryHopSetting) {
+  // Diamond: src0 0, src1 1, r0 2, m0 3, m1 4, r1 5, dst0 6, dst1 7. Edges
+  // 0-1 are the uplinks, 2-3 the m0 branch, 4-5 the m1 branch and 6-7 the
+  // sink downlinks; both primaries ride m0.
+  DagScenarioSpec spec = base_spec();
+  spec.hop_credits = 4;
+  DagConfig config = make_diamond_dag(spec, 2, 2);
+  config.edges[6].credits = 7;  // r1 -> dst0 overrides the default
+  config.flows[0].vc = 2;
+  config.flows[0].weight = 5;
+  config.flows[1].weight = 3;  // rides VC 0
+  config.faults.edge(0).add_window(1'000'000, 2'000'000);  // a flap
+  config.faults.relay_failures.push_back(sim::RelayFailStop{3, 20'000'000});
+  const DagPlan plan = plan_dag(config);
+
+  // Credits: the depth on the edge into each segment's peer, backup
+  // segments included.
+  for (const DagPlan::Segment& segment : plan.segments)
+    EXPECT_EQ(segment.credits, segment.ingress_edge == 6 ? 7u : 4u)
+        << "segment into edge " << segment.ingress_edge;
+  // VCs up to the largest in use; each VC's declared weight, else 1.
+  EXPECT_EQ(plan.vcs, 3u);
+  EXPECT_EQ(plan.vc_weights,
+            (switchdev::VcWeights{3, 1, 5, 1, 1, 1, 1, 1}));
+
+  // Faults: the flap as configured, and m0's fail-stop as a permanent
+  // outage from its instant on both of its incident edges, nowhere else.
+  EXPECT_EQ(plan.failed,
+            (std::vector<std::uint8_t>{0, 0, 0, 1, 0, 0, 0, 0}));
+  ASSERT_EQ(plan.edge_faults.size(), config.edges.size());
+  using Windows = std::vector<std::pair<TimePs, TimePs>>;
+  const auto windows_of = [&](std::size_t e) {
+    Windows windows;
+    for (const sim::FaultWindow& window : plan.edge_faults[e].windows())
+      windows.emplace_back(window.down_at, window.up_at);
+    return windows;
+  };
+  EXPECT_EQ(windows_of(0), (Windows{{1'000'000, 2'000'000}}));
+  EXPECT_EQ(windows_of(2), (Windows{{20'000'000, 0}}));
+  EXPECT_EQ(windows_of(3), (Windows{{20'000'000, 0}}));
+  for (const std::size_t e : {1, 4, 5, 6, 7})
+    EXPECT_TRUE(plan.edge_faults[e].empty()) << "edge " << e;
+
+  // Doomed edges are exactly those whose timeline ends down for good: a
+  // flow's segment is rerouted iff it crosses one (unless the failed relay
+  // originates it), and no backup crosses one.
+  const auto doomed = [&](const DagPlan::Segment& segment) {
+    return std::any_of(segment.edges.begin(), segment.edges.end(),
+                       [&](std::uint16_t e) {
+                         return plan.edge_faults[e].permanently_down();
+                       });
+  };
+  for (std::size_t f = 0; f < config.flows.size(); ++f) {
+    for (const std::uint32_t si : plan.flow_segments[f]) {
+      const DagPlan::Segment& segment = plan.segments[si];
+      const bool rerouted = std::any_of(
+          plan.reroutes.begin(), plan.reroutes.end(),
+          [&](const DagPlan::Reroute& reroute) {
+            return reroute.flow == f && reroute.dead_segment == si;
+          });
+      EXPECT_EQ(rerouted, doomed(segment) && plan.failed[segment.origin] == 0)
+          << "flow " << f << " segment " << si;
+    }
+  }
+  ASSERT_EQ(plan.reroutes.size(), 2u);
+  EXPECT_EQ(plan.reroutes[0].backup_edges,
+            (std::vector<std::uint16_t>{4, 5, 6}));
+  EXPECT_EQ(plan.reroutes[1].backup_edges,
+            (std::vector<std::uint16_t>{4, 5, 7}));
+  for (const DagPlan::Reroute& reroute : plan.reroutes)
+    for (const std::uint32_t si : reroute.backup_segments)
+      EXPECT_FALSE(doomed(plan.segments[si]));
+
+  // No faults, one VC, no credits: nothing compiled, every default.
+  const DagPlan clean = plan_dag(make_chain_dag(base_spec(), 1));
+  EXPECT_TRUE(clean.edge_faults.empty());
+  EXPECT_EQ(clean.failed, (std::vector<std::uint8_t>{0, 0, 0}));
+  EXPECT_EQ(clean.vcs, 1u);
+  EXPECT_EQ(clean.vc_weights,
+            (switchdev::VcWeights{1, 1, 1, 1, 1, 1, 1, 1}));
+  for (const DagPlan::Segment& segment : clean.segments)
+    EXPECT_EQ(segment.credits, 0u);
+}
+
 // --------------------------------------------------------------------------
 // End-to-end runs
 // --------------------------------------------------------------------------
@@ -581,7 +666,6 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   ProtocolConfig protocol;
   protocol.ack_policy = link::AckPolicy::kStandalone;
   Endpoint tx(queue, protocol, "tx");
-  tx.set_flow_id(7);
   switchdev::RelaySwitch relay(queue, "r");
   relay.add_port(protocol);
   relay.add_port(protocol);
@@ -599,7 +683,8 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   sim::PayloadFn payload = [](std::uint64_t, Endpoint::PayloadOut out) {
     std::fill(out.begin(), out.end(), std::uint8_t{0x5A});
   };
-  tx.set_source([](std::uint64_t index) { return index < 3; }, &payload);
+  tx.set_source([](std::uint64_t index) { return index < 3; },
+                {.payload_of = &payload, .flow_id = 7});
   tx.kick();
   queue.run_until(1'000'000);
   EXPECT_EQ(relay.port_stats(0).relayed_in, 3u);

@@ -69,7 +69,8 @@ struct PairHarness {
   /// reference, and `rx` delivers them to `board`.
   static void attach(Endpoint& tx, Endpoint& rx, txn::StreamScoreboard& board,
                      std::uint64_t budget) {
-    tx.set_source(stream_gate(board, budget), board.payload_fn());
+    tx.set_source(stream_gate(board, budget),
+                  {.payload_of = board.payload_fn()});
     rx.set_deliver([&board](const sim::FlitEnvelope& envelope) {
       board.on_deliver(envelope);
     });
@@ -217,17 +218,18 @@ std::unique_ptr<phy::ErrorModel> oracle_errors(bool force_seal,
   return errors;
 }
 
-/// Go-back-N, piggybacked ACKs and 24 credits.
+/// Go-back-N and piggybacked ACKs; every hop runs kOracleCredits.
 ProtocolConfig oracle_config(Protocol protocol) {
   ProtocolConfig config;
   config.protocol = protocol;
   config.ack_policy = link::AckPolicy::kPiggyback;
   config.retry_mode = RetryMode::kGoBackN;
   config.coalesce_factor = 4;
-  config.tx_credits = 24;
-  config.rx_credits = 24;
   return config;
 }
+
+/// 24 credits each way on one VC.
+constexpr link::HopCredits kOracleCredits{24, 24, 1};
 
 constexpr std::uint64_t kOracleFlits = 1500;
 
@@ -237,8 +239,8 @@ constexpr std::uint64_t kOracleFlits = 1500;
 OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
   const ProtocolConfig config = oracle_config(protocol);
   sim::EventQueue queue;
-  Endpoint a(queue, config, "a");
-  Endpoint b(queue, config, "b");
+  Endpoint a(queue, config, "a", kOracleCredits);
+  Endpoint b(queue, config, "b", kOracleCredits);
   sim::LinkChannel a_to_b(queue, oracle_errors(force_seal), 21);
   sim::LinkChannel b_to_a(queue, oracle_errors(force_seal), 22);
   a.set_output(&a_to_b);
@@ -250,8 +252,9 @@ OracleRun run_oracle_pair(Protocol protocol, bool force_seal) {
   OracleRun run;
   txn::StreamScoreboard down(payload_stream<1>);  // a -> b
   txn::StreamScoreboard up(payload_stream<2>);    // b -> a
-  a.set_source(stream_gate(down, kOracleFlits), down.payload_fn());
-  b.set_source(stream_gate(up, kOracleFlits), up.payload_fn());
+  a.set_source(stream_gate(down, kOracleFlits),
+               {.payload_of = down.payload_fn()});
+  b.set_source(stream_gate(up, kOracleFlits), {.payload_of = up.payload_fn()});
   b.set_deliver(RecordingSink{&down, &run.delivered[0], &run.by_reference});
   a.set_deliver(RecordingSink{&up, &run.delivered[1], &run.by_reference});
   a.kick();
@@ -307,11 +310,11 @@ OracleRun run_oracle_relay_hub(Protocol protocol, bool force_seal) {
   const ProtocolConfig config = oracle_config(protocol);
   constexpr std::uint16_t kFlow = 3;
   sim::EventQueue queue;
-  Endpoint source(queue, config, "source");
-  Endpoint sink(queue, config, "sink");
+  Endpoint source(queue, config, "source", kOracleCredits);
+  Endpoint sink(queue, config, "sink", kOracleCredits);
   switchdev::RelaySwitch relay(queue, "relay");
-  relay.add_port(config);  // 0: from the source
-  relay.add_port(config);  // 1: toward the hub
+  relay.add_port(config, kOracleCredits);  // 0: from the source
+  relay.add_port(config, kOracleCredits);  // 1: toward the hub
   relay.set_route(kFlow, 1);
   switchdev::PortSwitch::Config hub_config;
   hub_config.protocol = protocol;
@@ -346,8 +349,8 @@ OracleRun run_oracle_relay_hub(Protocol protocol, bool force_seal) {
   });
   OracleRun run;
   txn::StreamScoreboard board(payload_stream<1>);
-  source.set_flow_id(kFlow);
-  source.set_source(stream_gate(board, kOracleFlits), board.payload_fn());
+  source.set_source(stream_gate(board, kOracleFlits),
+                    {.payload_of = board.payload_fn(), .flow_id = kFlow});
   sink.set_deliver(RecordingSink{&board, &run.delivered[0], &run.by_reference});
   source.kick();
   queue.run_until(80'000'000);
@@ -585,7 +588,6 @@ TEST(Endpoint, SourceWithoutDataCommitsNothing) {
   Endpoint tx(queue, config, "tx");
   sim::LinkChannel wire(queue, std::make_unique<phy::NoErrors>(), 11);
   tx.set_output(&wire);
-  tx.set_flow_id(3);
   std::uint64_t offered = 0;
   std::uint64_t calls = 0;
   sim::PayloadFn payload = payload_stream<1>;
@@ -594,7 +596,7 @@ TEST(Endpoint, SourceWithoutDataCommitsNothing) {
         calls += 1;
         return index < offered;
       },
-      &payload);
+      {.payload_of = &payload, .flow_id = 3});
   tx.kick();
   queue.run_until(100'000);
   EXPECT_EQ(calls, 1u);
@@ -625,7 +627,7 @@ TEST(EndpointDeathTest, NestedPullOnTheSameEndpointAborts) {
         self->kick();
         return true;
       },
-      &payload);
+      {.payload_of = &payload});
   EXPECT_DEATH(tx.kick(), "reserved again before the reservation");
 }
 

@@ -199,12 +199,11 @@ struct FaultyPair {
     config.protocol = Protocol::kRxl;
     config.ack_policy = link::AckPolicy::kStandalone;
     config.coalesce_factor = 4;
-    config.tx_credits = credits;
-    config.rx_credits = credits;
     config.retry_timeout = 1'000'000;  // 1 us: quick episodes
     config.max_retry_episodes = episodes;
-    tx.emplace(queue, config, "tx");
-    rx.emplace(queue, config, "rx");
+    const link::HopCredits hop{credits, credits, 1};
+    tx.emplace(queue, config, "tx", hop);
+    rx.emplace(queue, config, "rx", hop);
     forward.emplace(queue, std::make_unique<phy::NoErrors>(), 11, 2'000,
                     8'000);
     reverse.emplace(queue, std::make_unique<phy::NoErrors>(), 12, 2'000,
@@ -219,9 +218,8 @@ struct FaultyPair {
     reverse->set_receiver([this](sim::FlitEnvelope&& envelope) {
       tx->on_flit(std::move(envelope));
     });
-    tx->set_flow_id(9);
-    tx->set_source(
-        [this](std::uint64_t index) { return index < budget; }, &payload);
+    tx->set_source([this](std::uint64_t index) { return index < budget; },
+                   {.payload_of = &payload, .flow_id = 9});
     rx->set_deliver([this](const sim::FlitEnvelope&) { delivered += 1; });
     tx->set_hop_down([this](Endpoint::HopDownEvent&& event) {
       hop_down = std::move(event);

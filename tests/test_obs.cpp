@@ -407,5 +407,59 @@ TEST(TraceFabric, RelayIngressDeliverCarriesTheFlitsVc) {
     EXPECT_EQ(relay_delivers[f], 50u) << "flow " << f;
 }
 
+TEST(TraceFabric, DropsAttributeTheFlitTheyDrop) {
+  // A drop is booked from the dropped flit's own tags: a data flit keeps
+  // its flow, stream position and VC, and a control flit, which belongs to
+  // no stream, is booked to kTraceNoFlow. No flow rides VC 0 here, so a
+  // drop logged on VC 0, or a control flit booked to flow 0, shows up as a
+  // VC mismatch. Burst errors drop flits of both kinds at the endpoints,
+  // and a down window on the shared sink hop (edge 4) black-holes both
+  // kinds on its wires.
+  transport::DagScenarioSpec spec;
+  spec.protocol.protocol = transport::Protocol::kRxl;
+  spec.flits_per_flow = 200;
+  spec.seed = 29;
+  spec.hop_credits = 4;
+  spec.burst_injection_rate = 2e-2;
+  spec.horizon = 200'000'000;
+  spec.egress_policy = switchdev::EgressPolicy::kDrr;
+  const std::array<transport::DagFlowClass, 4> classes{
+      {{1, 1, 0, 0}, {2, 2, 0, 0}, {3, 3, 0, 0}, {4, 4, 0, 0}}};
+  transport::DagConfig config = transport::make_incast_dag(spec, 4, classes);
+  config.faults.edge(4).add_window(500'000, 2'500'000);
+  config.trace.enabled = true;
+  config.trace.ring_depth = 1u << 15;
+  const transport::DagReport report = run_dag_fabric(config);
+  ASSERT_EQ(report.total_in_order(), 4u * 200u);
+
+  // [data flit, control flit] drops, at endpoints and on wires.
+  std::array<std::uint64_t, 2> endpoint_drops{};
+  std::array<std::uint64_t, 2> wire_drops{};
+  for (const obs::TraceComponentCapture& component : report.trace.components) {
+    EXPECT_EQ(component.overruns, 0u) << component.name;
+    for (const obs::TraceEvent& event : component.events) {
+      if (event.kind != obs::TraceEventKind::kDrop) continue;
+      const bool control = event.flow == obs::kTraceNoFlow;
+      if (control) {
+        EXPECT_EQ(event.vc, 0u) << component.name;
+        EXPECT_EQ(event.truth_index, 0u) << component.name;
+      } else {
+        ASSERT_LT(event.flow, config.flows.size()) << component.name;
+        EXPECT_EQ(static_cast<int>(event.vc),
+                  static_cast<int>(config.flows[event.flow].vc))
+            << component.name << " flow " << event.flow;
+        EXPECT_LT(event.truth_index, spec.flits_per_flow) << component.name;
+      }
+      std::array<std::uint64_t, 2>& drops =
+          event.arg == obs::kDropBlackhole ? wire_drops : endpoint_drops;
+      drops[control ? 1 : 0] += 1;
+    }
+  }
+  for (std::size_t kind = 0; kind < 2; ++kind) {
+    EXPECT_GT(endpoint_drops[kind], 0u) << (kind == 0 ? "data" : "control");
+    EXPECT_GT(wire_drops[kind], 0u) << (kind == 0 ? "data" : "control");
+  }
+}
+
 }  // namespace
 }  // namespace rxl

@@ -87,7 +87,7 @@ struct ScenarioHarness {
           stream.register_sent(index);
           return true;
         },
-        stream.payload_fn());
+        {.payload_of = stream.payload_fn()});
     device->set_deliver([this](const sim::FlitEnvelope& envelope) {
       stream.on_deliver(envelope);
       std::array<std::uint8_t, kPayloadBytes> scratch;

@@ -35,12 +35,13 @@
 //       it (no include-order luck). The CMake header-selfcheck target
 //       compiles every public header standalone; this rule catches the
 //       common std cases at lint speed with line-level messages.
-//   R6  no std::deque/std::list in the switchdev/ and link/ hot paths.
-//       Relay queues and link-layer buffers are the credit-flow-control
-//       accounting surface: an unbounded node-allocating container there
-//       either hides a missing bound (the overload the credits exist to
-//       prevent) or allocates per flit. Use RingQueue, or suppress with a
-//       comment justifying why the container is externally bounded.
+//   R6  no std::deque/std::list in the switchdev/ and link/ hot paths or
+//       the transport endpoint. Relay queues, link-layer buffers and the
+//       endpoint's transmit queues are the credit-flow-control accounting
+//       surface: an unbounded node-allocating container there either hides
+//       a missing bound (the overload the credits exist to prevent) or
+//       allocates per flit. Use RingQueue, or suppress with a comment
+//       justifying why the container is externally bounded.
 //   R7  no wall-clock time, RNG draws (including the sanctioned seeded
 //       Xoshiro256 — a trace must never perturb the simulation's draw
 //       order), or heap allocation (std::function, make_unique/shared,
@@ -101,8 +102,8 @@ constexpr RuleInfo kRules[] = {
     {"R4", "no float/double in protocol/sim state headers"},
     {"R5", "headers must directly include the std headers they use "
            "(IWYU-lite)"},
-    {"R6", "no std::deque/std::list in switchdev//link/ hot paths; use "
-           "RingQueue or justify the bound"},
+    {"R6", "no std::deque/std::list in switchdev//link/ hot paths or the "
+           "endpoint; use RingQueue or justify the bound"},
     {"R7", "no wall-clock, RNG draws, or heap allocation in the "
            "trace-emission path (obs/)"},
 };
@@ -290,12 +291,16 @@ bool in_state_header_scope(const std::string& rel) {
          starts_with(rel, "include/rxl/common/");
 }
 
-/// R6: the relay/link data path, where every queue is a credit-accounted
-/// bounded buffer (or must say why it is not).
+/// R6: the relay/link data path and the endpoint every flit passes
+/// through, where every queue is a credit-accounted bounded buffer (or must
+/// say why it is not).
 bool in_bounded_queue_scope(const std::string& rel) {
   return starts_with(rel, "include/rxl/switchdev/") ||
          starts_with(rel, "src/switchdev/") ||
-         starts_with(rel, "include/rxl/link/") || starts_with(rel, "src/link/");
+         starts_with(rel, "include/rxl/link/") ||
+         starts_with(rel, "src/link/") ||
+         rel == "include/rxl/transport/endpoint.hpp" ||
+         rel == "src/transport/endpoint.cpp";
 }
 
 /// R7: the trace-emission surface. Everything under obs/ sits on the
@@ -609,9 +614,9 @@ void check_r6(const std::vector<Line>& lines, const std::string& rel,
         findings->push_back(
             {rel, n + 1, "R6",
              std::string("std::") + type +
-                 " in a relay/link hot path — queues there are bounded, "
-                 "credit-accounted buffers; use RingQueue or justify the "
-                 "external bound in an allow(R6) comment"});
+                 " in a relay/link/endpoint hot path — queues there are "
+                 "bounded, credit-accounted buffers; use RingQueue or "
+                 "justify the external bound in an allow(R6) comment"});
       }
     }
   }

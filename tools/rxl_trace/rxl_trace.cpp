@@ -18,11 +18,14 @@
 // Scenarios: chain (one flow over three hops, burst errors), incast (four
 // sources onto one sink hop at 125% load, Poisson arrivals), trunk (four
 // flows through one relay-relay trunk, ECN on), fault (diamond with a
-// mid-run link death and a reroute onto the surviving branch).
+// mid-run link death and a reroute onto the surviving branch), qos (the
+// trunk with its four flows on VCs 0-3, DRR weights 1-4).
 //
 // Every output is deterministic — a pure function of the fixed seeds,
-// byte-identical at any worker count. CI pins `rxl_trace incast chrome`
-// against bench/expected/trace_chrome.json at 1 and 4 workers.
+// byte-identical at any worker count. CTest pins `rxl_trace incast chrome`
+// against bench/expected/trace_chrome.json, and the SHA-256 of every
+// scenario x command output against bench/expected/rxl_trace.sha256, at 1
+// and 4 workers.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,6 +79,15 @@ transport::DagConfig build_scenario(const std::string& name,
     spec.horizon = 60'000'000;  // 60 us
     spec.ecn_threshold = 6;
     config = transport::make_trunk_dag(spec, 4);
+  } else if (name == "qos") {
+    transport::DagScenarioSpec spec = base_spec(trial);
+    spec.flits_per_flow = 60;
+    spec.horizon = 60'000'000;  // 60 us
+    spec.ecn_threshold = 6;
+    spec.egress_policy = switchdev::EgressPolicy::kDrr;
+    const transport::DagFlowClass classes[] = {
+        {0, 1, 0, 0}, {1, 2, 0, 0}, {2, 3, 0, 0}, {3, 4, 0, 0}};
+    config = transport::make_trunk_dag(spec, 4, classes);
   } else if (name == "fault") {
     transport::DagScenarioSpec spec = base_spec(trial);
     spec.burst_injection_rate = 0.0;
@@ -101,7 +113,7 @@ transport::DagConfig build_scenario(const std::string& name,
 void usage() {
   std::fprintf(
       stderr,
-      "usage: rxl_trace <chain|incast|trunk|fault> <command> [args]\n"
+      "usage: rxl_trace <chain|incast|trunk|fault|qos> <command> [args]\n"
       "  chrome                      combined Chrome-trace JSON (pid = trial)\n"
       "  csv [trial]                 one trial's events as CSV\n"
       "  summary [trial]             per-component event-kind counts\n"

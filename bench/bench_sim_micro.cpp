@@ -2,19 +2,22 @@
 // discrete-event core that every fabric Monte Carlo trial spins millions of
 // times — schedule+dispatch at steady heap depth, endpoint-style timer
 // rearm, a fabric-shaped mix of lane posts and timers, a full
-// LinkChannel send->deliver hop (a flit held as bytes, and one held by
-// reference as endpoints send it), and a retry buffer's steady window.
+// LinkChannel send->deliver hop (a flit held as bytes, a data flit held by
+// reference and a control flit held as its prefix, as endpoints send
+// them), and a retry buffer's steady window.
 //
 // Unless a row says otherwise, each benchmark iteration executes exactly
 // ONE event, so the reported ns/iter reads directly as ns/event.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "rxl/common/rng.hpp"
+#include "rxl/link/credit.hpp"
 #include "rxl/link/retry_buffer.hpp"
 #include "rxl/link/sequence.hpp"
 #include "rxl/obs/trace.hpp"
@@ -23,6 +26,7 @@
 #include "rxl/sim/link_channel.hpp"
 #include "rxl/sim/timer.hpp"
 #include "rxl/transport/dag_fabric.hpp"
+#include "rxl/transport/flit_codec.hpp"
 
 using namespace rxl;
 
@@ -200,8 +204,8 @@ BENCHMARK(BM_ChannelBurst)->Arg(8)->Arg(64);
 
 // One LinkChannel hop: serialisation bookkeeping + error-model pass +
 // delivery event. Two events of real simulations' profile. The flit holds
-// its payload as bytes, as a control flit or a hub's regenerated flit
-// does, so the whole 256 B image is copied into the in-flight slot.
+// its payload as bytes, as a hub's regenerated flit or one an error
+// touched does, so the whole 256 B image is copied into the in-flight slot.
 void BM_LinkChannel_SendDeliver(benchmark::State& state) {
   sim::EventQueue queue;
   sim::LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
@@ -247,6 +251,32 @@ void BM_LinkChannel_SendDeliver_ByReference(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK(BM_LinkChannel_SendDeliver_ByReference);
+
+// The same hop for a control flit as endpoints send it: unsealed and held
+// as its 24 B prefix (an ACK with eight credit words and the ECN byte), so
+// only the prefix is copied.
+void BM_LinkChannel_SendDeliver_Control(benchmark::State& state) {
+  sim::EventQueue queue;
+  sim::LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
+                           /*slot=*/2'000, /*latency=*/8'000);
+  std::uint64_t delivered = 0;
+  channel.set_receiver(
+      [&delivered](sim::FlitEnvelope&&) { ++delivered; });
+  const std::array<std::uint16_t, link::kMaxVcs> words{1, 2, 3, 4,
+                                                       5, 6, 7, 8};
+  flit::ControlPrefix prefix;
+  transport::FlitCodec::write_control(prefix, flit::ReplayCmd::kAck, 9,
+                                      {words, 0x3});
+  sim::FlitTags tags;
+  tags.seal = sim::SealState::kUnsealed;
+  tags.control_prefix = true;
+  for (auto _ : state) {
+    channel.send(prefix, tags);
+    queue.run(1);
+  }
+  benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK(BM_LinkChannel_SendDeliver_Control);
 
 // A retry buffer sliding at a window of 30 flits: each iteration reserves
 // and commits the newest entry and ACKs the oldest, as an endpoint does

@@ -22,6 +22,20 @@ inline constexpr std::size_t kPayloadOffset = kHeaderBytes;               // 2
 inline constexpr std::size_t kCrcOffset = kHeaderBytes + kPayloadBytes;   // 242
 inline constexpr std::size_t kFecOffset = kCrcOffset + kCrcBytes;         // 250
 
+/// The leading bytes of a control flit's image that its readers read: the
+/// 2 B header, one 16-bit credit word per VC (eight at most) and the ECN
+/// mark byte (transport::FlitCodec lays them out), padded to a multiple of
+/// 8 B. The rest of a control flit's image is zero until it is sealed, so
+/// a control flit is queued and hops as this prefix (sim::copy_readable)
+/// and is widened to its whole image only where something seals it.
+inline constexpr std::size_t kControlPrefixBytes = 24;
+
+/// A control flit as its sender queues it: the first kControlPrefixBytes of
+/// its image.
+struct ControlPrefix {
+  alignas(8) std::array<std::uint8_t, kControlPrefixBytes> bytes{};
+};
+
 /// A raw 256 B flit image with typed views onto its fields. Copyable value
 /// type; all protocol state lives in the endpoints, not here.
 class Flit {

@@ -5,8 +5,13 @@
 //   byte 1 [1:0]  : FSN[9:8]
 //   byte 1 [3:2]  : ReplayCmd
 //   byte 1 [7:4]  : Type
+//
+// Packing and parsing are inline: every flit sent and received runs them,
+// and a FlitHeader built or read in the caller's registers never makes a
+// round trip through memory.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 
@@ -39,11 +44,28 @@ struct FlitHeader {
 };
 
 /// Serialises `header` into the first two bytes of `buf`.
-void pack_header(const FlitHeader& header, std::span<std::uint8_t> buf) noexcept;
+inline void pack_header(const FlitHeader& header,
+                        std::span<std::uint8_t> buf) noexcept {
+  assert(buf.size() >= kHeaderBytes);
+  const std::uint16_t fsn = header.fsn & kSeqMask;
+  buf[0] = static_cast<std::uint8_t>(fsn & 0xFF);
+  buf[1] = static_cast<std::uint8_t>(
+      ((fsn >> 8) & 0x3) |
+      ((static_cast<unsigned>(header.replay_cmd) & 0x3) << 2) |
+      ((static_cast<unsigned>(header.type) & 0xF) << 4));
+}
 
 /// Parses the first two bytes of `buf`. Unknown Type values decode to their
 /// raw numeric value (the enum is not exhaustive on the wire).
-[[nodiscard]] FlitHeader unpack_header(
-    std::span<const std::uint8_t> buf) noexcept;
+[[nodiscard]] inline FlitHeader unpack_header(
+    std::span<const std::uint8_t> buf) noexcept {
+  assert(buf.size() >= kHeaderBytes);
+  FlitHeader header;
+  header.fsn = static_cast<std::uint16_t>(
+      buf[0] | (static_cast<std::uint16_t>(buf[1] & 0x3) << 8));
+  header.replay_cmd = static_cast<ReplayCmd>((buf[1] >> 2) & 0x3);
+  header.type = static_cast<FlitType>((buf[1] >> 4) & 0xF);
+  return header;
+}
 
 }  // namespace rxl::flit

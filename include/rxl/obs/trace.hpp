@@ -173,10 +173,6 @@ class TraceSink {
     record(component, event);
   }
 
-  [[nodiscard]] std::size_t component_count() const noexcept {
-    return rings_.size();
-  }
-
   /// Snapshot every ring, components in registration order.
   [[nodiscard]] TraceCapture capture() const;
 

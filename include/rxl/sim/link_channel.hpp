@@ -6,24 +6,31 @@
 // applies an ErrorModel to the transiting image, and delivers to the
 // receiver after the propagation latency.
 //
-// A sent image is copied once, into its in-flight slot, and the receiver
-// is handed that slot. Endpoints send flits unsealed: the CRC and FEC
-// fields are not computed, and the envelope records the value the CRC
-// folds in. A data flit's payload may also travel by reference
-// (FlitEnvelope::payload_of): its 240 B were never written, so only its
-// 2 B header is copied (copy_readable), and the slot's payload and parity
-// keep whatever an earlier flit left there. Error models XOR in a pattern
-// that does not depend on the image (see phy::ErrorModel), so the channel
-// draws the pattern onto zeros and, only when the pattern hits, writes the
-// payload, seals the slot and flips it; the flip then lands on the real
-// codeword. A flit no error touched keeps its seal state and its payload
-// reference, and its receiver takes the check's verdict from the metadata.
+// A sent flit is copied once, into its in-flight slot, and the receiver
+// is handed that slot. Only the bytes some reader reads are copied
+// (copy_readable): endpoints send flits unsealed, so the CRC and FEC
+// fields are not computed and the envelope records the value the CRC
+// folds in; a data flit's payload may travel by reference
+// (FlitEnvelope::payload_of), its 240 B never written, so only its 2 B
+// header is copied; and a control flit hops as its 24 B prefix
+// (flit::ControlPrefix: header, credit words, ECN byte), the rest of its
+// image zero. The slot's other bytes keep whatever an earlier flit left
+// there. Error models XOR in a pattern that does not depend on the image
+// (see phy::ErrorModel), so the channel draws the pattern onto zeros and,
+// only when the pattern hits, widens the flit to its whole image
+// (materialize: the payload written, or the control flit's tail zeroed),
+// seals the slot and flips it; the flip then lands on exactly the codeword
+// its sender's codec builds. A flit no error touched keeps its seal state
+// and its extent, and its receiver takes the check's verdict from the
+// metadata.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -61,9 +68,10 @@ enum class SealState : std::uint8_t {
 /// survives every hop, plus the per-hop fields. Simulation-only ground
 /// truth that no protocol logic may read (it exists so the simulator can
 /// skip FEC/CRC work on untouched images and so scoreboards can classify
-/// failures). A payload held by reference (payload_of) is always unsealed:
-/// whatever seals or flips it (a channel's error hit, a hub's internal
-/// flip) materializes the bytes first.
+/// failures). A payload held by reference (payload_of) and a control flit
+/// held as its prefix (control_prefix) are always unsealed: whatever seals
+/// or flips them (a channel's error hit, a hub's internal flip) widens
+/// them to their whole image first (materialize).
 struct FlitTags : StreamTag {
   bool has_truth = false;  ///< a data flit, whose truth_index is real
   /// Destination routing tag consumed by multi-port switches. Stands in
@@ -74,12 +82,14 @@ struct FlitTags : StreamTag {
   /// flit, 0 for CXL data and for every control flit.
   std::uint16_t crc_fold = 0;
   SealState seal = SealState::kCodeword;
+  /// A control flit held as its flit::kControlPrefixBytes prefix: the rest
+  /// of its image is zero, and the bytes there are not written.
+  bool control_prefix = false;
 };
 
-/// A flit in flight: its wire image and its tags. Only the header of a
-/// flit whose payload is held by reference is copied from slot to slot
-/// (copy_readable), so a recycled slot's payload and parity may hold an
-/// earlier flit's bytes.
+/// A flit in flight: its wire image and its tags. Only the bytes a reader
+/// reads are copied from slot to slot (copy_readable), so a recycled
+/// slot's payload and parity may hold an earlier flit's bytes.
 struct FlitEnvelope : FlitTags {
   alignas(8) flit::Flit flit;  // word-aligned for whole-image copies
 };
@@ -111,24 +121,41 @@ inline void trace_drop(obs::TraceSink* sink, std::uint16_t component,
   }
 }
 
-/// Writes a payload held by reference into the envelope's image and drops
-/// the reference; a payload held as bytes is left as it is.
+/// Widens the envelope's image to the whole flit before something seals
+/// it: writes a payload held by reference and drops the reference, or
+/// zero-fills the image behind a control flit's prefix (a recycled slot
+/// holds an earlier flit's bytes there), so the seal covers exactly the
+/// image the sender's codec builds. A flit held as its whole image is left
+/// as it is.
 inline void materialize(FlitEnvelope& envelope) {
-  if (envelope.payload_of == nullptr) return;
-  (*envelope.payload_of)(envelope.truth_index, envelope.flit.payload());
-  envelope.payload_of = nullptr;
+  if (envelope.payload_of != nullptr) {
+    (*envelope.payload_of)(envelope.truth_index, envelope.flit.payload());
+    envelope.payload_of = nullptr;
+  } else if (envelope.control_prefix) {
+    const std::span<std::uint8_t, kFlitBytes> bytes = envelope.flit.bytes();
+    std::fill(bytes.begin() + flit::kControlPrefixBytes, bytes.end(),
+              std::uint8_t{0});
+    envelope.control_prefix = false;
+  }
 }
 
-/// Copies the bytes of `from` that a reader may read into `to`: the 2 B
-/// header alone when the payload is held by reference (`payload_of` set),
-/// since the payload and parity were never written, and the whole image
-/// otherwise. A by-reference copy leaves the rest of `to` as it was.
-inline void copy_readable(flit::Flit& to, const flit::Flit& from,
-                          const PayloadFn* payload_of) noexcept {
-  if (payload_of != nullptr) {
-    std::copy_n(from.bytes().begin(), kHeaderBytes, to.bytes().begin());
+/// Copies the bytes of the flit `tags` describe that a reader may read,
+/// from `from` (its image, or a control flit's prefix) into `to`: the 2 B
+/// header when the payload is held by reference (`payload_of` set; its
+/// payload and parity were never written), the flit::kControlPrefixBytes
+/// of a control flit held as its prefix (`control_prefix`), and the whole
+/// image otherwise. A partial copy leaves the rest of `to` as it was.
+inline void copy_readable(flit::Flit& to, std::span<const std::uint8_t> from,
+                          const FlitTags& tags) noexcept {
+  std::uint8_t* const out = to.bytes().data();
+  if (tags.payload_of != nullptr) {
+    std::memcpy(out, from.data(), kHeaderBytes);
+  } else if (tags.control_prefix) {
+    assert(from.size() >= flit::kControlPrefixBytes);
+    std::memcpy(out, from.data(), flit::kControlPrefixBytes);
   } else {
-    to = from;
+    assert(from.size() == kFlitBytes);
+    std::memcpy(out, from.data(), kFlitBytes);
   }
 }
 
@@ -144,11 +171,11 @@ inline std::span<const std::uint8_t, kPayloadBytes> payload_bytes(
 }
 
 /// Fills a recycled ring slot (a channel's in-flight ring, a hub's
-/// forwarding pipeline) with `image` stamped with `tags`, copying only
-/// the image bytes a reader may read (copy_readable).
-inline void fill_slot(FlitEnvelope& slot, const flit::Flit& image,
+/// forwarding pipeline) with the flit `tags` describe, copying only the
+/// bytes of `from` a reader may read (copy_readable).
+inline void fill_slot(FlitEnvelope& slot, std::span<const std::uint8_t> from,
                       const FlitTags& tags) noexcept {
-  copy_readable(slot.flit, image, tags.payload_of);
+  copy_readable(slot.flit, from, tags);
   static_cast<FlitTags&>(slot) = tags;
 }
 
@@ -204,13 +231,20 @@ class LinkChannel {
   /// Returns the time at which the flit's slot *ends* (when the sender may
   /// push the next flit without queueing).
   TimePs send(const flit::Flit& image, const FlitTags& tags) {
-    return transmit(image, tags);
+    return transmit(image.bytes(), tags);
+  }
+
+  /// Control-flit form: the same for a control flit held as its prefix
+  /// (`tags.control_prefix` set), of which the prefix alone is copied.
+  TimePs send(const flit::ControlPrefix& prefix, const FlitTags& tags) {
+    assert(tags.control_prefix && tags.payload_of == nullptr);
+    return transmit(prefix.bytes, tags);
   }
 
   /// Envelope form (a hub forwarding a parked envelope): the same, keeping
-  /// the envelope's seal state, CRC fold and payload reference.
+  /// the envelope's seal state, CRC fold and extent.
   TimePs send(const FlitEnvelope& envelope) {
-    return transmit(envelope.flit, envelope);
+    return transmit(envelope.flit.bytes(), envelope);
   }
 
   /// Earliest time a newly offered flit would start serialising.
@@ -229,7 +263,7 @@ class LinkChannel {
   }
 
  private:
-  TimePs transmit(const flit::Flit& image, const FlitTags& tags);
+  TimePs transmit(std::span<const std::uint8_t> readable, const FlitTags& tags);
 
   EventQueue& queue_;
   std::unique_ptr<phy::ErrorModel> errors_;

@@ -11,10 +11,13 @@
 // flit's stream identity (sim::StreamTag: truth_index, payload reference,
 // flow_id, vc) is queued and re-originated whole, so scoreboards still
 // observe the original stream and every hop queues and bills the flit on
-// the VC its source stamped. A payload held by reference
-// (sim::PayloadFn) is queued and re-originated as the reference; only a
-// payload held as bytes, one an error touched on the way in, is copied
-// into and out of the queue.
+// the VC its source stamped. A queue entry is a 32 B descriptor: the
+// stream tag, the ingress port that holds its credit, and a slab index. A
+// payload held by reference (sim::PayloadFn) is queued and re-originated
+// as the reference; only a payload held as bytes (one an error touched on
+// the way in, or an injected one) is copied into a 240 B slot of the
+// relay's slab, recycled through a free list, and out of it again when the
+// egress port re-originates it.
 //
 // Accepting a flit transfers responsibility to this relay (the upstream hop
 // is ACKed and may free its replay buffer). The store-and-forward buffering
@@ -92,15 +95,15 @@ class RelaySwitch {
 
   /// Re-injects a management-plane payload (a flit drained from a dead
   /// hop's retry buffer, on the VC it carries) at the tail of
-  /// `egress_port`'s store-and-forward queue. Unlike relayed traffic it
-  /// occupies no ingress buffer slot — its original slot was already
-  /// refunded when the dead hop drained — so no credit is returned when
-  /// it leaves.
-  void inject(std::size_t egress_port, transport::Endpoint::TxItem item);
+  /// `egress_port`'s store-and-forward queue; a payload held as bytes is
+  /// copied into the slab. Unlike relayed traffic it occupies no ingress
+  /// buffer slot — its original slot was already refunded when the dead
+  /// hop drained — so no credit is returned when it leaves.
+  void inject(std::size_t egress_port, const transport::Endpoint::TxItem& item);
 
   /// Moves every parked payload of `flow_id` from one egress queue to
-  /// another (reroute switchover), preserving FIFO order and each
-  /// payload's ingress-slot attribution. Returns the number moved.
+  /// another (reroute switchover), preserving FIFO order, each payload's
+  /// ingress-slot attribution and its slab slot. Returns the number moved.
   std::size_t migrate_pending(std::size_t from_port, std::size_t to_port,
                               std::uint16_t flow_id);
 
@@ -120,6 +123,12 @@ class RelaySwitch {
   [[nodiscard]] RelayPortStats port_stats(std::size_t i) const;
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
+  /// --- Test instrumentation (not used by the relay's logic) ---
+  /// Payloads parked as bytes in the slab right now.
+  [[nodiscard]] std::size_t debug_slab_in_use() const noexcept {
+    return slab_.size() - slab_free_.size();
+  }
+
   /// Attaches the relay's routing fabric (enqueue/no-route decisions) to a
   /// flit-lifecycle trace sink as `component`. Port endpoints are traced
   /// separately via their own Endpoint::set_trace. Null detaches; emission
@@ -131,15 +140,20 @@ class RelaySwitch {
 
  private:
   /// A payload parked between acceptance and re-origination, remembering
-  /// the ingress port whose buffer slot (credit) it occupies. Injected
+  /// the ingress port whose buffer slot (credit) it occupies and, for a
+  /// payload held as bytes, the slab slot that holds them. Injected
   /// (drained-and-rerouted) payloads carry kNoIngress: they own no slot.
   static constexpr std::uint32_t kNoIngress = UINT32_MAX;
+  static constexpr std::uint32_t kNoSlab = UINT32_MAX;  ///< by reference
   struct Pending {
-    transport::Endpoint::TxItem item;
+    sim::StreamTag tag;
     std::uint32_t ingress = 0;
+    std::uint32_t slab = kNoSlab;
   };
-  static_assert(std::is_trivially_copyable_v<Pending>,
-                "parked payloads ride RingQueues as a block copy");
+  static_assert(std::is_trivially_copyable_v<Pending> &&
+                    sizeof(Pending) == 32,
+                "parked payloads ride RingQueues as a 32 B block copy");
+  using PayloadBytes = std::array<std::uint8_t, kPayloadBytes>;
   struct Port {
     std::unique_ptr<transport::Endpoint> endpoint;
     /// Per-VC store-and-forward queues. kFifo parks everything in
@@ -165,6 +179,11 @@ class RelaySwitch {
                      transport::Endpoint::PayloadOut out,
                      transport::Endpoint::RelayPull& pull);
   void update_ecn(Port& in_port, std::size_t vc);
+  /// Parks a payload held as bytes at the tail of `queue`, its bytes in a
+  /// free slab slot, or one held by reference as the reference.
+  void park(RingQueue<Pending>& queue, const sim::StreamTag& tag,
+            std::uint32_t ingress,
+            std::span<const std::uint8_t, kPayloadBytes> bytes);
 
   // Flit-lifecycle tracing: an inline null check, so a disabled trace
   // costs one predictable branch at each emission site.
@@ -183,6 +202,10 @@ class RelaySwitch {
   const std::size_t ecn_threshold_;
   static constexpr std::uint32_t kNoRoute = UINT32_MAX;
   std::vector<std::uint32_t> routes_;    ///< flow_id -> egress port
+  /// Payloads held as bytes while they are queued, one slot each; a slot
+  /// returns to the free list when its payload is re-originated.
+  std::vector<PayloadBytes> slab_;
+  std::vector<std::uint32_t> slab_free_;
   obs::TraceSink* trace_ = nullptr;      ///< flit-lifecycle sink (null = off)
   std::uint16_t trace_component_ = 0;
 };

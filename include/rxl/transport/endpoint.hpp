@@ -98,8 +98,9 @@ class Endpoint {
   using SourceFn = sim::InlineDelegate<bool(std::uint64_t truth_index)>;
   /// A relayed payload with the stream identity that must survive the hop
   /// (DAG relays route on flow_id and queue by vc; scoreboards match on
-  /// truth_index). Relays park these between hops, and a dead hop's drain
-  /// hands them to the reroute controller.
+  /// truth_index). A dead hop's drain hands these to the reroute
+  /// controller, which injects them into a relay (whose queues park the
+  /// stream tag alone, and the bytes of a payload held as bytes in a slab).
   struct TxItem : sim::StreamTag {
     /// The bytes, unwritten while the payload is held by reference.
     alignas(8) std::array<std::uint8_t, kPayloadBytes> payload{};
@@ -339,7 +340,8 @@ class Endpoint {
   link::RetryBuffer retry_buffer_;
   std::optional<std::uint16_t> replay_cursor_;
   RingQueue<std::uint16_t> single_resends_;  ///< selective-repeat requests
-  RingQueue<flit::Flit> control_queue_;
+  /// Control flits waiting to go out, each as its 24 B prefix.
+  RingQueue<flit::ControlPrefix> control_queue_;
   /// The wire copy of a first transmission that piggybacks an AckNum (the
   /// retry slot keeps the canonical, ack-free image).
   flit::Flit piggyback_image_;

@@ -22,15 +22,26 @@
 // fold is 0, and CXL reads its explicit SeqNum from the real header. The
 // *_unsealed checks give exactly the verdict the plain checks would give
 // on the sealed image; an exhaustive test pins that.
+//
+// Control flits are written as their 24 B prefix (flit::ControlPrefix:
+// the header, the credit words and the ECN byte; the rest of the image is
+// zero), straight into the sender's control queue, and hop as that prefix.
+// The per-flit header writer, the metadata checks and the control-word
+// readers are inline, so their small results (a FlitHeader, an RxCheck, an
+// optional AckNum) stay in the caller's registers; only Debug builds'
+// cross-check against a sealed copy runs out of line.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 
+#include "rxl/common/bytes.hpp"
 #include "rxl/crc/isn_crc.hpp"
 #include "rxl/flit/flit.hpp"
+#include "rxl/link/credit.hpp"
 #include "rxl/rs/flit_fec.hpp"
 #include "rxl/transport/config.hpp"
 
@@ -50,8 +61,10 @@ inline constexpr std::uint16_t kCreditProbeFsn = 1;   ///< "re-advertise" ask
 /// uses the first two payload bytes. Hops without flow control always
 /// stamp zero, which keeps the wire image byte-identical to the pre-credit
 /// encoding.
-[[nodiscard]] std::uint16_t control_vc_credit_word(const flit::Flit& flit,
-                                                  std::size_t vc) noexcept;
+[[nodiscard]] inline std::uint16_t control_vc_credit_word(
+    const flit::Flit& flit, std::size_t vc) noexcept {
+  return load_le16(flit.payload(), 2 * vc);
+}
 
 /// ECN-style early-backpressure marks: one bit per VC (bit v == VC v is
 /// congested downstream), carried ABSOLUTE on every control flit at payload
@@ -59,7 +72,15 @@ inline constexpr std::uint16_t kCreditProbeFsn = 1;   ///< "re-advertise" ask
 /// on the next control flit because the full bitmap is re-carried. Hops
 /// without marking always stamp zero (legacy wire image).
 inline constexpr std::size_t kEcnMarksOffset = 16;
-[[nodiscard]] std::uint8_t control_ecn_marks(const flit::Flit& flit) noexcept;
+[[nodiscard]] inline std::uint8_t control_ecn_marks(
+    const flit::Flit& flit) noexcept {
+  return flit.payload()[kEcnMarksOffset];
+}
+
+// Everything a control flit's reader reads rides its prefix.
+static_assert(2 * link::kMaxVcs <= kEcnMarksOffset &&
+                  kHeaderBytes + kEcnMarksOffset < flit::kControlPrefixBytes,
+              "credit words and ECN byte must fit the control prefix");
 
 /// Credit/ECN state stamped onto every outbound control flit of a hop with
 /// flow control enabled: one cumulative word per VC plus the ECN bitmap.
@@ -97,7 +118,21 @@ class FlitCodec {
   ///                CXL then *replaces* the FSN with the AckNum; RXL keeps
   ///                the SeqNum implicit in the CRC regardless.
   void write_data_header(flit::Flit& image, std::uint16_t seq,
-                         std::optional<std::uint16_t> acknum) const;
+                         std::optional<std::uint16_t> acknum) const noexcept {
+    flit::FlitHeader header;
+    header.type = flit::FlitType::kData;
+    if (acknum.has_value()) {
+      header.replay_cmd = flit::ReplayCmd::kAck;
+      header.fsn = *acknum & kSeqMask;
+    } else {
+      header.replay_cmd = flit::ReplayCmd::kSeqNum;
+      // CXL carries the explicit SeqNum; RXL zero-fills the field (§6.2).
+      header.fsn = (protocol_ == Protocol::kCxl)
+                       ? static_cast<std::uint16_t>(seq & kSeqMask)
+                       : 0;
+    }
+    image.set_header(header);
+  }
 
   /// The value a data flit's CRC folds in: its SeqNum under RXL's ISN, 0
   /// under CXL's plain link CRC.
@@ -111,10 +146,17 @@ class FlitCodec {
                                        std::uint16_t seq,
                                        std::optional<std::uint16_t> acknum) const;
 
-  /// An unsealed control flit (ACK, NACK, or credit management): one
-  /// cumulative credit word per VC (VC 0 at the legacy offset) plus the
-  /// absolute ECN mark bitmap. Control flits sit outside the data sequence
-  /// stream in both stacks, so their CRC fold is 0.
+  /// Writes an unsealed control flit (ACK, NACK, or credit management)
+  /// into `prefix`, every byte of it: the header, one cumulative credit
+  /// word per VC (VC 0 at the legacy offset), the absolute ECN mark bitmap
+  /// and zero padding. The rest of the flit's image is zero. Control flits
+  /// sit outside the data sequence stream in both stacks, so their CRC fold
+  /// is 0.
+  static void write_control(flit::ControlPrefix& prefix,
+                            flit::ReplayCmd command, std::uint16_t fsn,
+                            const ControlCreditStamp& stamp) noexcept;
+
+  /// The whole unsealed image of that control flit: its prefix, then zeros.
   [[nodiscard]] static flit::Flit control_flit(flit::ReplayCmd command,
                                                std::uint16_t fsn,
                                                const ControlCreditStamp& stamp);
@@ -135,17 +177,48 @@ class FlitCodec {
 
   /// check_data's verdict on the sealed form of an unsealed data flit
   /// whose sender recorded `crc_fold`, from metadata and the real header.
-  [[nodiscard]] RxCheck check_data_unsealed(const flit::Flit& flit,
-                                            std::uint16_t crc_fold,
-                                            std::uint16_t expected_seq) const;
+  [[nodiscard]] RxCheck check_data_unsealed(
+      const flit::Flit& flit, std::uint16_t crc_fold,
+      std::uint16_t expected_seq) const noexcept {
+    // The sealed CRC passes iff the receiver folds in the sender's value
+    // (modulo the 10 bits IsnCrc folds): RXL folds ESeqNum, CXL folds 0.
+    RxCheck result;
+    result.crc_ok = ((crc_fold ^ data_crc_fold(expected_seq)) & kSeqMask) == 0;
+    if (protocol_ == Protocol::kCxl && result.crc_ok) {
+      const flit::FlitHeader header = flit.header();
+      if (header.replay_cmd == flit::ReplayCmd::kSeqNum)
+        result.explicit_seq = header.fsn;
+    }
+    assert(agrees_with_sealed(flit, crc_fold, expected_seq, result));
+    return result;
+  }
 
   /// Control flits are sequence-less in both stacks: plain CRC check.
   [[nodiscard]] bool check_control(const flit::Flit& flit) const;
 
   /// check_control's verdict on the sealed form of an unsealed control
-  /// flit: its plain CRC passes iff `crc_fold` is 0.
-  [[nodiscard]] bool check_control_unsealed(const flit::Flit& flit,
-                                            std::uint16_t crc_fold) const;
+  /// flit: its plain CRC passes iff `crc_fold` is 0. Only the prefix of a
+  /// control flit held as its prefix is real, but a sealed copy's CRC
+  /// covers the stale rest too, so the Debug cross-check agrees anyway.
+  [[nodiscard]] bool check_control_unsealed(
+      [[maybe_unused]] const flit::Flit& flit,
+      std::uint16_t crc_fold) const noexcept {
+    const bool crc_ok = (crc_fold & kSeqMask) == 0;
+    assert(agrees_with_sealed(flit, crc_fold, crc_ok));
+    return crc_ok;
+  }
+
+  /// Whether a metadata verdict equals the real check of `flit` sealed
+  /// with `crc_fold` (check_data's for data, check_control's for control):
+  /// what Debug builds assert on every unsealed arrival. Out of line, so
+  /// the inline checks stay small.
+  [[nodiscard]] bool agrees_with_sealed(const flit::Flit& flit,
+                                        std::uint16_t crc_fold,
+                                        std::uint16_t expected_seq,
+                                        const RxCheck& verdict) const;
+  [[nodiscard]] bool agrees_with_sealed(const flit::Flit& flit,
+                                        std::uint16_t crc_fold,
+                                        bool verdict) const;
 
   /// Recomputes the link-layer CRC in place (baseline CXL switches do this
   /// when regenerating a flit; the call is what *masks* switch-internal

@@ -27,7 +27,8 @@ LinkChannel::LinkChannel(EventQueue& queue,
   assert(errors_ != nullptr);
 }
 
-TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
+TimePs LinkChannel::transmit(std::span<const std::uint8_t> readable,
+                             const FlitTags& tags) {
   const TimePs start = std::max(queue_.now(), next_free_);
   const TimePs end = start + slot_;
   next_free_ = end;
@@ -55,13 +56,14 @@ TimePs LinkChannel::transmit(const flit::Flit& image, const FlitTags& tags) {
 
   // Delivery happens once the last bit has propagated.
   FlitEnvelope& slot = in_flight_.park(end + latency_);
-  fill_slot(slot, image, tags);
-  assert(slot.payload_of == nullptr || slot.seal == SealState::kUnsealed);
+  fill_slot(slot, readable, tags);
+  assert((slot.payload_of == nullptr && !slot.control_prefix) ||
+         slot.seal == SealState::kUnsealed);
   // The pattern does not depend on the image (the ErrorModel contract), so
   // drawing it onto zeros takes the same RNG draws as corrupting the slot,
-  // and only a hit pays for the payload bytes and the seal. The hit writes
-  // the payload and seals before it flips, so a recycled slot's stale
-  // payload and parity never reach a check.
+  // and only a hit pays for the whole image and the seal. The hit widens
+  // the flit (its payload written, or its control tail zeroed) and seals
+  // before it flips, so a recycled slot's stale bytes never reach a check.
   const std::size_t flipped = errors_->corrupt(error_pattern, rng_);
   if (flipped > 0) {
     materialize(slot);

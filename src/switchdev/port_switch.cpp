@@ -24,10 +24,10 @@ void PortSwitch::set_output(std::size_t port, sim::LinkChannel* output) {
 
 void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   stats_.flits_in += 1;
-  // Only an unsealed flit may hold its payload by reference: whatever
-  // sealed a flit wrote its payload first, so the FEC decode and CRC check
-  // below read real bytes.
-  assert(envelope.payload_of == nullptr ||
+  // Only an unsealed flit may hold its payload by reference or a control
+  // flit as its prefix: whatever sealed a flit widened it to its whole
+  // image first, so the FEC decode and CRC check below read real bytes.
+  assert((envelope.payload_of == nullptr && !envelope.control_prefix) ||
          envelope.seal == sim::SealState::kUnsealed);
 
   // --- Ingress FEC. Only a touched image can have nonzero syndromes, so
@@ -59,7 +59,8 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
 
   // --- Internal corruption (buffer upset / switching-logic error) strikes
   // between ingress checks and egress regeneration, on the data path only.
-  // A payload held by reference is written out and an unsealed flit is
+  // The flit is widened to its whole image (a payload held by reference
+  // written out, a control flit's tail zeroed) and an unsealed flit is
   // sealed first, so the flip lands on the codeword its sender would have
   // sent.
   if (config_.internal_error_rate > 0.0 &&
@@ -78,8 +79,8 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   // the endpoint; RXL's ECRC passes through untouched, so only the FEC is
   // refreshed. Either way the image is a valid codeword for the next hop's
   // FEC again; the endpoint always evaluates the real (E)CRC on the real
-  // bytes. An unsealed flit crosses the hub unsealed, its payload still
-  // held the way it arrived.
+  // bytes. An unsealed flit crosses the hub unsealed, held the way it
+  // arrived: by reference, as a control prefix, or as its image.
   if (envelope.seal == sim::SealState::kTouched) {
     if (codec_.protocol() == transport::Protocol::kCxl)
       codec_.regenerate_link_crc(envelope.flit);
@@ -94,11 +95,12 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
     return;
   }
   stats_.flits_forwarded += 1;
-  // The recycled slot takes the header alone of a flit whose payload is
-  // held by reference (sim::copy_readable).
+  // The recycled slot takes only the bytes a reader reads: the header of a
+  // flit whose payload is held by reference, a control flit's prefix
+  // (sim::copy_readable).
   PendingForward& pending =
       forwarding_.park(queue_.now() + config_.forward_latency);
-  sim::fill_slot(pending.envelope, envelope.flit, envelope);
+  sim::fill_slot(pending.envelope, envelope.flit.bytes(), envelope);
   pending.output = outputs_[port];
 }
 

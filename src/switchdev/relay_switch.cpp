@@ -65,20 +65,44 @@ void RelaySwitch::update_ecn(Port& in_port, std::size_t vc) {
   in_port.endpoint->set_ecn_marks(in_port.ecn_marks);
 }
 
+void RelaySwitch::park(RingQueue<Pending>& queue, const sim::StreamTag& tag,
+                       std::uint32_t ingress,
+                       std::span<const std::uint8_t, kPayloadBytes> bytes) {
+  Pending& pending = queue.push_back_slot();
+  pending.tag = tag;
+  pending.ingress = ingress;
+  if (tag.payload_of != nullptr) {
+    pending.slab = kNoSlab;
+    return;
+  }
+  if (slab_free_.empty()) {
+    slab_free_.push_back(static_cast<std::uint32_t>(slab_.size()));
+    slab_.emplace_back();
+  }
+  pending.slab = slab_free_.back();
+  slab_free_.pop_back();
+  std::copy(bytes.begin(), bytes.end(), slab_[pending.slab].begin());
+}
+
 /// Hands the head of one of `port`'s queues to the pulling endpoint,
-/// described in `pull` (a payload held as bytes is copied into its retry
-/// slot, one held by reference is passed on as the reference), then does
-/// the dequeue-side bookkeeping: the payload leaves the bounded buffer, so
-/// the ingress slot frees and its credit returns upstream on the VC that
-/// billed it. The head leaves the queue first: the credit return may kick
-/// the ingress endpoint into a nested pull.
+/// described in `pull` (a payload held as bytes is copied from its slab
+/// slot into its retry slot, and the slab slot freed; one held by
+/// reference is passed on as the reference), then does the dequeue-side
+/// bookkeeping: the payload leaves the bounded buffer, so the ingress slot
+/// frees and its credit returns upstream on the VC that billed it. The head
+/// leaves the queue first: the credit return may kick the ingress endpoint
+/// into a nested pull.
 void RelaySwitch::dequeue_front(Port& port, RingQueue<Pending>& queue,
                                 transport::Endpoint::PayloadOut out,
                                 transport::Endpoint::RelayPull& pull) {
   const Pending& head = queue.front();
-  if (head.item.payload_of == nullptr)
-    std::copy(head.item.payload.begin(), head.item.payload.end(), out.begin());
-  static_cast<sim::StreamTag&>(pull) = head.item;
+  if (head.tag.payload_of == nullptr) {
+    assert(head.slab < slab_.size());
+    const PayloadBytes& bytes = slab_[head.slab];
+    std::copy(bytes.begin(), bytes.end(), out.begin());
+    slab_free_.push_back(head.slab);
+  }
+  static_cast<sim::StreamTag&>(pull) = head.tag;
   pull.pulled = true;
   const std::uint32_t ingress = head.ingress;
   queue.drop_front();
@@ -102,7 +126,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(
     // Shared queue: the head decides, and a blocked head blocks everything
     // behind it — the HOL behaviour the VC policies exist to fix.
     if (port.queues[0].empty()) return pull;
-    const std::uint8_t vc = port.queues[0].front().item.vc;
+    const std::uint8_t vc = port.queues[0].front().tag.vc;
     if (!endpoint.credit_windows().vc(vc).available()) {
       pull.credit_blocked = true;
       return pull;
@@ -131,19 +155,15 @@ void RelaySwitch::set_route(std::uint16_t flow_id, std::size_t egress_port) {
 }
 
 void RelaySwitch::inject(std::size_t egress_port,
-                         transport::Endpoint::TxItem item) {
+                         const transport::Endpoint::TxItem& item) {
   assert(egress_port < ports_.size());
   Port& out_port = ports_[egress_port];
   assert(item.vc < link::kMaxVcs);
-  Pending pending;
-  pending.item = std::move(item);
-  pending.ingress = kNoIngress;
-  trace(obs::TraceEventKind::kEnqueue, pending.item.truth_index,
-        pending.item.flow_id, 0, pending.item.vc,
-        static_cast<std::uint32_t>(egress_port));
+  trace(obs::TraceEventKind::kEnqueue, item.truth_index, item.flow_id, 0,
+        item.vc, static_cast<std::uint32_t>(egress_port));
   const std::size_t queue_index =
-      scheduler_.policy() == EgressPolicy::kFifo ? 0 : pending.item.vc;
-  out_port.queues[queue_index].push_back(std::move(pending));
+      scheduler_.policy() == EgressPolicy::kFifo ? 0 : item.vc;
+  park(out_port.queues[queue_index], item, kNoIngress, item.payload);
   const std::size_t depth = total_pending(out_port);
   if (depth > out_port.stats.max_queue_depth)
     out_port.stats.max_queue_depth = depth;
@@ -165,12 +185,12 @@ std::size_t RelaySwitch::migrate_pending(std::size_t from_port,
   for (std::size_t q = 0; q < from.queues.size(); ++q) {
     const std::size_t parked = from.queues[q].size();
     for (std::size_t i = 0; i < parked; ++i) {
-      Pending pending = from.queues[q].pop_front();
-      if (pending.item.flow_id == flow_id) {
-        to.queues[q].push_back(std::move(pending));
+      const Pending pending = from.queues[q].pop_front();
+      if (pending.tag.flow_id == flow_id) {
+        to.queues[q].push_back(pending);
         moved += 1;
       } else {
-        from.queues[q].push_back(std::move(pending));
+        from.queues[q].push_back(pending);
       }
     }
   }
@@ -184,7 +204,7 @@ bool RelaySwitch::has_flow_queued(std::uint16_t flow_id) const {
   for (const Port& port : ports_) {
     for (const RingQueue<Pending>& queue : port.queues) {
       for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (queue.at(i).item.flow_id == flow_id) return true;
+        if (queue.at(i).tag.flow_id == flow_id) return true;
       }
     }
   }
@@ -227,16 +247,11 @@ void RelaySwitch::on_delivered(std::size_t ingress,
       scheduler_.policy() == EgressPolicy::kFifo ? 0 : vc;
   trace(obs::TraceEventKind::kEnqueue, envelope.truth_index,
         envelope.flow_id, 0, vc, static_cast<std::uint32_t>(egress));
-  Pending& pending = out_port.queues[queue_index].push_back_slot();
-  // Bytes are copied only for a payload held as bytes (one an error
-  // touched on the way in); a reference is parked as the reference.
-  if (envelope.payload_of == nullptr) {
-    const std::span<const std::uint8_t, kPayloadBytes> payload =
-        envelope.flit.payload();
-    std::copy(payload.begin(), payload.end(), pending.item.payload.begin());
-  }
-  static_cast<sim::StreamTag&>(pending.item) = envelope;
-  pending.ingress = static_cast<std::uint32_t>(ingress);
+  // Bytes are copied into the slab only for a payload held as bytes (one
+  // an error touched on the way in); a reference is parked as the
+  // reference.
+  park(out_port.queues[queue_index], envelope,
+       static_cast<std::uint32_t>(ingress), envelope.flit.payload());
   const std::size_t depth = total_pending(out_port);
   if (depth > out_port.stats.max_queue_depth)
     out_port.stats.max_queue_depth = depth;

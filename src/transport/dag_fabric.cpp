@@ -596,8 +596,8 @@ class FaultController {
       // replay buffer holds the oldest unacknowledged stream positions), so
       // inject them first, then rotate the parked tail across: per-flow
       // FIFO order survives the switchover end to end.
-      for (Endpoint::TxItem& tx_item : item.to_reinject)
-        item.origin_relay->inject(item.new_port, std::move(tx_item));
+      for (const Endpoint::TxItem& tx_item : item.to_reinject)
+        item.origin_relay->inject(item.new_port, tx_item);
       item.report.reinjected = item.to_reinject.size();
       item.to_reinject.clear();
       item.origin_relay->migrate_pending(item.old_port, item.new_port, flow);

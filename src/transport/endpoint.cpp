@@ -82,7 +82,8 @@ bool Endpoint::send_one() {
     stats_.control_flits_sent += 1;
     output_->send(control_queue_.front(),
                   sim::FlitTags{{}, false, dest_port_, 0,
-                                sim::SealState::kUnsealed});
+                                sim::SealState::kUnsealed,
+                                /*control_prefix=*/true});
     control_queue_.drop_front();
     return true;
   }
@@ -203,6 +204,8 @@ void Endpoint::note_ecn_stall() {
 void Endpoint::send_data_flit(flit::Flit& canonical,
                               const sim::StreamTag& stream) {
   const std::uint16_t seq = next_seq_;
+  const sim::FlitTags tags{stream, true, dest_port_, codec_.data_crc_fold(seq),
+                           sim::SealState::kUnsealed};
   // The canonical (replayable) image in its retry slot always carries the
   // explicit/implicit SeqNum with no piggybacked ACK; the wire image on
   // first transmission may substitute an AckNum into the FSN field, and is
@@ -216,7 +219,7 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
       ack_scheduler_.pending()) {
     if (const std::optional<std::uint16_t> acknum = ack_scheduler_.consume()) {
-      sim::copy_readable(piggyback_image_, canonical, stream.payload_of);
+      sim::copy_readable(piggyback_image_, canonical.bytes(), tags);
       codec_.write_data_header(piggyback_image_, seq, acknum);
       wire = &piggyback_image_;
       stats_.acks_piggybacked += 1;
@@ -236,9 +239,7 @@ void Endpoint::send_data_flit(flit::Flit& canonical,
   stats_.data_flits_sent += 1;
   trace(obs::TraceEventKind::kTx, stream.truth_index, stream.flow_id, seq,
         stream.vc, 0);
-  output_->send(*wire, sim::FlitTags{stream, true, dest_port_,
-                                     codec_.data_crc_fold(seq),
-                                     sim::SealState::kUnsealed});
+  output_->send(*wire, tags);
 }
 
 void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
@@ -246,7 +247,8 @@ void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
   // counts — one CRC-covered word per VC — plus the absolute ECN mark
   // bitmap, so ACKs and NACKs double as credit returns and mark carriers.
   // Hops without flow control stamp all-zero, keeping their wire image
-  // unchanged from the pre-credit encoding.
+  // unchanged from the pre-credit encoding. The codec writes the flit's
+  // prefix straight into its control-queue slot.
   std::array<std::uint16_t, link::kMaxVcs> words{};
   std::size_t stamped = 0;
   if (credit_returns_.enabled()) {
@@ -257,7 +259,8 @@ void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
   }
   const ControlCreditStamp stamp{
       std::span<const std::uint16_t>(words.data(), stamped), ecn_local_marks_};
-  control_queue_.push_back(FlitCodec::control_flit(command, fsn, stamp));
+  FlitCodec::write_control(control_queue_.push_back_slot(), command, fsn,
+                           stamp);
 }
 
 void Endpoint::begin_replay_from(std::uint16_t seq) {
@@ -499,9 +502,9 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
   // peer transmits: it resets the silent-peer death budget.
   last_peer_activity_ = queue_.now();
   if (hop_dead_) return;  // inert: late arrivals are dropped unprocessed
-  // Whatever sealed or flipped a flit wrote its payload first, so the real
-  // FEC decode and CRC check below only ever read real bytes.
-  assert(envelope.payload_of == nullptr ||
+  // Whatever sealed or flipped a flit widened it to its whole image first,
+  // so the real FEC decode and CRC check below only ever read real bytes.
+  assert((envelope.payload_of == nullptr && !envelope.control_prefix) ||
          envelope.seal == sim::SealState::kUnsealed);
 
   // Link-layer FEC at the endpoint's own ingress. Only a touched image can

@@ -3,49 +3,19 @@
 #include <algorithm>
 #include <cassert>
 
-#include "rxl/common/bytes.hpp"
-#include "rxl/link/credit.hpp"
-
 namespace rxl::transport {
 namespace {
 
 /// `image` sealed with `crc_fold`: what Debug builds check each metadata
 /// verdict against.
-[[maybe_unused]] flit::Flit sealed_copy(flit::Flit image,
-                                        std::uint16_t crc_fold) {
+flit::Flit sealed_copy(flit::Flit image, std::uint16_t crc_fold) {
   flit::seal(image, crc_fold);
   return image;
 }
 
 }  // namespace
 
-std::uint16_t control_vc_credit_word(const flit::Flit& flit,
-                                     std::size_t vc) noexcept {
-  return load_le16(flit.payload(), 2 * vc);
-}
-
-std::uint8_t control_ecn_marks(const flit::Flit& flit) noexcept {
-  return flit.payload()[kEcnMarksOffset];
-}
-
 FlitCodec::FlitCodec(Protocol protocol) : protocol_(protocol), isn_() {}
-
-void FlitCodec::write_data_header(flit::Flit& image, std::uint16_t seq,
-                                  std::optional<std::uint16_t> acknum) const {
-  flit::FlitHeader header;
-  header.type = flit::FlitType::kData;
-  if (acknum.has_value()) {
-    header.replay_cmd = flit::ReplayCmd::kAck;
-    header.fsn = *acknum & kSeqMask;
-  } else {
-    header.replay_cmd = flit::ReplayCmd::kSeqNum;
-    // CXL carries the explicit SeqNum; RXL zero-fills the field (§6.2).
-    header.fsn = (protocol_ == Protocol::kCxl)
-                     ? static_cast<std::uint16_t>(seq & kSeqMask)
-                     : 0;
-  }
-  image.set_header(header);
-}
 
 flit::Flit FlitCodec::encode_data(std::span<const std::uint8_t> payload,
                                   std::uint16_t seq,
@@ -58,18 +28,29 @@ flit::Flit FlitCodec::encode_data(std::span<const std::uint8_t> payload,
   return out;
 }
 
-flit::Flit FlitCodec::control_flit(flit::ReplayCmd command, std::uint16_t fsn,
-                                   const ControlCreditStamp& stamp) {
+void FlitCodec::write_control(flit::ControlPrefix& prefix,
+                              flit::ReplayCmd command, std::uint16_t fsn,
+                              const ControlCreditStamp& stamp) noexcept {
   assert(stamp.vc_words.size() <= link::kMaxVcs);
-  flit::Flit out;
+  prefix.bytes.fill(0);
   flit::FlitHeader header;
   header.type = flit::FlitType::kControl;
   header.replay_cmd = command;
   header.fsn = fsn & kSeqMask;
-  out.set_header(header);
+  flit::pack_header(header, prefix.bytes);
+  const std::span<std::uint8_t> payload =
+      std::span(prefix.bytes).subspan(kHeaderBytes);
   for (std::size_t vc = 0; vc < stamp.vc_words.size(); ++vc)
-    store_le16(out.payload(), 2 * vc, stamp.vc_words[vc]);
-  out.payload()[kEcnMarksOffset] = stamp.ecn_marks;
+    store_le16(payload, 2 * vc, stamp.vc_words[vc]);
+  payload[kEcnMarksOffset] = stamp.ecn_marks;
+}
+
+flit::Flit FlitCodec::control_flit(flit::ReplayCmd command, std::uint16_t fsn,
+                                   const ControlCreditStamp& stamp) {
+  flit::ControlPrefix prefix;
+  write_control(prefix, command, fsn, stamp);
+  flit::Flit out;
+  std::copy(prefix.bytes.begin(), prefix.bytes.end(), out.bytes().begin());
   return out;
 }
 
@@ -101,31 +82,21 @@ RxCheck FlitCodec::check_data(const flit::Flit& flit,
   return result;
 }
 
-RxCheck FlitCodec::check_data_unsealed(const flit::Flit& flit,
-                                       std::uint16_t crc_fold,
-                                       std::uint16_t expected_seq) const {
-  // The sealed CRC passes iff the receiver folds in the sender's value
-  // (modulo the 10 bits IsnCrc folds): RXL folds ESeqNum, CXL folds 0.
-  RxCheck result;
-  result.crc_ok = ((crc_fold ^ data_crc_fold(expected_seq)) & kSeqMask) == 0;
-  if (protocol_ == Protocol::kCxl && result.crc_ok) {
-    const flit::FlitHeader header = flit.header();
-    if (header.replay_cmd == flit::ReplayCmd::kSeqNum)
-      result.explicit_seq = header.fsn;
-  }
-  assert(check_data(sealed_copy(flit, crc_fold), expected_seq) == result);
-  return result;
+bool FlitCodec::agrees_with_sealed(const flit::Flit& flit,
+                                   std::uint16_t crc_fold,
+                                   std::uint16_t expected_seq,
+                                   const RxCheck& verdict) const {
+  return check_data(sealed_copy(flit, crc_fold), expected_seq) == verdict;
 }
 
 bool FlitCodec::check_control(const flit::Flit& flit) const {
   return isn_.encode_plain(flit.crc_protected_region()) == flit.crc_field();
 }
 
-bool FlitCodec::check_control_unsealed(
-    [[maybe_unused]] const flit::Flit& flit, std::uint16_t crc_fold) const {
-  const bool crc_ok = (crc_fold & kSeqMask) == 0;
-  assert(check_control(sealed_copy(flit, crc_fold)) == crc_ok);
-  return crc_ok;
+bool FlitCodec::agrees_with_sealed(const flit::Flit& flit,
+                                   std::uint16_t crc_fold,
+                                   bool verdict) const {
+  return check_control(sealed_copy(flit, crc_fold)) == verdict;
 }
 
 void FlitCodec::regenerate_link_crc(flit::Flit& flit) const {

@@ -7,14 +7,18 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "plan_rejection.hpp"
 #include "rxl/link/credit.hpp"
+#include "rxl/phy/error_model.hpp"
 #include "rxl/sim/trial_runner.hpp"
 #include "rxl/transport/star_fabric.hpp"
 
@@ -690,6 +694,122 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   EXPECT_EQ(relay.port_stats(0).relayed_in, 3u);
   EXPECT_EQ(relay.port_stats(0).dropped_no_route, 3u);
   EXPECT_EQ(relay.port_stats(1).relayed_out, 0u);
+}
+
+/// Reports a hit on every other flit and flips nothing, so the channel
+/// writes out and seals every second flit it carries.
+class HitEveryOther final : public phy::ErrorModel {
+ public:
+  std::size_t corrupt(std::span<std::uint8_t>, Xoshiro256&) override {
+    return calls_++ % 2;
+  }
+
+ private:
+  std::size_t calls_ = 0;
+};
+
+TEST(RelaySwitch, ByteHeldAndByReferencePayloadsShareOneQueue) {
+  // Flow 7's source reaches relay port 0 over a wire that writes out every
+  // second flit, so its payloads park in port 1's queue alternately by
+  // reference and as bytes in the relay's slab. Two byte-held payloads are
+  // injected behind them (flows 9 and 7), flow 7 migrates to port 2, and a
+  // third is injected there. Only then do the egress ports get wires: every
+  // payload re-originated carries its own bytes, and the slab is empty once
+  // the queues drain.
+  sim::EventQueue queue;
+  ProtocolConfig protocol;
+  Endpoint source(queue, protocol, "source");
+  switchdev::RelaySwitch relay(queue, "r");
+  for (int port = 0; port < 3; ++port) relay.add_port(protocol);
+  relay.set_route(7, 1);
+  sim::LinkChannel uplink(queue, std::make_unique<HitEveryOther>(), 1);
+  sim::LinkChannel downlink(queue, std::make_unique<phy::NoErrors>(), 2);
+  source.set_output(&uplink);
+  uplink.set_receiver([&relay](sim::FlitEnvelope&& envelope) {
+    relay.port(0).on_flit(std::move(envelope));
+  });
+  relay.port(0).set_output(&downlink);
+  downlink.set_receiver([&source](sim::FlitEnvelope&& envelope) {
+    source.on_flit(std::move(envelope));
+  });
+  sim::PayloadFn stream = [](std::uint64_t index, Endpoint::PayloadOut out) {
+    std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(0xC0 + index));
+  };
+  source.set_source([](std::uint64_t index) { return index < 6; },
+                    {.payload_of = &stream, .flow_id = 7});
+  source.kick();
+  queue.run_until(2'000'000);
+  ASSERT_EQ(relay.port_stats(0).relayed_in, 6u);
+  ASSERT_EQ(uplink.stats().flits_corrupted, 3u);
+  EXPECT_EQ(relay.debug_slab_in_use(), 3u);
+
+  const auto drained = [](std::uint16_t flow, std::uint64_t truth,
+                          std::uint8_t fill) {
+    Endpoint::TxItem item;
+    item.flow_id = flow;
+    item.truth_index = truth;
+    std::fill(item.payload.begin(), item.payload.end(), fill);
+    return item;
+  };
+  relay.inject(1, drained(9, 100, 0x19));
+  relay.inject(1, drained(7, 6, 0x76));
+  EXPECT_EQ(relay.debug_slab_in_use(), 5u);
+  EXPECT_EQ(relay.migrate_pending(1, 2, 7), 7u);
+  relay.inject(2, drained(7, 7, 0x77));
+  EXPECT_EQ(relay.debug_slab_in_use(), 6u);
+  EXPECT_EQ(relay.port_stats(1).queue_occupancy, 1u);
+  EXPECT_EQ(relay.port_stats(2).queue_occupancy, 8u);
+
+  // Egress wires, each with a sink recording (flow, truth, first and last
+  // payload byte) and ACKing back.
+  using Delivery =
+      std::tuple<std::uint16_t, std::uint64_t, std::uint8_t, std::uint8_t>;
+  std::vector<Delivery> delivered;
+  std::vector<std::unique_ptr<Endpoint>> sinks;
+  std::vector<std::unique_ptr<sim::LinkChannel>> wires;
+  for (std::size_t port = 1; port <= 2; ++port) {
+    sinks.push_back(std::make_unique<Endpoint>(queue, protocol, "sink"));
+    Endpoint& sink = *sinks.back();
+    wires.push_back(std::make_unique<sim::LinkChannel>(
+        queue, std::make_unique<phy::NoErrors>(), 10 + port));
+    sim::LinkChannel& out = *wires.back();
+    wires.push_back(std::make_unique<sim::LinkChannel>(
+        queue, std::make_unique<phy::NoErrors>(), 20 + port));
+    sim::LinkChannel& back = *wires.back();
+    relay.port(port).set_output(&out);
+    out.set_receiver([&sink](sim::FlitEnvelope&& envelope) {
+      sink.on_flit(std::move(envelope));
+    });
+    sink.set_output(&back);
+    back.set_receiver([&relay, port](sim::FlitEnvelope&& envelope) {
+      relay.port(port).on_flit(std::move(envelope));
+    });
+    sink.set_deliver([&delivered](const sim::FlitEnvelope& envelope) {
+      std::array<std::uint8_t, kPayloadBytes> scratch{};
+      const auto payload = sim::payload_bytes(envelope, scratch);
+      delivered.emplace_back(envelope.flow_id, envelope.truth_index,
+                             payload.front(), payload.back());
+    });
+    relay.port(port).kick();
+  }
+  queue.run_until(20'000'000);
+
+  std::vector<Delivery> expected{{9, 100, 0x19, 0x19}};
+  for (std::uint64_t truth = 0; truth < 6; ++truth) {
+    const auto fill = static_cast<std::uint8_t>(0xC0 + truth);
+    expected.emplace_back(7, truth, fill, fill);
+  }
+  expected.emplace_back(7, 6, 0x76, 0x76);
+  expected.emplace_back(7, 7, 0x77, 0x77);
+  // Flow 9 first, then flow 7 in its delivery order.
+  std::stable_sort(delivered.begin(), delivered.end(),
+                   [](const Delivery& a, const Delivery& b) {
+                     return std::get<0>(a) > std::get<0>(b);
+                   });
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(relay.port_stats(1).queue_occupancy, 0u);
+  EXPECT_EQ(relay.port_stats(2).queue_occupancy, 0u);
+  EXPECT_EQ(relay.debug_slab_in_use(), 0u);
 }
 
 TEST(DagFabric, ConservationEveryDeliveryIsClassified) {

@@ -205,6 +205,76 @@ TEST(LinkChannel, ByReferenceFlitCopiesOnlyItsHeader) {
   EXPECT_TRUE(codec.check_data(hit.flit, kSeq).crc_ok);
 }
 
+TEST(LinkChannel, ControlFlitCopiesOnlyItsPrefix) {
+  // A control flit hops as its 24 B prefix (header, eight credit words, ECN
+  // byte): the recycled in-flight slot keeps the bytes an earlier flit left
+  // behind it. An error hit zero-fills that tail and seals the slot before
+  // it flips, so the flip lands on exactly the codeword the codec builds.
+  using transport::FlitCodec;
+  const std::array<std::uint16_t, 8> words{0x1111, 0x2222, 0x3333, 0x4444,
+                                           0x5555, 0x6666, 0x7777, 0x8888};
+  const transport::ControlCreditStamp stamp{words, 0xA5};
+  flit::ControlPrefix prefix;
+  FlitCodec::write_control(prefix, flit::ReplayCmd::kAck, 17, stamp);
+  const FlitTags tags{{}, false, 0, 0, SealState::kUnsealed,
+                      /*control_prefix=*/true};
+  flit::Flit codeword = FlitCodec::control_flit(flit::ReplayCmd::kAck, 17,
+                                                stamp);
+  flit::seal(codeword, 0);
+
+  const auto run = [&](std::unique_ptr<phy::ErrorModel> errors,
+                       const flit::ControlPrefix& sent) {
+    EventQueue queue;
+    LinkChannel channel(queue, std::move(errors), 1);
+    std::optional<FlitEnvelope> seen;
+    channel.set_receiver([&](FlitEnvelope&& envelope) { seen = envelope; });
+    // Eight bytes-held flits of 0x5A fill the ring's eight slots and drain,
+    // so the control flit lands in a slot that reads 0x5A throughout.
+    FlitEnvelope held;
+    std::fill(held.flit.bytes().begin(), held.flit.bytes().end(),
+              std::uint8_t{0x5A});
+    for (int i = 0; i < 8; ++i) channel.send(held);
+    queue.run();
+    channel.send(sent, tags);
+    queue.run();
+    return *seen;
+  };
+
+  const FlitEnvelope clean = run(std::make_unique<phy::NoErrors>(), prefix);
+  EXPECT_TRUE(clean.control_prefix);
+  EXPECT_EQ(clean.seal, SealState::kUnsealed);
+  EXPECT_TRUE(std::equal(prefix.bytes.begin(), prefix.bytes.end(),
+                         clean.flit.bytes().begin()));
+  const auto tail = clean.flit.bytes().subspan(flit::kControlPrefixBytes);
+  EXPECT_TRUE(std::all_of(tail.begin(), tail.end(),
+                          [](std::uint8_t byte) { return byte == 0x5A; }));
+  // Every byte a receiver reads came across.
+  EXPECT_EQ(clean.flit.header(), codeword.header());
+  for (std::size_t vc = 0; vc < words.size(); ++vc)
+    EXPECT_EQ(transport::control_vc_credit_word(clean.flit, vc), words[vc]);
+  EXPECT_EQ(transport::control_ecn_marks(clean.flit), 0xA5);
+
+  const FlitEnvelope hit = run(
+      std::make_unique<phy::HitWithoutFlip>(std::make_unique<phy::NoErrors>()),
+      prefix);
+  EXPECT_FALSE(hit.control_prefix);
+  EXPECT_EQ(hit.seal, SealState::kTouched);
+  EXPECT_EQ(hit.flit, codeword);
+  const transport::FlitCodec codec(transport::Protocol::kRxl);
+  EXPECT_TRUE(codec.check_control(hit.flit));
+
+  // A single-VC ACK hit the same way is encode_control's codeword.
+  const std::uint16_t word = 0xBEEF;
+  flit::ControlPrefix single;
+  FlitCodec::write_control(single, flit::ReplayCmd::kNackGoBackN, 5,
+                           {std::span(&word, 1), 0});
+  const FlitEnvelope single_hit = run(
+      std::make_unique<phy::HitWithoutFlip>(std::make_unique<phy::NoErrors>()),
+      single);
+  EXPECT_EQ(single_hit.flit,
+            codec.encode_control(flit::ReplayCmd::kNackGoBackN, 5, word));
+}
+
 TEST(LinkChannelDeathTest, SendFromItsOwnReceiverAborts) {
   // The receiver holds the channel's in-flight slot, which a send on the
   // same channel could move. Checked in release builds too.

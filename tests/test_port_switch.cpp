@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <memory>
@@ -334,6 +335,56 @@ TEST(SwitchDevice, ByReferenceFlitInARecycledSlotIsSealedBeforeItsFlip) {
   // RXL forwards the sender's ECRC, which the flip now fails.
   EXPECT_EQ(out.flit.crc_field(), sealed.crc_field());
   EXPECT_FALSE(codec.check_data(out.flit, kSeq).crc_ok);
+  flit::Flit copy = out.flit;
+  EXPECT_EQ(codec.fec().decode(copy.bytes()).status, rs::DecodeStatus::kClean);
+}
+
+TEST(SwitchDevice, ControlFlitInARecycledSlotIsSealedBeforeItsFlip) {
+  // A control flit arrives as its 24 B prefix in a slot whose tail holds an
+  // earlier flit's bytes (0x5A), at a hub that flips every flit, and parks
+  // in a forwarding slot eight bytes-held flits used before it. The hub
+  // zero-fills the tail and seals before it flips, so the flit leaves as
+  // the codec's codeword flipped in one bit, its FEC regenerated.
+  PortSwitch::Config config;
+  config.protocol = Protocol::kRxl;
+  config.internal_error_rate = 1.0;
+  Harness harness(config, 99);
+  FlitCodec codec(Protocol::kRxl);
+  for (std::uint16_t seq = 0; seq < 8; ++seq)
+    harness.sw->on_flit(data_envelope(codec, seq));
+  harness.queue.run();
+  ASSERT_EQ(harness.received.size(), 8u);
+
+  const std::array<std::uint16_t, 4> words{0x0102, 0x0304, 0x0506, 0x0708};
+  const transport::ControlCreditStamp stamp{words, 0x0B};
+  flit::ControlPrefix prefix;
+  FlitCodec::write_control(prefix, flit::ReplayCmd::kNackGoBackN, 300, stamp);
+  sim::FlitEnvelope arriving;
+  std::fill(arriving.flit.bytes().begin(), arriving.flit.bytes().end(),
+            std::uint8_t{0x5A});
+  std::copy(prefix.bytes.begin(), prefix.bytes.end(),
+            arriving.flit.bytes().begin());
+  arriving.seal = sim::SealState::kUnsealed;
+  arriving.control_prefix = true;
+  harness.sw->on_flit(std::move(arriving));
+  harness.queue.run();
+  ASSERT_EQ(harness.received.size(), 9u);
+  EXPECT_EQ(harness.sw->stats().internal_corruptions, 9u);
+
+  const sim::FlitEnvelope& out = harness.received.back();
+  EXPECT_FALSE(out.control_prefix);
+  EXPECT_EQ(out.seal, sim::SealState::kCodeword);
+  flit::Flit sealed =
+      FlitCodec::control_flit(flit::ReplayCmd::kNackGoBackN, 300, stamp);
+  flit::seal(sealed, 0);
+  int flipped_bits = 0;
+  for (std::size_t i = 0; i < kHeaderBytes + kPayloadBytes; ++i)
+    flipped_bits += std::popcount(
+        static_cast<unsigned>(out.flit.bytes()[i] ^ sealed.bytes()[i]));
+  EXPECT_EQ(flipped_bits, 1);
+  // RXL forwards the sender's CRC, which the flip now fails.
+  EXPECT_EQ(out.flit.crc_field(), sealed.crc_field());
+  EXPECT_FALSE(codec.check_control(out.flit));
   flit::Flit copy = out.flit;
   EXPECT_EQ(codec.fec().decode(copy.bytes()).status, rs::DecodeStatus::kClean);
 }

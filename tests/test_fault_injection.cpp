@@ -514,6 +514,47 @@ TEST(FaultFabric, UnrecoverableDeathDegradesWithoutDuplicates) {
   EXPECT_GE(report.total_hops_declared_dead(), 1u);
 }
 
+TEST(FaultFabric, RerouteWhoseOldPathNeverDrainsIsAbandoned) {
+  // One uncredited flow over the diamond. M_0 -> R1 (edge 2) dies for good
+  // at 20 us and has no backup, so M_0's egress queue keeps the flow's
+  // flits; then R0 -> M_0 (edge 1) dies at 30 us. Its reroute has a backup
+  // through M_1, but the old path past R0 never drains: the controller
+  // polls until its quiesce limit, abandons the switch, and re-sends
+  // nothing, so the stream stops clean at what got through before.
+  DagScenarioSpec spec = diamond_spec();
+  spec.hop_credits = 0;
+  spec.flits_per_flow = 100'000;
+  spec.seed = 5;
+  DagConfig config = make_diamond_dag(spec, 1, 2);
+  config.faults.edge(2).add_window(20'000'000, 0);
+  config.faults.edge(1).add_window(30'000'000, 0);
+  const DagPlan plan = plan_dag(config);
+  ASSERT_EQ(plan.reroutes.size(), 2u);
+  const DagPlan::Reroute& stuck = plan.reroutes[0];
+  ASSERT_EQ(plan.segments[stuck.dead_segment].egress_edge, 1u);
+  EXPECT_EQ(stuck.backup_segments.size(), 3u);  // R0 -> M_1 -> R1 -> dst
+  EXPECT_TRUE(plan.reroutes[1].backup_edges.empty());  // M_0 has no detour
+
+  const DagReport report = run_dag_fabric(config);
+  ASSERT_EQ(report.reroutes.size(), 2u);
+  const DagRerouteReport& episode = report.reroutes[1];  // detection order
+  ASSERT_EQ(episode.segment, stuck.dead_segment);
+  EXPECT_EQ(episode.detected_at, 56'010'000u);
+  EXPECT_EQ(episode.drained, 256u);
+  EXPECT_EQ(episode.reconciled, 11u);
+  EXPECT_EQ(episode.reinjected, 0u);  // abandoned before any re-send
+  EXPECT_FALSE(episode.rerouted);
+  EXPECT_EQ(episode.switched_at, 0u);
+  EXPECT_FALSE(report.reroutes[0].rerouted);
+  EXPECT_EQ(report.total_reroutes_executed(), 0u);
+  ASSERT_EQ(report.flows.size(), 1u);
+  EXPECT_FALSE(report.flows[0].rerouted);
+  EXPECT_EQ(report.flows[0].scoreboard.in_order, 9'990u);
+  EXPECT_EQ(report.flows[0].scoreboard.duplicates, 0u);
+  EXPECT_EQ(report.total_order_failures(), 0u);
+  EXPECT_EQ(report.misrouted, 0u);
+}
+
 TEST(FaultFabric, EmptyFaultPlanLeavesEveryResilienceCounterZero) {
   const DagReport report = run_dag_fabric(make_diamond_dag(diamond_spec(), 2, 2));
   expect_exactly_once(report, 300);

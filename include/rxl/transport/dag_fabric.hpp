@@ -197,7 +197,12 @@ struct DagPlan {
   /// same deterministic BFS as primaries (lowest edge id breaks ties) on
   /// the surviving graph, doomed edges excluded. Empty backup_edges = no
   /// surviving route (the flow degrades; run_dag_fabric reports the
-  /// abandonment).
+  /// episode, not rerouted). run_dag_fabric's reroute controller reads it
+  /// when it acts: Fabric::on_hop_down reconciles the dead segment's drained
+  /// flits, Fabric::old_path_quiet probes flow_segments[flow] past
+  /// dead_segment, and Fabric::try_switchover routes the flow along
+  /// backup_segments (Fabric::install_routes) and re-originates it at the
+  /// dead segment's origin relay.
   struct Reroute {
     std::uint16_t flow = 0;
     std::uint32_t dead_segment = 0;

@@ -18,7 +18,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -137,8 +136,9 @@ class Endpoint {
     };
     std::vector<DrainedFlit> drained;  ///< oldest -> newest
   };
-  /// Fires at most once per hop, at its death, so it may allocate.
-  using HopDownFn = std::function<void(HopDownEvent&&)>;  // rxl-lint: allow(R3)
+  /// Fires at most once per hop, at its death. Like every hook, its
+  /// captures are trivially copyable and inline.
+  using HopDownFn = sim::InlineDelegate<void(HopDownEvent&&)>;
 
   /// `credits` is this termination's flow-control provisioning (plan_dag
   /// decides it per fabric hop); the default is no flow control on one VC.
@@ -165,7 +165,7 @@ class Endpoint {
   void set_relay_source(RelaySourceFn source) { relay_source_ = source; }
 
   /// Installs the hop-death handler (fault injection's management plane).
-  void set_hop_down(HopDownFn handler) { hop_down_ = std::move(handler); }
+  void set_hop_down(HopDownFn handler) { hop_down_ = handler; }
 
   /// True once this TX has declared its hop dead and gone inert.
   [[nodiscard]] bool hop_dead() const noexcept { return hop_dead_; }

@@ -454,174 +454,20 @@ DagPlan plan_dag(const DagConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault management plane
+// Instantiation + run
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Reroute-controller quiesce poll period: after a hop death the controller
-/// re-checks the old path suffix this often until it drains (no relay
-/// egress queue or suffix-hop retry buffer still holds the flow), then
-/// swaps the flow tables.
+/// Reroute quiesce poll period: after a hop death, Fabric::try_switchover
+/// re-checks Fabric::old_path_quiet this often until the old path past the
+/// dead segment drains (no relay egress queue or suffix-hop retry buffer
+/// still holds the flow), then switches the flow onto its backup.
 constexpr TimePs kReroutePoll = 500'000;
-/// Polls before the controller abandons a reroute whose old-path suffix
+/// Polls before Fabric::try_switchover abandons a reroute whose old path
 /// never drains (e.g. a second fault downstream). Abandoned reroutes are
 /// reported, not fatal.
 constexpr unsigned kRerouteQuiesceLimit = 64;
-
-// Reroute controller: reacts to HopDownEvents raised by hop transmitters,
-// reconciles the drained flits against the peer receiver's sequence state,
-// quiesces the flow's old path suffix, and swaps flow tables onto the
-// precomputed backup route (DagPlan::Reroute). Every decision is a pure
-// function of simulation state and the deterministic poll timeline, so
-// faulted runs replay bit-identically from their seed like clean ones.
-class FaultController {
- public:
-  struct Item {
-    const DagPlan::Reroute* reroute = nullptr;
-    /// RX side of the dead segment, read at detection time to reconcile
-    /// which drained flits already got through (null when the peer relay
-    /// fail-stopped and its sequence state is gone).
-    Endpoint* peer_rx = nullptr;
-    bool peer_failed = false;
-    /// Switchover site: the dead segment's origin relay and its old/new
-    /// egress ports (origin_relay stays null for a terminal origin, which
-    /// can never have a backup — its single uplink is the dead hop).
-    switchdev::RelaySwitch* origin_relay = nullptr;
-    std::size_t old_port = 0;
-    std::size_t new_port = 0;
-    /// Flow-table writes that activate the backup path, in path order.
-    std::vector<std::pair<switchdev::RelaySwitch*, std::size_t>>
-        route_installs;
-    /// Old-path-suffix probes the quiesce phase polls: transmitters whose
-    /// replay buffers and relays whose egress queues must stop holding the
-    /// flow before the backup may carry it (or re-injected flits could
-    /// overtake older in-flight ones).
-    std::vector<Endpoint*> suffix_tx;
-    std::vector<switchdev::RelaySwitch*> suffix_relays;
-    std::vector<Endpoint::TxItem> to_reinject;
-    unsigned polls = 0;
-    bool fired = false;
-    bool resolved = false;
-    DagRerouteReport report;
-  };
-
-  FaultController(sim::EventQueue& queue, std::size_t segment_count)
-      : queue_(queue), items_of_segment_(segment_count) {}
-
-  void add_item(Item item) {
-    const std::size_t index = items_.size();
-    items_of_segment_[item.reroute->dead_segment].push_back(index);
-    items_.push_back(std::move(item));
-  }
-
-  [[nodiscard]] bool watches(std::uint32_t segment) const {
-    return !items_of_segment_[segment].empty();
-  }
-
-  void on_hop_down(std::uint32_t segment, Endpoint::HopDownEvent&& event) {
-    for (const std::size_t idx : items_of_segment_[segment]) {
-      Item& item = items_[idx];
-      if (item.fired) continue;
-      item.fired = true;
-      fired_order_.push_back(idx);
-      item.report.flow = item.reroute->flow;
-      item.report.segment = segment;
-      item.report.detected_at = event.at;
-      const std::uint16_t expected =
-          item.peer_failed ? 0 : item.peer_rx->expected_seq();
-      for (Endpoint::HopDownEvent::DrainedFlit& drained : event.drained) {
-        if (drained.item.flow_id != item.reroute->flow) continue;
-        item.report.drained += 1;
-        // Go-back-N acceptance is in-order and cumulative, so the peer's
-        // delivered set is exactly the sequence prefix below its expected
-        // number: a drained entry strictly behind it already got through
-        // (only its acknowledgment was lost) and must not be re-sent.
-        if (!item.peer_failed && link::seq_before(drained.seq, expected)) {
-          item.report.reconciled += 1;
-          continue;
-        }
-        item.to_reinject.push_back(std::move(drained.item));
-      }
-      if (item.reroute->backup_edges.empty()) {
-        item.resolved = true;  // no surviving route: the flow degrades
-        continue;
-      }
-      try_switchover(idx);
-    }
-  }
-
-  [[nodiscard]] std::vector<DagRerouteReport> reports() const {
-    std::vector<DagRerouteReport> out;
-    out.reserve(fired_order_.size());
-    for (const std::size_t idx : fired_order_)
-      out.push_back(items_[idx].report);
-    return out;
-  }
-
-  /// Attaches the controller to a flit-lifecycle trace sink: each executed
-  /// switchover emits kRerouteDrain (flow tagged, arg = re-injected count).
-  void set_trace(obs::TraceSink* sink, std::uint16_t component) noexcept {
-    trace_ = sink;
-    trace_component_ = component;
-  }
-
- private:
-  [[nodiscard]] bool quiet(const Item& item) const {
-    const std::uint16_t flow = item.reroute->flow;
-    for (switchdev::RelaySwitch* const relay : item.suffix_relays)
-      if (relay->has_flow_queued(flow)) return false;
-    for (Endpoint* const tx : item.suffix_tx)
-      if (tx->tx_holds_flow(flow)) return false;
-    return true;
-  }
-
-  void try_switchover(std::size_t idx) {
-    Item& item = items_[idx];
-    if (item.resolved) return;
-    if (!quiet(item)) {
-      if (item.polls >= kRerouteQuiesceLimit) {
-        item.resolved = true;  // abandoned: the old suffix never drained
-        return;
-      }
-      item.polls += 1;
-      queue_.schedule(kReroutePoll, [this, idx] { try_switchover(idx); });
-      return;
-    }
-    const std::uint16_t flow = item.reroute->flow;
-    for (const auto& [relay, port] : item.route_installs)
-      relay->set_route(flow, port);
-    if (item.origin_relay != nullptr) {
-      // Drained flits precede anything parked in the old egress queue (the
-      // replay buffer holds the oldest unacknowledged stream positions), so
-      // inject them first, then rotate the parked tail across: per-flow
-      // FIFO order survives the switchover end to end.
-      for (const Endpoint::TxItem& tx_item : item.to_reinject)
-        item.origin_relay->inject(item.new_port, tx_item);
-      item.report.reinjected = item.to_reinject.size();
-      item.to_reinject.clear();
-      item.origin_relay->migrate_pending(item.old_port, item.new_port, flow);
-    }
-    item.report.rerouted = true;
-    item.report.switched_at = queue_.now();
-    item.resolved = true;
-    if (trace_ != nullptr)
-      trace_->emit(trace_component_, queue_.now(),
-                   obs::TraceEventKind::kRerouteDrain, 0, flow, 0, 0,
-                   static_cast<std::uint32_t>(item.report.reinjected));
-  }
-
-  sim::EventQueue& queue_;
-  std::vector<Item> items_;
-  std::vector<std::vector<std::size_t>> items_of_segment_;
-  std::vector<std::size_t> fired_order_;  ///< detection order, for reports
-  obs::TraceSink* trace_ = nullptr;       ///< flit-lifecycle sink (null = off)
-  std::uint16_t trace_component_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Instantiation + run
-// ---------------------------------------------------------------------------
 
 /// One end of a segment: the endpoint terminating it there and, at a relay,
 /// that endpoint's port index.
@@ -677,13 +523,23 @@ class Fabric {
     std::uint64_t offered = 0;
     bool pace_armed = false;
   };
+  /// Run-time progress of the planned reroute with the same index in
+  /// DagPlan::reroutes; the controller reads everything else from the plan
+  /// and the segment ends when it acts.
+  struct RerouteProgress {
+    unsigned polls = 0;
+    std::vector<Endpoint::TxItem> to_reinject;
+    DagRerouteReport report;
+  };
 
   void build_domain(std::uint32_t si, const ProtocolConfig& protocol,
                     Xoshiro256& seeder);
   Side add_side(std::uint16_t node, const ProtocolConfig& protocol,
                 link::HopCredits credits);
   void wire_segment(std::size_t si, Endpoint* rx);
-  void build_controller();
+  /// Routes `flow` out of each of `segments` at the relay it leaves from.
+  void install_routes(std::uint16_t flow,
+                      std::span<const std::uint32_t> segments);
   void register_trace();
   void build_flows();
   /// The flow's Endpoint::SourceFn gate: offers stream position `index`,
@@ -693,6 +549,17 @@ class Fabric {
   void deliver(std::uint16_t node, const sim::FlitEnvelope& envelope);
   /// One occupancy/goodput time-series point; re-arms itself.
   void sample();
+
+  // The reroute controller. A dead segment's TX raises one HopDownEvent;
+  // every reroute planned for that segment reconciles the drained flits
+  // against the peer RX's sequence state, waits for the flow's old path
+  // past the dead segment to drain, and switches the flow onto its
+  // precomputed backup (DagPlan::Reroute). Every decision is a pure
+  // function of simulation state and the deterministic poll timeline, so
+  // faulted runs replay bit-identically from their seed like clean ones.
+  void on_hop_down(std::uint32_t si, Endpoint::HopDownEvent&& event);
+  [[nodiscard]] bool old_path_quiet(const DagPlan::Reroute& reroute) const;
+  void try_switchover(std::size_t r);
 
   const DagConfig& config_;
   const DagPlan& plan_;
@@ -708,7 +575,12 @@ class Fabric {
   std::vector<Domain> domains_;
   /// By flow; reserved once, so the boards' PayloadFns never move.
   std::vector<FlowRuntime> flows_;
-  std::optional<FaultController> controller_;
+  std::vector<RerouteProgress> reroutes_;  ///< by DagPlan::reroutes index
+  /// reroutes_ indices in the order their hops died: the report's order.
+  std::vector<std::size_t> detection_order_;
+  /// The `reroute` trace component: each switch emits kRerouteDrain (flow
+  /// tagged, arg = re-injected count).
+  std::uint16_t reroute_trace_ = 0;
   DagReport report_;
 };
 
@@ -716,7 +588,8 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
     : config_(config),
       plan_(plan),
       sample_latency_(config.sample_latency || config.debug_latency_samples),
-      ends_(plan.segments.size()) {
+      ends_(plan.segments.size()),
+      reroutes_(plan.reroutes.size()) {
   const std::size_t node_count = config.nodes.size();
 
   // Flit-lifecycle tracing: the sink exists only when enabled, so every
@@ -787,17 +660,18 @@ Fabric::Fabric(const DagConfig& config, const DagPlan& plan)
                      return x.node < y.node;
                    });
 
-  // Flow tables: a relay routes each flow out of its next segment's port.
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    for (const std::uint32_t si : plan.flow_segments[f]) {
-      switchdev::RelaySwitch* const relay =
-          relays_[plan.segments[si].origin].get();
-      if (relay != nullptr)
-        relay->set_route(static_cast<std::uint16_t>(f), ends_[si].tx.port);
-    }
-  }
+  for (std::size_t f = 0; f < config.flows.size(); ++f)
+    install_routes(static_cast<std::uint16_t>(f), plan.flow_segments[f]);
 
-  if (!plan.reroutes.empty()) build_controller();
+  // The reroute controller hears each doomed segment's TX. Endpoints on a
+  // fail-stop relay still simulate (their incident links just go dark),
+  // but their events carry no recoverable state, so no reroute starts at
+  // one (plan_dag).
+  for (const DagPlan::Reroute& reroute : plan.reroutes)
+    ends_[reroute.dead_segment].tx.endpoint->set_hop_down(
+        [this, si = reroute.dead_segment](Endpoint::HopDownEvent&& event) {
+          on_hop_down(si, std::move(event));
+        });
   if (trace_ != nullptr) register_trace();
   build_flows();
 
@@ -894,56 +768,12 @@ void Fabric::wire_segment(std::size_t si, Endpoint* rx) {
   });
 }
 
-// Fault management plane: resolve each planned reroute from the segment
-// ends and install hop-down handlers on the transmitters of doomed
-// segments. Endpoints on a fail-stop relay still simulate (their incident
-// links just go dark), but their events carry no recoverable state, so
-// the controller never watches them.
-void Fabric::build_controller() {
-  FaultController& controller =
-      controller_.emplace(queue_, plan_.segments.size());
-  for (const DagPlan::Reroute& reroute : plan_.reroutes) {
-    const DagPlan::Segment& dead = plan_.segments[reroute.dead_segment];
-    FaultController::Item item;
-    item.reroute = &reroute;
-    item.peer_failed = plan_.failed[dead.peer] != 0;
-    if (!item.peer_failed)
-      item.peer_rx = ends_[reroute.dead_segment].rx.endpoint;
-    item.origin_relay = relays_[dead.origin].get();
-    item.old_port = ends_[reroute.dead_segment].tx.port;
-    if (!reroute.backup_segments.empty())
-      item.new_port = ends_[reroute.backup_segments.front()].tx.port;
-    for (const std::uint32_t si : reroute.backup_segments) {
-      switchdev::RelaySwitch* const relay =
-          relays_[plan_.segments[si].origin].get();
-      if (relay != nullptr)
-        item.route_installs.emplace_back(relay, ends_[si].tx.port);
-    }
-    // Old-path suffix: every segment after the dead one still drains
-    // in-flight flits toward the destination; the quiesce phase waits for
-    // them so re-injected traffic cannot overtake. Probes on a fail-stop
-    // relay are skipped — anything it holds is lost, and waiting on its
-    // frozen queues would only burn the poll budget.
-    const std::vector<std::uint32_t>& fsegs =
-        plan_.flow_segments[reroute.flow];
-    auto it = std::find(fsegs.begin(), fsegs.end(), reroute.dead_segment);
-    assert(it != fsegs.end());
-    for (++it; it != fsegs.end(); ++it) {
-      const std::uint16_t origin = plan_.segments[*it].origin;
-      if (plan_.failed[origin] != 0) continue;
-      if (relays_[origin] != nullptr)
-        item.suffix_relays.push_back(relays_[origin].get());
-      item.suffix_tx.push_back(ends_[*it].tx.endpoint);
-    }
-    controller.add_item(std::move(item));
-  }
-  for (std::uint32_t si = 0; si < static_cast<std::uint32_t>(ends_.size());
-       ++si) {
-    if (!controller.watches(si)) continue;
-    ends_[si].tx.endpoint->set_hop_down(
-        [ctrl = &controller, si](Endpoint::HopDownEvent&& event) {
-          ctrl->on_hop_down(si, std::move(event));
-        });
+void Fabric::install_routes(std::uint16_t flow,
+                            std::span<const std::uint32_t> segments) {
+  for (const std::uint32_t si : segments) {
+    switchdev::RelaySwitch* const relay =
+        relays_[plan_.segments[si].origin].get();
+    if (relay != nullptr) relay->set_route(flow, ends_[si].tx.port);
   }
 }
 
@@ -978,8 +808,8 @@ void Fabric::register_trace() {
     control_channels_[w]->set_trace(
         sink, sink->add_component(std::move(wire_name)));
   }
-  if (controller_.has_value())
-    controller_->set_trace(sink, sink->add_component("reroute"));
+  if (!plan_.reroutes.empty())
+    reroute_trace_ = sink->add_component("reroute");
 }
 
 // Flow sources and sinks.
@@ -1118,6 +948,95 @@ void Fabric::sample() {
   queue_.schedule(config_.trace.sample_period, [this] { sample(); });
 }
 
+void Fabric::on_hop_down(std::uint32_t si, Endpoint::HopDownEvent&& event) {
+  // A fail-stopped peer's sequence state died with it: nothing drained can
+  // be proven delivered.
+  const bool peer_failed = plan_.failed[plan_.segments[si].peer] != 0;
+  const std::uint16_t expected =
+      peer_failed ? 0 : ends_[si].rx.endpoint->expected_seq();
+  for (std::size_t r = 0; r < plan_.reroutes.size(); ++r) {
+    const DagPlan::Reroute& reroute = plan_.reroutes[r];
+    if (reroute.dead_segment != si) continue;
+    RerouteProgress& progress = reroutes_[r];
+    detection_order_.push_back(r);
+    progress.report.flow = reroute.flow;
+    progress.report.segment = si;
+    progress.report.detected_at = event.at;
+    for (Endpoint::HopDownEvent::DrainedFlit& drained : event.drained) {
+      if (drained.item.flow_id != reroute.flow) continue;
+      progress.report.drained += 1;
+      // Go-back-N acceptance is in-order and cumulative, so the peer's
+      // delivered set is exactly the sequence prefix below its expected
+      // number: a drained entry strictly behind it already got through
+      // (only its acknowledgment was lost) and must not be re-sent.
+      if (!peer_failed && link::seq_before(drained.seq, expected)) {
+        progress.report.reconciled += 1;
+        continue;
+      }
+      progress.to_reinject.push_back(std::move(drained.item));
+    }
+    // Without a surviving route the flow degrades.
+    if (!reroute.backup_edges.empty()) try_switchover(r);
+  }
+}
+
+// The old path past the dead segment still drains in-flight flits toward
+// the destination; the switch waits for it so re-injected traffic cannot
+// overtake them. Probes on a fail-stop relay are skipped: anything it holds
+// is lost, and waiting on its frozen queues would only burn the poll budget.
+bool Fabric::old_path_quiet(const DagPlan::Reroute& reroute) const {
+  const std::vector<std::uint32_t>& path = plan_.flow_segments[reroute.flow];
+  auto it = std::find(path.begin(), path.end(), reroute.dead_segment);
+  assert(it != path.end());
+  for (++it; it != path.end(); ++it) {
+    const std::uint16_t origin = plan_.segments[*it].origin;
+    if (plan_.failed[origin] != 0) continue;
+    if (relays_[origin] != nullptr &&
+        relays_[origin]->has_flow_queued(reroute.flow))
+      return false;
+    if (ends_[*it].tx.endpoint->tx_holds_flow(reroute.flow)) return false;
+  }
+  return true;
+}
+
+void Fabric::try_switchover(std::size_t r) {
+  const DagPlan::Reroute& reroute = plan_.reroutes[r];
+  RerouteProgress& progress = reroutes_[r];
+  if (!old_path_quiet(reroute)) {
+    // Past the poll budget the reroute is abandoned, its backup unused.
+    if (progress.polls < kRerouteQuiesceLimit) {
+      progress.polls += 1;
+      queue_.schedule(kReroutePoll, [this, r] { try_switchover(r); });
+    }
+    return;
+  }
+  install_routes(reroute.flow, reroute.backup_segments);
+  // A terminal origin has no relay to re-originate from.
+  switchdev::RelaySwitch* const origin =
+      relays_[plan_.segments[reroute.dead_segment].origin].get();
+  if (origin != nullptr) {
+    // Drained flits precede anything parked in the old egress queue (the
+    // replay buffer holds the oldest unacknowledged stream positions), so
+    // inject them first, then rotate the parked tail across: per-flow
+    // FIFO order survives the switchover end to end.
+    const std::size_t new_port =
+        ends_[reroute.backup_segments.front()].tx.port;
+    for (const Endpoint::TxItem& item : progress.to_reinject)
+      origin->inject(new_port, item);
+    progress.report.reinjected = progress.to_reinject.size();
+    progress.to_reinject.clear();
+    origin->migrate_pending(ends_[reroute.dead_segment].tx.port, new_port,
+                            reroute.flow);
+  }
+  progress.report.rerouted = true;
+  progress.report.switched_at = queue_.now();
+  report_.flows[reroute.flow].rerouted = true;
+  if (trace_ != nullptr)
+    trace_->emit(reroute_trace_, queue_.now(),
+                 obs::TraceEventKind::kRerouteDrain, 0, reroute.flow, 0, 0,
+                 static_cast<std::uint32_t>(progress.report.reinjected));
+}
+
 DagReport Fabric::run() {
   for (const FlowRuntime& flow : flows_) flow.source->kick();
   queue_.run_until(config_.horizon);
@@ -1129,11 +1048,8 @@ DagReport Fabric::run() {
     report_.flows[f].offered = flows_[f].offered;
     report_.flows[f].scoreboard = flows_[f].board.finalize();
   }
-  if (controller_.has_value()) {
-    report_.reroutes = controller_->reports();
-    for (const DagRerouteReport& reroute : report_.reroutes)
-      if (reroute.rerouted) report_.flows[reroute.flow].rerouted = true;
-  }
+  for (const std::size_t r : detection_order_)
+    report_.reroutes.push_back(reroutes_[r].report);
   for (const Domain& domain : domains_) {
     const DagPlan::Segment& segment = plan_.segments[domain.rep];
     Endpoint* const a = ends_[domain.rep].tx.endpoint;
